@@ -35,14 +35,11 @@ from .optimizer import (
     FEASIBLE,
     INFEASIBLE,
     AllocationResult,
-    AverageEstimate,
     TrialChannels,
-    avg_harvest_power,
     draw_trials,
     estimate_averages,
     optimize_time_splitting,
     optimize_uc_splitting,
-    smallest_feasible,
 )
 from .power import (
     PROTOCOLS,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "AllocationResult",
-    "AverageEstimate",
     "BOLTZMANN",
     "CascadedChannel",
     "ConfigError",
@@ -106,7 +102,6 @@ __all__ = [
     "TrialChannels",
     "UC_SPLITTING",
     "absorbed_power_per_uc",
-    "avg_harvest_power",
     "chain_rf_power",
     "derived_quantities",
     "draw_trials",
@@ -132,7 +127,6 @@ __all__ = [
     "sample_rician_gains",
     "save_config",
     "select_harvest_set",
-    "smallest_feasible",
     "summarize",
     "total_consumption",
     "uc_aperture",

@@ -103,11 +103,25 @@ def reflected_snr(
     idx = np.sort(np.asarray(list(reflecting_set), dtype=np.intp))
     if idx.size == 0:
         return 0.0
-    amplitude = float(np.sum(np.abs(ch.h[idx]) * np.abs(ch.g[idx])))
-    noise = derived_quantities(cfg).noise_power
-    return cfg.tx_power * amplitude**2 / noise
+    return coherent_snr(float(np.sum(np.abs(ch.h[idx]) * np.abs(ch.g[idx]))), cfg)
+
+
+def coherent_snr(amplitude, cfg: ScenarioConfig):
+    """SNR of a coherent amplitude sum A = sum_i |h_i||g_i|: P_t * A^2 / N.
+
+    ``amplitude`` may be a scalar or an array of per-draw sums.
+    """
+    return cfg.tx_power * amplitude**2 / derived_quantities(cfg).noise_power
+
+
+def uc_absorbed_power(cfg: ScenarioConfig) -> float:
+    """Power absorbed by one UC acting as a perfect absorber: P_t |h|^2.
+
+    The TX side is deterministic free space, so every UC absorbs this much.
+    """
+    return cfg.tx_power * free_space_uc_gain(cfg)
 
 
 def absorbed_power_per_uc(ch: CascadedChannel, cfg: ScenarioConfig) -> np.ndarray:
-    """Power absorbed by each UC acting as a perfect absorber: P_t |h_i|^2."""
-    return cfg.tx_power * np.abs(ch.h) ** 2
+    """Per-UC absorbed power for a channel draw: uc_absorbed_power for every UC."""
+    return np.full(ch.h.size, uc_absorbed_power(cfg))

@@ -1,9 +1,8 @@
 """RF combining, rectification, and DC combining of the absorbed UC powers."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -14,6 +13,15 @@ if TYPE_CHECKING:
 LINEAR_CLIPPED = "linear_clipped"
 SIGMOIDAL = "sigmoidal"
 RECTIFIER_KINDS = (LINEAR_CLIPPED, SIGMOIDAL)
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite real number; bools and NaN/inf are not accepted."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,10 @@ class RectifierModel:
     centering: float = 2.2e-3    # W, sigmoidal inflection input
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not is_finite_number(value):
+                raise ValueError(f"rectifier {f.name} must be a finite number, got {value!r}")
         if self.kind not in RECTIFIER_KINDS:
             raise ValueError(
                 f"rectifier kind must be one of {RECTIFIER_KINDS}, got {self.kind!r}"

@@ -1,24 +1,27 @@
 """Average-rate maximization under the harvested-vs-consumed power constraint.
 
-For either protocol the average rate is monotone decreasing and the average
-harvested power monotone nondecreasing in the allocation value, so the
-optimum is the smallest feasible value; it is located by integer bisection
-on the feasibility predicate. One set of channel draws (common random
-numbers) is reused across every candidate inside an optimization, which
-keeps the sample-average feasibility predicate exactly monotone at finite
-trial counts. The TX-side absorption is deterministic, so harvested power
-does not vary across draws at all; only the rate is averaged.
+The TX-side absorption is deterministic free space, so the frame-averaged
+harvest depends on the allocation value alone, not on the channel draw. It
+is computed once per protocol and configuration as a harvest curve over
+every allocation value 0..vmax, and the curve is checked to be finite and
+nondecreasing. The average rate is decreasing in the allocation, so the
+optimum is the smallest value whose harvest covers consumption: one
+``searchsorted`` of the consumed power against the curve. The rate is
+averaged over one set of channel draws (common random numbers) that is
+reused across every grid point and both protocols.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .channel import free_space_uc_gain, sample_channel
-from .harvesting import harvest
+from .channel import coherent_snr, sample_channel, uc_absorbed_power
+from .harvesting import chain_rf_power, harvest, rectify
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
+from .protocols import shannon_rate
 from .scenario import ScenarioConfig, derived_quantities
 
 FEASIBLE = "feasible"
@@ -27,6 +30,8 @@ INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """Averages and feasibility of one allocation value; the optimizers return the best."""
+
     protocol: str
     optimal_allocation: int      # eh_slots (time splitting) or k (UC splitting)
     average_rate: float          # bits/s
@@ -34,14 +39,6 @@ class AllocationResult:
     avg_harvested_power: float   # W
     avg_consumed_power: float    # W
     status: str                  # FEASIBLE or INFEASIBLE
-
-
-@dataclass(frozen=True)
-class AverageEstimate:
-    avg_rate: float              # bits/s
-    rate_ci_halfwidth: float     # bits/s
-    avg_harvest_power: float     # W
-    avg_consumed_power: float    # W
 
 
 @dataclass(frozen=True)
@@ -84,11 +81,6 @@ def draw_trials(
     return TrialChannels(amp_prefix=prefix)
 
 
-def _uniform_absorbed_power(cfg: ScenarioConfig, n_ucs: int) -> np.ndarray:
-    # TX side is deterministic free space: every UC absorbs the same power.
-    return np.full(n_ucs, cfg.tx_power * free_space_uc_gain(cfg))
-
-
 def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
     if protocol == TIME_SPLITTING:
         return cfg.frame_slots - cfg.preamble_slots
@@ -97,30 +89,51 @@ def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _trial_rates(
-    protocol: str, value: int, cfg: ScenarioConfig, trials: TrialChannels
-) -> np.ndarray:
-    noise = derived_quantities(cfg).noise_power
-    if protocol == TIME_SPLITTING:
-        payload_slots = cfg.frame_slots - cfg.preamble_slots - value
-        amplitude = trials.amp_total
-    else:
-        payload_slots = cfg.frame_slots - cfg.preamble_slots
-        amplitude = trials.amp_total - trials.amp_prefix[:, value]
-    snr = cfg.tx_power * amplitude**2 / noise
-    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * np.log2(1.0 + snr)
+@functools.lru_cache(maxsize=8)
+def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
+    """Frame-averaged DC harvest (W) for every allocation value 0..vmax.
 
-
-def avg_harvest_power(protocol: str, value: int, cfg: ScenarioConfig) -> float:
-    """Frame-averaged DC harvest for an allocation value (deterministic)."""
-    frame_duration = derived_quantities(cfg).frame_duration
+    Entry v is what ``harvest`` gives for allocation v, divided by the frame
+    duration. The array is read-only and cached per (protocol, cfg). Raises
+    ValueError when the curve is not finite and nondecreasing, because the
+    optimizer's lookup relies on both.
+    """
+    vmax = _allocation_bounds(protocol, cfg)
+    p_uc = uc_absorbed_power(cfg)
+    # Built in place, in harvest()'s order of operations, so that entries
+    # agree with harvest() to rounding and no full-length temporaries pile up.
     if protocol == TIME_SPLITTING:
-        absorbed = _uniform_absorbed_power(cfg, cfg.m_s)
-        duration = value * cfg.slot_duration
+        # Every UC absorbs for v slots: the harvest is linear in v.
+        full_dc = harvest(np.full(cfg.m_s, p_uc), 0.0, cfg).total_dc_power
+        curve = np.arange(vmax + 1, dtype=float)
+        curve *= cfg.slot_duration
+        curve *= full_dc
     else:
-        absorbed = _uniform_absorbed_power(cfg, value)
-        duration = (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
-    return harvest(absorbed, duration, cfg).harvested_energy / frame_duration
+        # k harvesting UCs fill k // chain_size whole chains and one chain of
+        # k % chain_size UCs. Whole chains are summed by a running sum, so the
+        # curve stays nondecreasing under rounding. No chain exceeds m_s UCs.
+        size = min(cfg.chain_size, vmax)
+        chain = np.full(size, p_uc)
+        fill_dc = np.array([
+            rectify(chain_rf_power(chain, range(r), cfg.rf_combining_loss_db), cfg.rectifier)
+            for r in range(size + 1)
+        ])
+        chains, rest = np.divmod(np.arange(vmax + 1), size)
+        whole = np.concatenate(([0.0], np.cumsum(np.full(chains[-1], fill_dc[size]))))
+        curve = whole[chains]
+        curve += fill_dc[rest]
+        curve *= cfg.dc_combining_efficiency
+        curve *= (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
+    curve /= derived_quantities(cfg).frame_duration
+    bad = ~np.isfinite(curve)
+    bad[1:] |= curve[1:] < curve[:-1]
+    if bad.any():
+        raise ValueError(
+            f"{protocol} harvest curve is not finite and nondecreasing "
+            f"at allocation {int(np.argmax(bad))}"
+        )
+    curve.setflags(write=False)
+    return curve
 
 
 def estimate_averages(
@@ -130,51 +143,41 @@ def estimate_averages(
     cfg: ScenarioConfig,
     rng: Optional[np.random.Generator] = None,
     trials: Optional[TrialChannels] = None,
-) -> AverageEstimate:
-    """Monte-Carlo averages for one allocation value.
+) -> AllocationResult:
+    """Monte-Carlo averages and feasibility status for one allocation value.
 
     Pass ``trials`` to reuse an existing draw set (common random numbers);
     otherwise ``rng`` is consumed to draw ``cfg.mc_trials`` fresh channels.
     """
-    if not 0 <= value <= _allocation_bounds(protocol, cfg):
-        raise ValueError(
-            f"allocation value must lie in [0, {_allocation_bounds(protocol, cfg)}], got {value}"
-        )
+    vmax = _allocation_bounds(protocol, cfg)
+    if not 0 <= value <= vmax:
+        raise ValueError(f"allocation value must lie in [0, {vmax}], got {value}")
     if trials is None:
         if rng is None:
             raise ValueError("either rng or trials must be provided")
         trials = draw_trials(cfg, rng)
-    rates = _trial_rates(protocol, value, cfg, trials)
-    avg_rate = float(rates.mean())
+    if protocol == TIME_SPLITTING:
+        payload_slots = cfg.frame_slots - cfg.preamble_slots - value
+        amplitude = trials.amp_total
+    else:
+        payload_slots = cfg.frame_slots - cfg.preamble_slots
+        amplitude = trials.amp_total - trials.amp_prefix[:, value]
+    rates = shannon_rate(payload_slots, coherent_snr(amplitude, cfg), cfg)
     if trials.n_trials > 1:
         ci = 1.96 * float(rates.std(ddof=1)) / math.sqrt(trials.n_trials)
     else:
         ci = 0.0
-    return AverageEstimate(
-        avg_rate=avg_rate,
+    harvested = float(harvest_curve(protocol, cfg)[value])
+    consumed = total_consumption(p_static, protocol, cfg).total
+    return AllocationResult(
+        protocol=protocol,
+        optimal_allocation=value,
+        average_rate=float(rates.mean()),
         rate_ci_halfwidth=ci,
-        avg_harvest_power=avg_harvest_power(protocol, value, cfg),
-        avg_consumed_power=total_consumption(p_static, protocol, cfg).total,
+        avg_harvested_power=harvested,
+        avg_consumed_power=consumed,
+        status=FEASIBLE if harvested >= consumed else INFEASIBLE,
     )
-
-
-def smallest_feasible(lo: int, hi: int, predicate: Callable[[int], bool]) -> Optional[int]:
-    """Smallest v in [lo, hi] with predicate(v) true, assuming monotonicity.
-
-    Returns None when even hi fails. The predicate must be False below some
-    threshold and True at and above it.
-    """
-    if predicate(lo):
-        return lo
-    if not predicate(hi):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _optimize(
@@ -184,29 +187,12 @@ def _optimize(
     rng: Optional[np.random.Generator],
     trials: Optional[TrialChannels],
 ) -> AllocationResult:
-    if trials is None:
-        if rng is None:
-            raise ValueError("either rng or trials must be provided")
-        trials = draw_trials(cfg, rng)
-    vmax = _allocation_bounds(protocol, cfg)
+    curve = harvest_curve(protocol, cfg)
     consumed = total_consumption(p_static, protocol, cfg).total
-
-    def feasible(v: int) -> bool:
-        return avg_harvest_power(protocol, v, cfg) >= consumed
-
-    best = smallest_feasible(0, vmax, feasible)
-    status = FEASIBLE if best is not None else INFEASIBLE
-    value = best if best is not None else vmax
-    est = estimate_averages(protocol, value, p_static, cfg, trials=trials)
-    return AllocationResult(
-        protocol=protocol,
-        optimal_allocation=value,
-        average_rate=est.avg_rate,
-        rate_ci_halfwidth=est.rate_ci_halfwidth,
-        avg_harvested_power=est.avg_harvest_power,
-        avg_consumed_power=est.avg_consumed_power,
-        status=status,
-    )
+    # First value whose harvest covers consumption, ties included; an index
+    # past the end means even the full allocation falls short.
+    value = min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
+    return estimate_averages(protocol, value, p_static, cfg, rng=rng, trials=trials)
 
 
 def optimize_time_splitting(
@@ -218,9 +204,9 @@ def optimize_time_splitting(
     """Best number of harvesting slots: the smallest one meeting the constraint.
 
     The rate falls linearly in eh_slots while the harvest grows, so the
-    smallest feasible slot count maximizes the average rate. Reports the
-    boundary allocation with INFEASIBLE status when even the full
-    post-preamble interval cannot cover consumption.
+    smallest slot count whose harvest-curve entry covers consumption
+    maximizes the average rate. Reports the full post-preamble interval with
+    INFEASIBLE status when even that cannot cover consumption.
     """
     return _optimize(TIME_SPLITTING, p_static, cfg, rng, trials)
 
@@ -231,5 +217,11 @@ def optimize_uc_splitting(
     rng: Optional[np.random.Generator] = None,
     trials: Optional[TrialChannels] = None,
 ) -> AllocationResult:
-    """Best number of harvesting UCs: the smallest one meeting the constraint."""
+    """Best number of harvesting UCs: the smallest one meeting the constraint.
+
+    Fewer harvesting UCs leave a larger coherent sum, so the smallest k whose
+    harvest-curve entry covers consumption maximizes the average rate.
+    Reports k = m_s with INFEASIBLE status when even the whole surface cannot
+    cover consumption.
+    """
     return _optimize(UC_SPLITTING, p_static, cfg, rng, trials)

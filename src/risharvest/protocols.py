@@ -7,9 +7,10 @@ reflecting on the whole surface; UC splitting dedicates a fixed UC subset to
 absorption while the rest reflect for the entire post-preamble interval.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .channel import CascadedChannel, absorbed_power_per_uc, reflected_snr
 from .harvesting import harvest
@@ -63,8 +64,12 @@ def select_harvest_set(k: int, cfg: ScenarioConfig) -> tuple[int, ...]:
     return tuple(range(k))
 
 
-def _shannon_rate(payload_slots: int, snr: float, cfg: ScenarioConfig) -> float:
-    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * math.log2(1.0 + snr)
+def shannon_rate(payload_slots: int, snr, cfg: ScenarioConfig):
+    """Frame-averaged rate (bits/s) when ``payload_slots`` slots carry data.
+
+    ``snr`` may be a scalar or an array of per-draw SNRs.
+    """
+    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * np.log2(1.0 + snr)
 
 
 def run_frame_time_splitting(
@@ -82,7 +87,7 @@ def run_frame_time_splitting(
         raise ValueError(f"eh_slots must lie in [0, {max_eh}], got {alloc.eh_slots}")
     payload_slots = cfg.frame_slots - cfg.preamble_slots - alloc.eh_slots
     snr = reflected_snr(ch, range(cfg.m_s), cfg)
-    rate = _shannon_rate(payload_slots, snr, cfg)
+    rate = float(shannon_rate(payload_slots, snr, cfg))
     report = harvest(absorbed_power_per_uc(ch, cfg), alloc.eh_slots * cfg.slot_duration, cfg)
     breakdown = total_consumption(p_static, TIME_SPLITTING, cfg)
     consumed = breakdown.total * breakdown.frame_duration
@@ -121,7 +126,7 @@ def run_frame_uc_splitting(
     reflecting = [i for i in range(m_s) if i not in members]
     snr = reflected_snr(ch, reflecting, cfg)
     payload_slots = cfg.frame_slots - cfg.preamble_slots
-    rate = _shannon_rate(payload_slots, snr, cfg)
+    rate = float(shannon_rate(payload_slots, snr, cfg))
     absorbed = absorbed_power_per_uc(ch, cfg)[sorted(members)]
     report = harvest(absorbed, payload_slots * cfg.slot_duration, cfg)
     breakdown = total_consumption(p_static, UC_SPLITTING, cfg)

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .harvesting import RectifierModel
+from .harvesting import RectifierModel, is_finite_number
 
 SPEED_OF_LIGHT = 299792458.0   # m/s
 BOLTZMANN = 1.380649e-23       # J/K
@@ -79,6 +79,12 @@ class ScenarioConfig:
         return self.ris_cols * self.ris_rows
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            _check_type(f.name, f.type, value)
+            # every integer field but the seed is a count
+            if f.type is int and f.name != "rng_seed" and value < 1:
+                raise ConfigValidationError(f"{f.name} must be a positive integer, got {value!r}")
         positive = [
             ("carrier_frequency", self.carrier_frequency),
             ("bandwidth", self.bandwidth),
@@ -89,20 +95,8 @@ class ScenarioConfig:
             ("slot_duration", self.slot_duration),
         ]
         for name, value in positive:
-            if not value > 0.0 or math.isinf(value):
+            if not value > 0.0:
                 raise ConfigValidationError(f"{name} must be a positive finite value, got {value}")
-        counts = [
-            ("ris_cols", self.ris_cols),
-            ("ris_rows", self.ris_rows),
-            ("preamble_slots", self.preamble_slots),
-            ("frame_slots", self.frame_slots),
-            ("asic_fanout", self.asic_fanout),
-            ("chain_size", self.chain_size),
-            ("mc_trials", self.mc_trials),
-        ]
-        for name, value in counts:
-            if not isinstance(value, int) or value < 1:
-                raise ConfigValidationError(f"{name} must be a positive integer, got {value!r}")
         nonnegative = [
             ("noise_figure_db", self.noise_figure_db),
             ("rf_combining_loss_db", self.rf_combining_loss_db),
@@ -133,12 +127,29 @@ class ScenarioConfig:
                 f"static_power_interpretation must be one of "
                 f"{STATIC_POWER_INTERPRETATIONS}, got {self.static_power_interpretation!r}"
             )
-        if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
+        if not 0 <= self.rng_seed < 2**64:
             raise ConfigValidationError(
                 f"rng_seed must be an integer in [0, 2^64), got {self.rng_seed!r}"
             )
-        if not isinstance(self.rectifier, RectifierModel):
-            raise ConfigValidationError("rectifier must be a RectifierModel instance")
+
+
+# The one field that may be infinite: K = inf is a pure line-of-sight link.
+_MAY_BE_INFINITE = {"rician_k"}
+
+
+def _check_type(name: str, kind: type, value) -> None:
+    """One type and finiteness rule per field, keyed by the field's type."""
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        expected = "an integer"
+    elif kind is float:
+        ok = is_finite_number(value) or (name in _MAY_BE_INFINITE and value == math.inf)
+        expected = "a finite number"
+    else:
+        ok = isinstance(value, kind)
+        expected = f"a {kind.__name__}"
+    if not ok:
+        raise ConfigValidationError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,46 +175,11 @@ def derived_quantities(cfg: ScenarioConfig) -> DerivedQuantities:
     )
 
 
-_INT_FIELDS = {
-    "ris_cols",
-    "ris_rows",
-    "preamble_slots",
-    "frame_slots",
-    "asic_fanout",
-    "chain_size",
-    "mc_trials",
-    "rng_seed",
-}
-_FLOAT_FIELDS = {
-    "carrier_frequency",
-    "bandwidth",
-    "tx_power",
-    "tx_gain_dbi",
-    "rx_gain_dbi",
-    "antenna_efficiency",
-    "d_tx_ris",
-    "d_ris_rx",
-    "noise_figure_db",
-    "noise_temperature",
-    "rician_k",
-    "slot_duration",
-    "e_rec",
-    "rf_combining_loss_db",
-    "dc_combining_efficiency",
-}
-_STR_FIELDS = {"reconfig_counting_mode", "static_power_interpretation"}
-
-# Rectifier parameters are flattened into the file as rectifier_<field>.
+# Scenario-file keys: the ScenarioConfig fields, with the rectifier's fields
+# flattened in as rectifier_<field>.
 _RECT_PREFIX = "rectifier_"
-_RECT_STR_FIELDS = {"kind"}
-_RECT_FLOAT_FIELDS = {
-    "efficiency",
-    "sensitivity",
-    "saturation",
-    "p_max",
-    "steepness",
-    "centering",
-}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig) if f.name != "rectifier"}
+_RECT_FIELD_TYPES = {f.name: f.type for f in fields(RectifierModel)}
 
 
 def _parse_float(key: str, text: str, lineno: int) -> float:
@@ -222,6 +198,9 @@ def _parse_int(key: str, text: str, lineno: int) -> int:
             f"line {lineno}: value for {key!r} must be an integer, got {text!r}"
         )
     return int(value)
+
+
+_PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, text, lineno: text}
 
 
 def loads_config(text: str) -> ScenarioConfig:
@@ -248,20 +227,11 @@ def loads_config(text: str) -> ScenarioConfig:
         if key in seen:
             raise ConfigParseError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key in _INT_FIELDS:
-            kwargs[key] = _parse_int(key, value, lineno)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = _parse_float(key, value, lineno)
-        elif key in _STR_FIELDS:
-            kwargs[key] = value
-        elif key.startswith(_RECT_PREFIX):
-            rect_field = key[len(_RECT_PREFIX) :]
-            if rect_field in _RECT_STR_FIELDS:
-                rect_kwargs[rect_field] = value
-            elif rect_field in _RECT_FLOAT_FIELDS:
-                rect_kwargs[rect_field] = _parse_float(key, value, lineno)
-            else:
-                raise ConfigValidationError(f"unknown configuration key {key!r} (line {lineno})")
+        rect_field = key[len(_RECT_PREFIX) :] if key.startswith(_RECT_PREFIX) else None
+        if key in _FIELD_TYPES:
+            kwargs[key] = _PARSERS[_FIELD_TYPES[key]](key, value, lineno)
+        elif rect_field in _RECT_FIELD_TYPES:
+            rect_kwargs[rect_field] = _PARSERS[_RECT_FIELD_TYPES[rect_field]](key, value, lineno)
         else:
             raise ConfigValidationError(f"unknown configuration key {key!r} (line {lineno})")
     if rect_kwargs:
@@ -290,14 +260,10 @@ def _format_value(value) -> str:
 def dumps_config(cfg: ScenarioConfig) -> str:
     """Serialize a configuration so that loads_config recovers it exactly."""
     lines = ["# scenario configuration (SI units)"]
-    for f in fields(ScenarioConfig):
-        if f.name == "rectifier":
-            continue
-        lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}")
-    rect = cfg.rectifier
-    lines.append(f"{_RECT_PREFIX}kind = {rect.kind}")
-    for name in sorted(_RECT_FLOAT_FIELDS):
-        lines.append(f"{_RECT_PREFIX}{name} = {_format_value(getattr(rect, name))}")
+    for name in _FIELD_TYPES:
+        lines.append(f"{name} = {_format_value(getattr(cfg, name))}")
+    for name in _RECT_FIELD_TYPES:
+        lines.append(f"{_RECT_PREFIX}{name} = {_format_value(getattr(cfg.rectifier, name))}")
     return "\n".join(lines) + "\n"
 
 

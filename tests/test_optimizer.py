@@ -3,25 +3,31 @@ import dataclasses
 import numpy as np
 import pytest
 
+import risharvest.harvesting
+import risharvest.optimizer
 from risharvest import (
     Allocation,
     FEASIBLE,
     INFEASIBLE,
     TIME_SPLITTING,
     UC_SPLITTING,
+    RectifierModel,
     ScenarioConfig,
-    avg_harvest_power,
     draw_trials,
     estimate_averages,
+    free_space_uc_gain,
+    harvest,
     optimize_time_splitting,
     optimize_uc_splitting,
     run_frame_time_splitting,
     run_frame_uc_splitting,
     sample_channel,
-    smallest_feasible,
 )
+from risharvest.optimizer import harvest_curve
 
 from conftest import oracle_full_surface_snr
+
+OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
 
 
 def exhaustive_best(protocol, p_static, cfg, trials):
@@ -33,20 +39,45 @@ def exhaustive_best(protocol, p_static, cfg, trials):
     best = None
     for v in range(vmax + 1):
         est = estimate_averages(protocol, v, p_static, cfg, trials=trials)
-        if est.avg_harvest_power >= est.avg_consumed_power:
-            if best is None or est.avg_rate > best[1]:
-                best = (v, est.avg_rate)
+        if est.avg_harvested_power >= est.avg_consumed_power:
+            if best is None or est.average_rate > best[1]:
+                best = (v, est.average_rate)
     return best
 
 
-def test_smallest_feasible_matches_linear_scan():
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        hi = int(rng.integers(0, 50))
-        threshold = int(rng.integers(0, hi + 2))  # may exceed hi: all-infeasible
-        pred = lambda v: v >= threshold
-        expected = threshold if threshold <= hi else None
-        assert smallest_feasible(0, hi, pred) == expected
+def chain_harvest_power(protocol, value, cfg):
+    """Frame-averaged harvest of one allocation, through the full harvest chain."""
+    absorbed = cfg.tx_power * free_space_uc_gain(cfg)
+    if protocol == TIME_SPLITTING:
+        report = harvest(np.full(cfg.m_s, absorbed), value * cfg.slot_duration, cfg)
+    else:
+        duration = (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
+        report = harvest(np.full(value, absorbed), duration, cfg)
+    return report.harvested_energy / (cfg.frame_slots * cfg.slot_duration)
+
+
+def random_small_configs(rng, count=30):
+    """Small surfaces and frames across TX powers, chain sizes, losses and rectifiers."""
+    for _ in range(count):
+        yield ScenarioConfig(
+            ris_cols=int(rng.integers(2, 8)),
+            ris_rows=int(rng.integers(2, 8)),
+            frame_slots=200,
+            preamble_slots=20,
+            tx_power=float(10 ** rng.uniform(-1.0, 1.5)),
+            chain_size=int(rng.integers(1, 12)),
+            rf_combining_loss_db=float(rng.uniform(0.0, 6.0)),
+            dc_combining_efficiency=float(rng.uniform(0.5, 1.0)),
+            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+        )
+
+
+@pytest.fixture
+def fresh_curves():
+    """Empty the harvest-curve cache around a test that patches the harvest chain."""
+    harvest_curve.cache_clear()
+    yield
+    harvest_curve.cache_clear()
 
 
 def test_estimate_averages_deterministic(cfg):
@@ -60,13 +91,13 @@ def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
     fast = dataclasses.replace(los_cfg, mc_trials=16)
     est = estimate_averages(TIME_SPLITTING, 0, 0.0, fast, rng=np.random.default_rng(1))
     expected = 0.9 * fast.bandwidth * np.log2(1.0 + oracle_full_surface_snr(fast))
-    assert est.avg_rate == pytest.approx(expected, rel=1e-9)
+    assert est.average_rate == pytest.approx(expected, rel=1e-9)
     assert est.rate_ci_halfwidth == pytest.approx(0.0, abs=1e-3)
 
 
 def test_estimate_averages_ci_small_at_default_trials(cfg):
     est = estimate_averages(TIME_SPLITTING, 0, 0.0, cfg, rng=np.random.default_rng(2))
-    assert est.rate_ci_halfwidth / est.avg_rate < 0.01
+    assert est.rate_ci_halfwidth / est.average_rate < 0.01
 
 
 def test_estimate_averages_matches_frame_engine(cfg):
@@ -85,9 +116,9 @@ def test_estimate_averages_matches_frame_engine(cfg):
         run_frame_time_splitting(ch, Allocation.time_split(eh), p_static, fast)
         for ch in channels
     ]
-    assert est.avg_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
+    assert est.average_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
     frame_duration = fast.frame_slots * fast.slot_duration
-    assert est.avg_harvest_power == pytest.approx(
+    assert est.avg_harvested_power == pytest.approx(
         np.mean([r.harvested_energy for r in reports]) / frame_duration, rel=1e-10
     )
     assert est.avg_consumed_power == pytest.approx(
@@ -100,8 +131,8 @@ def test_estimate_averages_matches_frame_engine(cfg):
         run_frame_uc_splitting(ch, Allocation.uc_split(k), p_static, fast)
         for ch in channels
     ]
-    assert est.avg_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
-    assert est.avg_harvest_power == pytest.approx(
+    assert est.average_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
+    assert est.avg_harvested_power == pytest.approx(
         np.mean([r.harvested_energy for r in reports]) / frame_duration, rel=1e-10
     )
 
@@ -132,33 +163,42 @@ def test_feasible_result_satisfies_constraint(cfg):
 
 
 def test_harvest_power_monotone_in_allocation(rng):
-    # feasibility bisection rests on this monotonicity
-    for _ in range(30):
-        cfg = ScenarioConfig(
-            ris_cols=int(rng.integers(2, 8)),
-            ris_rows=int(rng.integers(2, 8)),
-            frame_slots=200,
-            preamble_slots=20,
-            chain_size=int(rng.integers(1, 12)),
-            rf_combining_loss_db=float(rng.uniform(0.0, 6.0)),
-        )
-        for protocol, vmax in (
-            (TIME_SPLITTING, cfg.frame_slots - cfg.preamble_slots),
-            (UC_SPLITTING, cfg.m_s),
-        ):
-            values = [avg_harvest_power(protocol, v, cfg) for v in range(vmax + 1)]
-            assert all(b >= a - 1e-18 for a, b in zip(values, values[1:]))
+    # the optimizer's searchsorted lookup rests on this monotonicity
+    for cfg in random_small_configs(rng):
+        for protocol in (TIME_SPLITTING, UC_SPLITTING):
+            assert np.all(np.diff(harvest_curve(protocol, cfg)) >= 0.0)
 
 
-def test_bisection_matches_exhaustive_scan(small_cfg):
+def test_harvest_curve_matches_harvest_chain(rng):
+    for cfg in random_small_configs(rng):
+        for protocol in (TIME_SPLITTING, UC_SPLITTING):
+            curve = harvest_curve(protocol, cfg)
+            expected = [chain_harvest_power(protocol, v, cfg) for v in range(curve.size)]
+            assert curve == pytest.approx(expected, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError):
+        curve[0] = 1.0  # the cached curve is shared, so it is read-only
+
+
+def test_saturated_chains_keep_curve_monotone():
+    # every chain saturates, so whole chains add equal DC powers; summing
+    # them as q * dc rounds some entries below their predecessor
+    for tx_power in (100.0, 1000.0):
+        for chain_size in range(1, 12):
+            cfg = ScenarioConfig(
+                tx_power=tx_power, chain_size=chain_size, frame_slots=200, preamble_slots=20
+            )
+            curve = harvest_curve(UC_SPLITTING, cfg)
+            assert np.all(np.diff(curve) >= 0.0)
+            expected = [chain_harvest_power(UC_SPLITTING, k, cfg) for k in range(curve.size)]
+            assert curve == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_curve_lookup_matches_exhaustive_scan(small_cfg):
     trials = draw_trials(small_cfg, np.random.default_rng(99))
     prng = np.random.default_rng(7)
     for _ in range(20):
         p_static = float(10 ** prng.uniform(-6, -3))
-        for protocol, optimize in (
-            (TIME_SPLITTING, optimize_time_splitting),
-            (UC_SPLITTING, optimize_uc_splitting),
-        ):
+        for protocol, optimize in OPTIMIZERS:
             result = optimize(p_static, small_cfg, trials=trials)
             scan = exhaustive_best(protocol, p_static, small_cfg, trials)
             if result.status == FEASIBLE:
@@ -167,6 +207,52 @@ def test_bisection_matches_exhaustive_scan(small_cfg):
                 assert scan[1] == pytest.approx(result.average_rate, rel=1e-12)
             else:
                 assert scan is None
+
+
+def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
+    # with e_rec = 0 the consumed power is exactly the static input
+    free = dataclasses.replace(small_cfg, e_rec=0.0)
+    trials = draw_trials(free, np.random.default_rng(12), n_trials=8)
+    for protocol, optimize in OPTIMIZERS:
+        curve = harvest_curve(protocol, free)
+        # interior values where the curve rises; the top edge has its own test
+        rises = np.flatnonzero(curve[1:-1] > curve[:-2]) + 1
+        for v in rises[:: max(1, rises.size // 10)]:
+            result = optimize(float(curve[v]), free, trials=trials)
+            assert (result.status, result.optimal_allocation) == (FEASIBLE, v)
+            assert result.avg_harvested_power == result.avg_consumed_power
+            above = optimize(float(np.nextafter(curve[v], np.inf)), free, trials=trials)
+            assert above.optimal_allocation > v
+
+
+def test_lookup_edges_zero_static_power_and_full_allocation(small_cfg):
+    free = dataclasses.replace(small_cfg, e_rec=0.0)
+    trials = draw_trials(free, np.random.default_rng(13), n_trials=8)
+    for protocol, optimize in OPTIMIZERS:
+        curve = harvest_curve(protocol, free)
+        vmax = curve.size - 1
+        result = optimize(0.0, free, trials=trials)
+        assert (result.status, result.optimal_allocation) == (FEASIBLE, 0)
+        assert optimize(float(curve[vmax]), free, trials=trials).status == FEASIBLE
+        result = optimize(float(np.nextafter(curve[vmax], np.inf)), free, trials=trials)
+        assert (result.status, result.optimal_allocation) == (INFEASIBLE, vmax)
+        assert result.avg_harvested_power < result.avg_consumed_power
+
+
+@pytest.mark.parametrize(
+    "fake_rectify, bad_index",
+    [(lambda p_rf, model: float("nan"), 0), (lambda p_rf, model: -p_rf, 1)],
+    ids=["nan", "decreasing"],
+)
+def test_broken_harvest_curve_is_rejected(
+    monkeypatch, fresh_curves, small_cfg, fake_rectify, bad_index
+):
+    monkeypatch.setattr(risharvest.optimizer, "rectify", fake_rectify)
+    monkeypatch.setattr(risharvest.harvesting, "rectify", fake_rectify)
+    trials = draw_trials(small_cfg, np.random.default_rng(14), n_trials=4)
+    for protocol, optimize in OPTIMIZERS:
+        with pytest.raises(ValueError, match=f"^{protocol} .* at allocation {bad_index}$"):
+            optimize(1e-5, small_cfg, trials=trials)
 
 
 def test_uc_splitting_dominates_at_common_static_power(cfg):
@@ -185,8 +271,8 @@ def test_feasibility_range_ordering(cfg):
     # least as far
     fast = dataclasses.replace(cfg, mc_trials=16)
     trials = draw_trials(fast, np.random.default_rng(10))
-    max_harvest_ts = avg_harvest_power(TIME_SPLITTING, 9000, fast)
-    max_harvest_uc = avg_harvest_power(UC_SPLITTING, fast.m_s, fast)
+    max_harvest_ts = harvest_curve(TIME_SPLITTING, fast)[9000]
+    max_harvest_uc = harvest_curve(UC_SPLITTING, fast)[fast.m_s]
     assert max_harvest_uc == pytest.approx(max_harvest_ts, rel=1e-12)
     for p_static in np.linspace(1e-4, 3e-3, 13):
         ts = optimize_time_splitting(float(p_static), fast, trials=trials)

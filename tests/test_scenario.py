@@ -95,11 +95,43 @@ def test_rectifier_keys_parse():
         ("d_tx_ris = -3", "d_tx_ris"),
         ("reconfig_counting_mode = per_tile", "reconfig_counting_mode"),
         ("rectifier_efficiency = 0", "efficiency"),
+        ("tx_gain_dbi = nan", "tx_gain_dbi"),
+        ("e_rec = inf", "e_rec"),
+        ("rician_k = nan", "rician_k"),
+        ("rectifier_p_max = nan", "p_max"),
+        ("rectifier_steepness = inf", "steepness"),
     ],
 )
 def test_validation_errors_name_field(line, field):
     with pytest.raises(ConfigValidationError, match=field):
         loads_config(line + "\n")
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_OR_BOOL = [
+    (ScenarioConfig, "tx_gain_dbi", NAN, ConfigValidationError),
+    (ScenarioConfig, "rx_gain_dbi", NAN, ConfigValidationError),
+    (ScenarioConfig, "e_rec", INF, ConfigValidationError),
+    (ScenarioConfig, "noise_figure_db", INF, ConfigValidationError),
+    (ScenarioConfig, "rf_combining_loss_db", INF, ConfigValidationError),
+    (ScenarioConfig, "rician_k", NAN, ConfigValidationError),
+    (ScenarioConfig, "ris_cols", True, ConfigValidationError),
+    (ScenarioConfig, "tx_power", True, ConfigValidationError),
+    (RectifierModel, "sensitivity", NAN, ValueError),
+    (RectifierModel, "p_max", NAN, ValueError),
+    (RectifierModel, "saturation", INF, ValueError),
+    (RectifierModel, "steepness", INF, ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value, error",
+    NON_FINITE_OR_BOOL,
+    ids=[f"{cls.__name__}.{field}={value}" for cls, field, value, _ in NON_FINITE_OR_BOOL],
+)
+def test_non_finite_or_bool_field_rejected(cls, field, value, error):
+    with pytest.raises(error, match=field):
+        cls(**{field: value})
 
 
 def test_round_trip_stability(tmp_path):
@@ -123,6 +155,7 @@ def test_round_trip_stability(tmp_path):
 def test_round_trip_preserves_inf_k():
     cfg = dataclasses.replace(ScenarioConfig(), rician_k=float("inf"))
     assert loads_config(dumps_config(cfg)) == cfg
+    assert loads_config("rician_k = inf\n") == cfg
 
 
 def test_derived_quantities_defaults(cfg):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import risharvest
 from risharvest import ScenarioConfig, save_config
 from risharvest.sweep import (
     CSV_HEADER,
@@ -211,4 +217,16 @@ def test_cli_defaults_without_config(tmp_path):
     out = tmp_path / "defaults.csv"
     code = main(["sweep", "--points", "2", "--trials", "25", "--out", str(out)])
     assert code == 0
+    assert len(read_rows(out)) == 4
+
+
+def test_python_m_risharvest_runs_cleanly(tmp_path):
+    out = tmp_path / "m.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "risharvest", "sweep", "--points", "2", "--trials", "8",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
     assert len(read_rows(out)) == 4
