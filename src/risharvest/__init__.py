@@ -11,12 +11,12 @@ harvested power covers consumption.
 
 from .channel import (
     CascadedChannel,
-    absorbed_power_per_uc,
     free_space_uc_gain,
     mean_ris_rx_gain,
     reflected_snr,
     sample_channel,
     sample_rician_gains,
+    uc_absorbed_power,
     uc_aperture,
     uc_gain,
 )
@@ -24,11 +24,8 @@ from .harvesting import (
     LINEAR_CLIPPED,
     RECTIFIER_KINDS,
     SIGMOIDAL,
-    HarvestReport,
     RectifierModel,
-    chain_rf_power,
     harvest,
-    partition_chains,
     rectify,
 )
 from .optimizer import (
@@ -71,7 +68,6 @@ from .scenario import (
     loads_config,
     save_config,
 )
-from .sweep import SweepRow, SweepSpec, read_rows, run_sweep, summarize
 
 __version__ = "0.1.0"
 
@@ -87,7 +83,6 @@ __all__ = [
     "DerivedQuantities",
     "FEASIBLE",
     "FrameEnergyReport",
-    "HarvestReport",
     "INFEASIBLE",
     "LINEAR_CLIPPED",
     "PROTOCOLS",
@@ -96,13 +91,9 @@ __all__ = [
     "SIGMOIDAL",
     "SPEED_OF_LIGHT",
     "ScenarioConfig",
-    "SweepRow",
-    "SweepSpec",
     "TIME_SPLITTING",
     "TrialChannels",
     "UC_SPLITTING",
-    "absorbed_power_per_uc",
-    "chain_rf_power",
     "derived_quantities",
     "draw_trials",
     "dumps_config",
@@ -115,20 +106,17 @@ __all__ = [
     "mean_ris_rx_gain",
     "optimize_time_splitting",
     "optimize_uc_splitting",
-    "partition_chains",
-    "read_rows",
     "reconfig_count",
     "rectify",
     "reflected_snr",
     "run_frame_time_splitting",
     "run_frame_uc_splitting",
-    "run_sweep",
     "sample_channel",
     "sample_rician_gains",
     "save_config",
     "select_harvest_set",
-    "summarize",
     "total_consumption",
+    "uc_absorbed_power",
     "uc_aperture",
     "uc_gain",
 ]

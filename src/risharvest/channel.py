@@ -121,7 +121,3 @@ def uc_absorbed_power(cfg: ScenarioConfig) -> float:
     """
     return cfg.tx_power * free_space_uc_gain(cfg)
 
-
-def absorbed_power_per_uc(ch: CascadedChannel, cfg: ScenarioConfig) -> np.ndarray:
-    """Per-UC absorbed power for a channel draw: uc_absorbed_power for every UC."""
-    return np.full(ch.h.size, uc_absorbed_power(cfg))

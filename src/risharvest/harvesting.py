@@ -1,9 +1,16 @@
-"""RF combining, rectification, and DC combining of the absorbed UC powers."""
+"""RF combining, rectification, and DC combining of the absorbed UC powers.
+
+The harvesting UCs are grouped into consecutive chains of ``chain_size`` in
+row-major order; the last chain is shorter when the count does not divide.
+Each chain RF-combines its UCs' absorbed powers into one rectifier, and the
+rectifier outputs are DC-combined. ``harvest`` evaluates that rule as one
+reshape-sum, and ``rectify`` works elementwise on arrays.
+"""
 
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -74,84 +81,61 @@ class RectifierModel:
             raise ValueError(f"rectifier centering must be >= 0 W, got {self.centering}")
 
 
-@dataclass(frozen=True)
-class HarvestReport:
-    """Per-chain RF/DC powers and the DC-combined harvest over a duration."""
-
-    per_chain_rf: np.ndarray   # W, RF power entering each rectifier
-    per_chain_dc: np.ndarray   # W, DC power leaving each rectifier
-    total_dc_power: float      # W, after DC combining
-    harvested_energy: float    # J, total_dc_power integrated over the duration
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # 1 / (1 + e^-x) without overflow: e^-|x| never exceeds 1.
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def partition_chains(uc_indices: Iterable[int], chain_size: int) -> list[tuple[int, ...]]:
-    """Group UC indices into consecutive rectifier chains in row-major order.
+def rectify(p_rf, model: RectifierModel):
+    """DC output power of rectifiers for RF input powers, elementwise.
 
-    The final group may be smaller than ``chain_size``; an empty index set
-    yields an empty partition.
+    ``p_rf`` may be a scalar, which gives a ``float``, or an array, which
+    gives an array of the same shape. Raises ValueError if any input is
+    negative.
     """
-    if chain_size < 1:
-        raise ValueError(f"chain_size must be >= 1, got {chain_size}")
-    order = sorted(int(i) for i in uc_indices)
-    return [tuple(order[i : i + chain_size]) for i in range(0, len(order), chain_size)]
-
-
-def chain_rf_power(absorbed: Sequence[float], chain: Iterable[int], loss_db: float) -> float:
-    """RF power delivered to one rectifier: member powers summed, then derated.
-
-    Combining assumes phase-aligned inputs; misalignment is captured only
-    through ``loss_db``.
-    """
-    idx = sorted(int(i) for i in chain)
-    if not idx:
-        return 0.0
-    powers = np.asarray(absorbed, dtype=float)
-    return float(powers[idx].sum() * 10.0 ** (-loss_db / 10.0))
-
-
-def _sigmoid(x: float) -> float:
-    # Overflow-safe logistic 1 / (1 + e^-x).
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
-def rectify(p_rf: float, model: RectifierModel) -> float:
-    """DC output power of a single rectifier for an RF input power."""
-    if p_rf < 0.0:
-        raise ValueError(f"RF input power must be >= 0 W, got {p_rf}")
+    p = np.asarray(p_rf, dtype=float)
+    negative = p[p < 0.0]
+    if negative.size:
+        raise ValueError(f"RF input power must be >= 0 W, got {negative[0]}")
     if model.kind == LINEAR_CLIPPED:
-        if p_rf <= model.sensitivity:
-            return 0.0
-        return model.efficiency * min(p_rf, model.saturation)
-    # Sigmoidal: logistic response with the zero-input output subtracted and
-    # the remainder rescaled so the asymptote stays at p_max.
-    a, b = model.steepness, model.centering
-    raw = _sigmoid(a * (p_rf - b))
-    zero_level = _sigmoid(-a * b)
-    return model.p_max * (raw - zero_level) / (1.0 - zero_level)
+        out = np.where(
+            p <= model.sensitivity, 0.0, model.efficiency * np.minimum(p, model.saturation)
+        )
+    else:
+        # Sigmoidal: logistic response with the zero-input output subtracted
+        # and the remainder rescaled so the asymptote stays at p_max.
+        a, b = model.steepness, model.centering
+        zero_level = _logistic(-a * b)
+        out = model.p_max * (_logistic(a * (p - b)) - zero_level) / (1.0 - zero_level)
+    return float(out) if out.ndim == 0 else out
 
 
-def harvest(absorbed: Sequence[float], duration: float, cfg: "ScenarioConfig") -> HarvestReport:
-    """Run the full chain: partition, RF-combine, rectify, DC-combine.
+def chain_dc_power(chain_rf, cfg: "ScenarioConfig"):
+    """DC output of each rectifier, given the summed RF power of its chain's UCs.
 
-    ``absorbed`` holds the per-UC absorbed powers of the UCs dedicated to
-    harvesting; the harvested energy is the combined DC power times
-    ``duration``.
+    The sum is derated by the RF combining loss before rectification.
+    Combining assumes phase-aligned inputs; misalignment is captured only
+    through ``rf_combining_loss_db``.
     """
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0 s, got {duration}")
+    return rectify(
+        np.asarray(chain_rf, dtype=float) * 10.0 ** (-cfg.rf_combining_loss_db / 10.0),
+        cfg.rectifier,
+    )
+
+
+def harvest(absorbed, cfg: "ScenarioConfig") -> float:
+    """DC-combined power (W) harvested from per-UC absorbed powers.
+
+    ``absorbed`` holds the absorbed powers of the UCs dedicated to
+    harvesting, in row-major order. Consecutive runs of ``chain_size`` UCs
+    feed one rectifier each, and the last chain is shorter when the count is
+    not a multiple of ``chain_size``: the powers are zero-padded to a whole
+    number of chains, summed per chain, rectified, summed, and scaled by the
+    DC combining efficiency. Multiply by a duration to get energy.
+    """
     powers = np.asarray(absorbed, dtype=float)
-    groups = partition_chains(range(powers.size), cfg.chain_size)
-    per_chain_rf = np.array(
-        [chain_rf_power(powers, grp, cfg.rf_combining_loss_db) for grp in groups]
-    )
-    per_chain_dc = np.array([rectify(p, cfg.rectifier) for p in per_chain_rf])
-    total_dc = cfg.dc_combining_efficiency * float(per_chain_dc.sum())
-    return HarvestReport(
-        per_chain_rf=per_chain_rf,
-        per_chain_dc=per_chain_dc,
-        total_dc_power=total_dc,
-        harvested_energy=total_dc * duration,
-    )
+    size = cfg.chain_size
+    padded = np.pad(powers, (0, -powers.size % size))
+    chain_rf = padded.reshape(-1, size).sum(axis=1)
+    return cfg.dc_combining_efficiency * float(chain_dc_power(chain_rf, cfg).sum())

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import coherent_snr, sample_channel, uc_absorbed_power
-from .harvesting import chain_rf_power, harvest, rectify
+from .harvesting import chain_dc_power, harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .protocols import shannon_rate
 from .scenario import ScenarioConfig, derived_quantities
@@ -100,24 +100,20 @@ def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
     """
     vmax = _allocation_bounds(protocol, cfg)
     p_uc = uc_absorbed_power(cfg)
-    # Built in place, in harvest()'s order of operations, so that entries
-    # agree with harvest() to rounding and no full-length temporaries pile up.
+    # Built in place, so that no full-length temporaries pile up.
     if protocol == TIME_SPLITTING:
         # Every UC absorbs for v slots: the harvest is linear in v.
-        full_dc = harvest(np.full(cfg.m_s, p_uc), 0.0, cfg).total_dc_power
+        full_dc = harvest(np.full(cfg.m_s, p_uc), cfg)
         curve = np.arange(vmax + 1, dtype=float)
         curve *= cfg.slot_duration
         curve *= full_dc
     else:
         # k harvesting UCs fill k // chain_size whole chains and one chain of
-        # k % chain_size UCs. Whole chains are summed by a running sum, so the
-        # curve stays nondecreasing under rounding. No chain exceeds m_s UCs.
+        # k % chain_size UCs. Every fill 0..chain_size is rectified at once.
+        # Whole chains are summed by a running sum, so the curve stays
+        # nondecreasing under rounding. No chain exceeds m_s UCs.
         size = min(cfg.chain_size, vmax)
-        chain = np.full(size, p_uc)
-        fill_dc = np.array([
-            rectify(chain_rf_power(chain, range(r), cfg.rf_combining_loss_db), cfg.rectifier)
-            for r in range(size + 1)
-        ])
+        fill_dc = chain_dc_power(np.arange(size + 1) * p_uc, cfg)
         chains, rest = np.divmod(np.arange(vmax + 1), size)
         whole = np.concatenate(([0.0], np.cumsum(np.full(chains[-1], fill_dc[size]))))
         curve = whole[chains]
@@ -141,21 +137,16 @@ def estimate_averages(
     value: int,
     p_static: float,
     cfg: ScenarioConfig,
-    rng: Optional[np.random.Generator] = None,
-    trials: Optional[TrialChannels] = None,
+    trials: TrialChannels,
 ) -> AllocationResult:
     """Monte-Carlo averages and feasibility status for one allocation value.
 
-    Pass ``trials`` to reuse an existing draw set (common random numbers);
-    otherwise ``rng`` is consumed to draw ``cfg.mc_trials`` fresh channels.
+    The rate is averaged over ``trials``, one draw set that callers reuse
+    across allocation values (common random numbers).
     """
     vmax = _allocation_bounds(protocol, cfg)
     if not 0 <= value <= vmax:
         raise ValueError(f"allocation value must lie in [0, {vmax}], got {value}")
-    if trials is None:
-        if rng is None:
-            raise ValueError("either rng or trials must be provided")
-        trials = draw_trials(cfg, rng)
     if protocol == TIME_SPLITTING:
         payload_slots = cfg.frame_slots - cfg.preamble_slots - value
         amplitude = trials.amp_total
@@ -181,25 +172,18 @@ def estimate_averages(
 
 
 def _optimize(
-    protocol: str,
-    p_static: float,
-    cfg: ScenarioConfig,
-    rng: Optional[np.random.Generator],
-    trials: Optional[TrialChannels],
+    protocol: str, p_static: float, cfg: ScenarioConfig, trials: TrialChannels
 ) -> AllocationResult:
     curve = harvest_curve(protocol, cfg)
     consumed = total_consumption(p_static, protocol, cfg).total
     # First value whose harvest covers consumption, ties included; an index
     # past the end means even the full allocation falls short.
     value = min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
-    return estimate_averages(protocol, value, p_static, cfg, rng=rng, trials=trials)
+    return estimate_averages(protocol, value, p_static, cfg, trials)
 
 
 def optimize_time_splitting(
-    p_static: float,
-    cfg: ScenarioConfig,
-    rng: Optional[np.random.Generator] = None,
-    trials: Optional[TrialChannels] = None,
+    p_static: float, cfg: ScenarioConfig, trials: TrialChannels
 ) -> AllocationResult:
     """Best number of harvesting slots: the smallest one meeting the constraint.
 
@@ -208,14 +192,11 @@ def optimize_time_splitting(
     maximizes the average rate. Reports the full post-preamble interval with
     INFEASIBLE status when even that cannot cover consumption.
     """
-    return _optimize(TIME_SPLITTING, p_static, cfg, rng, trials)
+    return _optimize(TIME_SPLITTING, p_static, cfg, trials)
 
 
 def optimize_uc_splitting(
-    p_static: float,
-    cfg: ScenarioConfig,
-    rng: Optional[np.random.Generator] = None,
-    trials: Optional[TrialChannels] = None,
+    p_static: float, cfg: ScenarioConfig, trials: TrialChannels
 ) -> AllocationResult:
     """Best number of harvesting UCs: the smallest one meeting the constraint.
 
@@ -224,4 +205,4 @@ def optimize_uc_splitting(
     Reports k = m_s with INFEASIBLE status when even the whole surface cannot
     cover consumption.
     """
-    return _optimize(UC_SPLITTING, p_static, cfg, rng, trials)
+    return _optimize(UC_SPLITTING, p_static, cfg, trials)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import CascadedChannel, absorbed_power_per_uc, reflected_snr
+from .channel import CascadedChannel, reflected_snr, uc_absorbed_power
 from .harvesting import harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
@@ -88,14 +88,15 @@ def run_frame_time_splitting(
     payload_slots = cfg.frame_slots - cfg.preamble_slots - alloc.eh_slots
     snr = reflected_snr(ch, range(cfg.m_s), cfg)
     rate = float(shannon_rate(payload_slots, snr, cfg))
-    report = harvest(absorbed_power_per_uc(ch, cfg), alloc.eh_slots * cfg.slot_duration, cfg)
+    absorbed = np.full(cfg.m_s, uc_absorbed_power(cfg))
+    harvested = harvest(absorbed, cfg) * (alloc.eh_slots * cfg.slot_duration)
     breakdown = total_consumption(p_static, TIME_SPLITTING, cfg)
     consumed = breakdown.total * breakdown.frame_duration
     return FrameEnergyReport(
         rate=rate,
-        harvested_energy=report.harvested_energy,
+        harvested_energy=harvested,
         consumed_energy=consumed,
-        feasible=report.harvested_energy >= consumed,
+        feasible=harvested >= consumed,
         snr=snr,
     )
 
@@ -127,14 +128,15 @@ def run_frame_uc_splitting(
     snr = reflected_snr(ch, reflecting, cfg)
     payload_slots = cfg.frame_slots - cfg.preamble_slots
     rate = float(shannon_rate(payload_slots, snr, cfg))
-    absorbed = absorbed_power_per_uc(ch, cfg)[sorted(members)]
-    report = harvest(absorbed, payload_slots * cfg.slot_duration, cfg)
+    # Absorption is uniform, so which k UCs harvest does not matter.
+    absorbed = np.full(k, uc_absorbed_power(cfg))
+    harvested = harvest(absorbed, cfg) * (payload_slots * cfg.slot_duration)
     breakdown = total_consumption(p_static, UC_SPLITTING, cfg)
     consumed = breakdown.total * breakdown.frame_duration
     return FrameEnergyReport(
         rate=rate,
-        harvested_energy=report.harvested_energy,
+        harvested_energy=harvested,
         consumed_energy=consumed,
-        feasible=report.harvested_energy >= consumed,
+        feasible=harvested >= consumed,
         snr=snr,
     )

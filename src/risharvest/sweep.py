@@ -10,6 +10,7 @@ from typing import Optional
 
 import numpy as np
 
+from .harvesting import is_finite_number
 from .optimizer import (
     FEASIBLE,
     draw_trials,
@@ -55,6 +56,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {self.scale!r}")
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise ValueError(f"sweep {name} must be a finite number, got {value!r}")
+        if self.start < 0.0:
+            raise ValueError(f"sweep start must be >= 0 W, got {self.start}")
+        if not isinstance(self.points, int) or isinstance(self.points, bool):
+            raise ValueError(f"sweep points must be an integer, got {self.points!r}")
         if not self.start < self.stop:
             raise ValueError(f"sweep start ({self.start}) must be below stop ({self.stop})")
         if self.points < 2:

@@ -7,51 +7,65 @@ from hypothesis import given, settings, strategies as st
 from risharvest import (
     RectifierModel,
     ScenarioConfig,
-    chain_rf_power,
     harvest,
-    partition_chains,
     rectify,
 )
 
 
+def per_chain_oracle(powers, cfg):
+    """The harvest chain written out chain by chain, with scalar rectify calls."""
+    size, loss = cfg.chain_size, 10.0 ** (-cfg.rf_combining_loss_db / 10.0)
+    dc = [
+        rectify(float(np.sum(powers[i : i + size])) * loss, cfg.rectifier)
+        for i in range(0, len(powers), size)
+    ]
+    return cfg.dc_combining_efficiency * sum(dc)
+
+
 def test_partition_exact_division():
-    chains = partition_chains(range(225), 9)
-    assert len(chains) == 25
-    assert all(len(c) == 9 for c in chains)
-    assert chains[0] == tuple(range(9))
+    # 2 uW per UC is below the 10 uW sensitivity alone but not in chains of 9
+    cfg = ScenarioConfig(chain_size=9)
+    eta = cfg.rectifier.efficiency
+    assert harvest(np.full(225, 2e-6), cfg) == pytest.approx(25 * eta * 9 * 2e-6, rel=1e-12)
+    assert harvest(np.full(225, 2e-6), ScenarioConfig(chain_size=1)) == 0.0
 
 
 def test_partition_remainder_group():
-    chains = partition_chains(range(10), 4)
-    assert [len(c) for c in chains] == [4, 4, 2]
+    # 10 UCs in chains of 4 form chains of 4 + 4 + 2 consecutive UCs
+    cfg = ScenarioConfig(chain_size=4)
+    eta = cfg.rectifier.efficiency
+    # chains carry 14, 26 and 5 uW: only the short one stays below the 10 uW
+    # sensitivity
+    powers = np.array([2e-6, 3e-6, 4e-6, 5e-6, 5e-6, 6e-6, 7e-6, 8e-6, 2e-6, 3e-6])
+    assert harvest(powers, cfg) == pytest.approx(eta * (14e-6 + 26e-6), rel=1e-12)
+    sigmoidal = dataclasses.replace(cfg, rectifier=RectifierModel(kind="sigmoidal"))
+    expected = sum(rectify(p, sigmoidal.rectifier) for p in (14e-6, 26e-6, 5e-6))
+    assert harvest(powers, sigmoidal) == pytest.approx(expected, rel=1e-12)
 
 
 def test_partition_empty():
-    assert partition_chains([], 3) == []
-
-
-def test_partition_row_major_even_for_shuffled_input():
-    chains = partition_chains([5, 1, 3, 2, 4, 0], 2)
-    assert chains == [(0, 1), (2, 3), (4, 5)]
-
-
-def test_partition_rejects_bad_chain_size():
-    with pytest.raises(ValueError):
-        partition_chains(range(4), 0)
+    for chain_size in (1, 4, 9, 225):
+        assert harvest([], ScenarioConfig(chain_size=chain_size)) == 0.0
 
 
 def test_chain_rf_power_lossless_sum():
-    absorbed = [1e-5, 1e-5, 1e-5]
-    assert chain_rf_power(absorbed, [0, 1, 2], 0.0) == pytest.approx(3e-5, rel=1e-12)
+    # one chain of 3 UCs in the linear region: DC = efficiency * summed RF
+    cfg = ScenarioConfig(chain_size=3)
+    assert harvest([1e-5, 1e-5, 1e-5], cfg) == pytest.approx(0.3 * 3e-5, rel=1e-12)
 
 
 def test_chain_rf_power_half_power_loss():
-    absorbed = [1e-5, 1e-5, 1e-5]
-    assert chain_rf_power(absorbed, [0, 1, 2], 3.0103) == pytest.approx(1.5e-5, rel=1e-4)
+    cfg = ScenarioConfig(chain_size=3, rf_combining_loss_db=3.0103)
+    assert harvest([1e-5, 1e-5, 1e-5], cfg) == pytest.approx(0.3 * 1.5e-5, rel=1e-4)
 
 
 def test_chain_rf_power_empty_chain():
-    assert chain_rf_power([1e-5], [], 0.0) == 0.0
+    # zero-power UCs, like the padding of a short last chain, add nothing
+    for kind in ("linear_clipped", "sigmoidal"):
+        cfg = ScenarioConfig(chain_size=4, rectifier=RectifierModel(kind=kind))
+        powers = np.full(6, 3e-3)
+        padded = np.concatenate((powers, np.zeros(6)))
+        assert harvest(padded, cfg) == harvest(powers, cfg)
 
 
 def test_rectify_linear_region():
@@ -60,8 +74,9 @@ def test_rectify_linear_region():
 
 
 def test_rectify_zero_input_both_kinds():
-    assert rectify(0.0, RectifierModel()) == 0.0
-    assert rectify(0.0, RectifierModel(kind="sigmoidal")) == 0.0
+    for model in (RectifierModel(), RectifierModel(kind="sigmoidal")):
+        out = rectify(0.0, model)
+        assert isinstance(out, float) and out == 0.0
 
 
 def test_rectify_saturates():
@@ -125,39 +140,53 @@ def test_rectifier_validation():
         RectifierModel(sensitivity=1e-2, saturation=1e-3)
 
 
-def test_harvest_zero_duration(cfg):
-    report = harvest(np.full(225, 3e-5), 0.0, cfg)
-    assert report.harvested_energy == 0.0
-    assert report.total_dc_power > 0.0
-    assert report.per_chain_rf.shape == (25,)
+def test_harvest_matches_per_chain_oracle(rng):
+    for _ in range(100):
+        cfg = ScenarioConfig(
+            chain_size=int(rng.integers(1, 12)),
+            rf_combining_loss_db=float(rng.uniform(0.0, 6.0)),
+            dc_combining_efficiency=float(rng.uniform(0.5, 1.0)),
+            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+        )
+        powers = rng.uniform(0.0, 3e-3, size=int(rng.integers(0, 40)))
+        assert harvest(powers, cfg) == pytest.approx(
+            per_chain_oracle(powers, cfg), rel=1e-12, abs=1e-300
+        )
 
 
-def test_harvest_rejects_negative_duration(cfg):
-    with pytest.raises(ValueError):
-        harvest(np.full(9, 3e-5), -1.0, cfg)
+@given(
+    kind=st.sampled_from(["linear_clipped", "sigmoidal"]),
+    powers=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+    negative=st.floats(max_value=-1e-300, allow_nan=False, allow_infinity=False),
+    at=st.integers(min_value=0, max_value=19),
+)
+def test_array_rectify_matches_scalar(kind, powers, negative, at):
+    model = RectifierModel(kind=kind)
+    out = rectify(np.array(powers), model)
+    assert out.shape == (len(powers),)
+    assert out.tolist() == [rectify(p, model) for p in powers]
+    broken = np.array(powers)
+    broken[at % len(powers)] = negative
+    with pytest.raises(ValueError, match="must be >= 0 W"):
+        rectify(broken, model)
 
 
 def test_harvest_linear_regime_closed_form(cfg):
     # uniform power, lossless combining, all chains inside the linear region
     p = 3e-5
-    report = harvest(np.full(225, p), 2.5, cfg)
     eta = cfg.rectifier.efficiency
-    assert report.total_dc_power == pytest.approx(eta * 225 * p, rel=1e-12)
-    assert report.harvested_energy == pytest.approx(eta * 225 * p * 2.5, rel=1e-12)
+    assert harvest(np.full(225, p), cfg) == pytest.approx(eta * 225 * p, rel=1e-12)
 
 
 def test_harvest_dc_combining_efficiency():
     cfg = ScenarioConfig(dc_combining_efficiency=0.8)
     p = 3e-5
-    report = harvest(np.full(225, p), 1.0, cfg)
-    assert report.total_dc_power == pytest.approx(0.8 * 0.3 * 225 * p, rel=1e-12)
+    assert harvest(np.full(225, p), cfg) == pytest.approx(0.8 * 0.3 * 225 * p, rel=1e-12)
 
 
 def test_harvest_below_sensitivity_single_uc_chains():
     cfg = ScenarioConfig(chain_size=1)
-    report = harvest(np.full(225, 0.5e-5), 1.0, cfg)  # sensitivity is 1e-5
-    assert report.total_dc_power == 0.0
-    assert np.all(report.per_chain_dc == 0.0)
+    assert harvest(np.full(225, 0.5e-5), cfg) == 0.0  # sensitivity is 1e-5
 
 
 def test_chain_size_tradeoff_extremes():
@@ -166,27 +195,14 @@ def test_chain_size_tradeoff_extremes():
     per_uc = 0.5e-5
     single = ScenarioConfig(chain_size=1)
     combined = ScenarioConfig(chain_size=225)
-    assert harvest(np.full(225, per_uc), 1.0, single).total_dc_power == 0.0
-    assert harvest(np.full(225, per_uc), 1.0, combined).total_dc_power > 0.0
+    assert harvest(np.full(225, per_uc), single) == 0.0
+    assert harvest(np.full(225, per_uc), combined) > 0.0
 
 
 def test_harvest_empty_set(cfg):
-    report = harvest([], 1.0, cfg)
-    assert report.total_dc_power == 0.0
-    assert report.harvested_energy == 0.0
-    assert report.per_chain_rf.size == 0
-
-
-def test_harvest_energy_is_power_times_duration(cfg, rng):
-    for _ in range(50):
-        n = int(rng.integers(0, 40))
-        powers = rng.uniform(0.0, 1e-4, size=n)
-        duration = float(rng.uniform(0.0, 3.0))
-        report = harvest(powers, duration, cfg)
-        assert report.harvested_energy == report.total_dc_power * duration
-        assert report.total_dc_power == pytest.approx(
-            cfg.dc_combining_efficiency * report.per_chain_dc.sum(), rel=1e-12, abs=1e-300
-        )
+    for empty in ([], np.empty(0)):
+        out = harvest(empty, cfg)
+        assert isinstance(out, float) and out == 0.0
 
 
 def test_harvest_monotone_in_appended_ucs(rng):
@@ -198,8 +214,8 @@ def test_harvest_monotone_in_appended_ucs(rng):
         n = int(rng.integers(1, 60))
         powers = rng.uniform(0.0, 3e-5, size=n)
         cut = int(rng.integers(0, n))
-        small = harvest(powers[:cut], 1.0, cfg).total_dc_power
-        full = harvest(powers, 1.0, cfg).total_dc_power
+        small = harvest(powers[:cut], cfg)
+        full = harvest(powers, cfg)
         assert full >= small - 1e-18
 
 
@@ -212,6 +228,6 @@ def test_harvest_monotone_in_set_size_uniform_power(rng):
         cfg = ScenarioConfig(chain_size=chain_size)
         size = int(rng.integers(0, 200))
         grown = size + int(rng.integers(1, 20))
-        small = harvest(np.full(size, p_uc), 1.0, cfg).total_dc_power
-        big = harvest(np.full(grown, p_uc), 1.0, cfg).total_dc_power
+        small = harvest(np.full(size, p_uc), cfg)
+        big = harvest(np.full(grown, p_uc), cfg)
         assert big >= small - 1e-18

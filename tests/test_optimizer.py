@@ -19,6 +19,7 @@ from risharvest import (
     harvest,
     optimize_time_splitting,
     optimize_uc_splitting,
+    rectify,
     run_frame_time_splitting,
     run_frame_uc_splitting,
     sample_channel,
@@ -49,11 +50,11 @@ def chain_harvest_power(protocol, value, cfg):
     """Frame-averaged harvest of one allocation, through the full harvest chain."""
     absorbed = cfg.tx_power * free_space_uc_gain(cfg)
     if protocol == TIME_SPLITTING:
-        report = harvest(np.full(cfg.m_s, absorbed), value * cfg.slot_duration, cfg)
+        energy = harvest(np.full(cfg.m_s, absorbed), cfg) * (value * cfg.slot_duration)
     else:
         duration = (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
-        report = harvest(np.full(value, absorbed), duration, cfg)
-    return report.harvested_energy / (cfg.frame_slots * cfg.slot_duration)
+        energy = harvest(np.full(value, absorbed), cfg) * duration
+    return energy / (cfg.frame_slots * cfg.slot_duration)
 
 
 def random_small_configs(rng, count=30):
@@ -82,21 +83,27 @@ def fresh_curves():
 
 def test_estimate_averages_deterministic(cfg):
     fast = dataclasses.replace(cfg, mc_trials=64)
-    a = estimate_averages(TIME_SPLITTING, 100, 1e-5, fast, rng=np.random.default_rng(9))
-    b = estimate_averages(TIME_SPLITTING, 100, 1e-5, fast, rng=np.random.default_rng(9))
+    a = estimate_averages(
+        TIME_SPLITTING, 100, 1e-5, fast, draw_trials(fast, np.random.default_rng(9))
+    )
+    b = estimate_averages(
+        TIME_SPLITTING, 100, 1e-5, fast, draw_trials(fast, np.random.default_rng(9))
+    )
     assert a == b
 
 
 def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
     fast = dataclasses.replace(los_cfg, mc_trials=16)
-    est = estimate_averages(TIME_SPLITTING, 0, 0.0, fast, rng=np.random.default_rng(1))
+    trials = draw_trials(fast, np.random.default_rng(1))
+    est = estimate_averages(TIME_SPLITTING, 0, 0.0, fast, trials)
     expected = 0.9 * fast.bandwidth * np.log2(1.0 + oracle_full_surface_snr(fast))
     assert est.average_rate == pytest.approx(expected, rel=1e-9)
     assert est.rate_ci_halfwidth == pytest.approx(0.0, abs=1e-3)
 
 
 def test_estimate_averages_ci_small_at_default_trials(cfg):
-    est = estimate_averages(TIME_SPLITTING, 0, 0.0, cfg, rng=np.random.default_rng(2))
+    trials = draw_trials(cfg, np.random.default_rng(2))
+    est = estimate_averages(TIME_SPLITTING, 0, 0.0, cfg, trials)
     assert est.rate_ci_halfwidth / est.average_rate < 0.01
 
 
@@ -139,17 +146,16 @@ def test_estimate_averages_matches_frame_engine(cfg):
 
 def test_unconstrained_case_allocates_nothing(cfg):
     free = dataclasses.replace(cfg, e_rec=0.0, mc_trials=32)
-    rng = np.random.default_rng(4)
-    ts = optimize_time_splitting(0.0, free, rng=rng)
+    ts = optimize_time_splitting(0.0, free, draw_trials(free, np.random.default_rng(4)))
     assert ts.status == FEASIBLE and ts.optimal_allocation == 0
-    uc = optimize_uc_splitting(0.0, free, rng=np.random.default_rng(4))
+    uc = optimize_uc_splitting(0.0, free, draw_trials(free, np.random.default_rng(4)))
     assert uc.status == FEASIBLE and uc.optimal_allocation == 0
     assert ts.average_rate == pytest.approx(uc.average_rate, rel=1e-12)
 
 
 def test_absurd_static_power_is_infeasible(cfg):
     fast = dataclasses.replace(cfg, mc_trials=32)
-    result = optimize_time_splitting(1.0, fast, rng=np.random.default_rng(5))
+    result = optimize_time_splitting(1.0, fast, draw_trials(fast, np.random.default_rng(5)))
     assert result.status == INFEASIBLE
     assert result.optimal_allocation == fast.frame_slots - fast.preamble_slots
     assert result.avg_harvested_power < result.avg_consumed_power
@@ -157,7 +163,7 @@ def test_absurd_static_power_is_infeasible(cfg):
 
 def test_feasible_result_satisfies_constraint(cfg):
     fast = dataclasses.replace(cfg, mc_trials=32)
-    result = optimize_uc_splitting(5e-4, fast, rng=np.random.default_rng(6))
+    result = optimize_uc_splitting(5e-4, fast, draw_trials(fast, np.random.default_rng(6)))
     assert result.status == FEASIBLE
     assert result.avg_harvested_power >= result.avg_consumed_power
 
@@ -241,18 +247,40 @@ def test_lookup_edges_zero_static_power_and_full_allocation(small_cfg):
 
 @pytest.mark.parametrize(
     "fake_rectify, bad_index",
-    [(lambda p_rf, model: float("nan"), 0), (lambda p_rf, model: -p_rf, 1)],
+    [(lambda p_rf, model: np.full(np.shape(p_rf), np.nan), 0), (lambda p_rf, model: -p_rf, 1)],
     ids=["nan", "decreasing"],
 )
 def test_broken_harvest_curve_is_rejected(
     monkeypatch, fresh_curves, small_cfg, fake_rectify, bad_index
 ):
-    monkeypatch.setattr(risharvest.optimizer, "rectify", fake_rectify)
     monkeypatch.setattr(risharvest.harvesting, "rectify", fake_rectify)
     trials = draw_trials(small_cfg, np.random.default_rng(14), n_trials=4)
     for protocol, optimize in OPTIMIZERS:
         with pytest.raises(ValueError, match=f"^{protocol} .* at allocation {bad_index}$"):
             optimize(1e-5, small_cfg, trials=trials)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ScenarioConfig(),
+        ScenarioConfig(chain_size=7, rectifier=RectifierModel(kind="sigmoidal")),
+        ScenarioConfig(ris_cols=60, ris_rows=60, chain_size=3600),
+    ],
+    ids=["default", "sigmoidal", "one_chain_of_3600"],
+)
+def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
+    # every chain fill is rectified in one array call, whatever the chain size
+    calls = []
+
+    def counting_rectify(p_rf, model):
+        calls.append(np.shape(p_rf))
+        return rectify(p_rf, model)
+
+    monkeypatch.setattr(risharvest.harvesting, "rectify", counting_rectify)
+    curve = harvest_curve(UC_SPLITTING, config)
+    assert calls == [(config.chain_size + 1,)]
+    assert curve.size == config.m_s + 1
 
 
 def test_uc_splitting_dominates_at_common_static_power(cfg):
@@ -283,8 +311,8 @@ def test_feasibility_range_ordering(cfg):
 
 def test_same_seed_same_result(cfg):
     fast = dataclasses.replace(cfg, mc_trials=128)
-    a = optimize_uc_splitting(1e-4, fast, rng=np.random.default_rng(77))
-    b = optimize_uc_splitting(1e-4, fast, rng=np.random.default_rng(77))
+    a = optimize_uc_splitting(1e-4, fast, draw_trials(fast, np.random.default_rng(77)))
+    b = optimize_uc_splitting(1e-4, fast, draw_trials(fast, np.random.default_rng(77)))
     assert a == b
 
 
@@ -295,5 +323,3 @@ def test_allocation_value_bounds_checked(cfg):
         estimate_averages(TIME_SPLITTING, 9001, 0.0, fast, trials=trials)
     with pytest.raises(ValueError):
         estimate_averages(UC_SPLITTING, 226, 0.0, fast, trials=trials)
-    with pytest.raises(ValueError):
-        estimate_averages(TIME_SPLITTING, 0, 0.0, fast)  # no rng, no trials

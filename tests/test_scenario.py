@@ -100,6 +100,7 @@ def test_rectifier_keys_parse():
         ("rician_k = nan", "rician_k"),
         ("rectifier_p_max = nan", "p_max"),
         ("rectifier_steepness = inf", "steepness"),
+        ("chain_size = 0", "chain_size"),
     ],
 )
 def test_validation_errors_name_field(line, field):

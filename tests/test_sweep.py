@@ -44,6 +44,27 @@ def test_sweep_spec_validation():
     assert SweepSpec(start=0.0, stop=1.0, scale="linear").grid()[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (dict(stop=float("inf"), scale="linear"), "stop"),
+        (dict(stop=float("nan")), "stop"),
+        (dict(start=float("-inf"), scale="linear"), "start"),
+        (dict(start=float("nan")), "start"),
+        (dict(start=-1e-3, scale="linear"), "start"),
+        (dict(start=True, stop=2.0, scale="linear"), "start"),
+        (dict(points=True), "points"),
+        (dict(points=2.0), "points"),
+        (dict(points="3"), "points"),
+    ],
+    ids=["stop_inf", "stop_nan", "start_neg_inf", "start_nan", "start_negative",
+         "start_bool", "points_bool", "points_float", "points_str"],
+)
+def test_sweep_spec_rejects_bad_bounds(overrides, field):
+    with pytest.raises(ValueError, match=f"sweep {field} "):
+        small_spec(**overrides)
+
+
 def test_row_count_and_header(fast_config_path, tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_sweep(fast_config_path, small_spec(points=2), out) == 0
@@ -213,6 +234,19 @@ def test_cli_bad_sweep_bounds_fail_nonzero(fast_config_path, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [["--sweep-stop", "inf"], ["--sweep-start=-1e-3"]],
+    ids=["stop_inf", "start_negative"],
+)
+def test_cli_rejects_bad_bounds_before_writing(tmp_path, capsys, bounds):
+    out = tmp_path / "o.csv"
+    code = main(["sweep", "--scale", "linear", *bounds, "--trials", "8", "--out", str(out)])
+    assert code == 1
+    assert "sweep st" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_defaults_without_config(tmp_path):
     out = tmp_path / "defaults.csv"
     code = main(["sweep", "--points", "2", "--trials", "25", "--out", str(out)])
@@ -221,12 +255,14 @@ def test_cli_defaults_without_config(tmp_path):
 
 
 def test_python_m_risharvest_runs_cleanly(tmp_path):
-    out = tmp_path / "m.csv"
+    # runpy warns when the package __init__ has already imported the module
     env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "risharvest", "sweep", "--points", "2", "--trials", "8",
-         "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert len(read_rows(out)) == 4
+    for module in ("risharvest", "risharvest.sweep"):
+        out = tmp_path / f"{module}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "sweep", "--points", "2", "--trials", "8",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (module, proc.returncode, proc.stderr) == (module, 0, "")
+        assert len(read_rows(out)) == 4
