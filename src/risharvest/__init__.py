@@ -10,12 +10,9 @@ harvested power covers consumption.
 """
 
 from .channel import (
-    CascadedChannel,
     free_space_uc_gain,
     mean_ris_rx_gain,
-    reflected_snr,
-    sample_channel,
-    sample_rician_gains,
+    sample_amplitudes,
     uc_absorbed_power,
     uc_aperture,
     uc_gain,
@@ -75,7 +72,6 @@ __all__ = [
     "Allocation",
     "AllocationResult",
     "BOLTZMANN",
-    "CascadedChannel",
     "ConfigError",
     "ConfigParseError",
     "ConfigValidationError",
@@ -108,11 +104,9 @@ __all__ = [
     "optimize_uc_splitting",
     "reconfig_count",
     "rectify",
-    "reflected_snr",
     "run_frame_time_splitting",
     "run_frame_uc_splitting",
-    "sample_channel",
-    "sample_rician_gains",
+    "sample_amplitudes",
     "save_config",
     "select_harvest_set",
     "total_consumption",

@@ -1,26 +1,19 @@
-"""Cascaded TX-RIS and RIS-RX channel gains, absorbed power, and reflected SNR.
+"""Cascaded TX-RIS and RIS-RX channel amplitudes, absorbed power, and SNR.
 
 The TX side is deterministic free space under far-field plane-wave incidence,
-so every UC sees the same |h|^2. The RIS-RX side is Rician with a common
-line-of-sight phase per draw and i.i.d. diffuse components across UCs.
+so every UC sees the same |h|^2. The RIS-RX side is Rician with i.i.d.
+diffuse components across UCs. Every quantity the package computes from the
+link uses only the amplitudes |h||g_i|, so only those are drawn. A common
+line-of-sight phase theta is not drawn either: CN(0,1) is circularly
+symmetric, so |c e^{j theta} + sigma d_i| has the same joint law as
+|c + sigma d_i e^{-j theta}|, which does not depend on theta.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .scenario import SPEED_OF_LIGHT, ScenarioConfig, derived_quantities
-
-
-@dataclass(frozen=True)
-class CascadedChannel:
-    """One draw of the per-UC gain pair (h_i: TX->UC, g_i: UC->RX)."""
-
-    h: np.ndarray        # (m_s,) complex amplitude gains, TX to UC
-    g: np.ndarray        # (m_s,) complex amplitude gains, UC to RX
-    mean_g_power: float  # configured E[|g|^2]
 
 
 def uc_aperture(cfg: ScenarioConfig) -> float:
@@ -65,45 +58,22 @@ def mean_ris_rx_gain(cfg: ScenarioConfig) -> float:
     )
 
 
-def sample_rician_gains(
-    mean_power: float, k_factor: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw `size` Rician gains with a common LoS phase for the draw.
+def sample_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` channel realizations: an (n, m_s) array of |h||g_i|.
 
-    g = sqrt(mean_power) * (sqrt(K/(K+1)) e^{j theta} + sqrt(1/(K+1)) CN(0,1))
-    with theta uniform on [0, 2*pi). An infinite K collapses to the pure LoS
-    gain exactly.
+    |g_i| = sqrt(E[|g|^2]) |sqrt(K/(K+1)) + sigma (x_i + j y_i)| with x, y
+    standard normal and sigma^2 = 1/(2(K+1)) per component. The normals are
+    drawn as one trial-major (n, 2, m_s) block, so consecutive calls continue
+    one stream: n draws equal the first n of any longer draw from the same
+    state. An infinite K gives sigma = 0, the pure LoS gain exactly.
     """
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    los = math.sqrt(mean_power) * complex(math.cos(theta), math.sin(theta))
-    if math.isinf(k_factor):
-        return np.full(size, los, dtype=complex)
-    diffuse = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2.0)
-    los_scale = math.sqrt(k_factor / (k_factor + 1.0))
-    diffuse_scale = math.sqrt(1.0 / (k_factor + 1.0))
-    return los * los_scale + math.sqrt(mean_power) * diffuse_scale * diffuse
-
-
-def sample_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> CascadedChannel:
-    """Draw one cascaded channel realization (deterministic for a fixed seed)."""
-    m_s = cfg.m_s
-    h = np.full(m_s, math.sqrt(free_space_uc_gain(cfg)), dtype=complex)
-    mean_g = mean_ris_rx_gain(cfg)
-    g = sample_rician_gains(mean_g, cfg.rician_k, m_s, rng)
-    return CascadedChannel(h=h, g=g, mean_g_power=mean_g)
-
-
-def reflected_snr(
-    ch: CascadedChannel, reflecting_set: Iterable[int], cfg: ScenarioConfig
-) -> float:
-    """Receive SNR when the given UCs reflect with perfect phase alignment.
-
-    Coherent amplitude sum: SNR = P_t * (sum_i |h_i| |g_i|)^2 / N.
-    """
-    idx = np.sort(np.asarray(list(reflecting_set), dtype=np.intp))
-    if idx.size == 0:
-        return 0.0
-    return coherent_snr(float(np.sum(np.abs(ch.h[idx]) * np.abs(ch.g[idx]))), cfg)
+    diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
+    los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
+    z = rng.standard_normal((n, 2, cfg.m_s))
+    z *= sigma
+    amp = np.hypot(z[:, 0] + los, z[:, 1])
+    amp *= math.sqrt(free_space_uc_gain(cfg) * mean_ris_rx_gain(cfg))
+    return amp
 
 
 def coherent_snr(amplitude, cfg: ScenarioConfig):

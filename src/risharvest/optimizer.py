@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import coherent_snr, sample_channel, uc_absorbed_power
+from .channel import coherent_snr, sample_amplitudes, uc_absorbed_power
 from .harvesting import chain_dc_power, harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .protocols import shannon_rate
@@ -26,6 +26,11 @@ from .scenario import ScenarioConfig, derived_quantities
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+
+# Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
+# A chunk's temporaries stay a few hundred KB beside the prefix, which alone
+# sets the draw's peak memory.
+_DRAW_CHUNK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,9 @@ class TrialChannels:
 
     ``amp_prefix[t, k]`` holds sum_{i<k} |h_i||g_i| for draw t in row-major UC
     order, so the coherent amplitude over the complement of the first k UCs is
-    ``amp_prefix[:, m_s] - amp_prefix[:, k]``.
+    ``amp_prefix[:, m_s] - amp_prefix[:, k]``. Row t is the running sum of
+    row t of ``sample_amplitudes``; only amplitudes are drawn, because no
+    computed quantity depends on the common LoS phase (see ``channel``).
     """
 
     amp_prefix: np.ndarray  # (n_trials, m_s + 1)
@@ -68,16 +75,23 @@ class TrialChannels:
 def draw_trials(
     cfg: ScenarioConfig, rng: np.random.Generator, n_trials: Optional[int] = None
 ) -> TrialChannels:
-    """Draw the Monte-Carlo channel set once (deterministic for a fixed seed)."""
+    """Draw the Monte-Carlo channel set once (deterministic for a fixed seed).
+
+    The amplitudes are drawn with ``sample_amplitudes`` in chunks of trials,
+    each summed straight into its rows of the prefix, so no full-size
+    amplitude array exists beside the prefix. The sampler's stream is
+    trial-major, so the first t trials are the same for any trial count and
+    any chunk size.
+    """
     n = cfg.mc_trials if n_trials is None else int(n_trials)
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
     m_s = cfg.m_s
     prefix = np.zeros((n, m_s + 1))
-    for t in range(n):
-        ch = sample_channel(cfg, rng)
-        amp = np.abs(ch.h) * np.abs(ch.g)
-        np.cumsum(amp, out=prefix[t, 1:])
+    chunk = max(1, _DRAW_CHUNK_VALUES // m_s)
+    for t0 in range(0, n, chunk):
+        amp = sample_amplitudes(cfg, rng, min(chunk, n - t0))
+        np.cumsum(amp, axis=1, out=prefix[t0 : t0 + amp.shape[0], 1:])
     return TrialChannels(amp_prefix=prefix)
 
 

@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 
+from .harvesting import is_finite_number
 from .scenario import PER_UC, STATIC_PER_ASIC, ScenarioConfig, derived_quantities
 
 TIME_SPLITTING = "time_splitting"
@@ -60,8 +61,8 @@ def total_consumption(
     ``p_static_input`` is either the aggregate figure or a per-ASIC figure,
     according to ``static_power_interpretation``.
     """
-    if p_static_input < 0.0:
-        raise ValueError(f"static power must be >= 0 W, got {p_static_input}")
+    if not (is_finite_number(p_static_input) and p_static_input >= 0.0):
+        raise ValueError(f"static power must be a finite number >= 0 W, got {p_static_input!r}")
     derived = derived_quantities(cfg)
     p_static = p_static_input
     if cfg.static_power_interpretation == STATIC_PER_ASIC:

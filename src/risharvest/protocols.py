@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import CascadedChannel, reflected_snr, uc_absorbed_power
+from .channel import coherent_snr, uc_absorbed_power
 from .harvesting import harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
@@ -72,21 +72,31 @@ def shannon_rate(payload_slots: int, snr, cfg: ScenarioConfig):
     return (payload_slots / cfg.frame_slots) * cfg.bandwidth * np.log2(1.0 + snr)
 
 
-def run_frame_time_splitting(
-    ch: CascadedChannel, alloc: Allocation, p_static: float, cfg: ScenarioConfig
-) -> FrameEnergyReport:
-    """Evaluate one time-splitting frame.
+def _amplitude_row(amplitudes, cfg: ScenarioConfig) -> np.ndarray:
+    row = np.asarray(amplitudes, dtype=float)
+    if row.shape != (cfg.m_s,):
+        raise ValueError(f"amplitudes must have shape ({cfg.m_s},), got {row.shape}")
+    return row
 
-    All UCs absorb for ``eh_slots`` slots, then all reflect for the payload;
-    the harvesting time is lost as a linear factor on the rate.
+
+def run_frame_time_splitting(
+    amplitudes: np.ndarray, alloc: Allocation, p_static: float, cfg: ScenarioConfig
+) -> FrameEnergyReport:
+    """Evaluate one time-splitting frame under one channel draw.
+
+    ``amplitudes`` is one row of ``sample_amplitudes``: the (m_s,) cascaded
+    amplitudes |h||g_i|, which with perfect phase alignment are all the SNR
+    needs. All UCs absorb for ``eh_slots`` slots, then all reflect for the
+    payload; the harvesting time is lost as a linear factor on the rate.
     """
+    row = _amplitude_row(amplitudes, cfg)
     if alloc.protocol != TIME_SPLITTING:
         raise ValueError(f"allocation protocol is {alloc.protocol!r}, expected {TIME_SPLITTING!r}")
     max_eh = cfg.frame_slots - cfg.preamble_slots
     if alloc.eh_slots is None or not 0 <= alloc.eh_slots <= max_eh:
         raise ValueError(f"eh_slots must lie in [0, {max_eh}], got {alloc.eh_slots}")
     payload_slots = cfg.frame_slots - cfg.preamble_slots - alloc.eh_slots
-    snr = reflected_snr(ch, range(cfg.m_s), cfg)
+    snr = coherent_snr(float(row.sum()), cfg)
     rate = float(shannon_rate(payload_slots, snr, cfg))
     absorbed = np.full(cfg.m_s, uc_absorbed_power(cfg))
     harvested = harvest(absorbed, cfg) * (alloc.eh_slots * cfg.slot_duration)
@@ -102,14 +112,16 @@ def run_frame_time_splitting(
 
 
 def run_frame_uc_splitting(
-    ch: CascadedChannel, alloc: Allocation, p_static: float, cfg: ScenarioConfig
+    amplitudes: np.ndarray, alloc: Allocation, p_static: float, cfg: ScenarioConfig
 ) -> FrameEnergyReport:
-    """Evaluate one UC-splitting frame.
+    """Evaluate one UC-splitting frame under one channel draw.
 
-    The harvest set absorbs while its complement reflects for the whole
-    post-preamble interval; dedicating UCs shrinks the coherent sum inside
-    the log instead of the time factor in front of it.
+    ``amplitudes`` is one row of ``sample_amplitudes``: the (m_s,) cascaded
+    amplitudes |h||g_i|. The harvest set absorbs while its complement
+    reflects for the whole post-preamble interval; dedicating UCs shrinks
+    the coherent sum inside the log instead of the time factor in front of it.
     """
+    row = _amplitude_row(amplitudes, cfg)
     if alloc.protocol != UC_SPLITTING:
         raise ValueError(f"allocation protocol is {alloc.protocol!r}, expected {UC_SPLITTING!r}")
     m_s = cfg.m_s
@@ -124,8 +136,9 @@ def run_frame_uc_splitting(
     members = set(harvest_set)
     if len(members) != k or any(not 0 <= i < m_s for i in members):
         raise ValueError(f"harvest_set must hold distinct UC indices in [0, {m_s})")
-    reflecting = [i for i in range(m_s) if i not in members]
-    snr = reflected_snr(ch, reflecting, cfg)
+    reflecting = np.ones(m_s, dtype=bool)
+    reflecting[list(members)] = False
+    snr = coherent_snr(float(row[reflecting].sum()), cfg)
     payload_slots = cfg.frame_slots - cfg.preamble_slots
     rate = float(shannon_rate(payload_slots, snr, cfg))
     # Absorption is uniform, so which k UCs harvest does not matter.

@@ -192,7 +192,12 @@ def _parse_float(key: str, text: str, lineno: int) -> float:
 
 
 def _parse_int(key: str, text: str, lineno: int) -> int:
-    value = _parse_float(key, text, lineno)
+    # Exact first: a float round trip would change integers beyond 2^53.
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    value = _parse_float(key, text, lineno)  # forms such as 1e4
     if not float(value).is_integer():
         raise ConfigParseError(
             f"line {lineno}: value for {key!r} must be an integer, got {text!r}"

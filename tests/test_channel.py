@@ -3,17 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from risharvest import (
-    ScenarioConfig,
     free_space_uc_gain,
     mean_ris_rx_gain,
-    reflected_snr,
-    sample_channel,
+    sample_amplitudes,
     uc_absorbed_power,
     uc_gain,
 )
+from risharvest.channel import coherent_snr
 
 from conftest import (
     oracle_free_space_gain,
@@ -76,76 +75,93 @@ def test_mean_rx_gain_inverse_square(cfg):
     assert mean_ris_rx_gain(cfg) / mean_ris_rx_gain(doubled) == pytest.approx(4.0)
 
 
-def test_sample_channel_shapes_and_tx_side(cfg, rng):
-    ch = sample_channel(cfg, rng)
-    assert ch.h.shape == (225,) and ch.g.shape == (225,)
-    assert np.allclose(np.abs(ch.h) ** 2, free_space_uc_gain(cfg), rtol=1e-12)
-    assert ch.mean_g_power == mean_ris_rx_gain(cfg)
+def g_amplitudes(cfg, rng, n):
+    """|g_i| of n draws: the sampled cascaded amplitudes over the constant |h|."""
+    return sample_amplitudes(cfg, rng, n) / math.sqrt(free_space_uc_gain(cfg))
 
 
-def test_sample_channel_deterministic(cfg):
-    a = sample_channel(cfg, np.random.default_rng(5))
-    b = sample_channel(cfg, np.random.default_rng(5))
-    assert np.array_equal(a.h, b.h)
-    assert np.array_equal(a.g, b.g)
+def test_sample_amplitudes_shape_and_sign(cfg, rng):
+    amp = sample_amplitudes(cfg, rng, 3)
+    assert amp.shape == (3, 225) and amp.dtype == np.float64
+    assert np.all(amp > 0.0)
+    assert sample_amplitudes(cfg, rng, 0).shape == (0, 225)
+
+
+def test_sample_amplitudes_deterministic(cfg):
+    a = sample_amplitudes(cfg, np.random.default_rng(5), 4)
+    b = sample_amplitudes(cfg, np.random.default_rng(5), 4)
+    assert np.array_equal(a, b)
+
+
+def test_sample_amplitudes_continue_one_stream(cfg):
+    # trial-major draws: split calls give the same rows as one call
+    whole = sample_amplitudes(cfg, np.random.default_rng(6), 9)
+    rng = np.random.default_rng(6)
+    parts = [sample_amplitudes(cfg, rng, n) for n in (1, 5, 3)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("k", [0.5, 10.0, 1e3])
+def test_amplitudes_follow_rician_law(cfg, k):
+    # |g| is Rician with nu^2 = E|g|^2 K/(K+1) and sigma^2 = E|g|^2/(2(K+1))
+    # per component; the UCs of a draw are i.i.d. because no common phase is drawn
+    kcfg = dataclasses.replace(cfg, rician_k=k)
+    gains = g_amplitudes(kcfg, np.random.default_rng(2024), 20).ravel()
+    law = stats.rice(b=math.sqrt(2.0 * k), scale=math.sqrt(mean_ris_rx_gain(kcfg) / (2.0 * (k + 1.0))))
+    assert stats.kstest(gains, law.cdf).pvalue > 0.01
 
 
 def test_infinite_k_collapses_to_los(los_cfg, rng):
-    ch = sample_channel(los_cfg, rng)
-    assert np.allclose(np.abs(ch.g) ** 2, ch.mean_g_power, rtol=1e-12)
+    gains = g_amplitudes(los_cfg, rng, 2)
+    assert np.allclose(gains**2, mean_ris_rx_gain(los_cfg), rtol=1e-12)
 
 
 def test_huge_k_is_nearly_deterministic(cfg, rng):
     # at K = 1e12 the LoS-diffuse cross term still perturbs |g|^2 at the
     # 2/sqrt(K) = 2e-6 level, so the tolerance sits above that scale
     near_los = dataclasses.replace(cfg, rician_k=1e12)
-    ch = sample_channel(near_los, rng)
-    assert np.allclose(np.abs(ch.g) ** 2, ch.mean_g_power, rtol=2e-5)
+    gains = g_amplitudes(near_los, rng, 1)
+    assert np.allclose(gains**2, mean_ris_rx_gain(cfg), rtol=2e-5)
     tighter = dataclasses.replace(cfg, rician_k=1e14)
-    ch = sample_channel(tighter, rng)
-    assert np.allclose(np.abs(ch.g) ** 2, ch.mean_g_power, rtol=1e-6)
+    gains = g_amplitudes(tighter, rng, 1)
+    assert np.allclose(gains**2, mean_ris_rx_gain(cfg), rtol=1e-6)
 
 
 def test_sample_mean_gain_power_converges(cfg):
     rng = np.random.default_rng(777)
-    draws = math.ceil(100_000 / cfg.m_s)
-    gains = np.concatenate([sample_channel(cfg, rng).g for _ in range(draws)])
+    gains = g_amplitudes(cfg, rng, math.ceil(100_000 / cfg.m_s))
     assert gains.size >= 100_000
-    sample_mean = np.mean(np.abs(gains) ** 2)
+    sample_mean = np.mean(gains**2)
     assert sample_mean == pytest.approx(mean_ris_rx_gain(cfg), rel=0.02)
 
 
 def test_reflected_snr_empty_set(cfg, rng):
-    ch = sample_channel(cfg, rng)
-    assert reflected_snr(ch, [], cfg) == 0.0
+    amp = sample_amplitudes(cfg, rng, 1)[0]
+    assert coherent_snr(amp[[]].sum(), cfg) == 0.0
 
 
-def test_reflected_snr_full_surface_closed_form(los_cfg, rng):
-    ch = sample_channel(los_cfg, rng)
-    snr = reflected_snr(ch, range(225), los_cfg)
+def test_coherent_snr_full_surface_closed_form(los_cfg, rng):
+    amp = sample_amplitudes(los_cfg, rng, 1)[0]
+    snr = coherent_snr(amp.sum(), los_cfg)
     expected = oracle_full_surface_snr(los_cfg)
     assert snr == pytest.approx(expected, rel=1e-9)
     assert 48.0 <= 10 * math.log10(snr) <= 49.0
 
 
-def test_reflected_snr_subset_monotone(cfg):
+def test_coherent_snr_subset_monotone(cfg):
     rng = np.random.default_rng(42)
-    ch = sample_channel(cfg, rng)
+    amp = sample_amplitudes(cfg, rng, 1)[0]
     for _ in range(200):
         size = rng.integers(0, cfg.m_s)
-        subset = rng.choice(cfg.m_s, size=size, replace=False)
+        subset = np.sort(rng.choice(cfg.m_s, size=size, replace=False))
         extra = rng.integers(0, cfg.m_s)
-        grown = set(subset.tolist()) | {int(extra)}
-        assert reflected_snr(ch, subset, cfg) <= reflected_snr(ch, grown, cfg)
+        grown = np.union1d(subset, [extra])
+        assert coherent_snr(amp[subset].sum(), cfg) <= coherent_snr(amp[grown].sum(), cfg)
 
 
 def test_coherent_sum_second_moment_matches_analytic(cfg):
     rng = np.random.default_rng(31337)
-    n_draws = 10_000
-    sums = np.empty(n_draws)
-    for t in range(n_draws):
-        ch = sample_channel(cfg, rng)
-        sums[t] = np.sum(np.abs(ch.h) * np.abs(ch.g))
+    sums = sample_amplitudes(cfg, rng, 10_000).sum(axis=1)
     m_s = cfg.m_s
     h2 = free_space_uc_gain(cfg)
     eg = mean_ris_rx_gain(cfg)

@@ -22,7 +22,7 @@ from risharvest import (
     rectify,
     run_frame_time_splitting,
     run_frame_uc_splitting,
-    sample_channel,
+    sample_amplitudes,
 )
 from risharvest.optimizer import harvest_curve
 
@@ -113,15 +113,14 @@ def test_estimate_averages_matches_frame_engine(cfg):
     fast = dataclasses.replace(cfg, mc_trials=n)
     seed = 555
     trials = draw_trials(fast, np.random.default_rng(seed))
-    replay = np.random.default_rng(seed)
-    channels = [sample_channel(fast, replay) for _ in range(n)]
+    rows = sample_amplitudes(fast, np.random.default_rng(seed), n)
     p_static = 3e-6
 
     eh = 1234
     est = estimate_averages(TIME_SPLITTING, eh, p_static, fast, trials=trials)
     reports = [
-        run_frame_time_splitting(ch, Allocation.time_split(eh), p_static, fast)
-        for ch in channels
+        run_frame_time_splitting(row, Allocation.time_split(eh), p_static, fast)
+        for row in rows
     ]
     assert est.average_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
     frame_duration = fast.frame_slots * fast.slot_duration
@@ -135,13 +134,29 @@ def test_estimate_averages_matches_frame_engine(cfg):
     k = 37
     est = estimate_averages(UC_SPLITTING, k, p_static, fast, trials=trials)
     reports = [
-        run_frame_uc_splitting(ch, Allocation.uc_split(k), p_static, fast)
-        for ch in channels
+        run_frame_uc_splitting(row, Allocation.uc_split(k), p_static, fast)
+        for row in rows
     ]
     assert est.average_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
     assert est.avg_harvested_power == pytest.approx(
         np.mean([r.harvested_energy for r in reports]) / frame_duration, rel=1e-10
     )
+
+
+@pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
+def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chunk_values):
+    if chunk_values is not None:
+        monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
+    # 200 trials of 225 UCs span three default chunks of 72 trials
+    fast = dataclasses.replace(cfg, mc_trials=200)
+    seed = 556
+    full = draw_trials(fast, np.random.default_rng(seed)).amp_prefix
+    head = draw_trials(fast, np.random.default_rng(seed), n_trials=7).amp_prefix
+    assert np.array_equal(full[:7], head)
+    # the prefix is the running sum of the sampler's rows, bit for bit
+    amp = sample_amplitudes(fast, np.random.default_rng(seed), fast.mc_trials)
+    assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
+    assert np.array_equal(full[:, 1:], np.cumsum(amp, axis=1))
 
 
 def test_unconstrained_case_allocates_nothing(cfg):
@@ -159,6 +174,15 @@ def test_absurd_static_power_is_infeasible(cfg):
     assert result.status == INFEASIBLE
     assert result.optimal_allocation == fast.frame_slots - fast.preamble_slots
     assert result.avg_harvested_power < result.avg_consumed_power
+
+
+@pytest.mark.parametrize("p_static", [float("nan"), float("inf")])
+def test_invalid_static_power_rejected(cfg, p_static):
+    fast = dataclasses.replace(cfg, mc_trials=8)
+    trials = draw_trials(fast, np.random.default_rng(5))
+    for _, optimize in OPTIMIZERS:
+        with pytest.raises(ValueError, match="static power"):
+            optimize(p_static, fast, trials)
 
 
 def test_feasible_result_satisfies_constraint(cfg):

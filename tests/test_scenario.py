@@ -153,6 +153,18 @@ def test_round_trip_stability(tmp_path):
     assert loads_config(dumps_config(load_config(path))) == cfg
 
 
+@pytest.mark.parametrize("seed", [2**53 + 1, 2**64 - 1])
+def test_round_trip_preserves_large_integer_seed(seed):
+    # integers above 2^53 do not survive a trip through float
+    cfg = ScenarioConfig(rng_seed=seed)
+    assert loads_config(dumps_config(cfg)) == cfg
+    assert loads_config(f"rng_seed = {seed}\n").rng_seed == seed
+
+
+def test_integer_keys_accept_exponent_form():
+    assert loads_config("mc_trials = 1e4\n").mc_trials == 10_000
+
+
 def test_round_trip_preserves_inf_k():
     cfg = dataclasses.replace(ScenarioConfig(), rician_k=float("inf"))
     assert loads_config(dumps_config(cfg)) == cfg
