@@ -7,6 +7,12 @@ This package models the link budget, the Rician RIS-to-receiver channel,
 the RF-to-DC harvesting chain, the controller power draw, and the
 rate-maximizing allocation of either resource under the constraint that
 harvested power covers consumption.
+
+``scenario`` holds the configuration and the link-budget quantities derived
+from it; ``channel``, ``harvesting`` and ``power`` give the rate, harvest and
+consumption formulas; ``optimizer.estimate_averages`` is the one place that
+combines them for an allocation, and ``sweep`` runs it over a static-power
+grid.
 """
 
 from .channel import (
@@ -14,8 +20,6 @@ from .channel import (
     mean_ris_rx_gain,
     sample_amplitudes,
     uc_absorbed_power,
-    uc_aperture,
-    uc_gain,
 )
 from .harvesting import (
     LINEAR_CLIPPED,
@@ -44,22 +48,11 @@ from .power import (
     reconfig_count,
     total_consumption,
 )
-from .protocols import (
-    Allocation,
-    FrameEnergyReport,
-    run_frame_time_splitting,
-    run_frame_uc_splitting,
-    select_harvest_set,
-)
 from .scenario import (
-    BOLTZMANN,
-    SPEED_OF_LIGHT,
     ConfigError,
     ConfigParseError,
     ConfigValidationError,
-    DerivedQuantities,
     ScenarioConfig,
-    derived_quantities,
     dumps_config,
     load_config,
     loads_config,
@@ -69,28 +62,22 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Allocation",
     "AllocationResult",
-    "BOLTZMANN",
     "ConfigError",
     "ConfigParseError",
     "ConfigValidationError",
     "ConsumptionBreakdown",
-    "DerivedQuantities",
     "FEASIBLE",
-    "FrameEnergyReport",
     "INFEASIBLE",
     "LINEAR_CLIPPED",
     "PROTOCOLS",
     "RECTIFIER_KINDS",
     "RectifierModel",
     "SIGMOIDAL",
-    "SPEED_OF_LIGHT",
     "ScenarioConfig",
     "TIME_SPLITTING",
     "TrialChannels",
     "UC_SPLITTING",
-    "derived_quantities",
     "draw_trials",
     "dumps_config",
     "dynamic_power",
@@ -104,13 +91,8 @@ __all__ = [
     "optimize_uc_splitting",
     "reconfig_count",
     "rectify",
-    "run_frame_time_splitting",
-    "run_frame_uc_splitting",
     "sample_amplitudes",
     "save_config",
-    "select_harvest_set",
     "total_consumption",
     "uc_absorbed_power",
-    "uc_aperture",
-    "uc_gain",
 ]

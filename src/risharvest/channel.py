@@ -1,4 +1,4 @@
-"""Cascaded TX-RIS and RIS-RX channel amplitudes, absorbed power, and SNR.
+"""Cascaded TX-RIS and RIS-RX channel amplitudes, absorbed power, SNR and rate.
 
 The TX side is deterministic free space under far-field plane-wave incidence,
 so every UC sees the same |h|^2. The RIS-RX side is Rician with i.i.d.
@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, ScenarioConfig, derived_quantities
+from .harvesting import db_to_linear
+from .scenario import ScenarioConfig
 
 
 def uc_aperture(cfg: ScenarioConfig) -> float:
     """Effective aperture of one UC: a half-wavelength square cell."""
-    wavelength = SPEED_OF_LIGHT / cfg.carrier_frequency
-    return (wavelength / 2.0) ** 2
+    return (cfg.wavelength / 2.0) ** 2
 
 
 def uc_gain(cfg: ScenarioConfig) -> float:
@@ -27,8 +27,7 @@ def uc_gain(cfg: ScenarioConfig) -> float:
 
     Equals pi for the half-wavelength cell.
     """
-    wavelength = SPEED_OF_LIGHT / cfg.carrier_frequency
-    return 4.0 * math.pi * uc_aperture(cfg) / wavelength**2
+    return 4.0 * math.pi * uc_aperture(cfg) / cfg.wavelength**2
 
 
 def free_space_uc_gain(cfg: ScenarioConfig) -> float:
@@ -37,9 +36,8 @@ def free_space_uc_gain(cfg: ScenarioConfig) -> float:
     Boresight incidence: TX EIRP spread over the sphere of radius d_tx_ris,
     intercepted by the UC aperture.
     """
-    g_t = 10.0 ** (cfg.tx_gain_dbi / 10.0)
     return (
-        g_t
+        db_to_linear(cfg.tx_gain_dbi)
         * cfg.antenna_efficiency
         * uc_aperture(cfg)
         / (4.0 * math.pi * cfg.d_tx_ris**2)
@@ -48,13 +46,11 @@ def free_space_uc_gain(cfg: ScenarioConfig) -> float:
 
 def mean_ris_rx_gain(cfg: ScenarioConfig) -> float:
     """E[|g|^2]: mean power gain of the UC-to-RX link (Friis with UC gain)."""
-    wavelength = SPEED_OF_LIGHT / cfg.carrier_frequency
-    g_r = 10.0 ** (cfg.rx_gain_dbi / 10.0)
     return (
         uc_gain(cfg)
-        * g_r
+        * db_to_linear(cfg.rx_gain_dbi)
         * cfg.antenna_efficiency
-        * (wavelength / (4.0 * math.pi * cfg.d_ris_rx)) ** 2
+        * (cfg.wavelength / (4.0 * math.pi * cfg.d_ris_rx)) ** 2
     )
 
 
@@ -71,7 +67,10 @@ def sample_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> 
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
     z = rng.standard_normal((n, 2, cfg.m_s))
     z *= sigma
-    amp = np.hypot(z[:, 0] + los, z[:, 1])
+    # In place: one temporary fewer keeps the heap freed after each draw_trials
+    # chunk under glibc's trim threshold, so chunks reuse pages, not re-fault.
+    z[:, 0] += los
+    amp = np.hypot(z[:, 0], z[:, 1])
     amp *= math.sqrt(free_space_uc_gain(cfg) * mean_ris_rx_gain(cfg))
     return amp
 
@@ -81,7 +80,15 @@ def coherent_snr(amplitude, cfg: ScenarioConfig):
 
     ``amplitude`` may be a scalar or an array of per-draw sums.
     """
-    return cfg.tx_power * amplitude**2 / derived_quantities(cfg).noise_power
+    return cfg.tx_power * amplitude**2 / cfg.noise_power
+
+
+def shannon_rate(payload_slots: int, snr, cfg: ScenarioConfig):
+    """Frame-averaged rate (bits/s) when ``payload_slots`` slots carry data.
+
+    ``snr`` may be a scalar or an array of per-draw SNRs.
+    """
+    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * np.log2(1.0 + snr)
 
 
 def uc_absorbed_power(cfg: ScenarioConfig) -> float:

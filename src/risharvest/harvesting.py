@@ -31,6 +31,14 @@ def is_finite_number(value) -> bool:
     )
 
 
+def db_to_linear(db: float) -> float:
+    """Linear power ratio 10^(db/10) of a dB figure; inf when it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class RectifierModel:
     """Parametric RF-to-DC conversion curve.
@@ -119,7 +127,7 @@ def chain_dc_power(chain_rf, cfg: "ScenarioConfig"):
     through ``rf_combining_loss_db``.
     """
     return rectify(
-        np.asarray(chain_rf, dtype=float) * 10.0 ** (-cfg.rf_combining_loss_db / 10.0),
+        np.asarray(chain_rf, dtype=float) * db_to_linear(-cfg.rf_combining_loss_db),
         cfg.rectifier,
     )
 

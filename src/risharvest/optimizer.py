@@ -1,5 +1,15 @@
 """Average-rate maximization under the harvested-vs-consumed power constraint.
 
+Both protocols open each frame with a preamble used for synchronization and
+one-UC-at-a-time channel estimation; no payload or harvest is credited
+there. Time splitting then absorbs on the whole surface for ``eh_slots``
+slots before reflecting on the whole surface, so the harvesting time is lost
+as a linear factor on the rate. UC splitting dedicates the first k UCs in
+row-major order to absorption while the rest reflect for the whole
+post-preamble interval, so harvesting shrinks the coherent sum inside the
+log instead of the time factor in front of it. All UCs are statistically
+identical, so which k harvest does not change the averages.
+
 The TX-side absorption is deterministic free space, so the frame-averaged
 harvest depends on the allocation value alone, not on the channel draw. It
 is computed once per protocol and configuration as a harvest curve over
@@ -18,11 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import coherent_snr, sample_amplitudes, uc_absorbed_power
+from .channel import coherent_snr, sample_amplitudes, shannon_rate, uc_absorbed_power
 from .harvesting import chain_dc_power, harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
-from .protocols import shannon_rate
-from .scenario import ScenarioConfig, derived_quantities
+from .scenario import ScenarioConfig
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -134,7 +143,7 @@ def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
         curve += fill_dc[rest]
         curve *= cfg.dc_combining_efficiency
         curve *= (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
-    curve /= derived_quantities(cfg).frame_duration
+    curve /= cfg.frame_duration
     bad = ~np.isfinite(curve)
     bad[1:] |= curve[1:] < curve[:-1]
     if bad.any():
@@ -156,28 +165,38 @@ def estimate_averages(
     """Monte-Carlo averages and feasibility status for one allocation value.
 
     The rate is averaged over ``trials``, one draw set that callers reuse
-    across allocation values (common random numbers).
+    across allocation values (common random numbers). Raises ValueError when
+    ``trials`` was drawn for another surface size, or when the link budget
+    makes the average rate or its CI overflow.
     """
     vmax = _allocation_bounds(protocol, cfg)
     if not 0 <= value <= vmax:
         raise ValueError(f"allocation value must lie in [0, {vmax}], got {value}")
+    if trials.m_s != cfg.m_s:
+        raise ValueError(f"trials were drawn for {trials.m_s} UCs, the configuration has {cfg.m_s}")
     if protocol == TIME_SPLITTING:
         payload_slots = cfg.frame_slots - cfg.preamble_slots - value
         amplitude = trials.amp_total
     else:
         payload_slots = cfg.frame_slots - cfg.preamble_slots
         amplitude = trials.amp_total - trials.amp_prefix[:, value]
-    rates = shannon_rate(payload_slots, coherent_snr(amplitude, cfg), cfg)
-    if trials.n_trials > 1:
-        ci = 1.96 * float(rates.std(ddof=1)) / math.sqrt(trials.n_trials)
-    else:
-        ci = 0.0
+    # Overflow is reported below as a non-finite result, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = shannon_rate(payload_slots, coherent_snr(amplitude, cfg), cfg)
+        average = float(rates.mean())
+        n = trials.n_trials
+        ci = 1.96 * float(rates.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    if not (math.isfinite(average) and math.isfinite(ci)):
+        raise ValueError(
+            f"{protocol} at p_static = {p_static!r} W: the average rate ({average}) "
+            f"or its CI ({ci}) is not finite; the link budget overflows"
+        )
     harvested = float(harvest_curve(protocol, cfg)[value])
     consumed = total_consumption(p_static, protocol, cfg).total
     return AllocationResult(
         protocol=protocol,
         optimal_allocation=value,
-        average_rate=float(rates.mean()),
+        average_rate=average,
         rate_ci_halfwidth=ci,
         avg_harvested_power=harvested,
         avg_consumed_power=consumed,

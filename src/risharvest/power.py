@@ -1,10 +1,9 @@
 """ASIC power consumption: static draw plus reconfiguration-driven dynamic draw."""
 
-import math
 from dataclasses import dataclass
 
 from .harvesting import is_finite_number
-from .scenario import PER_UC, STATIC_PER_ASIC, ScenarioConfig, derived_quantities
+from .scenario import PER_UC, STATIC_PER_ASIC, ScenarioConfig
 
 TIME_SPLITTING = "time_splitting"
 UC_SPLITTING = "uc_splitting"
@@ -13,11 +12,8 @@ PROTOCOLS = (TIME_SPLITTING, UC_SPLITTING)
 
 @dataclass(frozen=True)
 class ConsumptionBreakdown:
-    p_static: float                 # W
-    p_dynamic: float                # W
-    reconfig_events_per_frame: int
-    e_rec: float                    # J per event
-    frame_duration: float           # s
+    p_static: float   # W, after per-ASIC scaling
+    p_dynamic: float  # W
 
     @property
     def total(self) -> float:
@@ -43,14 +39,12 @@ def reconfig_count(protocol: str, cfg: ScenarioConfig) -> int:
     rounds = 2 if protocol == TIME_SPLITTING else 1
     if cfg.reconfig_counting_mode == PER_UC:
         return (rounds + 1) * m_s
-    n_asics = math.ceil(m_s / cfg.asic_fanout)
-    return m_s + rounds * n_asics
+    return m_s + rounds * cfg.n_asics
 
 
 def dynamic_power(protocol: str, cfg: ScenarioConfig) -> float:
     """Average dynamic power over a frame: event count * e_rec / frame duration."""
-    frame_duration = derived_quantities(cfg).frame_duration
-    return reconfig_count(protocol, cfg) * cfg.e_rec / frame_duration
+    return reconfig_count(protocol, cfg) * cfg.e_rec / cfg.frame_duration
 
 
 def total_consumption(
@@ -63,14 +57,7 @@ def total_consumption(
     """
     if not (is_finite_number(p_static_input) and p_static_input >= 0.0):
         raise ValueError(f"static power must be a finite number >= 0 W, got {p_static_input!r}")
-    derived = derived_quantities(cfg)
     p_static = p_static_input
     if cfg.static_power_interpretation == STATIC_PER_ASIC:
-        p_static = p_static_input * derived.n_asics
-    return ConsumptionBreakdown(
-        p_static=p_static,
-        p_dynamic=dynamic_power(protocol, cfg),
-        reconfig_events_per_frame=reconfig_count(protocol, cfg),
-        e_rec=cfg.e_rec,
-        frame_duration=derived.frame_duration,
-    )
+        p_static = p_static_input * cfg.n_asics
+    return ConsumptionBreakdown(p_static=p_static, p_dynamic=dynamic_power(protocol, cfg))

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .harvesting import RectifierModel, is_finite_number
+from .harvesting import RectifierModel, db_to_linear, is_finite_number
 
 SPEED_OF_LIGHT = 299792458.0   # m/s
 BOLTZMANN = 1.380649e-23       # J/K
@@ -78,6 +78,27 @@ class ScenarioConfig:
         """Total number of unit cells."""
         return self.ris_cols * self.ris_rows
 
+    @property
+    def wavelength(self) -> float:
+        """Carrier wavelength (m)."""
+        return SPEED_OF_LIGHT / self.carrier_frequency
+
+    @property
+    def n_asics(self) -> int:
+        """Controller chips: ceil(m_s / asic_fanout)."""
+        return math.ceil(self.m_s / self.asic_fanout)
+
+    @property
+    def noise_power(self) -> float:
+        """Receiver noise power (W): k_B * T * B * noise factor."""
+        noise_factor = db_to_linear(self.noise_figure_db)
+        return BOLTZMANN * self.noise_temperature * self.bandwidth * noise_factor
+
+    @property
+    def frame_duration(self) -> float:
+        """Frame length (s)."""
+        return self.frame_slots * self.slot_duration
+
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
@@ -85,31 +106,18 @@ class ScenarioConfig:
             # every integer field but the seed is a count
             if f.type is int and f.name != "rng_seed" and value < 1:
                 raise ConfigValidationError(f"{f.name} must be a positive integer, got {value!r}")
-        positive = [
-            ("carrier_frequency", self.carrier_frequency),
-            ("bandwidth", self.bandwidth),
-            ("tx_power", self.tx_power),
-            ("d_tx_ris", self.d_tx_ris),
-            ("d_ris_rx", self.d_ris_rx),
-            ("noise_temperature", self.noise_temperature),
-            ("slot_duration", self.slot_duration),
-        ]
-        for name, value in positive:
+        positive = ("carrier_frequency", "bandwidth", "tx_power", "d_tx_ris", "d_ris_rx",
+                    "noise_temperature", "slot_duration")
+        for name in positive:
+            value = getattr(self, name)
             if not value > 0.0:
                 raise ConfigValidationError(f"{name} must be a positive finite value, got {value}")
-        nonnegative = [
-            ("noise_figure_db", self.noise_figure_db),
-            ("rf_combining_loss_db", self.rf_combining_loss_db),
-            ("e_rec", self.e_rec),
-            ("rician_k", self.rician_k),
-        ]
-        for name, value in nonnegative:
+        for name in ("noise_figure_db", "rf_combining_loss_db", "e_rec", "rician_k"):
+            value = getattr(self, name)
             if not value >= 0.0:
                 raise ConfigValidationError(f"{name} must be >= 0, got {value}")
-        for name, value in [
-            ("antenna_efficiency", self.antenna_efficiency),
-            ("dc_combining_efficiency", self.dc_combining_efficiency),
-        ]:
+        for name in ("antenna_efficiency", "dc_combining_efficiency"):
+            value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ConfigValidationError(f"{name} must lie in (0, 1], got {value}")
         if self.preamble_slots >= self.frame_slots:
@@ -131,6 +139,23 @@ class ScenarioConfig:
             raise ConfigValidationError(
                 f"rng_seed must be an integer in [0, 2^64), got {self.rng_seed!r}"
             )
+        # The link budget must stay finite: a gain that overflows, or a
+        # distance or wavelength whose square is 0 or inf, breaks the channel.
+        for name in ("tx_gain_dbi", "rx_gain_dbi", "noise_figure_db"):
+            value = getattr(self, name)
+            if db_to_linear(value) == math.inf:
+                raise ConfigValidationError(f"{name} = {value} dB overflows as a linear ratio")
+        lengths = {"d_tx_ris": self.d_tx_ris, "d_ris_rx": self.d_ris_rx,
+                   "carrier_frequency": self.wavelength}
+        for name, length in lengths.items():
+            if not 0.0 < length * length < math.inf:
+                raise ConfigValidationError(
+                    f"{name} = {getattr(self, name)} gives a squared length of {length * length} m^2")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ConfigValidationError(
+                f"noise power from noise_temperature, bandwidth and noise_figure_db "
+                f"is {self.noise_power} W, outside (0, inf)"
+            )
 
 
 # The one field that may be infinite: K = inf is a pure line-of-sight link.
@@ -150,29 +175,6 @@ def _check_type(name: str, kind: type, value) -> None:
         expected = f"a {kind.__name__}"
     if not ok:
         raise ConfigValidationError(f"{name} must be {expected}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    wavelength: float      # m
-    m_s: int               # unit-cell count
-    n_asics: int           # ceil(m_s / asic_fanout)
-    noise_power: float     # W, k_B * T * B * noise factor
-    frame_duration: float  # s
-
-
-def derived_quantities(cfg: ScenarioConfig) -> DerivedQuantities:
-    """Deterministic quantities implied by a configuration."""
-    return DerivedQuantities(
-        wavelength=SPEED_OF_LIGHT / cfg.carrier_frequency,
-        m_s=cfg.m_s,
-        n_asics=math.ceil(cfg.m_s / cfg.asic_fanout),
-        noise_power=BOLTZMANN
-        * cfg.noise_temperature
-        * cfg.bandwidth
-        * 10.0 ** (cfg.noise_figure_db / 10.0),
-        frame_duration=cfg.frame_slots * cfg.slot_duration,
-    )
 
 
 # Scenario-file keys: the ScenarioConfig fields, with the rectifier's fields

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from risharvest import ScenarioConfig
+from risharvest import TIME_SPLITTING, ScenarioConfig, harvest
 
 # Independent constants for oracle arithmetic (kept separate from the package).
 C_LIGHT = 2.99792458e8
@@ -81,3 +82,34 @@ def oracle_full_surface_snr(cfg):
         * oracle_mean_rx_gain(cfg)
         / oracle_noise_power(cfg)
     )
+
+
+def frame_oracle(protocol, value, amplitudes, p_static, cfg):
+    """One frame under one channel draw, written out from the protocol description.
+
+    ``amplitudes`` is one (m_s,) row of |h||g_i|. The preamble carries no
+    payload and harvests nothing. Time splitting absorbs on every UC for
+    ``value`` slots and reflects on the whole surface for the rest; UC
+    splitting absorbs on the first ``value`` UCs for the whole post-preamble
+    interval while the others reflect. Returns (rate in bit/s, harvested J,
+    consumed J).
+    """
+    post = cfg.frame_slots - cfg.preamble_slots
+    if protocol == TIME_SPLITTING:
+        payload, reflecting, rounds = post - value, amplitudes, 2
+        harvesting, harvest_slots = cfg.m_s, value
+    else:
+        payload, reflecting, rounds = post, amplitudes[value:], 1
+        harvesting, harvest_slots = value, post
+    snr = cfg.tx_power * math.fsum(reflecting) ** 2 / oracle_noise_power(cfg)
+    rate = payload / cfg.frame_slots * cfg.bandwidth * math.log2(1.0 + snr)
+    absorbed = np.full(harvesting, cfg.tx_power * oracle_free_space_gain(cfg))
+    harvested = harvest(absorbed, cfg) * harvest_slots * cfg.slot_duration
+    # Estimation reconfigures one UC at a time; each later phase reconfigures
+    # the whole surface, counted per UC or per controller chip.
+    n_asics = -(-cfg.m_s // cfg.asic_fanout)
+    per_round = cfg.m_s if cfg.reconfig_counting_mode == "per_uc" else n_asics
+    static = p_static * (n_asics if cfg.static_power_interpretation == "per_asic" else 1)
+    frame = cfg.frame_slots * cfg.slot_duration
+    consumed = static * frame + (cfg.m_s + rounds * per_round) * cfg.e_rec
+    return rate, harvested, consumed

@@ -10,9 +10,8 @@ from risharvest import (
     mean_ris_rx_gain,
     sample_amplitudes,
     uc_absorbed_power,
-    uc_gain,
 )
-from risharvest.channel import coherent_snr
+from risharvest.channel import coherent_snr, uc_gain
 
 from conftest import (
     oracle_free_space_gain,

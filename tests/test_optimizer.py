@@ -6,7 +6,6 @@ import pytest
 import risharvest.harvesting
 import risharvest.optimizer
 from risharvest import (
-    Allocation,
     FEASIBLE,
     INFEASIBLE,
     TIME_SPLITTING,
@@ -20,13 +19,11 @@ from risharvest import (
     optimize_time_splitting,
     optimize_uc_splitting,
     rectify,
-    run_frame_time_splitting,
-    run_frame_uc_splitting,
     sample_amplitudes,
 )
 from risharvest.optimizer import harvest_curve
 
-from conftest import oracle_full_surface_snr
+from conftest import frame_oracle, oracle_full_surface_snr
 
 OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
 
@@ -107,40 +104,31 @@ def test_estimate_averages_ci_small_at_default_trials(cfg):
     assert est.rate_ci_halfwidth / est.average_rate < 0.01
 
 
-def test_estimate_averages_matches_frame_engine(cfg):
-    """Dual route: vectorized candidate evaluation vs. per-frame reports."""
-    n = 50
-    fast = dataclasses.replace(cfg, mc_trials=n)
-    seed = 555
-    trials = draw_trials(fast, np.random.default_rng(seed))
-    rows = sample_amplitudes(fast, np.random.default_rng(seed), n)
-    p_static = 3e-6
-
-    eh = 1234
-    est = estimate_averages(TIME_SPLITTING, eh, p_static, fast, trials=trials)
-    reports = [
-        run_frame_time_splitting(row, Allocation.time_split(eh), p_static, fast)
-        for row in rows
+def test_estimate_averages_matches_frame_engine(cfg, rng):
+    """Dual route: vectorized evaluation vs. the per-frame oracle on the same draws."""
+    n, seed = 50, 555
+    configs = [
+        *random_small_configs(rng),
+        dataclasses.replace(cfg, static_power_interpretation="per_asic"),
+        dataclasses.replace(
+            cfg, static_power_interpretation="per_asic", reconfig_counting_mode="per_asic"
+        ),
     ]
-    assert est.average_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
-    frame_duration = fast.frame_slots * fast.slot_duration
-    assert est.avg_harvested_power == pytest.approx(
-        np.mean([r.harvested_energy for r in reports]) / frame_duration, rel=1e-10
-    )
-    assert est.avg_consumed_power == pytest.approx(
-        reports[0].consumed_energy / frame_duration, rel=1e-10
-    )
-
-    k = 37
-    est = estimate_averages(UC_SPLITTING, k, p_static, fast, trials=trials)
-    reports = [
-        run_frame_uc_splitting(row, Allocation.uc_split(k), p_static, fast)
-        for row in rows
-    ]
-    assert est.average_rate == pytest.approx(np.mean([r.rate for r in reports]), rel=1e-10)
-    assert est.avg_harvested_power == pytest.approx(
-        np.mean([r.harvested_energy for r in reports]) / frame_duration, rel=1e-10
-    )
+    assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
+    for config in configs:
+        trials = draw_trials(config, np.random.default_rng(seed), n_trials=n)
+        rows = sample_amplitudes(config, np.random.default_rng(seed), n)
+        frame = config.frame_slots * config.slot_duration
+        for protocol in (TIME_SPLITTING, UC_SPLITTING):
+            vmax = harvest_curve(protocol, config).size - 1
+            for value in sorted({0, 1, vmax // 2, vmax}):
+                p_static = float(10 ** rng.uniform(-7, -3))
+                est = estimate_averages(protocol, value, p_static, config, trials)
+                frames = [frame_oracle(protocol, value, row, p_static, config) for row in rows]
+                rates, harvested, consumed = zip(*frames)
+                assert est.average_rate == pytest.approx(np.mean(rates), rel=1e-10)
+                assert est.avg_harvested_power == pytest.approx(harvested[0] / frame, rel=1e-10)
+                assert est.avg_consumed_power == pytest.approx(consumed[0] / frame, rel=1e-10)
 
 
 @pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
@@ -338,6 +326,13 @@ def test_same_seed_same_result(cfg):
     a = optimize_uc_splitting(1e-4, fast, draw_trials(fast, np.random.default_rng(77)))
     b = optimize_uc_splitting(1e-4, fast, draw_trials(fast, np.random.default_rng(77)))
     assert a == b
+
+
+def test_trials_for_another_surface_are_rejected(cfg):
+    small = draw_trials(dataclasses.replace(cfg, ris_cols=5, ris_rows=5), np.random.default_rng(3))
+    for _, optimize in OPTIMIZERS:
+        with pytest.raises(ValueError, match="drawn for 25 UCs, the configuration has 225"):
+            optimize(1e-6, cfg, small)
 
 
 def test_allocation_value_bounds_checked(cfg):

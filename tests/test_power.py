@@ -75,8 +75,8 @@ def test_total_consumption_sum(cfg):
     breakdown = total_consumption(1e-5, UC_SPLITTING, cfg)
     assert breakdown.p_static == 1e-5
     assert breakdown.total == pytest.approx(1.9e-4, rel=1e-12)
-    assert breakdown.reconfig_events_per_frame == 450
-    assert breakdown.frame_duration == pytest.approx(0.02, rel=1e-12)
+    assert reconfig_count(UC_SPLITTING, cfg) == 450
+    assert cfg.frame_duration == pytest.approx(0.02, rel=1e-12)
 
 
 def test_total_consumption_zero(cfg):
@@ -98,7 +98,7 @@ def test_total_consumption_rejects_negative_static(cfg):
 def test_breakdown_invariant_dynamic_formula(cfg):
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         b = total_consumption(3e-6, protocol, cfg)
-        assert b.p_dynamic == b.reconfig_events_per_frame * b.e_rec / b.frame_duration
+        assert b.p_dynamic == reconfig_count(protocol, cfg) * cfg.e_rec / cfg.frame_duration
 
 
 def test_dyn_over_static_strictly_decreasing(cfg):

@@ -1,3 +1,6 @@
+"""Behaviour of the two harvesting protocols, checked through the optimizer's
+evaluation path: ``estimate_averages`` and the harvest curve."""
+
 import dataclasses
 import math
 
@@ -5,170 +8,140 @@ import numpy as np
 import pytest
 
 from risharvest import (
-    Allocation,
-    free_space_uc_gain,
+    FEASIBLE,
     TIME_SPLITTING,
     UC_SPLITTING,
+    draw_trials,
     dynamic_power,
-    run_frame_time_splitting,
-    run_frame_uc_splitting,
+    estimate_averages,
+    free_space_uc_gain,
     sample_amplitudes,
-    select_harvest_set,
 )
+from risharvest.channel import coherent_snr
+from risharvest.optimizer import harvest_curve
 
 from conftest import oracle_full_surface_snr
 
 
-def test_select_harvest_set_bounds(cfg):
-    assert select_harvest_set(0, cfg) == ()
-    assert select_harvest_set(cfg.m_s, cfg) == tuple(range(225))
-    assert select_harvest_set(5, cfg) == (0, 1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        select_harvest_set(cfg.m_s + 1, cfg)
-    with pytest.raises(ValueError):
-        select_harvest_set(-1, cfg)
+def few_trials(cfg, seed=20240614, n=8):
+    return draw_trials(cfg, np.random.default_rng(seed), n_trials=n)
 
 
-def test_select_harvest_set_ignores_instantaneous_draw(cfg):
-    # statistics-only rule: the same k picks the same indices for any draw
-    assert select_harvest_set(7, cfg) == select_harvest_set(7, cfg)
+def test_time_splitting_bounds_checked(cfg):
+    trials = few_trials(cfg)
+    for value in (9001, -1):
+        with pytest.raises(ValueError, match="allocation value"):
+            estimate_averages(TIME_SPLITTING, value, 0.0, cfg, trials)
+    with pytest.raises(ValueError, match="unknown protocol"):
+        estimate_averages("frequency_splitting", 0, 0.0, cfg, trials)
+    # the draw must cover exactly this surface
+    for cols in (14, 16):
+        other = few_trials(dataclasses.replace(cfg, ris_cols=cols))
+        with pytest.raises(ValueError, match="drawn for"):
+            estimate_averages(TIME_SPLITTING, 0, 0.0, cfg, other)
 
 
-def test_time_splitting_bounds_checked(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
-    with pytest.raises(ValueError):
-        run_frame_time_splitting(amp, Allocation.time_split(9001), 0.0, cfg)
-    with pytest.raises(ValueError):
-        run_frame_time_splitting(amp, Allocation.time_split(-1), 0.0, cfg)
-    with pytest.raises(ValueError):
-        run_frame_time_splitting(amp, Allocation.uc_split(3), 0.0, cfg)
-    # one (m_s,) amplitude row per frame, nothing else
-    for bad in (amp[None, :], amp[:-1], np.append(amp, 1e-6)):
-        with pytest.raises(ValueError, match="amplitudes must have shape"):
-            run_frame_time_splitting(bad, Allocation.time_split(0), 0.0, cfg)
+def test_uc_splitting_bounds_checked(cfg):
+    trials = few_trials(cfg)
+    for value in (226, -1):
+        with pytest.raises(ValueError, match="allocation value"):
+            estimate_averages(UC_SPLITTING, value, 0.0, cfg, trials)
+    for cols in (14, 16):
+        other = few_trials(dataclasses.replace(cfg, ris_cols=cols))
+        with pytest.raises(ValueError, match="drawn for"):
+            estimate_averages(UC_SPLITTING, 0, 0.0, cfg, other)
 
 
-def test_uc_splitting_bounds_checked(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
-    with pytest.raises(ValueError):
-        run_frame_uc_splitting(amp, Allocation.uc_split(226), 0.0, cfg)
-    with pytest.raises(ValueError):
-        run_frame_uc_splitting(amp, Allocation.uc_split(2, harvest_set=(0, 1, 2)), 0.0, cfg)
-    with pytest.raises(ValueError):
-        run_frame_uc_splitting(amp, Allocation.uc_split(2, harvest_set=(0, 225)), 0.0, cfg)
-    for bad in (amp[None, :], amp[:-1], np.append(amp, 1e-6)):
-        with pytest.raises(ValueError, match="amplitudes must have shape"):
-            run_frame_uc_splitting(bad, Allocation.uc_split(0), 0.0, cfg)
+def test_time_splitting_full_harvest_kills_rate(cfg):
+    est = estimate_averages(TIME_SPLITTING, 9000, 1e-6, cfg, few_trials(cfg))
+    assert est.average_rate == 0.0
+    assert est.avg_harvested_power > 0.0
 
 
-def test_time_splitting_full_harvest_kills_rate(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
-    report = run_frame_time_splitting(amp, Allocation.time_split(9000), 1e-6, cfg)
-    assert report.rate == 0.0
-    assert report.harvested_energy > 0.0
+def test_time_splitting_no_harvest(cfg):
+    n, seed = 8, 3
+    est = estimate_averages(TIME_SPLITTING, 0, 1e-6, cfg, few_trials(cfg, seed, n))
+    assert est.avg_harvested_power == 0.0
+    rows = sample_amplitudes(cfg, np.random.default_rng(seed), n)
+    snrs = [coherent_snr(float(row.sum()), cfg) for row in rows]
+    expected = np.mean([0.9 * cfg.bandwidth * math.log2(1.0 + snr) for snr in snrs])
+    assert est.average_rate == pytest.approx(expected, rel=1e-12)
 
 
-def test_time_splitting_no_harvest(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
-    report = run_frame_time_splitting(amp, Allocation.time_split(0), 1e-6, cfg)
-    assert report.harvested_energy == 0.0
-    expected_rate = 0.9 * cfg.bandwidth * math.log2(1.0 + report.snr)
-    assert report.rate == pytest.approx(expected_rate, rel=1e-12)
-
-
-def test_time_splitting_los_rate_closed_form(los_cfg, rng):
-    amp = sample_amplitudes(los_cfg, rng, 1)[0]
-    report = run_frame_time_splitting(amp, Allocation.time_split(0), 0.0, los_cfg)
+def test_time_splitting_los_rate_closed_form(los_cfg):
+    est = estimate_averages(TIME_SPLITTING, 0, 0.0, los_cfg, few_trials(los_cfg))
     expected = 0.9 * los_cfg.bandwidth * math.log2(1.0 + oracle_full_surface_snr(los_cfg))
-    assert report.rate == pytest.approx(expected, rel=1e-9)
-    assert report.rate == pytest.approx(2.9e9, rel=1e-2)
+    assert est.average_rate == pytest.approx(expected, rel=1e-9)
+    assert est.average_rate == pytest.approx(2.9e9, rel=1e-2)
 
 
-def test_null_allocations_coincide_up_to_dynamic_power(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
+def test_null_allocations_coincide_up_to_dynamic_power(cfg):
+    trials = few_trials(cfg)
     p_static = 2e-6
-    ts = run_frame_time_splitting(amp, Allocation.time_split(0), p_static, cfg)
-    uc = run_frame_uc_splitting(amp, Allocation.uc_split(0), p_static, cfg)
-    assert ts.rate == pytest.approx(uc.rate, rel=1e-12)
-    assert ts.snr == pytest.approx(uc.snr, rel=1e-12)
-    assert ts.harvested_energy == uc.harvested_energy == 0.0
-    frame_duration = cfg.frame_slots * cfg.slot_duration
-    delta = (
-        dynamic_power(TIME_SPLITTING, cfg) - dynamic_power(UC_SPLITTING, cfg)
-    ) * frame_duration
-    assert ts.consumed_energy - uc.consumed_energy == pytest.approx(delta, rel=1e-9)
+    ts = estimate_averages(TIME_SPLITTING, 0, p_static, cfg, trials)
+    uc = estimate_averages(UC_SPLITTING, 0, p_static, cfg, trials)
+    assert ts.average_rate == pytest.approx(uc.average_rate, rel=1e-12)
+    assert ts.rate_ci_halfwidth == pytest.approx(uc.rate_ci_halfwidth, rel=1e-12)
+    assert ts.avg_harvested_power == uc.avg_harvested_power == 0.0
+    delta = dynamic_power(TIME_SPLITTING, cfg) - dynamic_power(UC_SPLITTING, cfg)
+    assert ts.avg_consumed_power - uc.avg_consumed_power == pytest.approx(delta, rel=1e-9)
 
 
-def test_uc_splitting_all_ucs_absorb(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
-    report = run_frame_uc_splitting(amp, Allocation.uc_split(cfg.m_s), 1e-6, cfg)
-    assert report.rate == 0.0
-    assert report.snr == 0.0
-    assert report.harvested_energy > 0.0
+def test_uc_splitting_all_ucs_absorb(cfg):
+    est = estimate_averages(UC_SPLITTING, cfg.m_s, 1e-6, cfg, few_trials(cfg))
+    assert est.average_rate == 0.0
+    assert est.rate_ci_halfwidth == 0.0
+    assert est.avg_harvested_power > 0.0
 
 
-def test_uc_splitting_half_surface_snr_scaling(los_cfg, rng):
-    amp = sample_amplitudes(los_cfg, rng, 1)[0]
+def test_uc_splitting_half_surface_snr_scaling(los_cfg):
     k = 112
-    report = run_frame_uc_splitting(amp, Allocation.uc_split(k), 0.0, los_cfg)
+    est = estimate_averages(UC_SPLITTING, k, 0.0, los_cfg, few_trials(los_cfg))
     m_s = los_cfg.m_s
-    scale = ((m_s - k) / m_s) ** 2
-    expected_snr = scale * oracle_full_surface_snr(los_cfg)
-    assert report.snr == pytest.approx(expected_snr, rel=1e-9)
+    expected_snr = ((m_s - k) / m_s) ** 2 * oracle_full_surface_snr(los_cfg)
     expected_rate = 0.9 * los_cfg.bandwidth * math.log2(1.0 + expected_snr)
-    assert report.rate == pytest.approx(expected_rate, rel=1e-9)
+    assert est.average_rate == pytest.approx(expected_rate, rel=1e-9)
 
 
-def test_uc_splitting_harvest_duration_is_post_preamble(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
-    report = run_frame_uc_splitting(amp, Allocation.uc_split(9), 0.0, cfg)
+def test_uc_splitting_harvest_duration_is_post_preamble(cfg):
     # one full 9-UC chain in the linear region for the 9000-slot payload
     per_uc = cfg.tx_power * free_space_uc_gain(cfg)
-    expected = 0.3 * 9 * per_uc * 9000 * cfg.slot_duration
-    assert report.harvested_energy == pytest.approx(expected, rel=1e-9)
+    expected = 0.3 * 9 * per_uc * 9000 * cfg.slot_duration / (10000 * cfg.slot_duration)
+    assert harvest_curve(UC_SPLITTING, cfg)[9] == pytest.approx(expected, rel=1e-9)
+    est = estimate_averages(UC_SPLITTING, 9, 0.0, cfg, few_trials(cfg))
+    assert est.avg_harvested_power == pytest.approx(expected, rel=1e-9)
 
 
 def test_time_splitting_rate_strictly_decreasing_in_eh_slots(cfg):
     rng = np.random.default_rng(11)
-    amp = sample_amplitudes(cfg, rng, 1)[0]
+    trials = few_trials(cfg, seed=11, n=4)
     for _ in range(100):
         lo = int(rng.integers(0, 9000))
         hi = int(rng.integers(lo + 1, 9001))
-        r_lo = run_frame_time_splitting(amp, Allocation.time_split(lo), 1e-6, cfg)
-        r_hi = run_frame_time_splitting(amp, Allocation.time_split(hi), 1e-6, cfg)
-        assert r_hi.rate < r_lo.rate
-        assert r_hi.harvested_energy >= r_lo.harvested_energy
+        r_lo = estimate_averages(TIME_SPLITTING, lo, 1e-6, cfg, trials)
+        r_hi = estimate_averages(TIME_SPLITTING, hi, 1e-6, cfg, trials)
+        assert r_hi.average_rate < r_lo.average_rate
+        assert r_hi.avg_harvested_power >= r_lo.avg_harvested_power
 
 
 def test_uc_splitting_rate_nonincreasing_in_k(cfg):
     rng = np.random.default_rng(12)
-    amp = sample_amplitudes(cfg, rng, 1)[0]
+    trials = few_trials(cfg, seed=12, n=4)
     for _ in range(100):
         lo = int(rng.integers(0, cfg.m_s))
         hi = int(rng.integers(lo + 1, cfg.m_s + 1))
-        r_lo = run_frame_uc_splitting(amp, Allocation.uc_split(lo), 1e-6, cfg)
-        r_hi = run_frame_uc_splitting(amp, Allocation.uc_split(hi), 1e-6, cfg)
-        assert r_hi.rate <= r_lo.rate
-        assert r_hi.harvested_energy >= r_lo.harvested_energy
+        r_lo = estimate_averages(UC_SPLITTING, lo, 1e-6, cfg, trials)
+        r_hi = estimate_averages(UC_SPLITTING, hi, 1e-6, cfg, trials)
+        assert r_hi.average_rate <= r_lo.average_rate
+        assert r_hi.avg_harvested_power >= r_lo.avg_harvested_power
 
 
 def test_feasible_flag_matches_recomputed_inequality(cfg):
     rng = np.random.default_rng(13)
+    trials = few_trials(cfg, seed=13, n=4)
     for _ in range(20):
-        amp = sample_amplitudes(cfg, rng, 1)[0]
-        eh = int(rng.integers(0, 9001))
         p_static = float(rng.uniform(0.0, 2e-3))
-        report = run_frame_time_splitting(amp, Allocation.time_split(eh), p_static, cfg)
-        assert report.feasible == (report.harvested_energy >= report.consumed_energy)
-        k = int(rng.integers(0, cfg.m_s + 1))
-        report = run_frame_uc_splitting(amp, Allocation.uc_split(k), p_static, cfg)
-        assert report.feasible == (report.harvested_energy >= report.consumed_energy)
-
-
-def test_explicit_harvest_set_matches_default_selection(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
-    implicit = run_frame_uc_splitting(amp, Allocation.uc_split(13), 1e-6, cfg)
-    explicit = run_frame_uc_splitting(
-        amp, Allocation.uc_split(13, harvest_set=select_harvest_set(13, cfg)), 1e-6, cfg
-    )
-    assert implicit == explicit
+        for protocol, vmax in ((TIME_SPLITTING, 9000), (UC_SPLITTING, cfg.m_s)):
+            value = int(rng.integers(0, vmax + 1))
+            est = estimate_averages(protocol, value, p_static, cfg, trials)
+            assert (est.status == FEASIBLE) == (est.avg_harvested_power >= est.avg_consumed_power)

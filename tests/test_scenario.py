@@ -9,7 +9,6 @@ from risharvest import (
     ConfigValidationError,
     RectifierModel,
     ScenarioConfig,
-    derived_quantities,
     dumps_config,
     load_config,
     loads_config,
@@ -172,18 +171,13 @@ def test_round_trip_preserves_inf_k():
 
 
 def test_derived_quantities_defaults(cfg):
-    d = derived_quantities(cfg)
-    assert d.wavelength == pytest.approx(0.010707, rel=1e-4)
-    assert d.m_s == 225
-    assert d.n_asics == 57
-    assert d.frame_duration == pytest.approx(0.02, rel=1e-12)
-    assert d.noise_power == pytest.approx(oracle_noise_power(cfg), rel=1e-12)
+    assert cfg.wavelength == pytest.approx(0.010707, rel=1e-4)
+    assert cfg.m_s == 225
+    assert cfg.n_asics == 57
+    assert cfg.frame_duration == pytest.approx(0.02, rel=1e-12)
+    assert cfg.noise_power == pytest.approx(oracle_noise_power(cfg), rel=1e-12)
     # about -81 dBm
-    assert 10 * math.log10(d.noise_power / 1e-3) == pytest.approx(-81.0, abs=0.1)
-
-
-def test_derived_quantities_pure(cfg):
-    assert derived_quantities(cfg) == derived_quantities(cfg)
+    assert 10 * math.log10(cfg.noise_power / 1e-3) == pytest.approx(-81.0, abs=0.1)
 
 
 @given(
@@ -192,7 +186,7 @@ def test_derived_quantities_pure(cfg):
 )
 def test_noise_power_matches_dbm_rule(bandwidth, nf_db):
     cfg = ScenarioConfig(bandwidth=bandwidth, noise_figure_db=nf_db)
-    noise = derived_quantities(cfg).noise_power
+    noise = cfg.noise_power
     noise_dbm = 10 * math.log10(noise / 1e-3)
     rule_dbm = -174.0 + 10 * math.log10(bandwidth) + nf_db
     assert abs(noise_dbm - rule_dbm) < 0.1

@@ -247,6 +247,43 @@ def test_cli_rejects_bad_bounds_before_writing(tmp_path, capsys, bounds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("tx_gain_dbi = 1e4", "tx_gain_dbi"),
+        ("rx_gain_dbi = 1e4", "rx_gain_dbi"),
+        ("noise_figure_db = 1e4", "noise_figure_db"),
+        ("d_tx_ris = 1e-300", "d_tx_ris"),
+        ("d_ris_rx = 1e-300", "d_ris_rx"),
+        ("d_tx_ris = 1e300", "d_tx_ris"),
+        ("noise_temperature = 1e-320", "noise_temperature"),
+        ("carrier_frequency = 1e-150", "carrier_frequency"),
+        ("carrier_frequency = 1e300", "carrier_frequency"),
+    ],
+)
+def test_cli_rejects_link_budget_overflow(tmp_path, capsys, line, field):
+    config = tmp_path / "link.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "o.csv"
+    code = main(["sweep", "--config", str(config), "--points", "2", "--trials", "8",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
+def test_cli_never_writes_a_non_finite_rate(tmp_path, capsys):
+    config = tmp_path / "loud.cfg"
+    config.write_text("tx_power = 1e308\n")
+    out = tmp_path / "o.csv"
+    code = main(["sweep", "--config", str(config), "--points", "2", "--trials", "8",
+                 "--out", str(out)])
+    assert code == 1
+    assert "time_splitting at p_static = 1e-07 W" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_defaults_without_config(tmp_path):
     out = tmp_path / "defaults.csv"
     code = main(["sweep", "--points", "2", "--trials", "25", "--out", str(out)])
