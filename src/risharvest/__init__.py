@@ -8,27 +8,17 @@ the RF-to-DC harvesting chain, the controller power draw, and the
 rate-maximizing allocation of either resource under the constraint that
 harvested power covers consumption.
 
-``scenario`` holds the configuration and the link-budget quantities derived
-from it; ``channel``, ``harvesting`` and ``power`` give the rate, harvest and
+``scenario`` is the one home of the configuration: every field, the
+rectifier model included, and the whole link budget derived from them (|h|^2,
+E|g|^2, the per-UC absorbed power and the noise power), validated together;
+``channel``, ``harvesting`` and ``power`` give the rate, harvest and
 consumption formulas; ``optimizer.estimate_averages`` is the one place that
 combines them for an allocation, and ``sweep`` runs it over a static-power
 grid.
 """
 
-from .channel import (
-    free_space_uc_gain,
-    mean_ris_rx_gain,
-    sample_amplitudes,
-    uc_absorbed_power,
-)
-from .harvesting import (
-    LINEAR_CLIPPED,
-    RECTIFIER_KINDS,
-    SIGMOIDAL,
-    RectifierModel,
-    harvest,
-    rectify,
-)
+from .channel import sample_amplitudes
+from .harvesting import harvest, rectify
 from .optimizer import (
     FEASIBLE,
     INFEASIBLE,
@@ -49,9 +39,13 @@ from .power import (
     total_consumption,
 )
 from .scenario import (
+    LINEAR_CLIPPED,
+    RECTIFIER_KINDS,
+    SIGMOIDAL,
     ConfigError,
     ConfigParseError,
     ConfigValidationError,
+    RectifierModel,
     ScenarioConfig,
     dumps_config,
     load_config,
@@ -82,11 +76,9 @@ __all__ = [
     "dumps_config",
     "dynamic_power",
     "estimate_averages",
-    "free_space_uc_gain",
     "harvest",
     "load_config",
     "loads_config",
-    "mean_ris_rx_gain",
     "optimize_time_splitting",
     "optimize_uc_splitting",
     "reconfig_count",
@@ -94,5 +86,4 @@ __all__ = [
     "sample_amplitudes",
     "save_config",
     "total_consumption",
-    "uc_absorbed_power",
 ]

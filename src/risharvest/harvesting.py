@@ -4,89 +4,15 @@ The harvesting UCs are grouped into consecutive chains of ``chain_size`` in
 row-major order; the last chain is shorter when the count does not divide.
 Each chain RF-combines its UCs' absorbed powers into one rectifier, and the
 rectifier outputs are DC-combined. ``harvest`` evaluates that rule as one
-reshape-sum, and ``rectify`` works elementwise on arrays.
+reshape-sum, and ``rectify`` works elementwise on arrays. The rectifier's
+parameters are ``scenario.RectifierModel``, validated with the rest of the
+configuration, and the per-UC absorbed power comes from the link budget that
+``ScenarioConfig`` derives.
 """
-
-import math
-import numbers
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .scenario import ScenarioConfig
-
-LINEAR_CLIPPED = "linear_clipped"
-SIGMOIDAL = "sigmoidal"
-RECTIFIER_KINDS = (LINEAR_CLIPPED, SIGMOIDAL)
-
-
-def is_finite_number(value) -> bool:
-    """True for a finite real number; bools and NaN/inf are not accepted."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def db_to_linear(db: float) -> float:
-    """Linear power ratio 10^(db/10) of a dB figure; inf when it overflows."""
-    try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
-@dataclass(frozen=True)
-class RectifierModel:
-    """Parametric RF-to-DC conversion curve.
-
-    ``linear_clipped`` uses ``efficiency``, ``sensitivity`` and ``saturation``:
-    zero output at or below the sensitivity input, a linear slope between
-    sensitivity and saturation, constant output above saturation.
-    ``sigmoidal`` uses ``p_max``, ``steepness`` and ``centering``: a logistic
-    curve shifted and rescaled so zero input gives exactly zero output and
-    the output asymptote is ``p_max``.
-
-    The defaults are generic Schottky-rectenna figures rather than
-    measurements of a specific circuit; override them in the scenario file
-    when a concrete device is targeted.
-    """
-
-    kind: str = LINEAR_CLIPPED
-    efficiency: float = 0.3      # DC/RF slope in the linear region
-    sensitivity: float = 1e-5    # W (-20 dBm), turn-on input power
-    saturation: float = 1e-2     # W (+10 dBm), input power where output clips
-    p_max: float = 24e-3         # W, sigmoidal output asymptote
-    steepness: float = 1500.0    # 1/W, sigmoidal slope parameter
-    centering: float = 2.2e-3    # W, sigmoidal inflection input
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not is_finite_number(value):
-                raise ValueError(f"rectifier {f.name} must be a finite number, got {value!r}")
-        if self.kind not in RECTIFIER_KINDS:
-            raise ValueError(
-                f"rectifier kind must be one of {RECTIFIER_KINDS}, got {self.kind!r}"
-            )
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError(f"rectifier efficiency must lie in (0, 1], got {self.efficiency}")
-        if self.sensitivity < 0.0:
-            raise ValueError(f"rectifier sensitivity must be >= 0 W, got {self.sensitivity}")
-        if self.saturation <= self.sensitivity:
-            raise ValueError(
-                f"rectifier saturation ({self.saturation} W) must exceed "
-                f"the sensitivity ({self.sensitivity} W)"
-            )
-        if self.p_max <= 0.0:
-            raise ValueError(f"rectifier p_max must be > 0 W, got {self.p_max}")
-        if self.steepness <= 0.0:
-            raise ValueError(f"rectifier steepness must be > 0 1/W, got {self.steepness}")
-        if self.centering < 0.0:
-            raise ValueError(f"rectifier centering must be >= 0 W, got {self.centering}")
+from .scenario import LINEAR_CLIPPED, RectifierModel, ScenarioConfig, db_to_linear
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -112,14 +38,16 @@ def rectify(p_rf, model: RectifierModel):
         )
     else:
         # Sigmoidal: logistic response with the zero-input output subtracted
-        # and the remainder rescaled so the asymptote stays at p_max.
+        # and the remainder rescaled so the asymptote stays at p_max. A logistic
+        # argument that overflows to +-inf saturates it at exactly 1 or 0.
         a, b = model.steepness, model.centering
-        zero_level = _logistic(-a * b)
-        out = model.p_max * (_logistic(a * (p - b)) - zero_level) / (1.0 - zero_level)
+        with np.errstate(over="ignore"):
+            zero_level = _logistic(-a * b)
+            out = model.p_max * (_logistic(a * (p - b)) - zero_level) / (1.0 - zero_level)
     return float(out) if out.ndim == 0 else out
 
 
-def chain_dc_power(chain_rf, cfg: "ScenarioConfig"):
+def chain_dc_power(chain_rf, cfg: ScenarioConfig):
     """DC output of each rectifier, given the summed RF power of its chain's UCs.
 
     The sum is derated by the RF combining loss before rectification.
@@ -132,7 +60,7 @@ def chain_dc_power(chain_rf, cfg: "ScenarioConfig"):
     )
 
 
-def harvest(absorbed, cfg: "ScenarioConfig") -> float:
+def harvest(absorbed, cfg: ScenarioConfig) -> float:
     """DC-combined power (W) harvested from per-UC absorbed powers.
 
     ``absorbed`` holds the absorbed powers of the UCs dedicated to

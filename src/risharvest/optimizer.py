@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import coherent_snr, sample_amplitudes, shannon_rate, uc_absorbed_power
+from .channel import coherent_snr, sample_amplitudes, shannon_rate
 from .harvesting import chain_dc_power, harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
@@ -122,7 +122,7 @@ def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
     optimizer's lookup relies on both.
     """
     vmax = _allocation_bounds(protocol, cfg)
-    p_uc = uc_absorbed_power(cfg)
+    p_uc = cfg.uc_absorbed_power
     # Built in place, so that no full-length temporaries pile up.
     if protocol == TIME_SPLITTING:
         # Every UC absorbs for v slots: the harvest is linear in v.

@@ -2,8 +2,7 @@
 
 from dataclasses import dataclass
 
-from .harvesting import is_finite_number
-from .scenario import PER_UC, STATIC_PER_ASIC, ScenarioConfig
+from .scenario import PER_UC, STATIC_PER_ASIC, ScenarioConfig, is_finite_number
 
 TIME_SPLITTING = "time_splitting"
 UC_SPLITTING = "uc_splitting"
@@ -20,11 +19,6 @@ class ConsumptionBreakdown:
         return self.p_static + self.p_dynamic
 
 
-def _check_protocol(protocol: str) -> None:
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-
-
 def reconfig_count(protocol: str, cfg: ScenarioConfig) -> int:
     """Reconfiguration events per frame.
 
@@ -34,7 +28,8 @@ def reconfig_count(protocol: str, cfg: ScenarioConfig) -> int:
     M_s single-UC estimation events but prices the full-surface rounds per
     controller chip.
     """
-    _check_protocol(protocol)
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
     m_s = cfg.m_s
     rounds = 2 if protocol == TIME_SPLITTING else 1
     if cfg.reconfig_counting_mode == PER_UC:

@@ -1,15 +1,19 @@
-"""Scenario configuration: parameter set, unit handling, validation, file I/O.
+"""Scenario configuration: parameters, derived link budget, validation, file I/O.
 
 All quantities are SI (Hz, W, m, s, J, K); gains and losses are dB where the
-field name says so. The configuration is immutable after validation, so a
-single instance can be shared freely across concurrent workers.
+field name says so. This module imports no sibling module. ``ScenarioConfig``
+holds every field, the ``RectifierModel`` among them, and derives the whole
+link budget as properties: wavelength, UC aperture and gain, |h|^2, E|g|^2,
+the per-UC absorbed power and the noise power. One rule checks the fields of
+both classes, and then the derived values themselves are checked, so a
+configuration that validates gives a finite link budget. A validated
+configuration is immutable, so one instance can be shared across workers.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-from .harvesting import RectifierModel, db_to_linear, is_finite_number
 
 SPEED_OF_LIGHT = 299792458.0   # m/s
 BOLTZMANN = 1.380649e-23       # J/K
@@ -22,6 +26,19 @@ STATIC_TOTAL = "total"
 STATIC_PER_ASIC = "per_asic"
 STATIC_POWER_INTERPRETATIONS = (STATIC_TOTAL, STATIC_PER_ASIC)
 
+LINEAR_CLIPPED = "linear_clipped"
+SIGMOIDAL = "sigmoidal"
+RECTIFIER_KINDS = (LINEAR_CLIPPED, SIGMOIDAL)
+
+# A Rician draw gives |g_i|^2 / E|g|^2 = |los + sigma z|^2 <= (1 + |z|/sqrt(2))^2,
+# as los <= 1 and sigma <= 1/sqrt(2), with z complex standard normal. That
+# exceeds 1e3 only if |z| > 43, with probability e^(-43^2/2) ~ 1e-401 per
+# draw, so it bounds every amplitude a float64 normal sampler can give.
+_RICIAN_PEAK_GAIN = 1e3
+# The harvest chain sums equal terms and scales them in another order than
+# the bounds below; that rounds up by a few ulps at most, far below 2x.
+_ROUNDING_HEADROOM = 2.0
+
 
 class ConfigError(ValueError):
     """Base class for scenario-file problems."""
@@ -33,6 +50,101 @@ class ConfigParseError(ConfigError):
 
 class ConfigValidationError(ConfigError):
     """Well-formed configuration that violates a constraint."""
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite real number; bools and NaN/inf are not accepted."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def db_to_linear(db: float) -> float:
+    """Linear power ratio 10^(db/10) of a dB figure; inf when it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+# Scenario-file prefix of the rectifier's fields: rectifier_<field>.
+_RECT_PREFIX = "rectifier_"
+
+# The one field that may be infinite: K = inf is a pure line-of-sight link.
+_MAY_BE_INFINITE = {"rician_k"}
+
+# The allowed values of each field, by scenario-file key; every other field
+# takes any value of its type.
+_FIELD_RULES = {
+    **dict.fromkeys(("carrier_frequency", "bandwidth", "tx_power", "d_tx_ris", "d_ris_rx",
+                     "noise_temperature", "slot_duration", "ris_cols", "ris_rows",
+                     "preamble_slots", "frame_slots", "asic_fanout", "chain_size", "mc_trials",
+                     "rectifier_p_max", "rectifier_steepness"), ("> 0", lambda v: v > 0)),
+    **dict.fromkeys(("noise_figure_db", "rf_combining_loss_db", "e_rec", "rician_k",
+                     "rectifier_sensitivity", "rectifier_centering"), (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("antenna_efficiency", "dc_combining_efficiency", "rectifier_efficiency"),
+                    ("in (0, 1]", lambda v: 0 < v <= 1)),
+    **{key: (f"one of {choices}", choices.__contains__) for key, choices in (
+        ("reconfig_counting_mode", RECONFIG_COUNTING_MODES),
+        ("static_power_interpretation", STATIC_POWER_INTERPRETATIONS),
+        ("rectifier_kind", RECTIFIER_KINDS))},
+    "rng_seed": ("in [0, 2^64)", lambda v: 0 <= v < 2**64),
+}
+
+
+def _check_fields(obj, prefix: str = "") -> None:
+    """The one field rule: the field's type, finiteness and allowed values.
+
+    ``prefix`` turns a field name into its scenario-file key, which the
+    error names.
+    """
+    for f in fields(obj):
+        name, kind, value = prefix + f.name, f.type, getattr(obj, f.name)
+        if kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+            expected = "an integer"
+        elif kind is float:
+            ok = is_finite_number(value) or (name in _MAY_BE_INFINITE and value == math.inf)
+            expected = "a finite number"
+        else:
+            ok = isinstance(value, kind)
+            expected = f"a {kind.__name__}"
+        if ok and name in _FIELD_RULES:
+            expected, allowed = _FIELD_RULES[name]
+            ok = allowed(value)
+        if not ok:
+            raise ConfigValidationError(f"{name} must be {expected}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class RectifierModel:
+    """Parametric RF-to-DC conversion curve.
+
+    ``linear_clipped`` uses ``efficiency``, ``sensitivity`` and ``saturation``:
+    zero output at or below the sensitivity input, a linear slope between
+    sensitivity and saturation, constant output above saturation.
+    ``sigmoidal`` uses ``p_max``, ``steepness`` and ``centering``: a logistic
+    curve shifted and rescaled so zero input gives exactly zero output and
+    the output asymptote is ``p_max``.
+
+    The defaults are generic Schottky-rectenna figures rather than
+    measurements of a specific circuit; override them in the scenario file
+    when a concrete device is targeted.
+    """
+
+    kind: str = LINEAR_CLIPPED
+    efficiency: float = 0.3      # DC/RF slope in the linear region
+    sensitivity: float = 1e-5    # W (-20 dBm), turn-on input power
+    saturation: float = 1e-2     # W (+10 dBm), input power where output clips
+    p_max: float = 24e-3         # W, sigmoidal output asymptote
+    steepness: float = 1500.0    # 1/W, sigmoidal slope parameter
+    centering: float = 2.2e-3    # W, sigmoidal inflection input
+
+    def __post_init__(self):
+        _check_fields(self, _RECT_PREFIX)
+        if self.saturation <= self.sensitivity:
+            raise ConfigValidationError(
+                f"rectifier_saturation ({self.saturation} W) must exceed "
+                f"rectifier_sensitivity ({self.sensitivity} W)"
+            )
 
 
 @dataclass(frozen=True)
@@ -99,87 +211,114 @@ class ScenarioConfig:
         """Frame length (s)."""
         return self.frame_slots * self.slot_duration
 
+    @property
+    def uc_aperture(self) -> float:
+        """Effective aperture of one UC (m^2): a half-wavelength square cell."""
+        return (self.wavelength / 2.0) ** 2
+
+    @property
+    def uc_gain(self) -> float:
+        """Re-radiation gain of one UC toward the RX, 4*pi*A_uc/lambda^2.
+
+        Equals pi for the half-wavelength cell.
+        """
+        return 4.0 * math.pi * self.uc_aperture / self.wavelength**2
+
+    @property
+    def free_space_uc_gain(self) -> float:
+        """|h|^2: fraction of TX power absorbed by one perfectly absorbing UC.
+
+        Boresight incidence: TX EIRP spread over the sphere of radius
+        d_tx_ris, intercepted by the UC aperture. The TX side is
+        deterministic free space, so every UC sees the same |h|^2.
+        """
+        return (
+            db_to_linear(self.tx_gain_dbi)
+            * self.antenna_efficiency
+            * self.uc_aperture
+            / (4.0 * math.pi * self.d_tx_ris**2)
+        )
+
+    @property
+    def mean_ris_rx_gain(self) -> float:
+        """E[|g|^2]: mean power gain of the UC-to-RX link (Friis with UC gain)."""
+        return (
+            self.uc_gain
+            * db_to_linear(self.rx_gain_dbi)
+            * self.antenna_efficiency
+            * (self.wavelength / (4.0 * math.pi * self.d_ris_rx)) ** 2
+        )
+
+    @property
+    def uc_absorbed_power(self) -> float:
+        """Power (W) absorbed by one UC acting as a perfect absorber: P_t |h|^2."""
+        return self.tx_power * self.free_space_uc_gain
+
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            _check_type(f.name, f.type, value)
-            # every integer field but the seed is a count
-            if f.type is int and f.name != "rng_seed" and value < 1:
-                raise ConfigValidationError(f"{f.name} must be a positive integer, got {value!r}")
-        positive = ("carrier_frequency", "bandwidth", "tx_power", "d_tx_ris", "d_ris_rx",
-                    "noise_temperature", "slot_duration")
-        for name in positive:
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ConfigValidationError(f"{name} must be a positive finite value, got {value}")
-        for name in ("noise_figure_db", "rf_combining_loss_db", "e_rec", "rician_k"):
-            value = getattr(self, name)
-            if not value >= 0.0:
-                raise ConfigValidationError(f"{name} must be >= 0, got {value}")
-        for name in ("antenna_efficiency", "dc_combining_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ConfigValidationError(f"{name} must lie in (0, 1], got {value}")
+        _check_fields(self)
         if self.preamble_slots >= self.frame_slots:
             raise ConfigValidationError(
                 f"preamble_slots ({self.preamble_slots}) must be smaller than "
                 f"frame_slots ({self.frame_slots})"
             )
-        if self.reconfig_counting_mode not in RECONFIG_COUNTING_MODES:
-            raise ConfigValidationError(
-                f"reconfig_counting_mode must be one of {RECONFIG_COUNTING_MODES}, "
-                f"got {self.reconfig_counting_mode!r}"
-            )
-        if self.static_power_interpretation not in STATIC_POWER_INTERPRETATIONS:
-            raise ConfigValidationError(
-                f"static_power_interpretation must be one of "
-                f"{STATIC_POWER_INTERPRETATIONS}, got {self.static_power_interpretation!r}"
-            )
-        if not 0 <= self.rng_seed < 2**64:
-            raise ConfigValidationError(
-                f"rng_seed must be an integer in [0, 2^64), got {self.rng_seed!r}"
-            )
-        # The link budget must stay finite: a gain that overflows, or a
-        # distance or wavelength whose square is 0 or inf, breaks the channel.
-        for name in ("tx_gain_dbi", "rx_gain_dbi", "noise_figure_db"):
-            value = getattr(self, name)
-            if db_to_linear(value) == math.inf:
-                raise ConfigValidationError(f"{name} = {value} dB overflows as a linear ratio")
-        lengths = {"d_tx_ris": self.d_tx_ris, "d_ris_rx": self.d_ris_rx,
-                   "carrier_frequency": self.wavelength}
-        for name, length in lengths.items():
-            if not 0.0 < length * length < math.inf:
+        self._check_link_budget()
+
+    def _check_link_budget(self) -> None:
+        """Require the derived link budget to be finite, naming its fields if not.
+
+        |h|^2, E|g|^2, the per-UC absorbed power and the noise power must also
+        be > 0. The bounds take every UC at the Rician peak gain, every rate at
+        that SNR (the sums behind the rate's mean and CI), a full rectifier
+        chain, and every rectifier at its peak output for a whole frame.
+        """
+        h2 = ("tx_gain_dbi", "antenna_efficiency", "carrier_frequency", "d_tx_ris")
+        g2 = ("rx_gain_dbi", "antenna_efficiency", "carrier_frequency", "d_ris_rx")
+        noise = ("noise_temperature", "bandwidth", "noise_figure_db")
+        snr = ("tx_power", *h2, *g2, "ris_cols", "ris_rows", *noise)
+        rect, chains = self.rectifier, -(-self.m_s // self.chain_size)
+        if rect.kind == SIGMOIDAL:
+            peak_dc, peak = rect.p_max, ("rectifier_p_max",)
+        else:
+            peak_dc = rect.efficiency * rect.saturation
+            peak = ("rectifier_efficiency", "rectifier_saturation")
+
+        def snr_bound():
+            peak_sum = self.m_s * math.sqrt(
+                self.free_space_uc_gain * self.mean_ris_rx_gain * _RICIAN_PEAK_GAIN)
+            return self.tx_power * peak_sum**2 / self.noise_power
+
+        checks = (  # quantity, its fields, how to derive it, whether it must be > 0
+            ("|h|^2", h2, lambda: self.free_space_uc_gain, True),
+            ("E|g|^2", g2, lambda: self.mean_ris_rx_gain, True),
+            ("per-UC absorbed power", ("tx_power", *h2), lambda: self.uc_absorbed_power, True),
+            ("noise power", noise, lambda: self.noise_power, True),
+            ("full-surface SNR bound", snr, snr_bound, False),
+            ("rate bound", ("mc_trials", *snr),
+             lambda: self.mc_trials * (self.bandwidth * math.log2(1.0 + snr_bound())) ** 2, False),
+            ("chain RF power bound", ("tx_power", *h2, "chain_size", "ris_cols", "ris_rows"),
+             lambda: _ROUNDING_HEADROOM * min(self.chain_size, self.m_s) * self.uc_absorbed_power,
+             False),
+            ("frame harvest energy bound",
+             (*peak, "dc_combining_efficiency", "chain_size", "ris_cols", "ris_rows",
+              "frame_slots", "slot_duration"),
+             lambda: (_ROUNDING_HEADROOM * self.dc_combining_efficiency * chains * peak_dc
+                      * self.frame_duration), False),
+        )
+        for quantity, sources, derive, positive in checks:
+            names = ", ".join(dict.fromkeys(sources))
+            try:
+                value = derive()
+            except ArithmeticError:  # ** overflows; / by a square that underflowed
                 raise ConfigValidationError(
-                    f"{name} = {getattr(self, name)} gives a squared length of {length * length} m^2")
-        if not 0.0 < self.noise_power < math.inf:
-            raise ConfigValidationError(
-                f"noise power from noise_temperature, bandwidth and noise_figure_db "
-                f"is {self.noise_power} W, outside (0, inf)"
-            )
-
-
-# The one field that may be infinite: K = inf is a pure line-of-sight link.
-_MAY_BE_INFINITE = {"rician_k"}
-
-
-def _check_type(name: str, kind: type, value) -> None:
-    """One type and finiteness rule per field, keyed by the field's type."""
-    if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        expected = "an integer"
-    elif kind is float:
-        ok = is_finite_number(value) or (name in _MAY_BE_INFINITE and value == math.inf)
-        expected = "a finite number"
-    else:
-        ok = isinstance(value, kind)
-        expected = f"a {kind.__name__}"
-    if not ok:
-        raise ConfigValidationError(f"{name} must be {expected}, got {value!r}")
+                    f"{quantity} from {names} leaves the float range") from None
+            if not (math.isfinite(value) and (value > 0.0 or not positive)):
+                raise ConfigValidationError(
+                    f"{quantity} from {names} is {value}; it must be finite"
+                    + (" and > 0" if positive else ""))
 
 
 # Scenario-file keys: the ScenarioConfig fields, with the rectifier's fields
 # flattened in as rectifier_<field>.
-_RECT_PREFIX = "rectifier_"
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig) if f.name != "rectifier"}
 _RECT_FIELD_TYPES = {f.name: f.type for f in fields(RectifierModel)}
 
@@ -242,10 +381,7 @@ def loads_config(text: str) -> ScenarioConfig:
         else:
             raise ConfigValidationError(f"unknown configuration key {key!r} (line {lineno})")
     if rect_kwargs:
-        try:
-            kwargs["rectifier"] = RectifierModel(**rect_kwargs)
-        except ValueError as exc:
-            raise ConfigValidationError(str(exc)) from None
+        kwargs["rectifier"] = RectifierModel(**rect_kwargs)
     return ScenarioConfig(**kwargs)
 
 
@@ -254,23 +390,14 @@ def load_config(path) -> ScenarioConfig:
     return loads_config(Path(path).read_text())
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):  # guard: bool is an int subclass
-        raise TypeError("unexpected bool in configuration")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def dumps_config(cfg: ScenarioConfig) -> str:
     """Serialize a configuration so that loads_config recovers it exactly."""
     lines = ["# scenario configuration (SI units)"]
+    # str of a float is its shortest round-trip repr, and no field holds a bool
     for name in _FIELD_TYPES:
-        lines.append(f"{name} = {_format_value(getattr(cfg, name))}")
+        lines.append(f"{name} = {getattr(cfg, name)}")
     for name in _RECT_FIELD_TYPES:
-        lines.append(f"{_RECT_PREFIX}{name} = {_format_value(getattr(cfg.rectifier, name))}")
+        lines.append(f"{_RECT_PREFIX}{name} = {getattr(cfg.rectifier, name)}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,13 +4,12 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .harvesting import is_finite_number
 from .optimizer import (
     FEASIBLE,
     draw_trials,
@@ -18,7 +17,13 @@ from .optimizer import (
     optimize_uc_splitting,
 )
 from .power import PROTOCOLS, TIME_SPLITTING, UC_SPLITTING, dynamic_power
-from .scenario import ConfigError, ScenarioConfig, load_config
+from .scenario import (
+    ConfigError,
+    ConfigValidationError,
+    ScenarioConfig,
+    is_finite_number,
+    load_config,
+)
 
 CSV_HEADER = [
     "p_static_w",
@@ -89,35 +94,23 @@ class SweepRow:
     dyn_over_static: Optional[float]  # None (empty cell) at p_static = 0
 
     def to_record(self) -> list[str]:
-        ratio = "" if self.dyn_over_static is None else repr(self.dyn_over_static)
-        return [
-            repr(self.p_static),
-            self.protocol,
-            self.status,
-            str(self.optimal_allocation),
-            repr(self.average_rate),
-            repr(self.rate_ci),
-            repr(self.p_dynamic),
-            ratio,
-        ]
+        # str of a float is its shortest round-trip repr; None is an empty cell.
+        values = (getattr(self, f.name) for f in fields(self))
+        return ["" if value is None else str(value) for value in values]
 
     @classmethod
     def from_record(cls, record: list[str]) -> "SweepRow":
         if len(record) != len(CSV_HEADER):
             raise SweepCsvError(f"expected {len(CSV_HEADER)} columns, got {len(record)}")
         try:
-            return cls(
-                p_static=float(record[0]),
-                protocol=record[1],
-                status=record[2],
-                optimal_allocation=int(record[3]),
-                average_rate=float(record[4]),
-                rate_ci=float(record[5]),
-                p_dynamic=float(record[6]),
-                dyn_over_static=None if record[7] == "" else float(record[7]),
-            )
+            return cls(*(parse(text) for parse, text in zip(_CELL_PARSERS, record)))
         except ValueError as exc:
             raise SweepCsvError(f"malformed sweep row {record!r}: {exc}") from None
+
+
+# One parser per CSV column, in CSV_HEADER order; an empty ratio cell is None.
+_CELL_PARSERS = (float, str, str, int, float, float, float,
+                 lambda cell: float(cell) if cell else None)
 
 
 def run_sweep(
@@ -131,24 +124,33 @@ def run_sweep(
 
     ``seed`` and ``trials`` override the scenario file. One channel draw set
     is shared across all grid points and both protocols, which keeps rate
-    curves free of re-sampling noise and the output reproducible.
+    curves free of re-sampling noise and the output reproducible. Raises
+    ConfigValidationError before the draw when ``e_rec`` makes the
+    ``dyn_over_static`` column overflow on this grid.
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
     if seed is not None:
         cfg = replace(cfg, rng_seed=seed)
     if trials is not None:
         cfg = replace(cfg, mc_trials=trials)
+    grid = [float(p) for p in spec.grid()]
+    p_dyn = {protocol: dynamic_power(protocol, cfg) for protocol in PROTOCOLS}
+    # p_dyn / p_static is largest for the larger p_dyn at the smallest positive p_static.
+    p_worst, p_low = max(p_dyn.values()), min(p for p in grid if p > 0.0)
+    if not math.isfinite(p_worst / p_low):
+        raise ConfigValidationError(
+            f"e_rec = {cfg.e_rec!r} J gives a dynamic power of {p_worst!r} W, whose ratio to "
+            f"p_static = {p_low!r} W overflows dyn_over_static"
+        )
     rng = np.random.default_rng(cfg.rng_seed)
     trial_set = draw_trials(cfg, rng)
     rows = []
-    for grid_value in spec.grid():
-        p_static = float(grid_value)
+    for p_static in grid:
         for protocol, optimize in (
             (TIME_SPLITTING, optimize_time_splitting),
             (UC_SPLITTING, optimize_uc_splitting),
         ):
             result = optimize(p_static, cfg, trials=trial_set)
-            p_dyn = dynamic_power(protocol, cfg)
             rows.append(
                 SweepRow(
                     p_static=p_static,
@@ -157,8 +159,8 @@ def run_sweep(
                     optimal_allocation=result.optimal_allocation,
                     average_rate=result.average_rate,
                     rate_ci=result.rate_ci_halfwidth,
-                    p_dynamic=p_dyn,
-                    dyn_over_static=p_dyn / p_static if p_static > 0.0 else None,
+                    p_dynamic=p_dyn[protocol],
+                    dyn_over_static=p_dyn[protocol] / p_static if p_static > 0.0 else None,
                 )
             )
     rows.sort(key=lambda r: (r.p_static, r.protocol))

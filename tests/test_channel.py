@@ -5,13 +5,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from risharvest import (
-    free_space_uc_gain,
-    mean_ris_rx_gain,
-    sample_amplitudes,
-    uc_absorbed_power,
-)
-from risharvest.channel import coherent_snr, uc_gain
+from risharvest import sample_amplitudes
+from risharvest.channel import coherent_snr
 
 from conftest import (
     oracle_free_space_gain,
@@ -33,14 +28,14 @@ def rician_mean_amplitude(mean_power, k):
 
 
 def test_free_space_gain_matches_hand_formula(cfg):
-    value = free_space_uc_gain(cfg)
+    value = cfg.free_space_uc_gain
     assert value == pytest.approx(oracle_free_space_gain(cfg), rel=1e-12)
     assert value == pytest.approx(3.17e-5, rel=5e-3)
 
 
 def test_free_space_gain_inverse_square(cfg):
     doubled = dataclasses.replace(cfg, d_tx_ris=2 * cfg.d_tx_ris)
-    assert free_space_uc_gain(cfg) / free_space_uc_gain(doubled) == pytest.approx(4.0)
+    assert cfg.free_space_uc_gain / doubled.free_space_uc_gain == pytest.approx(4.0)
 
 
 def test_free_space_gain_unit_gain_case(cfg):
@@ -48,15 +43,15 @@ def test_free_space_gain_unit_gain_case(cfg):
     wavelength = 2.99792458e8 / cfg.carrier_frequency
     aperture = (wavelength / 2.0) ** 2
     expected = aperture / (4 * math.pi * cfg.d_tx_ris**2)
-    assert free_space_uc_gain(unit) == pytest.approx(expected, rel=1e-12)
+    assert unit.free_space_uc_gain == pytest.approx(expected, rel=1e-12)
 
 
 def test_uc_gain_is_pi_for_half_wave_cell(cfg):
-    assert uc_gain(cfg) == pytest.approx(math.pi, rel=1e-12)
+    assert cfg.uc_gain == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_mean_rx_gain_matches_hand_formula(cfg):
-    value = mean_ris_rx_gain(cfg)
+    value = cfg.mean_ris_rx_gain
     assert value == pytest.approx(oracle_mean_rx_gain(cfg), rel=1e-12)
     assert value == pytest.approx(3.6e-7, rel=2e-2)
 
@@ -66,17 +61,17 @@ def test_mean_rx_gain_friis_factor(cfg):
     wavelength = 2.99792458e8 / cfg.carrier_frequency
     friis = (wavelength / (4 * math.pi * cfg.d_ris_rx)) ** 2
     # only the UC re-radiation gain remains in front of the Friis factor
-    assert mean_ris_rx_gain(base) == pytest.approx(math.pi * friis, rel=1e-12)
+    assert base.mean_ris_rx_gain == pytest.approx(math.pi * friis, rel=1e-12)
 
 
 def test_mean_rx_gain_inverse_square(cfg):
     doubled = dataclasses.replace(cfg, d_ris_rx=2 * cfg.d_ris_rx)
-    assert mean_ris_rx_gain(cfg) / mean_ris_rx_gain(doubled) == pytest.approx(4.0)
+    assert cfg.mean_ris_rx_gain / doubled.mean_ris_rx_gain == pytest.approx(4.0)
 
 
 def g_amplitudes(cfg, rng, n):
     """|g_i| of n draws: the sampled cascaded amplitudes over the constant |h|."""
-    return sample_amplitudes(cfg, rng, n) / math.sqrt(free_space_uc_gain(cfg))
+    return sample_amplitudes(cfg, rng, n) / math.sqrt(cfg.free_space_uc_gain)
 
 
 def test_sample_amplitudes_shape_and_sign(cfg, rng):
@@ -106,13 +101,13 @@ def test_amplitudes_follow_rician_law(cfg, k):
     # per component; the UCs of a draw are i.i.d. because no common phase is drawn
     kcfg = dataclasses.replace(cfg, rician_k=k)
     gains = g_amplitudes(kcfg, np.random.default_rng(2024), 20).ravel()
-    law = stats.rice(b=math.sqrt(2.0 * k), scale=math.sqrt(mean_ris_rx_gain(kcfg) / (2.0 * (k + 1.0))))
+    law = stats.rice(b=math.sqrt(2.0 * k), scale=math.sqrt(kcfg.mean_ris_rx_gain / (2.0 * (k + 1.0))))
     assert stats.kstest(gains, law.cdf).pvalue > 0.01
 
 
 def test_infinite_k_collapses_to_los(los_cfg, rng):
     gains = g_amplitudes(los_cfg, rng, 2)
-    assert np.allclose(gains**2, mean_ris_rx_gain(los_cfg), rtol=1e-12)
+    assert np.allclose(gains**2, los_cfg.mean_ris_rx_gain, rtol=1e-12)
 
 
 def test_huge_k_is_nearly_deterministic(cfg, rng):
@@ -120,10 +115,10 @@ def test_huge_k_is_nearly_deterministic(cfg, rng):
     # 2/sqrt(K) = 2e-6 level, so the tolerance sits above that scale
     near_los = dataclasses.replace(cfg, rician_k=1e12)
     gains = g_amplitudes(near_los, rng, 1)
-    assert np.allclose(gains**2, mean_ris_rx_gain(cfg), rtol=2e-5)
+    assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=2e-5)
     tighter = dataclasses.replace(cfg, rician_k=1e14)
     gains = g_amplitudes(tighter, rng, 1)
-    assert np.allclose(gains**2, mean_ris_rx_gain(cfg), rtol=1e-6)
+    assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=1e-6)
 
 
 def test_sample_mean_gain_power_converges(cfg):
@@ -131,7 +126,7 @@ def test_sample_mean_gain_power_converges(cfg):
     gains = g_amplitudes(cfg, rng, math.ceil(100_000 / cfg.m_s))
     assert gains.size >= 100_000
     sample_mean = np.mean(gains**2)
-    assert sample_mean == pytest.approx(mean_ris_rx_gain(cfg), rel=0.02)
+    assert sample_mean == pytest.approx(cfg.mean_ris_rx_gain, rel=0.02)
 
 
 def test_reflected_snr_empty_set(cfg, rng):
@@ -162,17 +157,17 @@ def test_coherent_sum_second_moment_matches_analytic(cfg):
     rng = np.random.default_rng(31337)
     sums = sample_amplitudes(cfg, rng, 10_000).sum(axis=1)
     m_s = cfg.m_s
-    h2 = free_space_uc_gain(cfg)
-    eg = mean_ris_rx_gain(cfg)
+    h2 = cfg.free_space_uc_gain
+    eg = cfg.mean_ris_rx_gain
     mu = rician_mean_amplitude(eg, cfg.rician_k)
     analytic = m_s * h2 * eg * (1.0 + (m_s - 1) * mu**2 / eg)
     assert np.mean(sums**2) == pytest.approx(analytic, rel=0.05)
 
 
 def test_absorbed_power_per_uc(cfg):
-    absorbed = uc_absorbed_power(cfg)
-    assert absorbed == pytest.approx(cfg.tx_power * free_space_uc_gain(cfg), rel=1e-12)
+    absorbed = cfg.uc_absorbed_power
+    assert absorbed == pytest.approx(cfg.tx_power * cfg.free_space_uc_gain, rel=1e-12)
     assert cfg.m_s * absorbed == pytest.approx(7.1e-3, rel=1e-2)
     # halving TX power halves it
     half = dataclasses.replace(cfg, tx_power=cfg.tx_power / 2)
-    assert uc_absorbed_power(half) == pytest.approx(absorbed / 2, rel=1e-12)
+    assert half.uc_absorbed_power == pytest.approx(absorbed / 2, rel=1e-12)

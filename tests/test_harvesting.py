@@ -101,6 +101,12 @@ def test_sigmoidal_bounded_by_p_max():
     assert rectify(10.0, model) <= 5e-3 + 1e-18
 
 
+def test_sigmoidal_saturates_where_the_logistic_argument_overflows():
+    # steepness * input reaches inf: the output is exactly 0 or p_max, with no warning
+    model = RectifierModel(kind="sigmoidal", p_max=5e-3, steepness=1e300, centering=1e10)
+    assert rectify(np.array([0.0, 1.0, 1e300]), model).tolist() == [0.0, 0.0, 5e-3]
+
+
 @given(
     steepness=st.floats(min_value=1.0, max_value=1e4),
     centering=st.floats(min_value=0.0, max_value=0.1),

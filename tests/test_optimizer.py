@@ -14,7 +14,6 @@ from risharvest import (
     ScenarioConfig,
     draw_trials,
     estimate_averages,
-    free_space_uc_gain,
     harvest,
     optimize_time_splitting,
     optimize_uc_splitting,
@@ -45,7 +44,7 @@ def exhaustive_best(protocol, p_static, cfg, trials):
 
 def chain_harvest_power(protocol, value, cfg):
     """Frame-averaged harvest of one allocation, through the full harvest chain."""
-    absorbed = cfg.tx_power * free_space_uc_gain(cfg)
+    absorbed = cfg.tx_power * cfg.free_space_uc_gain
     if protocol == TIME_SPLITTING:
         energy = harvest(np.full(cfg.m_s, absorbed), cfg) * (value * cfg.slot_duration)
     else:
@@ -269,6 +268,16 @@ def test_broken_harvest_curve_is_rejected(
     trials = draw_trials(small_cfg, np.random.default_rng(14), n_trials=4)
     for protocol, optimize in OPTIMIZERS:
         with pytest.raises(ValueError, match=f"^{protocol} .* at allocation {bad_index}$"):
+            optimize(1e-5, small_cfg, trials=trials)
+
+
+def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
+    # validation bounds the SNR, so only a broken rate formula reaches this guard
+    monkeypatch.setattr(risharvest.optimizer, "coherent_snr",
+                        lambda amplitude, cfg: np.full(np.shape(amplitude), np.inf))
+    trials = draw_trials(small_cfg, np.random.default_rng(15), n_trials=4)
+    for protocol, optimize in OPTIMIZERS:
+        with pytest.raises(ValueError, match=f"^{protocol} at p_static = 1e-05 W: .* not finite"):
             optimize(1e-5, small_cfg, trials=trials)
 
 

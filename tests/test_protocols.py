@@ -14,7 +14,6 @@ from risharvest import (
     draw_trials,
     dynamic_power,
     estimate_averages,
-    free_space_uc_gain,
     sample_amplitudes,
 )
 from risharvest.channel import coherent_snr
@@ -105,7 +104,7 @@ def test_uc_splitting_half_surface_snr_scaling(los_cfg):
 
 def test_uc_splitting_harvest_duration_is_post_preamble(cfg):
     # one full 9-UC chain in the linear region for the 9000-slot payload
-    per_uc = cfg.tx_power * free_space_uc_gain(cfg)
+    per_uc = cfg.tx_power * cfg.free_space_uc_gain
     expected = 0.3 * 9 * per_uc * 9000 * cfg.slot_duration / (10000 * cfg.slot_duration)
     assert harvest_curve(UC_SPLITTING, cfg)[9] == pytest.approx(expected, rel=1e-9)
     est = estimate_averages(UC_SPLITTING, 9, 0.0, cfg, few_trials(cfg))

@@ -1,9 +1,17 @@
+import ast
 import dataclasses
 import math
+import os
+import pkgutil
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import risharvest
 from risharvest import (
     ConfigParseError,
     ConfigValidationError,
@@ -117,10 +125,10 @@ NON_FINITE_OR_BOOL = [
     (ScenarioConfig, "rician_k", NAN, ConfigValidationError),
     (ScenarioConfig, "ris_cols", True, ConfigValidationError),
     (ScenarioConfig, "tx_power", True, ConfigValidationError),
-    (RectifierModel, "sensitivity", NAN, ValueError),
-    (RectifierModel, "p_max", NAN, ValueError),
-    (RectifierModel, "saturation", INF, ValueError),
-    (RectifierModel, "steepness", INF, ValueError),
+    (RectifierModel, "sensitivity", NAN, ConfigValidationError),
+    (RectifierModel, "p_max", NAN, ConfigValidationError),
+    (RectifierModel, "saturation", INF, ConfigValidationError),
+    (RectifierModel, "steepness", INF, ConfigValidationError),
 ]
 
 
@@ -132,6 +140,26 @@ NON_FINITE_OR_BOOL = [
 def test_non_finite_or_bool_field_rejected(cls, field, value, error):
     with pytest.raises(error, match=field):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(tx_power=1e308), "full-surface SNR bound from tx_power"),
+        (dict(tx_power=1e143, bandwidth=1e152), "rate bound from mc_trials"),
+        (dict(tx_power=1e300, tx_gain_dbi=155.0, d_ris_rx=1e150),
+         "chain RF power bound from tx_power"),
+        (dict(slot_duration=1e300, rectifier=RectifierModel(saturation=1e300)),
+         "frame harvest energy bound from rectifier_efficiency, rectifier_saturation"),
+        (dict(slot_duration=1e300, rectifier=RectifierModel(kind="sigmoidal", p_max=1e300)),
+         "frame harvest energy bound from rectifier_p_max, dc_combining_efficiency"),
+    ],
+    ids=["snr", "rate", "chain_rf", "energy_linear", "energy_sigmoidal"],
+)
+def test_derived_bounds_name_their_fields(overrides, message):
+    # every field is in range on its own; the derived value overflows
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}"):
+        ScenarioConfig(**overrides)
 
 
 def test_round_trip_stability(tmp_path):
@@ -195,3 +223,28 @@ def test_noise_power_matches_dbm_rule(bandwidth, nf_db):
 def test_config_is_frozen(cfg):
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.tx_power = 2.0
+
+
+SUBMODULES = sorted(module.name for module in pkgutil.iter_modules(risharvest.__path__))
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_submodule_imports_in_a_fresh_interpreter(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import risharvest.{module}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_scenario_imports_no_sibling_module():
+    # the configuration is the root of the import graph
+    tree = ast.parse(Path(risharvest.__file__).with_name("scenario.py").read_text())
+    imported = [
+        (node.level, node.module) if isinstance(node, ast.ImportFrom) else (0, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert all(level == 0 and not module.startswith("risharvest") for level, module in imported)

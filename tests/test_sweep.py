@@ -1,12 +1,23 @@
+import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 import risharvest
-from risharvest import ScenarioConfig, save_config
+from risharvest import (
+    RECTIFIER_KINDS,
+    ConfigValidationError,
+    RectifierModel,
+    ScenarioConfig,
+    save_config,
+)
 from risharvest.sweep import (
     CSV_HEADER,
     SweepCsvError,
@@ -259,6 +270,9 @@ def test_cli_rejects_bad_bounds_before_writing(tmp_path, capsys, bounds):
         ("noise_temperature = 1e-320", "noise_temperature"),
         ("carrier_frequency = 1e-150", "carrier_frequency"),
         ("carrier_frequency = 1e300", "carrier_frequency"),
+        # each field passes alone; together E|g|^2 or the SNR overflows
+        ("carrier_frequency = 1e-140\nd_ris_rx = 1e-150", "d_ris_rx"),
+        ("tx_power = 2e250\ncarrier_frequency = 5.3e-21", "tx_power"),
     ],
 )
 def test_cli_rejects_link_budget_overflow(tmp_path, capsys, line, field):
@@ -274,14 +288,29 @@ def test_cli_rejects_link_budget_overflow(tmp_path, capsys, line, field):
 
 
 def test_cli_never_writes_a_non_finite_rate(tmp_path, capsys):
+    # the full-surface SNR bound overflows, so validation rejects the config
     config = tmp_path / "loud.cfg"
     config.write_text("tx_power = 1e308\n")
     out = tmp_path / "o.csv"
     code = main(["sweep", "--config", str(config), "--points", "2", "--trials", "8",
                  "--out", str(out)])
+    err = capsys.readouterr().err
     assert code == 1
-    assert "time_splitting at p_static = 1e-07 W" in capsys.readouterr().err
+    assert err.startswith("error: full-surface SNR bound from tx_power")
     assert not out.exists()
+
+
+def test_cli_rejects_dyn_over_static_overflow_on_the_grid(tmp_path, capsys):
+    # p_dyn / p_static overflows at the default 1e-7 W, but not from 1e-3 W up
+    config = tmp_path / "costly.cfg"
+    config.write_text("e_rec = 4.5e298\n")
+    out = tmp_path / "o.csv"
+    base = ["sweep", "--config", str(config), "--points", "2", "--trials", "8", "--out", str(out)]
+    assert main(base) == 1
+    assert capsys.readouterr().err.startswith("error: e_rec = 4.5e+298 J ")
+    assert not out.exists()
+    assert main(base + ["--sweep-start", "1e-3", "--sweep-stop", "1"]) == 0
+    assert all(math.isfinite(row.dyn_over_static) for row in read_rows(out))
 
 
 def test_cli_defaults_without_config(tmp_path):
@@ -303,3 +332,45 @@ def test_python_m_risharvest_runs_cleanly(tmp_path):
         )
         assert (module, proc.returncode, proc.stderr) == (module, 0, "")
         assert len(read_rows(out)) == 4
+
+
+# Scenario-file keys, and a strategy for every float key: log-uniform over
+# [1e-300, 1e300], or uniform over +-1e4 for the four dB fields.
+SCENARIO_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "rectifier"]
+SCENARIO_KEYS += [f"rectifier_{f.name}" for f in dataclasses.fields(RectifierModel)]
+DB_KEYS = ("tx_gain_dbi", "rx_gain_dbi", "noise_figure_db", "rf_combining_loss_db")
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type is float]
+FLOAT_KEYS += [
+    f"rectifier_{f.name}" for f in dataclasses.fields(RectifierModel) if f.type is float
+]
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
+# Each key is set or left at its default, so that some examples validate.
+ANY_CONFIG = st.fixed_dictionaries(
+    {},
+    optional={key: st.floats(-1e4, 1e4) if key in DB_KEYS else LOG_UNIFORM for key in FLOAT_KEYS}
+    | {"rectifier_kind": st.sampled_from(RECTIFIER_KINDS)},
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(values=ANY_CONFIG)
+@example(values={"carrier_frequency": 1e-140, "d_ris_rx": 1e-150})
+@example(values={"tx_power": 2e250, "carrier_frequency": 5.3e-21})
+@example(values={"e_rec": 4.5e298})
+def test_a_config_is_rejected_by_field_or_sweeps_finite(values):
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "any.cfg"), Path(tmp, "o.csv")
+        config.write_text(text)
+        try:
+            run_sweep(config, SweepSpec(points=2), out, trials=8)
+        except ConfigValidationError as exc:
+            assert any(re.search(rf"\b{key}\b", str(exc)) for key in SCENARIO_KEYS), str(exc)
+            assert not out.exists()
+            event("rejected: " + re.split(r" from | must | \(", str(exc))[0])
+            return
+        event("swept")
+        rows = read_rows(out)
+    for row in rows:
+        cells = (row.p_static, row.average_rate, row.rate_ci, row.p_dynamic, row.dyn_over_static)
+        assert all(math.isfinite(cell) for cell in cells), (text, row)
