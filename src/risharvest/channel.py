@@ -32,10 +32,15 @@ def sample_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> 
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
     z = rng.standard_normal((n, 2, cfg.m_s))
     z *= sigma
-    # In place: one temporary fewer keeps the heap freed after each draw_trials
-    # chunk under glibc's trim threshold, so chunks reuse pages, not re-fault.
+    # In place, with amp the one new array: one temporary more pushes the heap
+    # freed after each draw_trials chunk past glibc's trim threshold, so
+    # chunks re-fault their pages instead of reusing them.
     z[:, 0] += los
-    amp = np.hypot(z[:, 0], z[:, 1])
+    z *= z
+    # sqrt of the sum of squares, not np.hypot: the terms are O(1), so nothing
+    # overflows, and it is several times faster (within 1 ulp of hypot).
+    amp = np.add(z[:, 0], z[:, 1])
+    np.sqrt(amp, out=amp)
     amp *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     return amp
 

@@ -16,13 +16,17 @@ is computed once per protocol and configuration as a harvest curve over
 every allocation value 0..vmax, and the curve is checked to be finite and
 nondecreasing. The average rate is decreasing in the allocation, so the
 optimum is the smallest value whose harvest covers consumption: one
-``searchsorted`` of the consumed power against the curve. The rate is
-averaged over one set of channel draws (common random numbers) that is
-reused across every grid point and both protocols.
+``searchsorted`` of the consumed power against the curve
+(``allocation_value``). A sweep therefore solves its whole grid from the
+curves before any channel draw, and the draw keeps only the prefix columns
+those solves read. The rate is averaged over one set of channel draws
+(common random numbers) that is reused across every grid point and both
+protocols.
 """
 
 import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,8 +41,8 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 # Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
-# A chunk's temporaries stay a few hundred KB beside the prefix, which alone
-# sets the draw's peak memory.
+# A chunk's temporaries stay a few hundred KB beside the prefix, so the
+# draw's peak memory is the prefix plus one chunk.
 _DRAW_CHUNK_VALUES = 1 << 14
 
 
@@ -59,14 +63,18 @@ class AllocationResult:
 class TrialChannels:
     """Amplitude sums of a fixed set of channel draws, shared across candidates.
 
-    ``amp_prefix[t, k]`` holds sum_{i<k} |h_i||g_i| for draw t in row-major UC
-    order, so the coherent amplitude over the complement of the first k UCs is
-    ``amp_prefix[:, m_s] - amp_prefix[:, k]``. Row t is the running sum of
-    row t of ``sample_amplitudes``; only amplitudes are drawn, because no
-    computed quantity depends on the common LoS phase (see ``channel``).
+    Column j of ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k =
+    ``columns[j]`` for each draw in row-major UC order, so the coherent
+    amplitude over the complement of the first k UCs is ``amp_total`` minus
+    that column. ``columns`` is sorted and always ends with m_s, whose column
+    is the full-surface sum. A full draw keeps every k in 0..m_s; a sweep
+    solves its grid from the harvest curves first and keeps only the k those
+    solves read. Only amplitudes are drawn, because no computed quantity
+    depends on the common LoS phase (see ``channel``).
     """
 
-    amp_prefix: np.ndarray  # (n_trials, m_s + 1)
+    amp_prefix: np.ndarray  # (n_trials, len(columns))
+    columns: tuple[int, ...]
 
     @property
     def n_trials(self) -> int:
@@ -74,7 +82,7 @@ class TrialChannels:
 
     @property
     def m_s(self) -> int:
-        return self.amp_prefix.shape[1] - 1
+        return self.columns[-1]
 
     @property
     def amp_total(self) -> np.ndarray:
@@ -82,26 +90,45 @@ class TrialChannels:
 
 
 def draw_trials(
-    cfg: ScenarioConfig, rng: np.random.Generator, n_trials: Optional[int] = None
+    cfg: ScenarioConfig,
+    rng: np.random.Generator,
+    n_trials: Optional[int] = None,
+    *,
+    columns=None,
 ) -> TrialChannels:
     """Draw the Monte-Carlo channel set once (deterministic for a fixed seed).
 
-    The amplitudes are drawn with ``sample_amplitudes`` in chunks of trials,
-    each summed straight into its rows of the prefix, so no full-size
-    amplitude array exists beside the prefix. The sampler's stream is
-    trial-major, so the first t trials are the same for any trial count and
-    any chunk size.
+    ``columns`` lists the prefix columns k in 0..m_s to keep; m_s is always
+    kept, and None keeps every column. A sweep passes the k its grid solves
+    read, so the prefix holds (n_trials, distinct k + 1) values, not
+    (n_trials, m_s + 1). The amplitudes are drawn with ``sample_amplitudes``
+    in chunks of trials. Each chunk is summed in place and only the kept
+    columns are copied into the prefix, so a stored value is the same bit for
+    bit whichever columns are kept. The sampler's stream is trial-major, so
+    the first t trials are the same for any trial count and any chunk size.
     """
     n = cfg.mc_trials if n_trials is None else int(n_trials)
     if n < 1:
         raise ValueError(f"trial count must be >= 1, got {n}")
     m_s = cfg.m_s
-    prefix = np.zeros((n, m_s + 1))
+    if columns is None:
+        kept = list(range(m_s + 1))
+    else:
+        for k in columns:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= m_s:
+                raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
+        # A Python set, not np.unique, which imports numpy.ma on first use.
+        kept = sorted({int(k) for k in columns} | {m_s})
+    # Column k > 0 is entry k - 1 of a chunk's running sum; column 0 stays 0.
+    skip = 1 if kept[0] == 0 else 0
+    gather = np.array(kept[skip:]) - 1
+    prefix = np.zeros((n, len(kept)))
     chunk = max(1, _DRAW_CHUNK_VALUES // m_s)
     for t0 in range(0, n, chunk):
         amp = sample_amplitudes(cfg, rng, min(chunk, n - t0))
-        np.cumsum(amp, axis=1, out=prefix[t0 : t0 + amp.shape[0], 1:])
-    return TrialChannels(amp_prefix=prefix)
+        np.cumsum(amp, axis=1, out=amp)
+        prefix[t0 : t0 + amp.shape[0], skip:] = amp[:, gather]
+    return TrialChannels(amp_prefix=prefix, columns=tuple(kept))
 
 
 def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
@@ -166,8 +193,9 @@ def estimate_averages(
 
     The rate is averaged over ``trials``, one draw set that callers reuse
     across allocation values (common random numbers). Raises ValueError when
-    ``trials`` was drawn for another surface size, or when the link budget
-    makes the average rate or its CI overflow.
+    ``trials`` was drawn for another surface size, when it lacks the prefix
+    column of a UC-splitting value, or when the link budget makes the average
+    rate or its CI overflow.
     """
     vmax = _allocation_bounds(protocol, cfg)
     if not 0 <= value <= vmax:
@@ -179,7 +207,10 @@ def estimate_averages(
         amplitude = trials.amp_total
     else:
         payload_slots = cfg.frame_slots - cfg.preamble_slots
-        amplitude = trials.amp_total - trials.amp_prefix[:, value]
+        column = bisect_left(trials.columns, value)
+        if trials.columns[column] != value:
+            raise ValueError(f"prefix column k = {value} was not drawn")
+        amplitude = trials.amp_total - trials.amp_prefix[:, column]
     # Overflow is reported below as a non-finite result, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         rates = shannon_rate(payload_slots, coherent_snr(amplitude, cfg), cfg)
@@ -204,14 +235,23 @@ def estimate_averages(
     )
 
 
-def _optimize(
-    protocol: str, p_static: float, cfg: ScenarioConfig, trials: TrialChannels
-) -> AllocationResult:
+def allocation_value(protocol: str, p_static: float, cfg: ScenarioConfig) -> int:
+    """Smallest allocation value whose harvest covers consumption at ``p_static``.
+
+    Returns vmax when even the full allocation falls short. It reads the
+    harvest curve alone, so a sweep solves its grid before the channel draw.
+    """
     curve = harvest_curve(protocol, cfg)
     consumed = total_consumption(p_static, protocol, cfg).total
     # First value whose harvest covers consumption, ties included; an index
     # past the end means even the full allocation falls short.
-    value = min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
+    return min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
+
+
+def _optimize(
+    protocol: str, p_static: float, cfg: ScenarioConfig, trials: TrialChannels
+) -> AllocationResult:
+    value = allocation_value(protocol, p_static, cfg)
     return estimate_averages(protocol, value, p_static, cfg, trials)
 
 

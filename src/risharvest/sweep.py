@@ -12,6 +12,7 @@ import numpy as np
 
 from .optimizer import (
     FEASIBLE,
+    allocation_value,
     draw_trials,
     optimize_time_splitting,
     optimize_uc_splitting,
@@ -124,9 +125,13 @@ def run_sweep(
 
     ``seed`` and ``trials`` override the scenario file. One channel draw set
     is shared across all grid points and both protocols, which keeps rate
-    curves free of re-sampling noise and the output reproducible. Raises
-    ConfigValidationError before the draw when ``e_rec`` makes the
-    ``dyn_over_static`` column overflow on this grid.
+    curves free of re-sampling noise and the output reproducible. The
+    allocations depend on the harvest curves alone, so the grid is solved
+    before the draw, and the draw keeps only the prefix columns those
+    allocations read: the UC-splitting k of each point, and the full-surface
+    sum that time splitting reads. Raises ConfigValidationError before the
+    draw when ``e_rec`` makes the ``dyn_over_static`` column overflow on this
+    grid.
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
     if seed is not None:
@@ -143,7 +148,8 @@ def run_sweep(
             f"p_static = {p_low!r} W overflows dyn_over_static"
         )
     rng = np.random.default_rng(cfg.rng_seed)
-    trial_set = draw_trials(cfg, rng)
+    uc_values = {allocation_value(UC_SPLITTING, p_static, cfg) for p_static in grid}
+    trial_set = draw_trials(cfg, rng, columns=uc_values)
     rows = []
     for p_static in grid:
         for protocol, optimize in (

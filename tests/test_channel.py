@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_sample_amplitudes_continue_one_stream(cfg):
     rng = np.random.default_rng(6)
     parts = [sample_amplitudes(cfg, rng, n) for n in (1, 5, 3)]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("k", [0.5, 10.0, 1e3, math.inf])
+def test_magnitude_within_one_ulp_of_hypot(cfg, k):
+    # a unit link budget makes the sampler's final scaling exact, so its
+    # output is the magnitude itself; the reference takes np.hypot of the
+    # same normals, shifted and scaled as the sampler does
+    unit = SimpleNamespace(rician_k=k, m_s=cfg.m_s, free_space_uc_gain=1.0, mean_ris_rx_gain=1.0)
+    amp = sample_amplitudes(unit, np.random.default_rng(8), 400)
+    diffuse = 1.0 / (k + 1.0)
+    los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
+    z = np.random.default_rng(8).standard_normal((400, 2, cfg.m_s)) * sigma
+    np.testing.assert_array_max_ulp(amp, np.hypot(z[:, 0] + los, z[:, 1]), maxulp=1)
 
 
 @pytest.mark.parametrize("k", [0.5, 10.0, 1e3])

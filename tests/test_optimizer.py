@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,69 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chu
     amp = sample_amplitudes(fast, np.random.default_rng(seed), fast.mc_trials)
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
     assert np.array_equal(full[:, 1:], np.cumsum(amp, axis=1))
+
+
+@pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
+def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_values):
+    if chunk_values is not None:
+        monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
+    fast = dataclasses.replace(cfg, mc_trials=150)
+    m_s, seed = fast.m_s, 557
+    full = draw_trials(fast, np.random.default_rng(seed))
+    assert full.columns == tuple(range(m_s + 1))
+    cases = [
+        ([], [m_s]),
+        ([0], [0, m_s]),
+        ([m_s], [m_s]),
+        ([7, 3, np.int64(7), m_s, 3, 0], [0, 3, 7, m_s]),
+        (range(m_s + 1), list(range(m_s + 1))),
+    ]
+    for columns, kept in cases:
+        trials = draw_trials(fast, np.random.default_rng(seed), columns=columns)
+        assert trials.columns == tuple(kept)
+        assert (trials.n_trials, trials.m_s) == (fast.mc_trials, m_s)
+        assert np.array_equal(trials.amp_prefix, full.amp_prefix[:, kept])
+
+
+@pytest.mark.parametrize("bad", [-1, 226, True, 3.0, "3", None])
+def test_bad_prefix_columns_are_rejected(cfg, bad):
+    with pytest.raises(ValueError, match=r"^prefix columns must be integers in \[0, 225\], got "):
+        draw_trials(cfg, np.random.default_rng(1), n_trials=2, columns=[3, bad])
+
+
+def test_undrawn_prefix_column_is_rejected(small_cfg):
+    # with e_rec = 0 the consumed power is the static input, so a curve entry
+    # where the curve rises puts the UC-splitting optimum exactly there
+    free = dataclasses.replace(small_cfg, e_rec=0.0)
+    curve = harvest_curve(UC_SPLITTING, free)
+    k = int(np.flatnonzero(curve[1:-1] > curve[:-2])[0]) + 1
+    p_static = float(curve[k])
+    trials = draw_trials(free, np.random.default_rng(16), n_trials=8, columns=[0])
+    message = f"^prefix column k = {k} was not drawn$"
+    with pytest.raises(ValueError, match=message):
+        estimate_averages(UC_SPLITTING, k, p_static, free, trials)
+    with pytest.raises(ValueError, match=message):
+        optimize_uc_splitting(p_static, free, trials)
+    # time splitting reads only the full-surface sum, which every draw keeps
+    full = draw_trials(free, np.random.default_rng(16), n_trials=8)
+    ts = optimize_time_splitting(p_static, free, trials)
+    assert ts == optimize_time_splitting(p_static, free, full)
+    assert ts.optimal_allocation > 0
+
+
+def test_column_draw_memory_is_one_chunk():
+    # a 60 x 60 surface keeping two columns: the full (500, 3601) prefix would
+    # be 13.7 MiB, the kept one is 8 KB beside one chunk's temporaries
+    cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
+    draw_trials(cfg, np.random.default_rng(17), n_trials=1, columns=[0, 3600])
+    tracemalloc.start()
+    try:
+        trials = draw_trials(cfg, np.random.default_rng(17), columns=[0, 3600])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trials.amp_prefix.shape == (500, 2)
+    assert peak < 1 << 20
 
 
 def test_unconstrained_case_allocates_nothing(cfg):

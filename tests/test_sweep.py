@@ -334,6 +334,51 @@ def test_python_m_risharvest_runs_cleanly(tmp_path):
         assert len(read_rows(out)) == 4
 
 
+@pytest.mark.parametrize("kind", RECTIFIER_KINDS)
+@pytest.mark.parametrize(
+    "spec",
+    [SweepSpec(), SweepSpec(start=0.0, stop=2e-2, points=400, scale="linear")],
+    ids=["paper_grid", "edge_grid"],
+)
+def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind):
+    # the sweep keeps only the prefix columns its grid reads; a full draw
+    # must give the same CSV byte for byte
+    config = tmp_path / "scenario.cfg"
+    save_config(ScenarioConfig(mc_trials=200, rectifier=RectifierModel(kind=kind)), config)
+    draw_trials = risharvest.sweep.draw_trials
+    kept = []
+
+    def full_draw(cfg, rng, n_trials=None, *, columns=None):
+        kept.append(sorted(set(columns)))
+        return draw_trials(cfg, rng, n_trials)
+
+    run_sweep(config, spec, tmp_path / "columns.csv")
+    monkeypatch.setattr(risharvest.sweep, "draw_trials", full_draw)
+    run_sweep(config, spec, tmp_path / "full.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    uc_rows = [row for row in read_rows(tmp_path / "full.csv") if row.protocol == "uc_splitting"]
+    assert kept == [sorted({row.optimal_allocation for row in uc_rows})]
+
+
+def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
+    # np.unique and np.union1d import numpy.ma on first use, which costs time
+    # and memory at start-up
+    out = tmp_path / "sweep.csv"
+    code = (
+        "import sys\n"
+        "from risharvest.sweep import main\n"
+        "assert main(['sweep', '--points', '5', '--trials', '8', '--out', sys.argv[1]]) == 0\n"
+        "assert main(['summarize', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # Scenario-file keys, and a strategy for every float key: log-uniform over
 # [1e-300, 1e300], or uniform over +-1e4 for the four dB fields.
 SCENARIO_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "rectifier"]
