@@ -12,9 +12,10 @@ harvested power covers consumption.
 rectifier model included, and the whole link budget derived from them (|h|^2,
 E|g|^2, the per-UC absorbed power and the noise power), validated together;
 ``channel``, ``harvesting`` and ``power`` give the rate, harvest and
-consumption formulas; ``optimizer.estimate_averages`` is the one place that
-combines them for an allocation, and ``sweep`` runs it over a static-power
-grid.
+consumption formulas, one each (``harvest`` is the DC power of the first k
+absorbing UCs, which both protocols' harvest curves read);
+``optimizer.estimate_averages`` is the one place that combines them for an
+allocation, and ``sweep`` runs it over a static-power grid.
 """
 
 from .channel import sample_amplitudes

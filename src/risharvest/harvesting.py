@@ -1,13 +1,12 @@
 """RF combining, rectification, and DC combining of the absorbed UC powers.
 
-The harvesting UCs are grouped into consecutive chains of ``chain_size`` in
-row-major order; the last chain is shorter when the count does not divide.
-Each chain RF-combines its UCs' absorbed powers into one rectifier, and the
-rectifier outputs are DC-combined. ``harvest`` evaluates that rule as one
-reshape-sum, and ``rectify`` works elementwise on arrays. The rectifier's
-parameters are ``scenario.RectifierModel``, validated with the rest of the
-configuration, and the per-UC absorbed power comes from the link budget that
-``ScenarioConfig`` derives.
+Far-field absorption gives every UC the same power. The first k UCs in
+row-major order harvest, in consecutive chains of ``chain_size`` (the last
+one shorter when the count does not divide); each chain RF-combines into one
+rectifier, and the rectifier outputs are DC-combined. ``harvest`` gives that
+power for every k at once, and ``rectify`` works elementwise on arrays. The
+rectifier's parameters are ``scenario.RectifierModel``, and the per-UC
+absorbed power comes from the link budget that ``ScenarioConfig`` derives.
 """
 
 import numpy as np
@@ -47,31 +46,20 @@ def rectify(p_rf, model: RectifierModel):
     return float(out) if out.ndim == 0 else out
 
 
-def chain_dc_power(chain_rf, cfg: ScenarioConfig):
-    """DC output of each rectifier, given the summed RF power of its chain's UCs.
+def harvest(p_uc: float, n: int, cfg: ScenarioConfig) -> np.ndarray:
+    """DC-combined power (W) when the first k of ``n`` UCs each absorb ``p_uc``.
 
-    The sum is derated by the RF combining loss before rectification.
-    Combining assumes phase-aligned inputs; misalignment is captured only
-    through ``rf_combining_loss_db``.
+    Returns the (n + 1,) array over k = 0..n. The k UCs fill k // chain_size
+    whole chains and one chain of k % chain_size UCs; every fill is derated
+    by the RF combining loss and rectified in one call. Whole chains add up
+    as a running sum, so the array stays nondecreasing when they saturate.
+    Combining assumes phase-aligned inputs. Multiply by a duration for energy.
     """
-    return rectify(
-        np.asarray(chain_rf, dtype=float) * db_to_linear(-cfg.rf_combining_loss_db),
-        cfg.rectifier,
-    )
-
-
-def harvest(absorbed, cfg: ScenarioConfig) -> float:
-    """DC-combined power (W) harvested from per-UC absorbed powers.
-
-    ``absorbed`` holds the absorbed powers of the UCs dedicated to
-    harvesting, in row-major order. Consecutive runs of ``chain_size`` UCs
-    feed one rectifier each, and the last chain is shorter when the count is
-    not a multiple of ``chain_size``: the powers are zero-padded to a whole
-    number of chains, summed per chain, rectified, summed, and scaled by the
-    DC combining efficiency. Multiply by a duration to get energy.
-    """
-    powers = np.asarray(absorbed, dtype=float)
-    size = cfg.chain_size
-    padded = np.pad(powers, (0, -powers.size % size))
-    chain_rf = padded.reshape(-1, size).sum(axis=1)
-    return cfg.dc_combining_efficiency * float(chain_dc_power(chain_rf, cfg).sum())
+    size = min(cfg.chain_size, max(n, 1))  # n = 0 gives [0.0]
+    rf = np.arange(size + 1) * p_uc * db_to_linear(-cfg.rf_combining_loss_db)
+    fill = rectify(rf, cfg.rectifier)
+    chains, rest = np.divmod(np.arange(n + 1), size)
+    dc = np.concatenate(([0.0], np.cumsum(np.full(chains[-1], fill[size]))))[chains]
+    dc += fill[rest]
+    dc *= cfg.dc_combining_efficiency
+    return dc

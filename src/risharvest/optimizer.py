@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import coherent_snr, sample_amplitudes, shannon_rate
-from .harvesting import chain_dc_power, harvest
+from .harvesting import harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
 
@@ -143,32 +143,22 @@ def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
 def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
     """Frame-averaged DC harvest (W) for every allocation value 0..vmax.
 
-    Entry v is what ``harvest`` gives for allocation v, divided by the frame
-    duration. The array is read-only and cached per (protocol, cfg). Raises
-    ValueError when the curve is not finite and nondecreasing, because the
-    optimizer's lookup relies on both.
+    Both curves read one ``harvest`` array over k = 0..m_s absorbing UCs:
+    time splitting scales its full-surface entry by v slots, UC splitting
+    scales entry k by the post-preamble interval, so the full allocations
+    agree bit for bit. The array is read-only and cached per (protocol, cfg).
+    Raises ValueError when the curve is not finite and nondecreasing, because
+    the optimizer's lookup relies on both.
     """
     vmax = _allocation_bounds(protocol, cfg)
-    p_uc = cfg.uc_absorbed_power
+    dc = harvest(cfg.uc_absorbed_power, cfg.m_s, cfg)
     # Built in place, so that no full-length temporaries pile up.
     if protocol == TIME_SPLITTING:
-        # Every UC absorbs for v slots: the harvest is linear in v.
-        full_dc = harvest(np.full(cfg.m_s, p_uc), cfg)
         curve = np.arange(vmax + 1, dtype=float)
         curve *= cfg.slot_duration
-        curve *= full_dc
+        curve *= dc[-1]
     else:
-        # k harvesting UCs fill k // chain_size whole chains and one chain of
-        # k % chain_size UCs. Every fill 0..chain_size is rectified at once.
-        # Whole chains are summed by a running sum, so the curve stays
-        # nondecreasing under rounding. No chain exceeds m_s UCs.
-        size = min(cfg.chain_size, vmax)
-        fill_dc = chain_dc_power(np.arange(size + 1) * p_uc, cfg)
-        chains, rest = np.divmod(np.arange(vmax + 1), size)
-        whole = np.concatenate(([0.0], np.cumsum(np.full(chains[-1], fill_dc[size]))))
-        curve = whole[chains]
-        curve += fill_dc[rest]
-        curve *= cfg.dc_combining_efficiency
+        curve = dc
         curve *= (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
     curve /= cfg.frame_duration
     bad = ~np.isfinite(curve)
@@ -193,13 +183,15 @@ def estimate_averages(
 
     The rate is averaged over ``trials``, one draw set that callers reuse
     across allocation values (common random numbers). Raises ValueError when
-    ``trials`` was drawn for another surface size, when it lacks the prefix
-    column of a UC-splitting value, or when the link budget makes the average
-    rate or its CI overflow.
+    ``value`` is not an integer in 0..vmax (a bool is not), when ``trials``
+    was drawn for another surface size, when it lacks the prefix column of a
+    UC-splitting value, or when the link budget makes the average rate or its
+    CI overflow.
     """
     vmax = _allocation_bounds(protocol, cfg)
-    if not 0 <= value <= vmax:
-        raise ValueError(f"allocation value must lie in [0, {vmax}], got {value}")
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and 0 <= value <= vmax):
+        raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
     if trials.m_s != cfg.m_s:
         raise ValueError(f"trials were drawn for {trials.m_s} UCs, the configuration has {cfg.m_s}")
     if protocol == TIME_SPLITTING:

@@ -12,6 +12,7 @@ import numpy as np
 
 from .optimizer import (
     FEASIBLE,
+    INFEASIBLE,
     allocation_value,
     draw_trials,
     optimize_time_splitting,
@@ -26,16 +27,25 @@ from .scenario import (
     load_config,
 )
 
-CSV_HEADER = [
-    "p_static_w",
-    "protocol",
-    "status",
-    "optimal_allocation",
-    "avg_rate_bps",
-    "rate_ci_bps",
-    "p_dyn_w",
-    "dyn_over_static",
-]
+
+def _finite_nonnegative(value) -> bool:
+    return math.isfinite(value) and value >= 0.0
+
+
+# Per CSV column, in order: the parser of a cell and the rule its value must
+# meet. An empty ratio cell is None, and it must be empty iff p_static_w is 0.
+_CELLS = {
+    "p_static_w": (float, _finite_nonnegative),
+    "protocol": (str, PROTOCOLS.__contains__),
+    "status": (str, (FEASIBLE, INFEASIBLE).__contains__),
+    "optimal_allocation": (int, lambda value: value >= 0),
+    "avg_rate_bps": (float, _finite_nonnegative),
+    "rate_ci_bps": (float, _finite_nonnegative),
+    "p_dyn_w": (float, _finite_nonnegative),
+    "dyn_over_static": (lambda cell: float(cell) if cell else None,
+                        lambda value: value is None or _finite_nonnegative(value)),
+}
+CSV_HEADER = list(_CELLS)
 
 LINEAR = "linear"
 LOG = "log"
@@ -103,15 +113,22 @@ class SweepRow:
     def from_record(cls, record: list[str]) -> "SweepRow":
         if len(record) != len(CSV_HEADER):
             raise SweepCsvError(f"expected {len(CSV_HEADER)} columns, got {len(record)}")
-        try:
-            return cls(*(parse(text) for parse, text in zip(_CELL_PARSERS, record)))
-        except ValueError as exc:
-            raise SweepCsvError(f"malformed sweep row {record!r}: {exc}") from None
+        row = cls(*(_parse_cell(column, text) for column, text in zip(CSV_HEADER, record)))
+        if (row.dyn_over_static is None) != (row.p_static == 0.0):
+            raise SweepCsvError("column dyn_over_static: must be empty exactly when "
+                                f"p_static_w is 0, got {record[-1]!r}")
+        return row
 
 
-# One parser per CSV column, in CSV_HEADER order; an empty ratio cell is None.
-_CELL_PARSERS = (float, str, str, int, float, float, float,
-                 lambda cell: float(cell) if cell else None)
+def _parse_cell(column: str, text: str):
+    parse, valid = _CELLS[column]
+    try:
+        value = parse(text)
+    except ValueError:
+        raise SweepCsvError(f"column {column}: malformed value {text!r}") from None
+    if not valid(value):
+        raise SweepCsvError(f"column {column}: invalid value {text!r}")
+    return value
 
 
 def run_sweep(
@@ -179,7 +196,10 @@ def run_sweep(
 
 
 def read_rows(csv_path) -> list[SweepRow]:
-    """Parse a sweep CSV back into rows; raises SweepCsvError when malformed."""
+    """Parse a sweep CSV back into rows.
+
+    Raises SweepCsvError naming the line and the column of a malformed cell
+    or of a value no sweep writes."""
     path = Path(csv_path)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -189,7 +209,12 @@ def read_rows(csv_path) -> list[SweepRow]:
             raise SweepCsvError(f"{path}: empty file") from None
         if header != CSV_HEADER:
             raise SweepCsvError(f"{path}: unexpected header {header!r}")
-        rows = [SweepRow.from_record(record) for record in reader]
+        rows = []
+        for record in reader:
+            try:
+                rows.append(SweepRow.from_record(record))
+            except SweepCsvError as exc:
+                raise SweepCsvError(f"{path}, line {reader.line_num}: {exc}") from None
     if not rows:
         raise SweepCsvError(f"{path}: no data rows")
     return rows
@@ -199,33 +224,25 @@ def summarize(csv_path) -> str:
     """Per-protocol feasibility thresholds, best rates, and the rate gap."""
     rows = read_rows(csv_path)
     lines = []
-    by_protocol = {p: [r for r in rows if r.protocol == p] for p in PROTOCOLS}
-    any_feasible = False
+    feasible = {p: [r for r in rows if r.protocol == p and r.status == FEASIBLE] for p in PROTOCOLS}
     for protocol in PROTOCOLS:
-        feasible = [r for r in by_protocol[protocol] if r.status == FEASIBLE]
-        if not feasible:
+        if not feasible[protocol]:
             lines.append(f"{protocol}: no feasible operating point")
             continue
-        any_feasible = True
-        threshold = max(r.p_static for r in feasible)
-        best = max(r.average_rate for r in feasible)
+        threshold = max(r.p_static for r in feasible[protocol])
+        best = max(r.average_rate for r in feasible[protocol])
         lines.append(
             f"{protocol}: feasible up to p_static = {threshold:.3e} W, "
             f"max avg rate = {best:.4e} bit/s"
         )
-    if not any_feasible:
+    if not any(feasible.values()):
         lines.append("no feasible operating point for any protocol")
         return "\n".join(lines) + "\n"
-    feasible_ts = {
-        r.p_static: r for r in by_protocol[TIME_SPLITTING] if r.status == FEASIBLE
-    }
-    feasible_uc = {
-        r.p_static: r for r in by_protocol[UC_SPLITTING] if r.status == FEASIBLE
-    }
-    common = sorted(set(feasible_ts) & set(feasible_uc))
+    ts, uc = ({r.p_static: r for r in feasible[p]} for p in (TIME_SPLITTING, UC_SPLITTING))
+    common = sorted(set(ts) & set(uc))
     lines.append(f"points feasible under both protocols: {len(common)}")
     for p_static in common:
-        gap = feasible_uc[p_static].average_rate - feasible_ts[p_static].average_rate
+        gap = uc[p_static].average_rate - ts[p_static].average_rate
         lines.append(f"  p_static = {p_static:.3e} W: uc - time rate gap = {gap:+.4e} bit/s")
     return "\n".join(lines) + "\n"
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from risharvest import TIME_SPLITTING, ScenarioConfig, harvest
+from risharvest import TIME_SPLITTING, ScenarioConfig, rectify
 
 # Independent constants for oracle arithmetic (kept separate from the package).
 C_LIGHT = 2.99792458e8
@@ -84,6 +84,16 @@ def oracle_full_surface_snr(cfg):
     )
 
 
+def per_chain_oracle(powers, cfg):
+    """The harvest chain written out chain by chain, with scalar rectify calls."""
+    size, loss = cfg.chain_size, 10.0 ** (-cfg.rf_combining_loss_db / 10.0)
+    dc = [
+        rectify(float(np.sum(powers[i : i + size])) * loss, cfg.rectifier)
+        for i in range(0, len(powers), size)
+    ]
+    return cfg.dc_combining_efficiency * sum(dc)
+
+
 def frame_oracle(protocol, value, amplitudes, p_static, cfg):
     """One frame under one channel draw, written out from the protocol description.
 
@@ -104,7 +114,7 @@ def frame_oracle(protocol, value, amplitudes, p_static, cfg):
     snr = cfg.tx_power * math.fsum(reflecting) ** 2 / oracle_noise_power(cfg)
     rate = payload / cfg.frame_slots * cfg.bandwidth * math.log2(1.0 + snr)
     absorbed = np.full(harvesting, cfg.tx_power * oracle_free_space_gain(cfg))
-    harvested = harvest(absorbed, cfg) * harvest_slots * cfg.slot_duration
+    harvested = per_chain_oracle(absorbed, cfg) * harvest_slots * cfg.slot_duration
     # Estimation reconfigures one UC at a time; each later phase reconfigures
     # the whole surface, counted per UC or per controller chip.
     n_asics = -(-cfg.m_s // cfg.asic_fanout)

@@ -11,61 +11,52 @@ from risharvest import (
     rectify,
 )
 
-
-def per_chain_oracle(powers, cfg):
-    """The harvest chain written out chain by chain, with scalar rectify calls."""
-    size, loss = cfg.chain_size, 10.0 ** (-cfg.rf_combining_loss_db / 10.0)
-    dc = [
-        rectify(float(np.sum(powers[i : i + size])) * loss, cfg.rectifier)
-        for i in range(0, len(powers), size)
-    ]
-    return cfg.dc_combining_efficiency * sum(dc)
+from conftest import per_chain_oracle
 
 
 def test_partition_exact_division():
     # 2 uW per UC is below the 10 uW sensitivity alone but not in chains of 9
     cfg = ScenarioConfig(chain_size=9)
     eta = cfg.rectifier.efficiency
-    assert harvest(np.full(225, 2e-6), cfg) == pytest.approx(25 * eta * 9 * 2e-6, rel=1e-12)
-    assert harvest(np.full(225, 2e-6), ScenarioConfig(chain_size=1)) == 0.0
+    assert harvest(2e-6, 225, cfg)[-1] == pytest.approx(25 * eta * 9 * 2e-6, rel=1e-12)
+    assert not harvest(2e-6, 225, ScenarioConfig(chain_size=1)).any()
 
 
 def test_partition_remainder_group():
-    # 10 UCs in chains of 4 form chains of 4 + 4 + 2 consecutive UCs
+    # 10 UCs of 3 uW in chains of 4 form chains of 12, 12 and 6 uW: only the
+    # short one stays below the 10 uW sensitivity
     cfg = ScenarioConfig(chain_size=4)
     eta = cfg.rectifier.efficiency
-    # chains carry 14, 26 and 5 uW: only the short one stays below the 10 uW
-    # sensitivity
-    powers = np.array([2e-6, 3e-6, 4e-6, 5e-6, 5e-6, 6e-6, 7e-6, 8e-6, 2e-6, 3e-6])
-    assert harvest(powers, cfg) == pytest.approx(eta * (14e-6 + 26e-6), rel=1e-12)
+    assert harvest(3e-6, 10, cfg)[10] == pytest.approx(eta * 24e-6, rel=1e-12)
     sigmoidal = dataclasses.replace(cfg, rectifier=RectifierModel(kind="sigmoidal"))
-    expected = sum(rectify(p, sigmoidal.rectifier) for p in (14e-6, 26e-6, 5e-6))
-    assert harvest(powers, sigmoidal) == pytest.approx(expected, rel=1e-12)
+    expected = sum(rectify(p, sigmoidal.rectifier) for p in (12e-6, 12e-6, 6e-6))
+    assert harvest(3e-6, 10, sigmoidal)[10] == pytest.approx(expected, rel=1e-12)
 
 
 def test_partition_empty():
     for chain_size in (1, 4, 9, 225):
-        assert harvest([], ScenarioConfig(chain_size=chain_size)) == 0.0
+        assert harvest(3e-3, 0, ScenarioConfig(chain_size=chain_size)).tolist() == [0.0]
 
 
-def test_chain_rf_power_lossless_sum():
+def test_one_chain_lossless_sum():
     # one chain of 3 UCs in the linear region: DC = efficiency * summed RF
     cfg = ScenarioConfig(chain_size=3)
-    assert harvest([1e-5, 1e-5, 1e-5], cfg) == pytest.approx(0.3 * 3e-5, rel=1e-12)
+    assert harvest(1e-5, 3, cfg)[3] == pytest.approx(0.3 * 3e-5, rel=1e-12)
 
 
-def test_chain_rf_power_half_power_loss():
+def test_one_chain_half_power_loss():
     cfg = ScenarioConfig(chain_size=3, rf_combining_loss_db=3.0103)
-    assert harvest([1e-5, 1e-5, 1e-5], cfg) == pytest.approx(0.3 * 1.5e-5, rel=1e-4)
+    assert harvest(1e-5, 3, cfg)[3] == pytest.approx(0.3 * 1.5e-5, rel=1e-4)
 
 
-def test_chain_rf_power_empty_chain():
-    # zero-power UCs, like the padding of a short last chain, add nothing
+def test_entry_k_does_not_depend_on_surface_size():
+    # UCs past the first k add nothing to entry k, even where the surface is
+    # smaller than one chain
     for kind in ("linear_clipped", "sigmoidal"):
         cfg = ScenarioConfig(chain_size=4, rectifier=RectifierModel(kind=kind))
-        powers = np.full(6, 3e-3)
-        padded = np.concatenate((powers, np.zeros(6)))
-        assert harvest(padded, cfg) == harvest(powers, cfg)
+        full = harvest(3e-3, 12, cfg)
+        for n in range(12):
+            assert harvest(3e-3, n, cfg).tolist() == full[: n + 1].tolist()
 
 
 def test_rectify_linear_region():
@@ -154,10 +145,11 @@ def test_harvest_matches_per_chain_oracle(rng):
             dc_combining_efficiency=float(rng.uniform(0.5, 1.0)),
             rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
         )
-        powers = rng.uniform(0.0, 3e-3, size=int(rng.integers(0, 40)))
-        assert harvest(powers, cfg) == pytest.approx(
-            per_chain_oracle(powers, cfg), rel=1e-12, abs=1e-300
-        )
+        p, n = float(rng.uniform(0.0, 3e-3)), int(rng.integers(0, 40))
+        dc = harvest(p, n, cfg)
+        assert dc.shape == (n + 1,)
+        expected = [per_chain_oracle(np.full(k, p), cfg) for k in range(n + 1)]
+        assert dc == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 @given(
@@ -178,21 +170,22 @@ def test_array_rectify_matches_scalar(kind, powers, negative, at):
 
 
 def test_harvest_linear_regime_closed_form(cfg):
-    # uniform power, lossless combining, all chains inside the linear region
+    # uniform power, lossless combining: every fill of every chain lies inside
+    # the linear region, so the harvest is linear in k
     p = 3e-5
     eta = cfg.rectifier.efficiency
-    assert harvest(np.full(225, p), cfg) == pytest.approx(eta * 225 * p, rel=1e-12)
+    assert harvest(p, 225, cfg) == pytest.approx(eta * np.arange(226) * p, rel=1e-12, abs=0.0)
 
 
 def test_harvest_dc_combining_efficiency():
     cfg = ScenarioConfig(dc_combining_efficiency=0.8)
     p = 3e-5
-    assert harvest(np.full(225, p), cfg) == pytest.approx(0.8 * 0.3 * 225 * p, rel=1e-12)
+    assert harvest(p, 225, cfg)[-1] == pytest.approx(0.8 * 0.3 * 225 * p, rel=1e-12)
 
 
 def test_harvest_below_sensitivity_single_uc_chains():
     cfg = ScenarioConfig(chain_size=1)
-    assert harvest(np.full(225, 0.5e-5), cfg) == 0.0  # sensitivity is 1e-5
+    assert not harvest(0.5e-5, 225, cfg).any()  # sensitivity is 1e-5
 
 
 def test_chain_size_tradeoff_extremes():
@@ -201,39 +194,39 @@ def test_chain_size_tradeoff_extremes():
     per_uc = 0.5e-5
     single = ScenarioConfig(chain_size=1)
     combined = ScenarioConfig(chain_size=225)
-    assert harvest(np.full(225, per_uc), single) == 0.0
-    assert harvest(np.full(225, per_uc), combined) > 0.0
+    assert harvest(per_uc, 225, single)[-1] == 0.0
+    assert harvest(per_uc, 225, combined)[-1] > 0.0
 
 
-def test_harvest_empty_set(cfg):
-    for empty in ([], np.empty(0)):
-        out = harvest(empty, cfg)
-        assert isinstance(out, float) and out == 0.0
+def test_harvest_empty_set():
+    # no absorbing UC harvests exactly nothing, for any surface and rectifier
+    for kind in ("linear_clipped", "sigmoidal"):
+        cfg = ScenarioConfig(rectifier=RectifierModel(kind=kind))
+        for n in (0, 5, 225):
+            dc = harvest(1e-3, n, cfg)
+            assert dc.shape == (n + 1,) and dc[0] == 0.0
 
 
 def test_harvest_monotone_in_appended_ucs(rng):
     # appending absorbing UCs never shifts existing chain boundaries, so the
-    # DC total is nondecreasing for any power profile and chain size
+    # DC total is nondecreasing for any chain size, also around the sensitivity
     for _ in range(300):
-        chain_size = int(rng.integers(1, 12))
-        cfg = ScenarioConfig(chain_size=chain_size)
+        cfg = ScenarioConfig(chain_size=int(rng.integers(1, 12)))
+        p = float(rng.uniform(0.0, 3e-5))
         n = int(rng.integers(1, 60))
-        powers = rng.uniform(0.0, 3e-5, size=n)
         cut = int(rng.integers(0, n))
-        small = harvest(powers[:cut], cfg)
-        full = harvest(powers, cfg)
+        small = harvest(p, cut, cfg)[-1]
+        full = harvest(p, n, cfg)[-1]
         assert full >= small - 1e-18
 
 
 def test_harvest_monotone_in_set_size_uniform_power(rng):
-    # far-field absorption is uniform across UCs, so a random UC set harvests
-    # exactly what any equally sized set does and growth never hurts
-    p_uc = 0.9e-5
-    for _ in range(200):
-        chain_size = int(rng.integers(1, 12))
-        cfg = ScenarioConfig(chain_size=chain_size)
-        size = int(rng.integers(0, 200))
-        grown = size + int(rng.integers(1, 20))
-        small = harvest(np.full(size, p_uc), cfg)
-        big = harvest(np.full(grown, p_uc), cfg)
-        assert big >= small - 1e-18
+    # far-field absorption is uniform across UCs, so growing the absorbing set
+    # never hurts, below sensitivity, in the linear region and in saturation
+    for _ in range(300):
+        cfg = ScenarioConfig(
+            chain_size=int(rng.integers(1, 12)),
+            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+        )
+        p = float(10 ** rng.uniform(-7.0, 0.0))
+        assert np.all(np.diff(harvest(p, int(rng.integers(0, 200)), cfg)) >= 0.0)

@@ -15,7 +15,6 @@ from risharvest import (
     ScenarioConfig,
     draw_trials,
     estimate_averages,
-    harvest,
     optimize_time_splitting,
     optimize_uc_splitting,
     rectify,
@@ -23,7 +22,7 @@ from risharvest import (
 )
 from risharvest.optimizer import harvest_curve
 
-from conftest import frame_oracle, oracle_full_surface_snr
+from conftest import frame_oracle, oracle_full_surface_snr, per_chain_oracle
 
 OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
 
@@ -44,13 +43,13 @@ def exhaustive_best(protocol, p_static, cfg, trials):
 
 
 def chain_harvest_power(protocol, value, cfg):
-    """Frame-averaged harvest of one allocation, through the full harvest chain."""
+    """Frame-averaged harvest of one allocation, through the per-chain oracle."""
     absorbed = cfg.tx_power * cfg.free_space_uc_gain
     if protocol == TIME_SPLITTING:
-        energy = harvest(np.full(cfg.m_s, absorbed), cfg) * (value * cfg.slot_duration)
+        energy = per_chain_oracle(np.full(cfg.m_s, absorbed), cfg) * (value * cfg.slot_duration)
     else:
         duration = (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
-        energy = harvest(np.full(value, absorbed), cfg) * duration
+        energy = per_chain_oracle(np.full(value, absorbed), cfg) * duration
     return energy / (cfg.frame_slots * cfg.slot_duration)
 
 
@@ -260,6 +259,12 @@ def test_harvest_curve_matches_harvest_chain(rng):
         curve[0] = 1.0  # the cached curve is shared, so it is read-only
 
 
+def test_full_allocations_harvest_the_same(rng):
+    # every UC absorbs for the whole post-preamble interval under both protocols
+    for cfg in random_small_configs(rng):
+        assert harvest_curve(TIME_SPLITTING, cfg)[-1] == harvest_curve(UC_SPLITTING, cfg)[-1]
+
+
 def test_saturated_chains_keep_curve_monotone():
     # every chain saturates, so whole chains add equal DC powers; summing
     # them as q * dc rounds some entries below their predecessor
@@ -355,7 +360,8 @@ def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
     ids=["default", "sigmoidal", "one_chain_of_3600"],
 )
 def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
-    # every chain fill is rectified in one array call, whatever the chain size
+    # every chain fill is rectified in one array call per curve, whatever the
+    # chain size
     calls = []
 
     def counting_rectify(p_rf, model):
@@ -363,9 +369,12 @@ def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
         return rectify(p_rf, model)
 
     monkeypatch.setattr(risharvest.harvesting, "rectify", counting_rectify)
-    curve = harvest_curve(UC_SPLITTING, config)
-    assert calls == [(config.chain_size + 1,)]
-    assert curve.size == config.m_s + 1
+    fills = (min(config.chain_size, config.m_s) + 1,)
+    assert harvest_curve(UC_SPLITTING, config).size == config.m_s + 1
+    assert calls == [fills]
+    vmax = config.frame_slots - config.preamble_slots
+    assert harvest_curve(TIME_SPLITTING, config).size == vmax + 1
+    assert calls == [fills, fills]
 
 
 def test_uc_splitting_dominates_at_common_static_power(cfg):
@@ -386,7 +395,7 @@ def test_feasibility_range_ordering(cfg):
     trials = draw_trials(fast, np.random.default_rng(10))
     max_harvest_ts = harvest_curve(TIME_SPLITTING, fast)[9000]
     max_harvest_uc = harvest_curve(UC_SPLITTING, fast)[fast.m_s]
-    assert max_harvest_uc == pytest.approx(max_harvest_ts, rel=1e-12)
+    assert max_harvest_uc == max_harvest_ts
     for p_static in np.linspace(1e-4, 3e-3, 13):
         ts = optimize_time_splitting(float(p_static), fast, trials=trials)
         uc = optimize_uc_splitting(float(p_static), fast, trials=trials)
@@ -411,7 +420,10 @@ def test_trials_for_another_surface_are_rejected(cfg):
 def test_allocation_value_bounds_checked(cfg):
     fast = dataclasses.replace(cfg, mc_trials=8)
     trials = draw_trials(fast, np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        estimate_averages(TIME_SPLITTING, 9001, 0.0, fast, trials=trials)
-    with pytest.raises(ValueError):
-        estimate_averages(UC_SPLITTING, 226, 0.0, fast, trials=trials)
+    for protocol in (TIME_SPLITTING, UC_SPLITTING):
+        vmax = harvest_curve(protocol, fast).size - 1
+        for bad in (-1, vmax + 1, True, 3.0, "3", None):
+            message = rf"^allocation value must be an integer in \[0, {vmax}\], got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
+                estimate_averages(protocol, bad, 0.0, fast, trials=trials)
+        assert estimate_averages(protocol, np.int64(3), 0.0, fast, trials).optimal_allocation == 3

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import risharvest
+import risharvest.optimizer
 from risharvest import (
     RECTIFIER_KINDS,
     ConfigValidationError,
@@ -18,6 +19,7 @@ from risharvest import (
     ScenarioConfig,
     save_config,
 )
+from risharvest.optimizer import harvest_curve
 from risharvest.sweep import (
     CSV_HEADER,
     SweepCsvError,
@@ -180,6 +182,39 @@ def test_read_rows_rejects_malformed(tmp_path):
     out.write_text(",".join(CSV_HEADER) + "\nnot-a-number,time_splitting,feasible,0,1,1,1,\n")
     with pytest.raises(SweepCsvError):
         read_rows(out)
+
+
+GOOD_RECORD = ["1e-06", "time_splitting", "feasible", "3", "1000.0", "10.0", "2e-07", "0.2"]
+ZERO_RECORD = ["0.0", "uc_splitting", "infeasible", "0", "1000.0", "10.0", "2e-07", ""]
+
+
+@pytest.mark.parametrize(
+    "record, column",
+    [
+        (ZERO_RECORD[:1] + ["frequency_splitting"] + ZERO_RECORD[2:], "protocol"),
+        (ZERO_RECORD[:2] + ["maybe"] + ZERO_RECORD[3:], "status"),
+        (ZERO_RECORD[:3] + ["-3"] + ZERO_RECORD[4:], "optimal_allocation"),
+        (["-1e-06"] + GOOD_RECORD[1:], "p_static_w"),
+        (ZERO_RECORD[:4] + ["nan"] + ZERO_RECORD[5:], "avg_rate_bps"),
+        (ZERO_RECORD[:5] + ["-1.0"] + ZERO_RECORD[6:], "rate_ci_bps"),
+        (ZERO_RECORD[:6] + ["inf"] + ZERO_RECORD[7:], "p_dyn_w"),
+        (GOOD_RECORD[:7] + [""], "dyn_over_static"),
+        (ZERO_RECORD[:7] + ["0.2"], "dyn_over_static"),
+    ],
+    ids=["protocol", "status", "allocation", "static", "rate", "ci", "dynamic",
+         "ratio_missing", "ratio_at_zero"],
+)
+def test_read_rows_rejects_values_no_sweep_writes(tmp_path, capsys, record, column):
+    out = tmp_path / "bad.csv"
+    lines = [CSV_HEADER, GOOD_RECORD, ZERO_RECORD, record]
+    out.write_text("".join(",".join(line) + "\n" for line in lines))
+    message = f"bad.csv, line 4: column {column}: "
+    with pytest.raises(SweepCsvError, match=re.escape(message)):
+        read_rows(out)
+    assert main(["summarize", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    out.write_text("".join(",".join(line) + "\n" for line in lines[:3]))
+    assert [row.to_record() for row in read_rows(out)] == lines[1:3]
 
 
 def test_cli_sweep_and_summarize(fast_config_path, tmp_path, capsys):
@@ -358,6 +393,23 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     uc_rows = [row for row in read_rows(tmp_path / "full.csv") if row.protocol == "uc_splitting"]
     assert kept == [sorted({row.optimal_allocation for row in uc_rows})]
+
+
+def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_path):
+    calls = []
+    harvest = risharvest.optimizer.harvest
+
+    def counting_harvest(*args, **kwargs):
+        calls.append(args)
+        return harvest(*args, **kwargs)
+
+    harvest_curve.cache_clear()
+    monkeypatch.setattr(risharvest.optimizer, "harvest", counting_harvest)
+    try:
+        run_sweep(None, small_spec(), tmp_path / "sweep.csv", trials=8)
+    finally:
+        harvest_curve.cache_clear()
+    assert len(calls) == 2
 
 
 def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
