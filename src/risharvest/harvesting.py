@@ -11,7 +11,13 @@ absorbed power comes from the link budget that ``ScenarioConfig`` derives.
 
 import numpy as np
 
-from .scenario import LINEAR_CLIPPED, RectifierModel, ScenarioConfig, db_to_linear
+from .scenario import (
+    LINEAR_CLIPPED,
+    RectifierModel,
+    ScenarioConfig,
+    db_to_linear,
+    is_finite_number,
+)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -54,7 +60,13 @@ def harvest(p_uc: float, n: int, cfg: ScenarioConfig) -> np.ndarray:
     by the RF combining loss and rectified in one call. Whole chains add up
     as a running sum, so the array stays nondecreasing when they saturate.
     Combining assumes phase-aligned inputs. Multiply by a duration for energy.
+    Raises ValueError when ``n`` is not an integer >= 0 (a bool is not) or
+    ``p_uc`` is not a finite number >= 0.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"UC count n must be an integer >= 0, got {n!r}")
+    if not (is_finite_number(p_uc) and p_uc >= 0.0):
+        raise ValueError(f"absorbed power p_uc must be a finite number >= 0 W, got {p_uc!r}")
     size = min(cfg.chain_size, max(n, 1))  # n = 0 gives [0.0]
     rf = np.arange(size + 1) * p_uc * db_to_linear(-cfg.rf_combining_loss_db)
     fill = rectify(rf, cfg.rectifier)

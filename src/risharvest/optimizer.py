@@ -11,17 +11,17 @@ log instead of the time factor in front of it. All UCs are statistically
 identical, so which k harvest does not change the averages.
 
 The TX-side absorption is deterministic free space, so the frame-averaged
-harvest depends on the allocation value alone, not on the channel draw. It
-is computed once per protocol and configuration as a harvest curve over
-every allocation value 0..vmax, and the curve is checked to be finite and
-nondecreasing. The average rate is decreasing in the allocation, so the
-optimum is the smallest value whose harvest covers consumption: one
-``searchsorted`` of the consumed power against the curve
-(``allocation_value``). A sweep therefore solves its whole grid from the
-curves before any channel draw, and the draw keeps only the prefix columns
-those solves read. The rate is averaged over one set of channel draws
-(common random numbers) that is reused across every grid point and both
-protocols.
+harvest depends on the allocation value alone, and only the rate is random.
+The optimizer is therefore two steps. The solve (``optimize_*``) reads a
+harvest curve over every allocation value 0..vmax, computed once per
+protocol and configuration and checked to be finite and nondecreasing. The
+average rate is decreasing in the allocation, so the optimum is the smallest
+value whose harvest covers consumption: one ``searchsorted`` of the consumed
+power against the curve, with no channel draw. The estimate
+(``estimate_averages``) then averages the rate of one allocation value over
+one set of channel draws (common random numbers). A sweep solves its whole
+grid first, draws once keeping only the prefix columns those solves read,
+and estimates each distinct allocation once.
 """
 
 import functools
@@ -48,12 +48,10 @@ _DRAW_CHUNK_VALUES = 1 << 14
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Averages and feasibility of one allocation value; the optimizers return the best."""
+    """The solve at one static power: the best allocation value and its feasibility."""
 
     protocol: str
     optimal_allocation: int      # eh_slots (time splitting) or k (UC splitting)
-    average_rate: float          # bits/s
-    rate_ci_halfwidth: float     # bits/s, 95% normal-approximation half-width
     avg_harvested_power: float   # W
     avg_consumed_power: float    # W
     status: str                  # FEASIBLE or INFEASIBLE
@@ -107,9 +105,9 @@ def draw_trials(
     bit whichever columns are kept. The sampler's stream is trial-major, so
     the first t trials are the same for any trial count and any chunk size.
     """
-    n = cfg.mc_trials if n_trials is None else int(n_trials)
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
+    n = cfg.mc_trials if n_trials is None else n_trials
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n_trials must be an integer >= 1, got {n!r}")
     m_s = cfg.m_s
     if columns is None:
         kept = list(range(m_s + 1))
@@ -173,20 +171,16 @@ def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def estimate_averages(
-    protocol: str,
-    value: int,
-    p_static: float,
-    cfg: ScenarioConfig,
-    trials: TrialChannels,
-) -> AllocationResult:
-    """Monte-Carlo averages and feasibility status for one allocation value.
+    protocol: str, value: int, cfg: ScenarioConfig, trials: TrialChannels
+) -> tuple[float, float]:
+    """Monte-Carlo average rate (bit/s) of one allocation value and its 95% CI half-width.
 
     The rate is averaged over ``trials``, one draw set that callers reuse
-    across allocation values (common random numbers). Raises ValueError when
-    ``value`` is not an integer in 0..vmax (a bool is not), when ``trials``
-    was drawn for another surface size, when it lacks the prefix column of a
-    UC-splitting value, or when the link budget makes the average rate or its
-    CI overflow.
+    across allocation values (common random numbers); the CI is the
+    normal-approximation half-width. Raises ValueError when ``value`` is not
+    an integer in 0..vmax (a bool is not), when ``trials`` was drawn for
+    another surface size, when it lacks the prefix column of a UC-splitting
+    value, or when the link budget makes the average rate or its CI overflow.
     """
     vmax = _allocation_bounds(protocol, cfg)
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -211,45 +205,29 @@ def estimate_averages(
         ci = 1.96 * float(rates.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     if not (math.isfinite(average) and math.isfinite(ci)):
         raise ValueError(
-            f"{protocol} at p_static = {p_static!r} W: the average rate ({average}) "
+            f"{protocol} at allocation {value!r}: the average rate ({average}) "
             f"or its CI ({ci}) is not finite; the link budget overflows"
         )
-    harvested = float(harvest_curve(protocol, cfg)[value])
+    return average, ci
+
+
+def _solve(protocol: str, p_static: float, cfg: ScenarioConfig) -> AllocationResult:
+    curve = harvest_curve(protocol, cfg)
     consumed = total_consumption(p_static, protocol, cfg).total
+    # First value whose harvest covers consumption, ties included; an index
+    # past the end means even the full allocation falls short.
+    value = min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
+    harvested = float(curve[value])
     return AllocationResult(
         protocol=protocol,
         optimal_allocation=value,
-        average_rate=average,
-        rate_ci_halfwidth=ci,
         avg_harvested_power=harvested,
         avg_consumed_power=consumed,
         status=FEASIBLE if harvested >= consumed else INFEASIBLE,
     )
 
 
-def allocation_value(protocol: str, p_static: float, cfg: ScenarioConfig) -> int:
-    """Smallest allocation value whose harvest covers consumption at ``p_static``.
-
-    Returns vmax when even the full allocation falls short. It reads the
-    harvest curve alone, so a sweep solves its grid before the channel draw.
-    """
-    curve = harvest_curve(protocol, cfg)
-    consumed = total_consumption(p_static, protocol, cfg).total
-    # First value whose harvest covers consumption, ties included; an index
-    # past the end means even the full allocation falls short.
-    return min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
-
-
-def _optimize(
-    protocol: str, p_static: float, cfg: ScenarioConfig, trials: TrialChannels
-) -> AllocationResult:
-    value = allocation_value(protocol, p_static, cfg)
-    return estimate_averages(protocol, value, p_static, cfg, trials)
-
-
-def optimize_time_splitting(
-    p_static: float, cfg: ScenarioConfig, trials: TrialChannels
-) -> AllocationResult:
+def optimize_time_splitting(p_static: float, cfg: ScenarioConfig) -> AllocationResult:
     """Best number of harvesting slots: the smallest one meeting the constraint.
 
     The rate falls linearly in eh_slots while the harvest grows, so the
@@ -257,12 +235,10 @@ def optimize_time_splitting(
     maximizes the average rate. Reports the full post-preamble interval with
     INFEASIBLE status when even that cannot cover consumption.
     """
-    return _optimize(TIME_SPLITTING, p_static, cfg, trials)
+    return _solve(TIME_SPLITTING, p_static, cfg)
 
 
-def optimize_uc_splitting(
-    p_static: float, cfg: ScenarioConfig, trials: TrialChannels
-) -> AllocationResult:
+def optimize_uc_splitting(p_static: float, cfg: ScenarioConfig) -> AllocationResult:
     """Best number of harvesting UCs: the smallest one meeting the constraint.
 
     Fewer harvesting UCs leave a larger coherent sum, so the smallest k whose
@@ -270,4 +246,4 @@ def optimize_uc_splitting(
     Reports k = m_s with INFEASIBLE status when even the whole surface cannot
     cover consumption.
     """
-    return _optimize(UC_SPLITTING, p_static, cfg, trials)
+    return _solve(UC_SPLITTING, p_static, cfg)

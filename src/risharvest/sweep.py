@@ -10,10 +10,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import optimizer
 from .optimizer import (
     FEASIBLE,
     INFEASIBLE,
-    allocation_value,
     draw_trials,
     optimize_time_splitting,
     optimize_uc_splitting,
@@ -140,15 +140,15 @@ def run_sweep(
 ) -> int:
     """Optimize both protocols at every grid point and write the CSV.
 
-    ``seed`` and ``trials`` override the scenario file. One channel draw set
-    is shared across all grid points and both protocols, which keeps rate
-    curves free of re-sampling noise and the output reproducible. The
-    allocations depend on the harvest curves alone, so the grid is solved
-    before the draw, and the draw keeps only the prefix columns those
-    allocations read: the UC-splitting k of each point, and the full-surface
-    sum that time splitting reads. Raises ConfigValidationError before the
-    draw when ``e_rec`` makes the ``dyn_over_static`` column overflow on this
-    grid.
+    ``seed`` and ``trials`` override the scenario file. The allocations
+    depend on the harvest curves alone, so every (point, protocol) is solved
+    once before any channel draw. One draw set then keeps only the prefix
+    columns those solves read (the UC-splitting k of each point, and the
+    full-surface sum that time splitting reads), and the rate of each
+    distinct (protocol, allocation) is estimated once on it. Sharing the
+    draws across the grid keeps rate curves free of re-sampling noise and the
+    output reproducible. Raises ConfigValidationError before the draw when
+    ``e_rec`` makes the ``dyn_over_static`` column overflow on this grid.
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
     if seed is not None:
@@ -164,28 +164,31 @@ def run_sweep(
             f"e_rec = {cfg.e_rec!r} J gives a dynamic power of {p_worst!r} W, whose ratio to "
             f"p_static = {p_low!r} W overflows dyn_over_static"
         )
-    rng = np.random.default_rng(cfg.rng_seed)
-    uc_values = {allocation_value(UC_SPLITTING, p_static, cfg) for p_static in grid}
-    trial_set = draw_trials(cfg, rng, columns=uc_values)
+    solves = [
+        (p_static, solve(p_static, cfg))
+        for p_static in grid
+        for solve in (optimize_time_splitting, optimize_uc_splitting)
+    ]
+    uc_values = {r.optimal_allocation for _, r in solves if r.protocol == UC_SPLITTING}
+    trial_set = draw_trials(cfg, np.random.default_rng(cfg.rng_seed), columns=uc_values)
+    keys = dict.fromkeys((r.protocol, r.optimal_allocation) for _, r in solves)
+    # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
+    rates = {key: optimizer.estimate_averages(*key, cfg, trial_set) for key in keys}
     rows = []
-    for p_static in grid:
-        for protocol, optimize in (
-            (TIME_SPLITTING, optimize_time_splitting),
-            (UC_SPLITTING, optimize_uc_splitting),
-        ):
-            result = optimize(p_static, cfg, trials=trial_set)
-            rows.append(
-                SweepRow(
-                    p_static=p_static,
-                    protocol=protocol,
-                    status=result.status,
-                    optimal_allocation=result.optimal_allocation,
-                    average_rate=result.average_rate,
-                    rate_ci=result.rate_ci_halfwidth,
-                    p_dynamic=p_dyn[protocol],
-                    dyn_over_static=p_dyn[protocol] / p_static if p_static > 0.0 else None,
-                )
+    for p_static, result in solves:
+        rate, ci = rates[result.protocol, result.optimal_allocation]
+        rows.append(
+            SweepRow(
+                p_static=p_static,
+                protocol=result.protocol,
+                status=result.status,
+                optimal_allocation=result.optimal_allocation,
+                average_rate=rate,
+                rate_ci=ci,
+                p_dynamic=p_dyn[result.protocol],
+                dyn_over_static=p_dyn[result.protocol] / p_static if p_static > 0.0 else None,
             )
+        )
     rows.sort(key=lambda r: (r.p_static, r.protocol))
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle)

@@ -207,6 +207,28 @@ def test_harvest_empty_set():
             assert dc.shape == (n + 1,) and dc[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "p_uc, n, message",
+    [
+        (1e-3, -1, "UC count n "),
+        (1e-3, 2.5, "UC count n "),
+        (1e-3, True, "UC count n "),
+        (1e-3, np.float64(3.0), "UC count n "),
+        (1e-3, "3", "UC count n "),
+        (-1e-3, 3, "absorbed power p_uc "),
+        (float("nan"), 3, "absorbed power p_uc "),
+        (float("inf"), 3, "absorbed power p_uc "),
+        (True, 3, "absorbed power p_uc "),
+    ],
+    ids=["n_negative", "n_fraction", "n_bool", "n_float", "n_str",
+         "p_negative", "p_nan", "p_inf", "p_bool"],
+)
+def test_harvest_rejects_bad_arguments(cfg, p_uc, n, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        harvest(p_uc, n, cfg)
+    assert harvest(1e-3, np.int64(3), cfg).tolist() == harvest(1e-3, 3, cfg).tolist()
+
+
 def test_harvest_monotone_in_appended_ucs(rng):
     # appending absorbing UCs never shifts existing chain boundaries, so the
     # DC total is nondecreasing for any chain size, also around the sensitivity

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from risharvest import (
     optimize_uc_splitting,
     rectify,
     sample_amplitudes,
+    total_consumption,
 )
 from risharvest.optimizer import harvest_curve
 
@@ -33,12 +35,13 @@ def exhaustive_best(protocol, p_static, cfg, trials):
     Ties break toward the smaller value because the scan ascends.
     """
     vmax = cfg.frame_slots - cfg.preamble_slots if protocol == TIME_SPLITTING else cfg.m_s
+    consumed = total_consumption(p_static, protocol, cfg).total
     best = None
     for v in range(vmax + 1):
-        est = estimate_averages(protocol, v, p_static, cfg, trials=trials)
-        if est.avg_harvested_power >= est.avg_consumed_power:
-            if best is None or est.average_rate > best[1]:
-                best = (v, est.average_rate)
+        if chain_harvest_power(protocol, v, cfg) >= consumed:
+            rate, _ = estimate_averages(protocol, v, cfg, trials)
+            if best is None or rate > best[1]:
+                best = (v, rate)
     return best
 
 
@@ -79,32 +82,28 @@ def fresh_curves():
 
 def test_estimate_averages_deterministic(cfg):
     fast = dataclasses.replace(cfg, mc_trials=64)
-    a = estimate_averages(
-        TIME_SPLITTING, 100, 1e-5, fast, draw_trials(fast, np.random.default_rng(9))
-    )
-    b = estimate_averages(
-        TIME_SPLITTING, 100, 1e-5, fast, draw_trials(fast, np.random.default_rng(9))
-    )
+    a = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, np.random.default_rng(9)))
+    b = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, np.random.default_rng(9)))
     assert a == b
 
 
 def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
     fast = dataclasses.replace(los_cfg, mc_trials=16)
     trials = draw_trials(fast, np.random.default_rng(1))
-    est = estimate_averages(TIME_SPLITTING, 0, 0.0, fast, trials)
+    rate, ci = estimate_averages(TIME_SPLITTING, 0, fast, trials)
     expected = 0.9 * fast.bandwidth * np.log2(1.0 + oracle_full_surface_snr(fast))
-    assert est.average_rate == pytest.approx(expected, rel=1e-9)
-    assert est.rate_ci_halfwidth == pytest.approx(0.0, abs=1e-3)
+    assert rate == pytest.approx(expected, rel=1e-9)
+    assert ci == pytest.approx(0.0, abs=1e-3)
 
 
 def test_estimate_averages_ci_small_at_default_trials(cfg):
     trials = draw_trials(cfg, np.random.default_rng(2))
-    est = estimate_averages(TIME_SPLITTING, 0, 0.0, cfg, trials)
-    assert est.rate_ci_halfwidth / est.average_rate < 0.01
+    rate, ci = estimate_averages(TIME_SPLITTING, 0, cfg, trials)
+    assert ci / rate < 0.01
 
 
 def test_estimate_averages_matches_frame_engine(cfg, rng):
-    """Dual route: vectorized evaluation vs. the per-frame oracle on the same draws."""
+    """Dual route: rate, harvest and consumption vs. the per-frame oracle on the same draws."""
     n, seed = 50, 555
     configs = [
         *random_small_configs(rng),
@@ -122,12 +121,14 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
             vmax = harvest_curve(protocol, config).size - 1
             for value in sorted({0, 1, vmax // 2, vmax}):
                 p_static = float(10 ** rng.uniform(-7, -3))
-                est = estimate_averages(protocol, value, p_static, config, trials)
+                rate, _ = estimate_averages(protocol, value, config, trials)
+                harvest = harvest_curve(protocol, config)[value]
+                consumed = total_consumption(p_static, protocol, config).total
                 frames = [frame_oracle(protocol, value, row, p_static, config) for row in rows]
-                rates, harvested, consumed = zip(*frames)
-                assert est.average_rate == pytest.approx(np.mean(rates), rel=1e-10)
-                assert est.avg_harvested_power == pytest.approx(harvested[0] / frame, rel=1e-10)
-                assert est.avg_consumed_power == pytest.approx(consumed[0] / frame, rel=1e-10)
+                rates, harvests, consumptions = zip(*frames)
+                assert rate == pytest.approx(np.mean(rates), rel=1e-10)
+                assert harvest == pytest.approx(harvests[0] / frame, rel=1e-10)
+                assert consumed == pytest.approx(consumptions[0] / frame, rel=1e-10)
 
 
 @pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
@@ -174,6 +175,14 @@ def test_bad_prefix_columns_are_rejected(cfg, bad):
         draw_trials(cfg, np.random.default_rng(1), n_trials=2, columns=[3, bad])
 
 
+@pytest.mark.parametrize("bad", [2.5, np.float64(4.9), True, "3", 0, -1])
+def test_bad_trial_counts_are_rejected(cfg, bad):
+    message = f"n_trials must be an integer >= 1, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        draw_trials(cfg, np.random.default_rng(1), n_trials=bad)
+    assert draw_trials(cfg, np.random.default_rng(1), n_trials=np.int64(2)).n_trials == 2
+
+
 def test_undrawn_prefix_column_is_rejected(small_cfg):
     # with e_rec = 0 the consumed power is the static input, so a curve entry
     # where the curve rises puts the UC-splitting optimum exactly there
@@ -181,17 +190,17 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     curve = harvest_curve(UC_SPLITTING, free)
     k = int(np.flatnonzero(curve[1:-1] > curve[:-2])[0]) + 1
     p_static = float(curve[k])
+    assert optimize_uc_splitting(p_static, free).optimal_allocation == k
     trials = draw_trials(free, np.random.default_rng(16), n_trials=8, columns=[0])
-    message = f"^prefix column k = {k} was not drawn$"
-    with pytest.raises(ValueError, match=message):
-        estimate_averages(UC_SPLITTING, k, p_static, free, trials)
-    with pytest.raises(ValueError, match=message):
-        optimize_uc_splitting(p_static, free, trials)
+    with pytest.raises(ValueError, match=f"^prefix column k = {k} was not drawn$"):
+        estimate_averages(UC_SPLITTING, k, free, trials)
     # time splitting reads only the full-surface sum, which every draw keeps
     full = draw_trials(free, np.random.default_rng(16), n_trials=8)
-    ts = optimize_time_splitting(p_static, free, trials)
-    assert ts == optimize_time_splitting(p_static, free, full)
-    assert ts.optimal_allocation > 0
+    ts = optimize_time_splitting(p_static, free).optimal_allocation
+    assert ts > 0
+    assert estimate_averages(TIME_SPLITTING, ts, free, trials) == estimate_averages(
+        TIME_SPLITTING, ts, free, full
+    )
 
 
 def test_column_draw_memory_is_one_chunk():
@@ -211,33 +220,32 @@ def test_column_draw_memory_is_one_chunk():
 
 def test_unconstrained_case_allocates_nothing(cfg):
     free = dataclasses.replace(cfg, e_rec=0.0, mc_trials=32)
-    ts = optimize_time_splitting(0.0, free, draw_trials(free, np.random.default_rng(4)))
+    ts = optimize_time_splitting(0.0, free)
     assert ts.status == FEASIBLE and ts.optimal_allocation == 0
-    uc = optimize_uc_splitting(0.0, free, draw_trials(free, np.random.default_rng(4)))
+    uc = optimize_uc_splitting(0.0, free)
     assert uc.status == FEASIBLE and uc.optimal_allocation == 0
-    assert ts.average_rate == pytest.approx(uc.average_rate, rel=1e-12)
+    trials = draw_trials(free, np.random.default_rng(4))
+    ts_rate, _ = estimate_averages(TIME_SPLITTING, 0, free, trials)
+    uc_rate, _ = estimate_averages(UC_SPLITTING, 0, free, trials)
+    assert ts_rate == pytest.approx(uc_rate, rel=1e-12)
 
 
 def test_absurd_static_power_is_infeasible(cfg):
-    fast = dataclasses.replace(cfg, mc_trials=32)
-    result = optimize_time_splitting(1.0, fast, draw_trials(fast, np.random.default_rng(5)))
+    result = optimize_time_splitting(1.0, cfg)
     assert result.status == INFEASIBLE
-    assert result.optimal_allocation == fast.frame_slots - fast.preamble_slots
+    assert result.optimal_allocation == cfg.frame_slots - cfg.preamble_slots
     assert result.avg_harvested_power < result.avg_consumed_power
 
 
 @pytest.mark.parametrize("p_static", [float("nan"), float("inf")])
 def test_invalid_static_power_rejected(cfg, p_static):
-    fast = dataclasses.replace(cfg, mc_trials=8)
-    trials = draw_trials(fast, np.random.default_rng(5))
     for _, optimize in OPTIMIZERS:
         with pytest.raises(ValueError, match="static power"):
-            optimize(p_static, fast, trials)
+            optimize(p_static, cfg)
 
 
 def test_feasible_result_satisfies_constraint(cfg):
-    fast = dataclasses.replace(cfg, mc_trials=32)
-    result = optimize_uc_splitting(5e-4, fast, draw_trials(fast, np.random.default_rng(6)))
+    result = optimize_uc_splitting(5e-4, cfg)
     assert result.status == FEASIBLE
     assert result.avg_harvested_power >= result.avg_consumed_power
 
@@ -285,12 +293,13 @@ def test_curve_lookup_matches_exhaustive_scan(small_cfg):
     for _ in range(20):
         p_static = float(10 ** prng.uniform(-6, -3))
         for protocol, optimize in OPTIMIZERS:
-            result = optimize(p_static, small_cfg, trials=trials)
+            result = optimize(p_static, small_cfg)
             scan = exhaustive_best(protocol, p_static, small_cfg, trials)
             if result.status == FEASIBLE:
                 assert scan is not None
                 assert scan[0] == result.optimal_allocation
-                assert scan[1] == pytest.approx(result.average_rate, rel=1e-12)
+                rate, _ = estimate_averages(protocol, result.optimal_allocation, small_cfg, trials)
+                assert scan[1] == pytest.approx(rate, rel=1e-12)
             else:
                 assert scan is None
 
@@ -298,29 +307,27 @@ def test_curve_lookup_matches_exhaustive_scan(small_cfg):
 def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
     # with e_rec = 0 the consumed power is exactly the static input
     free = dataclasses.replace(small_cfg, e_rec=0.0)
-    trials = draw_trials(free, np.random.default_rng(12), n_trials=8)
     for protocol, optimize in OPTIMIZERS:
         curve = harvest_curve(protocol, free)
         # interior values where the curve rises; the top edge has its own test
         rises = np.flatnonzero(curve[1:-1] > curve[:-2]) + 1
         for v in rises[:: max(1, rises.size // 10)]:
-            result = optimize(float(curve[v]), free, trials=trials)
+            result = optimize(float(curve[v]), free)
             assert (result.status, result.optimal_allocation) == (FEASIBLE, v)
             assert result.avg_harvested_power == result.avg_consumed_power
-            above = optimize(float(np.nextafter(curve[v], np.inf)), free, trials=trials)
+            above = optimize(float(np.nextafter(curve[v], np.inf)), free)
             assert above.optimal_allocation > v
 
 
 def test_lookup_edges_zero_static_power_and_full_allocation(small_cfg):
     free = dataclasses.replace(small_cfg, e_rec=0.0)
-    trials = draw_trials(free, np.random.default_rng(13), n_trials=8)
     for protocol, optimize in OPTIMIZERS:
         curve = harvest_curve(protocol, free)
         vmax = curve.size - 1
-        result = optimize(0.0, free, trials=trials)
+        result = optimize(0.0, free)
         assert (result.status, result.optimal_allocation) == (FEASIBLE, 0)
-        assert optimize(float(curve[vmax]), free, trials=trials).status == FEASIBLE
-        result = optimize(float(np.nextafter(curve[vmax], np.inf)), free, trials=trials)
+        assert optimize(float(curve[vmax]), free).status == FEASIBLE
+        result = optimize(float(np.nextafter(curve[vmax], np.inf)), free)
         assert (result.status, result.optimal_allocation) == (INFEASIBLE, vmax)
         assert result.avg_harvested_power < result.avg_consumed_power
 
@@ -334,10 +341,9 @@ def test_broken_harvest_curve_is_rejected(
     monkeypatch, fresh_curves, small_cfg, fake_rectify, bad_index
 ):
     monkeypatch.setattr(risharvest.harvesting, "rectify", fake_rectify)
-    trials = draw_trials(small_cfg, np.random.default_rng(14), n_trials=4)
     for protocol, optimize in OPTIMIZERS:
         with pytest.raises(ValueError, match=f"^{protocol} .* at allocation {bad_index}$"):
-            optimize(1e-5, small_cfg, trials=trials)
+            optimize(1e-5, small_cfg)
 
 
 def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
@@ -345,9 +351,9 @@ def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
     monkeypatch.setattr(risharvest.optimizer, "coherent_snr",
                         lambda amplitude, cfg: np.full(np.shape(amplitude), np.inf))
     trials = draw_trials(small_cfg, np.random.default_rng(15), n_trials=4)
-    for protocol, optimize in OPTIMIZERS:
-        with pytest.raises(ValueError, match=f"^{protocol} at p_static = 1e-05 W: .* not finite"):
-            optimize(1e-5, small_cfg, trials=trials)
+    for protocol in (TIME_SPLITTING, UC_SPLITTING):
+        with pytest.raises(ValueError, match=f"^{protocol} at allocation 3: .* not finite"):
+            estimate_averages(protocol, 3, small_cfg, trials)
 
 
 @pytest.mark.parametrize(
@@ -381,40 +387,44 @@ def test_uc_splitting_dominates_at_common_static_power(cfg):
     fast = dataclasses.replace(cfg, mc_trials=500)
     trials = draw_trials(fast, np.random.default_rng(8))
     for p_static in (1e-6, 1e-4, 8e-4):
-        ts = optimize_time_splitting(p_static, fast, trials=trials)
-        uc = optimize_uc_splitting(p_static, fast, trials=trials)
+        ts = optimize_time_splitting(p_static, fast)
+        uc = optimize_uc_splitting(p_static, fast)
         assert ts.status == uc.status == FEASIBLE
-        assert uc.average_rate >= ts.average_rate
+        ts_rate, _ = estimate_averages(TIME_SPLITTING, ts.optimal_allocation, fast, trials)
+        uc_rate, _ = estimate_averages(UC_SPLITTING, uc.optimal_allocation, fast, trials)
+        assert uc_rate >= ts_rate
 
 
 def test_feasibility_range_ordering(cfg):
     # max harvest is identical at full allocation while UC splitting spends
     # less dynamic power, so its feasible static-power range extends at
     # least as far
-    fast = dataclasses.replace(cfg, mc_trials=16)
-    trials = draw_trials(fast, np.random.default_rng(10))
-    max_harvest_ts = harvest_curve(TIME_SPLITTING, fast)[9000]
-    max_harvest_uc = harvest_curve(UC_SPLITTING, fast)[fast.m_s]
+    max_harvest_ts = harvest_curve(TIME_SPLITTING, cfg)[9000]
+    max_harvest_uc = harvest_curve(UC_SPLITTING, cfg)[cfg.m_s]
     assert max_harvest_uc == max_harvest_ts
     for p_static in np.linspace(1e-4, 3e-3, 13):
-        ts = optimize_time_splitting(float(p_static), fast, trials=trials)
-        uc = optimize_uc_splitting(float(p_static), fast, trials=trials)
+        ts = optimize_time_splitting(float(p_static), cfg)
+        uc = optimize_uc_splitting(float(p_static), cfg)
         if ts.status == FEASIBLE:
             assert uc.status == FEASIBLE
 
 
 def test_same_seed_same_result(cfg):
     fast = dataclasses.replace(cfg, mc_trials=128)
-    a = optimize_uc_splitting(1e-4, fast, draw_trials(fast, np.random.default_rng(77)))
-    b = optimize_uc_splitting(1e-4, fast, draw_trials(fast, np.random.default_rng(77)))
+    solve = optimize_uc_splitting(1e-4, fast)
+    assert solve == optimize_uc_splitting(1e-4, fast)
+    a = estimate_averages(UC_SPLITTING, solve.optimal_allocation, fast,
+                          draw_trials(fast, np.random.default_rng(77)))
+    b = estimate_averages(UC_SPLITTING, solve.optimal_allocation, fast,
+                          draw_trials(fast, np.random.default_rng(77)))
     assert a == b
 
 
 def test_trials_for_another_surface_are_rejected(cfg):
     small = draw_trials(dataclasses.replace(cfg, ris_cols=5, ris_rows=5), np.random.default_rng(3))
-    for _, optimize in OPTIMIZERS:
+    for protocol in (TIME_SPLITTING, UC_SPLITTING):
         with pytest.raises(ValueError, match="drawn for 25 UCs, the configuration has 225"):
-            optimize(1e-6, cfg, small)
+            estimate_averages(protocol, 0, cfg, small)
 
 
 def test_allocation_value_bounds_checked(cfg):
@@ -425,5 +435,7 @@ def test_allocation_value_bounds_checked(cfg):
         for bad in (-1, vmax + 1, True, 3.0, "3", None):
             message = rf"^allocation value must be an integer in \[0, {vmax}\], got {bad!r}$"
             with pytest.raises(ValueError, match=message):
-                estimate_averages(protocol, bad, 0.0, fast, trials=trials)
-        assert estimate_averages(protocol, np.int64(3), 0.0, fast, trials).optimal_allocation == 3
+                estimate_averages(protocol, bad, fast, trials)
+        assert estimate_averages(protocol, np.int64(3), fast, trials) == estimate_averages(
+            protocol, 3, fast, trials
+        )

@@ -412,6 +412,43 @@ def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_
     assert len(calls) == 2
 
 
+def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
+    # the solves read no draw, so every (point, protocol) is solved once
+    # before the single draw, and each distinct (protocol, value) is
+    # estimated once after it
+    calls = []
+
+    def recording(name, function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            calls.append((name, args, result))
+            return result
+
+        return wrapper
+
+    for module, name in [
+        (risharvest.sweep, "optimize_time_splitting"),
+        (risharvest.sweep, "optimize_uc_splitting"),
+        (risharvest.sweep, "draw_trials"),
+        (risharvest.optimizer, "estimate_averages"),
+    ]:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    spec = small_spec(start=1e-7, stop=1e-2, points=12)  # both sides of the feasibility edge
+    run_sweep(None, spec, tmp_path / "sweep.csv", trials=8)
+    names = [name for name, _, _ in calls]
+    assert names.count("draw_trials") == 1
+    draw = names.index("draw_trials")
+    solves = [(name, args[0]) for name, args, _ in calls[:draw]]
+    expected = [(name, float(p)) for p in spec.grid()
+                for name in ("optimize_time_splitting", "optimize_uc_splitting")]
+    assert sorted(solves) == sorted(expected)
+    assert set(names[draw + 1 :]) == {"estimate_averages"}
+    estimates = [args[:2] for _, args, _ in calls[draw + 1 :]]
+    values = {(result.protocol, result.optimal_allocation) for _, _, result in calls[:draw]}
+    assert sorted(estimates) == sorted(values)
+    assert len(estimates) < len(solves)
+
+
 def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
     # np.unique and np.union1d import numpy.ma on first use, which costs time
     # and memory at start-up
