@@ -24,9 +24,11 @@ def sample_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> 
 
     |g_i| = sqrt(E[|g|^2]) |sqrt(K/(K+1)) + sigma (x_i + j y_i)| with x, y
     standard normal and sigma^2 = 1/(2(K+1)) per component. The normals are
-    drawn as one trial-major (n, 2, m_s) block, so consecutive calls continue
+    drawn as one trial-major (n, 2, m_s) array, so consecutive calls continue
     one stream: n draws equal the first n of any longer draw from the same
-    state. An infinite K gives sigma = 0, the pure LoS gain exactly.
+    state. ``draw_trials`` relies on this inside each trial block, whose
+    chunks are consecutive calls on the block's own generator. An infinite K
+    gives sigma = 0, the pure LoS gain exactly.
     """
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)

@@ -22,10 +22,17 @@ power against the curve, with no channel draw. The estimate
 one set of channel draws (common random numbers). A sweep solves its whole
 grid first, draws once keeping only the prefix columns those solves read,
 and estimates each distinct allocation once.
+
+The draw (``draw_trials``) takes an integer seed. Each block of trials has
+its own random stream keyed by the seed and the block index, and the blocks
+are drawn on a few threads, so the draw uses every core while its values
+depend on the seed alone, not on how many threads drew them.
 """
 
 import functools
 import math
+import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -42,8 +49,12 @@ INFEASIBLE = "infeasible"
 
 # Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
 # A chunk's temporaries stay a few hundred KB beside the prefix, so the
-# draw's peak memory is the prefix plus one chunk.
+# draw's peak memory is the prefix plus one chunk per drawing thread.
 _DRAW_CHUNK_VALUES = 1 << 14
+# Trials per block of draw_trials; each block has its own random stream.
+_DRAW_BLOCK_TRIALS = 512
+# Most threads one draw runs on, the calling thread included.
+_DRAW_MAX_THREADS = 8
 
 
 @dataclass(frozen=True)
@@ -89,22 +100,32 @@ class TrialChannels:
 
 def draw_trials(
     cfg: ScenarioConfig,
-    rng: np.random.Generator,
+    seed: int,
     n_trials: Optional[int] = None,
     *,
     columns=None,
 ) -> TrialChannels:
     """Draw the Monte-Carlo channel set once (deterministic for a fixed seed).
 
-    ``columns`` lists the prefix columns k in 0..m_s to keep; m_s is always
-    kept, and None keeps every column. A sweep passes the k its grid solves
-    read, so the prefix holds (n_trials, distinct k + 1) values, not
-    (n_trials, m_s + 1). The amplitudes are drawn with ``sample_amplitudes``
-    in chunks of trials. Each chunk is summed in place and only the kept
-    columns are copied into the prefix, so a stored value is the same bit for
-    bit whichever columns are kept. The sampler's stream is trial-major, so
-    the first t trials are the same for any trial count and any chunk size.
+    ``seed`` is an integer in [0, 2^64), as ``rng_seed``. ``columns`` lists
+    the prefix columns k in 0..m_s to keep; m_s is always kept, and None
+    keeps every column. A sweep passes the k its grid solves read, so the
+    prefix holds (n_trials, distinct k + 1) values, not (n_trials, m_s + 1).
+
+    Trial block b, trials [b B, (b + 1) B) with B = ``_DRAW_BLOCK_TRIALS``,
+    draws from its own generator, ``PCG64(SeedSequence(seed, spawn_key=(b,)))``.
+    Within a block the amplitudes are drawn with ``sample_amplitudes`` in
+    chunks of trials; each chunk is summed in place and only the kept columns
+    are copied into the block's rows, so a stored value is the same bit for
+    bit whichever columns are kept. Blocks are shared out among up to
+    ``_DRAW_MAX_THREADS`` threads, the calling one included, capped by the
+    CPUs this process may run on; numpy releases the GIL while it fills the
+    normals. A row depends only on the seed, B and its trial index: not on
+    the trial count, the chunk size, the thread count or which thread drew it.
+    An exception in any block is raised here once every thread has stopped.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     n = cfg.mc_trials if n_trials is None else n_trials
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n_trials must be an integer >= 1, got {n!r}")
@@ -121,11 +142,43 @@ def draw_trials(
     skip = 1 if kept[0] == 0 else 0
     gather = np.array(kept[skip:]) - 1
     prefix = np.zeros((n, len(kept)))
-    chunk = max(1, _DRAW_CHUNK_VALUES // m_s)
-    for t0 in range(0, n, chunk):
-        amp = sample_amplitudes(cfg, rng, min(chunk, n - t0))
-        np.cumsum(amp, axis=1, out=amp)
-        prefix[t0 : t0 + amp.shape[0], skip:] = amp[:, gather]
+    chunk, block = max(1, _DRAW_CHUNK_VALUES // m_s), _DRAW_BLOCK_TRIALS
+    blocks = -(-n // block)
+
+    def fill(b: int) -> None:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        stop = min(n, (b + 1) * block)
+        for t0 in range(b * block, stop, chunk):
+            amp = sample_amplitudes(cfg, rng, min(chunk, stop - t0))
+            np.cumsum(amp, axis=1, out=amp)
+            prefix[t0 : t0 + amp.shape[0], skip:] = amp[:, gather]
+
+    pending, lock, errors = iter(range(blocks)), threading.Lock(), []
+
+    def work() -> None:
+        try:
+            while not errors:
+                with lock:
+                    b = next(pending, None)
+                if b is None:
+                    return
+                fill(b)
+        except BaseException as exc:  # raised by the caller once every thread is joined
+            errors.append(exc)
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = min(cpus, blocks, _DRAW_MAX_THREADS)
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
     return TrialChannels(amp_prefix=prefix, columns=tuple(kept))
 
 

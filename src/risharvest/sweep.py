@@ -146,9 +146,11 @@ def run_sweep(
     columns those solves read (the UC-splitting k of each point, and the
     full-surface sum that time splitting reads), and the rate of each
     distinct (protocol, allocation) is estimated once on it. Sharing the
-    draws across the grid keeps rate curves free of re-sampling noise and the
-    output reproducible. Raises ConfigValidationError before the draw when
-    ``e_rec`` makes the ``dyn_over_static`` column overflow on this grid.
+    draws across the grid keeps rate curves free of re-sampling noise. The
+    draw is keyed by ``rng_seed`` and the trial block alone, so the CSV is
+    the same byte for byte on any number of cores. Raises
+    ConfigValidationError before the draw when ``e_rec`` makes the
+    ``dyn_over_static`` column overflow on this grid.
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
     if seed is not None:
@@ -170,7 +172,7 @@ def run_sweep(
         for solve in (optimize_time_splitting, optimize_uc_splitting)
     ]
     uc_values = {r.optimal_allocation for _, r in solves if r.protocol == UC_SPLITTING}
-    trial_set = draw_trials(cfg, np.random.default_rng(cfg.rng_seed), columns=uc_values)
+    trial_set = draw_trials(cfg, cfg.rng_seed, columns=uc_values)
     keys = dict.fromkeys((r.protocol, r.optimal_allocation) for _, r in solves)
     # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
     rates = {key: optimizer.estimate_averages(*key, cfg, trial_set) for key in keys}
@@ -224,18 +226,25 @@ def read_rows(csv_path) -> list[SweepRow]:
 
 
 def summarize(csv_path) -> str:
-    """Per-protocol feasibility thresholds, best rates, and the rate gap."""
+    """Per-protocol feasibility thresholds, best rates, and the rate gap.
+
+    A protocol still feasible at the largest p_static of the CSV is marked
+    as such: its feasibility edge lies beyond the grid, not at its end.
+    """
     rows = read_rows(csv_path)
     lines = []
     feasible = {p: [r for r in rows if r.protocol == p and r.status == FEASIBLE] for p in PROTOCOLS}
+    grid_end = max(r.p_static for r in rows)
     for protocol in PROTOCOLS:
         if not feasible[protocol]:
             lines.append(f"{protocol}: no feasible operating point")
             continue
         threshold = max(r.p_static for r in feasible[protocol])
         best = max(r.average_rate for r in feasible[protocol])
+        beyond = (" (the last grid point; the feasibility edge lies beyond the grid)"
+                  if threshold == grid_end else "")
         lines.append(
-            f"{protocol}: feasible up to p_static = {threshold:.3e} W, "
+            f"{protocol}: feasible up to p_static = {threshold:.3e} W{beyond}, "
             f"max avg rate = {best:.4e} bit/s"
         )
     if not any(feasible.values()):

@@ -40,6 +40,11 @@ def rng():
     return np.random.default_rng(20240614)
 
 
+def block_rng(seed, block):
+    """The generator of trial block ``block`` in a ``draw_trials`` call with ``seed``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
+
+
 def oracle_free_space_gain(cfg):
     """Hand evaluation of the TX-to-UC absorption fraction."""
     wavelength = C_LIGHT / cfg.carrier_frequency

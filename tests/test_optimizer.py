@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +27,7 @@ from risharvest import (
 )
 from risharvest.optimizer import harvest_curve
 
-from conftest import frame_oracle, oracle_full_surface_snr, per_chain_oracle
+from conftest import block_rng, frame_oracle, oracle_full_surface_snr, per_chain_oracle
 
 OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
 
@@ -82,14 +85,14 @@ def fresh_curves():
 
 def test_estimate_averages_deterministic(cfg):
     fast = dataclasses.replace(cfg, mc_trials=64)
-    a = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, np.random.default_rng(9)))
-    b = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, np.random.default_rng(9)))
+    a = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, 9))
+    b = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, 9))
     assert a == b
 
 
 def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
     fast = dataclasses.replace(los_cfg, mc_trials=16)
-    trials = draw_trials(fast, np.random.default_rng(1))
+    trials = draw_trials(fast, 1)
     rate, ci = estimate_averages(TIME_SPLITTING, 0, fast, trials)
     expected = 0.9 * fast.bandwidth * np.log2(1.0 + oracle_full_surface_snr(fast))
     assert rate == pytest.approx(expected, rel=1e-9)
@@ -97,7 +100,7 @@ def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
 
 
 def test_estimate_averages_ci_small_at_default_trials(cfg):
-    trials = draw_trials(cfg, np.random.default_rng(2))
+    trials = draw_trials(cfg, 2)
     rate, ci = estimate_averages(TIME_SPLITTING, 0, cfg, trials)
     assert ci / rate < 0.01
 
@@ -114,8 +117,9 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
     ]
     assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
     for config in configs:
-        trials = draw_trials(config, np.random.default_rng(seed), n_trials=n)
-        rows = sample_amplitudes(config, np.random.default_rng(seed), n)
+        trials = draw_trials(config, seed, n_trials=n)
+        # n trials fit in block 0, so the rows are block 0's stream
+        rows = sample_amplitudes(config, block_rng(seed, 0), n)
         frame = config.frame_slots * config.slot_duration
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
             vmax = harvest_curve(protocol, config).size - 1
@@ -135,25 +139,105 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
 def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chunk_values):
     if chunk_values is not None:
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
-    # 200 trials of 225 UCs span three default chunks of 72 trials
-    fast = dataclasses.replace(cfg, mc_trials=200)
-    seed = 556
-    full = draw_trials(fast, np.random.default_rng(seed)).amp_prefix
-    head = draw_trials(fast, np.random.default_rng(seed), n_trials=7).amp_prefix
-    assert np.array_equal(full[:7], head)
-    # the prefix is the running sum of the sampler's rows, bit for bit
-    amp = sample_amplitudes(fast, np.random.default_rng(seed), fast.mc_trials)
+    # 1200 trials of 225 UCs are blocks of 512, 512 and 176 trials, each
+    # spanning several default chunks of 72 trials
+    fast = dataclasses.replace(cfg, mc_trials=1200)
+    seed, size = 556, risharvest.optimizer._DRAW_BLOCK_TRIALS
+    full = draw_trials(fast, seed).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
-    assert np.array_equal(full[:, 1:], np.cumsum(amp, axis=1))
+    # block b's rows are the running sum of the sampler's rows from block b's
+    # generator, bit for bit
+    for b, t0 in enumerate(range(0, fast.mc_trials, size)):
+        rows = min(size, fast.mc_trials - t0)
+        amp = sample_amplitudes(fast, block_rng(seed, b), rows)
+        assert np.array_equal(full[t0 : t0 + rows, 1:], np.cumsum(amp, axis=1))
+    # the first t trials are the same for any trial count
+    for t in (1, 7, size, size + 1, 1100):
+        assert np.array_equal(draw_trials(fast, seed, n_trials=t).amp_prefix, full[:t])
+
+
+class CpuCount:
+    """Patch the CPUs ``draw_trials`` sees and its thread cap, and record the
+    threads that draw; each thread's first draw waits until ``expected``
+    threads are drawing, so fewer threads than that fail the draw."""
+
+    def __init__(self, monkeypatch, cpus, max_threads, expected, raise_in=None):
+        self.threads, self.raise_in, self._lock = set(), raise_in, threading.Lock()
+        self._barrier = threading.Barrier(expected, timeout=10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", max_threads)
+        monkeypatch.setattr(risharvest.optimizer, "sample_amplitudes", self.sample)
+
+    def sample(self, cfg, rng, n):
+        thread = threading.current_thread()
+        with self._lock:
+            first = thread not in self.threads
+            self.threads.add(thread)
+        if first:
+            self._barrier.wait()
+        if self.raise_in is not None and self.raise_in(rng, thread):
+            raise RuntimeError("sampler failed")
+        return sample_amplitudes(cfg, rng, n)
+
+
+@pytest.mark.parametrize(
+    "cpus, max_threads, trials, expected",
+    [(8, 1, 1200, 1), (8, 2, 1200, 2), (8, 3, 1200, 3), (1, 8, 1200, 1), (8, 8, 1024, 2)],
+    ids=["cap_1", "cap_2", "cap_3", "one_cpu", "two_blocks"],
+)
+def test_draw_threads_write_the_one_thread_prefix(
+    monkeypatch, cfg, cpus, max_threads, trials, expected
+):
+    fast = dataclasses.replace(cfg, mc_trials=trials)
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
+    one = draw_trials(fast, 558, columns=[0, 5, 100]).amp_prefix
+    counted = CpuCount(monkeypatch, cpus, max_threads, expected)
+    drawn = draw_trials(fast, 558, columns=[0, 5, 100]).amp_prefix
+    assert len(counted.threads) == expected
+    assert np.array_equal(drawn, one)
+
+
+def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg):
+    # more threads than cores, 75 blocks of 4 trials and a short switch
+    # interval: a block that no thread draws would leave its rows at zero
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_BLOCK_TRIALS", 4)
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
+    one = draw_trials(small_cfg, 560, n_trials=300).amp_prefix
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(draw_trials(small_cfg, 560, n_trials=300).amp_prefix, one)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "raise_in",
+    [
+        lambda rng, thread: rng.bit_generator.seed_seq.spawn_key == (2,),
+        lambda rng, thread: thread is not threading.main_thread(),
+    ],
+    ids=["last_block", "worker_threads"],
+)
+def test_draw_raises_a_failed_block_after_joining_its_threads(monkeypatch, cfg, raise_in):
+    fast = dataclasses.replace(cfg, mc_trials=1200)
+    before = threading.active_count()
+    CpuCount(monkeypatch, 3, 3, 3, raise_in)
+    with pytest.raises(RuntimeError, match="^sampler failed$"):
+        draw_trials(fast, 559)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
 def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_values):
     if chunk_values is not None:
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
-    fast = dataclasses.replace(cfg, mc_trials=150)
+    fast = dataclasses.replace(cfg, mc_trials=600)  # two blocks
     m_s, seed = fast.m_s, 557
-    full = draw_trials(fast, np.random.default_rng(seed))
+    full = draw_trials(fast, seed)
     assert full.columns == tuple(range(m_s + 1))
     cases = [
         ([], [m_s]),
@@ -163,7 +247,7 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_value
         (range(m_s + 1), list(range(m_s + 1))),
     ]
     for columns, kept in cases:
-        trials = draw_trials(fast, np.random.default_rng(seed), columns=columns)
+        trials = draw_trials(fast, seed, columns=columns)
         assert trials.columns == tuple(kept)
         assert (trials.n_trials, trials.m_s) == (fast.mc_trials, m_s)
         assert np.array_equal(trials.amp_prefix, full.amp_prefix[:, kept])
@@ -172,15 +256,27 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_value
 @pytest.mark.parametrize("bad", [-1, 226, True, 3.0, "3", None])
 def test_bad_prefix_columns_are_rejected(cfg, bad):
     with pytest.raises(ValueError, match=r"^prefix columns must be integers in \[0, 225\], got "):
-        draw_trials(cfg, np.random.default_rng(1), n_trials=2, columns=[3, bad])
+        draw_trials(cfg, 1, n_trials=2, columns=[3, bad])
 
 
 @pytest.mark.parametrize("bad", [2.5, np.float64(4.9), True, "3", 0, -1])
 def test_bad_trial_counts_are_rejected(cfg, bad):
     message = f"n_trials must be an integer >= 1, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        draw_trials(cfg, np.random.default_rng(1), n_trials=bad)
-    assert draw_trials(cfg, np.random.default_rng(1), n_trials=np.int64(2)).n_trials == 2
+        draw_trials(cfg, 1, n_trials=bad)
+    assert draw_trials(cfg, 1, n_trials=np.int64(2)).n_trials == 2
+
+
+@pytest.mark.parametrize(
+    "bad", [True, 1.0, -1, 2**64, np.random.default_rng(1)],
+    ids=["bool", "float", "negative", "2^64", "generator"],
+)
+def test_bad_seeds_are_rejected(cfg, bad):
+    message = f"seed must be an integer in [0, 2^64), got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        draw_trials(cfg, bad, n_trials=2)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert draw_trials(cfg, seed, n_trials=2).n_trials == 2
 
 
 def test_undrawn_prefix_column_is_rejected(small_cfg):
@@ -191,11 +287,11 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     k = int(np.flatnonzero(curve[1:-1] > curve[:-2])[0]) + 1
     p_static = float(curve[k])
     assert optimize_uc_splitting(p_static, free).optimal_allocation == k
-    trials = draw_trials(free, np.random.default_rng(16), n_trials=8, columns=[0])
+    trials = draw_trials(free, 16, n_trials=8, columns=[0])
     with pytest.raises(ValueError, match=f"^prefix column k = {k} was not drawn$"):
         estimate_averages(UC_SPLITTING, k, free, trials)
     # time splitting reads only the full-surface sum, which every draw keeps
-    full = draw_trials(free, np.random.default_rng(16), n_trials=8)
+    full = draw_trials(free, 16, n_trials=8)
     ts = optimize_time_splitting(p_static, free).optimal_allocation
     assert ts > 0
     assert estimate_averages(TIME_SPLITTING, ts, free, trials) == estimate_averages(
@@ -207,10 +303,10 @@ def test_column_draw_memory_is_one_chunk():
     # a 60 x 60 surface keeping two columns: the full (500, 3601) prefix would
     # be 13.7 MiB, the kept one is 8 KB beside one chunk's temporaries
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
-    draw_trials(cfg, np.random.default_rng(17), n_trials=1, columns=[0, 3600])
+    draw_trials(cfg, 17, n_trials=1, columns=[0, 3600])
     tracemalloc.start()
     try:
-        trials = draw_trials(cfg, np.random.default_rng(17), columns=[0, 3600])
+        trials = draw_trials(cfg, 17, columns=[0, 3600])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,7 +320,7 @@ def test_unconstrained_case_allocates_nothing(cfg):
     assert ts.status == FEASIBLE and ts.optimal_allocation == 0
     uc = optimize_uc_splitting(0.0, free)
     assert uc.status == FEASIBLE and uc.optimal_allocation == 0
-    trials = draw_trials(free, np.random.default_rng(4))
+    trials = draw_trials(free, 4)
     ts_rate, _ = estimate_averages(TIME_SPLITTING, 0, free, trials)
     uc_rate, _ = estimate_averages(UC_SPLITTING, 0, free, trials)
     assert ts_rate == pytest.approx(uc_rate, rel=1e-12)
@@ -288,7 +384,7 @@ def test_saturated_chains_keep_curve_monotone():
 
 
 def test_curve_lookup_matches_exhaustive_scan(small_cfg):
-    trials = draw_trials(small_cfg, np.random.default_rng(99))
+    trials = draw_trials(small_cfg, 99)
     prng = np.random.default_rng(7)
     for _ in range(20):
         p_static = float(10 ** prng.uniform(-6, -3))
@@ -350,7 +446,7 @@ def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
     # validation bounds the SNR, so only a broken rate formula reaches this guard
     monkeypatch.setattr(risharvest.optimizer, "coherent_snr",
                         lambda amplitude, cfg: np.full(np.shape(amplitude), np.inf))
-    trials = draw_trials(small_cfg, np.random.default_rng(15), n_trials=4)
+    trials = draw_trials(small_cfg, 15, n_trials=4)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         with pytest.raises(ValueError, match=f"^{protocol} at allocation 3: .* not finite"):
             estimate_averages(protocol, 3, small_cfg, trials)
@@ -385,7 +481,7 @@ def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
 
 def test_uc_splitting_dominates_at_common_static_power(cfg):
     fast = dataclasses.replace(cfg, mc_trials=500)
-    trials = draw_trials(fast, np.random.default_rng(8))
+    trials = draw_trials(fast, 8)
     for p_static in (1e-6, 1e-4, 8e-4):
         ts = optimize_time_splitting(p_static, fast)
         uc = optimize_uc_splitting(p_static, fast)
@@ -414,14 +510,14 @@ def test_same_seed_same_result(cfg):
     solve = optimize_uc_splitting(1e-4, fast)
     assert solve == optimize_uc_splitting(1e-4, fast)
     a = estimate_averages(UC_SPLITTING, solve.optimal_allocation, fast,
-                          draw_trials(fast, np.random.default_rng(77)))
+                          draw_trials(fast, 77))
     b = estimate_averages(UC_SPLITTING, solve.optimal_allocation, fast,
-                          draw_trials(fast, np.random.default_rng(77)))
+                          draw_trials(fast, 77))
     assert a == b
 
 
 def test_trials_for_another_surface_are_rejected(cfg):
-    small = draw_trials(dataclasses.replace(cfg, ris_cols=5, ris_rows=5), np.random.default_rng(3))
+    small = draw_trials(dataclasses.replace(cfg, ris_cols=5, ris_rows=5), 3)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         with pytest.raises(ValueError, match="drawn for 25 UCs, the configuration has 225"):
             estimate_averages(protocol, 0, cfg, small)
@@ -429,7 +525,7 @@ def test_trials_for_another_surface_are_rejected(cfg):
 
 def test_allocation_value_bounds_checked(cfg):
     fast = dataclasses.replace(cfg, mc_trials=8)
-    trials = draw_trials(fast, np.random.default_rng(1))
+    trials = draw_trials(fast, 1)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         vmax = harvest_curve(protocol, fast).size - 1
         for bad in (-1, vmax + 1, True, 3.0, "3", None):

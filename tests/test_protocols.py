@@ -22,11 +22,11 @@ from risharvest import (
 from risharvest.channel import coherent_snr
 from risharvest.optimizer import harvest_curve
 
-from conftest import oracle_full_surface_snr
+from conftest import block_rng, oracle_full_surface_snr
 
 
 def few_trials(cfg, seed=20240614, n=8):
-    return draw_trials(cfg, np.random.default_rng(seed), n_trials=n)
+    return draw_trials(cfg, seed, n_trials=n)
 
 
 def test_time_splitting_bounds_checked(cfg):
@@ -64,7 +64,7 @@ def test_time_splitting_no_harvest(cfg):
     n, seed = 8, 3
     rate, _ = estimate_averages(TIME_SPLITTING, 0, cfg, few_trials(cfg, seed, n))
     assert harvest_curve(TIME_SPLITTING, cfg)[0] == 0.0
-    rows = sample_amplitudes(cfg, np.random.default_rng(seed), n)
+    rows = sample_amplitudes(cfg, block_rng(seed, 0), n)
     snrs = [coherent_snr(float(row.sum()), cfg) for row in rows]
     expected = np.mean([0.9 * cfg.bandwidth * math.log2(1.0 + snr) for snr in snrs])
     assert rate == pytest.approx(expected, rel=1e-12)

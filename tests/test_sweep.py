@@ -160,6 +160,24 @@ def test_summarize_reports_gap_and_thresholds(fast_config_path, tmp_path):
     assert gaps and all(g >= 0.0 for g in gaps)
 
 
+@pytest.mark.parametrize(
+    "stop, beyond",
+    [(1e-3, {"time_splitting", "uc_splitting"}), (3e-3, set())],
+    ids=["edges_beyond_the_grid", "edges_inside_the_grid"],
+)
+def test_summarize_marks_an_edge_beyond_the_grid(tmp_path, stop, beyond):
+    # the default edges are 1.66 mW (time splitting) and 1.75 mW (UC splitting)
+    out = tmp_path / "sweep.csv"
+    run_sweep(None, small_spec(stop=stop, points=7), out, trials=8)
+    lines = {line.split(":")[0]: line for line in summarize(out).splitlines()}
+    for protocol in ("time_splitting", "uc_splitting"):
+        marked = "(the last grid point; the feasibility edge lies beyond the grid)"
+        assert "feasible up to p_static = " in lines[protocol]
+        assert (marked in lines[protocol]) == (protocol in beyond)
+        if protocol in beyond:
+            assert f"p_static = {stop:.3e} W {marked}" in lines[protocol]
+
+
 def test_summarize_all_infeasible(tmp_path):
     out = tmp_path / "dead.csv"
     path = tmp_path / "cfg.txt"
@@ -383,9 +401,9 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
     draw_trials = risharvest.sweep.draw_trials
     kept = []
 
-    def full_draw(cfg, rng, n_trials=None, *, columns=None):
+    def full_draw(cfg, seed, n_trials=None, *, columns=None):
         kept.append(sorted(set(columns)))
-        return draw_trials(cfg, rng, n_trials)
+        return draw_trials(cfg, seed, n_trials)
 
     run_sweep(config, spec, tmp_path / "columns.csv")
     monkeypatch.setattr(risharvest.sweep, "draw_trials", full_draw)
@@ -393,6 +411,18 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     uc_rows = [row for row in read_rows(tmp_path / "full.csv") if row.protocol == "uc_splitting"]
     assert kept == [sorted({row.optimal_allocation for row in uc_rows})]
+
+
+def test_sweep_csv_does_not_depend_on_the_draw_threads(monkeypatch, tmp_path):
+    # 1100 trials are three blocks: the default draws them on as many
+    # threads as this machine's CPUs allow, then 1 and 3 threads are forced
+    spec = small_spec(points=4)
+    run_sweep(None, spec, tmp_path / "default.csv", trials=1100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for threads in (1, 3):
+        monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", threads)
+        run_sweep(None, spec, tmp_path / f"{threads}.csv", trials=1100)
+        assert (tmp_path / f"{threads}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
 def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_path):
