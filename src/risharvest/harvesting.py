@@ -11,13 +11,7 @@ absorbed power comes from the link budget that ``ScenarioConfig`` derives.
 
 import numpy as np
 
-from .scenario import (
-    LINEAR_CLIPPED,
-    RectifierModel,
-    ScenarioConfig,
-    db_to_linear,
-    is_finite_number,
-)
+from .scenario import LINEAR_CLIPPED, RectifierModel, ScenarioConfig, db_to_linear
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -52,25 +46,21 @@ def rectify(p_rf, model: RectifierModel):
     return float(out) if out.ndim == 0 else out
 
 
-def harvest(p_uc: float, n: int, cfg: ScenarioConfig) -> np.ndarray:
-    """DC-combined power (W) when the first k of ``n`` UCs each absorb ``p_uc``.
+def harvest(cfg: ScenarioConfig) -> np.ndarray:
+    """DC-combined power (W) when the first k of the m_s UCs absorb.
 
-    Returns the (n + 1,) array over k = 0..n. The k UCs fill k // chain_size
-    whole chains and one chain of k % chain_size UCs; every fill is derated
-    by the RF combining loss and rectified in one call. Whole chains add up
-    as a running sum, so the array stays nondecreasing when they saturate.
+    Returns the (m_s + 1,) array over k = 0..m_s, each UC absorbing
+    ``cfg.uc_absorbed_power``. The k UCs fill k // chain_size whole chains
+    and one chain of k % chain_size UCs; every fill is derated by the RF
+    combining loss and rectified in one call. Whole chains add up as a
+    running sum, so the array stays nondecreasing when they saturate.
     Combining assumes phase-aligned inputs. Multiply by a duration for energy.
-    Raises ValueError when ``n`` is not an integer >= 0 (a bool is not) or
-    ``p_uc`` is not a finite number >= 0.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"UC count n must be an integer >= 0, got {n!r}")
-    if not (is_finite_number(p_uc) and p_uc >= 0.0):
-        raise ValueError(f"absorbed power p_uc must be a finite number >= 0 W, got {p_uc!r}")
-    size = min(cfg.chain_size, max(n, 1))  # n = 0 gives [0.0]
-    rf = np.arange(size + 1) * p_uc * db_to_linear(-cfg.rf_combining_loss_db)
+    m_s = cfg.m_s
+    size = min(cfg.chain_size, m_s)
+    rf = np.arange(size + 1) * cfg.uc_absorbed_power * db_to_linear(-cfg.rf_combining_loss_db)
     fill = rectify(rf, cfg.rectifier)
-    chains, rest = np.divmod(np.arange(n + 1), size)
+    chains, rest = np.divmod(np.arange(m_s + 1), size)
     dc = np.concatenate(([0.0], np.cumsum(np.full(chains[-1], fill[size]))))[chains]
     dc += fill[rest]
     dc *= cfg.dc_combining_efficiency

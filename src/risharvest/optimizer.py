@@ -23,9 +23,11 @@ one set of channel draws (common random numbers). A sweep solves its whole
 grid first, draws once keeping only the prefix columns those solves read,
 and estimates each distinct allocation once.
 
-The draw (``draw_trials``) takes an integer seed. Each block of trials has
-its own random stream keyed by the seed and the block index, and the blocks
-are drawn on a few threads, so the draw uses every core while its values
+The draw (``draw_trials``) reads its seed and trial count from the
+configuration and keeps that configuration, so an estimate always reads the
+configuration its draw was made for. Each block of trials has its own random
+stream keyed by the seed and the block index, and a large draw shares its
+blocks out among a few threads, so it uses every core while its values
 depend on the seed alone, not on how many threads drew them.
 """
 
@@ -35,7 +37,6 @@ import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -55,6 +56,9 @@ _DRAW_CHUNK_VALUES = 1 << 14
 _DRAW_BLOCK_TRIALS = 512
 # Most threads one draw runs on, the calling thread included.
 _DRAW_MAX_THREADS = 8
+# Fewest amplitudes (trials x UCs) a draw shares out among threads; a smaller
+# draw runs on the calling thread alone, which saves the threads' memory.
+_DRAW_THREAD_MIN_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,17 +76,19 @@ class AllocationResult:
 class TrialChannels:
     """Amplitude sums of a fixed set of channel draws, shared across candidates.
 
-    Column j of ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k =
-    ``columns[j]`` for each draw in row-major UC order, so the coherent
-    amplitude over the complement of the first k UCs is ``amp_total`` minus
-    that column. ``columns`` is sorted and always ends with m_s, whose column
-    is the full-surface sum. A full draw keeps every k in 0..m_s; a sweep
-    solves its grid from the harvest curves first and keeps only the k those
-    solves read. Only amplitudes are drawn, because no computed quantity
-    depends on the common LoS phase (see ``channel``).
+    ``cfg`` is the configuration the draws were made for. Column j of
+    ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k = ``columns[j]`` for
+    each draw in row-major UC order, so the coherent amplitude over the
+    complement of the first k UCs is ``amp_total`` minus that column.
+    ``columns`` is sorted and always ends with ``cfg.m_s``, whose column is
+    the full-surface sum. A full draw keeps every k in 0..m_s; a sweep solves
+    its grid from the harvest curves first and keeps only the k those solves
+    read. Only amplitudes are drawn, because no computed quantity depends on
+    the common LoS phase (see ``channel``).
     """
 
-    amp_prefix: np.ndarray  # (n_trials, len(columns))
+    cfg: ScenarioConfig
+    amp_prefix: np.ndarray  # (cfg.mc_trials, len(columns))
     columns: tuple[int, ...]
 
     @property
@@ -90,46 +96,32 @@ class TrialChannels:
         return self.amp_prefix.shape[0]
 
     @property
-    def m_s(self) -> int:
-        return self.columns[-1]
-
-    @property
     def amp_total(self) -> np.ndarray:
         return self.amp_prefix[:, -1]
 
 
-def draw_trials(
-    cfg: ScenarioConfig,
-    seed: int,
-    n_trials: Optional[int] = None,
-    *,
-    columns=None,
-) -> TrialChannels:
-    """Draw the Monte-Carlo channel set once (deterministic for a fixed seed).
+def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
+    """Draw ``cfg.mc_trials`` channels once, seeded by ``cfg.rng_seed``.
 
-    ``seed`` is an integer in [0, 2^64), as ``rng_seed``. ``columns`` lists
-    the prefix columns k in 0..m_s to keep; m_s is always kept, and None
-    keeps every column. A sweep passes the k its grid solves read, so the
-    prefix holds (n_trials, distinct k + 1) values, not (n_trials, m_s + 1).
+    ``columns`` lists the prefix columns k in 0..m_s to keep; m_s is always
+    kept, and None keeps every column. A sweep passes the k its grid solves
+    read, so the prefix holds (mc_trials, distinct k + 1) values, not
+    (mc_trials, m_s + 1).
 
     Trial block b, trials [b B, (b + 1) B) with B = ``_DRAW_BLOCK_TRIALS``,
-    draws from its own generator, ``PCG64(SeedSequence(seed, spawn_key=(b,)))``.
+    draws from its own generator, ``PCG64(SeedSequence(rng_seed, spawn_key=(b,)))``.
     Within a block the amplitudes are drawn with ``sample_amplitudes`` in
     chunks of trials; each chunk is summed in place and only the kept columns
     are copied into the block's rows, so a stored value is the same bit for
-    bit whichever columns are kept. Blocks are shared out among up to
+    bit whichever columns are kept. A draw of at least
+    ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares its blocks out among up to
     ``_DRAW_MAX_THREADS`` threads, the calling one included, capped by the
     CPUs this process may run on; numpy releases the GIL while it fills the
     normals. A row depends only on the seed, B and its trial index: not on
     the trial count, the chunk size, the thread count or which thread drew it.
     An exception in any block is raised here once every thread has stopped.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    n = cfg.mc_trials if n_trials is None else n_trials
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n_trials must be an integer >= 1, got {n!r}")
-    m_s = cfg.m_s
+    n, m_s, seed = cfg.mc_trials, cfg.m_s, cfg.rng_seed
     if columns is None:
         kept = list(range(m_s + 1))
     else:
@@ -170,7 +162,7 @@ def draw_trials(
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    threads = min(cpus, blocks, _DRAW_MAX_THREADS)
+    threads = min(cpus, blocks, _DRAW_MAX_THREADS) if n * m_s >= _DRAW_THREAD_MIN_VALUES else 1
     workers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for worker in workers:
         worker.start()
@@ -179,7 +171,7 @@ def draw_trials(
         worker.join()
     if errors:
         raise errors[0]
-    return TrialChannels(amp_prefix=prefix, columns=tuple(kept))
+    return TrialChannels(cfg=cfg, amp_prefix=prefix, columns=tuple(kept))
 
 
 def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
@@ -202,7 +194,7 @@ def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
     the optimizer's lookup relies on both.
     """
     vmax = _allocation_bounds(protocol, cfg)
-    dc = harvest(cfg.uc_absorbed_power, cfg.m_s, cfg)
+    dc = harvest(cfg)
     # Built in place, so that no full-length temporaries pile up.
     if protocol == TIME_SPLITTING:
         curve = np.arange(vmax + 1, dtype=float)
@@ -223,24 +215,22 @@ def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
     return curve
 
 
-def estimate_averages(
-    protocol: str, value: int, cfg: ScenarioConfig, trials: TrialChannels
-) -> tuple[float, float]:
+def estimate_averages(protocol: str, value: int, trials: TrialChannels) -> tuple[float, float]:
     """Monte-Carlo average rate (bit/s) of one allocation value and its 95% CI half-width.
 
     The rate is averaged over ``trials``, one draw set that callers reuse
-    across allocation values (common random numbers); the CI is the
-    normal-approximation half-width. Raises ValueError when ``value`` is not
-    an integer in 0..vmax (a bool is not), when ``trials`` was drawn for
-    another surface size, when it lacks the prefix column of a UC-splitting
-    value, or when the link budget makes the average rate or its CI overflow.
+    across allocation values (common random numbers), under the
+    configuration it was drawn for; the CI is the normal-approximation
+    half-width. Raises ValueError when ``value`` is not an integer in
+    0..vmax (a bool is not), when ``trials`` lacks the prefix column of a
+    UC-splitting value, or when the link budget makes the average rate or
+    its CI overflow.
     """
+    cfg = trials.cfg
     vmax = _allocation_bounds(protocol, cfg)
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not (integer and 0 <= value <= vmax):
         raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
-    if trials.m_s != cfg.m_s:
-        raise ValueError(f"trials were drawn for {trials.m_s} UCs, the configuration has {cfg.m_s}")
     if protocol == TIME_SPLITTING:
         payload_slots = cfg.frame_slots - cfg.preamble_slots - value
         amplitude = trials.amp_total

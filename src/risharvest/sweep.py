@@ -172,10 +172,10 @@ def run_sweep(
         for solve in (optimize_time_splitting, optimize_uc_splitting)
     ]
     uc_values = {r.optimal_allocation for _, r in solves if r.protocol == UC_SPLITTING}
-    trial_set = draw_trials(cfg, cfg.rng_seed, columns=uc_values)
+    trial_set = draw_trials(cfg, columns=uc_values)
     keys = dict.fromkeys((r.protocol, r.optimal_allocation) for _, r in solves)
     # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
-    rates = {key: optimizer.estimate_averages(*key, cfg, trial_set) for key in keys}
+    rates = {key: optimizer.estimate_averages(*key, trial_set) for key in keys}
     rows = []
     for p_static, result in solves:
         rate, ci = rates[result.protocol, result.optimal_allocation]
@@ -203,23 +203,29 @@ def run_sweep(
 def read_rows(csv_path) -> list[SweepRow]:
     """Parse a sweep CSV back into rows.
 
-    Raises SweepCsvError naming the line and the column of a malformed cell
-    or of a value no sweep writes."""
+    Raises SweepCsvError naming the file: with the line and the column of a
+    malformed cell or of a value no sweep writes, with the line of a record
+    the csv module rejects (such as a field over its size limit), and alone
+    for text that does not decode."""
     path = Path(csv_path)
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SweepCsvError(f"{path}: empty file") from None
-        if header != CSV_HEADER:
-            raise SweepCsvError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for record in reader:
-            try:
-                rows.append(SweepRow.from_record(record))
-            except SweepCsvError as exc:
-                raise SweepCsvError(f"{path}, line {reader.line_num}: {exc}") from None
+            header = next(reader, None)
+            if header is None:
+                raise SweepCsvError(f"{path}: empty file")
+            if header != CSV_HEADER:
+                raise SweepCsvError(f"{path}: unexpected header {header!r}")
+            rows = []
+            for record in reader:
+                try:
+                    rows.append(SweepRow.from_record(record))
+                except SweepCsvError as exc:
+                    raise SweepCsvError(f"{path}, line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise SweepCsvError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SweepCsvError(f"{path}: {exc}") from None
     if not rows:
         raise SweepCsvError(f"{path}: no data rows")
     return rows

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from risharvest import TIME_SPLITTING, ScenarioConfig, rectify
+from risharvest import TIME_SPLITTING, ScenarioConfig, draw_trials, rectify
 
 # Independent constants for oracle arithmetic (kept separate from the package).
 C_LIGHT = 2.99792458e8
@@ -38,6 +38,22 @@ def small_cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240614)
+
+
+def draw(cfg, seed, n=None, columns=None):
+    """``draw_trials`` of ``cfg`` with ``rng_seed = seed`` and ``n`` trials (cfg's if None)."""
+    trials = cfg.mc_trials if n is None else n
+    return draw_trials(dataclasses.replace(cfg, rng_seed=seed, mc_trials=trials), columns=columns)
+
+
+def absorbing_config(p_uc, m_s, **fields):
+    """A 1 x ``m_s`` surface whose UCs each absorb ``p_uc`` W, up to rounding.
+
+    The TX power is scaled to give the per-UC absorbed power; ``fields`` set
+    the others, except the surface size and TX power.
+    """
+    gain = ScenarioConfig(**fields).free_space_uc_gain
+    return ScenarioConfig(ris_cols=m_s, ris_rows=1, tx_power=p_uc / gain, **fields)
 
 
 def block_rng(seed, block):

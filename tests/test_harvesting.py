@@ -6,57 +6,59 @@ from hypothesis import given, settings, strategies as st
 
 from risharvest import (
     RectifierModel,
-    ScenarioConfig,
     harvest,
     rectify,
 )
 
-from conftest import per_chain_oracle
+from conftest import absorbing_config, per_chain_oracle
 
 
 def test_partition_exact_division():
     # 2 uW per UC is below the 10 uW sensitivity alone but not in chains of 9
-    cfg = ScenarioConfig(chain_size=9)
+    cfg = absorbing_config(2e-6, 225, chain_size=9)
     eta = cfg.rectifier.efficiency
-    assert harvest(2e-6, 225, cfg)[-1] == pytest.approx(25 * eta * 9 * 2e-6, rel=1e-12)
-    assert not harvest(2e-6, 225, ScenarioConfig(chain_size=1)).any()
+    assert harvest(cfg)[-1] == pytest.approx(25 * eta * 9 * 2e-6, rel=1e-12)
+    assert not harvest(absorbing_config(2e-6, 225, chain_size=1)).any()
 
 
 def test_partition_remainder_group():
     # 10 UCs of 3 uW in chains of 4 form chains of 12, 12 and 6 uW: only the
     # short one stays below the 10 uW sensitivity
-    cfg = ScenarioConfig(chain_size=4)
+    cfg = absorbing_config(3e-6, 10, chain_size=4)
     eta = cfg.rectifier.efficiency
-    assert harvest(3e-6, 10, cfg)[10] == pytest.approx(eta * 24e-6, rel=1e-12)
+    assert harvest(cfg)[10] == pytest.approx(eta * 24e-6, rel=1e-12)
     sigmoidal = dataclasses.replace(cfg, rectifier=RectifierModel(kind="sigmoidal"))
-    expected = sum(rectify(p, sigmoidal.rectifier) for p in (12e-6, 12e-6, 6e-6))
-    assert harvest(3e-6, 10, sigmoidal)[10] == pytest.approx(expected, rel=1e-12)
+    p = sigmoidal.uc_absorbed_power
+    expected = sum(rectify(n * p, sigmoidal.rectifier) for n in (4, 4, 2))
+    assert harvest(sigmoidal)[10] == pytest.approx(expected, rel=1e-12)
 
 
 def test_partition_empty():
+    # no absorbing UC forms no chain, even where one UC would saturate it
     for chain_size in (1, 4, 9, 225):
-        assert harvest(3e-3, 0, ScenarioConfig(chain_size=chain_size)).tolist() == [0.0]
+        assert harvest(absorbing_config(3e-3, 225, chain_size=chain_size))[0] == 0.0
 
 
 def test_one_chain_lossless_sum():
     # one chain of 3 UCs in the linear region: DC = efficiency * summed RF
-    cfg = ScenarioConfig(chain_size=3)
-    assert harvest(1e-5, 3, cfg)[3] == pytest.approx(0.3 * 3e-5, rel=1e-12)
+    cfg = absorbing_config(1e-5, 3, chain_size=3)
+    assert harvest(cfg)[3] == pytest.approx(0.3 * 3e-5, rel=1e-12)
 
 
 def test_one_chain_half_power_loss():
-    cfg = ScenarioConfig(chain_size=3, rf_combining_loss_db=3.0103)
-    assert harvest(1e-5, 3, cfg)[3] == pytest.approx(0.3 * 1.5e-5, rel=1e-4)
+    cfg = absorbing_config(1e-5, 3, chain_size=3, rf_combining_loss_db=3.0103)
+    assert harvest(cfg)[3] == pytest.approx(0.3 * 1.5e-5, rel=1e-4)
 
 
 def test_entry_k_does_not_depend_on_surface_size():
     # UCs past the first k add nothing to entry k, even where the surface is
     # smaller than one chain
     for kind in ("linear_clipped", "sigmoidal"):
-        cfg = ScenarioConfig(chain_size=4, rectifier=RectifierModel(kind=kind))
-        full = harvest(3e-3, 12, cfg)
-        for n in range(12):
-            assert harvest(3e-3, n, cfg).tolist() == full[: n + 1].tolist()
+        rectifier = RectifierModel(kind=kind)
+        full = harvest(absorbing_config(3e-3, 12, chain_size=4, rectifier=rectifier))
+        for n in range(1, 12):
+            cfg = absorbing_config(3e-3, n, chain_size=4, rectifier=rectifier)
+            assert harvest(cfg).tolist() == full[: n + 1].tolist()
 
 
 def test_rectify_linear_region():
@@ -139,15 +141,17 @@ def test_rectifier_validation():
 
 def test_harvest_matches_per_chain_oracle(rng):
     for _ in range(100):
-        cfg = ScenarioConfig(
+        fields = dict(
             chain_size=int(rng.integers(1, 12)),
             rf_combining_loss_db=float(rng.uniform(0.0, 6.0)),
             dc_combining_efficiency=float(rng.uniform(0.5, 1.0)),
             rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
         )
-        p, n = float(rng.uniform(0.0, 3e-3)), int(rng.integers(0, 40))
-        dc = harvest(p, n, cfg)
+        n = int(rng.integers(1, 40))
+        cfg = absorbing_config(float(rng.uniform(0.0, 3e-3)), n, **fields)
+        dc = harvest(cfg)
         assert dc.shape == (n + 1,)
+        p = cfg.uc_absorbed_power
         expected = [per_chain_oracle(np.full(k, p), cfg) for k in range(n + 1)]
         assert dc == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
@@ -169,76 +173,51 @@ def test_array_rectify_matches_scalar(kind, powers, negative, at):
         rectify(broken, model)
 
 
-def test_harvest_linear_regime_closed_form(cfg):
+def test_harvest_linear_regime_closed_form():
     # uniform power, lossless combining: every fill of every chain lies inside
     # the linear region, so the harvest is linear in k
-    p = 3e-5
-    eta = cfg.rectifier.efficiency
-    assert harvest(p, 225, cfg) == pytest.approx(eta * np.arange(226) * p, rel=1e-12, abs=0.0)
+    cfg = absorbing_config(3e-5, 225)
+    eta, p = cfg.rectifier.efficiency, cfg.uc_absorbed_power
+    assert harvest(cfg) == pytest.approx(eta * np.arange(226) * p, rel=1e-12, abs=0.0)
 
 
 def test_harvest_dc_combining_efficiency():
-    cfg = ScenarioConfig(dc_combining_efficiency=0.8)
-    p = 3e-5
-    assert harvest(p, 225, cfg)[-1] == pytest.approx(0.8 * 0.3 * 225 * p, rel=1e-12)
+    cfg = absorbing_config(3e-5, 225, dc_combining_efficiency=0.8)
+    assert harvest(cfg)[-1] == pytest.approx(0.8 * 0.3 * 225 * 3e-5, rel=1e-12)
 
 
 def test_harvest_below_sensitivity_single_uc_chains():
-    cfg = ScenarioConfig(chain_size=1)
-    assert not harvest(0.5e-5, 225, cfg).any()  # sensitivity is 1e-5
+    cfg = absorbing_config(0.5e-5, 225, chain_size=1)
+    assert not harvest(cfg).any()  # sensitivity is 1e-5
 
 
 def test_chain_size_tradeoff_extremes():
     # the same sub-sensitivity per-UC power harvests nothing on single-UC
     # chains but something when all UCs feed one rectifier
-    per_uc = 0.5e-5
-    single = ScenarioConfig(chain_size=1)
-    combined = ScenarioConfig(chain_size=225)
-    assert harvest(per_uc, 225, single)[-1] == 0.0
-    assert harvest(per_uc, 225, combined)[-1] > 0.0
+    single = absorbing_config(0.5e-5, 225, chain_size=1)
+    combined = absorbing_config(0.5e-5, 225, chain_size=225)
+    assert harvest(single)[-1] == 0.0
+    assert harvest(combined)[-1] > 0.0
 
 
 def test_harvest_empty_set():
     # no absorbing UC harvests exactly nothing, for any surface and rectifier
     for kind in ("linear_clipped", "sigmoidal"):
-        cfg = ScenarioConfig(rectifier=RectifierModel(kind=kind))
-        for n in (0, 5, 225):
-            dc = harvest(1e-3, n, cfg)
+        for n in (1, 5, 225):
+            dc = harvest(absorbing_config(1e-3, n, rectifier=RectifierModel(kind=kind)))
             assert dc.shape == (n + 1,) and dc[0] == 0.0
-
-
-@pytest.mark.parametrize(
-    "p_uc, n, message",
-    [
-        (1e-3, -1, "UC count n "),
-        (1e-3, 2.5, "UC count n "),
-        (1e-3, True, "UC count n "),
-        (1e-3, np.float64(3.0), "UC count n "),
-        (1e-3, "3", "UC count n "),
-        (-1e-3, 3, "absorbed power p_uc "),
-        (float("nan"), 3, "absorbed power p_uc "),
-        (float("inf"), 3, "absorbed power p_uc "),
-        (True, 3, "absorbed power p_uc "),
-    ],
-    ids=["n_negative", "n_fraction", "n_bool", "n_float", "n_str",
-         "p_negative", "p_nan", "p_inf", "p_bool"],
-)
-def test_harvest_rejects_bad_arguments(cfg, p_uc, n, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        harvest(p_uc, n, cfg)
-    assert harvest(1e-3, np.int64(3), cfg).tolist() == harvest(1e-3, 3, cfg).tolist()
 
 
 def test_harvest_monotone_in_appended_ucs(rng):
     # appending absorbing UCs never shifts existing chain boundaries, so the
     # DC total is nondecreasing for any chain size, also around the sensitivity
     for _ in range(300):
-        cfg = ScenarioConfig(chain_size=int(rng.integers(1, 12)))
+        chain_size = int(rng.integers(1, 12))
         p = float(rng.uniform(0.0, 3e-5))
-        n = int(rng.integers(1, 60))
-        cut = int(rng.integers(0, n))
-        small = harvest(p, cut, cfg)[-1]
-        full = harvest(p, n, cfg)[-1]
+        n = int(rng.integers(2, 60))
+        cut = int(rng.integers(1, n))
+        small = harvest(absorbing_config(p, cut, chain_size=chain_size))[-1]
+        full = harvest(absorbing_config(p, n, chain_size=chain_size))[-1]
         assert full >= small - 1e-18
 
 
@@ -246,9 +225,10 @@ def test_harvest_monotone_in_set_size_uniform_power(rng):
     # far-field absorption is uniform across UCs, so growing the absorbing set
     # never hurts, below sensitivity, in the linear region and in saturation
     for _ in range(300):
-        cfg = ScenarioConfig(
+        fields = dict(
             chain_size=int(rng.integers(1, 12)),
             rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
         )
         p = float(10 ** rng.uniform(-7.0, 0.0))
-        assert np.all(np.diff(harvest(p, int(rng.integers(0, 200)), cfg)) >= 0.0)
+        cfg = absorbing_config(p, int(rng.integers(1, 200)), **fields)
+        assert np.all(np.diff(harvest(cfg)) >= 0.0)

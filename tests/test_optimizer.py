@@ -17,7 +17,6 @@ from risharvest import (
     UC_SPLITTING,
     RectifierModel,
     ScenarioConfig,
-    draw_trials,
     estimate_averages,
     optimize_time_splitting,
     optimize_uc_splitting,
@@ -27,7 +26,7 @@ from risharvest import (
 )
 from risharvest.optimizer import harvest_curve
 
-from conftest import block_rng, frame_oracle, oracle_full_surface_snr, per_chain_oracle
+from conftest import block_rng, draw, frame_oracle, oracle_full_surface_snr, per_chain_oracle
 
 OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
 
@@ -42,7 +41,7 @@ def exhaustive_best(protocol, p_static, cfg, trials):
     best = None
     for v in range(vmax + 1):
         if chain_harvest_power(protocol, v, cfg) >= consumed:
-            rate, _ = estimate_averages(protocol, v, cfg, trials)
+            rate, _ = estimate_averages(protocol, v, trials)
             if best is None or rate > best[1]:
                 best = (v, rate)
     return best
@@ -85,23 +84,23 @@ def fresh_curves():
 
 def test_estimate_averages_deterministic(cfg):
     fast = dataclasses.replace(cfg, mc_trials=64)
-    a = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, 9))
-    b = estimate_averages(TIME_SPLITTING, 100, fast, draw_trials(fast, 9))
+    a = estimate_averages(TIME_SPLITTING, 100, draw(fast, 9))
+    b = estimate_averages(TIME_SPLITTING, 100, draw(fast, 9))
     assert a == b
 
 
 def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
     fast = dataclasses.replace(los_cfg, mc_trials=16)
-    trials = draw_trials(fast, 1)
-    rate, ci = estimate_averages(TIME_SPLITTING, 0, fast, trials)
+    trials = draw(fast, 1)
+    rate, ci = estimate_averages(TIME_SPLITTING, 0, trials)
     expected = 0.9 * fast.bandwidth * np.log2(1.0 + oracle_full_surface_snr(fast))
     assert rate == pytest.approx(expected, rel=1e-9)
     assert ci == pytest.approx(0.0, abs=1e-3)
 
 
 def test_estimate_averages_ci_small_at_default_trials(cfg):
-    trials = draw_trials(cfg, 2)
-    rate, ci = estimate_averages(TIME_SPLITTING, 0, cfg, trials)
+    trials = draw(cfg, 2)
+    rate, ci = estimate_averages(TIME_SPLITTING, 0, trials)
     assert ci / rate < 0.01
 
 
@@ -117,7 +116,7 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
     ]
     assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
     for config in configs:
-        trials = draw_trials(config, seed, n_trials=n)
+        trials = draw(config, seed, n)
         # n trials fit in block 0, so the rows are block 0's stream
         rows = sample_amplitudes(config, block_rng(seed, 0), n)
         frame = config.frame_slots * config.slot_duration
@@ -125,7 +124,7 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
             vmax = harvest_curve(protocol, config).size - 1
             for value in sorted({0, 1, vmax // 2, vmax}):
                 p_static = float(10 ** rng.uniform(-7, -3))
-                rate, _ = estimate_averages(protocol, value, config, trials)
+                rate, _ = estimate_averages(protocol, value, trials)
                 harvest = harvest_curve(protocol, config)[value]
                 consumed = total_consumption(p_static, protocol, config).total
                 frames = [frame_oracle(protocol, value, row, p_static, config) for row in rows]
@@ -133,6 +132,20 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
                 assert rate == pytest.approx(np.mean(rates), rel=1e-10)
                 assert harvest == pytest.approx(harvests[0] / frame, rel=1e-10)
                 assert consumed == pytest.approx(consumptions[0] / frame, rel=1e-10)
+
+
+def test_estimate_reads_the_configuration_of_its_draw(cfg):
+    # a draw keeps its configuration: at twice the RIS-RX distance the
+    # estimate follows the per-frame oracle of that distance, not the default's
+    n, seed = 50, 561
+    far = dataclasses.replace(cfg, d_ris_rx=76.0)
+    rows = sample_amplitudes(far, block_rng(seed, 0), n)
+    for protocol, value in ((TIME_SPLITTING, 100), (UC_SPLITTING, 9)):
+        rate, _ = estimate_averages(protocol, value, draw(far, seed, n))
+        frames = [frame_oracle(protocol, value, row, 0.0, far) for row in rows]
+        assert rate == pytest.approx(np.mean([r for r, _, _ in frames]), rel=1e-10)
+        near, _ = estimate_averages(protocol, value, draw(cfg, seed, n))
+        assert rate < near
 
 
 @pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
@@ -143,7 +156,7 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chu
     # spanning several default chunks of 72 trials
     fast = dataclasses.replace(cfg, mc_trials=1200)
     seed, size = 556, risharvest.optimizer._DRAW_BLOCK_TRIALS
-    full = draw_trials(fast, seed).amp_prefix
+    full = draw(fast, seed).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
     # block b's rows are the running sum of the sampler's rows from block b's
     # generator, bit for bit
@@ -153,19 +166,21 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chu
         assert np.array_equal(full[t0 : t0 + rows, 1:], np.cumsum(amp, axis=1))
     # the first t trials are the same for any trial count
     for t in (1, 7, size, size + 1, 1100):
-        assert np.array_equal(draw_trials(fast, seed, n_trials=t).amp_prefix, full[:t])
+        assert np.array_equal(draw(fast, seed, t).amp_prefix, full[:t])
 
 
 class CpuCount:
-    """Patch the CPUs ``draw_trials`` sees and its thread cap, and record the
-    threads that draw; each thread's first draw waits until ``expected``
-    threads are drawing, so fewer threads than that fail the draw."""
+    """Patch the CPUs ``draw_trials`` sees, its thread cap and the smallest
+    draw it threads (default: any), and record the threads that draw; each
+    thread's first draw waits until ``expected`` threads are drawing, so
+    fewer threads than that fail the draw."""
 
-    def __init__(self, monkeypatch, cpus, max_threads, expected, raise_in=None):
+    def __init__(self, monkeypatch, cpus, max_threads, expected, raise_in=None, min_values=1):
         self.threads, self.raise_in, self._lock = set(), raise_in, threading.Lock()
         self._barrier = threading.Barrier(expected, timeout=10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", max_threads)
+        monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", min_values)
         monkeypatch.setattr(risharvest.optimizer, "sample_amplitudes", self.sample)
 
     def sample(self, cfg, rng, n):
@@ -190,9 +205,9 @@ def test_draw_threads_write_the_one_thread_prefix(
 ):
     fast = dataclasses.replace(cfg, mc_trials=trials)
     monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
-    one = draw_trials(fast, 558, columns=[0, 5, 100]).amp_prefix
+    one = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
     counted = CpuCount(monkeypatch, cpus, max_threads, expected)
-    drawn = draw_trials(fast, 558, columns=[0, 5, 100]).amp_prefix
+    drawn = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
     assert len(counted.threads) == expected
     assert np.array_equal(drawn, one)
 
@@ -202,16 +217,28 @@ def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg
     # interval: a block that no thread draws would leave its rows at zero
     monkeypatch.setattr(risharvest.optimizer, "_DRAW_BLOCK_TRIALS", 4)
     monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
-    one = draw_trials(small_cfg, 560, n_trials=300).amp_prefix
+    one = draw(small_cfg, 560, 300).amp_prefix
     monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 8)
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert np.array_equal(draw_trials(small_cfg, 560, n_trials=300).amp_prefix, one)
+            assert np.array_equal(draw(small_cfg, 560, 300).amp_prefix, one)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("below, expected", [(0, 3), (1, 1)], ids=["at_threshold", "below"])
+def test_small_draws_start_no_thread(monkeypatch, cfg, below, expected):
+    # 1200 trials of 225 UCs are three blocks; a draw of fewer amplitudes
+    # than the threshold stays on the calling thread whatever the CPUs
+    fast = dataclasses.replace(cfg, mc_trials=1200)
+    values = fast.mc_trials * fast.m_s
+    counted = CpuCount(monkeypatch, 8, 8, expected, min_values=values + below)
+    draw(fast, 562)
+    assert len(counted.threads) == expected
 
 
 @pytest.mark.parametrize(
@@ -227,7 +254,7 @@ def test_draw_raises_a_failed_block_after_joining_its_threads(monkeypatch, cfg, 
     before = threading.active_count()
     CpuCount(monkeypatch, 3, 3, 3, raise_in)
     with pytest.raises(RuntimeError, match="^sampler failed$"):
-        draw_trials(fast, 559)
+        draw(fast, 559)
     assert threading.active_count() == before
 
 
@@ -237,7 +264,7 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_value
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
     fast = dataclasses.replace(cfg, mc_trials=600)  # two blocks
     m_s, seed = fast.m_s, 557
-    full = draw_trials(fast, seed)
+    full = draw(fast, seed)
     assert full.columns == tuple(range(m_s + 1))
     cases = [
         ([], [m_s]),
@@ -247,36 +274,16 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_value
         (range(m_s + 1), list(range(m_s + 1))),
     ]
     for columns, kept in cases:
-        trials = draw_trials(fast, seed, columns=columns)
+        trials = draw(fast, seed, columns=columns)
         assert trials.columns == tuple(kept)
-        assert (trials.n_trials, trials.m_s) == (fast.mc_trials, m_s)
+        assert (trials.n_trials, trials.cfg.m_s) == (fast.mc_trials, m_s)
         assert np.array_equal(trials.amp_prefix, full.amp_prefix[:, kept])
 
 
 @pytest.mark.parametrize("bad", [-1, 226, True, 3.0, "3", None])
 def test_bad_prefix_columns_are_rejected(cfg, bad):
     with pytest.raises(ValueError, match=r"^prefix columns must be integers in \[0, 225\], got "):
-        draw_trials(cfg, 1, n_trials=2, columns=[3, bad])
-
-
-@pytest.mark.parametrize("bad", [2.5, np.float64(4.9), True, "3", 0, -1])
-def test_bad_trial_counts_are_rejected(cfg, bad):
-    message = f"n_trials must be an integer >= 1, got {bad!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        draw_trials(cfg, 1, n_trials=bad)
-    assert draw_trials(cfg, 1, n_trials=np.int64(2)).n_trials == 2
-
-
-@pytest.mark.parametrize(
-    "bad", [True, 1.0, -1, 2**64, np.random.default_rng(1)],
-    ids=["bool", "float", "negative", "2^64", "generator"],
-)
-def test_bad_seeds_are_rejected(cfg, bad):
-    message = f"seed must be an integer in [0, 2^64), got {bad!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        draw_trials(cfg, bad, n_trials=2)
-    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
-        assert draw_trials(cfg, seed, n_trials=2).n_trials == 2
+        draw(cfg, 1, 2, columns=[3, bad])
 
 
 def test_undrawn_prefix_column_is_rejected(small_cfg):
@@ -287,15 +294,15 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     k = int(np.flatnonzero(curve[1:-1] > curve[:-2])[0]) + 1
     p_static = float(curve[k])
     assert optimize_uc_splitting(p_static, free).optimal_allocation == k
-    trials = draw_trials(free, 16, n_trials=8, columns=[0])
+    trials = draw(free, 16, 8, columns=[0])
     with pytest.raises(ValueError, match=f"^prefix column k = {k} was not drawn$"):
-        estimate_averages(UC_SPLITTING, k, free, trials)
+        estimate_averages(UC_SPLITTING, k, trials)
     # time splitting reads only the full-surface sum, which every draw keeps
-    full = draw_trials(free, 16, n_trials=8)
+    full = draw(free, 16, 8)
     ts = optimize_time_splitting(p_static, free).optimal_allocation
     assert ts > 0
-    assert estimate_averages(TIME_SPLITTING, ts, free, trials) == estimate_averages(
-        TIME_SPLITTING, ts, free, full
+    assert estimate_averages(TIME_SPLITTING, ts, trials) == estimate_averages(
+        TIME_SPLITTING, ts, full
     )
 
 
@@ -303,10 +310,10 @@ def test_column_draw_memory_is_one_chunk():
     # a 60 x 60 surface keeping two columns: the full (500, 3601) prefix would
     # be 13.7 MiB, the kept one is 8 KB beside one chunk's temporaries
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
-    draw_trials(cfg, 17, n_trials=1, columns=[0, 3600])
+    draw(cfg, 17, 1, columns=[0, 3600])
     tracemalloc.start()
     try:
-        trials = draw_trials(cfg, 17, columns=[0, 3600])
+        trials = draw(cfg, 17, columns=[0, 3600])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,9 +327,9 @@ def test_unconstrained_case_allocates_nothing(cfg):
     assert ts.status == FEASIBLE and ts.optimal_allocation == 0
     uc = optimize_uc_splitting(0.0, free)
     assert uc.status == FEASIBLE and uc.optimal_allocation == 0
-    trials = draw_trials(free, 4)
-    ts_rate, _ = estimate_averages(TIME_SPLITTING, 0, free, trials)
-    uc_rate, _ = estimate_averages(UC_SPLITTING, 0, free, trials)
+    trials = draw(free, 4)
+    ts_rate, _ = estimate_averages(TIME_SPLITTING, 0, trials)
+    uc_rate, _ = estimate_averages(UC_SPLITTING, 0, trials)
     assert ts_rate == pytest.approx(uc_rate, rel=1e-12)
 
 
@@ -384,7 +391,7 @@ def test_saturated_chains_keep_curve_monotone():
 
 
 def test_curve_lookup_matches_exhaustive_scan(small_cfg):
-    trials = draw_trials(small_cfg, 99)
+    trials = draw(small_cfg, 99)
     prng = np.random.default_rng(7)
     for _ in range(20):
         p_static = float(10 ** prng.uniform(-6, -3))
@@ -394,7 +401,7 @@ def test_curve_lookup_matches_exhaustive_scan(small_cfg):
             if result.status == FEASIBLE:
                 assert scan is not None
                 assert scan[0] == result.optimal_allocation
-                rate, _ = estimate_averages(protocol, result.optimal_allocation, small_cfg, trials)
+                rate, _ = estimate_averages(protocol, result.optimal_allocation, trials)
                 assert scan[1] == pytest.approx(rate, rel=1e-12)
             else:
                 assert scan is None
@@ -446,10 +453,10 @@ def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
     # validation bounds the SNR, so only a broken rate formula reaches this guard
     monkeypatch.setattr(risharvest.optimizer, "coherent_snr",
                         lambda amplitude, cfg: np.full(np.shape(amplitude), np.inf))
-    trials = draw_trials(small_cfg, 15, n_trials=4)
+    trials = draw(small_cfg, 15, 4)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         with pytest.raises(ValueError, match=f"^{protocol} at allocation 3: .* not finite"):
-            estimate_averages(protocol, 3, small_cfg, trials)
+            estimate_averages(protocol, 3, trials)
 
 
 @pytest.mark.parametrize(
@@ -481,13 +488,13 @@ def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
 
 def test_uc_splitting_dominates_at_common_static_power(cfg):
     fast = dataclasses.replace(cfg, mc_trials=500)
-    trials = draw_trials(fast, 8)
+    trials = draw(fast, 8)
     for p_static in (1e-6, 1e-4, 8e-4):
         ts = optimize_time_splitting(p_static, fast)
         uc = optimize_uc_splitting(p_static, fast)
         assert ts.status == uc.status == FEASIBLE
-        ts_rate, _ = estimate_averages(TIME_SPLITTING, ts.optimal_allocation, fast, trials)
-        uc_rate, _ = estimate_averages(UC_SPLITTING, uc.optimal_allocation, fast, trials)
+        ts_rate, _ = estimate_averages(TIME_SPLITTING, ts.optimal_allocation, trials)
+        uc_rate, _ = estimate_averages(UC_SPLITTING, uc.optimal_allocation, trials)
         assert uc_rate >= ts_rate
 
 
@@ -509,29 +516,20 @@ def test_same_seed_same_result(cfg):
     fast = dataclasses.replace(cfg, mc_trials=128)
     solve = optimize_uc_splitting(1e-4, fast)
     assert solve == optimize_uc_splitting(1e-4, fast)
-    a = estimate_averages(UC_SPLITTING, solve.optimal_allocation, fast,
-                          draw_trials(fast, 77))
-    b = estimate_averages(UC_SPLITTING, solve.optimal_allocation, fast,
-                          draw_trials(fast, 77))
+    a = estimate_averages(UC_SPLITTING, solve.optimal_allocation, draw(fast, 77))
+    b = estimate_averages(UC_SPLITTING, solve.optimal_allocation, draw(fast, 77))
     assert a == b
-
-
-def test_trials_for_another_surface_are_rejected(cfg):
-    small = draw_trials(dataclasses.replace(cfg, ris_cols=5, ris_rows=5), 3)
-    for protocol in (TIME_SPLITTING, UC_SPLITTING):
-        with pytest.raises(ValueError, match="drawn for 25 UCs, the configuration has 225"):
-            estimate_averages(protocol, 0, cfg, small)
 
 
 def test_allocation_value_bounds_checked(cfg):
     fast = dataclasses.replace(cfg, mc_trials=8)
-    trials = draw_trials(fast, 1)
+    trials = draw(fast, 1)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         vmax = harvest_curve(protocol, fast).size - 1
         for bad in (-1, vmax + 1, True, 3.0, "3", None):
             message = rf"^allocation value must be an integer in \[0, {vmax}\], got {bad!r}$"
             with pytest.raises(ValueError, match=message):
-                estimate_averages(protocol, bad, fast, trials)
-        assert estimate_averages(protocol, np.int64(3), fast, trials) == estimate_averages(
-            protocol, 3, fast, trials
+                estimate_averages(protocol, bad, trials)
+        assert estimate_averages(protocol, np.int64(3), trials) == estimate_averages(
+            protocol, 3, trials
         )

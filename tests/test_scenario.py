@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,6 +187,23 @@ def test_round_trip_preserves_large_integer_seed(seed):
     cfg = ScenarioConfig(rng_seed=seed)
     assert loads_config(dumps_config(cfg)) == cfg
     assert loads_config(f"rng_seed = {seed}\n").rng_seed == seed
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rng_seed", True), ("rng_seed", 3.0), ("rng_seed", -1), ("rng_seed", 2**64),
+     ("rng_seed", np.random.default_rng(1)), ("mc_trials", 2.5), ("mc_trials", np.float64(4.9)),
+     ("mc_trials", True), ("mc_trials", "3"), ("mc_trials", 0), ("mc_trials", -1)],
+    ids=["seed_bool", "seed_float", "seed_negative", "seed_2^64", "seed_generator",
+         "trials_fraction", "trials_np_float", "trials_bool", "trials_str", "trials_zero",
+         "trials_negative"],
+)
+def test_bad_seed_or_trial_count_rejected(field, value):
+    # the channel draw reads both from the configuration alone
+    with pytest.raises(ConfigValidationError, match=f"^{field} must be "):
+        ScenarioConfig(**{field: value})
+    cfg = ScenarioConfig(rng_seed=2**64 - 1, mc_trials=1)
+    assert (cfg.rng_seed, cfg.mc_trials) == (2**64 - 1, 1)
 
 
 def test_integer_keys_accept_exponent_form():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import re
@@ -202,6 +203,24 @@ def test_read_rows_rejects_malformed(tmp_path):
         read_rows(out)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (("x" * 200_000 + "\n").encode(), "bad.csv, line 2: field larger than field limit"),
+        (b"0.0,\xff\xfe\n", "bad.csv: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["field_limit", "not_utf8"],
+)
+def test_summarize_names_the_file_of_an_unreadable_csv(tmp_path, capsys, body, message):
+    out = tmp_path / "bad.csv"
+    out.write_bytes((",".join(CSV_HEADER) + "\n").encode() + body)
+    with pytest.raises(SweepCsvError, match=re.escape(message)):
+        read_rows(out)
+    assert main(["summarize", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}") and message in err
+
+
 GOOD_RECORD = ["1e-06", "time_splitting", "feasible", "3", "1000.0", "10.0", "2e-07", "0.2"]
 ZERO_RECORD = ["0.0", "uc_splitting", "infeasible", "0", "1000.0", "10.0", "2e-07", ""]
 
@@ -401,9 +420,9 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
     draw_trials = risharvest.sweep.draw_trials
     kept = []
 
-    def full_draw(cfg, seed, n_trials=None, *, columns=None):
+    def full_draw(cfg, *, columns=None):
         kept.append(sorted(set(columns)))
-        return draw_trials(cfg, seed, n_trials)
+        return draw_trials(cfg)
 
     run_sweep(config, spec, tmp_path / "columns.csv")
     monkeypatch.setattr(risharvest.sweep, "draw_trials", full_draw)
@@ -415,8 +434,10 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
 
 def test_sweep_csv_does_not_depend_on_the_draw_threads(monkeypatch, tmp_path):
     # 1100 trials are three blocks: the default draws them on as many
-    # threads as this machine's CPUs allow, then 1 and 3 threads are forced
+    # threads as this machine's CPUs allow, then 1 and 3 threads are forced,
+    # with the smallest threaded draw lowered below this one
     spec = small_spec(points=4)
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", 1)
     run_sweep(None, spec, tmp_path / "default.csv", trials=1100)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     for threads in (1, 3):
@@ -477,6 +498,31 @@ def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
     values = {(result.protocol, result.optimal_allocation) for _, _, result in calls[:draw]}
     assert sorted(estimates) == sorted(values)
     assert len(estimates) < len(solves)
+
+
+def test_benchmark_tracer_sees_every_layer(tmp_path):
+    # perfbench/tracer.py wraps the sweep's layer calls by name and reads the
+    # draw's size from its arguments; a renamed call or a changed signature
+    # would drop a per-layer metric without failing the sweep
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    config, spans, out = tmp_path / "small.cfg", tmp_path / "spans.json", tmp_path / "sweep.csv"
+    save_config(ScenarioConfig(mc_trials=8), config)
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "risharvest.sweep:main",
+         "sweep", "--config", str(config), "--points", "3", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(spans.read_text())
+    assert (report["exit_code"], report["missing"]) == (0, [])
+    assert {span["name"] for span in report["spans"]} == {
+        "main", "load_config", "draw_trials", "optimize_time_splitting",
+        "optimize_uc_splitting", "estimate_averages", "harvest",
+    }
+    [draw] = [span for span in report["spans"] if span["name"] == "draw_trials"]
+    assert draw["values"] == 8 * ScenarioConfig().m_s
+    assert draw["bytes"] > 0
 
 
 def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
