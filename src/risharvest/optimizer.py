@@ -25,10 +25,13 @@ and estimates each distinct allocation once.
 
 The draw (``draw_trials``) reads its seed and trial count from the
 configuration and keeps that configuration, so an estimate always reads the
-configuration its draw was made for. Each block of trials has its own random
-stream keyed by the seed and the block index, and a large draw shares its
-blocks out among a few threads, so it uses every core while its values
-depend on the seed alone, not on how many threads drew them.
+configuration its draw was made for. Each block of trials has its own SFC64
+random stream keyed by the seed and the block index, and a large draw shares
+its blocks out among a few threads, so it uses every core while its values
+depend on the seed alone, not on how many threads drew them. A trial's
+running sum over its UCs stops at the last kept column below m_s, and the
+full-surface column is the trial's plain sum, so the running sum does no
+work past the last column a sweep reads.
 """
 
 import functools
@@ -72,7 +75,7 @@ class AllocationResult:
     status: str                  # FEASIBLE or INFEASIBLE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialChannels:
     """Amplitude sums of a fixed set of channel draws, shared across candidates.
 
@@ -84,7 +87,9 @@ class TrialChannels:
     the full-surface sum. A full draw keeps every k in 0..m_s; a sweep solves
     its grid from the harvest curves first and keeps only the k those solves
     read. Only amplitudes are drawn, because no computed quantity depends on
-    the common LoS phase (see ``channel``).
+    the common LoS phase (see ``channel``). Two draws compare equal only
+    when they are the same object, as comparing the arrays elementwise has
+    no truth value.
     """
 
     cfg: ScenarioConfig
@@ -109,16 +114,19 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     (mc_trials, m_s + 1).
 
     Trial block b, trials [b B, (b + 1) B) with B = ``_DRAW_BLOCK_TRIALS``,
-    draws from its own generator, ``PCG64(SeedSequence(rng_seed, spawn_key=(b,)))``.
+    draws from its own generator, ``SFC64(SeedSequence(rng_seed, spawn_key=(b,)))``.
     Within a block the amplitudes are drawn with ``sample_amplitudes`` in
-    chunks of trials; each chunk is summed in place and only the kept columns
-    are copied into the block's rows, so a stored value is the same bit for
-    bit whichever columns are kept. A draw of at least
-    ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares its blocks out among up to
-    ``_DRAW_MAX_THREADS`` threads, the calling one included, capped by the
-    CPUs this process may run on; numpy releases the GIL while it fills the
-    normals. A row depends only on the seed, B and its trial index: not on
-    the trial count, the chunk size, the thread count or which thread drew it.
+    chunks of trials. Column m_s of a chunk row is the row's ``np.sum``;
+    column 0 < k < m_s is entry k - 1 of the row's running sum, taken in
+    place over the UCs 1..kmax only, where kmax is the largest kept column
+    below m_s, and only the kept columns are copied into the block's rows.
+    A stored value is therefore the same bit for bit whichever columns are
+    kept. A draw of at least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares
+    its blocks out among up to ``_DRAW_MAX_THREADS`` threads, the calling one
+    included, capped by the CPUs this process may run on; numpy releases the
+    GIL while it fills the normals. A row depends only on the seed, B and its
+    trial index: not on the trial count, the chunk size, the thread count or
+    which thread drew it.
     An exception in any block is raised here once every thread has stopped.
     """
     n, m_s, seed = cfg.mc_trials, cfg.m_s, cfg.rng_seed
@@ -130,20 +138,26 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
                 raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
         # A Python set, not np.unique, which imports numpy.ma on first use.
         kept = sorted({int(k) for k in columns} | {m_s})
-    # Column k > 0 is entry k - 1 of a chunk's running sum; column 0 stays 0.
+    # Column m_s is a chunk row's sum, column 0 < k <= kmax is entry k - 1 of
+    # its running sum and column 0 stays 0.
     skip = 1 if kept[0] == 0 else 0
-    gather = np.array(kept[skip:]) - 1
+    gather = np.array(kept[skip:-1]) - 1
+    kmax = kept[-2] if len(kept) > 1 else 0
     prefix = np.zeros((n, len(kept)))
     chunk, block = max(1, _DRAW_CHUNK_VALUES // m_s), _DRAW_BLOCK_TRIALS
     blocks = -(-n // block)
 
     def fill(b: int) -> None:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
         stop = min(n, (b + 1) * block)
         for t0 in range(b * block, stop, chunk):
             amp = sample_amplitudes(cfg, rng, min(chunk, stop - t0))
-            np.cumsum(amp, axis=1, out=amp)
-            prefix[t0 : t0 + amp.shape[0], skip:] = amp[:, gather]
+            rows = prefix[t0 : t0 + amp.shape[0]]
+            np.sum(amp, axis=1, out=rows[:, -1])
+            if kmax:
+                running = amp[:, :kmax]
+                np.cumsum(running, axis=1, out=running)
+                rows[:, skip:-1] = running[:, gather]
 
     pending, lock, errors = iter(range(blocks)), threading.Lock(), []
 

@@ -58,7 +58,7 @@ def absorbing_config(p_uc, m_s, **fields):
 
 def block_rng(seed, block):
     """The generator of trial block ``block`` in a ``draw_trials`` call with ``seed``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
 def oracle_free_space_gain(cfg):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -7,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import risharvest.harvesting
 import risharvest.optimizer
@@ -155,18 +157,40 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chu
     # 1200 trials of 225 UCs are blocks of 512, 512 and 176 trials, each
     # spanning several default chunks of 72 trials
     fast = dataclasses.replace(cfg, mc_trials=1200)
-    seed, size = 556, risharvest.optimizer._DRAW_BLOCK_TRIALS
+    seed, size, m_s = 556, risharvest.optimizer._DRAW_BLOCK_TRIALS, fast.m_s
     full = draw(fast, seed).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
     # block b's rows are the running sum of the sampler's rows from block b's
-    # generator, bit for bit
+    # generator up to column m_s - 1 and the rows' sum in column m_s, bit for bit
     for b, t0 in enumerate(range(0, fast.mc_trials, size)):
         rows = min(size, fast.mc_trials - t0)
         amp = sample_amplitudes(fast, block_rng(seed, b), rows)
-        assert np.array_equal(full[t0 : t0 + rows, 1:], np.cumsum(amp, axis=1))
+        assert np.array_equal(full[t0 : t0 + rows, 1:m_s], np.cumsum(amp, axis=1)[:, : m_s - 1])
+        assert np.array_equal(full[t0 : t0 + rows, m_s], amp.sum(axis=1))
     # the first t trials are the same for any trial count
     for t in (1, 7, size, size + 1, 1100):
         assert np.array_equal(draw(fast, seed, t).amp_prefix, full[:t])
+
+
+def test_draws_compare_by_identity(cfg):
+    # the prefix arrays have no truth value, so == compares the objects
+    fast = dataclasses.replace(cfg, mc_trials=2)
+    one, other = draw(fast, 3), draw(fast, 3)
+    assert one == one
+    assert one != other
+
+
+@pytest.mark.parametrize("k", [0.0, 10.0])
+def test_drawn_amplitudes_follow_rician_law(cfg, k):
+    # adjacent columns of a full draw differ by one UC's |h||g|, Rician with
+    # nu^2 = K/(K+1) and sigma^2 = 1/(2(K+1)) per component, times the mean
+    # link gain; 600 trials are two blocks, and the last difference reads the
+    # full-surface column
+    kcfg = dataclasses.replace(cfg, rician_k=k, mc_trials=600)
+    amplitudes = np.diff(draw(kcfg, 563).amp_prefix, axis=1).ravel()
+    gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
+    law = stats.rice(b=math.sqrt(2.0 * k), scale=gain / math.sqrt(2.0 * (k + 1.0)))
+    assert stats.kstest(amplitudes, law.cdf).pvalue > 0.01
 
 
 class CpuCount:
@@ -270,6 +294,9 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_value
         ([], [m_s]),
         ([0], [0, m_s]),
         ([m_s], [m_s]),
+        ([1], [1, m_s]),
+        ([3, 7], [3, 7, m_s]),
+        ([m_s - 1], [m_s - 1, m_s]),
         ([7, 3, np.int64(7), m_s, 3, 0], [0, 3, 7, m_s]),
         (range(m_s + 1), list(range(m_s + 1))),
     ]
