@@ -13,9 +13,9 @@ rectifier model included, and the whole link budget derived from them (|h|^2,
 E|g|^2, the per-UC absorbed power and the noise power), validated together;
 ``channel``, ``harvesting`` and ``power`` give the rate, harvest and
 consumption formulas, one each (``harvest(cfg)`` is the DC power of the first
-k absorbing UCs, which both protocols' harvest curves read). ``optimizer``
+k absorbing UCs, which both protocols' harvests read). ``optimizer``
 combines them in two steps: ``optimize_*`` solve the allocation from the
-harvest curve and the consumption alone, with no channel draw, and
+harvest and the consumption alone, with no channel draw, and
 ``estimate_averages`` gives the Monte-Carlo rate of one allocation over a set
 of draws from ``draw_trials(cfg)``, which reads its seed and trial count from
 the configuration and keeps it, so a draw is never read under another one.

@@ -19,7 +19,9 @@ import numpy as np
 from .scenario import ScenarioConfig
 
 
-def sample_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> np.ndarray:
+def sample_amplitudes(
+    cfg: ScenarioConfig, rng: np.random.Generator, n: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw ``n`` channel realizations: an (n, m_s) array of |h||g_i|.
 
     |g_i| = sqrt(E[|g|^2]) |sqrt(K/(K+1)) + sigma (x_i + j y_i)| with x, y
@@ -29,19 +31,28 @@ def sample_amplitudes(cfg: ScenarioConfig, rng: np.random.Generator, n: int) -> 
     state. ``draw_trials`` relies on this inside each trial block, whose
     chunks are consecutive calls on the block's own generator. An infinite K
     gives sigma = 0, the pure LoS gain exactly.
+
+    ``out``, when given, is a C-contiguous float64 (n, 2, m_s) array that
+    the normals are drawn into; it is overwritten, and the amplitudes are
+    returned as its view ``out[:, 0]``, so a caller that draws in chunks can
+    reuse one buffer. Without it the (n, 2, m_s) array is allocated here.
+    Either way the amplitudes are the same bit for bit.
     """
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
-    z = rng.standard_normal((n, 2, cfg.m_s))
+    if out is None:
+        z = rng.standard_normal((n, 2, cfg.m_s))
+    elif out.shape != (n, 2, cfg.m_s):
+        raise ValueError(f"out must have shape {(n, 2, cfg.m_s)}, got {out.shape}")
+    else:
+        z = rng.standard_normal(out=out)
     z *= sigma
-    # In place, with amp the one new array: one temporary more pushes the heap
-    # freed after each draw_trials chunk past glibc's trim threshold, so
-    # chunks re-fault their pages instead of reusing them.
     z[:, 0] += los
     z *= z
     # sqrt of the sum of squares, not np.hypot: the terms are O(1), so nothing
     # overflows, and it is several times faster (within 1 ulp of hypot).
-    amp = np.add(z[:, 0], z[:, 1])
+    amp = z[:, 0]
+    np.add(amp, z[:, 1], out=amp)
     np.sqrt(amp, out=amp)
     amp *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     return amp

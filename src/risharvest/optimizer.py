@@ -12,16 +12,19 @@ identical, so which k harvest does not change the averages.
 
 The TX-side absorption is deterministic free space, so the frame-averaged
 harvest depends on the allocation value alone, and only the rate is random.
-The optimizer is therefore two steps. The solve (``optimize_*``) reads a
-harvest curve over every allocation value 0..vmax, computed once per
-protocol and configuration and checked to be finite and nondecreasing. The
-average rate is decreasing in the allocation, so the optimum is the smallest
-value whose harvest covers consumption: one ``searchsorted`` of the consumed
-power against the curve, with no channel draw. The estimate
-(``estimate_averages``) then averages the rate of one allocation value over
-one set of channel draws (common random numbers). A sweep solves its whole
-grid first, draws once keeping only the prefix columns those solves read,
-and estimates each distinct allocation once.
+The optimizer is therefore two steps. The solve (``optimize_*``) reads the
+harvest of each allocation value, checked once per configuration to be
+finite and nondecreasing in it. The average rate is decreasing in the
+allocation, so the optimum is the smallest value whose harvest covers
+consumption, found with no channel draw. For UC splitting that is one
+``searchsorted`` of the consumed power against the cached curve over k =
+0..m_s. Time splitting's harvest is linear in its slot count, so it is
+solved in closed form, bit for bit as a lookup in the array over every
+slot count would be, and costs O(1) memory however long the frame. The
+estimate (``estimate_averages``) then averages the rate of one allocation
+value over one set of channel draws (common random numbers). A sweep
+solves its whole grid first, draws once keeping only the prefix columns
+those solves read, and estimates each distinct allocation once.
 
 The draw (``draw_trials``) reads its seed and trial count from the
 configuration and keeps that configuration, so an estimate always reads the
@@ -31,7 +34,9 @@ its blocks out among a few threads, so it uses every core while its values
 depend on the seed alone, not on how many threads drew them. A trial's
 running sum over its UCs stops at the last kept column below m_s, and the
 full-surface column is the trial's plain sum, so the running sum does no
-work past the last column a sweep reads.
+work past the last column a sweep reads. Each drawing thread allocates one
+buffer for its normals and draws every chunk of its blocks into it, so a
+chunk makes no new array.
 """
 
 import functools
@@ -52,9 +57,10 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 # Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
-# A chunk's temporaries stay a few hundred KB beside the prefix, so the
-# draw's peak memory is the prefix plus one chunk per drawing thread.
-_DRAW_CHUNK_VALUES = 1 << 14
+# Each drawing thread draws its chunks into one buffer of twice as many
+# normals, 512 KiB, so the draw's peak memory is the prefix plus one buffer
+# per thread.
+_DRAW_CHUNK_VALUES = 1 << 15
 # Trials per block of draw_trials; each block has its own random stream.
 _DRAW_BLOCK_TRIALS = 512
 # Most threads one draw runs on, the calling thread included.
@@ -116,7 +122,13 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     Trial block b, trials [b B, (b + 1) B) with B = ``_DRAW_BLOCK_TRIALS``,
     draws from its own generator, ``SFC64(SeedSequence(rng_seed, spawn_key=(b,)))``.
     Within a block the amplitudes are drawn with ``sample_amplitudes`` in
-    chunks of trials. Column m_s of a chunk row is the row's ``np.sum``;
+    chunks of ``_DRAW_CHUNK_VALUES // m_s`` trials (9 on a 60 x 60 surface,
+    145 on 15 x 15), each into a prefix of the drawing thread's one
+    (chunk, 2, m_s) buffer of normals, about 512 KiB. The thread allocates
+    it before its first block and reuses it for every chunk after; the
+    amplitudes are computed in place in its first half, so a chunk makes
+    no new array and the draw's memory is the prefix plus one buffer per
+    thread. Column m_s of a chunk row is the row's ``np.sum``;
     column 0 < k < m_s is entry k - 1 of the row's running sum, taken in
     place over the UCs 1..kmax only, where kmax is the largest kept column
     below m_s, and only the kept columns are copied into the block's rows.
@@ -144,15 +156,19 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     gather = np.array(kept[skip:-1]) - 1
     kmax = kept[-2] if len(kept) > 1 else 0
     prefix = np.zeros((n, len(kept)))
-    chunk, block = max(1, _DRAW_CHUNK_VALUES // m_s), _DRAW_BLOCK_TRIALS
+    block = _DRAW_BLOCK_TRIALS
+    # A chunk never spans two blocks or runs past the last trial, so a
+    # longer buffer would only waste memory.
+    chunk = max(1, min(_DRAW_CHUNK_VALUES // m_s, block, n))
     blocks = -(-n // block)
 
-    def fill(b: int) -> None:
+    def fill(b: int, normals: np.ndarray) -> None:
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
         stop = min(n, (b + 1) * block)
         for t0 in range(b * block, stop, chunk):
-            amp = sample_amplitudes(cfg, rng, min(chunk, stop - t0))
-            rows = prefix[t0 : t0 + amp.shape[0]]
+            size = min(chunk, stop - t0)
+            amp = sample_amplitudes(cfg, rng, size, out=normals[:size])
+            rows = prefix[t0 : t0 + size]
             np.sum(amp, axis=1, out=rows[:, -1])
             if kmax:
                 running = amp[:, :kmax]
@@ -163,12 +179,13 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
 
     def work() -> None:
         try:
+            normals = np.empty((chunk, 2, m_s))
             while not errors:
                 with lock:
                     b = next(pending, None)
                 if b is None:
                     return
-                fill(b)
+                fill(b, normals)
         except BaseException as exc:  # raised by the caller once every thread is joined
             errors.append(exc)
 
@@ -196,33 +213,60 @@ def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-@functools.lru_cache(maxsize=8)
-def harvest_curve(protocol: str, cfg: ScenarioConfig) -> np.ndarray:
-    """Frame-averaged DC harvest (W) for every allocation value 0..vmax.
+def _time_splitting_harvest(slots, full: float, cfg: ScenarioConfig):
+    """Frame-averaged DC harvest (W) of ``slots`` harvesting slots, an integer or an array.
 
-    Both curves read one ``harvest`` array over k = 0..m_s absorbing UCs:
-    time splitting scales its full-surface entry by v slots, UC splitting
-    scales entry k by the post-preamble interval, so the full allocations
-    agree bit for bit. The array is read-only and cached per (protocol, cfg).
-    Raises ValueError when the curve is not finite and nondecreasing, because
-    the optimizer's lookup relies on both.
+    ``full`` is the DC power of the whole surface absorbing. The harvest is
+    linear in the slot count; its three operations always run in this
+    order, so a slot count gives the same value bit for bit however it is
+    evaluated.
     """
-    vmax = _allocation_bounds(protocol, cfg)
-    dc = harvest(cfg)
-    # Built in place, so that no full-length temporaries pile up.
-    if protocol == TIME_SPLITTING:
-        curve = np.arange(vmax + 1, dtype=float)
-        curve *= cfg.slot_duration
-        curve *= dc[-1]
-    else:
-        curve = dc
-        curve *= (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
+    return ((slots * cfg.slot_duration) * full) / cfg.frame_duration
+
+
+@functools.lru_cache(maxsize=8)
+def _full_surface_harvest(cfg: ScenarioConfig) -> float:
+    """DC power (W) of the whole surface absorbing, the one figure time splitting scales.
+
+    Raises ValueError when the time-splitting harvest is not finite and
+    nondecreasing over 0..vmax. Each of its rounded operations is monotone
+    in the slot count, so that holds exactly when its value at vmax is
+    finite and >= 0; only the error message searches for the first bad
+    slot count, in O(log vmax) evaluations.
+    """
+    full = float(harvest(cfg)[-1])
+    vmax = _allocation_bounds(TIME_SPLITTING, cfg)
+
+    def bad(slots: int) -> bool:
+        return not 0.0 <= _time_splitting_harvest(slots, full, cfg) < math.inf
+
+    if bad(vmax):
+        first = bisect_left(range(vmax + 1), True, key=bad)
+        raise ValueError(
+            f"{TIME_SPLITTING} harvest curve is not finite and nondecreasing at allocation {first}"
+        )
+    return full
+
+
+@functools.lru_cache(maxsize=8)
+def harvest_curve(cfg: ScenarioConfig) -> np.ndarray:
+    """UC splitting's frame-averaged DC harvest (W) for every k = 0..m_s.
+
+    Entry k scales ``harvest(cfg)[k]`` by the post-preamble interval, so the
+    full allocation agrees bit for bit with time splitting's. The array is
+    read-only and cached per configuration. Raises ValueError when the curve
+    is not finite and nondecreasing, because the optimizer's lookup relies
+    on both.
+    """
+    curve = harvest(cfg)
+    # In place, so that no full-length temporaries pile up.
+    curve *= (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
     curve /= cfg.frame_duration
     bad = ~np.isfinite(curve)
     bad[1:] |= curve[1:] < curve[:-1]
     if bad.any():
         raise ValueError(
-            f"{protocol} harvest curve is not finite and nondecreasing "
+            f"{UC_SPLITTING} harvest curve is not finite and nondecreasing "
             f"at allocation {int(np.argmax(bad))}"
         )
     curve.setflags(write=False)
@@ -268,13 +312,41 @@ def estimate_averages(protocol: str, value: int, trials: TrialChannels) -> tuple
     return average, ci
 
 
+def _first_covering_slots(consumed: float, full: float, cfg: ScenarioConfig) -> int:
+    """Fewest harvesting slots whose harvest covers ``consumed``, or vmax if none does.
+
+    The same value as a left ``searchsorted`` of ``consumed`` over the
+    harvest of every slot count 0..vmax, clamped to vmax, without that
+    array. The harvest is linear, so v = ceil(consumed * frame / (slot *
+    full)) is the answer up to rounding; it is checked against the harvest
+    of v - 1 and v as ``_time_splitting_harvest`` rounds them, which
+    settles ties bit for bit, and a bisection over 0..vmax replaces it in
+    the rare case that rounding put it a step off.
+    """
+    vmax = _allocation_bounds(TIME_SPLITTING, cfg)
+    per_slot = cfg.slot_duration * full
+    estimate = consumed * cfg.frame_duration / per_slot if per_slot > 0.0 else math.inf
+    value = math.ceil(min(max(estimate, 0.0), vmax))
+    harvested = functools.partial(_time_splitting_harvest, full=full, cfg=cfg)
+    if (value == 0 or harvested(value - 1) < consumed) and (
+        value == vmax or harvested(value) >= consumed
+    ):
+        return value
+    return bisect_left(range(vmax + 1), consumed, 0, vmax, key=harvested)
+
+
 def _solve(protocol: str, p_static: float, cfg: ScenarioConfig) -> AllocationResult:
-    curve = harvest_curve(protocol, cfg)
     consumed = total_consumption(p_static, protocol, cfg).total
-    # First value whose harvest covers consumption, ties included; an index
-    # past the end means even the full allocation falls short.
-    value = min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
-    harvested = float(curve[value])
+    # First value whose harvest covers consumption, ties included; none
+    # means even the full allocation falls short and reports it.
+    if protocol == TIME_SPLITTING:
+        full = _full_surface_harvest(cfg)
+        value = _first_covering_slots(consumed, full, cfg)
+        harvested = _time_splitting_harvest(value, full, cfg)
+    else:
+        curve = harvest_curve(cfg)
+        value = min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)
+        harvested = float(curve[value])
     return AllocationResult(
         protocol=protocol,
         optimal_allocation=value,
@@ -288,8 +360,8 @@ def optimize_time_splitting(p_static: float, cfg: ScenarioConfig) -> AllocationR
     """Best number of harvesting slots: the smallest one meeting the constraint.
 
     The rate falls linearly in eh_slots while the harvest grows, so the
-    smallest slot count whose harvest-curve entry covers consumption
-    maximizes the average rate. Reports the full post-preamble interval with
+    smallest slot count whose harvest covers consumption maximizes the
+    average rate. Reports the full post-preamble interval with
     INFEASIBLE status when even that cannot cover consumption.
     """
     return _solve(TIME_SPLITTING, p_static, cfg)

@@ -141,7 +141,7 @@ def run_sweep(
     """Optimize both protocols at every grid point and write the CSV.
 
     ``seed`` and ``trials`` override the scenario file. The allocations
-    depend on the harvest curves alone, so every (point, protocol) is solved
+    depend on the harvests alone, so every (point, protocol) is solved
     once before any channel draw. One draw set then keeps only the prefix
     columns those solves read (the UC-splitting k of each point, and the
     full-surface sum that time splitting reads), and the rate of each

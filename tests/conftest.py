@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import risharvest.optimizer
 from risharvest import TIME_SPLITTING, ScenarioConfig, draw_trials, rectify
 
 # Independent constants for oracle arithmetic (kept separate from the package).
@@ -44,6 +45,26 @@ def draw(cfg, seed, n=None, columns=None):
     """``draw_trials`` of ``cfg`` with ``rng_seed = seed`` and ``n`` trials (cfg's if None)."""
     trials = cfg.mc_trials if n is None else n
     return draw_trials(dataclasses.replace(cfg, rng_seed=seed, mc_trials=trials), columns=columns)
+
+
+def allocation_harvest(protocol, value, cfg):
+    """The frame-averaged harvest (W) the solve reads for an allocation value or array of them."""
+    if protocol == TIME_SPLITTING:
+        full = risharvest.optimizer._full_surface_harvest(cfg)
+        return risharvest.optimizer._time_splitting_harvest(value, full, cfg)
+    return risharvest.optimizer.harvest_curve(cfg)[value]
+
+
+def curve_of(protocol, cfg):
+    """The frame-averaged harvest of every allocation value 0..vmax, as one array."""
+    vmax = cfg.frame_slots - cfg.preamble_slots if protocol == TIME_SPLITTING else cfg.m_s
+    return allocation_harvest(protocol, np.arange(vmax + 1), cfg)
+
+
+def clear_harvest_caches():
+    """Empty the cached harvests, which a patched harvest chain must rebuild."""
+    risharvest.optimizer.harvest_curve.cache_clear()
+    risharvest.optimizer._full_surface_harvest.cache_clear()
 
 
 def absorbing_config(p_uc, m_s, **fields):

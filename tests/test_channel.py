@@ -96,6 +96,28 @@ def test_sample_amplitudes_continue_one_stream(cfg):
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+@pytest.mark.parametrize("k", [10.0, math.inf])
+def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
+    # chunks of 4, 4 and a shorter 3 drawn into prefix views of one
+    # (4, 2, m_s) buffer give the rows of fresh calls on the same stream
+    kcfg = dataclasses.replace(cfg, rician_k=k)
+    fresh_rng, reused_rng = np.random.default_rng(10), np.random.default_rng(10)
+    buffer, rows = np.empty((4, 2, kcfg.m_s)), []
+    for n in (4, 4, 3):
+        fresh = sample_amplitudes(kcfg, fresh_rng, n)
+        reused = sample_amplitudes(kcfg, reused_rng, n, out=buffer[:n])
+        assert np.shares_memory(reused, buffer)
+        assert np.array_equal(reused, fresh)
+        rows.append(reused.copy())
+    whole = sample_amplitudes(kcfg, np.random.default_rng(10), 11)
+    assert np.array_equal(np.concatenate(rows), whole)
+
+
+def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg, rng):
+    with pytest.raises(ValueError, match=r"^out must have shape \(3, 2, 225\), got \(4, 2, 225\)$"):
+        sample_amplitudes(cfg, rng, 3, out=np.empty((4, 2, 225)))
+
+
 @pytest.mark.parametrize("k", [0.5, 10.0, 1e3, math.inf])
 def test_magnitude_within_one_ulp_of_hypot(cfg, k):
     # a unit link budget makes the sampler's final scaling exact, so its

@@ -28,7 +28,16 @@ from risharvest import (
 )
 from risharvest.optimizer import harvest_curve
 
-from conftest import block_rng, draw, frame_oracle, oracle_full_surface_snr, per_chain_oracle
+from conftest import (
+    allocation_harvest,
+    block_rng,
+    clear_harvest_caches,
+    curve_of,
+    draw,
+    frame_oracle,
+    oracle_full_surface_snr,
+    per_chain_oracle,
+)
 
 OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
 
@@ -78,10 +87,10 @@ def random_small_configs(rng, count=30):
 
 @pytest.fixture
 def fresh_curves():
-    """Empty the harvest-curve cache around a test that patches the harvest chain."""
-    harvest_curve.cache_clear()
+    """Empty the harvest caches around a test that patches the harvest chain."""
+    clear_harvest_caches()
     yield
-    harvest_curve.cache_clear()
+    clear_harvest_caches()
 
 
 def test_estimate_averages_deterministic(cfg):
@@ -123,11 +132,11 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
         rows = sample_amplitudes(config, block_rng(seed, 0), n)
         frame = config.frame_slots * config.slot_duration
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
-            vmax = harvest_curve(protocol, config).size - 1
+            vmax = curve_of(protocol, config).size - 1
             for value in sorted({0, 1, vmax // 2, vmax}):
                 p_static = float(10 ** rng.uniform(-7, -3))
                 rate, _ = estimate_averages(protocol, value, trials)
-                harvest = harvest_curve(protocol, config)[value]
+                harvest = allocation_harvest(protocol, value, config)
                 consumed = total_consumption(p_static, protocol, config).total
                 frames = [frame_oracle(protocol, value, row, p_static, config) for row in rows]
                 rates, harvests, consumptions = zip(*frames)
@@ -155,7 +164,7 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chu
     if chunk_values is not None:
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
     # 1200 trials of 225 UCs are blocks of 512, 512 and 176 trials, each
-    # spanning several default chunks of 72 trials
+    # spanning several default chunks of 145 trials
     fast = dataclasses.replace(cfg, mc_trials=1200)
     seed, size, m_s = 556, risharvest.optimizer._DRAW_BLOCK_TRIALS, fast.m_s
     full = draw(fast, seed).amp_prefix
@@ -201,22 +210,24 @@ class CpuCount:
 
     def __init__(self, monkeypatch, cpus, max_threads, expected, raise_in=None, min_values=1):
         self.threads, self.raise_in, self._lock = set(), raise_in, threading.Lock()
+        self.buffers = {}  # thread -> ids of the buffers its chunks were drawn into
         self._barrier = threading.Barrier(expected, timeout=10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", max_threads)
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", min_values)
         monkeypatch.setattr(risharvest.optimizer, "sample_amplitudes", self.sample)
 
-    def sample(self, cfg, rng, n):
+    def sample(self, cfg, rng, n, *, out):
         thread = threading.current_thread()
         with self._lock:
             first = thread not in self.threads
             self.threads.add(thread)
+            self.buffers.setdefault(thread, set()).add(id(out.base))
         if first:
             self._barrier.wait()
         if self.raise_in is not None and self.raise_in(rng, thread):
             raise RuntimeError("sampler failed")
-        return sample_amplitudes(cfg, rng, n)
+        return sample_amplitudes(cfg, rng, n, out=out)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +245,8 @@ def test_draw_threads_write_the_one_thread_prefix(
     drawn = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
     assert len(counted.threads) == expected
     assert np.array_equal(drawn, one)
+    # every chunk of a thread, over all its blocks, is drawn into one buffer
+    assert [len(ids) for ids in counted.buffers.values()] == [1] * expected
 
 
 def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg):
@@ -317,7 +330,7 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     # with e_rec = 0 the consumed power is the static input, so a curve entry
     # where the curve rises puts the UC-splitting optimum exactly there
     free = dataclasses.replace(small_cfg, e_rec=0.0)
-    curve = harvest_curve(UC_SPLITTING, free)
+    curve = harvest_curve(free)
     k = int(np.flatnonzero(curve[1:-1] > curve[:-2])[0]) + 1
     p_static = float(curve[k])
     assert optimize_uc_splitting(p_static, free).optimal_allocation == k
@@ -335,7 +348,7 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
 
 def test_column_draw_memory_is_one_chunk():
     # a 60 x 60 surface keeping two columns: the full (500, 3601) prefix would
-    # be 13.7 MiB, the kept one is 8 KB beside one chunk's temporaries
+    # be 13.7 MiB, the kept one is 8 KB beside one chunk's buffer
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
     draw(cfg, 17, 1, columns=[0, 3600])
     tracemalloc.start()
@@ -346,6 +359,24 @@ def test_column_draw_memory_is_one_chunk():
         tracemalloc.stop()
     assert trials.amp_prefix.shape == (500, 2)
     assert peak < 1 << 20
+
+
+def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatch):
+    # 2048 trials of 3600 UCs are four blocks on two threads, both drawing
+    # at once; a temporary per chunk would add at least half a buffer each
+    cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=2048)
+    columns = [0, 336, 453, 3600]
+    draw(cfg, 18, 1, columns=columns)
+    CpuCount(monkeypatch, 2, 2, 2, min_values=risharvest.optimizer._DRAW_THREAD_MIN_VALUES)
+    tracemalloc.start()
+    try:
+        trials = draw(cfg, 18, columns=columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
+    buffer = chunk * 2 * cfg.m_s * 8  # float64 normals
+    assert peak <= trials.amp_prefix.nbytes + 2 * buffer + (64 << 10)
 
 
 def test_unconstrained_case_allocates_nothing(cfg):
@@ -384,23 +415,24 @@ def test_harvest_power_monotone_in_allocation(rng):
     # the optimizer's searchsorted lookup rests on this monotonicity
     for cfg in random_small_configs(rng):
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
-            assert np.all(np.diff(harvest_curve(protocol, cfg)) >= 0.0)
+            assert np.all(np.diff(curve_of(protocol, cfg)) >= 0.0)
 
 
 def test_harvest_curve_matches_harvest_chain(rng):
     for cfg in random_small_configs(rng):
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
-            curve = harvest_curve(protocol, cfg)
+            curve = curve_of(protocol, cfg)
             expected = [chain_harvest_power(protocol, v, cfg) for v in range(curve.size)]
             assert curve == pytest.approx(expected, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):
-        curve[0] = 1.0  # the cached curve is shared, so it is read-only
+        harvest_curve(cfg)[0] = 1.0  # the cached curve is shared, so it is read-only
 
 
 def test_full_allocations_harvest_the_same(rng):
     # every UC absorbs for the whole post-preamble interval under both protocols
     for cfg in random_small_configs(rng):
-        assert harvest_curve(TIME_SPLITTING, cfg)[-1] == harvest_curve(UC_SPLITTING, cfg)[-1]
+        post = cfg.frame_slots - cfg.preamble_slots
+        assert allocation_harvest(TIME_SPLITTING, post, cfg) == harvest_curve(cfg)[-1]
 
 
 def test_saturated_chains_keep_curve_monotone():
@@ -411,7 +443,7 @@ def test_saturated_chains_keep_curve_monotone():
             cfg = ScenarioConfig(
                 tx_power=tx_power, chain_size=chain_size, frame_slots=200, preamble_slots=20
             )
-            curve = harvest_curve(UC_SPLITTING, cfg)
+            curve = harvest_curve(cfg)
             assert np.all(np.diff(curve) >= 0.0)
             expected = [chain_harvest_power(UC_SPLITTING, k, cfg) for k in range(curve.size)]
             assert curve == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -438,7 +470,7 @@ def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
     # with e_rec = 0 the consumed power is exactly the static input
     free = dataclasses.replace(small_cfg, e_rec=0.0)
     for protocol, optimize in OPTIMIZERS:
-        curve = harvest_curve(protocol, free)
+        curve = curve_of(protocol, free)
         # interior values where the curve rises; the top edge has its own test
         rises = np.flatnonzero(curve[1:-1] > curve[:-2]) + 1
         for v in rises[:: max(1, rises.size // 10)]:
@@ -449,10 +481,42 @@ def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
             assert above.optimal_allocation > v
 
 
+def test_time_splitting_solve_matches_the_curve_lookup(rng):
+    # the closed-form solve picks the left searchsorted of the time-splitting
+    # harvest of every slot count, built as an array in the same operation
+    # order, at curve entries and at both their float neighbours, ties and
+    # the infeasible top included
+    for _ in range(40):
+        frame_slots = int(rng.integers(2, 20_000))
+        cfg = ScenarioConfig(
+            frame_slots=frame_slots,
+            preamble_slots=int(rng.integers(1, frame_slots)),
+            slot_duration=float(10 ** rng.uniform(-7, -3)),
+            tx_power=float(10 ** rng.uniform(-1.0, 1.5)),
+            chain_size=int(rng.integers(1, 12)),
+            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+            e_rec=0.0,  # the consumed power is the static input
+        )
+        vmax = cfg.frame_slots - cfg.preamble_slots
+        curve = np.arange(vmax + 1, dtype=float)
+        curve *= cfg.slot_duration
+        curve *= risharvest.harvesting.harvest(cfg)[-1]
+        curve /= cfg.frame_duration
+        for v in {0, 1, vmax - 1, vmax, *rng.integers(0, vmax + 1, 8).tolist()}:
+            for consumed in (np.nextafter(curve[v], -1.0), curve[v], np.nextafter(curve[v], 1.0)):
+                if consumed < 0.0:
+                    continue
+                result = optimize_time_splitting(float(consumed), cfg)
+                expected = min(int(np.searchsorted(curve, consumed, side="left")), vmax)
+                assert result.optimal_allocation == expected
+                assert result.avg_harvested_power == curve[expected]
+                assert (result.status == FEASIBLE) == (curve[expected] >= consumed)
+
+
 def test_lookup_edges_zero_static_power_and_full_allocation(small_cfg):
     free = dataclasses.replace(small_cfg, e_rec=0.0)
     for protocol, optimize in OPTIMIZERS:
-        curve = harvest_curve(protocol, free)
+        curve = curve_of(protocol, free)
         vmax = curve.size - 1
         result = optimize(0.0, free)
         assert (result.status, result.optimal_allocation) == (FEASIBLE, 0)
@@ -506,10 +570,10 @@ def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
 
     monkeypatch.setattr(risharvest.harvesting, "rectify", counting_rectify)
     fills = (min(config.chain_size, config.m_s) + 1,)
-    assert harvest_curve(UC_SPLITTING, config).size == config.m_s + 1
+    assert harvest_curve(config).size == config.m_s + 1
     assert calls == [fills]
     vmax = config.frame_slots - config.preamble_slots
-    assert harvest_curve(TIME_SPLITTING, config).size == vmax + 1
+    assert curve_of(TIME_SPLITTING, config).size == vmax + 1
     assert calls == [fills, fills]
 
 
@@ -529,8 +593,8 @@ def test_feasibility_range_ordering(cfg):
     # max harvest is identical at full allocation while UC splitting spends
     # less dynamic power, so its feasible static-power range extends at
     # least as far
-    max_harvest_ts = harvest_curve(TIME_SPLITTING, cfg)[9000]
-    max_harvest_uc = harvest_curve(UC_SPLITTING, cfg)[cfg.m_s]
+    max_harvest_ts = allocation_harvest(TIME_SPLITTING, 9000, cfg)
+    max_harvest_uc = allocation_harvest(UC_SPLITTING, cfg.m_s, cfg)
     assert max_harvest_uc == max_harvest_ts
     for p_static in np.linspace(1e-4, 3e-3, 13):
         ts = optimize_time_splitting(float(p_static), cfg)
@@ -552,7 +616,7 @@ def test_allocation_value_bounds_checked(cfg):
     fast = dataclasses.replace(cfg, mc_trials=8)
     trials = draw(fast, 1)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
-        vmax = harvest_curve(protocol, fast).size - 1
+        vmax = curve_of(protocol, fast).size - 1
         for bad in (-1, vmax + 1, True, 3.0, "3", None):
             message = rf"^allocation value must be an integer in \[0, {vmax}\], got {bad!r}$"
             with pytest.raises(ValueError, match=message):

@@ -18,9 +18,8 @@ from risharvest import (
     total_consumption,
 )
 from risharvest.channel import coherent_snr
-from risharvest.optimizer import harvest_curve
 
-from conftest import block_rng, draw, oracle_full_surface_snr
+from conftest import allocation_harvest, block_rng, curve_of, draw, oracle_full_surface_snr
 
 
 def few_trials(cfg, seed=20240614, n=8):
@@ -46,13 +45,13 @@ def test_uc_splitting_bounds_checked(cfg):
 def test_time_splitting_full_harvest_kills_rate(cfg):
     rate, _ = estimate_averages(TIME_SPLITTING, 9000, few_trials(cfg))
     assert rate == 0.0
-    assert harvest_curve(TIME_SPLITTING, cfg)[9000] > 0.0
+    assert allocation_harvest(TIME_SPLITTING, 9000, cfg) > 0.0
 
 
 def test_time_splitting_no_harvest(cfg):
     n, seed = 8, 3
     rate, _ = estimate_averages(TIME_SPLITTING, 0, few_trials(cfg, seed, n))
-    assert harvest_curve(TIME_SPLITTING, cfg)[0] == 0.0
+    assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
     rows = sample_amplitudes(cfg, block_rng(seed, 0), n)
     snrs = [coherent_snr(float(row.sum()), cfg) for row in rows]
     expected = np.mean([0.9 * cfg.bandwidth * math.log2(1.0 + snr) for snr in snrs])
@@ -72,7 +71,8 @@ def test_null_allocations_coincide_up_to_dynamic_power(cfg):
     uc_rate, uc_ci = estimate_averages(UC_SPLITTING, 0, trials)
     assert ts_rate == pytest.approx(uc_rate, rel=1e-12)
     assert ts_ci == pytest.approx(uc_ci, rel=1e-12)
-    assert harvest_curve(TIME_SPLITTING, cfg)[0] == harvest_curve(UC_SPLITTING, cfg)[0] == 0.0
+    assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
+    assert allocation_harvest(UC_SPLITTING, 0, cfg) == 0.0
     # the solves at one static power differ in consumption by the dynamic power alone
     ts, uc = optimize_time_splitting(2e-6, cfg), optimize_uc_splitting(2e-6, cfg)
     delta = dynamic_power(TIME_SPLITTING, cfg) - dynamic_power(UC_SPLITTING, cfg)
@@ -81,7 +81,7 @@ def test_null_allocations_coincide_up_to_dynamic_power(cfg):
 
 def test_uc_splitting_all_ucs_absorb(cfg):
     assert estimate_averages(UC_SPLITTING, cfg.m_s, few_trials(cfg)) == (0.0, 0.0)
-    assert harvest_curve(UC_SPLITTING, cfg)[cfg.m_s] > 0.0
+    assert allocation_harvest(UC_SPLITTING, cfg.m_s, cfg) > 0.0
 
 
 def test_uc_splitting_half_surface_snr_scaling(los_cfg):
@@ -97,13 +97,13 @@ def test_uc_splitting_harvest_duration_is_post_preamble(cfg):
     # one full 9-UC chain in the linear region for the 9000-slot payload
     per_uc = cfg.tx_power * cfg.free_space_uc_gain
     expected = 0.3 * 9 * per_uc * 9000 * cfg.slot_duration / (10000 * cfg.slot_duration)
-    assert harvest_curve(UC_SPLITTING, cfg)[9] == pytest.approx(expected, rel=1e-9)
+    assert allocation_harvest(UC_SPLITTING, 9, cfg) == pytest.approx(expected, rel=1e-9)
 
 
 def test_time_splitting_rate_strictly_decreasing_in_eh_slots(cfg):
     rng = np.random.default_rng(11)
     trials = few_trials(cfg, seed=11, n=4)
-    curve = harvest_curve(TIME_SPLITTING, cfg)
+    curve = curve_of(TIME_SPLITTING, cfg)
     for _ in range(100):
         lo = int(rng.integers(0, 9000))
         hi = int(rng.integers(lo + 1, 9001))
@@ -116,7 +116,7 @@ def test_time_splitting_rate_strictly_decreasing_in_eh_slots(cfg):
 def test_uc_splitting_rate_nonincreasing_in_k(cfg):
     rng = np.random.default_rng(12)
     trials = few_trials(cfg, seed=12, n=4)
-    curve = harvest_curve(UC_SPLITTING, cfg)
+    curve = curve_of(UC_SPLITTING, cfg)
     for _ in range(100):
         lo = int(rng.integers(0, cfg.m_s))
         hi = int(rng.integers(lo + 1, cfg.m_s + 1))
@@ -135,7 +135,7 @@ def test_feasible_flag_matches_recomputed_inequality(cfg):
             (UC_SPLITTING, optimize_uc_splitting),
         ):
             result = optimize(p_static, cfg)
-            harvested = harvest_curve(protocol, cfg)[result.optimal_allocation]
+            harvested = allocation_harvest(protocol, result.optimal_allocation, cfg)
             consumed = total_consumption(p_static, protocol, cfg).total
             assert (result.avg_harvested_power, result.avg_consumed_power) == (harvested, consumed)
             assert (result.status == FEASIBLE) == (harvested >= consumed)

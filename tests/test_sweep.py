@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,15 @@ from hypothesis import event, example, given, settings, strategies as st
 import risharvest
 import risharvest.optimizer
 from risharvest import (
+    FEASIBLE,
     RECTIFIER_KINDS,
+    TIME_SPLITTING,
     ConfigValidationError,
     RectifierModel,
     ScenarioConfig,
     save_config,
+    total_consumption,
 )
-from risharvest.optimizer import harvest_curve
 from risharvest.sweep import (
     CSV_HEADER,
     SweepCsvError,
@@ -31,6 +34,8 @@ from risharvest.sweep import (
     run_sweep,
     summarize,
 )
+
+from conftest import allocation_harvest, clear_harvest_caches
 
 
 def small_spec(**overrides):
@@ -446,6 +451,31 @@ def test_sweep_csv_does_not_depend_on_the_draw_threads(monkeypatch, tmp_path):
         assert (tmp_path / f"{threads}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
+def test_a_trillion_slot_frame_sweeps_to_a_finite_csv(tmp_path):
+    # the time-splitting harvest is solved in closed form; an array over its
+    # 10^12 slot counts would take 8 TB
+    path, out = tmp_path / "long_frame.cfg", tmp_path / "sweep.csv"
+    cfg = ScenarioConfig(frame_slots=10**12)
+    save_config(cfg, path)
+    tracemalloc.start()
+    try:
+        run_sweep(path, small_spec(), out, trials=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    rows = read_rows(out)
+    assert len(rows) == 6
+    for row in rows:
+        assert math.isfinite(row.average_rate) and math.isfinite(row.rate_ci)
+        if row.protocol == TIME_SPLITTING:
+            # the fewest slots whose harvest covers consumption
+            consumed = total_consumption(row.p_static, TIME_SPLITTING, cfg).total
+            assert row.status == FEASIBLE
+            assert allocation_harvest(TIME_SPLITTING, row.optimal_allocation, cfg) >= consumed
+            assert allocation_harvest(TIME_SPLITTING, row.optimal_allocation - 1, cfg) < consumed
+
+
 def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_path):
     calls = []
     harvest = risharvest.optimizer.harvest
@@ -454,12 +484,12 @@ def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_
         calls.append(args)
         return harvest(*args, **kwargs)
 
-    harvest_curve.cache_clear()
+    clear_harvest_caches()
     monkeypatch.setattr(risharvest.optimizer, "harvest", counting_harvest)
     try:
         run_sweep(None, small_spec(), tmp_path / "sweep.csv", trials=8)
     finally:
-        harvest_curve.cache_clear()
+        clear_harvest_caches()
     assert len(calls) == 2
 
 
