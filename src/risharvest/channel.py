@@ -35,8 +35,9 @@ def sample_amplitudes(
     ``out``, when given, is a C-contiguous float64 (n, 2, m_s) array that
     the normals are drawn into; it is overwritten, and the amplitudes are
     returned as its view ``out[:, 0]``, so a caller that draws in chunks can
-    reuse one buffer. Without it the (n, 2, m_s) array is allocated here.
-    Either way the amplitudes are the same bit for bit.
+    reuse one buffer. Without it the normals are drawn into a new array and
+    the amplitudes returned as a new contiguous (n, m_s) array. Either way
+    the amplitudes are the same bit for bit.
     """
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
@@ -51,8 +52,7 @@ def sample_amplitudes(
     z *= z
     # sqrt of the sum of squares, not np.hypot: the terms are O(1), so nothing
     # overflows, and it is several times faster (within 1 ulp of hypot).
-    amp = z[:, 0]
-    np.add(amp, z[:, 1], out=amp)
+    amp = np.add(z[:, 0], z[:, 1], out=None if out is None else z[:, 0])
     np.sqrt(amp, out=amp)
     amp *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     return amp

@@ -18,13 +18,14 @@ finite and nondecreasing in it. The average rate is decreasing in the
 allocation, so the optimum is the smallest value whose harvest covers
 consumption, found with no channel draw. For UC splitting that is one
 ``searchsorted`` of the consumed power against the cached curve over k =
-0..m_s. Time splitting's harvest is linear in its slot count, so it is
-solved in closed form, bit for bit as a lookup in the array over every
-slot count would be, and costs O(1) memory however long the frame. The
-estimate (``estimate_averages``) then averages the rate of one allocation
-value over one set of channel draws (common random numbers). A sweep
-solves its whole grid first, draws once keeping only the prefix columns
-those solves read, and estimates each distinct allocation once.
+0..m_s. Time splitting's harvest is nondecreasing in its slot count, so
+it is solved by a bisection over the slot counts, bit for bit as a lookup
+in the array over every slot count would be, in O(log vmax) evaluations
+and O(1) memory however long the frame. The estimate
+(``estimate_averages``) then averages the rate of one allocation value
+over one set of channel draws (common random numbers). A sweep solves its
+whole grid first, draws once keeping only the prefix columns those solves
+read, and estimates each distinct allocation once.
 
 The draw (``draw_trials``) reads its seed and trial count from the
 configuration and keeps that configuration, so an estimate always reads the
@@ -213,39 +214,38 @@ def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _time_splitting_harvest(slots, full: float, cfg: ScenarioConfig):
-    """Frame-averaged DC harvest (W) of ``slots`` harvesting slots, an integer or an array.
-
-    ``full`` is the DC power of the whole surface absorbing. The harvest is
-    linear in the slot count; its three operations always run in this
-    order, so a slot count gives the same value bit for bit however it is
-    evaluated.
-    """
-    return ((slots * cfg.slot_duration) * full) / cfg.frame_duration
-
-
 @functools.lru_cache(maxsize=8)
-def _full_surface_harvest(cfg: ScenarioConfig) -> float:
-    """DC power (W) of the whole surface absorbing, the one figure time splitting scales.
+def _time_splitting_harvest(cfg: ScenarioConfig):
+    """Time splitting's frame-averaged DC harvest (W) as a function of its slot count.
 
-    Raises ValueError when the time-splitting harvest is not finite and
-    nondecreasing over 0..vmax. Each of its rounded operations is monotone
-    in the slot count, so that holds exactly when its value at vmax is
-    finite and >= 0; only the error message searches for the first bad
-    slot count, in O(log vmax) evaluations.
+    The function takes an integer or an array of slot counts and scales the
+    DC power of the whole surface absorbing by their share of the frame. It
+    is linear in the slot count; its three operations always run in this
+    order, so a slot count gives the same value bit for bit however it is
+    evaluated. Cached per configuration.
+
+    Raises ValueError when the harvest is not finite and nondecreasing over
+    0..vmax. Each of its rounded operations is monotone in the slot count,
+    so that holds exactly when its value at vmax is finite and >= 0; only
+    the error message searches for the first bad slot count, in O(log vmax)
+    evaluations.
     """
     full = float(harvest(cfg)[-1])
-    vmax = _allocation_bounds(TIME_SPLITTING, cfg)
+    slot, frame = cfg.slot_duration, cfg.frame_duration
+
+    def harvested(slots):
+        return ((slots * slot) * full) / frame
 
     def bad(slots: int) -> bool:
-        return not 0.0 <= _time_splitting_harvest(slots, full, cfg) < math.inf
+        return not 0.0 <= harvested(slots) < math.inf
 
+    vmax = _allocation_bounds(TIME_SPLITTING, cfg)
     if bad(vmax):
         first = bisect_left(range(vmax + 1), True, key=bad)
         raise ValueError(
             f"{TIME_SPLITTING} harvest curve is not finite and nondecreasing at allocation {first}"
         )
-    return full
+    return harvested
 
 
 @functools.lru_cache(maxsize=8)
@@ -312,37 +312,18 @@ def estimate_averages(protocol: str, value: int, trials: TrialChannels) -> tuple
     return average, ci
 
 
-def _first_covering_slots(consumed: float, full: float, cfg: ScenarioConfig) -> int:
-    """Fewest harvesting slots whose harvest covers ``consumed``, or vmax if none does.
-
-    The same value as a left ``searchsorted`` of ``consumed`` over the
-    harvest of every slot count 0..vmax, clamped to vmax, without that
-    array. The harvest is linear, so v = ceil(consumed * frame / (slot *
-    full)) is the answer up to rounding; it is checked against the harvest
-    of v - 1 and v as ``_time_splitting_harvest`` rounds them, which
-    settles ties bit for bit, and a bisection over 0..vmax replaces it in
-    the rare case that rounding put it a step off.
-    """
-    vmax = _allocation_bounds(TIME_SPLITTING, cfg)
-    per_slot = cfg.slot_duration * full
-    estimate = consumed * cfg.frame_duration / per_slot if per_slot > 0.0 else math.inf
-    value = math.ceil(min(max(estimate, 0.0), vmax))
-    harvested = functools.partial(_time_splitting_harvest, full=full, cfg=cfg)
-    if (value == 0 or harvested(value - 1) < consumed) and (
-        value == vmax or harvested(value) >= consumed
-    ):
-        return value
-    return bisect_left(range(vmax + 1), consumed, 0, vmax, key=harvested)
-
-
 def _solve(protocol: str, p_static: float, cfg: ScenarioConfig) -> AllocationResult:
     consumed = total_consumption(p_static, protocol, cfg).total
     # First value whose harvest covers consumption, ties included; none
     # means even the full allocation falls short and reports it.
     if protocol == TIME_SPLITTING:
-        full = _full_surface_harvest(cfg)
-        value = _first_covering_slots(consumed, full, cfg)
-        harvested = _time_splitting_harvest(value, full, cfg)
+        # The harvest is nondecreasing in the slot count, so a bisection over
+        # 0..vmax gives the left searchsorted of an array over every slot
+        # count bit for bit, in O(log vmax) evaluations and without the array.
+        harvested_by = _time_splitting_harvest(cfg)
+        vmax = _allocation_bounds(TIME_SPLITTING, cfg)
+        value = bisect_left(range(vmax + 1), consumed, 0, vmax, key=harvested_by)
+        harvested = harvested_by(value)
     else:
         curve = harvest_curve(cfg)
         value = min(int(np.searchsorted(curve, consumed, side="left")), curve.size - 1)

@@ -50,8 +50,7 @@ def draw(cfg, seed, n=None, columns=None):
 def allocation_harvest(protocol, value, cfg):
     """The frame-averaged harvest (W) the solve reads for an allocation value or array of them."""
     if protocol == TIME_SPLITTING:
-        full = risharvest.optimizer._full_surface_harvest(cfg)
-        return risharvest.optimizer._time_splitting_harvest(value, full, cfg)
+        return risharvest.optimizer._time_splitting_harvest(cfg)(value)
     return risharvest.optimizer.harvest_curve(cfg)[value]
 
 
@@ -64,7 +63,7 @@ def curve_of(protocol, cfg):
 def clear_harvest_caches():
     """Empty the cached harvests, which a patched harvest chain must rebuild."""
     risharvest.optimizer.harvest_curve.cache_clear()
-    risharvest.optimizer._full_surface_harvest.cache_clear()
+    risharvest.optimizer._time_splitting_harvest.cache_clear()
 
 
 def absorbing_config(p_uc, m_s, **fields):

@@ -107,6 +107,7 @@ def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
         fresh = sample_amplitudes(kcfg, fresh_rng, n)
         reused = sample_amplitudes(kcfg, reused_rng, n, out=buffer[:n])
         assert np.shares_memory(reused, buffer)
+        assert fresh.flags.c_contiguous and fresh.base is None
         assert np.array_equal(reused, fresh)
         rows.append(reused.copy())
     whole = sample_amplitudes(kcfg, np.random.default_rng(10), 11)

@@ -482,7 +482,7 @@ def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
 
 
 def test_time_splitting_solve_matches_the_curve_lookup(rng):
-    # the closed-form solve picks the left searchsorted of the time-splitting
+    # the bisection solve picks the left searchsorted of the time-splitting
     # harvest of every slot count, built as an array in the same operation
     # order, at curve entries and at both their float neighbours, ties and
     # the infeasible top included

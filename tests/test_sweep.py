@@ -452,7 +452,7 @@ def test_sweep_csv_does_not_depend_on_the_draw_threads(monkeypatch, tmp_path):
 
 
 def test_a_trillion_slot_frame_sweeps_to_a_finite_csv(tmp_path):
-    # the time-splitting harvest is solved in closed form; an array over its
+    # the time-splitting harvest is solved by bisection; an array over its
     # 10^12 slot counts would take 8 TB
     path, out = tmp_path / "long_frame.cfg", tmp_path / "sweep.csv"
     cfg = ScenarioConfig(frame_slots=10**12)
