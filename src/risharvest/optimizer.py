@@ -36,7 +36,7 @@ depend on the seed alone, not on how many threads drew them. A trial's
 running sum over its UCs stops at the last kept column below m_s, and the
 full-surface column is the trial's plain sum, so the running sum does no
 work past the last column a sweep reads. Each drawing thread allocates one
-buffer for its normals and draws every chunk of its blocks into it, so a
+buffer for its uniforms and draws every chunk of its blocks into it, so a
 chunk makes no new array.
 """
 
@@ -59,7 +59,7 @@ INFEASIBLE = "infeasible"
 
 # Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
 # Each drawing thread draws its chunks into one buffer of twice as many
-# normals, 512 KiB, so the draw's peak memory is the prefix plus one buffer
+# uniforms, 512 KiB, so the draw's peak memory is the prefix plus one buffer
 # per thread.
 _DRAW_CHUNK_VALUES = 1 << 15
 # Trials per block of draw_trials; each block has its own random stream.
@@ -125,7 +125,7 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     Within a block the amplitudes are drawn with ``sample_amplitudes`` in
     chunks of ``_DRAW_CHUNK_VALUES // m_s`` trials (9 on a 60 x 60 surface,
     145 on 15 x 15), each into a prefix of the drawing thread's one
-    (chunk, 2, m_s) buffer of normals, about 512 KiB. The thread allocates
+    (chunk, 2, m_s) buffer of uniforms, about 512 KiB. The thread allocates
     it before its first block and reuses it for every chunk after; the
     amplitudes are computed in place in its first half, so a chunk makes
     no new array and the draw's memory is the prefix plus one buffer per
@@ -137,9 +137,9 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     kept. A draw of at least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares
     its blocks out among up to ``_DRAW_MAX_THREADS`` threads, the calling one
     included, capped by the CPUs this process may run on; numpy releases the
-    GIL while it fills the normals. A row depends only on the seed, B and its
-    trial index: not on the trial count, the chunk size, the thread count or
-    which thread drew it.
+    GIL while it draws the uniforms and transforms them. A row depends only
+    on the seed, B and its trial index: not on the trial count, the chunk
+    size, the thread count or which thread drew it.
     An exception in any block is raised here once every thread has stopped.
     """
     n, m_s, seed = cfg.mc_trials, cfg.m_s, cfg.rng_seed
@@ -154,8 +154,15 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     # Column m_s is a chunk row's sum, column 0 < k <= kmax is entry k - 1 of
     # its running sum and column 0 stays 0.
     skip = 1 if kept[0] == 0 else 0
-    gather = np.array(kept[skip:-1]) - 1
     kmax = kept[-2] if len(kept) > 1 else 0
+    # Those entries are copied through a slice when the columns are one
+    # contiguous range (every column, for one), which makes no temporary; a
+    # fancy index copies them into a new array first.
+    inner = kept[skip:-1]
+    if inner and inner[-1] - inner[0] == len(inner) - 1:
+        gather = slice(inner[0] - 1, kmax)
+    else:
+        gather = np.array(inner) - 1
     prefix = np.zeros((n, len(kept)))
     block = _DRAW_BLOCK_TRIALS
     # A chunk never spans two blocks or runs past the last trial, so a
@@ -163,12 +170,12 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     chunk = max(1, min(_DRAW_CHUNK_VALUES // m_s, block, n))
     blocks = -(-n // block)
 
-    def fill(b: int, normals: np.ndarray) -> None:
+    def fill(b: int, uniforms: np.ndarray) -> None:
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
         stop = min(n, (b + 1) * block)
         for t0 in range(b * block, stop, chunk):
             size = min(chunk, stop - t0)
-            amp = sample_amplitudes(cfg, rng, size, out=normals[:size])
+            amp = sample_amplitudes(cfg, rng, size, out=uniforms[:size])
             rows = prefix[t0 : t0 + size]
             np.sum(amp, axis=1, out=rows[:, -1])
             if kmax:
@@ -180,13 +187,13 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
 
     def work() -> None:
         try:
-            normals = np.empty((chunk, 2, m_s))
+            uniforms = np.empty((chunk, 2, m_s))
             while not errors:
                 with lock:
                     b = next(pending, None)
                 if b is None:
                     return
-                fill(b, normals)
+                fill(b, uniforms)
         except BaseException as exc:  # raised by the caller once every thread is joined
             errors.append(exc)
 

@@ -31,9 +31,9 @@ SIGMOIDAL = "sigmoidal"
 RECTIFIER_KINDS = (LINEAR_CLIPPED, SIGMOIDAL)
 
 # A Rician draw gives |g_i|^2 / E|g|^2 = |los + sigma z|^2 <= (1 + |z|/sqrt(2))^2,
-# as los <= 1 and sigma <= 1/sqrt(2), with z complex standard normal. That
-# exceeds 1e3 only if |z| > 43, with probability e^(-43^2/2) ~ 1e-401 per
-# draw, so it bounds every amplitude a float64 normal sampler can give.
+# as los <= 1 and sigma <= 1/sqrt(2), with z complex standard normal. The
+# sampler draws |z| as R = sqrt(-2 log(1 - u)) from a float64 uniform
+# u <= 1 - 2^-53, so |z| < 8.6 and the ratio stays below 50, well inside 1e3.
 _RICIAN_PEAK_GAIN = 1e3
 # The harvest chain sums equal terms and scales them in another order than
 # the bounds below; that rounds up by a few ulps at most, far below 2x.

@@ -119,17 +119,51 @@ def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg, rng):
         sample_amplitudes(cfg, rng, 3, out=np.empty((4, 2, 225)))
 
 
-@pytest.mark.parametrize("k", [0.5, 10.0, 1e3, math.inf])
-def test_magnitude_within_one_ulp_of_hypot(cfg, k):
-    # a unit link budget makes the sampler's final scaling exact, so its
-    # output is the magnitude itself; the reference takes np.hypot of the
-    # same normals, shifted and scaled as the sampler does
-    unit = SimpleNamespace(rician_k=k, m_s=cfg.m_s, free_space_uc_gain=1.0, mean_ris_rx_gain=1.0)
-    amp = sample_amplitudes(unit, np.random.default_rng(8), 400)
+def unit_link(k, m_s):
+    """A link budget of 1 at Rician factor ``k``: the sampler's final scaling
+    is exact, so its output is the magnitude |c + sigma (x + j y)| itself."""
+    return SimpleNamespace(rician_k=k, m_s=m_s, free_space_uc_gain=1.0, mean_ris_rx_gain=1.0)
+
+
+def los_and_sigma(k):
     diffuse = 1.0 / (k + 1.0)
-    los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
-    z = np.random.default_rng(8).standard_normal((400, 2, cfg.m_s)) * sigma
-    np.testing.assert_array_max_ulp(amp, np.hypot(z[:, 0] + los, z[:, 1]), maxulp=1)
+    return math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
+
+
+@pytest.mark.parametrize("k", [0.5, 10.0, 1e3, math.inf])
+def test_magnitude_is_box_muller_of_the_same_uniforms(cfg, k):
+    # the reference is the float64 Box-Muller transform of the same (n, 2, m_s)
+    # uniforms in its textbook form, c^2 + sigma^2 R^2 - 2 c sigma R cos(pi v)
+    # with R = sqrt(-2 log1p(-u)); the sampler's float32 sine is what separates
+    # the two, as its log(1 - u) equals log1p(-u) to within rounding
+    amp = sample_amplitudes(unit_link(k, cfg.m_s), np.random.default_rng(8), 400)
+    los, sigma = los_and_sigma(k)
+    u = np.random.default_rng(8).random((400, 2, cfg.m_s))
+    radius = sigma * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    expected = np.sqrt(los**2 + radius**2 - 2.0 * los * radius * np.cos(np.pi * u[:, 1]))
+    if k == math.inf:
+        assert np.array_equal(amp, np.ones_like(amp))  # the LoS gain, bit for bit
+    np.testing.assert_allclose(amp, expected, rtol=0.0, atol=1e-6 * expected.mean())
+    # the half-angle form keeps even the smallest amplitudes relatively exact
+    np.testing.assert_allclose(amp, expected, rtol=2e-7, atol=0.0)
+
+
+def normal_based_amplitudes(k, m_s, rng, n):
+    """|c + sigma (x + j y)| from two standard normals per UC: the sampler's
+    formula before it drew uniforms."""
+    los, sigma = los_and_sigma(k)
+    z = rng.standard_normal((n, 2, m_s)) * sigma
+    return np.sqrt((z[:, 0] + los) ** 2 + z[:, 1] ** 2)
+
+
+@pytest.mark.parametrize("k", [0.0, 10.0])
+def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
+    # two independent samples of the full-surface sum, one per formula, are
+    # one law by a two-sample Kolmogorov-Smirnov test
+    link = unit_link(k, cfg.m_s)
+    uniforms = sample_amplitudes(link, np.random.default_rng(41), 4000).sum(axis=1)
+    normals = normal_based_amplitudes(k, cfg.m_s, np.random.default_rng(42), 4000).sum(axis=1)
+    assert stats.ks_2samp(uniforms, normals).pvalue > 0.001
 
 
 @pytest.mark.parametrize("k", [0.5, 10.0, 1e3])

@@ -202,6 +202,19 @@ def test_drawn_amplitudes_follow_rician_law(cfg, k):
     assert stats.kstest(amplitudes, law.cdf).pvalue > 0.01
 
 
+@pytest.mark.parametrize("k", [0.0, 10.0])
+def test_full_surface_mean_matches_the_rician_mean(cfg, k):
+    # the full-surface column sums m_s i.i.d. |h||g|, so its mean over 10^4
+    # trials lies within 4 standard errors of m_s times the link gain times
+    # the mean of a unit-power Rician amplitude
+    kcfg = dataclasses.replace(cfg, rician_k=k)
+    sums = draw(kcfg, 564, 10_000, columns=[kcfg.m_s]).amp_total
+    gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
+    unit_power = stats.rice(b=math.sqrt(2.0 * k), scale=1.0 / math.sqrt(2.0 * (k + 1.0)))
+    mean = kcfg.m_s * gain * unit_power.mean()
+    assert abs(sums.mean() - mean) <= 4.0 * sums.std(ddof=1) / math.sqrt(sums.size)
+
+
 class CpuCount:
     """Patch the CPUs ``draw_trials`` sees, its thread cap and the smallest
     draw it threads (default: any), and record the threads that draw; each
@@ -377,6 +390,26 @@ def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatc
     chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
     buffer = chunk * 2 * cfg.m_s * 8  # float64 normals
     assert peak <= trials.amp_prefix.nbytes + 2 * buffer + (64 << 10)
+
+
+def test_full_draw_memory_is_the_prefix_one_buffer_and_the_column_index():
+    # every column of a 512-trial 60 x 60 draw, one block on one thread: the
+    # running sums reach the prefix through a slice, so beside the prefix and
+    # one buffer only the kept columns' list and tuple of Python ints remain;
+    # a fancy-index copy would add a (chunk, m_s - 1) temporary, 259 KB
+    cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=512)
+    draw(cfg, 19, 1)
+    tracemalloc.start()
+    try:
+        trials = draw(cfg, 19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trials.columns == tuple(range(cfg.m_s + 1))
+    chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
+    buffer = chunk * 2 * cfg.m_s * 8  # float64 uniforms
+    index = 64 * (cfg.m_s + 1)  # an int object and two references per column
+    assert peak <= trials.amp_prefix.nbytes + buffer + index
 
 
 def test_unconstrained_case_allocates_nothing(cfg):
