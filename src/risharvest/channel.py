@@ -20,7 +20,10 @@ reads the angle only through the cosine in x. cos(2 pi u), cos(pi u) and
 and c^2 + sigma^2 R^2 - 2 c sigma R cos(pi u2) is written in its half-angle
 form (c - sigma R)^2 + 4 c sigma R sin^2(pi u2 / 2), a sum of two
 nonnegative terms that loses nothing to cancellation. Each amplitude thus
-costs two uniforms, a log, a float32 sine and two square roots.
+costs a float64 uniform and a log for its radius, a float32 uniform and a
+float32 sine for its angle, and two square roots. The radii and the angles
+come from two generators, each read in trial-major order, so a chunk of
+trials is a fixed handful of whole-array numpy calls.
 """
 
 import math
@@ -31,7 +34,11 @@ from .scenario import ScenarioConfig
 
 
 def sample_amplitudes(
-    cfg: ScenarioConfig, rng: np.random.Generator, n: int, *, out: np.ndarray | None = None
+    cfg: ScenarioConfig,
+    rngs: tuple[np.random.Generator, np.random.Generator],
+    n: int,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Draw ``n`` channel realizations: an (n, m_s) array of |h||g_i|.
 
@@ -39,45 +46,53 @@ def sample_amplitudes(
     with c = sqrt(K/(K+1)), sigma^2 = 1/(2(K+1)) per diffuse component and
     R = sqrt(-2 log(1 - u)): the Box-Muller magnitude of
     |c + sigma (x + j y)| for standard normals x, y (see the module
-    docstring). The uniforms are drawn with ``rng.random`` as one
-    trial-major (n, 2, m_s) array, u in [:, 0] and v in [:, 1], so
-    consecutive calls continue one stream: n draws equal the first n of
-    any longer draw from the same state. ``draw_trials`` relies on this
-    inside each trial block, whose chunks are consecutive calls on the
-    block's own generator. An infinite K gives sigma = 0, so the amplitude
-    is c = 1 before the final scaling by sqrt(|h|^2 E|g|^2), the pure LoS
-    gain exactly.
+    docstring). ``rngs`` is a (radius, angle) pair of generators: the
+    float64 uniforms u are drawn from the first as one trial-major (n, m_s)
+    array, the float32 uniforms v from the second as another. Each
+    generator is read in order, so consecutive calls continue both
+    streams: n draws equal the first n of any longer draw from the same
+    states. ``draw_trials`` relies on this inside each trial block, whose
+    chunks are consecutive calls on the block's own pair. An infinite K
+    gives sigma = 0, so the amplitude is c = 1 before the final scaling by
+    sqrt(|h|^2 E|g|^2), the pure LoS gain exactly.
 
-    R and every other step are float64; only the sine is float32: the
-    angle pi v / 2 is rounded to float32 and numpy's SIMD float32 ``sin``
-    takes it. The sine enters only the nonnegative second term, so the
-    float32 rounding stays relative: each amplitude is within 2e-7 of the
-    float64 transform of the same uniforms, relative to itself (at most
-    1.2e-7 over 2.25e6 amplitudes, on numpy's AVX-512, AVX2 and baseline
-    kernels alike), far below the Monte-Carlo error of any average. The
-    last bits of an amplitude depend on which SIMD kernels numpy
-    dispatches on the machine.
+    The radius and the sum are float64; the angle is float32 throughout.
+    numpy's float32 uniforms have 24 bits, so v lies on a 2^-24 grid, and
+    pi v / 2, its sine, the square and the factor 4c are float32 with
+    numpy's SIMD float32 kernels. The product with sigma R runs in float64
+    and is rounded to float32 once. The sine enters only the nonnegative
+    second term, so the float32 roundings stay relative: each amplitude is
+    within about 2.1e-7 of the float64 transform of the same uniforms,
+    relative to itself (at most 2.08e-7 over 2.9e7 amplitudes at K in
+    {0.5, 1, 2, 10}, on numpy's AVX-512, AVX2 and baseline kernels alike;
+    0 at K = inf), far below the Monte-Carlo error of any average. The last
+    bits of an amplitude depend on which SIMD kernels numpy dispatches on
+    the machine.
 
-    ``out``, when given, is a C-contiguous float64 (n, 2, m_s) array that
-    the uniforms are drawn into; it is overwritten, and the amplitudes are
-    returned as its view ``out[:, 0]``, so a caller that draws in chunks can
-    reuse one buffer. The float32 sines of each trial live in the second
-    half of its own [:, 1] row, so a call makes no array beyond ``out``.
-    Without it the uniforms are drawn into a new array and the amplitudes
-    returned as a new contiguous (n, m_s) array. Either way the amplitudes
-    are the same bit for bit.
+    ``out``, when given, is a pair of C-contiguous (n, m_s) arrays, float64
+    and float32, that u and v are drawn into; both are overwritten, and the
+    amplitudes are returned in the first, so a caller that draws in chunks
+    can reuse one pair of buffers, 12 bytes per amplitude. A call into
+    ``out`` makes no array of its own, but the two float64 loops over the
+    float32 plane cast through numpy's ufunc buffers, about 130 KB at
+    numpy's default buffer size whatever the chunk. Without ``out`` both
+    arrays are new and the amplitudes are returned as a new contiguous
+    (n, m_s) array. Either way the amplitudes are the same bit for bit.
     """
     m_s = cfg.m_s
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
     if out is None:
-        z = np.empty((n, 2, m_s))
-    elif out.shape != (n, 2, m_s):
-        raise ValueError(f"out must have shape {(n, 2, m_s)}, got {out.shape}")
+        radius, sines = np.empty((n, m_s)), np.empty((n, m_s), np.float32)
     else:
-        z = out
-    rng.random(out=z)
-    radius, half_angle = z[:, 0], z[:, 1]
+        radius, sines = out
+        if radius.shape != (n, m_s) or sines.shape != (n, m_s):
+            raise ValueError(
+                f"out must be two arrays of shape {(n, m_s)}, got {radius.shape} and {sines.shape}"
+            )
+    radius_rng, angle_rng = rngs
+    radius_rng.random(out=radius)
+    angle_rng.random(dtype=np.float32, out=sines)
     # 1 - u is exact for numpy's 53-bit uniforms, so log(1 - u) is log1p(-u)
     # to within rounding; numpy's float64 log is faster than its log1p, about
     # twice as fast on machines without AVX-512.
@@ -85,25 +100,16 @@ def sample_amplitudes(
     np.log(radius, out=radius)
     radius *= -2.0 * sigma * sigma
     np.sqrt(radius, out=radius)  # sigma R
-    half_angle *= math.pi / 2.0
-    # Round each row's angles to float32 into the upper half of the row's own
-    # bytes and back. A 1-D assignment between overlapping arrays runs in the
-    # order that reads each value before it is overwritten, so neither copy
-    # needs a temporary; a 2-D one would copy the whole chunk first.
-    sines = half_angle.view(np.float32)[:, m_s:]
-    rows = list(zip(sines, half_angle))
-    for sine, angle in rows:
-        sine[...] = angle
+    sines *= math.pi / 2.0
     np.sin(sines, out=sines)
-    for sine, angle in rows:
-        angle[...] = sine
-    half_angle *= half_angle
-    half_angle *= radius
-    half_angle *= 4.0 * los  # 4 c sigma R sin^2
+    sines *= sines
+    sines *= 4.0 * los
+    # A float64 loop, so sigma R is not rounded to float32 before the product.
+    np.multiply(sines, radius, out=sines, casting="same_kind")  # 4 c sigma R sin^2
     radius -= los
     radius *= radius
-    radius += half_angle
-    amp = np.sqrt(radius, out=None if out is None else radius)
+    radius += sines
+    amp = np.sqrt(radius, out=radius)
     amp *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     return amp
 

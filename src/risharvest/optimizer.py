@@ -29,14 +29,15 @@ read, and estimates each distinct allocation once.
 
 The draw (``draw_trials``) reads its seed and trial count from the
 configuration and keeps that configuration, so an estimate always reads the
-configuration its draw was made for. Each block of trials has its own SFC64
-random stream keyed by the seed and the block index, and a large draw shares
-its blocks out among a few threads, so it uses every core while its values
-depend on the seed alone, not on how many threads drew them. A trial's
-running sum over its UCs stops at the last kept column below m_s, and the
-full-surface column is the trial's plain sum, so the running sum does no
-work past the last column a sweep reads. Each drawing thread allocates one
-buffer for its uniforms and draws every chunk of its blocks into it, so a
+configuration its draw was made for. Each block of trials has two SFC64
+random streams, one for the radii and one for the angles, keyed by the seed
+and the block index, and a large draw shares its blocks out among a few
+threads, so it uses every core while its values depend on the seed alone,
+not on how many threads drew them. A trial's running sum over its UCs stops
+at the last kept column below m_s, and the full-surface column is the
+trial's plain sum, so the running sum does no work past the last column a
+sweep reads. Each drawing thread allocates one float64 and one float32
+buffer for its uniforms and draws every chunk of its blocks into them, so a
 chunk makes no new array.
 """
 
@@ -58,16 +59,17 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 # Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
-# Each drawing thread draws its chunks into one buffer of twice as many
-# uniforms, 512 KiB, so the draw's peak memory is the prefix plus one buffer
-# per thread.
+# Each drawing thread draws its chunks into one float64 and one float32
+# buffer of this many uniforms each, 12 bytes per amplitude or 384 KiB, so the
+# draw's peak memory is the prefix plus one pair of buffers per thread.
 _DRAW_CHUNK_VALUES = 1 << 15
-# Trials per block of draw_trials; each block has its own random stream.
+# Trials per block of draw_trials; each block has its own pair of random streams.
 _DRAW_BLOCK_TRIALS = 512
 # Most threads one draw runs on, the calling thread included.
 _DRAW_MAX_THREADS = 8
 # Fewest amplitudes (trials x UCs) a draw shares out among threads; a smaller
-# draw runs on the calling thread alone, which saves the threads' memory.
+# draw runs on the calling thread alone, which saves the threads' memory. The
+# default 10^4 x 225 draw (2.25e6 amplitudes) is still faster on two threads.
 _DRAW_THREAD_MIN_VALUES = 1 << 20
 
 
@@ -121,20 +123,22 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     (mc_trials, m_s + 1).
 
     Trial block b, trials [b B, (b + 1) B) with B = ``_DRAW_BLOCK_TRIALS``,
-    draws from its own generator, ``SFC64(SeedSequence(rng_seed, spawn_key=(b,)))``.
+    draws its radii from ``SFC64(SeedSequence(rng_seed, spawn_key=(b, 0)))``
+    and its angles from ``SFC64(SeedSequence(rng_seed, spawn_key=(b, 1)))``.
     Within a block the amplitudes are drawn with ``sample_amplitudes`` in
     chunks of ``_DRAW_CHUNK_VALUES // m_s`` trials (9 on a 60 x 60 surface,
-    145 on 15 x 15), each into a prefix of the drawing thread's one
-    (chunk, 2, m_s) buffer of uniforms, about 512 KiB. The thread allocates
-    it before its first block and reuses it for every chunk after; the
-    amplitudes are computed in place in its first half, so a chunk makes
-    no new array and the draw's memory is the prefix plus one buffer per
-    thread. Column m_s of a chunk row is the row's ``np.sum``;
-    column 0 < k < m_s is entry k - 1 of the row's running sum, taken in
-    place over the UCs 1..kmax only, where kmax is the largest kept column
-    below m_s, and only the kept columns are copied into the block's rows.
-    A stored value is therefore the same bit for bit whichever columns are
-    kept. A draw of at least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares
+    145 on 15 x 15), each into prefixes of the drawing thread's one
+    (chunk, m_s) float64 buffer and one (chunk, m_s) float32 buffer, about
+    384 KiB together. The thread allocates them before its first block and
+    reuses them for every chunk after; the amplitudes are computed in place
+    in the float64 buffer, so a chunk makes no new array and the draw's
+    memory is the prefix plus one pair of buffers and numpy's cast buffers
+    (about 130 KB) per thread. Column m_s of a chunk row is the row's
+    ``np.sum``; column 0 < k < m_s is entry k - 1 of the row's running sum,
+    taken in place over the UCs 1..kmax only, where kmax is the largest kept
+    column below m_s, and only the kept columns are copied into the block's
+    rows. A stored value is therefore the same bit for bit whichever columns
+    are kept. A draw of at least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares
     its blocks out among up to ``_DRAW_MAX_THREADS`` threads, the calling one
     included, capped by the CPUs this process may run on; numpy releases the
     GIL while it draws the uniforms and transforms them. A row depends only
@@ -170,12 +174,15 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     chunk = max(1, min(_DRAW_CHUNK_VALUES // m_s, block, n))
     blocks = -(-n // block)
 
-    def fill(b: int, uniforms: np.ndarray) -> None:
-        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+    def fill(b: int, radii: np.ndarray, angles: np.ndarray) -> None:
+        rngs = tuple(  # the block's radius and angle generators
+            np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b, s))))
+            for s in (0, 1)
+        )
         stop = min(n, (b + 1) * block)
         for t0 in range(b * block, stop, chunk):
             size = min(chunk, stop - t0)
-            amp = sample_amplitudes(cfg, rng, size, out=uniforms[:size])
+            amp = sample_amplitudes(cfg, rngs, size, out=(radii[:size], angles[:size]))
             rows = prefix[t0 : t0 + size]
             np.sum(amp, axis=1, out=rows[:, -1])
             if kmax:
@@ -187,13 +194,13 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
 
     def work() -> None:
         try:
-            uniforms = np.empty((chunk, 2, m_s))
+            radii, angles = np.empty((chunk, m_s)), np.empty((chunk, m_s), np.float32)
             while not errors:
                 with lock:
                     b = next(pending, None)
                 if b is None:
                     return
-                fill(b, uniforms)
+                fill(b, radii, angles)
         except BaseException as exc:  # raised by the caller once every thread is joined
             errors.append(exc)
 

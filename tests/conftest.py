@@ -77,8 +77,12 @@ def absorbing_config(p_uc, m_s, **fields):
 
 
 def block_rng(seed, block):
-    """The generator of trial block ``block`` in a ``draw_trials`` call with ``seed``."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
+    """The (radius, angle) generator pair of trial block ``block`` in a
+    ``draw_trials`` call with ``seed``."""
+    return tuple(
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block, s))))
+        for s in (0, 1)
+    )
 
 
 def oracle_free_space_gain(cfg):

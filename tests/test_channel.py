@@ -1,15 +1,18 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from risharvest import sample_amplitudes
+import risharvest.optimizer
+from risharvest import ScenarioConfig, sample_amplitudes
 from risharvest.channel import coherent_snr
 
 from conftest import (
+    block_rng,
     oracle_free_space_gain,
     oracle_full_surface_snr,
     oracle_mean_rx_gain,
@@ -70,53 +73,83 @@ def test_mean_rx_gain_inverse_square(cfg):
     assert cfg.mean_ris_rx_gain / doubled.mean_ris_rx_gain == pytest.approx(4.0)
 
 
-def g_amplitudes(cfg, rng, n):
+@pytest.fixture
+def rngs():
+    """A (radius, angle) generator pair for the sampler."""
+    return block_rng(20240614, 0)
+
+
+def g_amplitudes(cfg, rngs, n):
     """|g_i| of n draws: the sampled cascaded amplitudes over the constant |h|."""
-    return sample_amplitudes(cfg, rng, n) / math.sqrt(cfg.free_space_uc_gain)
+    return sample_amplitudes(cfg, rngs, n) / math.sqrt(cfg.free_space_uc_gain)
 
 
-def test_sample_amplitudes_shape_and_sign(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 3)
+def test_sample_amplitudes_shape_and_sign(cfg, rngs):
+    amp = sample_amplitudes(cfg, rngs, 3)
     assert amp.shape == (3, 225) and amp.dtype == np.float64
     assert np.all(amp > 0.0)
-    assert sample_amplitudes(cfg, rng, 0).shape == (0, 225)
+    assert sample_amplitudes(cfg, rngs, 0).shape == (0, 225)
 
 
 def test_sample_amplitudes_deterministic(cfg):
-    a = sample_amplitudes(cfg, np.random.default_rng(5), 4)
-    b = sample_amplitudes(cfg, np.random.default_rng(5), 4)
+    a = sample_amplitudes(cfg, block_rng(5, 0), 4)
+    b = sample_amplitudes(cfg, block_rng(5, 0), 4)
     assert np.array_equal(a, b)
 
 
 def test_sample_amplitudes_continue_one_stream(cfg):
-    # trial-major draws: split calls give the same rows as one call
-    whole = sample_amplitudes(cfg, np.random.default_rng(6), 9)
-    rng = np.random.default_rng(6)
-    parts = [sample_amplitudes(cfg, rng, n) for n in (1, 5, 3)]
+    # trial-major draws from both generators: split calls give the same rows
+    # as one call, also where a call ends on an odd count of float32 angles
+    whole = sample_amplitudes(cfg, block_rng(6, 0), 9)
+    rngs = block_rng(6, 0)
+    parts = [sample_amplitudes(cfg, rngs, n) for n in (1, 5, 3)]
     assert np.array_equal(np.concatenate(parts), whole)
 
 
 @pytest.mark.parametrize("k", [10.0, math.inf])
 def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
     # chunks of 4, 4 and a shorter 3 drawn into prefix views of one
-    # (4, 2, m_s) buffer give the rows of fresh calls on the same stream
+    # (4, m_s) float64 and one (4, m_s) float32 buffer give the rows of
+    # fresh calls on the same streams
     kcfg = dataclasses.replace(cfg, rician_k=k)
-    fresh_rng, reused_rng = np.random.default_rng(10), np.random.default_rng(10)
-    buffer, rows = np.empty((4, 2, kcfg.m_s)), []
+    fresh_rngs, reused_rngs = block_rng(10, 0), block_rng(10, 0)
+    radii, angles = np.empty((4, kcfg.m_s)), np.empty((4, kcfg.m_s), np.float32)
+    rows = []
     for n in (4, 4, 3):
-        fresh = sample_amplitudes(kcfg, fresh_rng, n)
-        reused = sample_amplitudes(kcfg, reused_rng, n, out=buffer[:n])
-        assert np.shares_memory(reused, buffer)
+        fresh = sample_amplitudes(kcfg, fresh_rngs, n)
+        reused = sample_amplitudes(kcfg, reused_rngs, n, out=(radii[:n], angles[:n]))
+        assert np.shares_memory(reused, radii)
         assert fresh.flags.c_contiguous and fresh.base is None
         assert np.array_equal(reused, fresh)
         rows.append(reused.copy())
-    whole = sample_amplitudes(kcfg, np.random.default_rng(10), 11)
+    whole = sample_amplitudes(kcfg, block_rng(10, 0), 11)
     assert np.array_equal(np.concatenate(rows), whole)
 
 
-def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg, rng):
-    with pytest.raises(ValueError, match=r"^out must have shape \(3, 2, 225\), got \(4, 2, 225\)$"):
-        sample_amplitudes(cfg, rng, 3, out=np.empty((4, 2, 225)))
+def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg, rngs):
+    message = r"^out must be two arrays of shape \(3, 225\), got \(4, 225\) and \(3, 225\)$"
+    with pytest.raises(ValueError, match=message):
+        out = (np.empty((4, 225)), np.empty((3, 225), np.float32))
+        sample_amplitudes(cfg, rngs, 3, out=out)
+
+
+def test_sampling_into_a_reused_buffer_allocates_only_cast_buffers():
+    # one chunk of draw_trials into its reused buffers, on a 15 x 15 and a
+    # 60 x 60 surface: the float64 loops over the float32 plane cast through
+    # numpy's ufunc buffers, one per float32 operand at most, and nothing
+    # grows with the chunk
+    for side in (15, 60):
+        cfg = ScenarioConfig(ris_cols=side, ris_rows=side)
+        n = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
+        out, rngs = (np.empty((n, cfg.m_s)), np.empty((n, cfg.m_s), np.float32)), block_rng(9, 0)
+        sample_amplitudes(cfg, rngs, n, out=out)
+        tracemalloc.start()
+        try:
+            sample_amplitudes(cfg, rngs, n, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * np.getbufsize() * 8 + (8 << 10), (side, peak)
 
 
 def unit_link(k, m_s):
@@ -132,15 +165,18 @@ def los_and_sigma(k):
 
 @pytest.mark.parametrize("k", [0.5, 10.0, 1e3, math.inf])
 def test_magnitude_is_box_muller_of_the_same_uniforms(cfg, k):
-    # the reference is the float64 Box-Muller transform of the same (n, 2, m_s)
-    # uniforms in its textbook form, c^2 + sigma^2 R^2 - 2 c sigma R cos(pi v)
-    # with R = sqrt(-2 log1p(-u)); the sampler's float32 sine is what separates
-    # the two, as its log(1 - u) equals log1p(-u) to within rounding
-    amp = sample_amplitudes(unit_link(k, cfg.m_s), np.random.default_rng(8), 400)
+    # the reference is the float64 Box-Muller transform of the same float64
+    # uniforms u and float32 uniforms v in its textbook form,
+    # c^2 + sigma^2 R^2 - 2 c sigma R cos(pi v) with R = sqrt(-2 log1p(-u));
+    # the sampler's float32 angle arithmetic is what separates the two, as its
+    # log(1 - u) equals log1p(-u) to within rounding
+    amp = sample_amplitudes(unit_link(k, cfg.m_s), block_rng(8, 0), 400)
     los, sigma = los_and_sigma(k)
-    u = np.random.default_rng(8).random((400, 2, cfg.m_s))
-    radius = sigma * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    expected = np.sqrt(los**2 + radius**2 - 2.0 * los * radius * np.cos(np.pi * u[:, 1]))
+    radius_rng, angle_rng = block_rng(8, 0)
+    u = radius_rng.random((400, cfg.m_s))
+    v = angle_rng.random((400, cfg.m_s), dtype=np.float32).astype(np.float64)
+    radius = sigma * np.sqrt(-2.0 * np.log1p(-u))
+    expected = np.sqrt(los**2 + radius**2 - 2.0 * los * radius * np.cos(np.pi * v))
     if k == math.inf:
         assert np.array_equal(amp, np.ones_like(amp))  # the LoS gain, bit for bit
     np.testing.assert_allclose(amp, expected, rtol=0.0, atol=1e-6 * expected.mean())
@@ -161,7 +197,7 @@ def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
     # two independent samples of the full-surface sum, one per formula, are
     # one law by a two-sample Kolmogorov-Smirnov test
     link = unit_link(k, cfg.m_s)
-    uniforms = sample_amplitudes(link, np.random.default_rng(41), 4000).sum(axis=1)
+    uniforms = sample_amplitudes(link, block_rng(41, 0), 4000).sum(axis=1)
     normals = normal_based_amplitudes(k, cfg.m_s, np.random.default_rng(42), 4000).sum(axis=1)
     assert stats.ks_2samp(uniforms, normals).pvalue > 0.001
 
@@ -171,42 +207,41 @@ def test_amplitudes_follow_rician_law(cfg, k):
     # |g| is Rician with nu^2 = E|g|^2 K/(K+1) and sigma^2 = E|g|^2/(2(K+1))
     # per component; the UCs of a draw are i.i.d. because no common phase is drawn
     kcfg = dataclasses.replace(cfg, rician_k=k)
-    gains = g_amplitudes(kcfg, np.random.default_rng(2024), 20).ravel()
+    gains = g_amplitudes(kcfg, block_rng(2024, 0), 20).ravel()
     law = stats.rice(b=math.sqrt(2.0 * k), scale=math.sqrt(kcfg.mean_ris_rx_gain / (2.0 * (k + 1.0))))
     assert stats.kstest(gains, law.cdf).pvalue > 0.01
 
 
-def test_infinite_k_collapses_to_los(los_cfg, rng):
-    gains = g_amplitudes(los_cfg, rng, 2)
+def test_infinite_k_collapses_to_los(los_cfg, rngs):
+    gains = g_amplitudes(los_cfg, rngs, 2)
     assert np.allclose(gains**2, los_cfg.mean_ris_rx_gain, rtol=1e-12)
 
 
-def test_huge_k_is_nearly_deterministic(cfg, rng):
+def test_huge_k_is_nearly_deterministic(cfg, rngs):
     # at K = 1e12 the LoS-diffuse cross term still perturbs |g|^2 at the
     # 2/sqrt(K) = 2e-6 level, so the tolerance sits above that scale
     near_los = dataclasses.replace(cfg, rician_k=1e12)
-    gains = g_amplitudes(near_los, rng, 1)
+    gains = g_amplitudes(near_los, rngs, 1)
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=2e-5)
     tighter = dataclasses.replace(cfg, rician_k=1e14)
-    gains = g_amplitudes(tighter, rng, 1)
+    gains = g_amplitudes(tighter, rngs, 1)
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=1e-6)
 
 
 def test_sample_mean_gain_power_converges(cfg):
-    rng = np.random.default_rng(777)
-    gains = g_amplitudes(cfg, rng, math.ceil(100_000 / cfg.m_s))
+    gains = g_amplitudes(cfg, block_rng(777, 0), math.ceil(100_000 / cfg.m_s))
     assert gains.size >= 100_000
     sample_mean = np.mean(gains**2)
     assert sample_mean == pytest.approx(cfg.mean_ris_rx_gain, rel=0.02)
 
 
-def test_reflected_snr_empty_set(cfg, rng):
-    amp = sample_amplitudes(cfg, rng, 1)[0]
+def test_reflected_snr_empty_set(cfg, rngs):
+    amp = sample_amplitudes(cfg, rngs, 1)[0]
     assert coherent_snr(amp[[]].sum(), cfg) == 0.0
 
 
-def test_coherent_snr_full_surface_closed_form(los_cfg, rng):
-    amp = sample_amplitudes(los_cfg, rng, 1)[0]
+def test_coherent_snr_full_surface_closed_form(los_cfg, rngs):
+    amp = sample_amplitudes(los_cfg, rngs, 1)[0]
     snr = coherent_snr(amp.sum(), los_cfg)
     expected = oracle_full_surface_snr(los_cfg)
     assert snr == pytest.approx(expected, rel=1e-9)
@@ -215,7 +250,7 @@ def test_coherent_snr_full_surface_closed_form(los_cfg, rng):
 
 def test_coherent_snr_subset_monotone(cfg):
     rng = np.random.default_rng(42)
-    amp = sample_amplitudes(cfg, rng, 1)[0]
+    amp = sample_amplitudes(cfg, block_rng(42, 0), 1)[0]
     for _ in range(200):
         size = rng.integers(0, cfg.m_s)
         subset = np.sort(rng.choice(cfg.m_s, size=size, replace=False))
@@ -225,8 +260,7 @@ def test_coherent_snr_subset_monotone(cfg):
 
 
 def test_coherent_sum_second_moment_matches_analytic(cfg):
-    rng = np.random.default_rng(31337)
-    sums = sample_amplitudes(cfg, rng, 10_000).sum(axis=1)
+    sums = sample_amplitudes(cfg, block_rng(31337, 0), 10_000).sum(axis=1)
     m_s = cfg.m_s
     h2 = cfg.free_space_uc_gain
     eg = cfg.mean_ris_rx_gain

@@ -230,17 +230,17 @@ class CpuCount:
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", min_values)
         monkeypatch.setattr(risharvest.optimizer, "sample_amplitudes", self.sample)
 
-    def sample(self, cfg, rng, n, *, out):
+    def sample(self, cfg, rngs, n, *, out):
         thread = threading.current_thread()
         with self._lock:
             first = thread not in self.threads
             self.threads.add(thread)
-            self.buffers.setdefault(thread, set()).add(id(out.base))
+            self.buffers.setdefault(thread, set()).add(tuple(id(plane.base) for plane in out))
         if first:
             self._barrier.wait()
-        if self.raise_in is not None and self.raise_in(rng, thread):
+        if self.raise_in is not None and self.raise_in(rngs, thread):
             raise RuntimeError("sampler failed")
-        return sample_amplitudes(cfg, rng, n, out=out)
+        return sample_amplitudes(cfg, rngs, n, out=out)
 
 
 @pytest.mark.parametrize(
@@ -294,8 +294,8 @@ def test_small_draws_start_no_thread(monkeypatch, cfg, below, expected):
 @pytest.mark.parametrize(
     "raise_in",
     [
-        lambda rng, thread: rng.bit_generator.seed_seq.spawn_key == (2,),
-        lambda rng, thread: thread is not threading.main_thread(),
+        lambda rngs, thread: rngs[0].bit_generator.seed_seq.spawn_key == (2, 0),
+        lambda rngs, thread: thread is not threading.main_thread(),
     ],
     ids=["last_block", "worker_threads"],
 )
@@ -359,9 +359,17 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     )
 
 
+def draw_buffer_bytes(cfg):
+    """One drawing thread's buffers: a chunk of float64 radii and float32
+    angles, 12 bytes per amplitude, and the two float64 buffers numpy's
+    ufuncs cast the float32 plane through."""
+    chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
+    return chunk * cfg.m_s * (8 + 4) + 2 * np.getbufsize() * 8
+
+
 def test_column_draw_memory_is_one_chunk():
     # a 60 x 60 surface keeping two columns: the full (500, 3601) prefix would
-    # be 13.7 MiB, the kept one is 8 KB beside one chunk's buffer
+    # be 13.7 MiB, the kept one is 8 KB beside one chunk's buffers
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
     draw(cfg, 17, 1, columns=[0, 3600])
     tracemalloc.start()
@@ -371,7 +379,7 @@ def test_column_draw_memory_is_one_chunk():
     finally:
         tracemalloc.stop()
     assert trials.amp_prefix.shape == (500, 2)
-    assert peak < 1 << 20
+    assert peak <= trials.amp_prefix.nbytes + draw_buffer_bytes(cfg) + (64 << 10)
 
 
 def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatch):
@@ -387,15 +395,13 @@ def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
-    buffer = chunk * 2 * cfg.m_s * 8  # float64 normals
-    assert peak <= trials.amp_prefix.nbytes + 2 * buffer + (64 << 10)
+    assert peak <= trials.amp_prefix.nbytes + 2 * draw_buffer_bytes(cfg) + (64 << 10)
 
 
 def test_full_draw_memory_is_the_prefix_one_buffer_and_the_column_index():
     # every column of a 512-trial 60 x 60 draw, one block on one thread: the
     # running sums reach the prefix through a slice, so beside the prefix and
-    # one buffer only the kept columns' list and tuple of Python ints remain;
+    # one thread's buffers only the kept columns' list and tuple of Python ints remain;
     # a fancy-index copy would add a (chunk, m_s - 1) temporary, 259 KB
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=512)
     draw(cfg, 19, 1)
@@ -406,10 +412,8 @@ def test_full_draw_memory_is_the_prefix_one_buffer_and_the_column_index():
     finally:
         tracemalloc.stop()
     assert trials.columns == tuple(range(cfg.m_s + 1))
-    chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
-    buffer = chunk * 2 * cfg.m_s * 8  # float64 uniforms
     index = 64 * (cfg.m_s + 1)  # an int object and two references per column
-    assert peak <= trials.amp_prefix.nbytes + buffer + index
+    assert peak <= trials.amp_prefix.nbytes + draw_buffer_bytes(cfg) + index
 
 
 def test_unconstrained_case_allocates_nothing(cfg):
