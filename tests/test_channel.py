@@ -128,8 +128,8 @@ def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
 
 def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg, rngs):
     message = r"^out must be two arrays of shape \(3, 225\), got \(4, 225\) and \(3, 225\)$"
+    out = (np.empty((4, 225)), np.empty((3, 225), np.float32))
     with pytest.raises(ValueError, match=message):
-        out = (np.empty((4, 225)), np.empty((3, 225), np.float32))
         sample_amplitudes(cfg, rngs, 3, out=out)
 
 
