@@ -20,10 +20,21 @@ reads the angle only through the cosine in x. cos(2 pi u), cos(pi u) and
 and c^2 + sigma^2 R^2 - 2 c sigma R cos(pi u2) is written in its half-angle
 form (c - sigma R)^2 + 4 c sigma R sin^2(pi u2 / 2), a sum of two
 nonnegative terms that loses nothing to cancellation. Each amplitude thus
-costs a float64 uniform and a log for its radius, a float32 uniform and a
-float32 sine for its angle, and two square roots. The radii and the angles
-come from two generators, each read in trial-major order, so a chunk of
-trials is a fixed handful of whole-array numpy calls.
+costs one random 64-bit word, a float64 log for its radius, a float32 sine
+for its angle, and two square roots.
+
+The words are counter-based: the amplitude of trial t at UC i reads output
+number t m_s + i + 1 of a SplitMix64 stream (Steele, Lea and Flood, OOPSLA
+2014) whose state starts at the seed, that is the state
+seed + (t m_s + i + 1) gamma mod 2^64 passed through the finalizer of
+Vigna's ``splitmix64.c``. Every word is thus a pure function of (seed,
+trial, UC) and a chunk of trials is a fixed handful of whole-array numpy
+``uint64`` operations, with no generator state to carry between chunks or
+threads (see Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11, for counter-based streams). Streams of seeds that differ by up to
+2 10^6 start at least 3.98e12 words apart, far more than any draw reads, so
+the seed itself is the state; seeds further apart can share words (the
+stream of seed + gamma is the stream of seed one word on).
 """
 
 import math
@@ -32,75 +43,129 @@ import numpy as np
 
 from .scenario import ScenarioConfig
 
+_MASK64 = (1 << 64) - 1
+# SplitMix64's increment, the golden ratio in 64-bit fixed point, and the
+# shifts and multipliers of its finalizer (Vigna's splitmix64.c).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
+# A word's top 24 bits are its angle integer, its low 40 bits its radius integer.
+_RADIUS_BITS = 40
+# pi/2 as numpy's float32 rounds it, scaled to the 2^-24 grid of the angle
+# integer; exact in float32, so the angle integer times it rounds as the
+# float32 uniform k 2^-24 times float32(pi/2) does.
+_HALF_PI_STEP = float(np.float32(math.pi / 2.0)) * 2.0**-24
+# Counters _splitmix64 makes before it doubles the run it has.
+_HEAD_WORDS = 256
+
+
+def _splitmix64(seed: int, first: int, words: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill the C-contiguous uint64 array ``words`` with SplitMix64 outputs of ``seed``.
+
+    Flat entry f gets output number first + f + 1 of the stream whose state
+    starts at ``seed``. ``scratch`` is a uint64 array of the same shape that
+    the finalizer's xor-shifts overwrite. Scalar keys are Python ints masked
+    to 64 bits, and every ufunc gets ``np.uint64`` scalars, so no scalar
+    overflow warns and no operand is promoted to float; the arrays wrap
+    silently.
+    """
+    flat = words.reshape(-1)
+    # The states seed + (first + f + 1) gamma: a short run of counters, then
+    # the run so far shifted by its own length, doubling it each time. That
+    # makes no counter array beyond the first run. Against a broadcast sum of
+    # a row and a column of counters it costs about 0.1 ns more per word on
+    # the 3600-UC rows of a 60 x 60 surface and about 1 ns less on the
+    # 225-UC rows of 15 x 15, where the broadcast pays per row.
+    head = min(flat.size, _HEAD_WORDS)
+    np.multiply(np.arange(1, head + 1, dtype=np.uint64), np.uint64(_GAMMA), out=flat[:head])
+    flat[:head] += np.uint64((seed + first * _GAMMA) & _MASK64)
+    done = head
+    while done < flat.size:
+        size = min(done, flat.size - done)
+        np.add(flat[:size], np.uint64(done * _GAMMA & _MASK64), out=flat[done : done + size])
+        done += size
+    for shift, multiplier in _MIX:
+        np.right_shift(words, np.uint64(shift), out=scratch)
+        np.bitwise_xor(words, scratch, out=words)
+        if multiplier is not None:
+            np.multiply(words, np.uint64(multiplier), out=words)
+
 
 def sample_amplitudes(
     cfg: ScenarioConfig,
-    rngs: tuple[np.random.Generator, np.random.Generator],
-    n: int,
+    start: int,
+    stop: int,
     *,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Draw ``n`` channel realizations: an (n, m_s) array of |h||g_i|.
+    """Draw the channels of trials [start, stop): a (stop - start, m_s) array of |h||g_i|.
 
     |g_i| = sqrt(E[|g|^2]) sqrt((c - sigma R)^2 + 4 c sigma R sin^2(pi v / 2))
     with c = sqrt(K/(K+1)), sigma^2 = 1/(2(K+1)) per diffuse component and
     R = sqrt(-2 log(1 - u)): the Box-Muller magnitude of
     |c + sigma (x + j y)| for standard normals x, y (see the module
-    docstring). ``rngs`` is a (radius, angle) pair of generators: the
-    float64 uniforms u are drawn from the first as one trial-major (n, m_s)
-    array, the float32 uniforms v from the second as another. Each
-    generator is read in order, so consecutive calls continue both
-    streams: n draws equal the first n of any longer draw from the same
-    states. ``draw_trials`` relies on this inside each trial block, whose
-    chunks are consecutive calls on the block's own pair. An infinite K
-    gives sigma = 0, so the amplitude is c = 1 before the final scaling by
-    sqrt(|h|^2 E|g|^2), the pure LoS gain exactly.
+    docstring). The uniforms of trial t at UC i come from one SplitMix64
+    word of ``cfg.rng_seed``, output number t m_s + i + 1: its top 24 bits
+    are the angle integer k, v = k 2^-24, and its low 40 bits the radius
+    integer j, u = j 2^-40. A row is therefore a function of the seed and
+    its trial index alone, and trials [a, b) then [b, c) equal trials
+    [a, c). An infinite K gives sigma = 0, so the amplitude is c = 1 before
+    the final scaling by sqrt(|h|^2 E|g|^2), the pure LoS gain exactly.
+
+    u lies on a 2^-40 grid, so 1 - u >= 2^-40 and R <= sqrt(80 ln 2), about
+    7.45: the draw truncates the Rayleigh tail beyond that, which holds
+    2^-40 (about 9e-13) of the mass.
 
     The radius and the sum are float64; the angle is float32 throughout.
-    numpy's float32 uniforms have 24 bits, so v lies on a 2^-24 grid, and
-    pi v / 2, its sine, the square and the factor 4c are float32 with
-    numpy's SIMD float32 kernels. The product with sigma R runs in float64
-    and is rounded to float32 once. The sine enters only the nonnegative
-    second term, so the float32 roundings stay relative: each amplitude is
-    within about 2.1e-7 of the float64 transform of the same uniforms,
-    relative to itself (at most 2.08e-7 over 2.9e7 amplitudes at K in
-    {0.5, 1, 2, 10}, on numpy's AVX-512, AVX2 and baseline kernels alike;
-    0 at K = inf), far below the Monte-Carlo error of any average. The last
-    bits of an amplitude depend on which SIMD kernels numpy dispatches on
-    the machine.
+    k is exact in float32 and v lies on the 2^-24 grid of numpy's float32
+    uniforms, and pi v / 2, its sine, the square and the factor 4c are
+    float32 with numpy's SIMD float32 kernels. The product with sigma R runs
+    in float64 and is rounded to float32 once. The sine enters only the
+    nonnegative second term, so the float32 roundings stay relative: each
+    amplitude is within about 2.1e-7 of the float64 transform of the same
+    uniforms, relative to itself (at most 2.08e-7 over 2.9e7 amplitudes at
+    K in {0.5, 1, 2, 10}, on numpy's AVX-512, AVX2 and baseline kernels
+    alike; 0 at K = inf), far below the Monte-Carlo error of any average.
+    The words are exact integers on every machine, but the last bits of an
+    amplitude depend on which SIMD kernels numpy dispatches for the sine,
+    the log and the square roots.
 
-    ``out``, when given, is a pair of C-contiguous (n, m_s) arrays, float64
-    and float32, that u and v are drawn into; both are overwritten, and the
-    amplitudes are returned in the first, so a caller that draws in chunks
-    can reuse one pair of buffers, 12 bytes per amplitude. A call into
-    ``out`` makes no array of its own, but the two float64 loops over the
-    float32 plane cast through numpy's ufunc buffers, about 130 KB at
-    numpy's default buffer size whatever the chunk. Without ``out`` both
-    arrays are new and the amplitudes are returned as a new contiguous
-    (n, m_s) array. Either way the amplitudes are the same bit for bit.
+    ``out``, when given, is three C-contiguous (stop - start, m_s) arrays,
+    float64, uint64 and float32: the words are made in the uint64 one with
+    the float64 one as the finalizer's scratch, and all three are
+    overwritten. The amplitudes are returned in the float64 one, so a caller
+    that draws in chunks can reuse one set of buffers, 20 bytes per
+    amplitude. A call into ``out`` makes only a first run of 256 counters
+    (2 KB), and the float64 loop over the float32 plane casts through
+    numpy's ufunc buffers, about 130 KB at numpy's default buffer size
+    whatever the chunk. Without ``out`` all three arrays are new and the
+    amplitudes are returned as a new contiguous (stop - start, m_s) array.
+    Either way the amplitudes are the same bit for bit.
     """
-    m_s = cfg.m_s
+    n, m_s = stop - start, cfg.m_s
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
     if out is None:
-        radius, sines = np.empty((n, m_s)), np.empty((n, m_s), np.float32)
-    else:
-        radius, sines = out
-        if radius.shape != (n, m_s) or sines.shape != (n, m_s):
-            raise ValueError(
-                f"out must be two arrays of shape {(n, m_s)}, got {radius.shape} and {sines.shape}"
-            )
-    radius_rng, angle_rng = rngs
-    radius_rng.random(out=radius)
-    angle_rng.random(dtype=np.float32, out=sines)
-    # 1 - u is exact for numpy's 53-bit uniforms, so log(1 - u) is log1p(-u)
-    # to within rounding; numpy's float64 log is faster than its log1p, about
-    # twice as fast on machines without AVX-512.
-    np.subtract(1.0, radius, out=radius)
+        out = np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
+    elif any(plane.shape != (n, m_s) or not plane.flags.c_contiguous for plane in out):
+        shapes = ", ".join(str(plane.shape) for plane in out)
+        raise ValueError(f"out must be three C-contiguous arrays of shape {(n, m_s)}, got {shapes}")
+    radius, words, sines = out
+    _splitmix64(cfg.rng_seed, start * m_s, words, radius.view(np.uint64))
+    # Both integers are below 2^63, so they are cast from int64 views, which
+    # numpy converts about twice as fast as uint64; neither cast is in place.
+    np.right_shift(words, np.uint64(_RADIUS_BITS), out=radius.view(np.uint64))  # k
+    np.copyto(sines, radius.view(np.int64), casting="unsafe")  # exact: k < 2^24
+    # With its top 24 bits set a word reads as the int64 j - 2^40, so its
+    # product with -2^-40 is 1 - u = 1 - j 2^-40, exactly; log(1 - u) is
+    # thus log1p(-u) to within rounding, and numpy's float64 log is faster
+    # than its log1p, about twice as fast on machines without AVX-512.
+    np.bitwise_or(words, np.uint64(_MASK64 ^ ((1 << _RADIUS_BITS) - 1)), out=words)
+    np.copyto(radius, words.view(np.int64), casting="unsafe")
+    radius *= -(2.0**-_RADIUS_BITS)  # 1 - u
     np.log(radius, out=radius)
     radius *= -2.0 * sigma * sigma
     np.sqrt(radius, out=radius)  # sigma R
-    sines *= math.pi / 2.0
+    sines *= _HALF_PI_STEP  # pi v / 2, rounded as v float32(pi / 2)
     np.sin(sines, out=sines)
     sines *= sines
     sines *= 4.0 * los

@@ -29,16 +29,16 @@ read, and estimates each distinct allocation once.
 
 The draw (``draw_trials``) reads its seed and trial count from the
 configuration and keeps that configuration, so an estimate always reads the
-configuration its draw was made for. Each block of trials has two SFC64
-random streams, one for the radii and one for the angles, keyed by the seed
-and the block index, and a large draw shares its blocks out among a few
-threads, so it uses every core while its values depend on the seed alone,
-not on how many threads drew them. A trial's running sum over its UCs stops
-at the last kept column below m_s, and the full-surface column is the
-trial's plain sum, so the running sum does no work past the last column a
-sweep reads. Each drawing thread allocates one float64 and one float32
-buffer for its uniforms and draws every chunk of its blocks into them, so a
-chunk makes no new array.
+configuration its draw was made for. Every amplitude is a pure function of
+the seed, its trial and its UC (see ``channel``), so a large draw shares
+plain chunks of trials out among a few threads and uses every core while
+its values depend on the seed alone, not on how many threads drew them or
+in which chunks. A trial's running sum over its UCs stops at the last kept
+column below m_s, and the full-surface column is the trial's plain sum, so
+the running sum does no work past the last column a sweep reads. Each
+drawing thread allocates one float64, one uint64 and one float32 buffer and
+draws every one of its chunks into them, so a chunk makes no array that
+grows with it.
 """
 
 import functools
@@ -59,12 +59,16 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 # Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
-# Each drawing thread draws its chunks into one float64 and one float32
-# buffer of this many uniforms each, 12 bytes per amplitude or 384 KiB, so the
-# draw's peak memory is the prefix plus one pair of buffers per thread.
-_DRAW_CHUNK_VALUES = 1 << 15
-# Trials per block of draw_trials; each block has its own pair of random streams.
-_DRAW_BLOCK_TRIALS = 512
+# Each drawing thread draws its chunks into one float64, one uint64 and one
+# float32 buffer of this many values each, 20 bytes per amplitude or
+# 1.25 MiB, so the draw's peak memory is the prefix plus one set of buffers
+# per thread. Larger chunks hand the GIL over fewer times per amplitude: the
+# two-thread 10^4-trial 60 x 60 draw took 388-517 ms at 2^15 values, as
+# against 336-352 ms at 2^16 and 337-388 ms for the generator-based draw
+# this one replaced (in-process, best of 7, four alternating rounds on a
+# 2-vCPU AVX-512 machine). 2^17 was a few percent faster again but holds
+# 1.25 MiB more per thread.
+_DRAW_CHUNK_VALUES = 1 << 16
 # Most threads one draw runs on, the calling thread included.
 _DRAW_MAX_THREADS = 8
 # Fewest amplitudes (trials x UCs) a draw shares out among threads; a smaller
@@ -122,31 +126,28 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     read, so the prefix holds (mc_trials, distinct k + 1) values, not
     (mc_trials, m_s + 1).
 
-    Trial block b, trials [b B, (b + 1) B) with B = ``_DRAW_BLOCK_TRIALS``,
-    draws its radii from ``SFC64(SeedSequence(rng_seed, spawn_key=(b, 0)))``
-    and its angles from ``SFC64(SeedSequence(rng_seed, spawn_key=(b, 1)))``.
-    Within a block the amplitudes are drawn with ``sample_amplitudes`` in
-    chunks of ``_DRAW_CHUNK_VALUES // m_s`` trials (9 on a 60 x 60 surface,
-    145 on 15 x 15), each into prefixes of the drawing thread's one
-    (chunk, m_s) float64 buffer and one (chunk, m_s) float32 buffer, about
-    384 KiB together. The thread allocates them before its first block and
+    The amplitudes are drawn with ``sample_amplitudes`` in chunks of
+    ``_DRAW_CHUNK_VALUES // m_s`` trials (18 on a 60 x 60 surface, 291 on
+    15 x 15), each into prefixes of the drawing thread's one (chunk, m_s)
+    float64, uint64 and float32 buffers, 20 bytes per amplitude or about
+    1.25 MiB together. The thread allocates them before its first chunk and
     reuses them for every chunk after; the amplitudes are computed in place
-    in the float64 buffer, so a chunk makes no new array and the draw's
-    memory is the prefix plus one pair of buffers and numpy's cast buffers
-    (about 130 KB) per thread. Column m_s of a chunk row is the row's
+    in the float64 buffer, so the draw's memory is the prefix plus, per
+    thread, one set of buffers, numpy's cast buffers (about 130 KB) and the
+    stream's first run of counters (2 KB). Column m_s of a chunk row is the row's
     ``np.sum``; column 0 < k < m_s is entry k - 1 of the row's running sum,
     taken in place over the UCs 1..kmax only, where kmax is the largest kept
-    column below m_s, and only the kept columns are copied into the block's
+    column below m_s, and only the kept columns are copied into the chunk's
     rows. A stored value is therefore the same bit for bit whichever columns
     are kept. A draw of at least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares
-    its blocks out among up to ``_DRAW_MAX_THREADS`` threads, the calling one
+    its chunks out among up to ``_DRAW_MAX_THREADS`` threads, the calling one
     included, capped by the CPUs this process may run on; numpy releases the
-    GIL while it draws the uniforms and transforms them. A row depends only
-    on the seed, B and its trial index: not on the trial count, the chunk
-    size, the thread count or which thread drew it.
-    An exception in any block is raised here once every thread has stopped.
+    GIL while it makes the words and transforms them. A row depends only on
+    the seed and its trial index: not on the trial count, the chunk size,
+    the thread count or which thread drew it.
+    An exception in any chunk is raised here once every thread has stopped.
     """
-    n, m_s, seed = cfg.mc_trials, cfg.m_s, cfg.rng_seed
+    n, m_s = cfg.mc_trials, cfg.m_s
     if columns is None:
         kept = list(range(m_s + 1))
     else:
@@ -168,39 +169,33 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     else:
         gather = np.array(inner) - 1
     prefix = np.zeros((n, len(kept)))
-    block = _DRAW_BLOCK_TRIALS
-    # A chunk never spans two blocks or runs past the last trial, so a
-    # longer buffer would only waste memory.
-    chunk = max(1, min(_DRAW_CHUNK_VALUES // m_s, block, n))
-    blocks = -(-n // block)
+    # A chunk never runs past the last trial, so a longer buffer would only
+    # waste memory.
+    chunk = max(1, min(_DRAW_CHUNK_VALUES // m_s, n))
+    starts = range(0, n, chunk)
 
-    def fill(b: int, radii: np.ndarray, angles: np.ndarray) -> None:
-        rngs = tuple(  # the block's radius and angle generators
-            np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b, s))))
-            for s in (0, 1)
-        )
-        stop = min(n, (b + 1) * block)
-        for t0 in range(b * block, stop, chunk):
-            size = min(chunk, stop - t0)
-            amp = sample_amplitudes(cfg, rngs, size, out=(radii[:size], angles[:size]))
-            rows = prefix[t0 : t0 + size]
-            np.sum(amp, axis=1, out=rows[:, -1])
-            if kmax:
-                running = amp[:, :kmax]
-                np.cumsum(running, axis=1, out=running)
-                rows[:, skip:-1] = running[:, gather]
+    def fill(t0: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        size = min(chunk, n - t0)
+        amp = sample_amplitudes(cfg, t0, t0 + size, out=tuple(plane[:size] for plane in buffers))
+        rows = prefix[t0 : t0 + size]
+        np.sum(amp, axis=1, out=rows[:, -1])
+        if kmax:
+            running = amp[:, :kmax]
+            np.cumsum(running, axis=1, out=running)
+            rows[:, skip:-1] = running[:, gather]
 
-    pending, lock, errors = iter(range(blocks)), threading.Lock(), []
+    pending, lock, errors = iter(starts), threading.Lock(), []
 
     def work() -> None:
         try:
-            radii, angles = np.empty((chunk, m_s)), np.empty((chunk, m_s), np.float32)
+            dtypes = (np.float64, np.uint64, np.float32)
+            buffers = tuple(np.empty((chunk, m_s), dtype) for dtype in dtypes)
             while not errors:
                 with lock:
-                    b = next(pending, None)
-                if b is None:
+                    t0 = next(pending, None)
+                if t0 is None:
                     return
-                fill(b, radii, angles)
+                fill(t0, buffers)
         except BaseException as exc:  # raised by the caller once every thread is joined
             errors.append(exc)
 
@@ -208,7 +203,7 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    threads = min(cpus, blocks, _DRAW_MAX_THREADS) if n * m_s >= _DRAW_THREAD_MIN_VALUES else 1
+    threads = min(cpus, len(starts), _DRAW_MAX_THREADS) if n * m_s >= _DRAW_THREAD_MIN_VALUES else 1
     workers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for worker in workers:
         worker.start()

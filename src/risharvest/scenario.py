@@ -32,8 +32,9 @@ RECTIFIER_KINDS = (LINEAR_CLIPPED, SIGMOIDAL)
 
 # A Rician draw gives |g_i|^2 / E|g|^2 = |los + sigma z|^2 <= (1 + |z|/sqrt(2))^2,
 # as los <= 1 and sigma <= 1/sqrt(2), with z complex standard normal. The
-# sampler draws |z| as R = sqrt(-2 log(1 - u)) from a float64 uniform
-# u <= 1 - 2^-53, so |z| < 8.6 and the ratio stays below 50, well inside 1e3.
+# sampler draws |z| as R = sqrt(-2 log(1 - u)) from a uniform u on a 2^-40
+# grid, u <= 1 - 2^-40, so |z| <= sqrt(80 ln 2) < 7.45 and the ratio stays
+# below 40, well inside 1e3.
 _RICIAN_PEAK_GAIN = 1e3
 # The harvest chain sums equal terms and scales them in another order than
 # the bounds below; that rounds up by a few ulps at most, far below 2x.

@@ -9,13 +9,14 @@ from scipy import special, stats
 
 import risharvest.optimizer
 from risharvest import ScenarioConfig, sample_amplitudes
-from risharvest.channel import coherent_snr
+from risharvest.channel import _splitmix64, coherent_snr
 
 from conftest import (
-    block_rng,
     oracle_free_space_gain,
     oracle_full_surface_snr,
     oracle_mean_rx_gain,
+    sampler_uniforms,
+    splitmix64,
 )
 
 
@@ -73,89 +74,136 @@ def test_mean_rx_gain_inverse_square(cfg):
     assert cfg.mean_ris_rx_gain / doubled.mean_ris_rx_gain == pytest.approx(4.0)
 
 
-@pytest.fixture
-def rngs():
-    """A (radius, angle) generator pair for the sampler."""
-    return block_rng(20240614, 0)
+def seeded(cfg, seed):
+    return dataclasses.replace(cfg, rng_seed=seed)
 
 
-def g_amplitudes(cfg, rngs, n):
+def g_amplitudes(cfg, n):
     """|g_i| of n draws: the sampled cascaded amplitudes over the constant |h|."""
-    return sample_amplitudes(cfg, rngs, n) / math.sqrt(cfg.free_space_uc_gain)
+    return sample_amplitudes(cfg, 0, n) / math.sqrt(cfg.free_space_uc_gain)
 
 
-def test_sample_amplitudes_shape_and_sign(cfg, rngs):
-    amp = sample_amplitudes(cfg, rngs, 3)
+def draw_buffers(n, m_s):
+    """One set of sampler buffers: float64, uint64 and float32 (n, m_s) planes."""
+    return np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20230816, 2**64 - 1])
+@pytest.mark.parametrize("first", [0, 1, 225, 2**40 + 3, 2**64 - 5])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 25)])
+def test_words_are_splitmix64(seed, first, shape):
+    # the whole-array words equal splitmix64.c transcribed in Python ints, at
+    # offsets that wrap the counter and on arrays longer than the first run
+    # of counters, which the rest doubles
+    words, scratch = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    _splitmix64(seed, first, words, scratch)
+    assert words.ravel().tolist() == splitmix64(seed, first, words.size)
+
+
+def test_words_are_the_published_splitmix64_outputs():
+    # the first outputs of splitmix64.c seeded with 1234567
+    words = np.empty((1, 3), np.uint64)
+    _splitmix64(1234567, 0, words, np.empty_like(words))
+    expected = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+    assert words.ravel().tolist() == splitmix64(1234567, 0, 3) == expected
+
+
+def test_uniforms_of_a_word_are_uniform_and_uncorrelated():
+    # over 10^6 words, the low-40-bit u and the top-24-bit v each pass a
+    # uniformity KS test, and their correlation is within 5 / sqrt(N)
+    words = np.empty((1000, 1000), np.uint64)
+    _splitmix64(20230816, 0, words, np.empty_like(words))
+    u = (words & np.uint64((1 << 40) - 1)).ravel() * 2.0**-40
+    v = (words >> np.uint64(40)).ravel() * 2.0**-24
+    assert stats.kstest(u, "uniform").pvalue > 0.001
+    assert stats.kstest(v, "uniform").pvalue > 0.001
+    assert abs(np.corrcoef(u, v)[0, 1]) < 5.0 / math.sqrt(words.size)
+
+
+def test_sample_amplitudes_shape_and_sign(cfg):
+    amp = sample_amplitudes(cfg, 0, 3)
     assert amp.shape == (3, 225) and amp.dtype == np.float64
     assert np.all(amp > 0.0)
-    assert sample_amplitudes(cfg, rngs, 0).shape == (0, 225)
+    assert sample_amplitudes(cfg, 5, 5).shape == (0, 225)
 
 
 def test_sample_amplitudes_deterministic(cfg):
-    a = sample_amplitudes(cfg, block_rng(5, 0), 4)
-    b = sample_amplitudes(cfg, block_rng(5, 0), 4)
+    a = sample_amplitudes(seeded(cfg, 5), 0, 4)
+    b = sample_amplitudes(seeded(cfg, 5), 0, 4)
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, sample_amplitudes(seeded(cfg, 6), 0, 4))
 
 
 def test_sample_amplitudes_continue_one_stream(cfg):
-    # trial-major draws from both generators: split calls give the same rows
-    # as one call, also where a call ends on an odd count of float32 angles
-    whole = sample_amplitudes(cfg, block_rng(6, 0), 9)
-    rngs = block_rng(6, 0)
-    parts = [sample_amplitudes(cfg, rngs, n) for n in (1, 5, 3)]
+    # trials [a, b) then [b, c) give the rows of trials [a, c), also where a
+    # call covers an odd count of words
+    scfg = seeded(cfg, 6)
+    whole = sample_amplitudes(scfg, 2, 11)
+    parts = [sample_amplitudes(scfg, a, b) for a, b in ((2, 3), (3, 8), (8, 11))]
     assert np.array_equal(np.concatenate(parts), whole)
 
 
 @pytest.mark.parametrize("k", [10.0, math.inf])
 def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
-    # chunks of 4, 4 and a shorter 3 drawn into prefix views of one
-    # (4, m_s) float64 and one (4, m_s) float32 buffer give the rows of
-    # fresh calls on the same streams
-    kcfg = dataclasses.replace(cfg, rician_k=k)
-    fresh_rngs, reused_rngs = block_rng(10, 0), block_rng(10, 0)
-    radii, angles = np.empty((4, kcfg.m_s)), np.empty((4, kcfg.m_s), np.float32)
+    # chunks of 4, 4 and a shorter 3 trials drawn into prefix views of one
+    # set of (4, m_s) buffers give the rows of fresh calls
+    kcfg = dataclasses.replace(cfg, rician_k=k, rng_seed=10)
+    buffers = draw_buffers(4, kcfg.m_s)
     rows = []
-    for n in (4, 4, 3):
-        fresh = sample_amplitudes(kcfg, fresh_rngs, n)
-        reused = sample_amplitudes(kcfg, reused_rngs, n, out=(radii[:n], angles[:n]))
-        assert np.shares_memory(reused, radii)
+    for a, b in ((0, 4), (4, 8), (8, 11)):
+        fresh = sample_amplitudes(kcfg, a, b)
+        reused = sample_amplitudes(kcfg, a, b, out=tuple(plane[: b - a] for plane in buffers))
+        assert np.shares_memory(reused, buffers[0])
         assert fresh.flags.c_contiguous and fresh.base is None
         assert np.array_equal(reused, fresh)
         rows.append(reused.copy())
-    whole = sample_amplitudes(kcfg, block_rng(10, 0), 11)
+    whole = sample_amplitudes(kcfg, 0, 11)
     assert np.array_equal(np.concatenate(rows), whole)
 
 
-def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg, rngs):
-    message = r"^out must be two arrays of shape \(3, 225\), got \(4, 225\) and \(3, 225\)$"
-    out = (np.empty((4, 225)), np.empty((3, 225), np.float32))
+def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg):
+    message = (
+        r"^out must be three C-contiguous arrays of shape \(3, 225\), "
+        r"got \(4, 225\), \(3, 225\), \(3, 225\)$"
+    )
+    out = (np.empty((4, 225)), *draw_buffers(3, 225)[1:])
     with pytest.raises(ValueError, match=message):
-        sample_amplitudes(cfg, rngs, 3, out=out)
+        sample_amplitudes(cfg, 0, 3, out=out)
+
+
+def test_sampling_buffer_that_is_not_contiguous_is_rejected(cfg):
+    # a strided view, here of the float32 plane, is refused like a wrong shape
+    out = (*draw_buffers(3, 225)[:2], np.empty((225, 3), np.float32).T)
+    with pytest.raises(ValueError, match=r"^out must be three C-contiguous arrays of shape"):
+        sample_amplitudes(cfg, 0, 3, out=out)
 
 
 def test_sampling_into_a_reused_buffer_allocates_only_cast_buffers():
     # one chunk of draw_trials into its reused buffers, on a 15 x 15 and a
-    # 60 x 60 surface: the float64 loops over the float32 plane cast through
-    # numpy's ufunc buffers, one per float32 operand at most, and nothing
-    # grows with the chunk
+    # 60 x 60 surface: the float64 loop over the float32 plane casts through
+    # numpy's ufunc buffers, one per float32 operand (131 KB at numpy's
+    # default buffer size); the casts from the int64 views make no buffer,
+    # the first run of counters 2 KB, and nothing grows with the chunk
     for side in (15, 60):
         cfg = ScenarioConfig(ris_cols=side, ris_rows=side)
         n = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
-        out, rngs = (np.empty((n, cfg.m_s)), np.empty((n, cfg.m_s), np.float32)), block_rng(9, 0)
-        sample_amplitudes(cfg, rngs, n, out=out)
+        out = draw_buffers(n, cfg.m_s)
+        sample_amplitudes(cfg, 0, n, out=out)
         tracemalloc.start()
         try:
-            sample_amplitudes(cfg, rngs, n, out=out)
+            sample_amplitudes(cfg, n, 2 * n, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * np.getbufsize() * 8 + (8 << 10), (side, peak)
+        assert peak <= 2 * np.getbufsize() * 8 + (4 << 10), (side, peak)
 
 
-def unit_link(k, m_s):
+def unit_link(k, m_s, seed):
     """A link budget of 1 at Rician factor ``k``: the sampler's final scaling
     is exact, so its output is the magnitude |c + sigma (x + j y)| itself."""
-    return SimpleNamespace(rician_k=k, m_s=m_s, free_space_uc_gain=1.0, mean_ris_rx_gain=1.0)
+    return SimpleNamespace(
+        rician_k=k, m_s=m_s, free_space_uc_gain=1.0, mean_ris_rx_gain=1.0, rng_seed=seed
+    )
 
 
 def los_and_sigma(k):
@@ -165,16 +213,14 @@ def los_and_sigma(k):
 
 @pytest.mark.parametrize("k", [0.5, 10.0, 1e3, math.inf])
 def test_magnitude_is_box_muller_of_the_same_uniforms(cfg, k):
-    # the reference is the float64 Box-Muller transform of the same float64
-    # uniforms u and float32 uniforms v in its textbook form,
+    # the reference is the float64 Box-Muller transform of the same words'
+    # uniforms u and v, from a pure-Python SplitMix64, in its textbook form,
     # c^2 + sigma^2 R^2 - 2 c sigma R cos(pi v) with R = sqrt(-2 log1p(-u));
     # the sampler's float32 angle arithmetic is what separates the two, as its
     # log(1 - u) equals log1p(-u) to within rounding
-    amp = sample_amplitudes(unit_link(k, cfg.m_s), block_rng(8, 0), 400)
+    amp = sample_amplitudes(unit_link(k, cfg.m_s, 8), 3, 403)
     los, sigma = los_and_sigma(k)
-    radius_rng, angle_rng = block_rng(8, 0)
-    u = radius_rng.random((400, cfg.m_s))
-    v = angle_rng.random((400, cfg.m_s), dtype=np.float32).astype(np.float64)
+    u, v = sampler_uniforms(8, 3, 403, cfg.m_s)
     radius = sigma * np.sqrt(-2.0 * np.log1p(-u))
     expected = np.sqrt(los**2 + radius**2 - 2.0 * los * radius * np.cos(np.pi * v))
     if k == math.inf:
@@ -196,8 +242,8 @@ def normal_based_amplitudes(k, m_s, rng, n):
 def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
     # two independent samples of the full-surface sum, one per formula, are
     # one law by a two-sample Kolmogorov-Smirnov test
-    link = unit_link(k, cfg.m_s)
-    uniforms = sample_amplitudes(link, block_rng(41, 0), 4000).sum(axis=1)
+    link = unit_link(k, cfg.m_s, 41)
+    uniforms = sample_amplitudes(link, 0, 4000).sum(axis=1)
     normals = normal_based_amplitudes(k, cfg.m_s, np.random.default_rng(42), 4000).sum(axis=1)
     assert stats.ks_2samp(uniforms, normals).pvalue > 0.001
 
@@ -206,42 +252,42 @@ def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
 def test_amplitudes_follow_rician_law(cfg, k):
     # |g| is Rician with nu^2 = E|g|^2 K/(K+1) and sigma^2 = E|g|^2/(2(K+1))
     # per component; the UCs of a draw are i.i.d. because no common phase is drawn
-    kcfg = dataclasses.replace(cfg, rician_k=k)
-    gains = g_amplitudes(kcfg, block_rng(2024, 0), 20).ravel()
+    kcfg = dataclasses.replace(cfg, rician_k=k, rng_seed=2024)
+    gains = g_amplitudes(kcfg, 20).ravel()
     law = stats.rice(b=math.sqrt(2.0 * k), scale=math.sqrt(kcfg.mean_ris_rx_gain / (2.0 * (k + 1.0))))
     assert stats.kstest(gains, law.cdf).pvalue > 0.01
 
 
-def test_infinite_k_collapses_to_los(los_cfg, rngs):
-    gains = g_amplitudes(los_cfg, rngs, 2)
+def test_infinite_k_collapses_to_los(los_cfg):
+    gains = g_amplitudes(los_cfg, 2)
     assert np.allclose(gains**2, los_cfg.mean_ris_rx_gain, rtol=1e-12)
 
 
-def test_huge_k_is_nearly_deterministic(cfg, rngs):
+def test_huge_k_is_nearly_deterministic(cfg):
     # at K = 1e12 the LoS-diffuse cross term still perturbs |g|^2 at the
     # 2/sqrt(K) = 2e-6 level, so the tolerance sits above that scale
     near_los = dataclasses.replace(cfg, rician_k=1e12)
-    gains = g_amplitudes(near_los, rngs, 1)
+    gains = g_amplitudes(near_los, 1)
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=2e-5)
     tighter = dataclasses.replace(cfg, rician_k=1e14)
-    gains = g_amplitudes(tighter, rngs, 1)
+    gains = g_amplitudes(tighter, 1)
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=1e-6)
 
 
 def test_sample_mean_gain_power_converges(cfg):
-    gains = g_amplitudes(cfg, block_rng(777, 0), math.ceil(100_000 / cfg.m_s))
+    gains = g_amplitudes(seeded(cfg, 777), math.ceil(100_000 / cfg.m_s))
     assert gains.size >= 100_000
     sample_mean = np.mean(gains**2)
     assert sample_mean == pytest.approx(cfg.mean_ris_rx_gain, rel=0.02)
 
 
-def test_reflected_snr_empty_set(cfg, rngs):
-    amp = sample_amplitudes(cfg, rngs, 1)[0]
+def test_reflected_snr_empty_set(cfg):
+    amp = sample_amplitudes(cfg, 0, 1)[0]
     assert coherent_snr(amp[[]].sum(), cfg) == 0.0
 
 
-def test_coherent_snr_full_surface_closed_form(los_cfg, rngs):
-    amp = sample_amplitudes(los_cfg, rngs, 1)[0]
+def test_coherent_snr_full_surface_closed_form(los_cfg):
+    amp = sample_amplitudes(los_cfg, 0, 1)[0]
     snr = coherent_snr(amp.sum(), los_cfg)
     expected = oracle_full_surface_snr(los_cfg)
     assert snr == pytest.approx(expected, rel=1e-9)
@@ -250,7 +296,7 @@ def test_coherent_snr_full_surface_closed_form(los_cfg, rngs):
 
 def test_coherent_snr_subset_monotone(cfg):
     rng = np.random.default_rng(42)
-    amp = sample_amplitudes(cfg, block_rng(42, 0), 1)[0]
+    amp = sample_amplitudes(seeded(cfg, 42), 0, 1)[0]
     for _ in range(200):
         size = rng.integers(0, cfg.m_s)
         subset = np.sort(rng.choice(cfg.m_s, size=size, replace=False))
@@ -260,7 +306,7 @@ def test_coherent_snr_subset_monotone(cfg):
 
 
 def test_coherent_sum_second_moment_matches_analytic(cfg):
-    sums = sample_amplitudes(cfg, block_rng(31337, 0), 10_000).sum(axis=1)
+    sums = sample_amplitudes(seeded(cfg, 31337), 0, 10_000).sum(axis=1)
     m_s = cfg.m_s
     h2 = cfg.free_space_uc_gain
     eg = cfg.mean_ris_rx_gain

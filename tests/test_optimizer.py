@@ -30,7 +30,6 @@ from risharvest.optimizer import harvest_curve
 
 from conftest import (
     allocation_harvest,
-    block_rng,
     clear_harvest_caches,
     curve_of,
     draw,
@@ -128,8 +127,8 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
     assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
     for config in configs:
         trials = draw(config, seed, n)
-        # n trials fit in block 0, so the rows are block 0's stream
-        rows = sample_amplitudes(config, block_rng(seed, 0), n)
+        # the draw's rows are the sampler's trials [0, n) of the same seed
+        rows = sample_amplitudes(dataclasses.replace(config, rng_seed=seed), 0, n)
         frame = config.frame_slots * config.slot_duration
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
             vmax = curve_of(protocol, config).size - 1
@@ -150,7 +149,7 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
     # estimate follows the per-frame oracle of that distance, not the default's
     n, seed = 50, 561
     far = dataclasses.replace(cfg, d_ris_rx=76.0)
-    rows = sample_amplitudes(far, block_rng(seed, 0), n)
+    rows = sample_amplitudes(dataclasses.replace(far, rng_seed=seed), 0, n)
     for protocol, value in ((TIME_SPLITTING, 100), (UC_SPLITTING, 9)):
         rate, _ = estimate_averages(protocol, value, draw(far, seed, n))
         frames = [frame_oracle(protocol, value, row, 0.0, far) for row in rows]
@@ -163,22 +162,21 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
 def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chunk_values):
     if chunk_values is not None:
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
-    # 1200 trials of 225 UCs are blocks of 512, 512 and 176 trials, each
-    # spanning several default chunks of 145 trials
-    fast = dataclasses.replace(cfg, mc_trials=1200)
-    seed, size, m_s = 556, risharvest.optimizer._DRAW_BLOCK_TRIALS, fast.m_s
-    full = draw(fast, seed).amp_prefix
+    # 1200 trials of 225 UCs are four default chunks of 291 trials and a
+    # last one of 36
+    fast = dataclasses.replace(cfg, mc_trials=1200, rng_seed=556)
+    m_s = fast.m_s
+    chunk = max(1, risharvest.optimizer._DRAW_CHUNK_VALUES // m_s)
+    full = draw(fast, 556).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
-    # block b's rows are the running sum of the sampler's rows from block b's
-    # generator up to column m_s - 1 and the rows' sum in column m_s, bit for bit
-    for b, t0 in enumerate(range(0, fast.mc_trials, size)):
-        rows = min(size, fast.mc_trials - t0)
-        amp = sample_amplitudes(fast, block_rng(seed, b), rows)
-        assert np.array_equal(full[t0 : t0 + rows, 1:m_s], np.cumsum(amp, axis=1)[:, : m_s - 1])
-        assert np.array_equal(full[t0 : t0 + rows, m_s], amp.sum(axis=1))
+    # the rows are the running sum of the sampler's rows of the same trials
+    # up to column m_s - 1 and the rows' sum in column m_s, bit for bit
+    amp = sample_amplitudes(fast, 0, fast.mc_trials)
+    assert np.array_equal(full[:, 1:m_s], np.cumsum(amp, axis=1)[:, : m_s - 1])
+    assert np.array_equal(full[:, m_s], amp.sum(axis=1))
     # the first t trials are the same for any trial count
-    for t in (1, 7, size, size + 1, 1100):
-        assert np.array_equal(draw(fast, seed, t).amp_prefix, full[:t])
+    for t in (1, 7, chunk, chunk + 1, 1100):
+        assert np.array_equal(draw(fast, 556, t).amp_prefix, full[:t])
 
 
 def test_draws_compare_by_identity(cfg):
@@ -193,8 +191,8 @@ def test_draws_compare_by_identity(cfg):
 def test_drawn_amplitudes_follow_rician_law(cfg, k):
     # adjacent columns of a full draw differ by one UC's |h||g|, Rician with
     # nu^2 = K/(K+1) and sigma^2 = 1/(2(K+1)) per component, times the mean
-    # link gain; 600 trials are two blocks, and the last difference reads the
-    # full-surface column
+    # link gain; 600 trials are three chunks, and the last difference reads
+    # the full-surface column
     kcfg = dataclasses.replace(cfg, rician_k=k, mc_trials=600)
     amplitudes = np.diff(draw(kcfg, 563).amp_prefix, axis=1).ravel()
     gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
@@ -230,7 +228,7 @@ class CpuCount:
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", min_values)
         monkeypatch.setattr(risharvest.optimizer, "sample_amplitudes", self.sample)
 
-    def sample(self, cfg, rngs, n, *, out):
+    def sample(self, cfg, start, stop, *, out):
         thread = threading.current_thread()
         with self._lock:
             first = thread not in self.threads
@@ -238,14 +236,14 @@ class CpuCount:
             self.buffers.setdefault(thread, set()).add(tuple(id(plane.base) for plane in out))
         if first:
             self._barrier.wait()
-        if self.raise_in is not None and self.raise_in(rngs, thread):
+        if self.raise_in is not None and self.raise_in(stop, thread):
             raise RuntimeError("sampler failed")
-        return sample_amplitudes(cfg, rngs, n, out=out)
+        return sample_amplitudes(cfg, start, stop, out=out)
 
 
 @pytest.mark.parametrize(
     "cpus, max_threads, trials, expected",
-    [(8, 1, 1200, 1), (8, 2, 1200, 2), (8, 3, 1200, 3), (1, 8, 1200, 1), (8, 8, 1024, 2)],
+    [(8, 1, 1200, 1), (8, 2, 1200, 2), (8, 3, 1200, 3), (1, 8, 1200, 1), (8, 8, 582, 2)],
     ids=["cap_1", "cap_2", "cap_3", "one_cpu", "two_blocks"],
 )
 def test_draw_threads_write_the_one_thread_prefix(
@@ -258,14 +256,14 @@ def test_draw_threads_write_the_one_thread_prefix(
     drawn = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
     assert len(counted.threads) == expected
     assert np.array_equal(drawn, one)
-    # every chunk of a thread, over all its blocks, is drawn into one buffer
+    # every chunk of a thread is drawn into one set of buffers
     assert [len(ids) for ids in counted.buffers.values()] == [1] * expected
 
 
 def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg):
-    # more threads than cores, 75 blocks of 4 trials and a short switch
-    # interval: a block that no thread draws would leave its rows at zero
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_BLOCK_TRIALS", 4)
+    # more threads than cores, 75 chunks of 4 trials and a short switch
+    # interval: a chunk that no thread draws would leave its rows at zero
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", 4 * small_cfg.m_s)
     monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
     one = draw(small_cfg, 560, 300).amp_prefix
     monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 8)
@@ -280,10 +278,11 @@ def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("below, expected", [(0, 3), (1, 1)], ids=["at_threshold", "below"])
+@pytest.mark.parametrize("below, expected", [(0, 5), (1, 1)], ids=["at_threshold", "below"])
 def test_small_draws_start_no_thread(monkeypatch, cfg, below, expected):
-    # 1200 trials of 225 UCs are three blocks; a draw of fewer amplitudes
-    # than the threshold stays on the calling thread whatever the CPUs
+    # 1200 trials of 225 UCs are five chunks, one per thread at the
+    # threshold; a draw of fewer amplitudes than the threshold stays on the
+    # calling thread whatever the CPUs
     fast = dataclasses.replace(cfg, mc_trials=1200)
     values = fast.mc_trials * fast.m_s
     counted = CpuCount(monkeypatch, 8, 8, expected, min_values=values + below)
@@ -294,8 +293,8 @@ def test_small_draws_start_no_thread(monkeypatch, cfg, below, expected):
 @pytest.mark.parametrize(
     "raise_in",
     [
-        lambda rngs, thread: rngs[0].bit_generator.seed_seq.spawn_key == (2, 0),
-        lambda rngs, thread: thread is not threading.main_thread(),
+        lambda stop, thread: stop == 1200,
+        lambda stop, thread: thread is not threading.main_thread(),
     ],
     ids=["last_block", "worker_threads"],
 )
@@ -312,7 +311,7 @@ def test_draw_raises_a_failed_block_after_joining_its_threads(monkeypatch, cfg, 
 def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_values):
     if chunk_values is not None:
         monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
-    fast = dataclasses.replace(cfg, mc_trials=600)  # two blocks
+    fast = dataclasses.replace(cfg, mc_trials=600)  # three chunks
     m_s, seed = fast.m_s, 557
     full = draw(fast, seed)
     assert full.columns == tuple(range(m_s + 1))
@@ -360,16 +359,19 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
 
 
 def draw_buffer_bytes(cfg):
-    """One drawing thread's buffers: a chunk of float64 radii and float32
-    angles, 12 bytes per amplitude, and the two float64 buffers numpy's
-    ufuncs cast the float32 plane through."""
+    """One drawing thread's buffers: a chunk of float64 amplitudes, uint64
+    words and float32 angles, 20 bytes per amplitude, the two float64
+    buffers numpy's ufuncs cast the float32 plane through, and the sampler's
+    first run of 256 counters."""
     chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
-    return chunk * cfg.m_s * (8 + 4) + 2 * np.getbufsize() * 8
+    return chunk * cfg.m_s * (8 + 8 + 4) + 2 * np.getbufsize() * 8 + 256 * 8
 
 
-def test_column_draw_memory_is_one_chunk():
-    # a 60 x 60 surface keeping two columns: the full (500, 3601) prefix would
-    # be 13.7 MiB, the kept one is 8 KB beside one chunk's buffers
+def test_column_draw_memory_is_one_chunk(monkeypatch):
+    # a 60 x 60 surface keeping two columns, on one thread: the full
+    # (500, 3601) prefix would be 13.7 MiB, the kept one is 8 KB beside one
+    # chunk's buffers
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
     draw(cfg, 17, 1, columns=[0, 3600])
     tracemalloc.start()
@@ -383,7 +385,7 @@ def test_column_draw_memory_is_one_chunk():
 
 
 def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatch):
-    # 2048 trials of 3600 UCs are four blocks on two threads, both drawing
+    # 2048 trials of 3600 UCs are 114 chunks on two threads, both drawing
     # at once; a temporary per chunk would add at least half a buffer each
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=2048)
     columns = [0, 336, 453, 3600]
@@ -398,11 +400,12 @@ def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatc
     assert peak <= trials.amp_prefix.nbytes + 2 * draw_buffer_bytes(cfg) + (64 << 10)
 
 
-def test_full_draw_memory_is_the_prefix_one_buffer_and_the_column_index():
-    # every column of a 512-trial 60 x 60 draw, one block on one thread: the
-    # running sums reach the prefix through a slice, so beside the prefix and
-    # one thread's buffers only the kept columns' list and tuple of Python ints remain;
-    # a fancy-index copy would add a (chunk, m_s - 1) temporary, 259 KB
+def test_full_draw_memory_is_the_prefix_one_buffer_and_the_column_index(monkeypatch):
+    # every column of a 512-trial 60 x 60 draw, on one thread: the running
+    # sums reach the prefix through a slice, so beside the prefix and one
+    # thread's buffers only the kept columns' list and tuple of Python ints
+    # remain; a fancy-index copy would add a (chunk, m_s - 1) temporary, 518 KB
+    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=512)
     draw(cfg, 19, 1)
     tracemalloc.start()

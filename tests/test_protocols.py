@@ -1,6 +1,7 @@
 """Behaviour of the two harvesting protocols, checked through the optimizer's
 two steps: the harvest curve and the solve, and ``estimate_averages``."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from risharvest import (
 )
 from risharvest.channel import coherent_snr
 
-from conftest import allocation_harvest, block_rng, curve_of, draw, oracle_full_surface_snr
+from conftest import allocation_harvest, curve_of, draw, oracle_full_surface_snr
 
 
 def few_trials(cfg, seed=20240614, n=8):
@@ -52,7 +53,7 @@ def test_time_splitting_no_harvest(cfg):
     n, seed = 8, 3
     rate, _ = estimate_averages(TIME_SPLITTING, 0, few_trials(cfg, seed, n))
     assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
-    rows = sample_amplitudes(cfg, block_rng(seed, 0), n)
+    rows = sample_amplitudes(dataclasses.replace(cfg, rng_seed=seed), 0, n)
     snrs = [coherent_snr(float(row.sum()), cfg) for row in rows]
     expected = np.mean([0.9 * cfg.bandwidth * math.log2(1.0 + snr) for snr in snrs])
     assert rate == pytest.approx(expected, rel=1e-12)

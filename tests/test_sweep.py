@@ -438,7 +438,7 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
 
 
 def test_sweep_csv_does_not_depend_on_the_draw_threads(monkeypatch, tmp_path):
-    # 1100 trials are three blocks: the default draws them on as many
+    # 1100 trials are four chunks: the default draws them on as many
     # threads as this machine's CPUs allow, then 1 and 3 threads are forced,
     # with the smallest threaded draw lowered below this one
     spec = small_spec(points=4)
@@ -556,22 +556,26 @@ def test_benchmark_tracer_sees_every_layer(tmp_path):
 
 
 def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
-    # np.unique and np.union1d import numpy.ma on first use, which costs time
-    # and memory at start-up
+    # np.unique and np.union1d import numpy.ma on first use, and numpy.random
+    # imports secrets, which loads OpenSSL: each costs time and memory at
+    # start-up, and neither the package, a sweep nor summarize needs them
     out = tmp_path / "sweep.csv"
     code = (
         "import sys\n"
+        "import risharvest\n"
         "from risharvest.sweep import main\n"
+        "unneeded = ('numpy.ma', 'numpy.random', 'secrets')\n"
+        "print([name for name in unneeded if name in sys.modules])\n"
         "assert main(['sweep', '--points', '5', '--trials', '8', '--out', sys.argv[1]]) == 0\n"
         "assert main(['summarize', sys.argv[1]]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print([name for name in unneeded if name in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[0] == proc.stdout.splitlines()[-1] == "[]"
 
 
 # Scenario-file keys, and a strategy for every float key: log-uniform over
