@@ -146,9 +146,9 @@ def run_sweep(
     columns those solves read (the UC-splitting k of each point, and the
     full-surface sum that time splitting reads), and the rate of each
     distinct (protocol, allocation) is estimated once on it. Sharing the
-    draws across the grid keeps rate curves free of re-sampling noise. The
-    draw is keyed by ``rng_seed`` and the trial block alone, so the CSV is
-    the same byte for byte on any number of cores. Raises
+    draws across the grid keeps rate curves free of re-sampling noise. Each
+    drawn amplitude depends on ``rng_seed``, its trial and its UC alone, so
+    the CSV is the same byte for byte on any number of cores. Raises
     ConfigValidationError before the draw when ``e_rec`` makes the
     ``dyn_over_static`` column overflow on this grid.
     """

@@ -76,30 +76,6 @@ def absorbing_config(p_uc, m_s, **fields):
     return ScenarioConfig(ris_cols=m_s, ris_rows=1, tx_power=p_uc / gain, **fields)
 
 
-def splitmix64(seed, first, count):
-    """Outputs first + 1 .. first + count of SplitMix64 seeded with ``seed``,
-    transcribed from Vigna's splitmix64.c in Python ints."""
-    mask, words = (1 << 64) - 1, []
-    state = (seed + first * 0x9E3779B97F4A7C15) & mask
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        words.append(z ^ (z >> 31))
-    return words
-
-
-def sampler_uniforms(seed, start, stop, m_s):
-    """The (u, v) float64 uniforms of trials [start, stop) that
-    ``sample_amplitudes`` draws, each (stop - start, m_s): from the low 40 and
-    the top 24 bits of the pure-Python SplitMix64 words."""
-    words = np.array(splitmix64(seed, start * m_s, (stop - start) * m_s), np.uint64)
-    u = (words & np.uint64((1 << 40) - 1)).astype(np.float64) * 2.0**-40
-    v = (words >> np.uint64(40)).astype(np.float64) * 2.0**-24
-    return u.reshape(-1, m_s), v.reshape(-1, m_s)
-
-
 def oracle_free_space_gain(cfg):
     """Hand evaluation of the TX-to-UC absorption fraction."""
     wavelength = C_LIGHT / cfg.carrier_frequency
