@@ -13,24 +13,22 @@ rectifier model included, and the whole link budget derived from them (|h|^2,
 E|g|^2, the per-UC absorbed power and the noise power), validated together;
 ``channel``, ``harvesting`` and ``power`` give the rate, harvest and
 consumption formulas, one each (``harvest(cfg)`` is the DC power of the first
-k absorbing UCs, which both protocols' harvests read). ``optimizer``
-combines them in two steps: ``optimize_*`` solve the allocation from the
-harvest and the consumption alone, with no channel draw, and
-``estimate_averages`` gives the Monte-Carlo rate of one allocation over a set
-of draws from ``draw_trials(cfg)``, which reads its seed and trial count from
-the configuration and keeps it, so a draw is never read under another one.
-``sweep`` solves a static-power grid, draws once, and estimates each distinct
-allocation once.
+k absorbing UCs, which both protocols' harvests read). ``channel`` also owns
+the Monte-Carlo draw: ``draw_trials(cfg)`` reads its seed and trial count from
+the configuration and keeps it in the ``TrialChannels`` it returns, so a draw
+is never read under another one. ``optimizer`` does only the solve and the
+estimate: ``optimize_*`` solve the allocation from the harvest and the
+consumption alone, with no channel draw, and ``estimate_averages`` gives the
+Monte-Carlo rate of one allocation over a draw. ``sweep`` solves a
+static-power grid, draws once, and estimates each distinct allocation once.
 """
 
-from .channel import sample_amplitudes
+from .channel import TrialChannels, draw_trials, sample_amplitudes
 from .harvesting import harvest, rectify
 from .optimizer import (
     FEASIBLE,
     INFEASIBLE,
     AllocationResult,
-    TrialChannels,
-    draw_trials,
     estimate_averages,
     optimize_time_splitting,
     optimize_uc_splitting,

@@ -35,9 +35,29 @@ SC'11, for counter-based streams). Streams of seeds that differ by up to
 2 10^6 start at least 3.98e12 words apart, far more than any draw reads, so
 the seed itself is the state; seeds further apart can share words (the
 stream of seed + gamma is the stream of seed one word on).
+
+The Monte-Carlo draw (``draw_trials``) lives here too. It reads its seed
+and trial count from the configuration and keeps that configuration in the
+``TrialChannels`` it returns, so an estimate always reads the configuration
+its draw was made for. Because every amplitude is a pure function of
+(seed, trial, UC), a large draw shares plain chunks of trials out among a
+few threads and uses every core, while its values depend on the seed alone,
+not on how many threads drew them or in which chunks. Each drawing thread
+allocates one float64, one uint64 and one float32 buffer and hands every one
+of its chunks to the private kernel ``_sample_into``, which computes the
+amplitudes in place in them, so a chunk makes no array that grows with it;
+``sample_amplitudes`` runs the same kernel on fresh arrays. Of each trial the
+draw keeps only the running sums over the UCs at the prefix lengths k a
+caller asks for, and the full-surface sum. ``TrialChannels.reflecting_sum(k)``
+turns them into the coherent sum of the UCs still reflecting when the first
+k absorb, the one layout-dependent quantity a rate estimate reads.
 """
 
 import math
+import os
+import threading
+from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +76,23 @@ _RADIUS_BITS = 40
 _HALF_PI_STEP = float(np.float32(math.pi / 2.0)) * 2.0**-24
 # Counters _splitmix64 makes before it doubles the run it has.
 _HEAD_WORDS = 256
+
+# Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
+# Each drawing thread draws its chunks into one set of buffers of this many
+# values each, 1.25 MiB, so the draw's peak memory is the prefix plus one
+# set of buffers per thread. Larger chunks hand the GIL over fewer times per
+# amplitude: the two-thread 10^4-trial 60 x 60 draw took 388-517 ms at 2^15
+# values, as against 336-352 ms at 2^16 and 337-388 ms for the
+# generator-based draw this one replaced (in-process, best of 7, four
+# alternating rounds on a 2-vCPU AVX-512 machine). 2^17 was a few percent
+# faster again but holds 1.25 MiB more per thread.
+_DRAW_CHUNK_VALUES = 1 << 16
+# Most threads one draw runs on, the calling thread included.
+_DRAW_MAX_THREADS = 8
+# Fewest amplitudes (trials x UCs) a draw shares out among threads; a smaller
+# draw runs on the calling thread alone, which saves the threads' memory. The
+# default 10^4 x 225 draw (2.25e6 amplitudes) is still faster on two threads.
+_DRAW_THREAD_MIN_VALUES = 1 << 20
 
 
 def _splitmix64(seed: int, first: int, words: np.ndarray, scratch: np.ndarray) -> None:
@@ -90,14 +127,8 @@ def _splitmix64(seed: int, first: int, words: np.ndarray, scratch: np.ndarray) -
             np.multiply(words, np.uint64(multiplier), out=words)
 
 
-def sample_amplitudes(
-    cfg: ScenarioConfig,
-    start: int,
-    stop: int,
-    *,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Draw the channels of trials [start, stop): a (stop - start, m_s) array of |h||g_i|.
+def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
+    """Draw the channels of trials [start, stop): a new (stop - start, m_s) array of |h||g_i|.
 
     |g_i| = sqrt(E[|g|^2]) sqrt((c - sigma R)^2 + 4 c sigma R sin^2(pi v / 2))
     with c = sqrt(K/(K+1)), sigma^2 = 1/(2(K+1)) per diffuse component and
@@ -128,29 +159,31 @@ def sample_amplitudes(
     The words are exact integers on every machine, but the last bits of an
     amplitude depend on which SIMD kernels numpy dispatches for the sine,
     the log and the square roots.
-
-    ``out``, when given, is three C-contiguous (stop - start, m_s) arrays,
-    float64, uint64 and float32: the words are made in the uint64 one with
-    the float64 one as the finalizer's scratch, and all three are
-    overwritten. The amplitudes are returned in the float64 one, so a caller
-    that draws in chunks can reuse one set of buffers, 20 bytes per
-    amplitude. A call into ``out`` makes only a first run of 256 counters
-    (2 KB), and the float64 loop over the float32 plane casts through
-    numpy's ufunc buffers, about 130 KB at numpy's default buffer size
-    whatever the chunk. Without ``out`` all three arrays are new and the
-    amplitudes are returned as a new contiguous (stop - start, m_s) array.
-    Either way the amplitudes are the same bit for bit.
     """
-    n, m_s = stop - start, cfg.m_s
+    return _sample_into(cfg, start, _buffers(stop - start, cfg.m_s))
+
+
+def _buffers(n: int, m_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New (n, m_s) buffers for ``_sample_into``: float64, uint64 and float32, 20 B per amplitude."""
+    return np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
+
+
+def _sample_into(cfg: ScenarioConfig, start: int, buffers) -> np.ndarray:
+    """``sample_amplitudes`` of trials [start, start + n) computed in ``buffers``.
+
+    ``buffers`` is three C-contiguous (n, m_s) arrays as ``_buffers`` makes
+    them: the words are made in the uint64 one with the float64 one as the
+    finalizer's scratch, all three are overwritten, and the amplitudes are
+    returned in the float64 one. A thread of ``draw_trials`` thus draws
+    every chunk into one set of buffers: a call makes only a first run of
+    256 counters (2 KB), and the float64 loop over the float32 plane casts
+    through numpy's ufunc buffers, about 130 KB at numpy's default buffer
+    size whatever the chunk.
+    """
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
-    if out is None:
-        out = np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
-    elif any(plane.shape != (n, m_s) or not plane.flags.c_contiguous for plane in out):
-        shapes = ", ".join(str(plane.shape) for plane in out)
-        raise ValueError(f"out must be three C-contiguous arrays of shape {(n, m_s)}, got {shapes}")
-    radius, words, sines = out
-    _splitmix64(cfg.rng_seed, start * m_s, words, radius.view(np.uint64))
+    radius, words, sines = buffers
+    _splitmix64(cfg.rng_seed, start * cfg.m_s, words, radius.view(np.uint64))
     # Both integers are below 2^63, so they are cast from int64 views, which
     # numpy converts about twice as fast as uint64; neither cast is in place.
     np.right_shift(words, np.uint64(_RADIUS_BITS), out=radius.view(np.uint64))  # k
@@ -177,6 +210,145 @@ def sample_amplitudes(
     amp = np.sqrt(radius, out=radius)
     amp *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     return amp
+
+
+@dataclass(frozen=True, eq=False)
+class TrialChannels:
+    """Amplitude sums of a fixed set of channel draws, shared across candidates.
+
+    ``cfg`` is the configuration the draws were made for. Column j of
+    ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k = ``columns[j]`` for
+    each draw in row-major UC order; ``columns`` is sorted and always ends
+    with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``. A
+    full draw keeps every k in 0..m_s; a sweep solves its grid from the
+    harvest curves first and keeps only the k those solves read. Readers
+    need not know that layout: ``reflecting_sum(k)`` gives the coherent
+    amplitude over the UCs that still reflect when the first k absorb. Only
+    amplitudes are drawn, because no computed quantity depends on the common
+    LoS phase (see the module docstring). Two draws compare equal only when
+    they are the same object, as comparing the arrays elementwise has no
+    truth value.
+    """
+
+    cfg: ScenarioConfig
+    amp_prefix: np.ndarray  # (cfg.mc_trials, len(columns))
+    columns: tuple[int, ...]
+
+    @property
+    def n_trials(self) -> int:
+        return self.amp_prefix.shape[0]
+
+    @property
+    def amp_total(self) -> np.ndarray:
+        return self.amp_prefix[:, -1]
+
+    def reflecting_sum(self, k: int) -> np.ndarray:
+        """Per draw, the coherent amplitude of the UCs still reflecting when the first k absorb.
+
+        That is ``amp_total`` minus prefix column k, a new array. Raises
+        ValueError when column k was not drawn.
+        """
+        column = bisect_left(self.columns, k)
+        if column == len(self.columns) or self.columns[column] != k:
+            raise ValueError(f"prefix column k = {k} was not drawn")
+        return self.amp_total - self.amp_prefix[:, column]
+
+
+def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
+    """Draw ``cfg.mc_trials`` channels once, seeded by ``cfg.rng_seed``.
+
+    ``columns`` lists the prefix columns k in 0..m_s to keep; m_s is always
+    kept, and None keeps every column. A sweep passes the k its grid solves
+    read, so the prefix holds (mc_trials, distinct k + 1) values, not
+    (mc_trials, m_s + 1).
+
+    The amplitudes are drawn by ``_sample_into``, the kernel of
+    ``sample_amplitudes``, in chunks of ``_DRAW_CHUNK_VALUES // m_s`` trials
+    (18 on a 60 x 60 surface, 291 on 15 x 15), each into prefixes of the
+    drawing thread's one set of (chunk, m_s) float64, uint64 and float32
+    buffers, 20 bytes per amplitude or about 1.25 MiB together. The thread allocates
+    them before its first chunk and reuses them for every chunk after; the
+    amplitudes are computed in place in the float64 buffer, so the draw's
+    memory is the prefix plus, per thread, one set of buffers, numpy's cast
+    buffers (about 130 KB) and the stream's first run of counters (2 KB).
+    Column m_s of a chunk row is the row's ``np.sum``; column 0 < k < m_s is
+    entry k - 1 of the row's running sum, taken in place over the UCs
+    1..kmax only, where kmax is the largest kept column below m_s, and only
+    the kept columns are copied into the chunk's rows. A stored value is
+    therefore the same bit for bit whichever columns are kept. A draw of at
+    least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares its chunks out among
+    up to ``_DRAW_MAX_THREADS`` threads, the calling one included, capped by
+    the CPUs this process may run on; numpy releases the GIL while it makes
+    the words and transforms them. A row depends only on the seed and its
+    trial index: not on the trial count, the chunk size, the thread count or
+    which thread drew it. An exception in any chunk is raised here once
+    every thread has stopped.
+    """
+    n, m_s = cfg.mc_trials, cfg.m_s
+    if columns is None:
+        kept = list(range(m_s + 1))
+    else:
+        for k in columns:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= m_s:
+                raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
+        # A Python set, not np.unique, which imports numpy.ma on first use.
+        kept = sorted({int(k) for k in columns} | {m_s})
+    # Column m_s is a chunk row's sum, column 0 < k <= kmax is entry k - 1 of
+    # its running sum and column 0 stays 0.
+    skip = 1 if kept[0] == 0 else 0
+    kmax = kept[-2] if len(kept) > 1 else 0
+    # Those entries are copied through a slice when the columns are one
+    # contiguous range (every column, for one), which makes no temporary; a
+    # fancy index copies them into a new array first.
+    inner = kept[skip:-1]
+    if inner and inner[-1] - inner[0] == len(inner) - 1:
+        gather = slice(inner[0] - 1, kmax)
+    else:
+        gather = np.array(inner) - 1
+    prefix = np.zeros((n, len(kept)))
+    # A chunk never runs past the last trial, so a longer buffer would only
+    # waste memory.
+    chunk = max(1, min(_DRAW_CHUNK_VALUES // m_s, n))
+    starts = range(0, n, chunk)
+
+    def fill(t0: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        size = min(chunk, n - t0)
+        amp = _sample_into(cfg, t0, tuple(plane[:size] for plane in buffers))
+        rows = prefix[t0 : t0 + size]
+        np.sum(amp, axis=1, out=rows[:, -1])
+        if kmax:
+            running = amp[:, :kmax]
+            np.cumsum(running, axis=1, out=running)
+            rows[:, skip:-1] = running[:, gather]
+
+    pending, lock, errors = iter(starts), threading.Lock(), []
+
+    def work() -> None:
+        try:
+            buffers = _buffers(chunk, m_s)
+            while not errors:
+                with lock:
+                    t0 = next(pending, None)
+                if t0 is None:
+                    return
+                fill(t0, buffers)
+        except BaseException as exc:  # raised by the caller once every thread is joined
+            errors.append(exc)
+
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = min(cpus, len(starts), _DRAW_MAX_THREADS) if n * m_s >= _DRAW_THREAD_MIN_VALUES else 1
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return TrialChannels(cfg=cfg, amp_prefix=prefix, columns=tuple(kept))
 
 
 def coherent_snr(amplitude, cfg: ScenarioConfig):

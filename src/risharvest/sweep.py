@@ -11,13 +11,8 @@ from typing import Optional
 import numpy as np
 
 from . import optimizer
-from .optimizer import (
-    FEASIBLE,
-    INFEASIBLE,
-    draw_trials,
-    optimize_time_splitting,
-    optimize_uc_splitting,
-)
+from .channel import draw_trials
+from .optimizer import FEASIBLE, INFEASIBLE, optimize_time_splitting, optimize_uc_splitting
 from .power import PROTOCOLS, TIME_SPLITTING, UC_SPLITTING, dynamic_power
 from .scenario import (
     ConfigError,

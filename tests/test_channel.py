@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-import risharvest.optimizer
+import risharvest.channel
 from risharvest import ScenarioConfig, sample_amplitudes
-from risharvest.channel import _splitmix64, coherent_snr
+from risharvest.channel import _sample_into, _splitmix64, coherent_snr
 
 from conftest import oracle_free_space_gain, oracle_full_surface_snr, oracle_mean_rx_gain
 
@@ -102,7 +102,7 @@ def g_amplitudes(cfg, n):
 
 
 def draw_buffers(n, m_s):
-    """One set of sampler buffers: float64, uint64 and float32 (n, m_s) planes."""
+    """One set of the draw kernel's buffers: float64, uint64 and float32 (n, m_s) planes."""
     return np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
 
 
@@ -163,37 +163,20 @@ def test_sample_amplitudes_continue_one_stream(cfg):
 
 @pytest.mark.parametrize("k", [10.0, math.inf])
 def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
-    # chunks of 4, 4 and a shorter 3 trials drawn into prefix views of one
-    # set of (4, m_s) buffers give the rows of fresh calls
+    # chunks of 4, 4 and a shorter 3 trials drawn by the draw's kernel into
+    # prefix views of one set of (4, m_s) buffers give the rows of fresh calls
     kcfg = dataclasses.replace(cfg, rician_k=k, rng_seed=10)
     buffers = draw_buffers(4, kcfg.m_s)
     rows = []
     for a, b in ((0, 4), (4, 8), (8, 11)):
         fresh = sample_amplitudes(kcfg, a, b)
-        reused = sample_amplitudes(kcfg, a, b, out=tuple(plane[: b - a] for plane in buffers))
+        reused = _sample_into(kcfg, a, tuple(plane[: b - a] for plane in buffers))
         assert np.shares_memory(reused, buffers[0])
         assert fresh.flags.c_contiguous and fresh.base is None
         assert np.array_equal(reused, fresh)
         rows.append(reused.copy())
     whole = sample_amplitudes(kcfg, 0, 11)
     assert np.array_equal(np.concatenate(rows), whole)
-
-
-def test_sampling_buffer_of_the_wrong_shape_is_rejected(cfg):
-    message = (
-        r"^out must be three C-contiguous arrays of shape \(3, 225\), "
-        r"got \(4, 225\), \(3, 225\), \(3, 225\)$"
-    )
-    out = (np.empty((4, 225)), *draw_buffers(3, 225)[1:])
-    with pytest.raises(ValueError, match=message):
-        sample_amplitudes(cfg, 0, 3, out=out)
-
-
-def test_sampling_buffer_that_is_not_contiguous_is_rejected(cfg):
-    # a strided view, here of the float32 plane, is refused like a wrong shape
-    out = (*draw_buffers(3, 225)[:2], np.empty((225, 3), np.float32).T)
-    with pytest.raises(ValueError, match=r"^out must be three C-contiguous arrays of shape"):
-        sample_amplitudes(cfg, 0, 3, out=out)
 
 
 def test_sampling_into_a_reused_buffer_allocates_only_cast_buffers():
@@ -204,12 +187,12 @@ def test_sampling_into_a_reused_buffer_allocates_only_cast_buffers():
     # the first run of counters 2 KB, and nothing grows with the chunk
     for side in (15, 60):
         cfg = ScenarioConfig(ris_cols=side, ris_rows=side)
-        n = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
-        out = draw_buffers(n, cfg.m_s)
-        sample_amplitudes(cfg, 0, n, out=out)
+        n = risharvest.channel._DRAW_CHUNK_VALUES // cfg.m_s
+        buffers = draw_buffers(n, cfg.m_s)
+        _sample_into(cfg, 0, buffers)
         tracemalloc.start()
         try:
-            sample_amplitudes(cfg, n, 2 * n, out=out)
+            _sample_into(cfg, n, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

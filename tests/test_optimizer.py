@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import risharvest.channel
 import risharvest.harvesting
 import risharvest.optimizer
 from risharvest import (
@@ -161,12 +162,12 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
 @pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
 def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chunk_values):
     if chunk_values is not None:
-        monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
+        monkeypatch.setattr(risharvest.channel, "_DRAW_CHUNK_VALUES", chunk_values)
     # 1200 trials of 225 UCs are four default chunks of 291 trials and a
     # last one of 36
     fast = dataclasses.replace(cfg, mc_trials=1200, rng_seed=556)
     m_s = fast.m_s
-    chunk = max(1, risharvest.optimizer._DRAW_CHUNK_VALUES // m_s)
+    chunk = max(1, risharvest.channel._DRAW_CHUNK_VALUES // m_s)
     full = draw(fast, 556).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
     # the rows are the running sum of the sampler's rows of the same trials
@@ -222,23 +223,24 @@ class CpuCount:
     def __init__(self, monkeypatch, cpus, max_threads, expected, raise_in=None, min_values=1):
         self.threads, self.raise_in, self._lock = set(), raise_in, threading.Lock()
         self.buffers = {}  # thread -> ids of the buffers its chunks were drawn into
+        self._sample_into = risharvest.channel._sample_into
         self._barrier = threading.Barrier(expected, timeout=10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", max_threads)
-        monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", min_values)
-        monkeypatch.setattr(risharvest.optimizer, "sample_amplitudes", self.sample)
+        monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", max_threads)
+        monkeypatch.setattr(risharvest.channel, "_DRAW_THREAD_MIN_VALUES", min_values)
+        monkeypatch.setattr(risharvest.channel, "_sample_into", self.sample)
 
-    def sample(self, cfg, start, stop, *, out):
+    def sample(self, cfg, start, buffers):
         thread = threading.current_thread()
         with self._lock:
             first = thread not in self.threads
             self.threads.add(thread)
-            self.buffers.setdefault(thread, set()).add(tuple(id(plane.base) for plane in out))
+            self.buffers.setdefault(thread, set()).add(tuple(id(plane.base) for plane in buffers))
         if first:
             self._barrier.wait()
-        if self.raise_in is not None and self.raise_in(stop, thread):
+        if self.raise_in is not None and self.raise_in(start + len(buffers[0]), thread):
             raise RuntimeError("sampler failed")
-        return sample_amplitudes(cfg, start, stop, out=out)
+        return self._sample_into(cfg, start, buffers)
 
 
 @pytest.mark.parametrize(
@@ -250,7 +252,7 @@ def test_draw_threads_write_the_one_thread_prefix(
     monkeypatch, cfg, cpus, max_threads, trials, expected
 ):
     fast = dataclasses.replace(cfg, mc_trials=trials)
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
     one = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
     counted = CpuCount(monkeypatch, cpus, max_threads, expected)
     drawn = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
@@ -263,11 +265,11 @@ def test_draw_threads_write_the_one_thread_prefix(
 def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg):
     # more threads than cores, 75 chunks of 4 trials and a short switch
     # interval: a chunk that no thread draws would leave its rows at zero
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", 4 * small_cfg.m_s)
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_CHUNK_VALUES", 4 * small_cfg.m_s)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
     one = draw(small_cfg, 560, 300).amp_prefix
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 8)
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", 1)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 8)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_THREAD_MIN_VALUES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -310,7 +312,7 @@ def test_draw_raises_a_failed_block_after_joining_its_threads(monkeypatch, cfg, 
 @pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
 def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_values):
     if chunk_values is not None:
-        monkeypatch.setattr(risharvest.optimizer, "_DRAW_CHUNK_VALUES", chunk_values)
+        monkeypatch.setattr(risharvest.channel, "_DRAW_CHUNK_VALUES", chunk_values)
     fast = dataclasses.replace(cfg, mc_trials=600)  # three chunks
     m_s, seed = fast.m_s, 557
     full = draw(fast, seed)
@@ -363,7 +365,7 @@ def draw_buffer_bytes(cfg):
     words and float32 angles, 20 bytes per amplitude, the two float64
     buffers numpy's ufuncs cast the float32 plane through, and the sampler's
     first run of 256 counters."""
-    chunk = risharvest.optimizer._DRAW_CHUNK_VALUES // cfg.m_s
+    chunk = risharvest.channel._DRAW_CHUNK_VALUES // cfg.m_s
     return chunk * cfg.m_s * (8 + 8 + 4) + 2 * np.getbufsize() * 8 + 256 * 8
 
 
@@ -371,7 +373,7 @@ def test_column_draw_memory_is_one_chunk(monkeypatch):
     # a 60 x 60 surface keeping two columns, on one thread: the full
     # (500, 3601) prefix would be 13.7 MiB, the kept one is 8 KB beside one
     # chunk's buffers
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
     draw(cfg, 17, 1, columns=[0, 3600])
     tracemalloc.start()
@@ -390,7 +392,7 @@ def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatc
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=2048)
     columns = [0, 336, 453, 3600]
     draw(cfg, 18, 1, columns=columns)
-    CpuCount(monkeypatch, 2, 2, 2, min_values=risharvest.optimizer._DRAW_THREAD_MIN_VALUES)
+    CpuCount(monkeypatch, 2, 2, 2, min_values=risharvest.channel._DRAW_THREAD_MIN_VALUES)
     tracemalloc.start()
     try:
         trials = draw(cfg, 18, columns=columns)
@@ -405,7 +407,7 @@ def test_full_draw_memory_is_the_prefix_one_buffer_and_the_column_index(monkeypa
     # sums reach the prefix through a slice, so beside the prefix and one
     # thread's buffers only the kept columns' list and tuple of Python ints
     # remain; a fancy-index copy would add a (chunk, m_s - 1) temporary, 518 KB
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", 1)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=512)
     draw(cfg, 19, 1)
     tracemalloc.start()
@@ -452,7 +454,7 @@ def test_feasible_result_satisfies_constraint(cfg):
 
 
 def test_harvest_power_monotone_in_allocation(rng):
-    # the optimizer's searchsorted lookup rests on this monotonicity
+    # the optimizer's bisection solve rests on this monotonicity
     for cfg in random_small_configs(rng):
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
             assert np.all(np.diff(curve_of(protocol, cfg)) >= 0.0)
@@ -521,11 +523,13 @@ def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
             assert above.optimal_allocation > v
 
 
-def test_time_splitting_solve_matches_the_curve_lookup(rng):
-    # the bisection solve picks the left searchsorted of the time-splitting
-    # harvest of every slot count, built as an array in the same operation
-    # order, at curve entries and at both their float neighbours, ties and
-    # the infeasible top included
+@pytest.mark.parametrize("protocol, optimize", OPTIMIZERS, ids=[p for p, _ in OPTIMIZERS])
+def test_solve_matches_the_curve_lookup(rng, protocol, optimize):
+    # either protocol's bisection solve picks the left searchsorted of its
+    # harvest curve, capped at vmax, at curve entries and at both their float
+    # neighbours, ties and the infeasible top included: time splitting's
+    # harvest of every slot count built as an array in the solve's operation
+    # order, UC splitting's cached curve
     for _ in range(40):
         frame_slots = int(rng.integers(2, 20_000))
         cfg = ScenarioConfig(
@@ -537,16 +541,20 @@ def test_time_splitting_solve_matches_the_curve_lookup(rng):
             rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
             e_rec=0.0,  # the consumed power is the static input
         )
-        vmax = cfg.frame_slots - cfg.preamble_slots
-        curve = np.arange(vmax + 1, dtype=float)
-        curve *= cfg.slot_duration
-        curve *= risharvest.harvesting.harvest(cfg)[-1]
-        curve /= cfg.frame_duration
+        if protocol == TIME_SPLITTING:
+            vmax = cfg.frame_slots - cfg.preamble_slots
+            curve = np.arange(vmax + 1, dtype=float)
+            curve *= cfg.slot_duration
+            curve *= risharvest.harvesting.harvest(cfg)[-1]
+            curve /= cfg.frame_duration
+        else:
+            curve = harvest_curve(cfg)
+            vmax = curve.size - 1
         for v in {0, 1, vmax - 1, vmax, *rng.integers(0, vmax + 1, 8).tolist()}:
             for consumed in (np.nextafter(curve[v], -1.0), curve[v], np.nextafter(curve[v], 1.0)):
                 if consumed < 0.0:
                     continue
-                result = optimize_time_splitting(float(consumed), cfg)
+                result = optimize(float(consumed), cfg)
                 expected = min(int(np.searchsorted(curve, consumed, side="left")), vmax)
                 assert result.optimal_allocation == expected
                 assert result.avg_harvested_power == curve[expected]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import risharvest
+import risharvest.channel
 import risharvest.optimizer
 from risharvest import (
     FEASIBLE,
@@ -442,11 +443,11 @@ def test_sweep_csv_does_not_depend_on_the_draw_threads(monkeypatch, tmp_path):
     # threads as this machine's CPUs allow, then 1 and 3 threads are forced,
     # with the smallest threaded draw lowered below this one
     spec = small_spec(points=4)
-    monkeypatch.setattr(risharvest.optimizer, "_DRAW_THREAD_MIN_VALUES", 1)
+    monkeypatch.setattr(risharvest.channel, "_DRAW_THREAD_MIN_VALUES", 1)
     run_sweep(None, spec, tmp_path / "default.csv", trials=1100)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     for threads in (1, 3):
-        monkeypatch.setattr(risharvest.optimizer, "_DRAW_MAX_THREADS", threads)
+        monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", threads)
         run_sweep(None, spec, tmp_path / f"{threads}.csv", trials=1100)
         assert (tmp_path / f"{threads}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
