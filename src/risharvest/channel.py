@@ -164,7 +164,7 @@ def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
 
 
 def _buffers(n: int, m_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New (n, m_s) buffers for ``_sample_into``: float64, uint64 and float32, 20 B per amplitude."""
+    """New (n, m_s) float64, uint64 and float32 buffers for ``_sample_into``, 20 B per value."""
     return np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
 
 

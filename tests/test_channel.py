@@ -9,7 +9,7 @@ from scipy import special, stats
 
 import risharvest.channel
 from risharvest import ScenarioConfig, sample_amplitudes
-from risharvest.channel import _sample_into, _splitmix64, coherent_snr
+from risharvest.channel import _buffers, _sample_into, _splitmix64, coherent_snr
 
 from conftest import oracle_free_space_gain, oracle_full_surface_snr, oracle_mean_rx_gain
 
@@ -101,11 +101,6 @@ def g_amplitudes(cfg, n):
     return sample_amplitudes(cfg, 0, n) / math.sqrt(cfg.free_space_uc_gain)
 
 
-def draw_buffers(n, m_s):
-    """One set of the draw kernel's buffers: float64, uint64 and float32 (n, m_s) planes."""
-    return np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 20230816, 2**64 - 1])
 @pytest.mark.parametrize("first", [0, 1, 225, 2**40 + 3, 2**64 - 5])
 def test_words_are_splitmix64(seed, first):
@@ -166,7 +161,7 @@ def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
     # chunks of 4, 4 and a shorter 3 trials drawn by the draw's kernel into
     # prefix views of one set of (4, m_s) buffers give the rows of fresh calls
     kcfg = dataclasses.replace(cfg, rician_k=k, rng_seed=10)
-    buffers = draw_buffers(4, kcfg.m_s)
+    buffers = _buffers(4, kcfg.m_s)
     rows = []
     for a, b in ((0, 4), (4, 8), (8, 11)):
         fresh = sample_amplitudes(kcfg, a, b)
@@ -188,7 +183,7 @@ def test_sampling_into_a_reused_buffer_allocates_only_cast_buffers():
     for side in (15, 60):
         cfg = ScenarioConfig(ris_cols=side, ris_rows=side)
         n = risharvest.channel._DRAW_CHUNK_VALUES // cfg.m_s
-        buffers = draw_buffers(n, cfg.m_s)
+        buffers = _buffers(n, cfg.m_s)
         _sample_into(cfg, 0, buffers)
         tracemalloc.start()
         try:
