@@ -19,8 +19,11 @@ the configuration and keeps it in the ``TrialChannels`` it returns, so a draw
 is never read under another one. ``optimizer`` does only the solve and the
 estimate: ``optimize_*`` solve the allocation from the harvest and the
 consumption alone, with no channel draw, and ``estimate_averages`` gives the
-Monte-Carlo rate of one allocation over a draw. ``sweep`` solves a
-static-power grid, draws once, and estimates each distinct allocation once.
+Monte-Carlo rate of one allocation over a draw. Both solves read one harvest
+per configuration, computed and checked once, and one frame-averaged
+formula: the DC power of the absorbing UCs times their harvest time, over
+the frame. ``sweep`` solves a static-power grid, draws once, and estimates
+each distinct allocation once.
 """
 
 from .channel import TrialChannels, draw_trials, sample_amplitudes

@@ -159,7 +159,13 @@ def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
     The words are exact integers on every machine, but the last bits of an
     amplitude depend on which SIMD kernels numpy dispatches for the sine,
     the log and the square roots.
+
+    Raises ValueError when ``start`` or ``stop`` is not an integer (a bool
+    is not), when ``start`` is negative or when ``stop`` is below it.
     """
+    for name, bound, least in (("start", start, 0), ("stop", stop, start)):
+        if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {bound!r}")
     return _sample_into(cfg, start, _buffers(stop - start, cfg.m_s))
 
 
@@ -220,8 +226,8 @@ class TrialChannels:
     ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k = ``columns[j]`` for
     each draw in row-major UC order; ``columns`` is sorted and always ends
     with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``. A
-    full draw keeps every k in 0..m_s; a sweep solves its grid from the
-    harvest curves first and keeps only the k those solves read. Readers
+    sweep solves its grid from the harvest first and keeps only the k those
+    solves read. Readers
     need not know that layout: ``reflecting_sum(k)`` gives the coherent
     amplitude over the UCs that still reflect when the first k absorb. Only
     amplitudes are drawn, because no computed quantity depends on the common
@@ -254,13 +260,13 @@ class TrialChannels:
         return self.amp_total - self.amp_prefix[:, column]
 
 
-def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
+def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
     """Draw ``cfg.mc_trials`` channels once, seeded by ``cfg.rng_seed``.
 
     ``columns`` lists the prefix columns k in 0..m_s to keep; m_s is always
-    kept, and None keeps every column. A sweep passes the k its grid solves
-    read, so the prefix holds (mc_trials, distinct k + 1) values, not
-    (mc_trials, m_s + 1).
+    kept, and ``range(m_s + 1)`` keeps every column. A sweep passes the k
+    its grid solves read, so the prefix holds (mc_trials, distinct k + 1)
+    values, not (mc_trials, m_s + 1).
 
     The amplitudes are drawn by ``_sample_into``, the kernel of
     ``sample_amplitudes``, in chunks of ``_DRAW_CHUNK_VALUES // m_s`` trials
@@ -274,7 +280,7 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     Column m_s of a chunk row is the row's ``np.sum``; column 0 < k < m_s is
     entry k - 1 of the row's running sum, taken in place over the UCs
     1..kmax only, where kmax is the largest kept column below m_s, and only
-    the kept columns are copied into the chunk's rows. A stored value is
+    the kept columns are gathered into the chunk's rows. A stored value is
     therefore the same bit for bit whichever columns are kept. A draw of at
     least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares its chunks out among
     up to ``_DRAW_MAX_THREADS`` threads, the calling one included, capped by
@@ -285,26 +291,16 @@ def draw_trials(cfg: ScenarioConfig, *, columns=None) -> TrialChannels:
     every thread has stopped.
     """
     n, m_s = cfg.mc_trials, cfg.m_s
-    if columns is None:
-        kept = list(range(m_s + 1))
-    else:
-        for k in columns:
-            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= m_s:
-                raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
-        # A Python set, not np.unique, which imports numpy.ma on first use.
-        kept = sorted({int(k) for k in columns} | {m_s})
+    for k in columns:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= m_s:
+            raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
+    # A Python set, not np.unique, which imports numpy.ma on first use.
+    kept = sorted({int(k) for k in columns} | {m_s})
     # Column m_s is a chunk row's sum, column 0 < k <= kmax is entry k - 1 of
     # its running sum and column 0 stays 0.
     skip = 1 if kept[0] == 0 else 0
     kmax = kept[-2] if len(kept) > 1 else 0
-    # Those entries are copied through a slice when the columns are one
-    # contiguous range (every column, for one), which makes no temporary; a
-    # fancy index copies them into a new array first.
-    inner = kept[skip:-1]
-    if inner and inner[-1] - inner[0] == len(inner) - 1:
-        gather = slice(inner[0] - 1, kmax)
-    else:
-        gather = np.array(inner) - 1
+    gather = np.array(kept[skip:-1], dtype=np.intp) - 1
     prefix = np.zeros((n, len(kept)))
     # A chunk never runs past the last trial, so a longer buffer would only
     # waste memory.

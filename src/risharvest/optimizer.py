@@ -12,22 +12,25 @@ identical, so which k harvest does not change the averages.
 
 The TX-side absorption is deterministic free space, so the frame-averaged
 harvest depends on the allocation value alone, and only the rate is random.
-The optimizer therefore does two things and nothing else. The solve
-(``optimize_*``) reads the harvest of each allocation value, checked once
-per configuration to be finite and nondecreasing in it. The average rate is
-decreasing in the allocation, so the optimum is the smallest value whose
-harvest covers consumption, found with no channel draw by one bisection
-over the allocation values of either protocol: over UC splitting's cached
-curve for k = 0..m_s, and over time splitting's harvest evaluated per slot
-count, which needs O(log vmax) evaluations and O(1) memory however long the
-frame. Either gives the left ``searchsorted`` of the consumed power in the
-curve, bit for bit. The estimate (``estimate_averages``) then averages the
-rate of one allocation value over one set of channel draws (common random
-numbers), which ``channel.draw_trials`` makes; it reads the full-surface
-sum for time splitting and ``TrialChannels.reflecting_sum`` for UC
-splitting. A sweep solves its whole grid first, draws once keeping only the
-prefix columns those solves read, and estimates each distinct allocation
-once.
+Both protocols feed the same harvesting chain (``harvesting.harvest``, the
+DC power when the first k UCs absorb), read once per configuration and
+checked once to be finite, nonnegative and nondecreasing in k. They differ
+only in what absorbs and for how long: every UC for v slots, or the first k
+UCs for the whole post-preamble interval. ``harvest_of`` gives that one
+formula, the DC power of the absorbing UCs times their harvest time over
+the frame. The optimizer then does two things and nothing else. The solve
+(``optimize_*``) needs no channel draw: the average rate is decreasing in
+the allocation, so the optimum is the smallest value whose harvest covers
+consumption, found by one bisection over the allocation values of either
+protocol, which needs O(log vmax) evaluations and O(1) memory however long
+the frame. It gives the left ``searchsorted`` of the consumed power in the
+array of every value's harvest, bit for bit. The estimate
+(``estimate_averages``) then averages the rate of one allocation value over
+one set of channel draws (common random numbers), which
+``channel.draw_trials`` makes; it reads the full-surface sum for time
+splitting and ``TrialChannels.reflecting_sum`` for UC splitting. A sweep
+solves its whole grid first, draws once keeping only the prefix columns
+those solves read, and estimates each distinct allocation once.
 """
 
 import functools
@@ -66,62 +69,48 @@ def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _time_splitting_harvest(cfg: ScenarioConfig):
-    """Time splitting's frame-averaged DC harvest (W) as a function of its slot count.
+def _harvest(cfg: ScenarioConfig) -> np.ndarray:
+    """``harvest(cfg)``, the DC power when the first k UCs absorb, for k = 0..m_s.
 
-    The function takes an integer or an array of slot counts and scales the
-    DC power of the whole surface absorbing by their share of the frame. It
-    is linear in the slot count; its three operations always run in this
-    order, so a slot count gives the same value bit for bit however it is
-    evaluated. Cached per configuration.
-
-    Raises ValueError when the harvest is not finite and nondecreasing over
-    0..vmax. Each of its rounded operations is monotone in the slot count,
-    so that holds exactly when its value at vmax is finite and >= 0; only
-    the error message searches for the first bad slot count, in O(log vmax)
-    evaluations.
+    Cached per configuration and shared by both protocols, so the array is
+    read-only. Raises ValueError when it is not finite, nonnegative and
+    nondecreasing, because the solve's bisection relies on all three.
     """
-    full = float(harvest(cfg)[-1])
-    slot, frame = cfg.slot_duration, cfg.frame_duration
-
-    def harvested(slots):
-        return ((slots * slot) * full) / frame
-
-    def bad(slots: int) -> bool:
-        return not 0.0 <= harvested(slots) < math.inf
-
-    vmax = _allocation_bounds(TIME_SPLITTING, cfg)
-    if bad(vmax):
-        first = bisect_left(range(vmax + 1), True, key=bad)
-        raise ValueError(
-            f"{TIME_SPLITTING} harvest curve is not finite and nondecreasing at allocation {first}"
-        )
-    return harvested
-
-
-@functools.lru_cache(maxsize=8)
-def harvest_curve(cfg: ScenarioConfig) -> np.ndarray:
-    """UC splitting's frame-averaged DC harvest (W) for every k = 0..m_s.
-
-    Entry k scales ``harvest(cfg)[k]`` by the post-preamble interval, so the
-    full allocation agrees bit for bit with time splitting's. The array is
-    read-only and cached per configuration. Raises ValueError when the curve
-    is not finite and nondecreasing, because the optimizer's lookup relies
-    on both.
-    """
-    curve = harvest(cfg)
-    # In place, so that no full-length temporaries pile up.
-    curve *= (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
-    curve /= cfg.frame_duration
-    bad = ~np.isfinite(curve)
-    bad[1:] |= curve[1:] < curve[:-1]
+    dc = harvest(cfg)
+    bad = ~np.isfinite(dc) | (dc < np.append(0.0, dc[:-1]))  # 0 W before k = 0
     if bad.any():
+        k = int(np.argmax(bad))
         raise ValueError(
-            f"{UC_SPLITTING} harvest curve is not finite and nondecreasing "
-            f"at allocation {int(np.argmax(bad))}"
-        )
-    curve.setflags(write=False)
-    return curve
+            f"harvest is not finite, nonnegative and nondecreasing at {k} absorbing UCs")
+    dc.setflags(write=False)
+    return dc
+
+
+def harvest_of(protocol: str, cfg: ScenarioConfig):
+    """The frame-averaged DC harvest (W) as a function of the allocation value.
+
+    The function takes an integer or an array of values 0..vmax: the DC
+    power of the absorbing UCs times their harvest time, over the frame.
+    Time splitting absorbs on the whole surface for ``value`` slots, UC
+    splitting on the first ``value`` UCs for the whole post-preamble
+    interval, so both protocols' full allocations harvest the same, bit for
+    bit. Fetch it once and evaluate it many times: the lookup hashes the
+    configuration.
+    """
+    dc = _harvest(cfg)
+    # A memoryview reads an entry as a Python float, which halves the cost of
+    # a bisection probe against a numpy scalar; an array takes numpy's indexing.
+    entries = memoryview(dc)
+    full, slot, frame = entries[-1], cfg.slot_duration, cfg.frame_duration
+    post = cfg.frame_slots - cfg.preamble_slots
+    time_splitting = protocol == TIME_SPLITTING
+
+    def harvested(value):
+        power = full if time_splitting else (entries if isinstance(value, int) else dc)[value]
+        slots = value if time_splitting else post
+        return power * (slots * slot) / frame
+
+    return harvested
 
 
 def estimate_averages(protocol: str, value: int, trials: TrialChannels) -> tuple[float, float]:
@@ -161,8 +150,8 @@ def estimate_averages(protocol: str, value: int, trials: TrialChannels) -> tuple
     return average, ci
 
 
-def _solve(protocol: str, harvested_by, p_static: float, cfg: ScenarioConfig) -> AllocationResult:
-    """The first allocation value whose harvest ``harvested_by(value)`` covers consumption.
+def _solve(protocol: str, p_static: float, cfg: ScenarioConfig) -> AllocationResult:
+    """The first allocation value whose harvest covers consumption.
 
     Ties count as covered; when none covers it, the full allocation is
     reported. The harvest is nondecreasing in the value, so a bisection over
@@ -171,6 +160,7 @@ def _solve(protocol: str, harvested_by, p_static: float, cfg: ScenarioConfig) ->
     """
     consumed = total_consumption(p_static, protocol, cfg).total
     vmax = _allocation_bounds(protocol, cfg)
+    harvested_by = harvest_of(protocol, cfg)
     value = bisect_left(range(vmax + 1), consumed, 0, vmax, key=harvested_by)
     harvested = harvested_by(value)
     return AllocationResult(
@@ -190,15 +180,15 @@ def optimize_time_splitting(p_static: float, cfg: ScenarioConfig) -> AllocationR
     average rate. Reports the full post-preamble interval with
     INFEASIBLE status when even that cannot cover consumption.
     """
-    return _solve(TIME_SPLITTING, _time_splitting_harvest(cfg), p_static, cfg)
+    return _solve(TIME_SPLITTING, p_static, cfg)
 
 
 def optimize_uc_splitting(p_static: float, cfg: ScenarioConfig) -> AllocationResult:
     """Best number of harvesting UCs: the smallest one meeting the constraint.
 
     Fewer harvesting UCs leave a larger coherent sum, so the smallest k whose
-    harvest-curve entry covers consumption maximizes the average rate.
+    harvest covers consumption maximizes the average rate.
     Reports k = m_s with INFEASIBLE status when even the whole surface cannot
     cover consumption.
     """
-    return _solve(UC_SPLITTING, harvest_curve(cfg).item, p_static, cfg)
+    return _solve(UC_SPLITTING, p_static, cfg)

@@ -42,16 +42,19 @@ def rng():
 
 
 def draw(cfg, seed, n=None, columns=None):
-    """``draw_trials`` of ``cfg`` with ``rng_seed = seed`` and ``n`` trials (cfg's if None)."""
+    """``draw_trials`` of ``cfg`` with ``rng_seed = seed`` and ``n`` trials (cfg's if None).
+
+    Every prefix column is kept when ``columns`` is None.
+    """
     trials = cfg.mc_trials if n is None else n
+    if columns is None:
+        columns = range(cfg.m_s + 1)
     return draw_trials(dataclasses.replace(cfg, rng_seed=seed, mc_trials=trials), columns=columns)
 
 
 def allocation_harvest(protocol, value, cfg):
     """The frame-averaged harvest (W) the solve reads for an allocation value or array of them."""
-    if protocol == TIME_SPLITTING:
-        return risharvest.optimizer._time_splitting_harvest(cfg)(value)
-    return risharvest.optimizer.harvest_curve(cfg)[value]
+    return risharvest.optimizer.harvest_of(protocol, cfg)(value)
 
 
 def curve_of(protocol, cfg):
@@ -61,9 +64,8 @@ def curve_of(protocol, cfg):
 
 
 def clear_harvest_caches():
-    """Empty the cached harvests, which a patched harvest chain must rebuild."""
-    risharvest.optimizer.harvest_curve.cache_clear()
-    risharvest.optimizer._time_splitting_harvest.cache_clear()
+    """Empty the cached harvest, which a patched harvest chain must rebuild."""
+    risharvest.optimizer._harvest.cache_clear()
 
 
 def absorbing_config(p_uc, m_s, **fields):

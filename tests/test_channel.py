@@ -140,6 +140,26 @@ def test_sample_amplitudes_shape_and_sign(cfg):
     assert sample_amplitudes(cfg, 5, 5).shape == (0, 225)
 
 
+@pytest.mark.parametrize(
+    "start, stop, name",
+    [
+        (-1, 2, "start"),  # would wrap the counter into another seed's words
+        (True, 2, "start"),
+        (2.5, 4, "start"),
+        ("0", 2, "start"),
+        (3, 1, "stop"),
+        (0, False, "stop"),
+        (0, 2.0, "stop"),
+        (np.int64(4), np.int64(3), "stop"),
+    ],
+    ids=["negative_start", "bool_start", "float_start", "str_start",
+         "stop_below_start", "bool_stop", "float_stop", "numpy_stop_below_start"],
+)
+def test_sample_amplitudes_rejects_bad_trial_bounds(cfg, start, stop, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        sample_amplitudes(cfg, start, stop)
+
+
 def test_sample_amplitudes_deterministic(cfg):
     a = sample_amplitudes(seeded(cfg, 5), 0, 4)
     b = sample_amplitudes(seeded(cfg, 5), 0, 4)

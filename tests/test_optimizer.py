@@ -27,7 +27,6 @@ from risharvest import (
     sample_amplitudes,
     total_consumption,
 )
-from risharvest.optimizer import harvest_curve
 
 from conftest import (
     allocation_harvest,
@@ -344,7 +343,7 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     # with e_rec = 0 the consumed power is the static input, so a curve entry
     # where the curve rises puts the UC-splitting optimum exactly there
     free = dataclasses.replace(small_cfg, e_rec=0.0)
-    curve = harvest_curve(free)
+    curve = curve_of(UC_SPLITTING, free)
     k = int(np.flatnonzero(curve[1:-1] > curve[:-2])[0]) + 1
     p_static = float(curve[k])
     assert optimize_uc_splitting(p_static, free).optimal_allocation == k
@@ -402,25 +401,6 @@ def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatc
     assert peak <= trials.amp_prefix.nbytes + 2 * draw_buffer_bytes(cfg) + (64 << 10)
 
 
-def test_full_draw_memory_is_the_prefix_one_buffer_and_the_column_index(monkeypatch):
-    # every column of a 512-trial 60 x 60 draw, on one thread: the running
-    # sums reach the prefix through a slice, so beside the prefix and one
-    # thread's buffers only the kept columns' list and tuple of Python ints
-    # remain; a fancy-index copy would add a (chunk, m_s - 1) temporary, 518 KB
-    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
-    cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=512)
-    draw(cfg, 19, 1)
-    tracemalloc.start()
-    try:
-        trials = draw(cfg, 19)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert trials.columns == tuple(range(cfg.m_s + 1))
-    index = 64 * (cfg.m_s + 1)  # an int object and two references per column
-    assert peak <= trials.amp_prefix.nbytes + draw_buffer_bytes(cfg) + index
-
-
 def test_unconstrained_case_allocates_nothing(cfg):
     free = dataclasses.replace(cfg, e_rec=0.0, mc_trials=32)
     ts = optimize_time_splitting(0.0, free)
@@ -466,15 +446,18 @@ def test_harvest_curve_matches_harvest_chain(rng):
             curve = curve_of(protocol, cfg)
             expected = [chain_harvest_power(protocol, v, cfg) for v in range(curve.size)]
             assert curve == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # the cached harvest is shared by both protocols, so it is read-only
     with pytest.raises(ValueError):
-        harvest_curve(cfg)[0] = 1.0  # the cached curve is shared, so it is read-only
+        risharvest.optimizer._harvest(cfg)[0] = 1.0
 
 
 def test_full_allocations_harvest_the_same(rng):
     # every UC absorbs for the whole post-preamble interval under both protocols
     for cfg in random_small_configs(rng):
         post = cfg.frame_slots - cfg.preamble_slots
-        assert allocation_harvest(TIME_SPLITTING, post, cfg) == harvest_curve(cfg)[-1]
+        assert allocation_harvest(TIME_SPLITTING, post, cfg) == allocation_harvest(
+            UC_SPLITTING, cfg.m_s, cfg
+        )
 
 
 def test_saturated_chains_keep_curve_monotone():
@@ -485,7 +468,7 @@ def test_saturated_chains_keep_curve_monotone():
             cfg = ScenarioConfig(
                 tx_power=tx_power, chain_size=chain_size, frame_slots=200, preamble_slots=20
             )
-            curve = harvest_curve(cfg)
+            curve = curve_of(UC_SPLITTING, cfg)
             assert np.all(np.diff(curve) >= 0.0)
             expected = [chain_harvest_power(UC_SPLITTING, k, cfg) for k in range(curve.size)]
             assert curve == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -527,9 +510,8 @@ def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
 def test_solve_matches_the_curve_lookup(rng, protocol, optimize):
     # either protocol's bisection solve picks the left searchsorted of its
     # harvest curve, capped at vmax, at curve entries and at both their float
-    # neighbours, ties and the infeasible top included: time splitting's
-    # harvest of every slot count built as an array in the solve's operation
-    # order, UC splitting's cached curve
+    # neighbours, ties and the infeasible top included: either curve built
+    # here as an array from the harvest chain in the solve's operation order
     for _ in range(40):
         frame_slots = int(rng.integers(2, 20_000))
         cfg = ScenarioConfig(
@@ -548,8 +530,10 @@ def test_solve_matches_the_curve_lookup(rng, protocol, optimize):
             curve *= risharvest.harvesting.harvest(cfg)[-1]
             curve /= cfg.frame_duration
         else:
-            curve = harvest_curve(cfg)
-            vmax = curve.size - 1
+            vmax = cfg.m_s
+            curve = risharvest.harvesting.harvest(cfg)
+            curve *= (cfg.frame_slots - cfg.preamble_slots) * cfg.slot_duration
+            curve /= cfg.frame_duration
         for v in {0, 1, vmax - 1, vmax, *rng.integers(0, vmax + 1, 8).tolist()}:
             for consumed in (np.nextafter(curve[v], -1.0), curve[v], np.nextafter(curve[v], 1.0)):
                 if consumed < 0.0:
@@ -558,6 +542,7 @@ def test_solve_matches_the_curve_lookup(rng, protocol, optimize):
                 expected = min(int(np.searchsorted(curve, consumed, side="left")), vmax)
                 assert result.optimal_allocation == expected
                 assert result.avg_harvested_power == curve[expected]
+                assert type(result.avg_harvested_power) is float
                 assert (result.status == FEASIBLE) == (curve[expected] >= consumed)
 
 
@@ -576,15 +561,22 @@ def test_lookup_edges_zero_static_power_and_full_allocation(small_cfg):
 
 @pytest.mark.parametrize(
     "fake_rectify, bad_index",
-    [(lambda p_rf, model: np.full(np.shape(p_rf), np.nan), 0), (lambda p_rf, model: -p_rf, 1)],
-    ids=["nan", "decreasing"],
+    [
+        (lambda p_rf, model: np.full(np.shape(p_rf), np.nan), 0),
+        (lambda p_rf, model: -p_rf, 1),
+        # nondecreasing in k at first, but below 0 W, so time splitting's
+        # harvest would fall as its slot count grows
+        (lambda p_rf, model: p_rf - 1.0, 0),
+    ],
+    ids=["nan", "decreasing", "negative"],
 )
 def test_broken_harvest_curve_is_rejected(
     monkeypatch, fresh_curves, small_cfg, fake_rectify, bad_index
 ):
     monkeypatch.setattr(risharvest.harvesting, "rectify", fake_rectify)
     for protocol, optimize in OPTIMIZERS:
-        with pytest.raises(ValueError, match=f"^{protocol} .* at allocation {bad_index}$"):
+        message = f"^harvest is not finite, .* at {bad_index} absorbing UCs$"
+        with pytest.raises(ValueError, match=message):
             optimize(1e-5, small_cfg)
 
 
@@ -608,8 +600,8 @@ def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
     ids=["default", "sigmoidal", "one_chain_of_3600"],
 )
 def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
-    # every chain fill is rectified in one array call per curve, whatever the
-    # chain size
+    # every chain fill is rectified in one array call per configuration,
+    # whatever the chain size, and both protocols read that one harvest
     calls = []
 
     def counting_rectify(p_rf, model):
@@ -618,11 +610,11 @@ def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
 
     monkeypatch.setattr(risharvest.harvesting, "rectify", counting_rectify)
     fills = (min(config.chain_size, config.m_s) + 1,)
-    assert harvest_curve(config).size == config.m_s + 1
+    assert curve_of(UC_SPLITTING, config).size == config.m_s + 1
     assert calls == [fills]
     vmax = config.frame_slots - config.preamble_slots
     assert curve_of(TIME_SPLITTING, config).size == vmax + 1
-    assert calls == [fills, fills]
+    assert calls == [fills]
 
 
 def test_uc_splitting_dominates_at_common_static_power(cfg):

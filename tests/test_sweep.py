@@ -426,9 +426,9 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
     draw_trials = risharvest.sweep.draw_trials
     kept = []
 
-    def full_draw(cfg, *, columns=None):
+    def full_draw(cfg, *, columns):
         kept.append(sorted(set(columns)))
-        return draw_trials(cfg)
+        return draw_trials(cfg, columns=range(cfg.m_s + 1))
 
     run_sweep(config, spec, tmp_path / "columns.csv")
     monkeypatch.setattr(risharvest.sweep, "draw_trials", full_draw)
@@ -478,6 +478,7 @@ def test_a_trillion_slot_frame_sweeps_to_a_finite_csv(tmp_path):
 
 
 def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_path):
+    # both protocols' solves read one cached harvest of the configuration
     calls = []
     harvest = risharvest.optimizer.harvest
 
@@ -491,7 +492,7 @@ def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_
         run_sweep(None, small_spec(), tmp_path / "sweep.csv", trials=8)
     finally:
         clear_harvest_caches()
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
