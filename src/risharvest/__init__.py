@@ -3,48 +3,31 @@
 The surface charges itself from the signals it relays: a frame either gives
 up time slots in which every unit cell absorbs (time splitting) or gives up
 a subset of unit cells that absorb while the rest reflect (UC splitting).
-This package models the link budget, the Rician RIS-to-receiver channel,
-the RF-to-DC harvesting chain, the controller power draw, and the
-rate-maximizing allocation of either resource under the constraint that
-harvested power covers consumption.
+For a given ASIC static power budget, the package finds the allocation of
+either resource with the highest average rate while the harvest still
+covers consumption.
 
-``scenario`` is the one home of the configuration: every field, the
-rectifier model included, and the whole link budget derived from them (|h|^2,
-E|g|^2, the per-UC absorbed power and the noise power), validated together;
-``channel``, ``harvesting`` and ``power`` give the rate, harvest and
-consumption formulas, one each (``harvest(cfg)`` is the DC power of the first
-k absorbing UCs, which both protocols' harvests read). ``channel`` also owns
-the Monte-Carlo draw: ``draw_trials(cfg)`` reads its seed and trial count from
-the configuration and keeps it in the ``TrialChannels`` it returns, so a draw
-is never read under another one. ``optimizer`` does only the solve and the
-estimate: ``optimize_*`` solve the allocation from the harvest and the
-consumption alone, with no channel draw, and ``estimate_averages`` gives the
-Monte-Carlo rate of one allocation over a draw. Both solves read one harvest
-per configuration, computed and checked once, and one frame-averaged
-formula: the DC power of the absorbing UCs times their harvest time, over
-the frame. ``sweep`` solves a static-power grid, draws once, and estimates
-each distinct allocation once.
+The top level exports the vocabulary of that question: the configuration
+(``ScenarioConfig``, its ``RectifierModel`` and the rectifier kinds), its
+file I/O (``load_config``, ``loads_config``, ``dumps_config``,
+``save_config``), the errors a rejected configuration raises, and the
+protocol and status names. ``sweep.answer(cfg, p_statics)`` answers a
+configuration at every budget, one row per budget and protocol, and
+``sweep.run_sweep`` writes that answer as the CLI's CSV.
+
+The machinery lives in its modules. ``scenario`` is the one home of the
+configuration and of the link budget derived from it. ``channel``,
+``harvesting`` and ``power`` give the rate, harvest and consumption
+formulas, one each; ``channel`` also owns the seeded Monte-Carlo draw
+(``draw_trials``, ``sample_amplitudes``). ``optimizer`` solves each
+allocation from the harvest and the consumption alone, with no channel
+draw (``optimize_time_splitting``, ``optimize_uc_splitting``), and
+estimates the Monte-Carlo rate of one allocation over a draw
+(``estimate_averages``).
 """
 
-from .channel import TrialChannels, draw_trials, sample_amplitudes
-from .harvesting import harvest, rectify
-from .optimizer import (
-    FEASIBLE,
-    INFEASIBLE,
-    AllocationResult,
-    estimate_averages,
-    optimize_time_splitting,
-    optimize_uc_splitting,
-)
-from .power import (
-    PROTOCOLS,
-    TIME_SPLITTING,
-    UC_SPLITTING,
-    ConsumptionBreakdown,
-    dynamic_power,
-    reconfig_count,
-    total_consumption,
-)
+from .optimizer import FEASIBLE, INFEASIBLE
+from .power import PROTOCOLS, TIME_SPLITTING, UC_SPLITTING
 from .scenario import (
     LINEAR_CLIPPED,
     RECTIFIER_KINDS,
@@ -63,11 +46,9 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationResult",
     "ConfigError",
     "ConfigParseError",
     "ConfigValidationError",
-    "ConsumptionBreakdown",
     "FEASIBLE",
     "INFEASIBLE",
     "LINEAR_CLIPPED",
@@ -77,20 +58,9 @@ __all__ = [
     "SIGMOIDAL",
     "ScenarioConfig",
     "TIME_SPLITTING",
-    "TrialChannels",
     "UC_SPLITTING",
-    "draw_trials",
     "dumps_config",
-    "dynamic_power",
-    "estimate_averages",
-    "harvest",
     "load_config",
     "loads_config",
-    "optimize_time_splitting",
-    "optimize_uc_splitting",
-    "reconfig_count",
-    "rectify",
-    "sample_amplitudes",
     "save_config",
-    "total_consumption",
 ]

@@ -166,6 +166,8 @@ def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
     for name, bound, least in (("start", start, 0), ("stop", stop, start)):
         if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {bound!r}")
+    # Python ints on, so that no numpy integer scalar reaches the stream's key arithmetic.
+    start, stop = int(start), int(stop)
     return _sample_into(cfg, start, _buffers(stop - start, cfg.m_s))
 
 
@@ -291,11 +293,14 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
     every thread has stopped.
     """
     n, m_s = cfg.mc_trials, cfg.m_s
+    # One pass over ``columns``, which may be a one-shot iterable, into a
+    # Python set: not np.unique, which imports numpy.ma on first use.
+    kept = {m_s}
     for k in columns:
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= m_s:
             raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
-    # A Python set, not np.unique, which imports numpy.ma on first use.
-    kept = sorted({int(k) for k in columns} | {m_s})
+        kept.add(int(k))
+    kept = sorted(kept)
     # Column m_s is a chunk row's sum, column 0 < k <= kmax is entry k - 1 of
     # its running sum and column 0 stays 0.
     skip = 1 if kept[0] == 0 else 0

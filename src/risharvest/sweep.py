@@ -1,4 +1,4 @@
-"""Static-power sweep front end: optimize both protocols over a grid, emit CSV."""
+"""Answer a configuration over static-power budgets, and the sweep CLI that writes it as CSV."""
 
 import argparse
 import csv
@@ -126,36 +126,34 @@ def _parse_cell(column: str, text: str):
     return value
 
 
-def run_sweep(
-    config_path,
-    spec: SweepSpec,
-    output_path,
-    seed: Optional[int] = None,
-    trials: Optional[int] = None,
-) -> int:
-    """Optimize both protocols at every grid point and write the CSV.
+def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
+    """Answer ``cfg`` at every static power budget of ``p_statics`` (W).
 
-    ``seed`` and ``trials`` override the scenario file. The allocations
-    depend on the harvests alone, so every (point, protocol) is solved
-    once before any channel draw. One draw set then keeps only the prefix
-    columns those solves read (the UC-splitting k of each point, and the
-    full-surface sum that time splitting reads), and the rate of each
-    distinct (protocol, allocation) is estimated once on it. Sharing the
-    draws across the grid keeps rate curves free of re-sampling noise. Each
-    drawn amplitude depends on ``rng_seed``, its trial and its UC alone, so
-    the CSV is the same byte for byte on any number of cores. Raises
-    ConfigValidationError before the draw when ``e_rec`` makes the
-    ``dyn_over_static`` column overflow on this grid.
+    Returns one row per (budget, protocol), sorted by budget then protocol:
+    the rate-maximizing allocation, whether its harvest covers consumption,
+    its Monte-Carlo rate and CI, and the dynamic power. The allocations
+    depend on the harvests alone, so every (budget, protocol) is solved
+    once before any channel draw. One draw of ``cfg.mc_trials`` trials,
+    seeded by ``cfg.rng_seed``, then keeps only the prefix columns those
+    solves read (the UC-splitting k of each budget, and the full-surface
+    sum that time splitting reads), and the rate of each distinct
+    (protocol, allocation) is estimated once on it. Sharing the draws
+    across budgets keeps rate curves free of re-sampling noise. Each drawn
+    amplitude depends on ``rng_seed``, its trial and its UC alone, so the
+    rows are the same on any number of cores.
+
+    Raises ValueError when ``p_statics`` is empty or holds a budget that is
+    not a finite number >= 0, and ConfigValidationError when ``e_rec`` makes
+    ``dyn_over_static`` overflow at the smallest positive budget; all before
+    the draw.
     """
-    cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
-    if seed is not None:
-        cfg = replace(cfg, rng_seed=seed)
-    if trials is not None:
-        cfg = replace(cfg, mc_trials=trials)
-    grid = [float(p) for p in spec.grid()]
+    grid = [float(p) for p in p_statics]
+    if not grid:
+        raise ValueError("p_statics is empty: there is no budget to answer")
     p_dyn = {protocol: dynamic_power(protocol, cfg) for protocol in PROTOCOLS}
-    # p_dyn / p_static is largest for the larger p_dyn at the smallest positive p_static.
-    p_worst, p_low = max(p_dyn.values()), min(p for p in grid if p > 0.0)
+    # p_dyn / p_static is largest for the larger p_dyn at the smallest positive
+    # p_static; with no positive p_static there is no ratio to overflow.
+    p_worst, p_low = max(p_dyn.values()), min((p for p in grid if p > 0.0), default=math.inf)
     if not math.isfinite(p_worst / p_low):
         raise ConfigValidationError(
             f"e_rec = {cfg.e_rec!r} J gives a dynamic power of {p_worst!r} W, whose ratio to "
@@ -186,7 +184,28 @@ def run_sweep(
                 dyn_over_static=p_dyn[result.protocol] / p_static if p_static > 0.0 else None,
             )
         )
-    rows.sort(key=lambda r: (r.p_static, r.protocol))
+    return sorted(rows, key=lambda r: (r.p_static, r.protocol))
+
+
+def run_sweep(
+    config_path,
+    spec: SweepSpec,
+    output_path,
+    seed: Optional[int] = None,
+    trials: Optional[int] = None,
+) -> int:
+    """Write the CSV of ``answer`` over ``spec``'s grid.
+
+    The configuration is read from ``config_path`` (the defaults when it is
+    None); ``seed`` and ``trials`` override its ``rng_seed`` and
+    ``mc_trials``.
+    """
+    cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
+    if seed is not None:
+        cfg = replace(cfg, rng_seed=seed)
+    if trials is not None:
+        cfg = replace(cfg, mc_trials=trials)
+    rows = answer(cfg, spec.grid())
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)

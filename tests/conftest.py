@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import risharvest.optimizer
-from risharvest import TIME_SPLITTING, ScenarioConfig, draw_trials, rectify
+from risharvest import TIME_SPLITTING, ScenarioConfig
+from risharvest.channel import draw_trials
+from risharvest.harvesting import rectify
 
 # Independent constants for oracle arithmetic (kept separate from the package).
 C_LIGHT = 2.99792458e8

@@ -8,8 +8,15 @@ import pytest
 from scipy import special, stats
 
 import risharvest.channel
-from risharvest import ScenarioConfig, sample_amplitudes
-from risharvest.channel import _buffers, _sample_into, _splitmix64, coherent_snr
+from risharvest import ScenarioConfig
+from risharvest.channel import (
+    _buffers,
+    _sample_into,
+    _splitmix64,
+    coherent_snr,
+    draw_trials,
+    sample_amplitudes,
+)
 
 from conftest import oracle_free_space_gain, oracle_full_surface_snr, oracle_mean_rx_gain
 
@@ -158,6 +165,25 @@ def test_sample_amplitudes_shape_and_sign(cfg):
 def test_sample_amplitudes_rejects_bad_trial_bounds(cfg, start, stop, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         sample_amplitudes(cfg, start, stop)
+
+
+@pytest.mark.parametrize("integer", [np.int32, np.int64, np.uint64])
+def test_sample_amplitudes_takes_numpy_integer_bounds(cfg, integer):
+    # the check admits numpy integers, so they must draw the rows of the
+    # equal Python ints, with no overflow in the stream's key arithmetic
+    scfg = seeded(cfg, 7)
+    drawn = sample_amplitudes(scfg, integer(2), integer(5))
+    assert np.array_equal(drawn, sample_amplitudes(scfg, 2, 5))
+
+
+def test_draw_trials_reads_a_one_shot_columns_iterable():
+    # a generator of columns is read once, so every column it yields is kept
+    cfg = ScenarioConfig(ris_cols=3, ris_rows=3, mc_trials=50)
+    trials = draw_trials(cfg, columns=(k for k in (2, 5)))
+    assert trials.columns == (2, 5, 9)
+    listed = draw_trials(cfg, columns=[2, 5])
+    assert np.array_equal(trials.reflecting_sum(2), listed.reflecting_sum(2))
+    assert np.array_equal(trials.amp_prefix, listed.amp_prefix)
 
 
 def test_sample_amplitudes_deterministic(cfg):

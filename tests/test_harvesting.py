@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risharvest import (
-    RectifierModel,
-    harvest,
-    rectify,
-)
+from risharvest import RectifierModel
+from risharvest.harvesting import harvest, rectify
 
 from conftest import absorbing_config, per_chain_oracle
 

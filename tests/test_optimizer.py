@@ -20,13 +20,11 @@ from risharvest import (
     UC_SPLITTING,
     RectifierModel,
     ScenarioConfig,
-    estimate_averages,
-    optimize_time_splitting,
-    optimize_uc_splitting,
-    rectify,
-    sample_amplitudes,
-    total_consumption,
 )
+from risharvest.channel import sample_amplitudes
+from risharvest.harvesting import rectify
+from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
+from risharvest.power import total_consumption
 
 from conftest import (
     allocation_harvest,

@@ -4,14 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from risharvest import (
-    TIME_SPLITTING,
-    UC_SPLITTING,
-    ScenarioConfig,
-    dynamic_power,
-    reconfig_count,
-    total_consumption,
-)
+from risharvest import TIME_SPLITTING, UC_SPLITTING, ScenarioConfig
+from risharvest.power import dynamic_power, reconfig_count, total_consumption
 
 
 def test_reconfig_counts_per_uc(cfg):

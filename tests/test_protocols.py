@@ -7,18 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from risharvest import (
-    FEASIBLE,
-    TIME_SPLITTING,
-    UC_SPLITTING,
-    dynamic_power,
-    estimate_averages,
-    optimize_time_splitting,
-    optimize_uc_splitting,
-    sample_amplitudes,
-    total_consumption,
-)
-from risharvest.channel import coherent_snr
+from risharvest import FEASIBLE, TIME_SPLITTING, UC_SPLITTING
+from risharvest.channel import coherent_snr, sample_amplitudes
+from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
+from risharvest.power import dynamic_power, total_consumption
 
 from conftest import allocation_harvest, curve_of, draw, oracle_full_surface_snr
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -23,13 +24,14 @@ from risharvest import (
     RectifierModel,
     ScenarioConfig,
     save_config,
-    total_consumption,
 )
+from risharvest.power import total_consumption
 from risharvest.sweep import (
     CSV_HEADER,
     SweepCsvError,
     SweepRow,
     SweepSpec,
+    answer,
     main,
     read_rows,
     run_sweep,
@@ -530,6 +532,70 @@ def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
     values = {(result.protocol, result.optimal_allocation) for _, _, result in calls[:draw]}
     assert sorted(estimates) == sorted(values)
     assert len(estimates) < len(solves)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SweepSpec(), SweepSpec(start=0.0, stop=2e-2, points=400, scale="linear")],
+    ids=["paper_grid", "edge_grid"],
+)
+def test_answer_gives_the_rows_of_the_sweep_csv(tmp_path, spec):
+    # run_sweep writes answer's rows: read back, they are equal row for row
+    config, cfg = tmp_path / "scenario.cfg", ScenarioConfig(mc_trials=200)
+    save_config(cfg, config)
+    run_sweep(config, spec, tmp_path / "sweep.csv")
+    assert answer(cfg, spec.grid()) == read_rows(tmp_path / "sweep.csv")
+
+
+def test_answer_at_zero_budgets_only_leaves_every_ratio_empty():
+    # no positive budget, so there is no ratio to overflow
+    rows = answer(ScenarioConfig(mc_trials=8), [0.0, 0.0])
+    assert len(rows) == 4
+    assert all(row.p_static == 0.0 and row.dyn_over_static is None for row in rows)
+
+
+def test_answer_rejects_no_budgets_or_a_bad_one_before_the_draw(monkeypatch):
+    calls = []
+    draw_trials = risharvest.sweep.draw_trials
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return draw_trials(*args, **kwargs)
+
+    monkeypatch.setattr(risharvest.sweep, "draw_trials", recording)
+    for p_statics in ([], iter(())):
+        with pytest.raises(ValueError, match="^p_statics is empty"):
+            answer(ScenarioConfig(mc_trials=8), p_statics)
+    for p_statics in ([1e-3, -1e-3], [1e-3, math.nan], [1e-3, math.inf]):
+        with pytest.raises(ValueError, match="^static power must be a finite number >= 0 W"):
+            answer(ScenarioConfig(mc_trials=8), p_statics)
+    assert calls == []
+
+
+# The question's vocabulary, and the machinery that stays in its modules.
+PUBLIC_NAMES = [
+    "ConfigError", "ConfigParseError", "ConfigValidationError", "FEASIBLE", "INFEASIBLE",
+    "LINEAR_CLIPPED", "PROTOCOLS", "RECTIFIER_KINDS", "RectifierModel", "SIGMOIDAL",
+    "ScenarioConfig", "TIME_SPLITTING", "UC_SPLITTING", "dumps_config", "load_config",
+    "loads_config", "save_config",
+]
+MODULE_NAMES = {
+    "channel": ["TrialChannels", "draw_trials", "sample_amplitudes"],
+    "harvesting": ["harvest", "rectify"],
+    "optimizer": [
+        "AllocationResult", "estimate_averages", "optimize_time_splitting", "optimize_uc_splitting",
+    ],
+    "power": ["ConsumptionBreakdown", "dynamic_power", "reconfig_count", "total_consumption"],
+}
+
+
+def test_the_top_level_exports_the_question_and_the_modules_the_machinery():
+    assert sorted(risharvest.__all__) == PUBLIC_NAMES
+    assert all(hasattr(risharvest, name) for name in PUBLIC_NAMES)
+    for module, names in MODULE_NAMES.items():
+        for name in names:
+            assert name not in risharvest.__all__
+            assert hasattr(importlib.import_module(f"risharvest.{module}"), name), (module, name)
 
 
 def test_benchmark_tracer_sees_every_layer(tmp_path):
