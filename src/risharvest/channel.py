@@ -39,18 +39,24 @@ stream of seed + gamma is the stream of seed one word on).
 The Monte-Carlo draw (``draw_trials``) lives here too. It reads its seed
 and trial count from the configuration and keeps that configuration in the
 ``TrialChannels`` it returns, so an estimate always reads the configuration
-its draw was made for. Because every amplitude is a pure function of
-(seed, trial, UC), a large draw shares plain chunks of trials out among a
-few threads and uses every core, while its values depend on the seed alone,
-not on how many threads drew them or in which chunks. Each drawing thread
-allocates one float64, one uint64 and one float32 buffer and hands every one
-of its chunks to the private kernel ``_sample_into``, which computes the
-amplitudes in place in them, so a chunk makes no array that grows with it;
-``sample_amplitudes`` runs the same kernel on fresh arrays. Of each trial the
-draw keeps only the running sums over the UCs at the prefix lengths k a
-caller asks for, and the full-surface sum. ``TrialChannels.reflecting_sum(k)``
-turns them into the coherent sum of the UCs still reflecting when the first
-k absorb, the one layout-dependent quantity a rate estimate reads.
+its draw was made for. Of each trial it keeps only the running sums over
+the UCs at the prefix lengths k a caller asks for, and the full-surface
+sum. ``TrialChannels.reflecting_sum(k)`` turns them into the coherent sum of
+the UCs still reflecting when the first k absorb, the one layout-dependent
+quantity a rate estimate reads. The draw therefore draws amplitudes one by
+one only for UCs 1..kmax, kmax the largest kept k below m_s: the other
+m_s - kmax UCs feed the full-surface sum alone, so their sum is drawn as one
+value from its law (``_tail_table``), from the one word of UC kmax + 1. A
+kept column below m_s is thus the same bit for bit whichever columns are
+kept, while the full-surface column depends on kmax. Because every value is
+a pure function of (seed, trial, UC), a large draw shares plain chunks of
+trials out among a few threads and uses every core, while its values depend
+on the seed alone, not on how many threads drew them or in which chunks.
+Each drawing thread allocates one float64, one uint64 and one float32 buffer
+and hands every one of its chunks to the private kernel ``_sample_into``,
+which computes the amplitudes in place in them, so a chunk makes no array
+that grows with it; ``sample_amplitudes`` runs the same kernel on fresh
+arrays.
 """
 
 import math
@@ -89,37 +95,55 @@ _HEAD_WORDS = 256
 _DRAW_CHUNK_VALUES = 1 << 16
 # Most threads one draw runs on, the calling thread included.
 _DRAW_MAX_THREADS = 8
-# Fewest amplitudes (trials x UCs) a draw shares out among threads; a smaller
-# draw runs on the calling thread alone, which saves the threads' memory. The
-# default 10^4 x 225 draw (2.25e6 amplitudes) is still faster on two threads.
+# Fewest amplitudes the kernel draws (trials x kmax, the UCs up to the largest
+# kept column below m_s) that a draw shares out among threads; a smaller draw
+# runs on the calling thread alone, which saves the threads' memory. A 10^4 x
+# 225 draw (2.25e6 amplitudes) was still faster on two threads.
 _DRAW_THREAD_MIN_VALUES = 1 << 20
 
+# The law of a sum of n unit-power Rice amplitudes (_tail_table), in units of
+# sigma about the LoS amplitude c: one amplitude is cut to c +- 8 sigma; the
+# sum's table has 2^13 cells spanning 24 sqrt(n), at least 24 of its standard
+# deviations, as one amplitude's is at most sigma; and one amplitude's cells
+# are at most 1/32 wide.
+_TAIL_CUT = 8.0
+_TAIL_CELLS = 1 << 13
+_TAIL_WINDOW = 12.0
+_TAIL_FINE_CELL = 1.0 / 32.0
+# The three-point Gauss-Legendre rule on a cell [-1/2, 1/2]: (node, weight) pairs.
+_GAUSS_RULE = ((-math.sqrt(0.15), 5.0 / 18.0), (0.0, 8.0 / 18.0), (math.sqrt(0.15), 5.0 / 18.0))
 
-def _splitmix64(seed: int, first: int, words: np.ndarray, scratch: np.ndarray) -> None:
-    """Fill the C-contiguous uint64 array ``words`` with SplitMix64 outputs of ``seed``.
 
-    Flat entry f gets output number first + f + 1 of the stream whose state
-    starts at ``seed``. ``scratch`` is a uint64 array of the same shape that
-    the finalizer's xor-shifts overwrite. Scalar keys are Python ints masked
-    to 64 bits, and every ufunc gets ``np.uint64`` scalars, so no scalar
-    overflow warns and no operand is promoted to float; the arrays wrap
-    silently.
+def _splitmix64(seed: int, first: int, words: np.ndarray, scratch: np.ndarray, stride=None) -> None:
+    """Fill the C-contiguous (rows, width) uint64 array ``words`` with SplitMix64 outputs of ``seed``.
+
+    Entry (r, i) gets output number first + r stride + i + 1 of the stream
+    whose state starts at ``seed``; ``stride`` defaults to the width, so flat
+    entry f gets output first + f + 1. ``scratch`` is a uint64 array of the
+    same shape that the finalizer's xor-shifts overwrite. Scalar keys are
+    Python ints masked to 64 bits, and every ufunc gets ``np.uint64``
+    scalars, so no scalar overflow warns and no operand is promoted to
+    float; the arrays wrap silently.
     """
-    flat = words.reshape(-1)
-    # The states seed + (first + f + 1) gamma: a short run of counters, then
-    # the run so far shifted by its own length, doubling it each time. That
-    # makes no counter array beyond the first run. Against a broadcast sum of
-    # a row and a column of counters it costs about 0.1 ns more per word on
-    # the 3600-UC rows of a 60 x 60 surface and about 1 ns less on the
-    # 225-UC rows of 15 x 15, where the broadcast pays per row.
-    head = min(flat.size, _HEAD_WORDS)
-    np.multiply(np.arange(1, head + 1, dtype=np.uint64), np.uint64(_GAMMA), out=flat[:head])
-    flat[:head] += np.uint64((seed + first * _GAMMA) & _MASK64)
-    done = head
-    while done < flat.size:
-        size = min(done, flat.size - done)
-        np.add(flat[:size], np.uint64(done * _GAMMA & _MASK64), out=flat[done : done + size])
-        done += size
+    if not words.size:
+        return
+    width = words.shape[1]
+    stride = width if stride is None else stride
+    row = words[0]
+    # The states seed + (first + r stride + i + 1) gamma: a short run of
+    # counters, then the run so far shifted by its own length, doubling it
+    # each time, along the first row and then down the rows. That makes no
+    # counter array beyond the first run; a broadcast sum of a row and a
+    # column of counters was slower.
+    head = min(width, _HEAD_WORDS)
+    np.multiply(np.arange(1, head + 1, dtype=np.uint64), np.uint64(_GAMMA), out=row[:head])
+    row[:head] += np.uint64((seed + first * _GAMMA) & _MASK64)
+    for run, offset, step in ((row, head, 1), (words, 1, stride)):
+        done = offset
+        while done < len(run):
+            size = min(done, len(run) - done)
+            np.add(run[:size], np.uint64(done * step * _GAMMA & _MASK64), out=run[done : done + size])
+            done += size
     for shift, multiplier in _MIX:
         np.right_shift(words, np.uint64(shift), out=scratch)
         np.bitwise_xor(words, scratch, out=words)
@@ -171,16 +195,18 @@ def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
     return _sample_into(cfg, start, _buffers(stop - start, cfg.m_s))
 
 
-def _buffers(n: int, m_s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New (n, m_s) float64, uint64 and float32 buffers for ``_sample_into``, 20 B per value."""
-    return np.empty((n, m_s)), np.empty((n, m_s), np.uint64), np.empty((n, m_s), np.float32)
+def _buffers(n: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New (n, width) float64, uint64 and float32 buffers for ``_sample_into``, 20 B per value."""
+    return np.empty((n, width)), np.empty((n, width), np.uint64), np.empty((n, width), np.float32)
 
 
 def _sample_into(cfg: ScenarioConfig, start: int, buffers) -> np.ndarray:
-    """``sample_amplitudes`` of trials [start, start + n) computed in ``buffers``.
+    """The first ``width`` UCs of ``sample_amplitudes`` of trials [start, start + n), in ``buffers``.
 
-    ``buffers`` is three C-contiguous (n, m_s) arrays as ``_buffers`` makes
-    them: the words are made in the uint64 one with the float64 one as the
+    ``buffers`` is three C-contiguous (n, width) arrays as ``_buffers`` makes
+    them, width <= m_s: UC i of trial t still reads word t m_s + i + 1, so
+    the UCs drawn agree bit for bit with a full-width call. The words are
+    made in the uint64 array with the float64 one as the
     finalizer's scratch, all three are overwritten, and the amplitudes are
     returned in the float64 one. A thread of ``draw_trials`` thus draws
     every chunk into one set of buffers: a call makes only a first run of
@@ -191,7 +217,7 @@ def _sample_into(cfg: ScenarioConfig, start: int, buffers) -> np.ndarray:
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
     radius, words, sines = buffers
-    _splitmix64(cfg.rng_seed, start * cfg.m_s, words, radius.view(np.uint64))
+    _splitmix64(cfg.rng_seed, start * cfg.m_s, words, radius.view(np.uint64), cfg.m_s)
     # Both integers are below 2^63, so they are cast from int64 views, which
     # numpy converts about twice as fast as uint64; neither cast is in place.
     np.right_shift(words, np.uint64(_RADIUS_BITS), out=radius.view(np.uint64))  # k
@@ -220,6 +246,128 @@ def _sample_into(cfg: ScenarioConfig, start: int, buffers) -> np.ndarray:
     return amp
 
 
+def _rice_density(z: np.ndarray, beta: float) -> np.ndarray:
+    """The density of z = (|g| - c) / sigma for a unit-power Rice amplitude |g|, at z >= -beta.
+
+    beta = c / sigma = sqrt(2 K). With x = beta + z = |g| / sigma, the Rice
+    density x exp(-(x^2 + beta^2) / 2) I0(beta x) is x exp(-z^2 / 2) I0e(y)
+    with I0 scaled by e^{-y}, y = beta x, so nothing overflows at any finite
+    K. Up to y = 700 numpy's I0 gives I0e; above it x I0e(y) is
+    sqrt(x / (2 pi beta)) times the asymptotic series sum_k a_k,
+    a_0 = 1, a_k = a_{k-1} (2k - 1)^2 / (8 k y), whose first seven terms
+    leave a relative error below 1e-19 there.
+    """
+    x = beta + z
+    with np.errstate(over="ignore"):  # y is inf only where beta^2 overflows, and 1 / y is then 0
+        y = beta * x
+    small = y <= 700.0
+    scaled = np.empty_like(z)
+    scaled[small] = x[small] * np.i0(y[small]) * np.exp(-y[small])
+    large = y[~small]
+    term, series = np.ones_like(large), np.ones_like(large)
+    for k in range(1, 7):
+        term *= (2 * k - 1) ** 2 / (8.0 * k) / large
+        series += term
+    scaled[~small] = np.sqrt(x[~small] / beta / (2.0 * math.pi)) * series
+    return scaled * np.exp(-0.5 * z * z)
+
+
+def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of a sum of n i.i.d. unit-power Rice amplitudes at Rician factor k, as a table.
+
+    Returns (cdf, values), both nondecreasing: a uniform u in [0, 1) draws
+    ``values[searchsorted(cdf, u, side="right")]``, every value >= 0, and
+    cdf[-1] is exactly 1. K = inf gives the point mass n c, c = 1, as one
+    entry. Otherwise the table is a lattice of the sum's law in units of
+    sigma about n c:
+
+    - One amplitude's law is cut to z = (|g| - c) / sigma in
+      [max(-8, -beta), 8], which drops a mass below e^{-32} = 1.3e-14
+      (|z| is at most the modulus of a complex normal), and split into cells
+      of width at most 1/32, each mass a three-point Gauss-Legendre rule of
+      ``_rice_density``. Cells are indexed from that lower end, never from 0,
+      so no index grows with K.
+    - At n = 1 those cells, 2^13 / 24 to the unit, are the table, each at
+      its midpoint.
+    - Otherwise the table is a cyclic window of 2^13 points 24 sqrt(n) / 2^13
+      apart, from 12 sqrt(n) below n E[z] (or from the sum's lower end, if
+      that is higher). One amplitude's cells are a whole fraction of that
+      spacing, so the transform of their masses at the window's frequencies
+      is one rFFT of 2^13 points per offset within a spacing. Dividing out
+      the transform of a cell's box gives one amplitude's characteristic
+      function, whose n-th power the inverse rFFT turns into the exact sum's
+      density at the window's points; each point carries that density.
+      Raising the cells' own transform to the n-th power instead would give
+      a sum of n rounded amplitudes, whose variance is n cells^2 / 12 too
+      large. Only the number of offsets grows with n, not the table.
+
+    Error bound. The mass the window leaves out, below 2 e^{-72} (z is
+    1-Lipschitz in the two normals of the amplitude, so the sum's deviation
+    from its mean is sub-Gaussian with variance proxy n), lands on its other
+    end; the cut above drops 1.3e-14; a drawn value is a lattice point,
+    within about half a spacing, 12 sqrt(n) / 2^13 sigma, of the exact law's
+    quantile at the same u. Against the Rice moments (scipy) for K in
+    {0, 0.5, 2, 10, 100, 1e3, 1e6} and n from 2 to 10^6, the table's mean
+    was within 2e-10 of a standard deviation of n times the Rice mean, and
+    its variance within 3e-8 of n times the Rice variance. At n = 1 the
+    midpoints add a cell^2 / 12 to the variance, 7.2e-7 sigma^2 or at most
+    1.7e-6 of it.
+    """
+    diffuse = 1.0 / (k + 1.0)
+    los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
+    if sigma == 0.0:
+        return np.ones(1), np.array([n * los])
+    beta = math.sqrt(2.0) * math.sqrt(k)
+    low = max(-_TAIL_CUT, -beta)
+    width = 2.0 * _TAIL_WINDOW * math.sqrt(n) / _TAIL_CELLS
+    split = 1 if n == 1 else math.ceil(width / _TAIL_FINE_CELL)  # small cells per window cell
+    cell = width / split
+    centres = low + cell * (np.arange(math.ceil((_TAIL_CUT - low) / cell)) + 0.5)
+    mass = sum(w * _rice_density(centres + cell * z, beta) for z, w in _GAUSS_RULE)
+    mass /= mass.sum()
+    sums = centres
+    if n > 1:
+        from numpy import fft  # loaded here, so that importing the package does not load it
+
+        freq = np.arange(_TAIL_CELLS // 2 + 1)
+        spectrum = np.zeros(freq.size, complex)
+        for b in range(min(split, mass.size)):
+            phase = np.exp(-2j * math.pi * b / (split * _TAIL_CELLS) * freq)
+            spectrum += fft.rfft(mass[b::split], _TAIL_CELLS) * phase
+        with np.errstate(divide="ignore"):  # a zero bin stays 0
+            power = n * (np.log(np.abs(spectrum)) - np.log(np.sinc(freq / (split * _TAIL_CELLS))))
+        np.minimum(power, 0.0, out=power)  # a characteristic function is at most 1 in modulus
+        window = fft.irfft(np.exp(power + 1j * n * np.angle(spectrum)), _TAIL_CELLS)
+        # Point i of the window is n centres[0] + i width, modulo the window.
+        origin = n * centres[0]
+        lowest = max(n * low, n * float(mass @ centres) - _TAIL_WINDOW * math.sqrt(n))
+        first = math.floor((lowest - origin) / width)
+        mass = np.maximum(np.roll(window, -(first % _TAIL_CELLS)), 0.0)
+        sums = origin + width * (first + np.arange(_TAIL_CELLS))
+    cdf = np.cumsum(mass)
+    cdf /= cdf[-1]
+    return cdf, np.maximum(n * los + sigma * sums, 0.0)
+
+
+def _draw_tail(cfg: ScenarioConfig, kmax: int, out: np.ndarray) -> None:
+    """Add to ``out`` each trial's sum of |h||g_i| over the UCs i > kmax, drawn from its law.
+
+    The sum of trial t reads one SplitMix64 word, output number
+    t m_s + kmax + 1 (the word of UC kmax + 1, which the kernel does not
+    read): its top 53 bits are a uniform u in [0, 1) that picks a value of
+    ``_tail_table(K, m_s - kmax)`` by its inverse CDF, scaled by
+    sqrt(|h|^2 E|g|^2).
+    """
+    cdf, values = _tail_table(cfg.rician_k, cfg.m_s - kmax)
+    values *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    words = np.empty((cfg.mc_trials, 1), np.uint64)
+    _splitmix64(cfg.rng_seed, kmax, words, np.empty_like(words), cfg.m_s)
+    words >>= np.uint64(11)
+    # Below 2^53, so exact as int64 and as float64.
+    uniform = words.view(np.int64).ravel() * 2.0**-53
+    out += values[np.searchsorted(cdf, uniform, side="right")]
+
+
 @dataclass(frozen=True, eq=False)
 class TrialChannels:
     """Amplitude sums of a fixed set of channel draws, shared across candidates.
@@ -227,9 +375,10 @@ class TrialChannels:
     ``cfg`` is the configuration the draws were made for. Column j of
     ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k = ``columns[j]`` for
     each draw in row-major UC order; ``columns`` is sorted and always ends
-    with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``. A
-    sweep solves its grid from the harvest first and keeps only the k those
-    solves read. Readers
+    with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``:
+    the last kept prefix plus the sum of the other UCs drawn from its law
+    (see ``draw_trials``). A sweep solves its grid from the harvest first and
+    keeps only the k those solves read. Readers
     need not know that layout: ``reflecting_sum(k)`` gives the coherent
     amplitude over the UCs that still reflect when the first k absorb. Only
     amplitudes are drawn, because no computed quantity depends on the common
@@ -270,27 +419,38 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
     its grid solves read, so the prefix holds (mc_trials, distinct k + 1)
     values, not (mc_trials, m_s + 1).
 
-    The amplitudes are drawn by ``_sample_into``, the kernel of
-    ``sample_amplitudes``, in chunks of ``_DRAW_CHUNK_VALUES // m_s`` trials
-    (18 on a 60 x 60 surface, 291 on 15 x 15), each into prefixes of the
-    drawing thread's one set of (chunk, m_s) float64, uint64 and float32
-    buffers, 20 bytes per amplitude or about 1.25 MiB together. The thread allocates
-    them before its first chunk and reuses them for every chunk after; the
-    amplitudes are computed in place in the float64 buffer, so the draw's
-    memory is the prefix plus, per thread, one set of buffers, numpy's cast
-    buffers (about 130 KB) and the stream's first run of counters (2 KB).
-    Column m_s of a chunk row is the row's ``np.sum``; column 0 < k < m_s is
-    entry k - 1 of the row's running sum, taken in place over the UCs
-    1..kmax only, where kmax is the largest kept column below m_s, and only
-    the kept columns are gathered into the chunk's rows. A stored value is
-    therefore the same bit for bit whichever columns are kept. A draw of at
-    least ``_DRAW_THREAD_MIN_VALUES`` amplitudes shares its chunks out among
-    up to ``_DRAW_MAX_THREADS`` threads, the calling one included, capped by
-    the CPUs this process may run on; numpy releases the GIL while it makes
-    the words and transforms them. A row depends only on the seed and its
-    trial index: not on the trial count, the chunk size, the thread count or
-    which thread drew it. An exception in any chunk is raised here once
-    every thread has stopped.
+    Let kmax be the largest kept column below m_s (0 if there is none). The
+    amplitudes of UCs 1..kmax are drawn by ``_sample_into``, the kernel of
+    ``sample_amplitudes``, in chunks of ``_DRAW_CHUNK_VALUES // kmax`` trials
+    (144 at kmax = 453), each into prefixes of the drawing thread's one set
+    of (chunk, kmax) float64, uint64 and float32 buffers, 20 bytes per
+    amplitude or about 1.25 MiB together. The thread allocates them before
+    its first chunk and reuses them for every chunk after; the amplitudes
+    are computed in place in the float64 buffer, so the kernel's memory is
+    the prefix plus, per thread, one set of buffers, numpy's cast buffers
+    (about 130 KB) and the stream's first run of counters (2 KB). Column
+    0 < k <= kmax is entry k - 1 of a chunk row's running sum, taken in
+    place, and only the kept columns are gathered into the chunk's rows; UC
+    i of trial t reads word t m_s + i + 1 as in ``sample_amplitudes``, so a
+    kept column below m_s is the same bit for bit whichever columns are
+    kept. The sum of the remaining n = m_s - kmax UCs, which no kept column
+    below m_s reads, is drawn per trial as one value of the law of a sum of
+    n i.i.d. Rice amplitudes (``_tail_table``, whose docstring bounds its
+    error) from the word of UC kmax + 1, and column m_s is that sum plus
+    column kmax. So column m_s depends on kmax: it is not the row sum of
+    ``sample_amplitudes``, and a draw keeping other columns below m_s gives
+    another full-surface column. K = inf gives exactly n times the LoS
+    gain. The sum is drawn after the kernel has freed its buffers, and its
+    table takes a few hundred KiB whatever m_s.
+
+    A draw of at least ``_DRAW_THREAD_MIN_VALUES`` kernel amplitudes
+    (trials x kmax) shares its chunks out among up to ``_DRAW_MAX_THREADS``
+    threads, the calling one included, capped by the CPUs this process may
+    run on; numpy releases the GIL while it makes the words and transforms
+    them. A row depends only on the seed, its trial index and kmax: not on
+    the trial count, the chunk size, the thread count or which thread drew
+    it. An exception in any chunk is raised here once every thread has
+    stopped.
     """
     n, m_s = cfg.mc_trials, cfg.m_s
     # One pass over ``columns``, which may be a one-shot iterable, into a
@@ -301,32 +461,33 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
             raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
         kept.add(int(k))
     kept = sorted(kept)
-    # Column m_s is a chunk row's sum, column 0 < k <= kmax is entry k - 1 of
-    # its running sum and column 0 stays 0.
+    # Column 0 < k <= kmax is entry k - 1 of a chunk row's running sum, column
+    # m_s is the last entry plus the tail, and column 0 stays 0.
     skip = 1 if kept[0] == 0 else 0
     kmax = kept[-2] if len(kept) > 1 else 0
     gather = np.array(kept[skip:-1], dtype=np.intp) - 1
     prefix = np.zeros((n, len(kept)))
+    if not kmax:
+        _draw_tail(cfg, kmax, prefix[:, -1])
+        return TrialChannels(cfg=cfg, amp_prefix=prefix, columns=tuple(kept))
     # A chunk never runs past the last trial, so a longer buffer would only
     # waste memory.
-    chunk = max(1, min(_DRAW_CHUNK_VALUES // m_s, n))
+    chunk = max(1, min(_DRAW_CHUNK_VALUES // kmax, n))
     starts = range(0, n, chunk)
 
     def fill(t0: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
         size = min(chunk, n - t0)
-        amp = _sample_into(cfg, t0, tuple(plane[:size] for plane in buffers))
+        running = _sample_into(cfg, t0, tuple(plane[:size] for plane in buffers))
+        np.cumsum(running, axis=1, out=running)
         rows = prefix[t0 : t0 + size]
-        np.sum(amp, axis=1, out=rows[:, -1])
-        if kmax:
-            running = amp[:, :kmax]
-            np.cumsum(running, axis=1, out=running)
-            rows[:, skip:-1] = running[:, gather]
+        rows[:, skip:-1] = running[:, gather]
+        rows[:, -1] = running[:, -1]
 
     pending, lock, errors = iter(starts), threading.Lock(), []
 
     def work() -> None:
         try:
-            buffers = _buffers(chunk, m_s)
+            buffers = _buffers(chunk, kmax)
             while not errors:
                 with lock:
                     t0 = next(pending, None)
@@ -340,7 +501,7 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    threads = min(cpus, len(starts), _DRAW_MAX_THREADS) if n * m_s >= _DRAW_THREAD_MIN_VALUES else 1
+    threads = min(cpus, len(starts), _DRAW_MAX_THREADS) if n * kmax >= _DRAW_THREAD_MIN_VALUES else 1
     workers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for worker in workers:
         worker.start()
@@ -349,6 +510,9 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
         worker.join()
     if errors:
         raise errors[0]
+    # After the kernel, whose buffers are freed by now, so that the law's
+    # arrays and numpy.fft fit in the memory they held.
+    _draw_tail(cfg, kmax, prefix[:, -1])
     return TrialChannels(cfg=cfg, amp_prefix=prefix, columns=tuple(kept))
 
 

@@ -138,8 +138,10 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     solves read (the UC-splitting k of each budget, and the full-surface
     sum that time splitting reads), and the rate of each distinct
     (protocol, allocation) is estimated once on it. Sharing the draws
-    across budgets keeps rate curves free of re-sampling noise. Each drawn
-    amplitude depends on ``rng_seed``, its trial and its UC alone, so the
+    across budgets keeps rate curves free of re-sampling noise. Each kept
+    prefix value depends on ``rng_seed``, its trial and its UCs alone, and
+    the full-surface sum also on the largest UC-splitting k below m_s that
+    the solves read (the rest of the surface is drawn as one sum), so the
     rows are the same on any number of cores.
 
     Raises ValueError when ``p_statics`` is empty or holds a budget that is

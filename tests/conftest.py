@@ -6,7 +6,7 @@ import pytest
 
 import risharvest.optimizer
 from risharvest import TIME_SPLITTING, ScenarioConfig
-from risharvest.channel import draw_trials
+from risharvest.channel import _draw_tail, draw_trials, sample_amplitudes
 from risharvest.harvesting import rectify
 
 # Independent constants for oracle arithmetic (kept separate from the package).
@@ -52,6 +52,25 @@ def draw(cfg, seed, n=None, columns=None):
     if columns is None:
         columns = range(cfg.m_s + 1)
     return draw_trials(dataclasses.replace(cfg, rng_seed=seed, mc_trials=trials), columns=columns)
+
+
+def tail(cfg, kmax):
+    """Per trial of ``cfg``, the sum of UCs kmax + 1..m_s that ``draw_trials``
+    adds to the full-surface column when kmax is its largest kept column
+    below m_s."""
+    out = np.zeros(cfg.mc_trials)
+    _draw_tail(cfg, kmax, out)
+    return out
+
+
+def drawn_rows(cfg, seed, n):
+    """The (n, m_s) rows a draw of every prefix column of ``cfg`` reads at
+    ``rng_seed = seed``: the kernel's amplitudes of UCs 1..m_s - 1, and the
+    tail drawn for UC m_s as one lumped last entry."""
+    scfg = dataclasses.replace(cfg, rng_seed=seed, mc_trials=n)
+    rows = sample_amplitudes(scfg, 0, n)
+    rows[:, -1] = tail(scfg, cfg.m_s - 1)
+    return rows
 
 
 def allocation_harvest(protocol, value, cfg):

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +17,13 @@ from risharvest.channel import (
     _buffers,
     _sample_into,
     _splitmix64,
+    _tail_table,
     coherent_snr,
     draw_trials,
     sample_amplitudes,
 )
 
-from conftest import oracle_free_space_gain, oracle_full_surface_snr, oracle_mean_rx_gain
+from conftest import oracle_free_space_gain, oracle_full_surface_snr, oracle_mean_rx_gain, tail
 
 
 def splitmix64(seed, first, count):
@@ -364,3 +369,138 @@ def test_absorbed_power_per_uc(cfg):
     # halving TX power halves it
     half = dataclasses.replace(cfg, tx_power=cfg.tx_power / 2)
     assert half.uc_absorbed_power == pytest.approx(absorbed / 2, rel=1e-12)
+
+
+def unit_power_moments(k):
+    """Mean and variance of a unit-power Rice amplitude: scipy's, or where
+    its moments overflow to NaN (K = 1e6), the mean in the Laguerre form and
+    the variance 1 - mean^2."""
+    law = stats.rice(b=math.sqrt(2.0 * k), scale=math.sqrt(1.0 / (2.0 * (k + 1.0))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = float(law.mean()), float(law.var())
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        mean = rician_mean_amplitude(1.0, k)
+        var = 1.0 - mean * mean
+    return mean, var
+
+
+@pytest.mark.parametrize("k", [0.0, 10.0])
+@pytest.mark.parametrize("n", [1, 7, 225])
+def test_tail_law_matches_sums_of_sampled_amplitudes(k, n):
+    # a draw that keeps no column below m_s draws the whole surface from the
+    # law; against 4000 sums of n amplitudes of the sampler under another
+    # seed, a two-sample Kolmogorov-Smirnov test finds one law
+    cfg = ScenarioConfig(ris_cols=n, ris_rows=1, rician_k=k, mc_trials=4000, rng_seed=71)
+    tails = draw_trials(cfg, columns=[]).amp_total
+    sums = sample_amplitudes(dataclasses.replace(cfg, rng_seed=72), 0, 4000).sum(axis=1)
+    assert stats.ks_2samp(tails, sums).pvalue > 0.001
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 10.0, 100.0, 1e6])
+def test_tail_law_moments_are_n_times_the_rice_moments(k):
+    # the table's mean is n times the Rice mean within 1e-9 of its standard
+    # deviation, and its variance n times the Rice variance within 1e-7, or
+    # at n = 1 up to its cell midpoints' (24 / 2^13)^2 / 12 sigma^2, at most
+    # 1.7e-6 of it
+    mean, var = unit_power_moments(k)
+    for n in (1, 2, 7, 225, 3600, 10**6):
+        cdf, values = _tail_table(k, n)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0) and np.all(values >= 0.0)
+        mass = np.diff(cdf, prepend=0.0)
+        law_mean = mass @ values
+        law_var = mass @ (values - law_mean) ** 2
+        assert abs(law_mean - n * mean) <= 1e-9 * math.sqrt(n * var), n
+        assert law_var == pytest.approx(n * var, rel=2e-6 if n == 1 else 1e-7), n
+
+
+def test_tail_law_is_exact_at_infinite_k():
+    # K = inf is the point mass n c = n: every drawn tail is n times the
+    # LoS gain, rounded once, whichever columns are kept
+    for n in (1, 2, 3600):
+        cdf, values = _tail_table(math.inf, n)
+        assert cdf.tolist() == [1.0] and values.tolist() == [float(n)]
+    cfg = ScenarioConfig(ris_cols=9, ris_rows=5, rician_k=math.inf, mc_trials=50)
+    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    for kmax in (0, 1, 30, 44):
+        assert np.array_equal(tail(cfg, kmax), np.full(50, (45 - kmax) * gain))
+    assert np.array_equal(draw_trials(cfg, columns=[]).amp_total, np.full(50, 45 * gain))
+
+
+@pytest.mark.parametrize("k", [1e12, 1e36, 1e300])
+def test_tail_law_holds_at_any_finite_k(k):
+    # beta^2 = 2 K overflows near K = 1e308 and a cell of sigma / 32 is far
+    # below an ulp of c = 1 from K = 1e30, yet the table stays finite, >= 0
+    # and centred on n c, as cells are indexed from c - 8 sigma
+    for n in (1, 2, 3600):
+        cdf, values = _tail_table(k, n)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        assert np.diff(cdf, prepend=0.0) @ values == pytest.approx(n, rel=1e-5)
+
+
+def test_tail_draw_memory_does_not_grow_with_the_surface():
+    # a 300 x 300 draw keeping no column below m_s draws no amplitude: it
+    # holds the prefix, a few arrays of one value per trial and the law's
+    # table, as a 15 x 15 draw does
+    peaks = []
+    for side in (15, 300):
+        cfg = ScenarioConfig(ris_cols=side, ris_rows=side)
+        draw_trials(cfg, columns=[0])
+        tracemalloc.start()
+        try:
+            trials = draw_trials(cfg, columns=[0])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert trials.amp_prefix.shape == (cfg.mc_trials, 2)
+        assert peaks[-1] <= trials.amp_prefix.nbytes + 32 * cfg.mc_trials + (512 << 10)
+    assert abs(peaks[1] - peaks[0]) <= 16 << 10
+
+
+def test_numpy_fft_loads_only_when_a_tail_law_needs_it():
+    # importing the package and loading a configuration, which every sweep's
+    # set-up does, leave numpy.fft unloaded; the law of a sum of two or more
+    # amplitudes loads it, and one amplitude's law needs no transform
+    code = (
+        "import sys\n"
+        "import risharvest, risharvest.sweep\n"
+        "from risharvest.channel import _tail_table\n"
+        "cfg = risharvest.loads_config('ris_cols = 4')\n"
+        "print('numpy.fft' in sys.modules)\n"
+        "_tail_table(cfg.rician_k, 1)\n"
+        "print('numpy.fft' in sys.modules)\n"
+        "_tail_table(cfg.rician_k, 2)\n"
+        "print('numpy.fft' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.channel.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["False", "False", "True"]
+
+
+@pytest.mark.parametrize("shape, first, stride", [((5, 1), 138, 225), ((3, 7), 2**64 - 9, 10)])
+def test_strided_words_are_splitmix64(shape, first, stride):
+    # entry (r, i) of a strided fill is output first + r stride + i + 1: the
+    # kernel's first kmax UCs of each trial, and the one word of UC kmax + 1
+    # from which a trial's tail is drawn
+    words = np.empty(shape, np.uint64)
+    _splitmix64(20230816, first, words, np.empty_like(words), stride)
+    for r, row in enumerate(words.tolist()):
+        assert row == splitmix64(20230816, first + r * stride, shape[1])
+
+
+@pytest.mark.parametrize("kmax", [0, 3, 24])
+def test_tail_is_drawn_from_the_word_of_uc_kmax_plus_one(kmax):
+    # trial t adds to column kmax the table value that the top 53 bits of
+    # word t m_s + kmax + 1 (the pure-Python SplitMix64) pick by the inverse
+    # CDF, times the link gain; no kernel amplitude reads that word
+    cfg = ScenarioConfig(ris_cols=5, ris_rows=5, mc_trials=20, rng_seed=4242)
+    trials = draw_trials(cfg, columns=[kmax])
+    cdf, values = _tail_table(cfg.rician_k, 25 - kmax)
+    words = [splitmix64(4242, t * 25 + kmax, 1)[0] for t in range(20)]
+    u = np.array([word >> 11 for word in words]) * 2.0**-53
+    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    expected = values[np.searchsorted(cdf, u, side="right")] * gain
+    assert trials.columns[-2:] == (kmax, 25)
+    assert np.array_equal(trials.amp_total, trials.amp_prefix[:, -2] + expected)

@@ -31,9 +31,11 @@ from conftest import (
     clear_harvest_caches,
     curve_of,
     draw,
+    drawn_rows,
     frame_oracle,
     oracle_full_surface_snr,
     per_chain_oracle,
+    tail,
 )
 
 OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
@@ -125,8 +127,9 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
     assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
     for config in configs:
         trials = draw(config, seed, n)
-        # the draw's rows are the sampler's trials [0, n) of the same seed
-        rows = sample_amplitudes(dataclasses.replace(config, rng_seed=seed), 0, n)
+        # the draw's own rows: the sampler's trials [0, n) of the same seed up
+        # to UC m_s - 1, and the tail it drew for UC m_s as one lumped entry
+        rows = drawn_rows(config, seed, n)
         frame = config.frame_slots * config.slot_duration
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
             vmax = curve_of(protocol, config).size - 1
@@ -147,7 +150,7 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
     # estimate follows the per-frame oracle of that distance, not the default's
     n, seed = 50, 561
     far = dataclasses.replace(cfg, d_ris_rx=76.0)
-    rows = sample_amplitudes(dataclasses.replace(far, rng_seed=seed), 0, n)
+    rows = drawn_rows(far, seed, n)
     for protocol, value in ((TIME_SPLITTING, 100), (UC_SPLITTING, 9)):
         rate, _ = estimate_averages(protocol, value, draw(far, seed, n))
         frames = [frame_oracle(protocol, value, row, 0.0, far) for row in rows]
@@ -160,18 +163,19 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
 def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chunk_values):
     if chunk_values is not None:
         monkeypatch.setattr(risharvest.channel, "_DRAW_CHUNK_VALUES", chunk_values)
-    # 1200 trials of 225 UCs are four default chunks of 291 trials and a
-    # last one of 36
+    # 1200 trials of the 224 UCs the kernel draws are four default chunks of
+    # 292 trials and a last one of 32
     fast = dataclasses.replace(cfg, mc_trials=1200, rng_seed=556)
     m_s = fast.m_s
-    chunk = max(1, risharvest.channel._DRAW_CHUNK_VALUES // m_s)
+    chunk = max(1, risharvest.channel._DRAW_CHUNK_VALUES // (m_s - 1))
     full = draw(fast, 556).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
     # the rows are the running sum of the sampler's rows of the same trials
-    # up to column m_s - 1 and the rows' sum in column m_s, bit for bit
+    # up to column m_s - 1, and in column m_s the last of those plus the
+    # tail drawn for UC m_s, bit for bit
     amp = sample_amplitudes(fast, 0, fast.mc_trials)
     assert np.array_equal(full[:, 1:m_s], np.cumsum(amp, axis=1)[:, : m_s - 1])
-    assert np.array_equal(full[:, m_s], amp.sum(axis=1))
+    assert np.array_equal(full[:, m_s], full[:, m_s - 1] + tail(fast, m_s - 1))
     # the first t trials are the same for any trial count
     for t in (1, 7, chunk, chunk + 1, 1100):
         assert np.array_equal(draw(fast, 556, t).amp_prefix, full[:t])
@@ -248,11 +252,14 @@ class CpuCount:
 def test_draw_threads_write_the_one_thread_prefix(
     monkeypatch, cfg, cpus, max_threads, trials, expected
 ):
+    # keeping column m_s - 1 makes the kernel draw 224 UCs a trial, so 1200
+    # trials are five chunks and 582 trials two
     fast = dataclasses.replace(cfg, mc_trials=trials)
+    columns = [0, 5, 100, fast.m_s - 1]
     monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
-    one = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
+    one = draw(fast, 558, columns=columns).amp_prefix
     counted = CpuCount(monkeypatch, cpus, max_threads, expected)
-    drawn = draw(fast, 558, columns=[0, 5, 100]).amp_prefix
+    drawn = draw(fast, 558, columns=columns).amp_prefix
     assert len(counted.threads) == expected
     assert np.array_equal(drawn, one)
     # every chunk of a thread is drawn into one set of buffers
@@ -279,11 +286,12 @@ def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg
 
 @pytest.mark.parametrize("below, expected", [(0, 5), (1, 1)], ids=["at_threshold", "below"])
 def test_small_draws_start_no_thread(monkeypatch, cfg, below, expected):
-    # 1200 trials of 225 UCs are five chunks, one per thread at the
-    # threshold; a draw of fewer amplitudes than the threshold stays on the
-    # calling thread whatever the CPUs
+    # a full draw's kernel draws UCs 1..m_s - 1, and 1200 trials of those 224
+    # UCs are five chunks, one per thread at the threshold; a draw of fewer
+    # kernel amplitudes than the threshold stays on the calling thread
+    # whatever the CPUs
     fast = dataclasses.replace(cfg, mc_trials=1200)
-    values = fast.mc_trials * fast.m_s
+    values = fast.mc_trials * (fast.m_s - 1)
     counted = CpuCount(monkeypatch, 8, 8, expected, min_values=values + below)
     draw(fast, 562)
     assert len(counted.threads) == expected
@@ -328,7 +336,12 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_value
         trials = draw(fast, seed, columns=columns)
         assert trials.columns == tuple(kept)
         assert (trials.n_trials, trials.cfg.m_s) == (fast.mc_trials, m_s)
-        assert np.array_equal(trials.amp_prefix, full.amp_prefix[:, kept])
+        # every kept column below m_s is the full draw's, bit for bit; column
+        # m_s is the largest of them, kmax (0 if none), plus the tail drawn
+        # for UCs kmax + 1..m_s
+        assert np.array_equal(trials.amp_prefix[:, :-1], full.amp_prefix[:, kept[:-1]])
+        kmax = kept[-2] if len(kept) > 1 else 0
+        assert np.array_equal(trials.amp_total, full.amp_prefix[:, kmax] + tail(trials.cfg, kmax))
 
 
 @pytest.mark.parametrize("bad", [-1, 226, True, 3.0, "3", None])
@@ -348,46 +361,48 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     trials = draw(free, 16, 8, columns=[0])
     with pytest.raises(ValueError, match=f"^prefix column k = {k} was not drawn$"):
         estimate_averages(UC_SPLITTING, k, trials)
-    # time splitting reads only the full-surface sum, which every draw keeps
-    full = draw(free, 16, 8)
+    # time splitting reads only the full-surface sum, which every draw keeps:
+    # here the tail of all m_s UCs, as in a draw that keeps no other column
+    bare = draw(free, 16, 8, columns=[])
     ts = optimize_time_splitting(p_static, free).optimal_allocation
     assert ts > 0
     assert estimate_averages(TIME_SPLITTING, ts, trials) == estimate_averages(
-        TIME_SPLITTING, ts, full
+        TIME_SPLITTING, ts, bare
     )
 
 
-def draw_buffer_bytes(cfg):
-    """One drawing thread's buffers: a chunk of float64 amplitudes, uint64
-    words and float32 angles, 20 bytes per amplitude, the two float64
-    buffers numpy's ufuncs cast the float32 plane through, and the sampler's
-    first run of 256 counters."""
-    chunk = risharvest.channel._DRAW_CHUNK_VALUES // cfg.m_s
-    return chunk * cfg.m_s * (8 + 8 + 4) + 2 * np.getbufsize() * 8 + 256 * 8
+def draw_buffer_bytes(width):
+    """One drawing thread's buffers when the kernel draws ``width`` UCs a
+    trial: a chunk of float64 amplitudes, uint64 words and float32 angles,
+    20 bytes per amplitude, the two float64 buffers numpy's ufuncs cast the
+    float32 plane through, and the sampler's first run of 256 counters."""
+    chunk = risharvest.channel._DRAW_CHUNK_VALUES // width
+    return chunk * width * (8 + 8 + 4) + 2 * np.getbufsize() * 8 + 256 * 8
 
 
 def test_column_draw_memory_is_one_chunk(monkeypatch):
-    # a 60 x 60 surface keeping two columns, on one thread: the full
-    # (500, 3601) prefix would be 13.7 MiB, the kept one is 8 KB beside one
-    # chunk's buffers
+    # a 60 x 60 surface keeping three columns, on one thread: the full
+    # (500, 3601) prefix would be 13.7 MiB, the kept one is 12 KB beside one
+    # chunk's buffers; column 3599 makes the kernel draw 3599 UCs a trial
     monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
-    draw(cfg, 17, 1, columns=[0, 3600])
+    draw(cfg, 17, 1, columns=[0, 3599])
     tracemalloc.start()
     try:
-        trials = draw(cfg, 17, columns=[0, 3600])
+        trials = draw(cfg, 17, columns=[0, 3599])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trials.amp_prefix.shape == (500, 2)
-    assert peak <= trials.amp_prefix.nbytes + draw_buffer_bytes(cfg) + (64 << 10)
+    assert trials.amp_prefix.shape == (500, 3)
+    assert peak <= trials.amp_prefix.nbytes + draw_buffer_bytes(3599) + (64 << 10)
 
 
 def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatch):
-    # 2048 trials of 3600 UCs are 114 chunks on two threads, both drawing
-    # at once; a temporary per chunk would add at least half a buffer each
+    # column 3599 makes the kernel draw 3599 UCs a trial, and 2048 trials of
+    # them are 114 chunks on two threads, both drawing at once; a temporary
+    # per chunk would add at least half a buffer each
     cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=2048)
-    columns = [0, 336, 453, 3600]
+    columns = [0, 336, 453, 3599, 3600]
     draw(cfg, 18, 1, columns=columns)
     CpuCount(monkeypatch, 2, 2, 2, min_values=risharvest.channel._DRAW_THREAD_MIN_VALUES)
     tracemalloc.start()
@@ -396,7 +411,7 @@ def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= trials.amp_prefix.nbytes + 2 * draw_buffer_bytes(cfg) + (64 << 10)
+    assert peak <= trials.amp_prefix.nbytes + 2 * draw_buffer_bytes(3599) + (64 << 10)
 
 
 def test_unconstrained_case_allocates_nothing(cfg):

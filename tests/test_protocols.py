@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from risharvest import FEASIBLE, TIME_SPLITTING, UC_SPLITTING
-from risharvest.channel import coherent_snr, sample_amplitudes
+from risharvest.channel import coherent_snr
 from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
 from risharvest.power import dynamic_power, total_consumption
 
-from conftest import allocation_harvest, curve_of, draw, oracle_full_surface_snr
+from conftest import allocation_harvest, curve_of, draw, drawn_rows, oracle_full_surface_snr
 
 
 def few_trials(cfg, seed=20240614, n=8):
@@ -45,7 +45,8 @@ def test_time_splitting_no_harvest(cfg):
     n, seed = 8, 3
     rate, _ = estimate_averages(TIME_SPLITTING, 0, few_trials(cfg, seed, n))
     assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
-    rows = sample_amplitudes(dataclasses.replace(cfg, rng_seed=seed), 0, n)
+    # the draw's own rows: the sampler's UCs 1..m_s - 1 and its tail for UC m_s
+    rows = drawn_rows(cfg, seed, n)
     snrs = [coherent_snr(float(row.sum()), cfg) for row in rows]
     expected = np.mean([0.9 * cfg.bandwidth * math.log2(1.0 + snr) for snr in snrs])
     assert rate == pytest.approx(expected, rel=1e-12)

@@ -421,8 +421,10 @@ def test_python_m_risharvest_runs_cleanly(tmp_path):
     ids=["paper_grid", "edge_grid"],
 )
 def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind):
-    # the sweep keeps only the prefix columns its grid reads; a full draw
-    # must give the same CSV byte for byte
+    # the sweep keeps only the prefix columns its grid reads; a draw that
+    # keeps every column up to the largest of them below m_s, kmax, draws
+    # the same kernel UCs and the same tail, so it must give the same CSV
+    # byte for byte
     config = tmp_path / "scenario.cfg"
     save_config(ScenarioConfig(mc_trials=200, rectifier=RectifierModel(kind=kind)), config)
     draw_trials = risharvest.sweep.draw_trials
@@ -430,7 +432,8 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
 
     def full_draw(cfg, *, columns):
         kept.append(sorted(set(columns)))
-        return draw_trials(cfg, columns=range(cfg.m_s + 1))
+        kmax = max((k for k in kept[-1] if k < cfg.m_s), default=0)
+        return draw_trials(cfg, columns=range(kmax + 1))
 
     run_sweep(config, spec, tmp_path / "columns.csv")
     monkeypatch.setattr(risharvest.sweep, "draw_trials", full_draw)
