@@ -28,13 +28,13 @@ number t m_s + i + 1 of a SplitMix64 stream (Steele, Lea and Flood, OOPSLA
 2014) whose state starts at the seed, that is the state
 seed + (t m_s + i + 1) gamma mod 2^64 passed through the finalizer of
 Vigna's ``splitmix64.c``. Every word is thus a pure function of (seed,
-trial, UC) and a chunk of trials is a fixed handful of whole-array numpy
-``uint64`` operations, with no generator state to carry between chunks or
-threads (see Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11, for counter-based streams). Streams of seeds that differ by up to
-2 10^6 start at least 3.98e12 words apart, far more than any draw reads, so
-the seed itself is the state; seeds further apart can share words (the
-stream of seed + gamma is the stream of seed one word on).
+trial, UC) and a block of words is a fixed handful of whole-array numpy
+``uint64`` operations on its counters, with no generator state to carry
+between blocks (see Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11, for counter-based streams). Streams of seeds that differ
+by up to 2 10^6 start at least 3.98e12 words apart, far more than any draw
+reads, so the seed itself is the state; seeds further apart can share
+words (the stream of seed + gamma is the stream of seed one word on).
 
 The Monte-Carlo draw (``draw_trials``) lives here too. It reads its seed
 and trial count from the configuration and keeps that configuration in the
@@ -43,25 +43,22 @@ its draw was made for. Of each trial it keeps only the running sums over
 the UCs at the prefix lengths k a caller asks for, and the full-surface
 sum. ``TrialChannels.reflecting_sum(k)`` turns them into the coherent sum of
 the UCs still reflecting when the first k absorb, the one layout-dependent
-quantity a rate estimate reads. The draw therefore draws amplitudes one by
-one only for UCs 1..kmax, kmax the largest kept k below m_s: the other
-m_s - kmax UCs feed the full-surface sum alone, so their sum is drawn as one
-value from its law (``_tail_table``), from the one word of UC kmax + 1. A
-kept column below m_s is thus the same bit for bit whichever columns are
-kept, while the full-surface column depends on kmax. Because every value is
-a pure function of (seed, trial, UC), a large draw shares plain chunks of
-trials out among a few threads and uses every core, while its values depend
-on the seed alone, not on how many threads drew them or in which chunks.
-Each drawing thread allocates one float64, one uint64 and one float32 buffer
-and hands every one of its chunks to the private kernel ``_sample_into``,
-which computes the amplitudes in place in them, so a chunk makes no array
-that grows with it; ``sample_amplitudes`` runs the same kernel on fresh
-arrays.
+quantity a rate estimate reads. Between two kept columns lo < k lies the
+sum of the amplitudes of UCs lo + 1..k, i.i.d. and independent of every
+other such segment, so the draw forms no amplitude it does not keep: it
+draws each segment as one value from the one word of its first UC,
+UC lo + 1. A one-UC segment is that UC's amplitude, by the transform
+above; a longer one is the value of the law of a sum of k - lo Rice
+amplitudes (``_tail_table``) that the word picks by its inverse CDF, found
+through a guide table (Chen and Asau, 1974). A trial thus costs one word
+per kept column, whatever m_s, and a kept column depends only on the
+seed, its trial and the kept columns at or below it: keeping every column
+gives the running sums of ``sample_amplitudes`` bit for bit. The draw runs
+on the calling thread, a block of trials at a time, so its temporaries do
+not grow with the trial count, and it holds one law at a time.
 """
 
 import math
-import os
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -80,26 +77,12 @@ _RADIUS_BITS = 40
 # integer; exact in float32, so the angle integer times it rounds as the
 # float32 uniform k 2^-24 times float32(pi/2) does.
 _HALF_PI_STEP = float(np.float32(math.pi / 2.0)) * 2.0**-24
-# Counters _splitmix64 makes before it doubles the run it has.
-_HEAD_WORDS = 256
-
-# Amplitudes drawn per chunk of trials in draw_trials (at least one trial).
-# Each drawing thread draws its chunks into one set of buffers of this many
-# values each, 1.25 MiB, so the draw's peak memory is the prefix plus one
-# set of buffers per thread. Larger chunks hand the GIL over fewer times per
-# amplitude: the two-thread 10^4-trial 60 x 60 draw took 388-517 ms at 2^15
-# values, as against 336-352 ms at 2^16 and 337-388 ms for the
-# generator-based draw this one replaced (in-process, best of 7, four
-# alternating rounds on a 2-vCPU AVX-512 machine). 2^17 was a few percent
-# faster again but holds 1.25 MiB more per thread.
-_DRAW_CHUNK_VALUES = 1 << 16
-# Most threads one draw runs on, the calling thread included.
-_DRAW_MAX_THREADS = 8
-# Fewest amplitudes the kernel draws (trials x kmax, the UCs up to the largest
-# kept column below m_s) that a draw shares out among threads; a smaller draw
-# runs on the calling thread alone, which saves the threads' memory. A 10^4 x
-# 225 draw (2.25e6 amplitudes) was still faster on two threads.
-_DRAW_THREAD_MIN_VALUES = 1 << 20
+# Words drawn per block of trials in draw_trials (at least one trial). A
+# block's temporaries take at most 32 bytes a word, 512 KiB, whatever the
+# trial count and m_s. Blocks of 2^16 words were no faster in CLI sweeps of
+# the three benchmark workloads, and they raised the peak RSS of the
+# 1000-trial edge sweep, which their temporaries set, by 0.8 MiB.
+_DRAW_BLOCK_VALUES = 1 << 14
 
 # The law of a sum of n unit-power Rice amplitudes (_tail_table), in units of
 # sigma about the LoS amplitude c: one amplitude is cut to c +- 8 sigma; the
@@ -114,57 +97,68 @@ _TAIL_FINE_CELL = 1.0 / 32.0
 _GAUSS_RULE = ((-math.sqrt(0.15), 5.0 / 18.0), (0.0, 8.0 / 18.0), (math.sqrt(0.15), 5.0 / 18.0))
 
 
-def _splitmix64(seed: int, first: int, words: np.ndarray, scratch: np.ndarray, stride=None) -> None:
-    """Fill the C-contiguous (rows, width) uint64 array ``words`` with SplitMix64 outputs of ``seed``.
+def _splitmix64(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Turn the uint64 array ``counters`` into SplitMix64 outputs of ``seed``, in place, and return it.
 
-    Entry (r, i) gets output number first + r stride + i + 1 of the stream
-    whose state starts at ``seed``; ``stride`` defaults to the width, so flat
-    entry f gets output first + f + 1. ``scratch`` is a uint64 array of the
-    same shape that the finalizer's xor-shifts overwrite. Scalar keys are
-    Python ints masked to 64 bits, and every ufunc gets ``np.uint64``
-    scalars, so no scalar overflow warns and no operand is promoted to
-    float; the arrays wrap silently.
+    Counter c becomes output number c of the stream whose state starts at
+    ``seed``: the state seed + c gamma mod 2^64 passed through the
+    finalizer. Scalar keys are Python ints masked to 64 bits, and every
+    ufunc gets ``np.uint64`` scalars, so no scalar overflow warns and no
+    operand is promoted to float; the arrays wrap silently.
     """
-    if not words.size:
-        return
-    width = words.shape[1]
-    stride = width if stride is None else stride
-    row = words[0]
-    # The states seed + (first + r stride + i + 1) gamma: a short run of
-    # counters, then the run so far shifted by its own length, doubling it
-    # each time, along the first row and then down the rows. That makes no
-    # counter array beyond the first run; a broadcast sum of a row and a
-    # column of counters was slower.
-    head = min(width, _HEAD_WORDS)
-    np.multiply(np.arange(1, head + 1, dtype=np.uint64), np.uint64(_GAMMA), out=row[:head])
-    row[:head] += np.uint64((seed + first * _GAMMA) & _MASK64)
-    for run, offset, step in ((row, head, 1), (words, 1, stride)):
-        done = offset
-        while done < len(run):
-            size = min(done, len(run) - done)
-            np.add(run[:size], np.uint64(done * step * _GAMMA & _MASK64), out=run[done : done + size])
-            done += size
+    scratch = np.empty_like(counters)  # the finalizer's xor-shifts
+    counters *= np.uint64(_GAMMA)
+    counters += np.uint64(seed & _MASK64)
     for shift, multiplier in _MIX:
-        np.right_shift(words, np.uint64(shift), out=scratch)
-        np.bitwise_xor(words, scratch, out=words)
+        np.right_shift(counters, np.uint64(shift), out=scratch)
+        np.bitwise_xor(counters, scratch, out=counters)
         if multiplier is not None:
-            np.multiply(words, np.uint64(multiplier), out=words)
+            counters *= np.uint64(multiplier)
+    return counters
+
+
+def _words(cfg: ScenarioConfig, start: int, stop: int, ucs: np.ndarray) -> np.ndarray:
+    """The words of trials [start, stop) at the 1-based UCs ``ucs``, a uint64 array.
+
+    Returns a new (stop - start, len(ucs)) uint64 array whose entry
+    (t - start, j) is output number t m_s + ucs[j] of the stream of
+    ``cfg.rng_seed``, the word of UC ucs[j] of trial t.
+    """
+    counters = np.add.outer(np.arange(start, stop, dtype=np.uint64) * np.uint64(cfg.m_s), ucs)
+    return _splitmix64(cfg.rng_seed, counters)
 
 
 def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
     """Draw the channels of trials [start, stop): a new (stop - start, m_s) array of |h||g_i|.
 
-    |g_i| = sqrt(E[|g|^2]) sqrt((c - sigma R)^2 + 4 c sigma R sin^2(pi v / 2))
+    The amplitude of trial t at UC i is ``_amplitudes`` of one SplitMix64
+    word of ``cfg.rng_seed``, output number t m_s + i + 1. A row is
+    therefore a function of the seed and its trial index alone, and trials
+    [a, b) then [b, c) equal trials [a, c). ``draw_trials`` reads the same
+    word for a UC it keeps on its own.
+
+    Raises ValueError when ``start`` or ``stop`` is not an integer (a bool
+    is not), when ``start`` is negative or when ``stop`` is below it.
+    """
+    for name, bound, least in (("start", start, 0), ("stop", stop, start)):
+        if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {bound!r}")
+    # Python ints on, so that no numpy integer scalar reaches the stream's key arithmetic.
+    ucs = np.arange(1, cfg.m_s + 1, dtype=np.uint64)
+    return _amplitudes(cfg, _words(cfg, int(start), int(stop), ucs))
+
+
+def _amplitudes(cfg: ScenarioConfig, words: np.ndarray) -> np.ndarray:
+    """The amplitudes |h||g| that the uint64 array ``words`` draws, a new float64 array; ``words`` is overwritten.
+
+    |g| = sqrt(E[|g|^2]) sqrt((c - sigma R)^2 + 4 c sigma R sin^2(pi v / 2))
     with c = sqrt(K/(K+1)), sigma^2 = 1/(2(K+1)) per diffuse component and
     R = sqrt(-2 log(1 - u)): the Box-Muller magnitude of
     |c + sigma (x + j y)| for standard normals x, y (see the module
-    docstring). The uniforms of trial t at UC i come from one SplitMix64
-    word of ``cfg.rng_seed``, output number t m_s + i + 1: its top 24 bits
-    are the angle integer k, v = k 2^-24, and its low 40 bits the radius
-    integer j, u = j 2^-40. A row is therefore a function of the seed and
-    its trial index alone, and trials [a, b) then [b, c) equal trials
-    [a, c). An infinite K gives sigma = 0, so the amplitude is c = 1 before
-    the final scaling by sqrt(|h|^2 E|g|^2), the pure LoS gain exactly.
+    docstring). A word's top 24 bits are the angle integer k, v = k 2^-24,
+    and its low 40 bits the radius integer j, u = j 2^-40. An infinite K
+    gives sigma = 0, so the amplitude is c = 1 before the final scaling by
+    sqrt(|h|^2 E|g|^2), the pure LoS gain exactly.
 
     u lies on a 2^-40 grid, so 1 - u >= 2^-40 and R <= sqrt(80 ln 2), about
     7.45: the draw truncates the Rayleigh tail beyond that, which holds
@@ -182,46 +176,18 @@ def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
     alike; 0 at K = inf), far below the Monte-Carlo error of any average.
     The words are exact integers on every machine, but the last bits of an
     amplitude depend on which SIMD kernels numpy dispatches for the sine,
-    the log and the square roots.
-
-    Raises ValueError when ``start`` or ``stop`` is not an integer (a bool
-    is not), when ``start`` is negative or when ``stop`` is below it.
-    """
-    for name, bound, least in (("start", start, 0), ("stop", stop, start)):
-        if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {bound!r}")
-    # Python ints on, so that no numpy integer scalar reaches the stream's key arithmetic.
-    start, stop = int(start), int(stop)
-    return _sample_into(cfg, start, _buffers(stop - start, cfg.m_s))
-
-
-def _buffers(n: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New (n, width) float64, uint64 and float32 buffers for ``_sample_into``, 20 B per value."""
-    return np.empty((n, width)), np.empty((n, width), np.uint64), np.empty((n, width), np.float32)
-
-
-def _sample_into(cfg: ScenarioConfig, start: int, buffers) -> np.ndarray:
-    """The first ``width`` UCs of ``sample_amplitudes`` of trials [start, start + n), in ``buffers``.
-
-    ``buffers`` is three C-contiguous (n, width) arrays as ``_buffers`` makes
-    them, width <= m_s: UC i of trial t still reads word t m_s + i + 1, so
-    the UCs drawn agree bit for bit with a full-width call. The words are
-    made in the uint64 array with the float64 one as the
-    finalizer's scratch, all three are overwritten, and the amplitudes are
-    returned in the float64 one. A thread of ``draw_trials`` thus draws
-    every chunk into one set of buffers: a call makes only a first run of
-    256 counters (2 KB), and the float64 loop over the float32 plane casts
-    through numpy's ufunc buffers, about 130 KB at numpy's default buffer
-    size whatever the chunk.
+    the log and the square roots. Each amplitude depends on its word alone,
+    not on the shape of ``words``. Besides ``words`` the transform holds
+    12 bytes a word, and the float64 loop over the float32 plane casts
+    through numpy's ufunc buffers.
     """
     diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
-    radius, words, sines = buffers
-    _splitmix64(cfg.rng_seed, start * cfg.m_s, words, radius.view(np.uint64), cfg.m_s)
+    radius = np.empty(words.shape)
     # Both integers are below 2^63, so they are cast from int64 views, which
-    # numpy converts about twice as fast as uint64; neither cast is in place.
+    # numpy converts about twice as fast as uint64.
     np.right_shift(words, np.uint64(_RADIUS_BITS), out=radius.view(np.uint64))  # k
-    np.copyto(sines, radius.view(np.int64), casting="unsafe")  # exact: k < 2^24
+    sines = radius.view(np.int64).astype(np.float32)  # exact: k < 2^24
     # With its top 24 bits set a word reads as the int64 j - 2^40, so its
     # product with -2^-40 is 1 - u = 1 - j 2^-40, exactly; log(1 - u) is
     # thus log1p(-u) to within rounding, and numpy's float64 log is faster
@@ -287,9 +253,7 @@ def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
       of width at most 1/32, each mass a three-point Gauss-Legendre rule of
       ``_rice_density``. Cells are indexed from that lower end, never from 0,
       so no index grows with K.
-    - At n = 1 those cells, 2^13 / 24 to the unit, are the table, each at
-      its midpoint.
-    - Otherwise the table is a cyclic window of 2^13 points 24 sqrt(n) / 2^13
+    - The table is a cyclic window of 2^13 points 24 sqrt(n) / 2^13
       apart, from 12 sqrt(n) below n E[z] (or from the sum's lower end, if
       that is higher). One amplitude's cells are a whole fraction of that
       spacing, so the transform of their masses at the window's frequencies
@@ -309,9 +273,8 @@ def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     quantile at the same u. Against the Rice moments (scipy) for K in
     {0, 0.5, 2, 10, 100, 1e3, 1e6} and n from 2 to 10^6, the table's mean
     was within 2e-10 of a standard deviation of n times the Rice mean, and
-    its variance within 3e-8 of n times the Rice variance. At n = 1 the
-    midpoints add a cell^2 / 12 to the variance, 7.2e-7 sigma^2 or at most
-    1.7e-6 of it.
+    its variance within 3e-8 of n times the Rice variance. ``draw_trials``
+    reads the table only for n >= 2; one amplitude it draws exactly.
     """
     diffuse = 1.0 / (k + 1.0)
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
@@ -320,52 +283,85 @@ def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     beta = math.sqrt(2.0) * math.sqrt(k)
     low = max(-_TAIL_CUT, -beta)
     width = 2.0 * _TAIL_WINDOW * math.sqrt(n) / _TAIL_CELLS
-    split = 1 if n == 1 else math.ceil(width / _TAIL_FINE_CELL)  # small cells per window cell
+    split = math.ceil(width / _TAIL_FINE_CELL)  # small cells per window cell
     cell = width / split
     centres = low + cell * (np.arange(math.ceil((_TAIL_CUT - low) / cell)) + 0.5)
     mass = sum(w * _rice_density(centres + cell * z, beta) for z, w in _GAUSS_RULE)
     mass /= mass.sum()
-    sums = centres
-    if n > 1:
-        from numpy import fft  # loaded here, so that importing the package does not load it
+    from numpy import fft  # loaded here, so that importing the package does not load it
 
-        freq = np.arange(_TAIL_CELLS // 2 + 1)
-        spectrum = np.zeros(freq.size, complex)
-        for b in range(min(split, mass.size)):
-            phase = np.exp(-2j * math.pi * b / (split * _TAIL_CELLS) * freq)
-            spectrum += fft.rfft(mass[b::split], _TAIL_CELLS) * phase
-        with np.errstate(divide="ignore"):  # a zero bin stays 0
-            power = n * (np.log(np.abs(spectrum)) - np.log(np.sinc(freq / (split * _TAIL_CELLS))))
-        np.minimum(power, 0.0, out=power)  # a characteristic function is at most 1 in modulus
-        window = fft.irfft(np.exp(power + 1j * n * np.angle(spectrum)), _TAIL_CELLS)
-        # Point i of the window is n centres[0] + i width, modulo the window.
-        origin = n * centres[0]
-        lowest = max(n * low, n * float(mass @ centres) - _TAIL_WINDOW * math.sqrt(n))
-        first = math.floor((lowest - origin) / width)
-        mass = np.maximum(np.roll(window, -(first % _TAIL_CELLS)), 0.0)
-        sums = origin + width * (first + np.arange(_TAIL_CELLS))
+    freq = np.arange(_TAIL_CELLS // 2 + 1)
+    spectrum = np.zeros(freq.size, complex)
+    for b in range(min(split, mass.size)):
+        phase = np.exp(-2j * math.pi * b / (split * _TAIL_CELLS) * freq)
+        spectrum += fft.rfft(mass[b::split], _TAIL_CELLS) * phase
+    with np.errstate(divide="ignore"):  # a zero bin stays 0
+        power = n * (np.log(np.abs(spectrum)) - np.log(np.sinc(freq / (split * _TAIL_CELLS))))
+    np.minimum(power, 0.0, out=power)  # a characteristic function is at most 1 in modulus
+    window = fft.irfft(np.exp(power + 1j * n * np.angle(spectrum)), _TAIL_CELLS)
+    # Point i of the window is n centres[0] + i width, modulo the window.
+    origin = n * centres[0]
+    lowest = max(n * low, n * float(mass @ centres) - _TAIL_WINDOW * math.sqrt(n))
+    first = math.floor((lowest - origin) / width)
+    mass = np.maximum(np.roll(window, -(first % _TAIL_CELLS)), 0.0)
+    sums = origin + width * (first + np.arange(_TAIL_CELLS))
     cdf = np.cumsum(mass)
     cdf /= cdf[-1]
     return cdf, np.maximum(n * los + sigma * sums, 0.0)
 
 
-def _draw_tail(cfg: ScenarioConfig, kmax: int, out: np.ndarray) -> None:
-    """Add to ``out`` each trial's sum of |h||g_i| over the UCs i > kmax, drawn from its law.
+def _guide(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of ``cdf`` (Chen and Asau, 1974): entry j is the first index whose cdf exceeds j 2^-13."""
+    return np.searchsorted(cdf, np.arange(_TAIL_CELLS) / _TAIL_CELLS, side="right")
 
-    The sum of trial t reads one SplitMix64 word, output number
-    t m_s + kmax + 1 (the word of UC kmax + 1, which the kernel does not
-    read): its top 53 bits are a uniform u in [0, 1) that picks a value of
-    ``_tail_table(K, m_s - kmax)`` by its inverse CDF, scaled by
-    sqrt(|h|^2 E|g|^2).
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for uniforms u in [0, 1), the same bit for bit, through ``guide``.
+
+    ``cdf`` is nondecreasing with cdf[-1] = 1, so the index sought, the
+    first whose cdf exceeds u, is below len(cdf). It is at least the guide
+    entry of u's 2^-13-wide cell, which a uniform u picks in O(1), and is
+    found there or one step on for all but about 1% of u (where the table's
+    tail puts many entries in one cell); those few are searched in full.
+    The cells are exact multiples of 2^-13, so no u is placed past its index.
     """
-    cdf, values = _tail_table(cfg.rician_k, cfg.m_s - kmax)
-    values *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
-    words = np.empty((cfg.mc_trials, 1), np.uint64)
-    _splitmix64(cfg.rng_seed, kmax, words, np.empty_like(words), cfg.m_s)
-    words >>= np.uint64(11)
-    # Below 2^53, so exact as int64 and as float64.
-    uniform = words.view(np.int64).ravel() * 2.0**-53
-    out += values[np.searchsorted(cdf, uniform, side="right")]
+    index = guide[(u * _TAIL_CELLS).astype(np.intp)]
+    index += cdf[index] <= u
+    late = cdf[index] <= u
+    index[late] = np.searchsorted(cdf, u[late], side="right")
+    return index
+
+
+def _draw_segments(cfg: ScenarioConfig, length: int, segments, prefix: np.ndarray) -> None:
+    """Write into ``prefix`` the value of each of ``segments``, every one of ``length`` UCs, for every trial.
+
+    ``segments`` lists (column, first UC) pairs: column j of trial t gets
+    the sum of |h||g_i| over UCs f..f + length - 1 (1-based), drawn from one
+    SplitMix64 word, output number t m_s + f, the word ``sample_amplitudes``
+    reads for UC f. One UC is that amplitude (``_amplitudes``). Otherwise
+    the word's top 53 bits are a uniform u in [0, 1) that picks a value of
+    ``_tail_table(K, length)`` by its inverse CDF, scaled by
+    sqrt(|h|^2 E|g|^2). The trials are drawn ``_DRAW_BLOCK_VALUES // len(segments)``
+    at a time, so the words, the amplitudes and the lookup's indices of one
+    block, at most 32 bytes a word, are the only temporaries beside the law.
+    """
+    columns = [j for j, _ in segments]
+    ucs = np.array([f for _, f in segments], np.uint64)
+    if length > 1:
+        cdf, values = _tail_table(cfg.rician_k, length)
+        values *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+        guide = _guide(cdf)
+    block = max(1, _DRAW_BLOCK_VALUES // len(columns))
+    for start in range(0, cfg.mc_trials, block):
+        stop = min(start + block, cfg.mc_trials)
+        words = _words(cfg, start, stop, ucs)
+        if length == 1:
+            prefix[start:stop, columns] = _amplitudes(cfg, words)
+        else:
+            words >>= np.uint64(11)
+            uniform = words.view(np.int64) * 2.0**-53  # below 2^53, so exact as int64 and float64
+            del words  # before the lookup, so that a block holds at most 32 bytes a word
+            prefix[start:stop, columns] = values[_guided_search(cdf, guide, uniform)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,11 +371,11 @@ class TrialChannels:
     ``cfg`` is the configuration the draws were made for. Column j of
     ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k = ``columns[j]`` for
     each draw in row-major UC order; ``columns`` is sorted and always ends
-    with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``:
-    the last kept prefix plus the sum of the other UCs drawn from its law
-    (see ``draw_trials``). A sweep solves its grid from the harvest first and
-    keeps only the k those solves read. Readers
-    need not know that layout: ``reflecting_sum(k)`` gives the coherent
+    with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``.
+    Each column is the one below it plus the sum of the UCs between the two,
+    drawn as one value (see ``draw_trials``). A sweep solves its grid from
+    the harvest first and keeps only the k those solves read. Readers need
+    not know that layout: ``reflecting_sum(k)`` gives the coherent
     amplitude over the UCs that still reflect when the first k absorb. Only
     amplitudes are drawn, because no computed quantity depends on the common
     LoS phase (see the module docstring). Two draws compare equal only when
@@ -419,40 +415,25 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
     its grid solves read, so the prefix holds (mc_trials, distinct k + 1)
     values, not (mc_trials, m_s + 1).
 
-    Let kmax be the largest kept column below m_s (0 if there is none). The
-    amplitudes of UCs 1..kmax are drawn by ``_sample_into``, the kernel of
-    ``sample_amplitudes``, in chunks of ``_DRAW_CHUNK_VALUES // kmax`` trials
-    (144 at kmax = 453), each into prefixes of the drawing thread's one set
-    of (chunk, kmax) float64, uint64 and float32 buffers, 20 bytes per
-    amplitude or about 1.25 MiB together. The thread allocates them before
-    its first chunk and reuses them for every chunk after; the amplitudes
-    are computed in place in the float64 buffer, so the kernel's memory is
-    the prefix plus, per thread, one set of buffers, numpy's cast buffers
-    (about 130 KB) and the stream's first run of counters (2 KB). Column
-    0 < k <= kmax is entry k - 1 of a chunk row's running sum, taken in
-    place, and only the kept columns are gathered into the chunk's rows; UC
-    i of trial t reads word t m_s + i + 1 as in ``sample_amplitudes``, so a
-    kept column below m_s is the same bit for bit whichever columns are
-    kept. The sum of the remaining n = m_s - kmax UCs, which no kept column
-    below m_s reads, is drawn per trial as one value of the law of a sum of
-    n i.i.d. Rice amplitudes (``_tail_table``, whose docstring bounds its
-    error) from the word of UC kmax + 1, and column m_s is that sum plus
-    column kmax. So column m_s depends on kmax: it is not the row sum of
-    ``sample_amplitudes``, and a draw keeping other columns below m_s gives
-    another full-surface column. K = inf gives exactly n times the LoS
-    gain. The sum is drawn after the kernel has freed its buffers, and its
-    table takes a few hundred KiB whatever m_s.
+    Each kept column k > 0 is the kept column lo below it (0 for the first)
+    plus the segment of UCs lo + 1..k, which ``_draw_segments`` draws per
+    trial as one value from the word of UC lo + 1: the amplitude itself for
+    one UC, else a value of the law of a sum of k - lo i.i.d. Rice
+    amplitudes (``_tail_table``, whose docstring bounds its error). Column 0
+    stays 0. The segments are drawn a length at a time, each law built once
+    and freed before the next, and the prefix is then their running sum.
+    The draw's memory is thus the prefix, one block of temporaries
+    (``_DRAW_BLOCK_VALUES``) and one law of a few hundred KiB, whatever m_s.
 
-    A draw of at least ``_DRAW_THREAD_MIN_VALUES`` kernel amplitudes
-    (trials x kmax) shares its chunks out among up to ``_DRAW_MAX_THREADS``
-    threads, the calling one included, capped by the CPUs this process may
-    run on; numpy releases the GIL while it makes the words and transforms
-    them. A row depends only on the seed, its trial index and kmax: not on
-    the trial count, the chunk size, the thread count or which thread drew
-    it. An exception in any chunk is raised here once every thread has
-    stopped.
+    A row depends only on the seed and its trial index, not on the trial
+    count or the block size, and a kept column only on the kept columns at
+    or below it: a draw that keeps every column gives the running sums of
+    ``sample_amplitudes`` bit for bit, while a column above a segment of two
+    or more UCs holds a value of that segment's law, which depends on where
+    the segment starts. K = inf gives exactly n times the LoS gain for a
+    segment of n UCs.
     """
-    n, m_s = cfg.mc_trials, cfg.m_s
+    m_s = cfg.m_s
     # One pass over ``columns``, which may be a one-shot iterable, into a
     # Python set: not np.unique, which imports numpy.ma on first use.
     kept = {m_s}
@@ -461,58 +442,14 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
             raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
         kept.add(int(k))
     kept = sorted(kept)
-    # Column 0 < k <= kmax is entry k - 1 of a chunk row's running sum, column
-    # m_s is the last entry plus the tail, and column 0 stays 0.
-    skip = 1 if kept[0] == 0 else 0
-    kmax = kept[-2] if len(kept) > 1 else 0
-    gather = np.array(kept[skip:-1], dtype=np.intp) - 1
-    prefix = np.zeros((n, len(kept)))
-    if not kmax:
-        _draw_tail(cfg, kmax, prefix[:, -1])
-        return TrialChannels(cfg=cfg, amp_prefix=prefix, columns=tuple(kept))
-    # A chunk never runs past the last trial, so a longer buffer would only
-    # waste memory.
-    chunk = max(1, min(_DRAW_CHUNK_VALUES // kmax, n))
-    starts = range(0, n, chunk)
-
-    def fill(t0: int, buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        size = min(chunk, n - t0)
-        running = _sample_into(cfg, t0, tuple(plane[:size] for plane in buffers))
-        np.cumsum(running, axis=1, out=running)
-        rows = prefix[t0 : t0 + size]
-        rows[:, skip:-1] = running[:, gather]
-        rows[:, -1] = running[:, -1]
-
-    pending, lock, errors = iter(starts), threading.Lock(), []
-
-    def work() -> None:
-        try:
-            buffers = _buffers(chunk, kmax)
-            while not errors:
-                with lock:
-                    t0 = next(pending, None)
-                if t0 is None:
-                    return
-                fill(t0, buffers)
-        except BaseException as exc:  # raised by the caller once every thread is joined
-            errors.append(exc)
-
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    threads = min(cpus, len(starts), _DRAW_MAX_THREADS) if n * kmax >= _DRAW_THREAD_MIN_VALUES else 1
-    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for worker in workers:
-        worker.start()
-    work()
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
-    # After the kernel, whose buffers are freed by now, so that the law's
-    # arrays and numpy.fft fit in the memory they held.
-    _draw_tail(cfg, kmax, prefix[:, -1])
+    segments = {}  # length -> (column, first UC) of each segment
+    for column, (lo, k) in enumerate(zip([0, *kept], kept)):
+        if k > lo:
+            segments.setdefault(k - lo, []).append((column, lo + 1))
+    prefix = np.zeros((cfg.mc_trials, len(kept)))
+    for length, starts in segments.items():
+        _draw_segments(cfg, length, starts, prefix)
+    np.cumsum(prefix, axis=1, out=prefix)
     return TrialChannels(cfg=cfg, amp_prefix=prefix, columns=tuple(kept))
 
 

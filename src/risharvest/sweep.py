@@ -139,10 +139,8 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     sum that time splitting reads), and the rate of each distinct
     (protocol, allocation) is estimated once on it. Sharing the draws
     across budgets keeps rate curves free of re-sampling noise. Each kept
-    prefix value depends on ``rng_seed``, its trial and its UCs alone, and
-    the full-surface sum also on the largest UC-splitting k below m_s that
-    the solves read (the rest of the surface is drawn as one sum), so the
-    rows are the same on any number of cores.
+    prefix value depends on ``rng_seed``, its trial and the kept columns at
+    or below it: the UCs between two kept columns are drawn as one sum.
 
     Raises ValueError when ``p_statics`` is empty or holds a budget that is
     not a finite number >= 0, and ConfigValidationError when ``e_rec`` makes

@@ -6,7 +6,7 @@ import pytest
 
 import risharvest.optimizer
 from risharvest import TIME_SPLITTING, ScenarioConfig
-from risharvest.channel import _draw_tail, draw_trials, sample_amplitudes
+from risharvest.channel import _amplitudes, _tail_table, draw_trials, sample_amplitudes
 from risharvest.harvesting import rectify
 
 # Independent constants for oracle arithmetic (kept separate from the package).
@@ -54,23 +54,49 @@ def draw(cfg, seed, n=None, columns=None):
     return draw_trials(dataclasses.replace(cfg, rng_seed=seed, mc_trials=trials), columns=columns)
 
 
-def tail(cfg, kmax):
-    """Per trial of ``cfg``, the sum of UCs kmax + 1..m_s that ``draw_trials``
-    adds to the full-surface column when kmax is its largest kept column
-    below m_s."""
-    out = np.zeros(cfg.mc_trials)
-    _draw_tail(cfg, kmax, out)
-    return out
+def splitmix64(seed, first, count):
+    """Outputs first + 1 .. first + count of SplitMix64 seeded with ``seed``,
+    transcribed from Vigna's splitmix64.c in Python ints."""
+    mask, words = (1 << 64) - 1, []
+    state = (seed + first * 0x9E3779B97F4A7C15) & mask
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def segment(cfg, lo, k):
+    """Per trial of ``cfg``, the sum of UCs lo + 1..k that ``draw_trials``
+    adds to the kept column lo below it to make column k, rebuilt from the
+    pure-Python SplitMix64 word of UC lo + 1 (output t m_s + lo + 1): one
+    UC's amplitude by the sampler's transform, or else the value of the
+    segment's law that the word's top 53 bits pick by ``searchsorted``,
+    times the link gain."""
+    words = [splitmix64(cfg.rng_seed, t * cfg.m_s + lo, 1)[0] for t in range(cfg.mc_trials)]
+    if k - lo == 1:
+        return _amplitudes(cfg, np.array(words, np.uint64))
+    cdf, values = _tail_table(cfg.rician_k, k - lo)
+    values *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    u = np.array([word >> 11 for word in words]) * 2.0**-53
+    return values[np.searchsorted(cdf, u, side="right")]
+
+
+def rebuilt_prefix(cfg, kept):
+    """The prefix ``draw_trials`` keeps for the sorted columns ``kept`` (m_s
+    last), rebuilt from ``segment``: each column is the one below it plus
+    the segment between them, and column 0 is 0."""
+    sums = [segment(cfg, lo, k) if k > lo else np.zeros(cfg.mc_trials) for lo, k in zip([0, *kept], kept)]
+    return np.cumsum(np.column_stack(sums), axis=1)
 
 
 def drawn_rows(cfg, seed, n):
     """The (n, m_s) rows a draw of every prefix column of ``cfg`` reads at
-    ``rng_seed = seed``: the kernel's amplitudes of UCs 1..m_s - 1, and the
-    tail drawn for UC m_s as one lumped last entry."""
-    scfg = dataclasses.replace(cfg, rng_seed=seed, mc_trials=n)
-    rows = sample_amplitudes(scfg, 0, n)
-    rows[:, -1] = tail(scfg, cfg.m_s - 1)
-    return rows
+    ``rng_seed = seed``: every segment is one UC, so they are the sampler's
+    rows of trials [0, n)."""
+    return sample_amplitudes(dataclasses.replace(cfg, rng_seed=seed, mc_trials=n), 0, n)
 
 
 def allocation_harvest(protocol, value, cfg):

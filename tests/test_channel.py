@@ -14,30 +14,25 @@ from scipy import special, stats
 import risharvest.channel
 from risharvest import ScenarioConfig
 from risharvest.channel import (
-    _buffers,
-    _sample_into,
+    _guide,
+    _guided_search,
     _splitmix64,
     _tail_table,
+    _words,
     coherent_snr,
     draw_trials,
     sample_amplitudes,
 )
 
-from conftest import oracle_free_space_gain, oracle_full_surface_snr, oracle_mean_rx_gain, tail
-
-
-def splitmix64(seed, first, count):
-    """Outputs first + 1 .. first + count of SplitMix64 seeded with ``seed``,
-    transcribed from Vigna's splitmix64.c in Python ints."""
-    mask, words = (1 << 64) - 1, []
-    state = (seed + first * 0x9E3779B97F4A7C15) & mask
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        words.append(z ^ (z >> 31))
-    return words
+from conftest import (
+    draw,
+    oracle_free_space_gain,
+    oracle_full_surface_snr,
+    oracle_mean_rx_gain,
+    rebuilt_prefix,
+    segment,
+    splitmix64,
+)
 
 
 def sampler_uniforms(seed, start, stop, m_s):
@@ -116,30 +111,27 @@ def g_amplitudes(cfg, n):
 @pytest.mark.parametrize("seed", [0, 1, 20230816, 2**64 - 1])
 @pytest.mark.parametrize("first", [0, 1, 225, 2**40 + 3, 2**64 - 5])
 def test_words_are_splitmix64(seed, first):
-    # the whole-array words equal splitmix64.c transcribed in Python ints, at
-    # offsets that wrap the counter, also on arrays longer than the first run
-    # of counters, which the rest doubles
+    # the whole-array words equal splitmix64.c transcribed in Python ints,
+    # also at counters that wrap the 64-bit range
     for shape in ((1, 1), (3, 7), (40, 25)):
-        words = np.empty(shape, np.uint64)
-        _splitmix64(seed, first, words, np.empty_like(words))
+        counters = np.arange(1, math.prod(shape) + 1, dtype=np.uint64).reshape(shape)
+        words = _splitmix64(seed, counters + np.uint64(first))
         assert words.ravel().tolist() == splitmix64(seed, first, words.size)
 
 
 def test_words_are_the_published_splitmix64_outputs():
     # the first outputs of splitmix64.c seeded with 1234567
-    words = np.empty((1, 3), np.uint64)
-    _splitmix64(1234567, 0, words, np.empty_like(words))
+    words = _splitmix64(1234567, np.arange(1, 4, dtype=np.uint64))
     expected = [6457827717110365317, 3203168211198807973, 9817491932198370423]
-    assert words.ravel().tolist() == splitmix64(1234567, 0, 3) == expected
+    assert words.tolist() == splitmix64(1234567, 0, 3) == expected
 
 
 def test_uniforms_of_a_word_are_uniform_and_uncorrelated():
     # over 10^6 words, the low-40-bit u and the top-24-bit v each pass a
     # uniformity KS test, and their correlation is within 5 / sqrt(N)
-    words = np.empty((1000, 1000), np.uint64)
-    _splitmix64(20230816, 0, words, np.empty_like(words))
-    u = (words & np.uint64((1 << 40) - 1)).ravel() * 2.0**-40
-    v = (words >> np.uint64(40)).ravel() * 2.0**-24
+    words = _splitmix64(20230816, np.arange(1, 10**6 + 1, dtype=np.uint64))
+    u = (words & np.uint64((1 << 40) - 1)) * 2.0**-40
+    v = (words >> np.uint64(40)) * 2.0**-24
     assert stats.kstest(u, "uniform").pvalue > 0.001
     assert stats.kstest(v, "uniform").pvalue > 0.001
     assert abs(np.corrcoef(u, v)[0, 1]) < 5.0 / math.sqrt(words.size)
@@ -205,44 +197,6 @@ def test_sample_amplitudes_continue_one_stream(cfg):
     whole = sample_amplitudes(scfg, 2, 11)
     parts = [sample_amplitudes(scfg, a, b) for a, b in ((2, 3), (3, 8), (8, 11))]
     assert np.array_equal(np.concatenate(parts), whole)
-
-
-@pytest.mark.parametrize("k", [10.0, math.inf])
-def test_sampling_into_a_reused_buffer_matches_fresh_calls(cfg, k):
-    # chunks of 4, 4 and a shorter 3 trials drawn by the draw's kernel into
-    # prefix views of one set of (4, m_s) buffers give the rows of fresh calls
-    kcfg = dataclasses.replace(cfg, rician_k=k, rng_seed=10)
-    buffers = _buffers(4, kcfg.m_s)
-    rows = []
-    for a, b in ((0, 4), (4, 8), (8, 11)):
-        fresh = sample_amplitudes(kcfg, a, b)
-        reused = _sample_into(kcfg, a, tuple(plane[: b - a] for plane in buffers))
-        assert np.shares_memory(reused, buffers[0])
-        assert fresh.flags.c_contiguous and fresh.base is None
-        assert np.array_equal(reused, fresh)
-        rows.append(reused.copy())
-    whole = sample_amplitudes(kcfg, 0, 11)
-    assert np.array_equal(np.concatenate(rows), whole)
-
-
-def test_sampling_into_a_reused_buffer_allocates_only_cast_buffers():
-    # one chunk of draw_trials into its reused buffers, on a 15 x 15 and a
-    # 60 x 60 surface: the float64 loop over the float32 plane casts through
-    # numpy's ufunc buffers, one per float32 operand (131 KB at numpy's
-    # default buffer size); the casts from the int64 views make no buffer,
-    # the first run of counters 2 KB, and nothing grows with the chunk
-    for side in (15, 60):
-        cfg = ScenarioConfig(ris_cols=side, ris_rows=side)
-        n = risharvest.channel._DRAW_CHUNK_VALUES // cfg.m_s
-        buffers = _buffers(n, cfg.m_s)
-        _sample_into(cfg, 0, buffers)
-        tracemalloc.start()
-        try:
-            _sample_into(cfg, n, buffers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * np.getbufsize() * 8 + (4 << 10), (side, peak)
 
 
 def unit_link(k, m_s, seed):
@@ -387,9 +341,10 @@ def unit_power_moments(k):
 @pytest.mark.parametrize("k", [0.0, 10.0])
 @pytest.mark.parametrize("n", [1, 7, 225])
 def test_tail_law_matches_sums_of_sampled_amplitudes(k, n):
-    # a draw that keeps no column below m_s draws the whole surface from the
-    # law; against 4000 sums of n amplitudes of the sampler under another
-    # seed, a two-sample Kolmogorov-Smirnov test finds one law
+    # a draw that keeps no column below m_s draws the whole surface as one
+    # segment, from the law for n >= 2; against 4000 sums of n amplitudes of
+    # the sampler under another seed, a two-sample Kolmogorov-Smirnov test
+    # finds one law
     cfg = ScenarioConfig(ris_cols=n, ris_rows=1, rician_k=k, mc_trials=4000, rng_seed=71)
     tails = draw_trials(cfg, columns=[]).amp_total
     sums = sample_amplitudes(dataclasses.replace(cfg, rng_seed=72), 0, 4000).sum(axis=1)
@@ -399,30 +354,29 @@ def test_tail_law_matches_sums_of_sampled_amplitudes(k, n):
 @pytest.mark.parametrize("k", [0.0, 0.5, 10.0, 100.0, 1e6])
 def test_tail_law_moments_are_n_times_the_rice_moments(k):
     # the table's mean is n times the Rice mean within 1e-9 of its standard
-    # deviation, and its variance n times the Rice variance within 1e-7, or
-    # at n = 1 up to its cell midpoints' (24 / 2^13)^2 / 12 sigma^2, at most
-    # 1.7e-6 of it
+    # deviation, and its variance n times the Rice variance within 1e-7; the
+    # draw reads no table for one UC
     mean, var = unit_power_moments(k)
-    for n in (1, 2, 7, 225, 3600, 10**6):
+    for n in (2, 7, 225, 3600, 10**6):
         cdf, values = _tail_table(k, n)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0) and np.all(values >= 0.0)
         mass = np.diff(cdf, prepend=0.0)
         law_mean = mass @ values
         law_var = mass @ (values - law_mean) ** 2
         assert abs(law_mean - n * mean) <= 1e-9 * math.sqrt(n * var), n
-        assert law_var == pytest.approx(n * var, rel=2e-6 if n == 1 else 1e-7), n
+        assert law_var == pytest.approx(n * var, rel=1e-7), n
 
 
 def test_tail_law_is_exact_at_infinite_k():
-    # K = inf is the point mass n c = n: every drawn tail is n times the
-    # LoS gain, rounded once, whichever columns are kept
-    for n in (1, 2, 3600):
+    # K = inf is the point mass n c = n: every drawn segment of n UCs is n
+    # times the LoS gain, rounded once, whichever columns are kept
+    for n in (2, 3600):
         cdf, values = _tail_table(math.inf, n)
         assert cdf.tolist() == [1.0] and values.tolist() == [float(n)]
     cfg = ScenarioConfig(ris_cols=9, ris_rows=5, rician_k=math.inf, mc_trials=50)
     gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
-    for kmax in (0, 1, 30, 44):
-        assert np.array_equal(tail(cfg, kmax), np.full(50, (45 - kmax) * gain))
+    for lo in (0, 1, 30, 44):
+        assert np.array_equal(segment(cfg, lo, 45), np.full(50, (45 - lo) * gain))
     assert np.array_equal(draw_trials(cfg, columns=[]).amp_total, np.full(50, 45 * gain))
 
 
@@ -431,7 +385,7 @@ def test_tail_law_holds_at_any_finite_k(k):
     # beta^2 = 2 K overflows near K = 1e308 and a cell of sigma / 32 is far
     # below an ulp of c = 1 from K = 1e30, yet the table stays finite, >= 0
     # and centred on n c, as cells are indexed from c - 8 sigma
-    for n in (1, 2, 3600):
+    for n in (2, 3600):
         cdf, values = _tail_table(k, n)
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
@@ -459,17 +413,17 @@ def test_tail_draw_memory_does_not_grow_with_the_surface():
 
 def test_numpy_fft_loads_only_when_a_tail_law_needs_it():
     # importing the package and loading a configuration, which every sweep's
-    # set-up does, leave numpy.fft unloaded; the law of a sum of two or more
-    # amplitudes loads it, and one amplitude's law needs no transform
+    # set-up does, leave numpy.fft unloaded; so does a draw whose segments
+    # are all one UC, which reads no law; a segment of two UCs loads it
     code = (
         "import sys\n"
         "import risharvest, risharvest.sweep\n"
-        "from risharvest.channel import _tail_table\n"
+        "from risharvest.channel import draw_trials\n"
         "cfg = risharvest.loads_config('ris_cols = 4')\n"
         "print('numpy.fft' in sys.modules)\n"
-        "_tail_table(cfg.rician_k, 1)\n"
+        "draw_trials(cfg, columns=range(cfg.m_s + 1))\n"
         "print('numpy.fft' in sys.modules)\n"
-        "_tail_table(cfg.rician_k, 2)\n"
+        "draw_trials(cfg, columns=[1, 3])\n"
         "print('numpy.fft' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(risharvest.channel.__file__).parents[1]))
@@ -481,26 +435,110 @@ def test_numpy_fft_loads_only_when_a_tail_law_needs_it():
 
 @pytest.mark.parametrize("shape, first, stride", [((5, 1), 138, 225), ((3, 7), 2**64 - 9, 10)])
 def test_strided_words_are_splitmix64(shape, first, stride):
-    # entry (r, i) of a strided fill is output first + r stride + i + 1: the
-    # kernel's first kmax UCs of each trial, and the one word of UC kmax + 1
-    # from which a trial's tail is drawn
-    words = np.empty(shape, np.uint64)
-    _splitmix64(20230816, first, words, np.empty_like(words), stride)
+    # entry (t, j) of the words of trials [0, rows) at UCs ucs is output
+    # t m_s + ucs[j], with m_s the stride: a trial's row of the sampler, or
+    # the one word of each segment of a draw; also where the counters wrap
+    link = SimpleNamespace(m_s=stride, rng_seed=20230816)
+    ucs = np.arange(1, shape[1] + 1, dtype=np.uint64) + np.uint64(first)
+    words = _words(link, 0, shape[0], ucs)
+    assert words.shape == shape
     for r, row in enumerate(words.tolist()):
         assert row == splitmix64(20230816, first + r * stride, shape[1])
 
 
 @pytest.mark.parametrize("kmax", [0, 3, 24])
 def test_tail_is_drawn_from_the_word_of_uc_kmax_plus_one(kmax):
-    # trial t adds to column kmax the table value that the top 53 bits of
-    # word t m_s + kmax + 1 (the pure-Python SplitMix64) pick by the inverse
-    # CDF, times the link gain; no kernel amplitude reads that word
+    # each segment (lo, k] of a draw reads word t m_s + lo + 1 of trial t
+    # (the pure-Python SplitMix64): the sampler's amplitude of that word for
+    # one UC, else the table value its top 53 bits pick by the inverse CDF,
+    # times the link gain; here the segments below and above column kmax,
+    # (0, kmax] and (kmax, m_s], and those of a draw of several columns
     cfg = ScenarioConfig(ris_cols=5, ris_rows=5, mc_trials=20, rng_seed=4242)
-    trials = draw_trials(cfg, columns=[kmax])
-    cdf, values = _tail_table(cfg.rician_k, 25 - kmax)
-    words = [splitmix64(4242, t * 25 + kmax, 1)[0] for t in range(20)]
-    u = np.array([word >> 11 for word in words]) * 2.0**-53
-    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
-    expected = values[np.searchsorted(cdf, u, side="right")] * gain
-    assert trials.columns[-2:] == (kmax, 25)
-    assert np.array_equal(trials.amp_total, trials.amp_prefix[:, -2] + expected)
+    for columns in ([kmax], sorted({1, 2, kmax, 12})):
+        trials = draw_trials(cfg, columns=columns)
+        assert np.array_equal(trials.amp_prefix, rebuilt_prefix(cfg, trials.columns)), columns
+
+
+def test_guided_search_is_searchsorted_bit_for_bit():
+    # the guide's index equals searchsorted(cdf, u, "right") at u = 0, just
+    # below 1, at and beside every cdf entry and cell edge of the guide, and
+    # over the zero-mass cells at both ends of a table, where many entries
+    # share one value; a hand table has runs of equal entries inside one cell
+    hand = np.array([0.0, 0.0, 0.0, 2.0**-14, 2.0**-14, 0.25, 0.25, 0.5, 0.5 + 2.0**-40, 1.0, 1.0])
+    tables = [hand, _tail_table(10.0, 7)[0], _tail_table(0.0, 3600)[0], _tail_table(math.inf, 5)[0]]
+    for cdf in tables:
+        assert cdf.size == 1 or np.any(np.diff(cdf) == 0.0)  # zero-mass cells
+        edges = np.arange(1 << 13) * 2.0**-13
+        points = np.concatenate([cdf[cdf < 1.0], edges])
+        u = np.concatenate([
+            [0.0, 1.0 - 2.0**-53],
+            points,
+            np.nextafter(points, 0.0),
+            np.minimum(np.nextafter(points, 1.0), 1.0 - 2.0**-53),
+            np.random.default_rng(5).random(10**5),
+        ])
+        expected = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(_guided_search(cdf, _guide(cdf), u), expected)
+        # a 2-D block of uniforms gives the same indices in its shape
+        block = u[: 2 * (u.size // 2)].reshape(2, -1)
+        assert np.array_equal(_guided_search(cdf, _guide(cdf), block), expected[: block.size].reshape(2, -1))
+
+
+@pytest.mark.parametrize("k", [0.0, 10.0])
+def test_drawn_amplitudes_follow_rician_law(cfg, k):
+    # adjacent columns of a full draw differ by one UC's |h||g|, Rician with
+    # nu^2 = K/(K+1) and sigma^2 = 1/(2(K+1)) per component, times the mean
+    # link gain; every segment of a full draw is one UC, the last included
+    kcfg = dataclasses.replace(cfg, rician_k=k, mc_trials=600)
+    amplitudes = np.diff(draw(kcfg, 563).amp_prefix, axis=1).ravel()
+    gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
+    law = stats.rice(b=math.sqrt(2.0 * k), scale=gain / math.sqrt(2.0 * (k + 1.0)))
+    assert stats.kstest(amplitudes, law.cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("k", [0.0, 10.0])
+def test_full_surface_mean_matches_the_rician_mean(cfg, k):
+    # the full-surface column sums m_s i.i.d. |h||g|, so its mean over 10^4
+    # trials lies within 4 standard errors of m_s times the link gain times
+    # the mean of a unit-power Rician amplitude
+    kcfg = dataclasses.replace(cfg, rician_k=k)
+    sums = draw(kcfg, 564, 10_000, columns=[kcfg.m_s]).amp_total
+    gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
+    unit_power = stats.rice(b=math.sqrt(2.0 * k), scale=1.0 / math.sqrt(2.0 * (k + 1.0)))
+    mean = kcfg.m_s * gain * unit_power.mean()
+    assert abs(sums.mean() - mean) <= 4.0 * sums.std(ddof=1) / math.sqrt(sums.size)
+
+
+@pytest.mark.parametrize("bad", [-1, 226, True, 3.0, "3", None])
+def test_bad_prefix_columns_are_rejected(cfg, bad):
+    with pytest.raises(ValueError, match=r"^prefix columns must be integers in \[0, 225\], got "):
+        draw(cfg, 1, 2, columns=[3, bad])
+
+
+# What one law may hold while it is built and read: the table, its guide
+# and the transforms that make it, about 600 KiB at any n and K.
+LAW_BYTES = 640 << 10
+
+
+@pytest.mark.parametrize("block", [None, 1 << 12], ids=["default_blocks", "small_blocks"])
+def test_draw_memory_is_the_prefix_one_block_and_one_law(monkeypatch, block):
+    # on a 15 x 15 and a 300 x 300 surface, keeping segments of one UC and
+    # of two or more: besides the prefix, a block's temporaries take at most
+    # 32 bytes a word and one law is held at a time, whatever m_s
+    if block is not None:
+        monkeypatch.setattr(risharvest.channel, "_DRAW_BLOCK_VALUES", block)
+    peaks = []
+    for side in (15, 300):
+        cfg = ScenarioConfig(ris_cols=side, ris_rows=side, mc_trials=20_000)
+        columns = [0, 1, 2, 5, cfg.m_s // 3, cfg.m_s - 2]
+        draw_trials(cfg, columns=columns)
+        tracemalloc.start()
+        try:
+            trials = draw_trials(cfg, columns=columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert trials.amp_prefix.shape == (20_000, 7)
+        bound = trials.amp_prefix.nbytes + 32 * risharvest.channel._DRAW_BLOCK_VALUES + LAW_BYTES
+        assert peaks[-1] <= bound, (side, peaks[-1], bound)
+    assert abs(peaks[1] - peaks[0]) <= 16 << 10

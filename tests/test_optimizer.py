@@ -1,14 +1,7 @@
 import dataclasses
-import math
-import os
-import re
-import sys
-import threading
-import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import risharvest.channel
 import risharvest.harvesting
@@ -35,7 +28,7 @@ from conftest import (
     frame_oracle,
     oracle_full_surface_snr,
     per_chain_oracle,
-    tail,
+    rebuilt_prefix,
 )
 
 OPTIMIZERS = ((TIME_SPLITTING, optimize_time_splitting), (UC_SPLITTING, optimize_uc_splitting))
@@ -127,8 +120,8 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
     assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
     for config in configs:
         trials = draw(config, seed, n)
-        # the draw's own rows: the sampler's trials [0, n) of the same seed up
-        # to UC m_s - 1, and the tail it drew for UC m_s as one lumped entry
+        # the draw's own rows, which keeping every column makes the
+        # sampler's trials [0, n) of the same seed
         rows = drawn_rows(config, seed, n)
         frame = config.frame_slots * config.slot_duration
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
@@ -159,26 +152,24 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
         assert rate < near
 
 
-@pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
-def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, chunk_values):
-    if chunk_values is not None:
-        monkeypatch.setattr(risharvest.channel, "_DRAW_CHUNK_VALUES", chunk_values)
-    # 1200 trials of the 224 UCs the kernel draws are four default chunks of
-    # 292 trials and a last one of 32
+# the draw's blocks: the default, and blocks of one trial
+BLOCKS = pytest.mark.parametrize("block_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
+
+
+@BLOCKS
+def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, block_values):
+    if block_values is not None:
+        monkeypatch.setattr(risharvest.channel, "_DRAW_BLOCK_VALUES", block_values)
+    # a row depends on the seed and its trial alone: the prefix is the one
+    # rebuilt segment by segment from the words (conftest.rebuilt_prefix),
+    # bit for bit, and the first t trials are the same for any trial count
     fast = dataclasses.replace(cfg, mc_trials=1200, rng_seed=556)
-    m_s = fast.m_s
-    chunk = max(1, risharvest.channel._DRAW_CHUNK_VALUES // (m_s - 1))
-    full = draw(fast, 556).amp_prefix
+    columns = [0, 3, 4, 100, fast.m_s - 1]
+    full = draw(fast, 556, columns=columns).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
-    # the rows are the running sum of the sampler's rows of the same trials
-    # up to column m_s - 1, and in column m_s the last of those plus the
-    # tail drawn for UC m_s, bit for bit
-    amp = sample_amplitudes(fast, 0, fast.mc_trials)
-    assert np.array_equal(full[:, 1:m_s], np.cumsum(amp, axis=1)[:, : m_s - 1])
-    assert np.array_equal(full[:, m_s], full[:, m_s - 1] + tail(fast, m_s - 1))
-    # the first t trials are the same for any trial count
-    for t in (1, 7, chunk, chunk + 1, 1100):
-        assert np.array_equal(draw(fast, 556, t).amp_prefix, full[:t])
+    assert np.array_equal(full, rebuilt_prefix(fast, [0, 3, 4, 100, fast.m_s - 1, fast.m_s]))
+    for t in (1, 7, 291, 292, 1100):
+        assert np.array_equal(draw(fast, 556, t, columns=columns).amp_prefix, full[:t])
 
 
 def test_draws_compare_by_identity(cfg):
@@ -189,139 +180,21 @@ def test_draws_compare_by_identity(cfg):
     assert one != other
 
 
-@pytest.mark.parametrize("k", [0.0, 10.0])
-def test_drawn_amplitudes_follow_rician_law(cfg, k):
-    # adjacent columns of a full draw differ by one UC's |h||g|, Rician with
-    # nu^2 = K/(K+1) and sigma^2 = 1/(2(K+1)) per component, times the mean
-    # link gain; 600 trials are three chunks, and the last difference reads
-    # the full-surface column
-    kcfg = dataclasses.replace(cfg, rician_k=k, mc_trials=600)
-    amplitudes = np.diff(draw(kcfg, 563).amp_prefix, axis=1).ravel()
-    gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
-    law = stats.rice(b=math.sqrt(2.0 * k), scale=gain / math.sqrt(2.0 * (k + 1.0)))
-    assert stats.kstest(amplitudes, law.cdf).pvalue > 0.01
-
-
-@pytest.mark.parametrize("k", [0.0, 10.0])
-def test_full_surface_mean_matches_the_rician_mean(cfg, k):
-    # the full-surface column sums m_s i.i.d. |h||g|, so its mean over 10^4
-    # trials lies within 4 standard errors of m_s times the link gain times
-    # the mean of a unit-power Rician amplitude
-    kcfg = dataclasses.replace(cfg, rician_k=k)
-    sums = draw(kcfg, 564, 10_000, columns=[kcfg.m_s]).amp_total
-    gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
-    unit_power = stats.rice(b=math.sqrt(2.0 * k), scale=1.0 / math.sqrt(2.0 * (k + 1.0)))
-    mean = kcfg.m_s * gain * unit_power.mean()
-    assert abs(sums.mean() - mean) <= 4.0 * sums.std(ddof=1) / math.sqrt(sums.size)
-
-
-class CpuCount:
-    """Patch the CPUs ``draw_trials`` sees, its thread cap and the smallest
-    draw it threads (default: any), and record the threads that draw; each
-    thread's first draw waits until ``expected`` threads are drawing, so
-    fewer threads than that fail the draw."""
-
-    def __init__(self, monkeypatch, cpus, max_threads, expected, raise_in=None, min_values=1):
-        self.threads, self.raise_in, self._lock = set(), raise_in, threading.Lock()
-        self.buffers = {}  # thread -> ids of the buffers its chunks were drawn into
-        self._sample_into = risharvest.channel._sample_into
-        self._barrier = threading.Barrier(expected, timeout=10)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", max_threads)
-        monkeypatch.setattr(risharvest.channel, "_DRAW_THREAD_MIN_VALUES", min_values)
-        monkeypatch.setattr(risharvest.channel, "_sample_into", self.sample)
-
-    def sample(self, cfg, start, buffers):
-        thread = threading.current_thread()
-        with self._lock:
-            first = thread not in self.threads
-            self.threads.add(thread)
-            self.buffers.setdefault(thread, set()).add(tuple(id(plane.base) for plane in buffers))
-        if first:
-            self._barrier.wait()
-        if self.raise_in is not None and self.raise_in(start + len(buffers[0]), thread):
-            raise RuntimeError("sampler failed")
-        return self._sample_into(cfg, start, buffers)
-
-
-@pytest.mark.parametrize(
-    "cpus, max_threads, trials, expected",
-    [(8, 1, 1200, 1), (8, 2, 1200, 2), (8, 3, 1200, 3), (1, 8, 1200, 1), (8, 8, 582, 2)],
-    ids=["cap_1", "cap_2", "cap_3", "one_cpu", "two_blocks"],
-)
-def test_draw_threads_write_the_one_thread_prefix(
-    monkeypatch, cfg, cpus, max_threads, trials, expected
-):
-    # keeping column m_s - 1 makes the kernel draw 224 UCs a trial, so 1200
-    # trials are five chunks and 582 trials two
-    fast = dataclasses.replace(cfg, mc_trials=trials)
-    columns = [0, 5, 100, fast.m_s - 1]
-    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
-    one = draw(fast, 558, columns=columns).amp_prefix
-    counted = CpuCount(monkeypatch, cpus, max_threads, expected)
-    drawn = draw(fast, 558, columns=columns).amp_prefix
-    assert len(counted.threads) == expected
-    assert np.array_equal(drawn, one)
-    # every chunk of a thread is drawn into one set of buffers
-    assert [len(ids) for ids in counted.buffers.values()] == [1] * expected
-
-
-def test_many_threads_on_small_blocks_fill_every_row_once(monkeypatch, small_cfg):
-    # more threads than cores, 75 chunks of 4 trials and a short switch
-    # interval: a chunk that no thread draws would leave its rows at zero
-    monkeypatch.setattr(risharvest.channel, "_DRAW_CHUNK_VALUES", 4 * small_cfg.m_s)
-    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
-    one = draw(small_cfg, 560, 300).amp_prefix
-    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 8)
-    monkeypatch.setattr(risharvest.channel, "_DRAW_THREAD_MIN_VALUES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert np.array_equal(draw(small_cfg, 560, 300).amp_prefix, one)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("below, expected", [(0, 5), (1, 1)], ids=["at_threshold", "below"])
-def test_small_draws_start_no_thread(monkeypatch, cfg, below, expected):
-    # a full draw's kernel draws UCs 1..m_s - 1, and 1200 trials of those 224
-    # UCs are five chunks, one per thread at the threshold; a draw of fewer
-    # kernel amplitudes than the threshold stays on the calling thread
-    # whatever the CPUs
-    fast = dataclasses.replace(cfg, mc_trials=1200)
-    values = fast.mc_trials * (fast.m_s - 1)
-    counted = CpuCount(monkeypatch, 8, 8, expected, min_values=values + below)
-    draw(fast, 562)
-    assert len(counted.threads) == expected
-
-
-@pytest.mark.parametrize(
-    "raise_in",
-    [
-        lambda stop, thread: stop == 1200,
-        lambda stop, thread: thread is not threading.main_thread(),
-    ],
-    ids=["last_block", "worker_threads"],
-)
-def test_draw_raises_a_failed_block_after_joining_its_threads(monkeypatch, cfg, raise_in):
-    fast = dataclasses.replace(cfg, mc_trials=1200)
-    before = threading.active_count()
-    CpuCount(monkeypatch, 3, 3, 3, raise_in)
-    with pytest.raises(RuntimeError, match="^sampler failed$"):
-        draw(fast, 559)
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("chunk_values", [None, 1], ids=["default_chunks", "one_trial_chunks"])
-def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_values):
-    if chunk_values is not None:
-        monkeypatch.setattr(risharvest.channel, "_DRAW_CHUNK_VALUES", chunk_values)
-    fast = dataclasses.replace(cfg, mc_trials=600)  # three chunks
-    m_s, seed = fast.m_s, 557
-    full = draw(fast, seed)
+@BLOCKS
+def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, block_values):
+    if block_values is not None:
+        monkeypatch.setattr(risharvest.channel, "_DRAW_BLOCK_VALUES", block_values)
+    # a kept column depends only on the seed, its trial and the kept columns
+    # at or below it: it is the running sum of the segments between them,
+    # each rebuilt from its own word (conftest.rebuilt_prefix), bit for bit;
+    # keeping every column makes every segment one UC, so the prefix is the
+    # running sum of the sampler's rows
+    fast = dataclasses.replace(cfg, mc_trials=300, rng_seed=557)
+    m_s = fast.m_s
+    full = draw(fast, 557)
     assert full.columns == tuple(range(m_s + 1))
+    assert np.array_equal(full.amp_prefix[:, 0], np.zeros(fast.mc_trials))
+    assert np.array_equal(full.amp_prefix[:, 1:], np.cumsum(sample_amplitudes(fast, 0, 300), axis=1))
     cases = [
         ([], [m_s]),
         ([0], [0, m_s]),
@@ -330,24 +203,16 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, chunk_value
         ([3, 7], [3, 7, m_s]),
         ([m_s - 1], [m_s - 1, m_s]),
         ([7, 3, np.int64(7), m_s, 3, 0], [0, 3, 7, m_s]),
-        (range(m_s + 1), list(range(m_s + 1))),
     ]
     for columns, kept in cases:
-        trials = draw(fast, seed, columns=columns)
+        trials = draw(fast, 557, columns=columns)
         assert trials.columns == tuple(kept)
         assert (trials.n_trials, trials.cfg.m_s) == (fast.mc_trials, m_s)
-        # every kept column below m_s is the full draw's, bit for bit; column
-        # m_s is the largest of them, kmax (0 if none), plus the tail drawn
-        # for UCs kmax + 1..m_s
-        assert np.array_equal(trials.amp_prefix[:, :-1], full.amp_prefix[:, kept[:-1]])
-        kmax = kept[-2] if len(kept) > 1 else 0
-        assert np.array_equal(trials.amp_total, full.amp_prefix[:, kmax] + tail(trials.cfg, kmax))
-
-
-@pytest.mark.parametrize("bad", [-1, 226, True, 3.0, "3", None])
-def test_bad_prefix_columns_are_rejected(cfg, bad):
-    with pytest.raises(ValueError, match=r"^prefix columns must be integers in \[0, 225\], got "):
-        draw(cfg, 1, 2, columns=[3, bad])
+        assert np.array_equal(trials.amp_prefix, rebuilt_prefix(fast, kept)), columns
+    # a column kept above the others leaves them as they were
+    low, more = (draw(fast, 557, columns=c).amp_prefix for c in ([3, 7], [3, 7, 100]))
+    assert np.array_equal(low[:, :2], more[:, :2])
+    assert np.array_equal(full.amp_prefix[:, [1, 2, 3]], draw(fast, 557, columns=[1, 2, 3]).amp_prefix[:, :3])
 
 
 def test_undrawn_prefix_column_is_rejected(small_cfg):
@@ -362,56 +227,13 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     with pytest.raises(ValueError, match=f"^prefix column k = {k} was not drawn$"):
         estimate_averages(UC_SPLITTING, k, trials)
     # time splitting reads only the full-surface sum, which every draw keeps:
-    # here the tail of all m_s UCs, as in a draw that keeps no other column
+    # here one segment of all m_s UCs, as in a draw that keeps no other column
     bare = draw(free, 16, 8, columns=[])
     ts = optimize_time_splitting(p_static, free).optimal_allocation
     assert ts > 0
     assert estimate_averages(TIME_SPLITTING, ts, trials) == estimate_averages(
         TIME_SPLITTING, ts, bare
     )
-
-
-def draw_buffer_bytes(width):
-    """One drawing thread's buffers when the kernel draws ``width`` UCs a
-    trial: a chunk of float64 amplitudes, uint64 words and float32 angles,
-    20 bytes per amplitude, the two float64 buffers numpy's ufuncs cast the
-    float32 plane through, and the sampler's first run of 256 counters."""
-    chunk = risharvest.channel._DRAW_CHUNK_VALUES // width
-    return chunk * width * (8 + 8 + 4) + 2 * np.getbufsize() * 8 + 256 * 8
-
-
-def test_column_draw_memory_is_one_chunk(monkeypatch):
-    # a 60 x 60 surface keeping three columns, on one thread: the full
-    # (500, 3601) prefix would be 13.7 MiB, the kept one is 12 KB beside one
-    # chunk's buffers; column 3599 makes the kernel draw 3599 UCs a trial
-    monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", 1)
-    cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=500)
-    draw(cfg, 17, 1, columns=[0, 3599])
-    tracemalloc.start()
-    try:
-        trials = draw(cfg, 17, columns=[0, 3599])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert trials.amp_prefix.shape == (500, 3)
-    assert peak <= trials.amp_prefix.nbytes + draw_buffer_bytes(3599) + (64 << 10)
-
-
-def test_threaded_draw_memory_is_the_prefix_and_one_buffer_per_thread(monkeypatch):
-    # column 3599 makes the kernel draw 3599 UCs a trial, and 2048 trials of
-    # them are 114 chunks on two threads, both drawing at once; a temporary
-    # per chunk would add at least half a buffer each
-    cfg = ScenarioConfig(ris_cols=60, ris_rows=60, mc_trials=2048)
-    columns = [0, 336, 453, 3599, 3600]
-    draw(cfg, 18, 1, columns=columns)
-    CpuCount(monkeypatch, 2, 2, 2, min_values=risharvest.channel._DRAW_THREAD_MIN_VALUES)
-    tracemalloc.start()
-    try:
-        trials = draw(cfg, 18, columns=columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= trials.amp_prefix.nbytes + 2 * draw_buffer_bytes(3599) + (64 << 10)
 
 
 def test_unconstrained_case_allocates_nothing(cfg):

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import risharvest
-import risharvest.channel
 import risharvest.optimizer
 from risharvest import (
     FEASIBLE,
@@ -25,6 +24,7 @@ from risharvest import (
     ScenarioConfig,
     save_config,
 )
+from risharvest.channel import TrialChannels
 from risharvest.power import total_consumption
 from risharvest.sweep import (
     CSV_HEADER,
@@ -38,7 +38,7 @@ from risharvest.sweep import (
     summarize,
 )
 
-from conftest import allocation_harvest, clear_harvest_caches
+from conftest import allocation_harvest, clear_harvest_caches, rebuilt_prefix
 
 
 def small_spec(**overrides):
@@ -421,40 +421,25 @@ def test_python_m_risharvest_runs_cleanly(tmp_path):
     ids=["paper_grid", "edge_grid"],
 )
 def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind):
-    # the sweep keeps only the prefix columns its grid reads; a draw that
-    # keeps every column up to the largest of them below m_s, kmax, draws
-    # the same kernel UCs and the same tail, so it must give the same CSV
-    # byte for byte
+    # the sweep keeps only the prefix columns its grid reads, and each kept
+    # column is the running sum of the segments below it; a draw rebuilt in
+    # full by the tests, every segment from its own pure-Python word
+    # (conftest.rebuilt_prefix), must give the same CSV byte for byte
     config = tmp_path / "scenario.cfg"
     save_config(ScenarioConfig(mc_trials=200, rectifier=RectifierModel(kind=kind)), config)
-    draw_trials = risharvest.sweep.draw_trials
     kept = []
 
-    def full_draw(cfg, *, columns):
-        kept.append(sorted(set(columns)))
-        kmax = max((k for k in kept[-1] if k < cfg.m_s), default=0)
-        return draw_trials(cfg, columns=range(kmax + 1))
+    def rebuilt_draw(cfg, *, columns):
+        kept.append(sorted({*columns, cfg.m_s}))
+        prefix = rebuilt_prefix(cfg, kept[-1])
+        return TrialChannels(cfg=cfg, amp_prefix=prefix, columns=tuple(kept[-1]))
 
     run_sweep(config, spec, tmp_path / "columns.csv")
-    monkeypatch.setattr(risharvest.sweep, "draw_trials", full_draw)
+    monkeypatch.setattr(risharvest.sweep, "draw_trials", rebuilt_draw)
     run_sweep(config, spec, tmp_path / "full.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     uc_rows = [row for row in read_rows(tmp_path / "full.csv") if row.protocol == "uc_splitting"]
-    assert kept == [sorted({row.optimal_allocation for row in uc_rows})]
-
-
-def test_sweep_csv_does_not_depend_on_the_draw_threads(monkeypatch, tmp_path):
-    # 1100 trials are four chunks: the default draws them on as many
-    # threads as this machine's CPUs allow, then 1 and 3 threads are forced,
-    # with the smallest threaded draw lowered below this one
-    spec = small_spec(points=4)
-    monkeypatch.setattr(risharvest.channel, "_DRAW_THREAD_MIN_VALUES", 1)
-    run_sweep(None, spec, tmp_path / "default.csv", trials=1100)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    for threads in (1, 3):
-        monkeypatch.setattr(risharvest.channel, "_DRAW_MAX_THREADS", threads)
-        run_sweep(None, spec, tmp_path / f"{threads}.csv", trials=1100)
-        assert (tmp_path / f"{threads}.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+    assert kept == [sorted({row.optimal_allocation for row in uc_rows} | {225})]
 
 
 def test_a_trillion_slot_frame_sweeps_to_a_finite_csv(tmp_path):
