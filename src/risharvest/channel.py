@@ -41,13 +41,13 @@ and trial count from the configuration and keeps that configuration in the
 ``TrialChannels`` it returns, so an estimate always reads the configuration
 its draw was made for. Of each trial it keeps only the running sums over
 the UCs at the prefix lengths k a caller asks for, and the full-surface
-sum. ``TrialChannels.reflecting_sum(k)`` turns them into the coherent sum of
-the UCs still reflecting when the first k absorb, the one layout-dependent
-quantity a rate estimate reads. Between two kept columns lo < k lies the
-sum of the amplitudes of UCs lo + 1..k, i.i.d. and independent of every
-other such segment, so the draw forms no amplitude it does not keep: it
-draws each segment as one value from the one word of its first UC,
-UC lo + 1. A one-UC segment is that UC's amplitude, by the transform
+sum. ``TrialChannels.reflecting_sum(ks)`` turns them into the coherent sum
+of the UCs still reflecting when the first k absorb, one row per k, the one
+layout-dependent quantity a rate estimate reads. Between two kept columns
+lo < k lies the sum of the amplitudes of UCs lo + 1..k, i.i.d. and
+independent of every other such segment, so the draw forms no amplitude it
+does not keep: it draws each segment as one value from the one word of its
+first UC, UC lo + 1. A one-UC segment is that UC's amplitude, by the transform
 above; a longer one is the value of the law of a sum of k - lo Rice
 amplitudes (``_tail_table``) that the word picks by its inverse CDF, found
 through a guide table (Chen and Asau, 1974). A trial thus costs one word
@@ -375,12 +375,12 @@ class TrialChannels:
     Each column is the one below it plus the sum of the UCs between the two,
     drawn as one value (see ``draw_trials``). A sweep solves its grid from
     the harvest first and keeps only the k those solves read. Readers need
-    not know that layout: ``reflecting_sum(k)`` gives the coherent
-    amplitude over the UCs that still reflect when the first k absorb. Only
-    amplitudes are drawn, because no computed quantity depends on the common
-    LoS phase (see the module docstring). Two draws compare equal only when
-    they are the same object, as comparing the arrays elementwise has no
-    truth value.
+    not know that layout: ``reflecting_sum(ks)`` gives the coherent
+    amplitude over the UCs that still reflect when the first k absorb, a
+    row per k. Only amplitudes are drawn, because no computed quantity
+    depends on the common LoS phase (see the module docstring). Two draws
+    compare equal only when they are the same object, as comparing the
+    arrays elementwise has no truth value.
     """
 
     cfg: ScenarioConfig
@@ -395,16 +395,22 @@ class TrialChannels:
     def amp_total(self) -> np.ndarray:
         return self.amp_prefix[:, -1]
 
-    def reflecting_sum(self, k: int) -> np.ndarray:
-        """Per draw, the coherent amplitude of the UCs still reflecting when the first k absorb.
+    def reflecting_sum(self, ks) -> np.ndarray:
+        """Per draw, the coherent amplitude of the UCs still reflecting when the first k absorb, for each k of ``ks``.
 
-        That is ``amp_total`` minus prefix column k, a new array. Raises
-        ValueError when column k was not drawn.
+        Returns a new C-contiguous (len(ks), n_trials) array whose row j is
+        ``amp_total`` minus prefix column ks[j], one row per k in the order
+        given, so a caller reduces each k's draws along a contiguous row.
+        Raises ValueError when a column was not drawn.
         """
-        column = bisect_left(self.columns, k)
-        if column == len(self.columns) or self.columns[column] != k:
-            raise ValueError(f"prefix column k = {k} was not drawn")
-        return self.amp_total - self.amp_prefix[:, column]
+        columns = []
+        for k in ks:
+            column = bisect_left(self.columns, k)
+            if column == len(self.columns) or self.columns[column] != k:
+                raise ValueError(f"prefix column k = {k} was not drawn")
+            columns.append(column)
+        rows = self.amp_prefix.T[columns]  # a gathered copy, C-contiguous
+        return np.subtract(self.amp_total, rows, out=rows)
 
 
 def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:

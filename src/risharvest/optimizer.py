@@ -25,12 +25,15 @@ consumption, found by one bisection over the allocation values of either
 protocol, which needs O(log vmax) evaluations and O(1) memory however long
 the frame. It gives the left ``searchsorted`` of the consumed power in the
 array of every value's harvest, bit for bit. The estimate
-(``estimate_averages``) then averages the rate of one allocation value over
-one set of channel draws (common random numbers), which
-``channel.draw_trials`` makes; it reads the full-surface sum for time
-splitting and ``TrialChannels.reflecting_sum`` for UC splitting. A sweep
-solves its whole grid first, draws once keeping only the prefix columns
-those solves read, and estimates each distinct allocation once.
+(``estimate_averages``) then averages the rate of each of a list of
+allocation values over one set of channel draws (common random numbers),
+which ``channel.draw_trials`` makes; it reads the full-surface sum for time
+splitting and ``TrialChannels.reflecting_sum`` for UC splitting. It forms
+the rates of a block of values at a time as one (values, trials) array and
+reduces each row as a one-value estimate reduces its rates, so a value's
+estimate does not depend on the list it is in. A sweep solves its whole
+grid first, draws once keeping only the prefix columns those solves read,
+and estimates the distinct allocations of each protocol in one call.
 """
 
 import functools
@@ -47,6 +50,16 @@ from .scenario import ScenarioConfig
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+
+# Rates per block of estimate_averages: a block is rows of whole trials,
+# at least one, so its float64 temporaries take 32 KiB each unless one row
+# is longer. Blocks of 2^14 rates (128 000 B at 1000 trials, just under
+# glibc's 128 KiB mmap threshold) ran the 1000-trial edge sweep in the same
+# CPU time. Their median peak RSS read 0.27 MiB above the one-value-at-a-time
+# estimate's in one set of CLI runs (these blocks: +0.03 MiB) and 0.04 MiB
+# below it in another (30 runs each; these: -0.03 MiB), so the smaller
+# blocks are kept: they cost no time and bound the temporaries tighter.
+_ESTIMATE_BLOCK_VALUES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -113,41 +126,68 @@ def harvest_of(protocol: str, cfg: ScenarioConfig):
     return harvested
 
 
-def estimate_averages(protocol: str, value: int, trials: TrialChannels) -> tuple[float, float]:
-    """Monte-Carlo average rate (bit/s) of one allocation value and its 95% CI half-width.
+def estimate_averages(protocol: str, values, trials: TrialChannels) -> list[tuple[float, float]]:
+    """Monte-Carlo average rate (bit/s) of each allocation value and its 95% CI half-width.
 
-    The rate is averaged over ``trials``, one draw set that callers reuse
-    across allocation values (common random numbers), under the
-    configuration it was drawn for; the CI is the normal-approximation
+    Returns one (average, ci) per entry of ``values``, in their order, and
+    [] for none. Each rate is averaged over ``trials``, one draw set that
+    callers reuse across allocation values (common random numbers), under
+    the configuration it was drawn for; the CI is the normal-approximation
     half-width. Time splitting reads the full-surface sum ``amp_total``, UC
-    splitting ``trials.reflecting_sum(value)``. Raises ValueError when
-    ``value`` is not an integer in 0..vmax (a bool is not), when ``trials``
-    lacks the prefix column of a UC-splitting value, or when the link budget
-    makes the average rate or its CI overflow.
+    splitting ``trials.reflecting_sum``. The rates of
+    ``_ESTIMATE_BLOCK_VALUES // n_trials`` values (at least one) are formed
+    at a time, one C-contiguous row per value, and each row is reduced as a
+    1-D array of its rates would be, so an estimate is the same bit for bit
+    whatever list, and whatever place in it, the value comes in.
+
+    Every value is checked before any rate is formed. Raises ValueError
+    when one is not an integer in 0..vmax (a bool is not), or when
+    ``trials`` lacks the prefix column of a UC-splitting value; and, naming
+    the first such value, when the link budget makes an average rate or
+    its CI overflow.
     """
     cfg = trials.cfg
     vmax = _allocation_bounds(protocol, cfg)
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and 0 <= value <= vmax):
-        raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
-    if protocol == TIME_SPLITTING:
-        payload_slots = cfg.frame_slots - cfg.preamble_slots - value
-        amplitude = trials.amp_total
-    else:
-        payload_slots = cfg.frame_slots - cfg.preamble_slots
-        amplitude = trials.reflecting_sum(value)
+    values = list(values)
+    for value in values:
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and 0 <= value <= vmax):
+            raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
+    time_splitting = protocol == TIME_SPLITTING
+    if not time_splitting:
+        drawn = set(trials.columns)
+        for value in values:
+            if value not in drawn:
+                raise ValueError(f"prefix column k = {value} was not drawn")
+    post, n = cfg.frame_slots - cfg.preamble_slots, trials.n_trials
+    rows = max(1, _ESTIMATE_BLOCK_VALUES // n)
+    estimates = []
     # Overflow is reported below as a non-finite result, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = shannon_rate(payload_slots, coherent_snr(amplitude, cfg), cfg)
-        average = float(rates.mean())
-        n = trials.n_trials
-        ci = 1.96 * float(rates.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    if not (math.isfinite(average) and math.isfinite(ci)):
-        raise ValueError(
-            f"{protocol} at allocation {value!r}: the average rate ({average}) "
-            f"or its CI ({ci}) is not finite; the link budget overflows"
-        )
-    return average, ci
+        if time_splitting and values:
+            snr = coherent_snr(trials.amp_total, cfg)
+        for start in range(0, len(values), rows):
+            block = values[start : start + rows]
+            if time_splitting:
+                # A column of payload slot counts against one row of SNRs:
+                # log2(1 + SNR) is formed once a block, and each row scales
+                # it. The counts are exact as float64 below 2^53 slots, so
+                # the slot ratio rounds as the ratio of the ints does.
+                payload = np.array([post - value for value in block], float)[:, np.newaxis]
+                rates = shannon_rate(payload, snr, cfg)
+            else:
+                rates = shannon_rate(post, coherent_snr(trials.reflecting_sum(block), cfg), cfg)
+            averages = rates.mean(axis=1).tolist()
+            spreads = rates.std(axis=1, ddof=1).tolist() if n > 1 else [0.0] * len(block)
+            for value, average, spread in zip(block, averages, spreads):
+                ci = 1.96 * spread / math.sqrt(n)
+                if not (math.isfinite(average) and math.isfinite(ci)):
+                    raise ValueError(
+                        f"{protocol} at allocation {value!r}: the average rate ({average}) "
+                        f"or its CI ({ci}) is not finite; the link budget overflows"
+                    )
+                estimates.append((average, ci))
+    return estimates
 
 
 def _solve(protocol: str, p_static: float, cfg: ScenarioConfig) -> AllocationResult:

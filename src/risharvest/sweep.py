@@ -5,6 +5,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -101,7 +102,7 @@ class SweepRow:
 
     def to_record(self) -> list[str]:
         # str of a float is its shortest round-trip repr; None is an empty cell.
-        values = (getattr(self, f.name) for f in fields(self))
+        values = _ROW_VALUES(self)
         return ["" if value is None else str(value) for value in values]
 
     @classmethod
@@ -113,6 +114,10 @@ class SweepRow:
             raise SweepCsvError("column dyn_over_static: must be empty exactly when "
                                 f"p_static_w is 0, got {record[-1]!r}")
         return row
+
+
+# A SweepRow's field values in CSV column order, from field names read once, not per row.
+_ROW_VALUES = attrgetter(*(f.name for f in fields(SweepRow)))
 
 
 def _parse_cell(column: str, text: str):
@@ -137,7 +142,8 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     seeded by ``cfg.rng_seed``, then keeps only the prefix columns those
     solves read (the UC-splitting k of each budget, and the full-surface
     sum that time splitting reads), and the rate of each distinct
-    (protocol, allocation) is estimated once on it. Sharing the draws
+    (protocol, allocation) is estimated once on it, in one
+    ``optimizer.estimate_averages`` call per protocol. Sharing the draws
     across budgets keeps rate curves free of re-sampling noise. Each kept
     prefix value depends on ``rng_seed``, its trial and the kept columns at
     or below it: the UCs between two kept columns are drawn as one sum.
@@ -164,14 +170,18 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
         for p_static in grid
         for solve in (optimize_time_splitting, optimize_uc_splitting)
     ]
-    uc_values = {r.optimal_allocation for _, r in solves if r.protocol == UC_SPLITTING}
-    trial_set = draw_trials(cfg, columns=uc_values)
-    keys = dict.fromkeys((r.protocol, r.optimal_allocation) for _, r in solves)
-    # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
-    rates = {key: optimizer.estimate_averages(*key, trial_set) for key in keys}
+    allocations = {protocol: {} for protocol in PROTOCOLS}  # dicts, as ordered sets
+    for _, result in solves:
+        allocations[result.protocol][result.optimal_allocation] = None
+    trial_set = draw_trials(cfg, columns=allocations[UC_SPLITTING])
+    rates = {}
+    for protocol, values in allocations.items():
+        # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
+        estimates = optimizer.estimate_averages(protocol, values, trial_set)
+        rates[protocol] = dict(zip(values, estimates))
     rows = []
     for p_static, result in solves:
-        rate, ci = rates[result.protocol, result.optimal_allocation]
+        rate, ci = rates[result.protocol][result.optimal_allocation]
         rows.append(
             SweepRow(
                 p_static=p_static,
@@ -209,8 +219,7 @@ def run_sweep(
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(row.to_record())
+        writer.writerows(row.to_record() for row in rows)
     return 0
 
 

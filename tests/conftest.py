@@ -54,6 +54,12 @@ def draw(cfg, seed, n=None, columns=None):
     return draw_trials(dataclasses.replace(cfg, rng_seed=seed, mc_trials=trials), columns=columns)
 
 
+def estimate(protocol, value, trials):
+    """``estimate_averages`` of the one allocation ``value``: its (average, ci)."""
+    (result,) = risharvest.optimizer.estimate_averages(protocol, [value], trials)
+    return result
+
+
 def splitmix64(seed, first, count):
     """Outputs first + 1 .. first + count of SplitMix64 seeded with ``seed``,
     transcribed from Vigna's splitmix64.c in Python ints."""

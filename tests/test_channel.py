@@ -179,8 +179,23 @@ def test_draw_trials_reads_a_one_shot_columns_iterable():
     trials = draw_trials(cfg, columns=(k for k in (2, 5)))
     assert trials.columns == (2, 5, 9)
     listed = draw_trials(cfg, columns=[2, 5])
-    assert np.array_equal(trials.reflecting_sum(2), listed.reflecting_sum(2))
+    assert np.array_equal(trials.reflecting_sum([2]), listed.reflecting_sum([2]))
     assert np.array_equal(trials.amp_prefix, listed.amp_prefix)
+
+
+def test_reflecting_sum_gives_a_contiguous_row_per_k_in_the_order_given():
+    # row j is the full-surface sum minus kept column ks[j], a duplicate k
+    # included, so each k's draws lie along one contiguous row
+    cfg = ScenarioConfig(ris_cols=3, ris_rows=3, mc_trials=50)
+    trials = draw_trials(cfg, columns=[0, 2, 5])
+    assert trials.columns == (0, 2, 5, 9)
+    rows = trials.reflecting_sum([5, 0, 9, 5, 2])
+    assert rows.shape == (5, 50) and rows.flags.c_contiguous
+    for row, column in zip(rows, [2, 0, 3, 2, 1]):
+        assert np.array_equal(row, trials.amp_total - trials.amp_prefix[:, column])
+    assert trials.reflecting_sum([]).shape == (0, 50)
+    with pytest.raises(ValueError, match="^prefix column k = 4 was not drawn$"):
+        trials.reflecting_sum([5, 4])
 
 
 def test_sample_amplitudes_deterministic(cfg):

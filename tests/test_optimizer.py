@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from risharvest import (
     RectifierModel,
     ScenarioConfig,
 )
-from risharvest.channel import sample_amplitudes
+from risharvest.channel import coherent_snr, draw_trials, sample_amplitudes, shannon_rate
 from risharvest.harvesting import rectify
 from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
 from risharvest.power import total_consumption
@@ -25,6 +27,7 @@ from conftest import (
     curve_of,
     draw,
     drawn_rows,
+    estimate,
     frame_oracle,
     oracle_full_surface_snr,
     per_chain_oracle,
@@ -44,7 +47,7 @@ def exhaustive_best(protocol, p_static, cfg, trials):
     best = None
     for v in range(vmax + 1):
         if chain_harvest_power(protocol, v, cfg) >= consumed:
-            rate, _ = estimate_averages(protocol, v, trials)
+            rate, _ = estimate(protocol, v, trials)
             if best is None or rate > best[1]:
                 best = (v, rate)
     return best
@@ -87,15 +90,15 @@ def fresh_curves():
 
 def test_estimate_averages_deterministic(cfg):
     fast = dataclasses.replace(cfg, mc_trials=64)
-    a = estimate_averages(TIME_SPLITTING, 100, draw(fast, 9))
-    b = estimate_averages(TIME_SPLITTING, 100, draw(fast, 9))
+    a = estimate(TIME_SPLITTING, 100, draw(fast, 9))
+    b = estimate(TIME_SPLITTING, 100, draw(fast, 9))
     assert a == b
 
 
 def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
     fast = dataclasses.replace(los_cfg, mc_trials=16)
     trials = draw(fast, 1)
-    rate, ci = estimate_averages(TIME_SPLITTING, 0, trials)
+    rate, ci = estimate(TIME_SPLITTING, 0, trials)
     expected = 0.9 * fast.bandwidth * np.log2(1.0 + oracle_full_surface_snr(fast))
     assert rate == pytest.approx(expected, rel=1e-9)
     assert ci == pytest.approx(0.0, abs=1e-3)
@@ -103,7 +106,7 @@ def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
 
 def test_estimate_averages_ci_small_at_default_trials(cfg):
     trials = draw(cfg, 2)
-    rate, ci = estimate_averages(TIME_SPLITTING, 0, trials)
+    rate, ci = estimate(TIME_SPLITTING, 0, trials)
     assert ci / rate < 0.01
 
 
@@ -128,7 +131,7 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
             vmax = curve_of(protocol, config).size - 1
             for value in sorted({0, 1, vmax // 2, vmax}):
                 p_static = float(10 ** rng.uniform(-7, -3))
-                rate, _ = estimate_averages(protocol, value, trials)
+                rate, _ = estimate(protocol, value, trials)
                 harvest = allocation_harvest(protocol, value, config)
                 consumed = total_consumption(p_static, protocol, config).total
                 frames = [frame_oracle(protocol, value, row, p_static, config) for row in rows]
@@ -145,10 +148,10 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
     far = dataclasses.replace(cfg, d_ris_rx=76.0)
     rows = drawn_rows(far, seed, n)
     for protocol, value in ((TIME_SPLITTING, 100), (UC_SPLITTING, 9)):
-        rate, _ = estimate_averages(protocol, value, draw(far, seed, n))
+        rate, _ = estimate(protocol, value, draw(far, seed, n))
         frames = [frame_oracle(protocol, value, row, 0.0, far) for row in rows]
         assert rate == pytest.approx(np.mean([r for r, _, _ in frames]), rel=1e-10)
-        near, _ = estimate_averages(protocol, value, draw(cfg, seed, n))
+        near, _ = estimate(protocol, value, draw(cfg, seed, n))
         assert rate < near
 
 
@@ -225,13 +228,13 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     assert optimize_uc_splitting(p_static, free).optimal_allocation == k
     trials = draw(free, 16, 8, columns=[0])
     with pytest.raises(ValueError, match=f"^prefix column k = {k} was not drawn$"):
-        estimate_averages(UC_SPLITTING, k, trials)
+        estimate(UC_SPLITTING, k, trials)
     # time splitting reads only the full-surface sum, which every draw keeps:
     # here one segment of all m_s UCs, as in a draw that keeps no other column
     bare = draw(free, 16, 8, columns=[])
     ts = optimize_time_splitting(p_static, free).optimal_allocation
     assert ts > 0
-    assert estimate_averages(TIME_SPLITTING, ts, trials) == estimate_averages(
+    assert estimate(TIME_SPLITTING, ts, trials) == estimate(
         TIME_SPLITTING, ts, bare
     )
 
@@ -243,8 +246,8 @@ def test_unconstrained_case_allocates_nothing(cfg):
     uc = optimize_uc_splitting(0.0, free)
     assert uc.status == FEASIBLE and uc.optimal_allocation == 0
     trials = draw(free, 4)
-    ts_rate, _ = estimate_averages(TIME_SPLITTING, 0, trials)
-    uc_rate, _ = estimate_averages(UC_SPLITTING, 0, trials)
+    ts_rate, _ = estimate(TIME_SPLITTING, 0, trials)
+    uc_rate, _ = estimate(UC_SPLITTING, 0, trials)
     assert ts_rate == pytest.approx(uc_rate, rel=1e-12)
 
 
@@ -320,7 +323,7 @@ def test_curve_lookup_matches_exhaustive_scan(small_cfg):
             if result.status == FEASIBLE:
                 assert scan is not None
                 assert scan[0] == result.optimal_allocation
-                rate, _ = estimate_averages(protocol, result.optimal_allocation, trials)
+                rate, _ = estimate(protocol, result.optimal_allocation, trials)
                 assert scan[1] == pytest.approx(rate, rel=1e-12)
             else:
                 assert scan is None
@@ -422,7 +425,94 @@ def test_non_finite_rate_is_rejected_at_run_time(monkeypatch, small_cfg):
     trials = draw(small_cfg, 15, 4)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         with pytest.raises(ValueError, match=f"^{protocol} at allocation 3: .* not finite"):
-            estimate_averages(protocol, 3, trials)
+            estimate(protocol, 3, trials)
+
+
+def test_every_value_is_checked_before_any_rate(monkeypatch, small_cfg):
+    # with every rate overflowing, a bad value later in the list is still the
+    # error raised; the overflow error names the first value whose rate overflows
+    monkeypatch.setattr(risharvest.optimizer, "coherent_snr",
+                        lambda amplitude, cfg: np.full(np.shape(amplitude), np.inf))
+    trials = draw(small_cfg, 15, 4, columns=[3, 5])
+    for protocol in (TIME_SPLITTING, UC_SPLITTING):
+        vmax = curve_of(protocol, small_cfg).size - 1
+        with pytest.raises(ValueError, match="^allocation value must be"):
+            estimate_averages(protocol, [3, 5, vmax + 1], trials)
+        with pytest.raises(ValueError, match=f"^{protocol} at allocation 5: .* not finite"):
+            estimate_averages(protocol, [5, 3], trials)
+    with pytest.raises(ValueError, match="^prefix column k = 4 was not drawn$"):
+        estimate_averages(UC_SPLITTING, [3, 5, 4], trials)
+
+
+COLUMNS = [0, 1, 2, 5, 9, 17, 40, 112, 200, 224, 225]
+
+
+@pytest.fixture(scope="module")
+def estimate_draws():
+    """Draws of the default surface at 1000 and 10^4 trials, keeping COLUMNS."""
+    base = ScenarioConfig()
+    return {n: draw(base, 31, n, columns=COLUMNS) for n in (1000, 10_000)}
+
+
+@pytest.mark.parametrize(
+    "block_values", [None, 1, 1 << 16], ids=["default_blocks", "one_row_blocks", "long_blocks"]
+)
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_estimate_averages_of_many_values_is_one_at_a_time_bit_for_bit(
+    monkeypatch, estimate_draws, n, block_values
+):
+    # each value's (average, ci) is the 1-D mean and std of its own rates,
+    # bit for bit, whatever list it comes in: unsorted, with a duplicate,
+    # across block boundaries (4 rows a default block at 1000 trials, 1 at
+    # 10^4, 65 or 6 a long block), alone, and no value at all
+    if block_values is not None:
+        monkeypatch.setattr(risharvest.optimizer, "_ESTIMATE_BLOCK_VALUES", block_values)
+    trials = estimate_draws[n]
+    cfg = trials.cfg
+    post = cfg.frame_slots - cfg.preamble_slots
+
+    def one_at_a_time(protocol, value):
+        if protocol == TIME_SPLITTING:
+            payload, amplitude = post - value, trials.amp_total
+        else:
+            payload, amplitude = post, trials.amp_total - trials.amp_prefix[:, COLUMNS.index(value)]
+        rates = shannon_rate(payload, coherent_snr(amplitude, cfg), cfg)
+        return float(rates.mean()), 1.96 * float(rates.std(ddof=1)) / math.sqrt(n)
+
+    lists = {
+        TIME_SPLITTING: [[4000, 0, 9000, 17, 1], [3, 250, 3], list(range(0, 9001, 700)), [1234], []],
+        UC_SPLITTING: [[112, 0, 225, 5, 1], [9, 40, 9], COLUMNS[::-1] + COLUMNS, [17], []],
+    }
+    for protocol, value_lists in lists.items():
+        for values in value_lists:
+            expected = [one_at_a_time(protocol, value) for value in values]
+            assert estimate_averages(protocol, values, trials) == expected, (protocol, values)
+
+
+@pytest.mark.parametrize("protocol", [TIME_SPLITTING, UC_SPLITTING])
+def test_estimate_memory_is_a_few_blocks_whatever_the_number_of_values(protocol):
+    # the rates are formed a block at a time, so what an estimate holds at
+    # its peak beyond the list it returns is a few blocks, for 40 values as
+    # for 400, not an array of every value's rates (400 x 1000 x 8 B)
+    cfg = ScenarioConfig(ris_cols=20, ris_rows=20, mc_trials=1000)
+    trials = draw_trials(cfg, columns=range(cfg.m_s + 1))
+    block_bytes = 8 * risharvest.optimizer._ESTIMATE_BLOCK_VALUES
+    held = {}
+    for count in (40, 400):
+        values = list(range(0, 400, 400 // count))
+        tracemalloc.start()
+        try:
+            estimate_averages(protocol, values, trials)  # warm: the same calls as below
+            tracemalloc.reset_peak()
+            result = estimate_averages(protocol, values, trials)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == count
+        held[count] = peak - current
+        assert held[count] <= 6 * block_bytes, (count, held[count] / block_bytes)
+    # the values' own list is all that grows: 8 B a value
+    assert held[400] - held[40] < block_bytes / 4
 
 
 @pytest.mark.parametrize(
@@ -459,8 +549,8 @@ def test_uc_splitting_dominates_at_common_static_power(cfg):
         ts = optimize_time_splitting(p_static, fast)
         uc = optimize_uc_splitting(p_static, fast)
         assert ts.status == uc.status == FEASIBLE
-        ts_rate, _ = estimate_averages(TIME_SPLITTING, ts.optimal_allocation, trials)
-        uc_rate, _ = estimate_averages(UC_SPLITTING, uc.optimal_allocation, trials)
+        ts_rate, _ = estimate(TIME_SPLITTING, ts.optimal_allocation, trials)
+        uc_rate, _ = estimate(UC_SPLITTING, uc.optimal_allocation, trials)
         assert uc_rate >= ts_rate
 
 
@@ -482,8 +572,8 @@ def test_same_seed_same_result(cfg):
     fast = dataclasses.replace(cfg, mc_trials=128)
     solve = optimize_uc_splitting(1e-4, fast)
     assert solve == optimize_uc_splitting(1e-4, fast)
-    a = estimate_averages(UC_SPLITTING, solve.optimal_allocation, draw(fast, 77))
-    b = estimate_averages(UC_SPLITTING, solve.optimal_allocation, draw(fast, 77))
+    a = estimate(UC_SPLITTING, solve.optimal_allocation, draw(fast, 77))
+    b = estimate(UC_SPLITTING, solve.optimal_allocation, draw(fast, 77))
     assert a == b
 
 
@@ -495,7 +585,7 @@ def test_allocation_value_bounds_checked(cfg):
         for bad in (-1, vmax + 1, True, 3.0, "3", None):
             message = rf"^allocation value must be an integer in \[0, {vmax}\], got {bad!r}$"
             with pytest.raises(ValueError, match=message):
-                estimate_averages(protocol, bad, trials)
-        assert estimate_averages(protocol, np.int64(3), trials) == estimate_averages(
+                estimate(protocol, bad, trials)
+        assert estimate(protocol, np.int64(3), trials) == estimate(
             protocol, 3, trials
         )

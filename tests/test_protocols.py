@@ -9,10 +9,17 @@ import pytest
 
 from risharvest import FEASIBLE, TIME_SPLITTING, UC_SPLITTING
 from risharvest.channel import coherent_snr
-from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
+from risharvest.optimizer import optimize_time_splitting, optimize_uc_splitting
 from risharvest.power import dynamic_power, total_consumption
 
-from conftest import allocation_harvest, curve_of, draw, drawn_rows, oracle_full_surface_snr
+from conftest import (
+    allocation_harvest,
+    curve_of,
+    draw,
+    drawn_rows,
+    estimate,
+    oracle_full_surface_snr,
+)
 
 
 def few_trials(cfg, seed=20240614, n=8):
@@ -23,27 +30,27 @@ def test_time_splitting_bounds_checked(cfg):
     trials = few_trials(cfg)
     for value in (9001, -1):
         with pytest.raises(ValueError, match="allocation value"):
-            estimate_averages(TIME_SPLITTING, value, trials)
+            estimate(TIME_SPLITTING, value, trials)
     with pytest.raises(ValueError, match="unknown protocol"):
-        estimate_averages("frequency_splitting", 0, trials)
+        estimate("frequency_splitting", 0, trials)
 
 
 def test_uc_splitting_bounds_checked(cfg):
     trials = few_trials(cfg)
     for value in (226, -1):
         with pytest.raises(ValueError, match="allocation value"):
-            estimate_averages(UC_SPLITTING, value, trials)
+            estimate(UC_SPLITTING, value, trials)
 
 
 def test_time_splitting_full_harvest_kills_rate(cfg):
-    rate, _ = estimate_averages(TIME_SPLITTING, 9000, few_trials(cfg))
+    rate, _ = estimate(TIME_SPLITTING, 9000, few_trials(cfg))
     assert rate == 0.0
     assert allocation_harvest(TIME_SPLITTING, 9000, cfg) > 0.0
 
 
 def test_time_splitting_no_harvest(cfg):
     n, seed = 8, 3
-    rate, _ = estimate_averages(TIME_SPLITTING, 0, few_trials(cfg, seed, n))
+    rate, _ = estimate(TIME_SPLITTING, 0, few_trials(cfg, seed, n))
     assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
     # the draw's own rows, which keeping every column makes the sampler's
     rows = drawn_rows(cfg, seed, n)
@@ -53,7 +60,7 @@ def test_time_splitting_no_harvest(cfg):
 
 
 def test_time_splitting_los_rate_closed_form(los_cfg):
-    rate, _ = estimate_averages(TIME_SPLITTING, 0, few_trials(los_cfg))
+    rate, _ = estimate(TIME_SPLITTING, 0, few_trials(los_cfg))
     expected = 0.9 * los_cfg.bandwidth * math.log2(1.0 + oracle_full_surface_snr(los_cfg))
     assert rate == pytest.approx(expected, rel=1e-9)
     assert rate == pytest.approx(2.9e9, rel=1e-2)
@@ -61,8 +68,8 @@ def test_time_splitting_los_rate_closed_form(los_cfg):
 
 def test_null_allocations_coincide_up_to_dynamic_power(cfg):
     trials = few_trials(cfg)
-    ts_rate, ts_ci = estimate_averages(TIME_SPLITTING, 0, trials)
-    uc_rate, uc_ci = estimate_averages(UC_SPLITTING, 0, trials)
+    ts_rate, ts_ci = estimate(TIME_SPLITTING, 0, trials)
+    uc_rate, uc_ci = estimate(UC_SPLITTING, 0, trials)
     assert ts_rate == pytest.approx(uc_rate, rel=1e-12)
     assert ts_ci == pytest.approx(uc_ci, rel=1e-12)
     assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
@@ -74,13 +81,13 @@ def test_null_allocations_coincide_up_to_dynamic_power(cfg):
 
 
 def test_uc_splitting_all_ucs_absorb(cfg):
-    assert estimate_averages(UC_SPLITTING, cfg.m_s, few_trials(cfg)) == (0.0, 0.0)
+    assert estimate(UC_SPLITTING, cfg.m_s, few_trials(cfg)) == (0.0, 0.0)
     assert allocation_harvest(UC_SPLITTING, cfg.m_s, cfg) > 0.0
 
 
 def test_uc_splitting_half_surface_snr_scaling(los_cfg):
     k = 112
-    rate, _ = estimate_averages(UC_SPLITTING, k, few_trials(los_cfg))
+    rate, _ = estimate(UC_SPLITTING, k, few_trials(los_cfg))
     m_s = los_cfg.m_s
     expected_snr = ((m_s - k) / m_s) ** 2 * oracle_full_surface_snr(los_cfg)
     expected_rate = 0.9 * los_cfg.bandwidth * math.log2(1.0 + expected_snr)
@@ -101,8 +108,8 @@ def test_time_splitting_rate_strictly_decreasing_in_eh_slots(cfg):
     for _ in range(100):
         lo = int(rng.integers(0, 9000))
         hi = int(rng.integers(lo + 1, 9001))
-        r_lo, _ = estimate_averages(TIME_SPLITTING, lo, trials)
-        r_hi, _ = estimate_averages(TIME_SPLITTING, hi, trials)
+        r_lo, _ = estimate(TIME_SPLITTING, lo, trials)
+        r_hi, _ = estimate(TIME_SPLITTING, hi, trials)
         assert r_hi < r_lo
         assert curve[hi] >= curve[lo]
 
@@ -114,8 +121,8 @@ def test_uc_splitting_rate_nonincreasing_in_k(cfg):
     for _ in range(100):
         lo = int(rng.integers(0, cfg.m_s))
         hi = int(rng.integers(lo + 1, cfg.m_s + 1))
-        r_lo, _ = estimate_averages(UC_SPLITTING, lo, trials)
-        r_hi, _ = estimate_averages(UC_SPLITTING, hi, trials)
+        r_lo, _ = estimate(UC_SPLITTING, lo, trials)
+        r_hi, _ = estimate(UC_SPLITTING, hi, trials)
         assert r_hi <= r_lo
         assert curve[hi] >= curve[lo]
 

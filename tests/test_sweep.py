@@ -487,12 +487,15 @@ def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_
 
 def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
     # the solves read no draw, so every (point, protocol) is solved once
-    # before the single draw, and each distinct (protocol, value) is
-    # estimated once after it
+    # before the single draw; after it, at most one estimate per protocol
+    # takes that protocol's distinct values, so each distinct (protocol,
+    # value) is estimated once
     calls = []
 
     def recording(name, function):
         def wrapper(*args, **kwargs):
+            if name == "estimate_averages":
+                args = (args[0], list(args[1]), *args[2:])
             result = function(*args, **kwargs)
             calls.append((name, args, result))
             return result
@@ -516,9 +519,13 @@ def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
                 for name in ("optimize_time_splitting", "optimize_uc_splitting")]
     assert sorted(solves) == sorted(expected)
     assert set(names[draw + 1 :]) == {"estimate_averages"}
-    estimates = [args[:2] for _, args, _ in calls[draw + 1 :]]
+    protocols = [args[0] for _, args, _ in calls[draw + 1 :]]
+    assert len(protocols) == len(set(protocols))
+    assert all(len(result) == len(args[1]) for _, args, result in calls[draw + 1 :])
+    estimates = [(args[0], value) for _, args, _ in calls[draw + 1 :] for value in args[1]]
     values = {(result.protocol, result.optimal_allocation) for _, _, result in calls[:draw]}
-    assert sorted(estimates) == sorted(values)
+    assert len(estimates) == len(set(estimates))
+    assert set(estimates) == values
     assert len(estimates) < len(solves)
 
 
