@@ -50,7 +50,9 @@ does not keep: it draws each segment as one value from the one word of its
 first UC, UC lo + 1. A one-UC segment is that UC's amplitude, by the transform
 above; a longer one is the value of the law of a sum of k - lo Rice
 amplitudes (``_tail_table``) that the word picks by its inverse CDF, found
-through a guide table (Chen and Asau, 1974). A trial thus costs one word
+through a guide table (Chen and Asau, 1974). Every law of one K is built
+from one amplitude's cell masses, evaluated once per K (``_rice_cells``).
+A trial thus costs one word
 per kept column, whatever m_s, and a kept column depends only on the
 seed, its trial and the kept columns at or below it: keeping every column
 gives the running sums of ``sample_amplitudes`` bit for bit. The draw runs
@@ -58,6 +60,7 @@ on the calling thread, a block of trials at a time, so its temporaries do
 not grow with the trial count, and it holds one law at a time.
 """
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -85,14 +88,15 @@ _HALF_PI_STEP = float(np.float32(math.pi / 2.0)) * 2.0**-24
 _DRAW_BLOCK_VALUES = 1 << 14
 
 # The law of a sum of n unit-power Rice amplitudes (_tail_table), in units of
-# sigma about the LoS amplitude c: one amplitude is cut to c +- 8 sigma; the
-# sum's table has 2^13 cells spanning 24 sqrt(n), at least 24 of its standard
-# deviations, as one amplitude's is at most sigma; and one amplitude's cells
-# are at most 1/32 wide.
+# sigma about the LoS amplitude c: one amplitude is cut to c +- 8 sigma on
+# cells _TAIL_UNIT wide; the sum's table has 2^13 points spanning at least
+# 24 sqrt(n), at least 24 of its standard deviations; a law's cells are at
+# most 1/32 wide.
 _TAIL_CUT = 8.0
 _TAIL_CELLS = 1 << 13
 _TAIL_WINDOW = 12.0
-_TAIL_FINE_CELL = 1.0 / 32.0
+_TAIL_UNIT = 2.0 * _TAIL_WINDOW * math.sqrt(2.0) / _TAIL_CELLS
+_TAIL_GROUP = math.floor(1.0 / 32.0 / _TAIL_UNIT)  # 7 cells to a law's cell at most
 # The three-point Gauss-Legendre rule on a cell [-1/2, 1/2]: (node, weight) pairs.
 _GAUSS_RULE = ((-math.sqrt(0.15), 5.0 / 18.0), (0.0, 8.0 / 18.0), (math.sqrt(0.15), 5.0 / 18.0))
 
@@ -238,6 +242,25 @@ def _rice_density(z: np.ndarray, beta: float) -> np.ndarray:
     return scaled * np.exp(-0.5 * z * z)
 
 
+@functools.lru_cache(maxsize=8)
+def _rice_cells(k: float) -> tuple[np.ndarray, float]:
+    """Masses of one unit-power Rice amplitude at finite K on cells ``_TAIL_UNIT`` wide, and their lower end.
+
+    z = (|g| - c) / sigma is cut to [low, 8], low = max(-8, -beta), dropping
+    below e^{-32} = 1.3e-14 (|z| is at most a complex normal's modulus); cell
+    i spans low + [i, i + 1] h, so no index grows with K. Each mass is a
+    three-point Gauss-Legendre rule of ``_rice_density``, one node at a time;
+    they sum to 1, cached per K, read-only.
+    """
+    beta = math.sqrt(2.0) * math.sqrt(k)
+    low = max(-_TAIL_CUT, -beta)
+    centres = low + _TAIL_UNIT * (np.arange(math.ceil((_TAIL_CUT - low) / _TAIL_UNIT)) + 0.5)
+    mass = sum(w * _rice_density(centres + _TAIL_UNIT * z, beta) for z, w in _GAUSS_RULE)
+    mass /= mass.sum()
+    mass.setflags(write=False)
+    return mass, low
+
+
 def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The law of a sum of n i.i.d. unit-power Rice amplitudes at Rician factor k, as a table.
 
@@ -245,54 +268,46 @@ def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``values[searchsorted(cdf, u, side="right")]``, every value >= 0, and
     cdf[-1] is exactly 1. K = inf gives the point mass n c, c = 1, as one
     entry. Otherwise the table is a lattice of the sum's law in units of
-    sigma about n c:
+    sigma about n c, built from ``_rice_cells(k)``, cells h wide, so a law
+    is a pure function of (K, n). With s0 = ceil(sqrt(n / 2)),
+    r = ceil(s0 / 7) and q = ceil(s0 / r), it is a cyclic window of 2^13
+    points q r h >= 24 sqrt(n) / 2^13 apart, from 12 sqrt(n) below n E[z]
+    (or the sum's lower end, if higher). One amplitude is taken on cells of
+    q summed, at most 1/32 wide, so the transform of their masses at the
+    window's frequencies is r rFFTs of 2^13 points (1 up to n = 98).
+    Dividing out the transform of a cell's box gives one amplitude's
+    characteristic function, whose n-th power the inverse rFFT turns into
+    the sum's density at the window's points; each point carries that
+    density. (The n-th power of the cells' own transform would be a sum of
+    n rounded amplitudes, n cells^2 / 12 too wide in variance.)
 
-    - One amplitude's law is cut to z = (|g| - c) / sigma in
-      [max(-8, -beta), 8], which drops a mass below e^{-32} = 1.3e-14
-      (|z| is at most the modulus of a complex normal), and split into cells
-      of width at most 1/32, each mass a three-point Gauss-Legendre rule of
-      ``_rice_density``. Cells are indexed from that lower end, never from 0,
-      so no index grows with K.
-    - The table is a cyclic window of 2^13 points 24 sqrt(n) / 2^13
-      apart, from 12 sqrt(n) below n E[z] (or from the sum's lower end, if
-      that is higher). One amplitude's cells are a whole fraction of that
-      spacing, so the transform of their masses at the window's frequencies
-      is one rFFT of 2^13 points per offset within a spacing. Dividing out
-      the transform of a cell's box gives one amplitude's characteristic
-      function, whose n-th power the inverse rFFT turns into the exact sum's
-      density at the window's points; each point carries that density.
-      Raising the cells' own transform to the n-th power instead would give
-      a sum of n rounded amplitudes, whose variance is n cells^2 / 12 too
-      large. Only the number of offsets grows with n, not the table.
-
-    Error bound. The mass the window leaves out, below 2 e^{-72} (z is
-    1-Lipschitz in the two normals of the amplitude, so the sum's deviation
-    from its mean is sub-Gaussian with variance proxy n), lands on its other
-    end; the cut above drops 1.3e-14; a drawn value is a lattice point,
-    within about half a spacing, 12 sqrt(n) / 2^13 sigma, of the exact law's
-    quantile at the same u. Against the Rice moments (scipy) for K in
-    {0, 0.5, 2, 10, 100, 1e3, 1e6} and n from 2 to 10^6, the table's mean
-    was within 2e-10 of a standard deviation of n times the Rice mean, and
-    its variance within 3e-8 of n times the Rice variance. ``draw_trials``
-    reads the table only for n >= 2; one amplitude it draws exactly.
+    Error bound. The window leaves out below 2 e^{-72} (z is 1-Lipschitz in
+    the amplitude's two normals, so the sum is sub-Gaussian about its mean
+    with variance proxy n), which lands on its other end; the cut drops
+    1.3e-14; a drawn value is within half a spacing of the exact law's
+    quantile at the same u. Against the Rice moments (scipy), K in
+    {0, 0.5, 2, 10, 100, 1e3, 1e6}, every n from 2 to 400 and 60 more up to
+    10^6: variance within 5.2e-8 of n times the Rice variance; mean within
+    1.3e-10 of a standard deviation of n times the Rice mean up to K = 1e3,
+    1.3e-9 at K = 1e6 (float64 rounding of the transforms, growing with n).
+    ``draw_trials`` reads the table only for n >= 2.
     """
     diffuse = 1.0 / (k + 1.0)
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
     if sigma == 0.0:
         return np.ones(1), np.array([n * los])
-    beta = math.sqrt(2.0) * math.sqrt(k)
-    low = max(-_TAIL_CUT, -beta)
-    width = 2.0 * _TAIL_WINDOW * math.sqrt(n) / _TAIL_CELLS
-    split = math.ceil(width / _TAIL_FINE_CELL)  # small cells per window cell
-    cell = width / split
-    centres = low + cell * (np.arange(math.ceil((_TAIL_CUT - low) / cell)) + 0.5)
-    mass = sum(w * _rice_density(centres + cell * z, beta) for z, w in _GAUSS_RULE)
-    mass /= mass.sum()
+    fine, low = _rice_cells(k)
+    least = math.isqrt((n + 1) // 2 - 1) + 1  # ceil(sqrt(n / 2))
+    split = -(-least // _TAIL_GROUP)  # cells per window spacing, r
+    group = -(-least // split)  # shared cells per cell, q
+    cell, width = group * _TAIL_UNIT, group * split * _TAIL_UNIT
+    mass = np.add.reduceat(fine, np.arange(0, fine.size, group))
+    centres = low + cell * (np.arange(mass.size) + 0.5)
     from numpy import fft  # loaded here, so that importing the package does not load it
 
     freq = np.arange(_TAIL_CELLS // 2 + 1)
-    spectrum = np.zeros(freq.size, complex)
-    for b in range(min(split, mass.size)):
+    spectrum = fft.rfft(mass[::split], _TAIL_CELLS)
+    for b in range(1, min(split, mass.size)):
         phase = np.exp(-2j * math.pi * b / (split * _TAIL_CELLS) * freq)
         spectrum += fft.rfft(mass[b::split], _TAIL_CELLS) * phase
     with np.errstate(divide="ignore"):  # a zero bin stays 0
@@ -311,8 +326,12 @@ def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _guide(cdf: np.ndarray) -> np.ndarray:
-    """The guide table of ``cdf`` (Chen and Asau, 1974): entry j is the first index whose cdf exceeds j 2^-13."""
-    return np.searchsorted(cdf, np.arange(_TAIL_CELLS) / _TAIL_CELLS, side="right")
+    """The guide table of ``cdf`` (Chen and Asau, 1974): entry j is the first index whose cdf exceeds j 2^-13.
+
+    That is the number of entries with ceil(cdf 2^13) <= j, as 2^13 scales exactly.
+    """
+    counts = np.bincount(np.ceil(cdf * _TAIL_CELLS).astype(np.intp), minlength=_TAIL_CELLS + 1)
+    return np.cumsum(counts[:_TAIL_CELLS])
 
 
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -467,10 +486,17 @@ def coherent_snr(amplitude, cfg: ScenarioConfig):
     return cfg.tx_power * amplitude**2 / cfg.noise_power
 
 
-def shannon_rate(payload_slots: int, snr, cfg: ScenarioConfig):
+def shannon_rate(payload_slots: int, snr, cfg: ScenarioConfig, *, log_term=None):
     """Frame-averaged rate (bits/s) when ``payload_slots`` slots carry data.
 
-    ``snr`` may be a scalar or an array of per-draw SNRs.
+    ``snr`` may be a scalar or an array of per-draw SNRs. ``log_term``, if
+    given, is their ``spectral_efficiency``, formed once for many slot counts.
     """
-    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * np.log2(1.0 + snr)
+    if log_term is None:
+        log_term = spectral_efficiency(snr)
+    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * log_term
 
+
+def spectral_efficiency(snr):
+    """log2(1 + snr), the log term of ``shannon_rate``."""
+    return np.log2(1.0 + snr)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TrialChannels, coherent_snr, shannon_rate
+from .channel import TrialChannels, coherent_snr, shannon_rate, spectral_efficiency
 from .harvesting import harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
@@ -138,7 +138,8 @@ def estimate_averages(protocol: str, values, trials: TrialChannels) -> list[tupl
     ``_ESTIMATE_BLOCK_VALUES // n_trials`` values (at least one) are formed
     at a time, one C-contiguous row per value, and each row is reduced as a
     1-D array of its rates would be, so an estimate is the same bit for bit
-    whatever list, and whatever place in it, the value comes in.
+    whatever list, and whatever place in it, the value comes in. Time
+    splitting forms the full surface's log2(1 + SNR) once.
 
     Every value is checked before any rate is formed. Raises ValueError
     when one is not an integer in 0..vmax (a bool is not), or when
@@ -166,15 +167,15 @@ def estimate_averages(protocol: str, values, trials: TrialChannels) -> list[tupl
     with np.errstate(over="ignore", invalid="ignore"):
         if time_splitting and values:
             snr = coherent_snr(trials.amp_total, cfg)
+            log_term = spectral_efficiency(snr)
         for start in range(0, len(values), rows):
             block = values[start : start + rows]
             if time_splitting:
-                # A column of payload slot counts against one row of SNRs:
-                # log2(1 + SNR) is formed once a block, and each row scales
-                # it. The counts are exact as float64 below 2^53 slots, so
-                # the slot ratio rounds as the ratio of the ints does.
+                # A column of payload slot counts against one row of SNRs.
+                # The counts are exact as float64 below 2^53 slots, so the
+                # slot ratio rounds as the ratio of the ints does.
                 payload = np.array([post - value for value in block], float)[:, np.newaxis]
-                rates = shannon_rate(payload, snr, cfg)
+                rates = shannon_rate(payload, snr, cfg, log_term=log_term)
             else:
                 rates = shannon_rate(post, coherent_snr(trials.reflecting_sum(block), cfg), cfg)
             averages = rates.mean(axis=1).tolist()

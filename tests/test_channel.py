@@ -370,9 +370,13 @@ def test_tail_law_matches_sums_of_sampled_amplitudes(k, n):
 def test_tail_law_moments_are_n_times_the_rice_moments(k):
     # the table's mean is n times the Rice mean within 1e-9 of its standard
     # deviation, and its variance n times the Rice variance within 1e-7; the
-    # draw reads no table for one UC
+    # draw reads no table for one UC. The lengths include both sides of
+    # seams of the law's cells: a cell of 1 then 2 shared cells (n = 2, 3),
+    # one offset of 7 then two of 4 (98, 99), two of 4 then of 5 (128, 129),
+    # two of 7 then three of 5 (392, 393), and 113 and 114, where the
+    # number of offsets went from 1 to 2 when each law had its own cells
     mean, var = unit_power_moments(k)
-    for n in (2, 7, 225, 3600, 10**6):
+    for n in (2, 3, 7, 98, 99, 113, 114, 128, 129, 225, 392, 393, 3600, 10**6):
         cdf, values = _tail_table(k, n)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0) and np.all(values >= 0.0)
         mass = np.diff(cdf, prepend=0.0)
@@ -405,6 +409,36 @@ def test_tail_law_holds_at_any_finite_k(k):
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
         assert np.diff(cdf, prepend=0.0) @ values == pytest.approx(n, rel=1e-5)
+
+
+@pytest.mark.parametrize("k, n", [(10.0, 2), (10.0, 99), (0.0, 7), (0.0, 3600)])
+def test_a_law_is_a_pure_function_of_k_and_n(k, n):
+    # every law of one K reads that K's cached cell masses, yet a table is
+    # the same bit for bit built cold, after laws of other lengths, and
+    # after another K's masses were made first
+    risharvest.channel._rice_cells.cache_clear()
+    cold = _tail_table(k, n)
+    for other in (3, 113, 10**5):
+        _tail_table(k, other)
+    after_lengths = _tail_table(k, n)
+    risharvest.channel._rice_cells.cache_clear()
+    _tail_table(2.0, n)
+    after_k = _tail_table(k, n)
+    for table in (after_lengths, after_k):
+        assert all(np.array_equal(a, b) for a, b in zip(cold, table))
+
+
+def test_a_shorter_segment_above_leaves_every_lower_column_unchanged():
+    # kept column 102 above column 100 makes a segment of 2 UCs, shorter
+    # than any below it, and column 103 one of 3; the columns at or below
+    # 100 stay the same bit for bit, drawn with the laws' masses cached or cold
+    cfg = ScenarioConfig(mc_trials=2000, rng_seed=606)
+    below = draw_trials(cfg, columns=[7, 40, 100]).amp_prefix[:, :3]
+    for above in ([102], [103, 150]):
+        risharvest.channel._rice_cells.cache_clear()
+        trials = draw_trials(cfg, columns=[7, 40, 100, *above])
+        assert trials.columns[:3] == (7, 40, 100)
+        assert np.array_equal(trials.amp_prefix[:, :3], below), above
 
 
 def test_tail_draw_memory_does_not_grow_with_the_surface():
@@ -493,6 +527,7 @@ def test_guided_search_is_searchsorted_bit_for_bit():
             np.random.default_rng(5).random(10**5),
         ])
         expected = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(_guide(cdf), np.searchsorted(cdf, edges, side="right"))
         assert np.array_equal(_guided_search(cdf, _guide(cdf), u), expected)
         # a 2-D block of uniforms gives the same indices in its shape
         block = u[: 2 * (u.size // 2)].reshape(2, -1)
