@@ -19,11 +19,11 @@ The machinery lives in its modules. ``scenario`` is the one home of the
 configuration and of the link budget derived from it. ``channel``,
 ``harvesting`` and ``power`` give the rate, harvest and consumption
 formulas, one each; ``channel`` also owns the seeded Monte-Carlo draw
-(``draw_trials``, ``sample_amplitudes``). ``optimizer`` solves each
-allocation from the harvest and the consumption alone, with no channel
-draw (``optimize_time_splitting``, ``optimize_uc_splitting``), and
-estimates the Monte-Carlo rate of one allocation over a draw
-(``estimate_averages``).
+(``draw_trials``). ``optimizer`` solves each allocation from the harvest
+and the consumption alone, with no channel draw
+(``optimize_time_splitting``, ``optimize_uc_splitting``), and estimates
+the Monte-Carlo rates of a protocol's allocations over one draw, in one
+call (``estimate_averages``).
 """
 
 from .optimizer import FEASIBLE, INFEASIBLE

@@ -6,27 +6,15 @@ absorbed power and the noise power. The TX side is deterministic free space
 under far-field plane-wave incidence, so every UC sees the same |h|^2. The
 RIS-RX side is Rician with i.i.d. diffuse components across UCs. Every
 quantity the package computes from the link uses only the amplitudes
-|h||g_i|, so only those are drawn. A common
+|h||g_i|, so only sums of them are drawn. A common
 line-of-sight phase theta is not drawn either: CN(0,1) is circularly
 symmetric, so |c e^{j theta} + sigma d_i| has the same joint law as
 |c + sigma d_i e^{-j theta}|, which does not depend on theta.
 
-The diffuse part is never formed as two normals. By the Box-Muller
-transform (Box and Muller, 1958), R = sqrt(-2 log(1 - u1)) and an angle
-uniform on [0, 2 pi) give a pair of independent standard normals
-(R cos, R sin), and |c + sigma (x + j y)|^2 = c^2 + 2 c sigma x + sigma^2 R^2
-reads the angle only through the cosine in x. cos(2 pi u), cos(pi u) and
--cos(pi u) share one (arcsine) law, so one uniform u2 on [0, 1) serves,
-and c^2 + sigma^2 R^2 - 2 c sigma R cos(pi u2) is written in its half-angle
-form (c - sigma R)^2 + 4 c sigma R sin^2(pi u2 / 2), a sum of two
-nonnegative terms that loses nothing to cancellation. Each amplitude thus
-costs one random 64-bit word, a float64 log for its radius, a float32 sine
-for its angle, and two square roots.
-
-The words are counter-based: the amplitude of trial t at UC i reads output
-number t m_s + i + 1 of a SplitMix64 stream (Steele, Lea and Flood, OOPSLA
+The words are counter-based: trial t reads, for UC i (1-based), output
+number t m_s + i of a SplitMix64 stream (Steele, Lea and Flood, OOPSLA
 2014) whose state starts at the seed, that is the state
-seed + (t m_s + i + 1) gamma mod 2^64 passed through the finalizer of
+seed + (t m_s + i) gamma mod 2^64 passed through the finalizer of
 Vigna's ``splitmix64.c``. Every word is thus a pure function of (seed,
 trial, UC) and a block of words is a fixed handful of whole-array numpy
 ``uint64`` operations on its counters, with no generator state to carry
@@ -47,17 +35,17 @@ layout-dependent quantity a rate estimate reads. Between two kept columns
 lo < k lies the sum of the amplitudes of UCs lo + 1..k, i.i.d. and
 independent of every other such segment, so the draw forms no amplitude it
 does not keep: it draws each segment as one value from the one word of its
-first UC, UC lo + 1. A one-UC segment is that UC's amplitude, by the transform
-above; a longer one is the value of the law of a sum of k - lo Rice
-amplitudes (``_tail_table``) that the word picks by its inverse CDF, found
-through a guide table (Chen and Asau, 1974). Every law of one K is built
-from one amplitude's cell masses, evaluated once per K (``_rice_cells``).
-A trial thus costs one word
-per kept column, whatever m_s, and a kept column depends only on the
-seed, its trial and the kept columns at or below it: keeping every column
-gives the running sums of ``sample_amplitudes`` bit for bit. The draw runs
-on the calling thread, a block of trials at a time, so its temporaries do
-not grow with the trial count, and it holds one law at a time.
+first UC, UC lo + 1. The value is that of the law of a sum of n = k - lo
+Rice amplitudes (``_tail_table``, one law per n) that the word's top 53
+bits pick by its inverse CDF, found through a guide table (Chen and Asau,
+1974). Every law of one K is built from one amplitude's masses on narrow
+cells, evaluated once per K (``_rice_cells``): the law of one UC is those
+cells, and a longer segment's is a lattice law of the sum, built from
+them by rFFT. A trial thus costs one word per kept column, whatever m_s,
+and a kept column depends only on the seed, its trial and the kept
+columns at or below it. The draw runs on the calling thread, a block of
+trials at a time, so its temporaries do not grow with the trial count,
+and it holds one law at a time.
 """
 
 import functools
@@ -74,12 +62,6 @@ _MASK64 = (1 << 64) - 1
 # shifts and multipliers of its finalizer (Vigna's splitmix64.c).
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
-# A word's top 24 bits are its angle integer, its low 40 bits its radius integer.
-_RADIUS_BITS = 40
-# pi/2 as numpy's float32 rounds it, scaled to the 2^-24 grid of the angle
-# integer; exact in float32, so the angle integer times it rounds as the
-# float32 uniform k 2^-24 times float32(pi/2) does.
-_HALF_PI_STEP = float(np.float32(math.pi / 2.0)) * 2.0**-24
 # Words drawn per block of trials in draw_trials (at least one trial). A
 # block's temporaries take at most 32 bytes a word, 512 KiB, whatever the
 # trial count and m_s. Blocks of 2^16 words were no faster in CLI sweeps of
@@ -130,90 +112,6 @@ def _words(cfg: ScenarioConfig, start: int, stop: int, ucs: np.ndarray) -> np.nd
     """
     counters = np.add.outer(np.arange(start, stop, dtype=np.uint64) * np.uint64(cfg.m_s), ucs)
     return _splitmix64(cfg.rng_seed, counters)
-
-
-def sample_amplitudes(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
-    """Draw the channels of trials [start, stop): a new (stop - start, m_s) array of |h||g_i|.
-
-    The amplitude of trial t at UC i is ``_amplitudes`` of one SplitMix64
-    word of ``cfg.rng_seed``, output number t m_s + i + 1. A row is
-    therefore a function of the seed and its trial index alone, and trials
-    [a, b) then [b, c) equal trials [a, c). ``draw_trials`` reads the same
-    word for a UC it keeps on its own.
-
-    Raises ValueError when ``start`` or ``stop`` is not an integer (a bool
-    is not), when ``start`` is negative or when ``stop`` is below it.
-    """
-    for name, bound, least in (("start", start, 0), ("stop", stop, start)):
-        if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {bound!r}")
-    # Python ints on, so that no numpy integer scalar reaches the stream's key arithmetic.
-    ucs = np.arange(1, cfg.m_s + 1, dtype=np.uint64)
-    return _amplitudes(cfg, _words(cfg, int(start), int(stop), ucs))
-
-
-def _amplitudes(cfg: ScenarioConfig, words: np.ndarray) -> np.ndarray:
-    """The amplitudes |h||g| that the uint64 array ``words`` draws, a new float64 array; ``words`` is overwritten.
-
-    |g| = sqrt(E[|g|^2]) sqrt((c - sigma R)^2 + 4 c sigma R sin^2(pi v / 2))
-    with c = sqrt(K/(K+1)), sigma^2 = 1/(2(K+1)) per diffuse component and
-    R = sqrt(-2 log(1 - u)): the Box-Muller magnitude of
-    |c + sigma (x + j y)| for standard normals x, y (see the module
-    docstring). A word's top 24 bits are the angle integer k, v = k 2^-24,
-    and its low 40 bits the radius integer j, u = j 2^-40. An infinite K
-    gives sigma = 0, so the amplitude is c = 1 before the final scaling by
-    sqrt(|h|^2 E|g|^2), the pure LoS gain exactly.
-
-    u lies on a 2^-40 grid, so 1 - u >= 2^-40 and R <= sqrt(80 ln 2), about
-    7.45: the draw truncates the Rayleigh tail beyond that, which holds
-    2^-40 (about 9e-13) of the mass.
-
-    The radius and the sum are float64; the angle is float32 throughout.
-    k is exact in float32 and v lies on the 2^-24 grid of numpy's float32
-    uniforms, and pi v / 2, its sine, the square and the factor 4c are
-    float32 with numpy's SIMD float32 kernels. The product with sigma R runs
-    in float64 and is rounded to float32 once. The sine enters only the
-    nonnegative second term, so the float32 roundings stay relative: each
-    amplitude is within about 2.1e-7 of the float64 transform of the same
-    uniforms, relative to itself (at most 2.08e-7 over 2.9e7 amplitudes at
-    K in {0.5, 1, 2, 10}, on numpy's AVX-512, AVX2 and baseline kernels
-    alike; 0 at K = inf), far below the Monte-Carlo error of any average.
-    The words are exact integers on every machine, but the last bits of an
-    amplitude depend on which SIMD kernels numpy dispatches for the sine,
-    the log and the square roots. Each amplitude depends on its word alone,
-    not on the shape of ``words``. Besides ``words`` the transform holds
-    12 bytes a word, and the float64 loop over the float32 plane casts
-    through numpy's ufunc buffers.
-    """
-    diffuse = 1.0 / (cfg.rician_k + 1.0)  # diffuse share of E[|g|^2]; 0 at K = inf
-    los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
-    radius = np.empty(words.shape)
-    # Both integers are below 2^63, so they are cast from int64 views, which
-    # numpy converts about twice as fast as uint64.
-    np.right_shift(words, np.uint64(_RADIUS_BITS), out=radius.view(np.uint64))  # k
-    sines = radius.view(np.int64).astype(np.float32)  # exact: k < 2^24
-    # With its top 24 bits set a word reads as the int64 j - 2^40, so its
-    # product with -2^-40 is 1 - u = 1 - j 2^-40, exactly; log(1 - u) is
-    # thus log1p(-u) to within rounding, and numpy's float64 log is faster
-    # than its log1p, about twice as fast on machines without AVX-512.
-    np.bitwise_or(words, np.uint64(_MASK64 ^ ((1 << _RADIUS_BITS) - 1)), out=words)
-    np.copyto(radius, words.view(np.int64), casting="unsafe")
-    radius *= -(2.0**-_RADIUS_BITS)  # 1 - u
-    np.log(radius, out=radius)
-    radius *= -2.0 * sigma * sigma
-    np.sqrt(radius, out=radius)  # sigma R
-    sines *= _HALF_PI_STEP  # pi v / 2, rounded as v float32(pi / 2)
-    np.sin(sines, out=sines)
-    sines *= sines
-    sines *= 4.0 * los
-    # A float64 loop, so sigma R is not rounded to float32 before the product.
-    np.multiply(sines, radius, out=sines, casting="same_kind")  # 4 c sigma R sin^2
-    radius -= los
-    radius *= radius
-    radius += sines
-    amp = np.sqrt(radius, out=radius)
-    amp *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
-    return amp
 
 
 def _rice_density(z: np.ndarray, beta: float) -> np.ndarray:
@@ -267,9 +165,11 @@ def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (cdf, values), both nondecreasing: a uniform u in [0, 1) draws
     ``values[searchsorted(cdf, u, side="right")]``, every value >= 0, and
     cdf[-1] is exactly 1. K = inf gives the point mass n c, c = 1, as one
-    entry. Otherwise the table is a lattice of the sum's law in units of
-    sigma about n c, built from ``_rice_cells(k)``, cells h wide, so a law
-    is a pure function of (K, n). With s0 = ceil(sqrt(n / 2)),
+    entry. At finite K the table is built from ``_rice_cells(k)``, cells h
+    wide in units of sigma, so a law is a pure function of (K, n). One
+    amplitude (n = 1) is those cells, each valued c + sigma times its
+    centre, with no transform. For n >= 2 the table is a lattice of the
+    sum's law in units of sigma about n c. With s0 = ceil(sqrt(n / 2)),
     r = ceil(s0 / 7) and q = ceil(s0 / r), it is a cyclic window of 2^13
     points q r h >= 24 sqrt(n) / 2^13 apart, from 12 sqrt(n) below n E[z]
     (or the sum's lower end, if higher). One amplitude is taken on cells of
@@ -286,17 +186,24 @@ def _tail_table(k: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     with variance proxy n), which lands on its other end; the cut drops
     1.3e-14; a drawn value is within half a spacing of the exact law's
     quantile at the same u. Against the Rice moments (scipy), K in
-    {0, 0.5, 2, 10, 100, 1e3, 1e6}, every n from 2 to 400 and 60 more up to
-    10^6: variance within 5.2e-8 of n times the Rice variance; mean within
-    1.3e-10 of a standard deviation of n times the Rice mean up to K = 1e3,
-    1.3e-9 at K = 1e6 (float64 rounding of the transforms, growing with n).
-    ``draw_trials`` reads the table only for n >= 2.
+    {0, 0.5, 2, 10, 100, 1e3, 1e6}: at n = 1, the mean within 1.6e-13 of a
+    standard deviation, and the variance within 6.4e-10 of the Rice
+    variance plus (h sigma)^2 / 12, the Sheppard excess of cells h sigma
+    wide (1.4e-6 to 3.3e-6 of the Rice variance); at every n from 2 to
+    400 and 60 more up to 10^6, the variance within 5.2e-8 of n times the
+    Rice variance, and the mean within 1.3e-10 of a standard deviation of
+    n times the Rice mean up to K = 1e3, 1.3e-9 at K = 1e6 (float64
+    rounding of the transforms, growing with n).
     """
     diffuse = 1.0 / (k + 1.0)
     los, sigma = math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
     if sigma == 0.0:
         return np.ones(1), np.array([n * los])
     fine, low = _rice_cells(k)
+    if n == 1:
+        cdf = np.cumsum(fine)
+        cdf /= cdf[-1]
+        return cdf, los + sigma * (low + _TAIL_UNIT * (np.arange(fine.size) + 0.5))
     least = math.isqrt((n + 1) // 2 - 1) + 1  # ceil(sqrt(n / 2))
     split = -(-least // _TAIL_GROUP)  # cells per window spacing, r
     group = -(-least // split)  # shared cells per cell, q
@@ -356,31 +263,26 @@ def _draw_segments(cfg: ScenarioConfig, length: int, segments, prefix: np.ndarra
 
     ``segments`` lists (column, first UC) pairs: column j of trial t gets
     the sum of |h||g_i| over UCs f..f + length - 1 (1-based), drawn from one
-    SplitMix64 word, output number t m_s + f, the word ``sample_amplitudes``
-    reads for UC f. One UC is that amplitude (``_amplitudes``). Otherwise
-    the word's top 53 bits are a uniform u in [0, 1) that picks a value of
-    ``_tail_table(K, length)`` by its inverse CDF, scaled by
-    sqrt(|h|^2 E|g|^2). The trials are drawn ``_DRAW_BLOCK_VALUES // len(segments)``
-    at a time, so the words, the amplitudes and the lookup's indices of one
-    block, at most 32 bytes a word, are the only temporaries beside the law.
+    SplitMix64 word, output number t m_s + f. The word's top 53 bits are a
+    uniform u in [0, 1) that picks a value of ``_tail_table(K, length)`` by
+    its inverse CDF, scaled by sqrt(|h|^2 E|g|^2). The trials are drawn
+    ``_DRAW_BLOCK_VALUES // len(segments)`` at a time, so the words, the
+    uniforms and the lookup's indices of one block, at most 32 bytes a
+    word, are the only temporaries beside the law.
     """
     columns = [j for j, _ in segments]
     ucs = np.array([f for _, f in segments], np.uint64)
-    if length > 1:
-        cdf, values = _tail_table(cfg.rician_k, length)
-        values *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
-        guide = _guide(cdf)
+    cdf, values = _tail_table(cfg.rician_k, length)
+    values *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    guide = _guide(cdf)
     block = max(1, _DRAW_BLOCK_VALUES // len(columns))
     for start in range(0, cfg.mc_trials, block):
         stop = min(start + block, cfg.mc_trials)
         words = _words(cfg, start, stop, ucs)
-        if length == 1:
-            prefix[start:stop, columns] = _amplitudes(cfg, words)
-        else:
-            words >>= np.uint64(11)
-            uniform = words.view(np.int64) * 2.0**-53  # below 2^53, so exact as int64 and float64
-            del words  # before the lookup, so that a block holds at most 32 bytes a word
-            prefix[start:stop, columns] = values[_guided_search(cdf, guide, uniform)]
+        words >>= np.uint64(11)
+        uniform = words.view(np.int64) * 2.0**-53  # below 2^53, so exact as int64 and float64
+        del words  # before the lookup, so that a block holds at most 32 bytes a word
+        prefix[start:stop, columns] = values[_guided_search(cdf, guide, uniform)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,14 +294,15 @@ class TrialChannels:
     each draw in row-major UC order; ``columns`` is sorted and always ends
     with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``.
     Each column is the one below it plus the sum of the UCs between the two,
-    drawn as one value (see ``draw_trials``). A sweep solves its grid from
-    the harvest first and keeps only the k those solves read. Readers need
-    not know that layout: ``reflecting_sum(ks)`` gives the coherent
-    amplitude over the UCs that still reflect when the first k absorb, a
-    row per k. Only amplitudes are drawn, because no computed quantity
-    depends on the common LoS phase (see the module docstring). Two draws
-    compare equal only when they are the same object, as comparing the
-    arrays elementwise has no truth value.
+    drawn as one value of that sum's law, a single UC's included (see
+    ``draw_trials``). A sweep solves its grid from the harvest first and
+    keeps only the k those solves read. Readers need not know that layout:
+    ``reflecting_sum(ks)`` gives the coherent amplitude over the UCs that
+    still reflect when the first k absorb, a row per k. Only amplitude sums
+    are drawn, because no computed quantity depends on the common LoS
+    phase (see the module docstring). Two draws compare equal only when
+    they are the same object, as comparing the arrays elementwise has no
+    truth value.
     """
 
     cfg: ScenarioConfig
@@ -442,9 +345,9 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
 
     Each kept column k > 0 is the kept column lo below it (0 for the first)
     plus the segment of UCs lo + 1..k, which ``_draw_segments`` draws per
-    trial as one value from the word of UC lo + 1: the amplitude itself for
-    one UC, else a value of the law of a sum of k - lo i.i.d. Rice
-    amplitudes (``_tail_table``, whose docstring bounds its error). Column 0
+    trial as one value from the word of UC lo + 1: a value of the law of a
+    sum of k - lo i.i.d. Rice amplitudes (``_tail_table``, whose docstring
+    bounds its error), one amplitude's cells for k - lo = 1. Column 0
     stays 0. The segments are drawn a length at a time, each law built once
     and freed before the next, and the prefix is then their running sum.
     The draw's memory is thus the prefix, one block of temporaries
@@ -452,11 +355,11 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
 
     A row depends only on the seed and its trial index, not on the trial
     count or the block size, and a kept column only on the kept columns at
-    or below it: a draw that keeps every column gives the running sums of
-    ``sample_amplitudes`` bit for bit, while a column above a segment of two
-    or more UCs holds a value of that segment's law, which depends on where
-    the segment starts. K = inf gives exactly n times the LoS gain for a
-    segment of n UCs.
+    or below it: a column holds the running sum of its segments' values,
+    which depend on where each segment starts. A draw that keeps every
+    column holds the running sums of one cell value per UC and needs no
+    transform. K = inf gives exactly n times the LoS gain for a segment of
+    n UCs.
     """
     m_s = cfg.m_s
     # One pass over ``columns``, which may be a one-shot iterable, into a

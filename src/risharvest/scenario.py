@@ -30,11 +30,14 @@ LINEAR_CLIPPED = "linear_clipped"
 SIGMOIDAL = "sigmoidal"
 RECTIFIER_KINDS = (LINEAR_CLIPPED, SIGMOIDAL)
 
-# A Rician draw gives |g_i|^2 / E|g|^2 = |los + sigma z|^2 <= (1 + |z|/sqrt(2))^2,
-# as los <= 1 and sigma <= 1/sqrt(2), with z complex standard normal. The
-# sampler draws |z| as R = sqrt(-2 log(1 - u)) from a uniform u on a 2^-40
-# grid, u <= 1 - 2^-40, so |z| <= sqrt(80 ln 2) < 7.45 and the ratio stays
-# below 40, well inside 1e3.
+# A drawn segment of n UCs is one value of its law (channel._tail_table)
+# times sqrt(|h|^2 E|g|^2). In those units, with the LoS amplitude c <= 1,
+# sigma <= 1/sqrt(2) per diffuse component and cells h sigma wide,
+# h = 24 sqrt(2) / 2^13, one UC's cells end at c + sigma (8 + h / 2) < 5.8,
+# and a longer law's window starts at or below n E|g| <= n and spans 2^13
+# points q r h sigma apart, q r <= 2 n / 3, so its values stay below
+# n + 24 q r <= 17 n (16.0 n at K = 0, n = 3). Taking every UC at
+# sqrt(1e3) > 31 times sqrt(|h|^2 E|g|^2) thus bounds every drawn sum.
 _RICIAN_PEAK_GAIN = 1e3
 # The harvest chain sums equal terms and scales them in another order than
 # the bounds below; that rounds up by a few ulps at most, far below 2x.

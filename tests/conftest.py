@@ -6,7 +6,7 @@ import pytest
 
 import risharvest.optimizer
 from risharvest import TIME_SPLITTING, ScenarioConfig
-from risharvest.channel import _amplitudes, _tail_table, draw_trials, sample_amplitudes
+from risharvest.channel import _tail_table, draw_trials
 from risharvest.harvesting import rectify
 
 # Independent constants for oracle arithmetic (kept separate from the package).
@@ -77,13 +77,10 @@ def splitmix64(seed, first, count):
 def segment(cfg, lo, k):
     """Per trial of ``cfg``, the sum of UCs lo + 1..k that ``draw_trials``
     adds to the kept column lo below it to make column k, rebuilt from the
-    pure-Python SplitMix64 word of UC lo + 1 (output t m_s + lo + 1): one
-    UC's amplitude by the sampler's transform, or else the value of the
-    segment's law that the word's top 53 bits pick by ``searchsorted``,
-    times the link gain."""
+    pure-Python SplitMix64 word of UC lo + 1 (output t m_s + lo + 1): the
+    value of the segment's law that the word's top 53 bits pick by
+    ``searchsorted``, times the link gain."""
     words = [splitmix64(cfg.rng_seed, t * cfg.m_s + lo, 1)[0] for t in range(cfg.mc_trials)]
-    if k - lo == 1:
-        return _amplitudes(cfg, np.array(words, np.uint64))
     cdf, values = _tail_table(cfg.rician_k, k - lo)
     values *= math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     u = np.array([word >> 11 for word in words]) * 2.0**-53
@@ -99,10 +96,10 @@ def rebuilt_prefix(cfg, kept):
 
 
 def drawn_rows(cfg, seed, n):
-    """The (n, m_s) rows a draw of every prefix column of ``cfg`` reads at
-    ``rng_seed = seed``: every segment is one UC, so they are the sampler's
-    rows of trials [0, n)."""
-    return sample_amplitudes(dataclasses.replace(cfg, rng_seed=seed, mc_trials=n), 0, n)
+    """The (n, m_s) amplitudes |h||g_i| of a draw of ``n`` trials of ``cfg``
+    at ``rng_seed = seed`` that keeps every prefix column: every segment is
+    one UC, so adjacent columns differ by one UC's amplitude."""
+    return np.diff(draw(cfg, seed, n).amp_prefix, axis=1)
 
 
 def allocation_harvest(protocol, value, cfg):

@@ -14,6 +14,7 @@ from scipy import special, stats
 import risharvest.channel
 from risharvest import ScenarioConfig
 from risharvest.channel import (
+    _TAIL_UNIT,
     _guide,
     _guided_search,
     _splitmix64,
@@ -21,11 +22,12 @@ from risharvest.channel import (
     _words,
     coherent_snr,
     draw_trials,
-    sample_amplitudes,
 )
+from risharvest.scenario import _RICIAN_PEAK_GAIN
 
 from conftest import (
     draw,
+    drawn_rows,
     oracle_free_space_gain,
     oracle_full_surface_snr,
     oracle_mean_rx_gain,
@@ -35,18 +37,8 @@ from conftest import (
 )
 
 
-def sampler_uniforms(seed, start, stop, m_s):
-    """The (u, v) float64 uniforms of trials [start, stop) that
-    ``sample_amplitudes`` draws, each (stop - start, m_s): from the low 40 and
-    the top 24 bits of the pure-Python SplitMix64 words."""
-    words = np.array(splitmix64(seed, start * m_s, (stop - start) * m_s), np.uint64)
-    u = (words & np.uint64((1 << 40) - 1)).astype(np.float64) * 2.0**-40
-    v = (words >> np.uint64(40)).astype(np.float64) * 2.0**-24
-    return u.reshape(-1, m_s), v.reshape(-1, m_s)
-
-
 def rician_mean_amplitude(mean_power, k):
-    """Analytic E[|g|] of the Rician law used by the sampler.
+    """Analytic E[|g|] of the Rician law of the RIS-RX amplitude.
 
     nu^2 = K/(K+1), per-component variance sigma^2 = 1/(2(K+1)); the mean is
     sigma*sqrt(pi/2)*L_{1/2}(-nu^2/(2 sigma^2)) scaled by sqrt(mean_power).
@@ -104,8 +96,9 @@ def seeded(cfg, seed):
 
 
 def g_amplitudes(cfg, n):
-    """|g_i| of n draws: the sampled cascaded amplitudes over the constant |h|."""
-    return sample_amplitudes(cfg, 0, n) / math.sqrt(cfg.free_space_uc_gain)
+    """|g_i| of n draws: the cascaded amplitudes of a draw that keeps every
+    prefix column, over the constant |h|."""
+    return drawn_rows(cfg, cfg.rng_seed, n) / math.sqrt(cfg.free_space_uc_gain)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20230816, 2**64 - 1])
@@ -127,50 +120,15 @@ def test_words_are_the_published_splitmix64_outputs():
 
 
 def test_uniforms_of_a_word_are_uniform_and_uncorrelated():
-    # over 10^6 words, the low-40-bit u and the top-24-bit v each pass a
-    # uniformity KS test, and their correlation is within 5 / sqrt(N)
-    words = _splitmix64(20230816, np.arange(1, 10**6 + 1, dtype=np.uint64))
-    u = (words & np.uint64((1 << 40) - 1)) * 2.0**-40
-    v = (words >> np.uint64(40)) * 2.0**-24
+    # over 10^6 words, the top-53-bit uniform u that a segment reads passes a
+    # uniformity KS test, as does v, that of the next word (the next segment
+    # of the same trial), and their correlation is within 5 / sqrt(N)
+    words = _splitmix64(20230816, np.arange(1, 10**6 + 2, dtype=np.uint64))
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    u, v = uniforms[:-1], uniforms[1:]
     assert stats.kstest(u, "uniform").pvalue > 0.001
     assert stats.kstest(v, "uniform").pvalue > 0.001
     assert abs(np.corrcoef(u, v)[0, 1]) < 5.0 / math.sqrt(words.size)
-
-
-def test_sample_amplitudes_shape_and_sign(cfg):
-    amp = sample_amplitudes(cfg, 0, 3)
-    assert amp.shape == (3, 225) and amp.dtype == np.float64
-    assert np.all(amp > 0.0)
-    assert sample_amplitudes(cfg, 5, 5).shape == (0, 225)
-
-
-@pytest.mark.parametrize(
-    "start, stop, name",
-    [
-        (-1, 2, "start"),  # would wrap the counter into another seed's words
-        (True, 2, "start"),
-        (2.5, 4, "start"),
-        ("0", 2, "start"),
-        (3, 1, "stop"),
-        (0, False, "stop"),
-        (0, 2.0, "stop"),
-        (np.int64(4), np.int64(3), "stop"),
-    ],
-    ids=["negative_start", "bool_start", "float_start", "str_start",
-         "stop_below_start", "bool_stop", "float_stop", "numpy_stop_below_start"],
-)
-def test_sample_amplitudes_rejects_bad_trial_bounds(cfg, start, stop, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
-        sample_amplitudes(cfg, start, stop)
-
-
-@pytest.mark.parametrize("integer", [np.int32, np.int64, np.uint64])
-def test_sample_amplitudes_takes_numpy_integer_bounds(cfg, integer):
-    # the check admits numpy integers, so they must draw the rows of the
-    # equal Python ints, with no overflow in the stream's key arithmetic
-    scfg = seeded(cfg, 7)
-    drawn = sample_amplitudes(scfg, integer(2), integer(5))
-    assert np.array_equal(drawn, sample_amplitudes(scfg, 2, 5))
 
 
 def test_draw_trials_reads_a_one_shot_columns_iterable():
@@ -198,57 +156,14 @@ def test_reflecting_sum_gives_a_contiguous_row_per_k_in_the_order_given():
         trials.reflecting_sum([5, 4])
 
 
-def test_sample_amplitudes_deterministic(cfg):
-    a = sample_amplitudes(seeded(cfg, 5), 0, 4)
-    b = sample_amplitudes(seeded(cfg, 5), 0, 4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_amplitudes(seeded(cfg, 6), 0, 4))
-
-
-def test_sample_amplitudes_continue_one_stream(cfg):
-    # trials [a, b) then [b, c) give the rows of trials [a, c), also where a
-    # call covers an odd count of words
-    scfg = seeded(cfg, 6)
-    whole = sample_amplitudes(scfg, 2, 11)
-    parts = [sample_amplitudes(scfg, a, b) for a, b in ((2, 3), (3, 8), (8, 11))]
-    assert np.array_equal(np.concatenate(parts), whole)
-
-
-def unit_link(k, m_s, seed):
-    """A link budget of 1 at Rician factor ``k``: the sampler's final scaling
-    is exact, so its output is the magnitude |c + sigma (x + j y)| itself."""
-    return SimpleNamespace(
-        rician_k=k, m_s=m_s, free_space_uc_gain=1.0, mean_ris_rx_gain=1.0, rng_seed=seed
-    )
-
-
 def los_and_sigma(k):
     diffuse = 1.0 / (k + 1.0)
     return math.sqrt(1.0 - diffuse), math.sqrt(diffuse / 2.0)
 
 
-@pytest.mark.parametrize("k", [0.5, 10.0, 1e3, math.inf])
-def test_magnitude_is_box_muller_of_the_same_uniforms(cfg, k):
-    # the reference is the float64 Box-Muller transform of the same words'
-    # uniforms u and v, from a pure-Python SplitMix64, in its textbook form,
-    # c^2 + sigma^2 R^2 - 2 c sigma R cos(pi v) with R = sqrt(-2 log1p(-u));
-    # the sampler's float32 angle arithmetic is what separates the two, as its
-    # log(1 - u) equals log1p(-u) to within rounding
-    amp = sample_amplitudes(unit_link(k, cfg.m_s, 8), 3, 403)
-    los, sigma = los_and_sigma(k)
-    u, v = sampler_uniforms(8, 3, 403, cfg.m_s)
-    radius = sigma * np.sqrt(-2.0 * np.log1p(-u))
-    expected = np.sqrt(los**2 + radius**2 - 2.0 * los * radius * np.cos(np.pi * v))
-    if k == math.inf:
-        assert np.array_equal(amp, np.ones_like(amp))  # the LoS gain, bit for bit
-    np.testing.assert_allclose(amp, expected, rtol=0.0, atol=1e-6 * expected.mean())
-    # the half-angle form keeps even the smallest amplitudes relatively exact
-    np.testing.assert_allclose(amp, expected, rtol=2e-7, atol=0.0)
-
-
 def normal_based_amplitudes(k, m_s, rng, n):
-    """|c + sigma (x + j y)| from two standard normals per UC: the sampler's
-    formula before it drew uniforms."""
+    """(n, m_s) unit-power amplitudes |c + sigma (x + j y)| from two numpy
+    standard normals per UC: a reference independent of the draw's laws."""
     los, sigma = los_and_sigma(k)
     z = rng.standard_normal((n, 2, m_s)) * sigma
     return np.sqrt((z[:, 0] + los) ** 2 + z[:, 1] ** 2)
@@ -256,12 +171,14 @@ def normal_based_amplitudes(k, m_s, rng, n):
 
 @pytest.mark.parametrize("k", [0.0, 10.0])
 def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
-    # two independent samples of the full-surface sum, one per formula, are
-    # one law by a two-sample Kolmogorov-Smirnov test
-    link = unit_link(k, cfg.m_s, 41)
-    uniforms = sample_amplitudes(link, 0, 4000).sum(axis=1)
+    # a draw that keeps every column sums m_s one-UC segments, each a value
+    # of one amplitude's cells; its full-surface sums and those of the
+    # normal-based reference are one law by a two-sample Kolmogorov-Smirnov test
+    kcfg = dataclasses.replace(cfg, rician_k=k)
+    gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
+    cells = draw(kcfg, 41, 4000).amp_total / gain
     normals = normal_based_amplitudes(k, cfg.m_s, np.random.default_rng(42), 4000).sum(axis=1)
-    assert stats.ks_2samp(uniforms, normals).pvalue > 0.001
+    assert stats.ks_2samp(cells, normals).pvalue > 0.001
 
 
 @pytest.mark.parametrize("k", [0.5, 10.0, 1e3])
@@ -298,12 +215,12 @@ def test_sample_mean_gain_power_converges(cfg):
 
 
 def test_reflected_snr_empty_set(cfg):
-    amp = sample_amplitudes(cfg, 0, 1)[0]
+    amp = drawn_rows(cfg, cfg.rng_seed, 1)[0]
     assert coherent_snr(amp[[]].sum(), cfg) == 0.0
 
 
 def test_coherent_snr_full_surface_closed_form(los_cfg):
-    amp = sample_amplitudes(los_cfg, 0, 1)[0]
+    amp = drawn_rows(los_cfg, los_cfg.rng_seed, 1)[0]
     snr = coherent_snr(amp.sum(), los_cfg)
     expected = oracle_full_surface_snr(los_cfg)
     assert snr == pytest.approx(expected, rel=1e-9)
@@ -312,7 +229,7 @@ def test_coherent_snr_full_surface_closed_form(los_cfg):
 
 def test_coherent_snr_subset_monotone(cfg):
     rng = np.random.default_rng(42)
-    amp = sample_amplitudes(seeded(cfg, 42), 0, 1)[0]
+    amp = drawn_rows(cfg, 42, 1)[0]
     for _ in range(200):
         size = rng.integers(0, cfg.m_s)
         subset = np.sort(rng.choice(cfg.m_s, size=size, replace=False))
@@ -322,7 +239,7 @@ def test_coherent_snr_subset_monotone(cfg):
 
 
 def test_coherent_sum_second_moment_matches_analytic(cfg):
-    sums = sample_amplitudes(seeded(cfg, 31337), 0, 10_000).sum(axis=1)
+    sums = draw(cfg, 31337, 10_000).amp_total  # m_s one-UC segments
     m_s = cfg.m_s
     h2 = cfg.free_space_uc_gain
     eg = cfg.mean_ris_rx_gain
@@ -357,39 +274,61 @@ def unit_power_moments(k):
 @pytest.mark.parametrize("n", [1, 7, 225])
 def test_tail_law_matches_sums_of_sampled_amplitudes(k, n):
     # a draw that keeps no column below m_s draws the whole surface as one
-    # segment, from the law for n >= 2; against 4000 sums of n amplitudes of
-    # the sampler under another seed, a two-sample Kolmogorov-Smirnov test
-    # finds one law
+    # segment from the law of n UCs, the cells for n = 1; against 4000 sums
+    # of n amplitudes of the normal-based reference, a two-sample
+    # Kolmogorov-Smirnov test finds one law
     cfg = ScenarioConfig(ris_cols=n, ris_rows=1, rician_k=k, mc_trials=4000, rng_seed=71)
-    tails = draw_trials(cfg, columns=[]).amp_total
-    sums = sample_amplitudes(dataclasses.replace(cfg, rng_seed=72), 0, 4000).sum(axis=1)
+    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    tails = draw_trials(cfg, columns=[]).amp_total / gain
+    sums = normal_based_amplitudes(k, n, np.random.default_rng(72), 4000).sum(axis=1)
     assert stats.ks_2samp(tails, sums).pvalue > 0.001
+
+
+# The segment lengths whose laws the moment and peak tests read: one UC's
+# cells, and both sides of seams of a longer law's cells (see the moment test).
+LAW_LENGTHS = (1, 2, 3, 7, 98, 99, 113, 114, 128, 129, 225, 392, 393, 3600, 10**6)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 10.0, 100.0, 1e6])
 def test_tail_law_moments_are_n_times_the_rice_moments(k):
     # the table's mean is n times the Rice mean within 1e-9 of its standard
-    # deviation, and its variance n times the Rice variance within 1e-7; the
-    # draw reads no table for one UC. The lengths include both sides of
-    # seams of the law's cells: a cell of 1 then 2 shared cells (n = 2, 3),
-    # one offset of 7 then two of 4 (98, 99), two of 4 then of 5 (128, 129),
-    # two of 7 then three of 5 (392, 393), and 113 and 114, where the
-    # number of offsets went from 1 to 2 when each law had its own cells
+    # deviation, and its variance n times the Rice variance within 1e-7; one
+    # UC's table is its cells h sigma wide, whose variance is the Rice
+    # variance plus (h sigma)^2 / 12 (Sheppard) within 1e-8. The lengths
+    # include both sides of seams of the law's cells: a cell of 1 then 2
+    # shared cells (n = 2, 3), one offset of 7 then two of 4 (98, 99), two
+    # of 4 then of 5 (128, 129), two of 7 then three of 5 (392, 393), and
+    # 113 and 114, where the number of offsets went from 1 to 2 when each
+    # law had its own cells
     mean, var = unit_power_moments(k)
-    for n in (2, 3, 7, 98, 99, 113, 114, 128, 129, 225, 392, 393, 3600, 10**6):
+    sheppard = (_TAIL_UNIT * los_and_sigma(k)[1]) ** 2 / 12.0
+    for n in LAW_LENGTHS:
         cdf, values = _tail_table(k, n)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0) and np.all(values >= 0.0)
         mass = np.diff(cdf, prepend=0.0)
         law_mean = mass @ values
         law_var = mass @ (values - law_mean) ** 2
         assert abs(law_mean - n * mean) <= 1e-9 * math.sqrt(n * var), n
-        assert law_var == pytest.approx(n * var, rel=1e-7), n
+        if n == 1:
+            assert law_var == pytest.approx(var + sheppard, rel=1e-8)
+        else:
+            assert law_var == pytest.approx(n * var, rel=1e-7), n
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 2.0, 10.0, 100.0, 1e6, 1e12])
+def test_every_law_value_is_within_the_peak_gain_of_the_link_check(k):
+    # the configuration's link-budget check bounds each UC's amplitude by
+    # sqrt(_RICIAN_PEAK_GAIN) times sqrt(|h|^2 E|g|^2), so a segment of n UCs,
+    # one value of its law, must lie within n times that: one UC's cells end
+    # near c + 8 sigma, and a longer law's lattice values stay below 17 n
+    for n in LAW_LENGTHS:
+        assert _tail_table(k, n)[1].max() <= n * math.sqrt(_RICIAN_PEAK_GAIN), n
 
 
 def test_tail_law_is_exact_at_infinite_k():
     # K = inf is the point mass n c = n: every drawn segment of n UCs is n
     # times the LoS gain, rounded once, whichever columns are kept
-    for n in (2, 3600):
+    for n in (1, 2, 3600):
         cdf, values = _tail_table(math.inf, n)
         assert cdf.tolist() == [1.0] and values.tolist() == [float(n)]
     cfg = ScenarioConfig(ris_cols=9, ris_rows=5, rician_k=math.inf, mc_trials=50)
@@ -404,7 +343,7 @@ def test_tail_law_holds_at_any_finite_k(k):
     # beta^2 = 2 K overflows near K = 1e308 and a cell of sigma / 32 is far
     # below an ulp of c = 1 from K = 1e30, yet the table stays finite, >= 0
     # and centred on n c, as cells are indexed from c - 8 sigma
-    for n in (2, 3600):
+    for n in (1, 2, 3600):
         cdf, values = _tail_table(k, n)
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
         assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
@@ -463,7 +402,7 @@ def test_tail_draw_memory_does_not_grow_with_the_surface():
 def test_numpy_fft_loads_only_when_a_tail_law_needs_it():
     # importing the package and loading a configuration, which every sweep's
     # set-up does, leave numpy.fft unloaded; so does a draw whose segments
-    # are all one UC, which reads no law; a segment of two UCs loads it
+    # are all one UC, whose law is the cells; a segment of two UCs loads it
     code = (
         "import sys\n"
         "import risharvest, risharvest.sweep\n"
@@ -482,11 +421,39 @@ def test_numpy_fft_loads_only_when_a_tail_law_needs_it():
     assert proc.stdout.split() == ["False", "False", "True"]
 
 
+def test_a_draw_of_one_uc_segments_is_the_same_on_every_simd_kernel():
+    # a one-UC value is a float64 affine function of a cell index, picked
+    # from integer words, so a draw that keeps every column has the same
+    # bytes on numpy's AVX-512, AVX2-only and baseline kernels; a target the
+    # machine lacks only prints an ImportWarning, so stdout alone is compared
+    code = (
+        "import hashlib\n"
+        "from risharvest import ScenarioConfig\n"
+        "from risharvest.channel import draw_trials\n"
+        "for k in (0.0, 10.0):\n"
+        "    cfg = ScenarioConfig(rician_k=k, mc_trials=500)\n"
+        "    prefix = draw_trials(cfg, columns=range(cfg.m_s + 1)).amp_prefix\n"
+        "    print(hashlib.sha256(prefix.tobytes()).hexdigest())\n"
+    )
+    outputs = []
+    for disabled in (None, "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, PYTHONPATH=str(Path(risharvest.channel.__file__).parents[1]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled is not None:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 2
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize("shape, first, stride", [((5, 1), 138, 225), ((3, 7), 2**64 - 9, 10)])
 def test_strided_words_are_splitmix64(shape, first, stride):
     # entry (t, j) of the words of trials [0, rows) at UCs ucs is output
-    # t m_s + ucs[j], with m_s the stride: a trial's row of the sampler, or
-    # the one word of each segment of a draw; also where the counters wrap
+    # t m_s + ucs[j], with m_s the stride: the one word of each segment of a
+    # draw; also where the counters wrap
     link = SimpleNamespace(m_s=stride, rng_seed=20230816)
     ucs = np.arange(1, shape[1] + 1, dtype=np.uint64) + np.uint64(first)
     words = _words(link, 0, shape[0], ucs)
@@ -498,8 +465,8 @@ def test_strided_words_are_splitmix64(shape, first, stride):
 @pytest.mark.parametrize("kmax", [0, 3, 24])
 def test_tail_is_drawn_from_the_word_of_uc_kmax_plus_one(kmax):
     # each segment (lo, k] of a draw reads word t m_s + lo + 1 of trial t
-    # (the pure-Python SplitMix64): the sampler's amplitude of that word for
-    # one UC, else the table value its top 53 bits pick by the inverse CDF,
+    # (the pure-Python SplitMix64): the table value of the segment's law
+    # that its top 53 bits pick by the inverse CDF, one UC's cells included,
     # times the link gain; here the segments below and above column kmax,
     # (0, kmax] and (kmax, m_s], and those of a draw of several columns
     cfg = ScenarioConfig(ris_cols=5, ris_rows=5, mc_trials=20, rng_seed=4242)
@@ -514,7 +481,8 @@ def test_guided_search_is_searchsorted_bit_for_bit():
     # over the zero-mass cells at both ends of a table, where many entries
     # share one value; a hand table has runs of equal entries inside one cell
     hand = np.array([0.0, 0.0, 0.0, 2.0**-14, 2.0**-14, 0.25, 0.25, 0.5, 0.5 + 2.0**-40, 1.0, 1.0])
-    tables = [hand, _tail_table(10.0, 7)[0], _tail_table(0.0, 3600)[0], _tail_table(math.inf, 5)[0]]
+    tables = [hand, _tail_table(10.0, 1)[0], _tail_table(10.0, 7)[0], _tail_table(0.0, 3600)[0],
+              _tail_table(math.inf, 5)[0]]
     for cdf in tables:
         assert cdf.size == 1 or np.any(np.diff(cdf) == 0.0)  # zero-mass cells
         edges = np.arange(1 << 13) * 2.0**-13

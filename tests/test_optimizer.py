@@ -16,7 +16,7 @@ from risharvest import (
     RectifierModel,
     ScenarioConfig,
 )
-from risharvest.channel import coherent_snr, draw_trials, sample_amplitudes, shannon_rate
+from risharvest.channel import coherent_snr, draw_trials, shannon_rate
 from risharvest.harvesting import rectify
 from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
 from risharvest.power import total_consumption
@@ -123,8 +123,8 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
     assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
     for config in configs:
         trials = draw(config, seed, n)
-        # the draw's own rows, which keeping every column makes the
-        # sampler's trials [0, n) of the same seed
+        # the draw's own amplitudes: keeping every column makes every
+        # segment one UC
         rows = drawn_rows(config, seed, n)
         frame = config.frame_slots * config.slot_duration
         for protocol in (TIME_SPLITTING, UC_SPLITTING):
@@ -190,14 +190,13 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, block_value
     # a kept column depends only on the seed, its trial and the kept columns
     # at or below it: it is the running sum of the segments between them,
     # each rebuilt from its own word (conftest.rebuilt_prefix), bit for bit;
-    # keeping every column makes every segment one UC, so the prefix is the
-    # running sum of the sampler's rows
+    # keeping every column makes every segment one UC, drawn from its cells
     fast = dataclasses.replace(cfg, mc_trials=300, rng_seed=557)
     m_s = fast.m_s
     full = draw(fast, 557)
     assert full.columns == tuple(range(m_s + 1))
     assert np.array_equal(full.amp_prefix[:, 0], np.zeros(fast.mc_trials))
-    assert np.array_equal(full.amp_prefix[:, 1:], np.cumsum(sample_amplitudes(fast, 0, 300), axis=1))
+    assert np.array_equal(full.amp_prefix, rebuilt_prefix(fast, range(m_s + 1)))
     cases = [
         ([], [m_s]),
         ([0], [0, m_s]),

@@ -52,7 +52,7 @@ def test_time_splitting_no_harvest(cfg):
     n, seed = 8, 3
     rate, _ = estimate(TIME_SPLITTING, 0, few_trials(cfg, seed, n))
     assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
-    # the draw's own rows, which keeping every column makes the sampler's
+    # the draw's own amplitudes: keeping every column makes every segment one UC
     rows = drawn_rows(cfg, seed, n)
     snrs = [coherent_snr(float(row.sum()), cfg) for row in rows]
     expected = np.mean([0.9 * cfg.bandwidth * math.log2(1.0 + snr) for snr in snrs])

@@ -575,7 +575,7 @@ PUBLIC_NAMES = [
     "loads_config", "save_config",
 ]
 MODULE_NAMES = {
-    "channel": ["TrialChannels", "draw_trials", "sample_amplitudes"],
+    "channel": ["TrialChannels", "draw_trials"],
     "harvesting": ["harvest", "rectify"],
     "optimizer": [
         "AllocationResult", "estimate_averages", "optimize_time_splitting", "optimize_uc_splitting",
