@@ -22,8 +22,8 @@ formulas, one each; ``channel`` also owns the seeded Monte-Carlo draw
 (``draw_trials``). ``optimizer`` solves each allocation from the harvest
 and the consumption alone, with no channel draw
 (``optimize_time_splitting``, ``optimize_uc_splitting``), and estimates
-the Monte-Carlo rates of a protocol's allocations over one draw, in one
-call (``estimate_averages``).
+a protocol's rates over one draw, one statistic per reflecting-UC count
+(``estimate_averages``).
 """
 
 from .optimizer import FEASIBLE, INFEASIBLE

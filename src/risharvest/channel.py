@@ -28,20 +28,19 @@ The Monte-Carlo draw (``draw_trials``) lives here too. It reads its seed
 and trial count from the configuration and keeps that configuration in the
 ``TrialChannels`` it returns, so an estimate always reads the configuration
 its draw was made for. Of each trial it keeps only the running sums over
-the UCs at the prefix lengths k a caller asks for, and the full-surface
-sum. ``TrialChannels.reflecting_sum(ks)`` turns them into the coherent sum
-of the UCs still reflecting when the first k absorb, one row per k, the one
-layout-dependent quantity a rate estimate reads. Between two kept columns
-lo < k lies the sum of the amplitudes of UCs lo + 1..k, i.i.d. and
-independent of every other such segment, so the draw forms no amplitude it
-does not keep: it draws each segment as one value from the one word of its
-first UC, UC lo + 1. The value is that of the law of a sum of n = k - lo
-Rice amplitudes (``_tail_table``, one law per n) that the word's top 53
-bits pick by its inverse CDF, found through a guide table (Chen and Asau,
-1974). Every law of one K is built from one amplitude's masses on narrow
-cells, evaluated once per K (``_rice_cells``): the law of one UC is those
-cells, and a longer segment's is a lattice law of the sum, built from
-them by rFFT. A trial thus costs one word per kept column, whatever m_s,
+the UCs at the prefix lengths n a caller asks for, and the full-surface
+sum: column n is S_n, the coherent sum of the first n UCs, which a rate
+reads when those n reflect. Between two kept columns lo < hi lies the sum
+of the amplitudes of UCs lo + 1..hi, i.i.d. and independent of every other
+such segment, so the draw forms no amplitude it does not keep: it draws
+each segment as one value from the one word of its first UC, UC lo + 1.
+The value is that of the law of a sum of hi - lo Rice amplitudes
+(``_tail_table``, one law per length) that the word's top 53 bits pick by
+its inverse CDF, found through a guide table (Chen and Asau, 1974).
+Every law of one K is built from one amplitude's masses on narrow cells,
+evaluated once per K (``_rice_cells``): the law of one UC is those cells,
+and a longer segment's is a lattice law of the sum, built from them by
+rFFT. A trial thus costs one word per kept column, whatever m_s,
 and a kept column depends only on the seed, its trial and the kept
 columns at or below it. The draw runs on the calling thread, a block of
 trials at a time, so its temporaries do not grow with the trial count,
@@ -50,7 +49,6 @@ and it holds one law at a time.
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,17 +288,15 @@ class TrialChannels:
     """Amplitude sums of a fixed set of channel draws, shared across candidates.
 
     ``cfg`` is the configuration the draws were made for. Column j of
-    ``amp_prefix`` holds sum_{i<k} |h_i||g_i| with k = ``columns[j]`` for
-    each draw in row-major UC order; ``columns`` is sorted and always ends
-    with ``cfg.m_s``, whose column is the full-surface sum ``amp_total``.
-    Each column is the one below it plus the sum of the UCs between the two,
-    drawn as one value of that sum's law, a single UC's included (see
-    ``draw_trials``). A sweep solves its grid from the harvest first and
-    keeps only the k those solves read. Readers need not know that layout:
-    ``reflecting_sum(ks)`` gives the coherent amplitude over the UCs that
-    still reflect when the first k absorb, a row per k. Only amplitude sums
-    are drawn, because no computed quantity depends on the common LoS
-    phase (see the module docstring). Two draws compare equal only when
+    ``amp_prefix`` holds S_n = sum_{i<=n} |h_i||g_i| over the first n UCs
+    in row-major order, n = ``columns[j]``, for each draw: the coherent
+    amplitude when those n UCs reflect. ``columns`` is sorted and always
+    ends with ``cfg.m_s``, the full surface. Each column is the one below it
+    plus the sum of the UCs between the two, drawn as one value of that
+    sum's law, a single UC's included (see ``draw_trials``). A sweep solves
+    its grid from the harvest first and keeps only the n those solves read.
+    Only amplitude sums are drawn, because no computed quantity depends on
+    the common LoS phase (see the module docstring). Two draws compare equal only when
     they are the same object, as comparing the arrays elementwise has no
     truth value.
     """
@@ -313,41 +309,21 @@ class TrialChannels:
     def n_trials(self) -> int:
         return self.amp_prefix.shape[0]
 
-    @property
-    def amp_total(self) -> np.ndarray:
-        return self.amp_prefix[:, -1]
-
-    def reflecting_sum(self, ks) -> np.ndarray:
-        """Per draw, the coherent amplitude of the UCs still reflecting when the first k absorb, for each k of ``ks``.
-
-        Returns a new C-contiguous (len(ks), n_trials) array whose row j is
-        ``amp_total`` minus prefix column ks[j], one row per k in the order
-        given, so a caller reduces each k's draws along a contiguous row.
-        Raises ValueError when a column was not drawn.
-        """
-        columns = []
-        for k in ks:
-            column = bisect_left(self.columns, k)
-            if column == len(self.columns) or self.columns[column] != k:
-                raise ValueError(f"prefix column k = {k} was not drawn")
-            columns.append(column)
-        rows = self.amp_prefix.T[columns]  # a gathered copy, C-contiguous
-        return np.subtract(self.amp_total, rows, out=rows)
-
 
 def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
     """Draw ``cfg.mc_trials`` channels once, seeded by ``cfg.rng_seed``.
 
-    ``columns`` lists the prefix columns k in 0..m_s to keep; m_s is always
-    kept, and ``range(m_s + 1)`` keeps every column. A sweep passes the k
-    its grid solves read, so the prefix holds (mc_trials, distinct k + 1)
-    values, not (mc_trials, m_s + 1).
+    ``columns`` lists the prefix columns n in 0..m_s to keep, column n
+    holding the coherent sum S_n of UCs 1..n; m_s is always kept, and
+    ``range(m_s + 1)`` keeps every column. A sweep passes the n of UCs its
+    grid solves leave reflecting, so the prefix holds (mc_trials, distinct
+    n + 1) values, not (mc_trials, m_s + 1).
 
-    Each kept column k > 0 is the kept column lo below it (0 for the first)
-    plus the segment of UCs lo + 1..k, which ``_draw_segments`` draws per
+    Each kept column n > 0 is the kept column lo below it (0 for the first)
+    plus the segment of UCs lo + 1..n, which ``_draw_segments`` draws per
     trial as one value from the word of UC lo + 1: a value of the law of a
-    sum of k - lo i.i.d. Rice amplitudes (``_tail_table``, whose docstring
-    bounds its error), one amplitude's cells for k - lo = 1. Column 0
+    sum of n - lo i.i.d. Rice amplitudes (``_tail_table``, whose docstring
+    bounds its error), one amplitude's cells for n - lo = 1. Column 0
     stays 0. The segments are drawn a length at a time, each law built once
     and freed before the next, and the prefix is then their running sum.
     The draw's memory is thus the prefix, one block of temporaries
@@ -358,22 +334,22 @@ def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:
     or below it: a column holds the running sum of its segments' values,
     which depend on where each segment starts. A draw that keeps every
     column holds the running sums of one cell value per UC and needs no
-    transform. K = inf gives exactly n times the LoS gain for a segment of
-    n UCs.
+    transform. K = inf gives exactly L times the LoS gain for a segment of
+    L UCs.
     """
     m_s = cfg.m_s
     # One pass over ``columns``, which may be a one-shot iterable, into a
     # Python set: not np.unique, which imports numpy.ma on first use.
     kept = {m_s}
-    for k in columns:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= m_s:
-            raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {k!r}")
-        kept.add(int(k))
+    for n in columns:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= m_s:
+            raise ValueError(f"prefix columns must be integers in [0, {m_s}], got {n!r}")
+        kept.add(int(n))
     kept = sorted(kept)
     segments = {}  # length -> (column, first UC) of each segment
-    for column, (lo, k) in enumerate(zip([0, *kept], kept)):
-        if k > lo:
-            segments.setdefault(k - lo, []).append((column, lo + 1))
+    for column, (lo, n) in enumerate(zip([0, *kept], kept)):
+        if n > lo:
+            segments.setdefault(n - lo, []).append((column, lo + 1))
     prefix = np.zeros((cfg.mc_trials, len(kept)))
     for length, starts in segments.items():
         _draw_segments(cfg, length, starts, prefix)
@@ -389,17 +365,9 @@ def coherent_snr(amplitude, cfg: ScenarioConfig):
     return cfg.tx_power * amplitude**2 / cfg.noise_power
 
 
-def shannon_rate(payload_slots: int, snr, cfg: ScenarioConfig, *, log_term=None):
+def shannon_rate(payload_slots: int, snr, cfg: ScenarioConfig):
     """Frame-averaged rate (bits/s) when ``payload_slots`` slots carry data.
 
-    ``snr`` may be a scalar or an array of per-draw SNRs. ``log_term``, if
-    given, is their ``spectral_efficiency``, formed once for many slot counts.
+    ``snr`` may be a scalar or an array of per-draw SNRs.
     """
-    if log_term is None:
-        log_term = spectral_efficiency(snr)
-    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * log_term
-
-
-def spectral_efficiency(snr):
-    """log2(1 + snr), the log term of ``shannon_rate``."""
-    return np.log2(1.0 + snr)
+    return (payload_slots / cfg.frame_slots) * cfg.bandwidth * np.log2(1.0 + snr)

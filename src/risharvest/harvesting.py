@@ -1,9 +1,9 @@
 """RF combining, rectification, and DC combining of the absorbed UC powers.
 
-Far-field absorption gives every UC the same power. The first k UCs in
-row-major order harvest, in consecutive chains of ``chain_size`` (the last
-one shorter when the count does not divide); each chain RF-combines into one
-rectifier, and the rectifier outputs are DC-combined. ``harvest`` gives that
+Far-field absorption gives every UC the same power, so only the number k
+of harvesting UCs matters. They form consecutive chains of ``chain_size``
+(the last one shorter when k does not divide); each chain RF-combines into
+one rectifier, and the rectifier outputs are DC-combined. ``harvest`` gives that
 power for every k at once, and ``rectify`` works elementwise on arrays. The
 rectifier's parameters are ``scenario.RectifierModel``, and the per-UC
 absorbed power comes from the link budget that ``ScenarioConfig`` derives.
@@ -47,7 +47,7 @@ def rectify(p_rf, model: RectifierModel):
 
 
 def harvest(cfg: ScenarioConfig) -> np.ndarray:
-    """DC-combined power (W) when the first k of the m_s UCs absorb.
+    """DC-combined power (W) when k of the m_s UCs absorb.
 
     Returns the (m_s + 1,) array over k = 0..m_s, each UC absorbing
     ``cfg.uc_absorbed_power``. The k UCs fill k // chain_size whole chains

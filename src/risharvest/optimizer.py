@@ -4,36 +4,33 @@ Both protocols open each frame with a preamble used for synchronization and
 one-UC-at-a-time channel estimation; no payload or harvest is credited
 there. Time splitting then absorbs on the whole surface for ``eh_slots``
 slots before reflecting on the whole surface, so the harvesting time is lost
-as a linear factor on the rate. UC splitting dedicates the first k UCs in
-row-major order to absorption while the rest reflect for the whole
-post-preamble interval, so harvesting shrinks the coherent sum inside the
-log instead of the time factor in front of it. All UCs are statistically
-identical, so which k harvest does not change the averages.
+as a linear factor on the rate. UC splitting lets k UCs absorb while the
+first n = m_s - k in row-major order reflect for the whole post-preamble
+interval, so harvesting shrinks the coherent sum inside the log instead of
+the time factor in front of it. All UCs are statistically identical, so
+which k harvest does not change the averages. Every average rate is thus
+(payload slots / frame) B E[log2(1 + P_t S_n^2 / N)], where S_n sums the n
+reflecting UCs; ``reflecting_ucs`` gives n, the one layout fact.
 
 The TX-side absorption is deterministic free space, so the frame-averaged
 harvest depends on the allocation value alone, and only the rate is random.
 Both protocols feed the same harvesting chain (``harvesting.harvest``, the
-DC power when the first k UCs absorb), read once per configuration and
-checked once to be finite, nonnegative and nondecreasing in k. They differ
-only in what absorbs and for how long: every UC for v slots, or the first k
-UCs for the whole post-preamble interval. ``harvest_of`` gives that one
-formula, the DC power of the absorbing UCs times their harvest time over
-the frame. The optimizer then does two things and nothing else. The solve
+DC power when k UCs absorb), read once per configuration and checked once
+to be finite, nonnegative and nondecreasing in k. ``harvest_of`` gives the
+DC power of the absorbing UCs, all of them or k, times their harvest time,
+v slots or the post-preamble interval, over the frame. The solve
 (``optimize_*``) needs no channel draw: the average rate is decreasing in
 the allocation, so the optimum is the smallest value whose harvest covers
 consumption, found by one bisection over the allocation values of either
 protocol, which needs O(log vmax) evaluations and O(1) memory however long
 the frame. It gives the left ``searchsorted`` of the consumed power in the
 array of every value's harvest, bit for bit. The estimate
-(``estimate_averages``) then averages the rate of each of a list of
-allocation values over one set of channel draws (common random numbers),
-which ``channel.draw_trials`` makes; it reads the full-surface sum for time
-splitting and ``TrialChannels.reflecting_sum`` for UC splitting. It forms
-the rates of a block of values at a time as one (values, trials) array and
-reduces each row as a one-value estimate reduces its rates, so a value's
-estimate does not depend on the list it is in. A sweep solves its whole
-grid first, draws once keeping only the prefix columns those solves read,
-and estimates the distinct allocations of each protocol in one call.
+(``estimate_averages``) averages the rate of each of a list of allocation
+values over one set of channel draws (common random numbers), which
+``channel.draw_trials`` makes: one rate statistic per drawn column n,
+scaled by each value's payload share. A sweep solves its whole grid first,
+draws once keeping only the columns n those solves read, and estimates the
+distinct allocations of each protocol in one call.
 """
 
 import functools
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TrialChannels, coherent_snr, shannon_rate, spectral_efficiency
+from .channel import TrialChannels, coherent_snr, shannon_rate
 from .harvesting import harvest
 from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
@@ -83,7 +80,7 @@ def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _harvest(cfg: ScenarioConfig) -> np.ndarray:
-    """``harvest(cfg)``, the DC power when the first k UCs absorb, for k = 0..m_s.
+    """``harvest(cfg)``, the DC power when k UCs absorb, for k = 0..m_s.
 
     Cached per configuration and shared by both protocols, so the array is
     read-only. Raises ValueError when it is not finite, nonnegative and
@@ -99,27 +96,41 @@ def _harvest(cfg: ScenarioConfig) -> np.ndarray:
     return dc
 
 
+def reflecting_ucs(protocol: str, value: int, cfg: ScenarioConfig) -> int:
+    """The number n of reflecting UCs, UCs 1..n, under allocation ``value`` of ``protocol``."""
+    return cfg.m_s if protocol == TIME_SPLITTING else cfg.m_s - value
+
+
+def _check_value(value, vmax: int) -> None:
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and 0 <= value <= vmax):
+        raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
+
+
 def harvest_of(protocol: str, cfg: ScenarioConfig):
     """The frame-averaged DC harvest (W) as a function of the allocation value.
 
-    The function takes an integer or an array of values 0..vmax: the DC
-    power of the absorbing UCs times their harvest time, over the frame.
-    Time splitting absorbs on the whole surface for ``value`` slots, UC
-    splitting on the first ``value`` UCs for the whole post-preamble
-    interval, so both protocols' full allocations harvest the same, bit for
-    bit. Fetch it once and evaluate it many times: the lookup hashes the
+    The function takes an integer value 0..vmax: the DC power of the
+    absorbing UCs times their harvest time, over the frame. Time splitting
+    absorbs on the whole surface for ``value`` slots, UC splitting on
+    ``value`` UCs for the whole post-preamble interval, so both protocols'
+    full allocations harvest the same, bit for bit. Raises ValueError for an
+    unknown protocol when fetched and for any other value when called.
+    Fetch it once and evaluate it many times: the lookup hashes the
     configuration.
     """
-    dc = _harvest(cfg)
+    vmax = _allocation_bounds(protocol, cfg)
     # A memoryview reads an entry as a Python float, which halves the cost of
-    # a bisection probe against a numpy scalar; an array takes numpy's indexing.
-    entries = memoryview(dc)
+    # a bisection probe against a numpy scalar.
+    entries = memoryview(_harvest(cfg))
     full, slot, frame = entries[-1], cfg.slot_duration, cfg.frame_duration
     post = cfg.frame_slots - cfg.preamble_slots
     time_splitting = protocol == TIME_SPLITTING
 
     def harvested(value):
-        power = full if time_splitting else (entries if isinstance(value, int) else dc)[value]
+        if not (type(value) is int and 0 <= value <= vmax):  # the bisection's probes skip the call
+            _check_value(value, vmax)
+        power = full if time_splitting else entries[value]
         slots = value if time_splitting else post
         return power * (slots * slot) / frame
 
@@ -133,61 +144,53 @@ def estimate_averages(protocol: str, values, trials: TrialChannels) -> list[tupl
     [] for none. Each rate is averaged over ``trials``, one draw set that
     callers reuse across allocation values (common random numbers), under
     the configuration it was drawn for; the CI is the normal-approximation
-    half-width. Time splitting reads the full-surface sum ``amp_total``, UC
-    splitting ``trials.reflecting_sum``. The rates of
-    ``_ESTIMATE_BLOCK_VALUES // n_trials`` values (at least one) are formed
-    at a time, one C-contiguous row per value, and each row is reduced as a
-    1-D array of its rates would be, so an estimate is the same bit for bit
-    whatever list, and whatever place in it, the value comes in. Time
-    splitting forms the full surface's log2(1 + SNR) once.
+    half-width. Each distinct column n that the values read
+    (``reflecting_ucs``) gives one statistic: the mean and sample sd of the
+    per-trial rate of S_n with every post-preamble slot carrying data,
+    formed ``_ESTIMATE_BLOCK_VALUES // n_trials`` columns (at least one) at
+    a time, one C-contiguous row per column, each reduced as a 1-D array of
+    its rates would be. A value's (average, ci) is that statistic's times
+    its payload share, (post - value) / post for time splitting and 1 for UC
+    splitting, the same bit for bit whatever list the value comes in.
 
     Every value is checked before any rate is formed. Raises ValueError
-    when one is not an integer in 0..vmax (a bool is not), or when
-    ``trials`` lacks the prefix column of a UC-splitting value; and, naming
-    the first such value, when the link budget makes an average rate or
-    its CI overflow.
+    when one is not an integer in 0..vmax (a bool is not), or when its
+    column n was not drawn; and, naming the first such value, when the link
+    budget makes an average rate or its CI overflow.
     """
     cfg = trials.cfg
     vmax = _allocation_bounds(protocol, cfg)
+    column_of = {ucs: j for j, ucs in enumerate(trials.columns)}
     values = list(values)
     for value in values:
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if not (integer and 0 <= value <= vmax):
-            raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
-    time_splitting = protocol == TIME_SPLITTING
-    if not time_splitting:
-        drawn = set(trials.columns)
-        for value in values:
-            if value not in drawn:
-                raise ValueError(f"prefix column k = {value} was not drawn")
+        _check_value(value, vmax)
+        ucs = reflecting_ucs(protocol, value, cfg)
+        if ucs not in column_of:
+            raise ValueError(f"column n = {ucs} of allocation {value!r} was not drawn")
+    read = sorted({column_of[reflecting_ucs(protocol, value, cfg)] for value in values})
     post, n = cfg.frame_slots - cfg.preamble_slots, trials.n_trials
+    stats = np.zeros((2, len(column_of)))  # per drawn column: the mean and sd of its rates
     rows = max(1, _ESTIMATE_BLOCK_VALUES // n)
-    estimates = []
     # Overflow is reported below as a non-finite result, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if time_splitting and values:
-            snr = coherent_snr(trials.amp_total, cfg)
-            log_term = spectral_efficiency(snr)
-        for start in range(0, len(values), rows):
-            block = values[start : start + rows]
-            if time_splitting:
-                # A column of payload slot counts against one row of SNRs.
-                # The counts are exact as float64 below 2^53 slots, so the
-                # slot ratio rounds as the ratio of the ints does.
-                payload = np.array([post - value for value in block], float)[:, np.newaxis]
-                rates = shannon_rate(payload, snr, cfg, log_term=log_term)
-            else:
-                rates = shannon_rate(post, coherent_snr(trials.reflecting_sum(block), cfg), cfg)
-            averages = rates.mean(axis=1).tolist()
-            spreads = rates.std(axis=1, ddof=1).tolist() if n > 1 else [0.0] * len(block)
-            for value, average, spread in zip(block, averages, spreads):
-                ci = 1.96 * spread / math.sqrt(n)
-                if not (math.isfinite(average) and math.isfinite(ci)):
-                    raise ValueError(
-                        f"{protocol} at allocation {value!r}: the average rate ({average}) "
-                        f"or its CI ({ci}) is not finite; the link budget overflows"
-                    )
-                estimates.append((average, ci))
+        for start in range(0, len(read), rows):
+            block = read[start : start + rows]
+            rates = shannon_rate(post, coherent_snr(trials.amp_prefix.T[block], cfg), cfg)
+            stats[0, block] = rates.mean(axis=1)
+            if n > 1:
+                stats[1, block] = rates.std(axis=1, ddof=1)
+    means, spreads = stats.tolist()
+    estimates = []
+    for value in values:
+        j = column_of[reflecting_ucs(protocol, value, cfg)]
+        share = (post - value) / post if protocol == TIME_SPLITTING else 1.0
+        average, ci = means[j] * share, 1.96 * spreads[j] / math.sqrt(n) * share
+        if not (math.isfinite(average) and math.isfinite(ci)):
+            raise ValueError(
+                f"{protocol} at allocation {value!r}: the average rate ({average}) "
+                f"or its CI ({ci}) is not finite; the link budget overflows"
+            )
+        estimates.append((average, ci))
     return estimates
 
 

@@ -139,14 +139,12 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     its Monte-Carlo rate and CI, and the dynamic power. The allocations
     depend on the harvests alone, so every (budget, protocol) is solved
     once before any channel draw. One draw of ``cfg.mc_trials`` trials,
-    seeded by ``cfg.rng_seed``, then keeps only the prefix columns those
-    solves read (the UC-splitting k of each budget, and the full-surface
-    sum that time splitting reads), and the rate of each distinct
-    (protocol, allocation) is estimated once on it, in one
-    ``optimizer.estimate_averages`` call per protocol. Sharing the draws
-    across budgets keeps rate curves free of re-sampling noise. Each kept
-    prefix value depends on ``rng_seed``, its trial and the kept columns at
-    or below it: the UCs between two kept columns are drawn as one sum.
+    seeded by ``cfg.rng_seed``, then keeps only the sums over the n UCs
+    those solves leave reflecting (``optimizer.reflecting_ucs``), and the
+    rate of each distinct (protocol, allocation) is estimated once on it,
+    in one ``optimizer.estimate_averages`` call per protocol. Sharing the
+    draws across budgets keeps rate curves free of re-sampling noise. A
+    kept sum depends on ``rng_seed``, its trial and the kept sums below it.
 
     Raises ValueError when ``p_statics`` is empty or holds a budget that is
     not a finite number >= 0, and ConfigValidationError when ``e_rec`` makes
@@ -173,7 +171,8 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     allocations = {protocol: {} for protocol in PROTOCOLS}  # dicts, as ordered sets
     for _, result in solves:
         allocations[result.protocol][result.optimal_allocation] = None
-    trial_set = draw_trials(cfg, columns=allocations[UC_SPLITTING])
+    columns = (optimizer.reflecting_ucs(r.protocol, r.optimal_allocation, cfg) for _, r in solves)
+    trial_set = draw_trials(cfg, columns=columns)
     rates = {}
     for protocol, values in allocations.items():
         # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.

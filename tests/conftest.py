@@ -103,14 +103,15 @@ def drawn_rows(cfg, seed, n):
 
 
 def allocation_harvest(protocol, value, cfg):
-    """The frame-averaged harvest (W) the solve reads for an allocation value or array of them."""
+    """The frame-averaged harvest (W) the solve reads for an allocation value."""
     return risharvest.optimizer.harvest_of(protocol, cfg)(value)
 
 
 def curve_of(protocol, cfg):
     """The frame-averaged harvest of every allocation value 0..vmax, as one array."""
     vmax = cfg.frame_slots - cfg.preamble_slots if protocol == TIME_SPLITTING else cfg.m_s
-    return allocation_harvest(protocol, np.arange(vmax + 1), cfg)
+    harvested = risharvest.optimizer.harvest_of(protocol, cfg)
+    return np.array([harvested(value) for value in range(vmax + 1)])
 
 
 def clear_harvest_caches():
@@ -188,16 +189,16 @@ def frame_oracle(protocol, value, amplitudes, p_static, cfg):
     ``amplitudes`` is one (m_s,) row of |h||g_i|. The preamble carries no
     payload and harvests nothing. Time splitting absorbs on every UC for
     ``value`` slots and reflects on the whole surface for the rest; UC
-    splitting absorbs on the first ``value`` UCs for the whole post-preamble
-    interval while the others reflect. Returns (rate in bit/s, harvested J,
-    consumed J).
+    splitting lets the first m_s - ``value`` UCs reflect for the whole
+    post-preamble interval while the other ``value`` absorb. Returns (rate
+    in bit/s, harvested J, consumed J).
     """
     post = cfg.frame_slots - cfg.preamble_slots
     if protocol == TIME_SPLITTING:
         payload, reflecting, rounds = post - value, amplitudes, 2
         harvesting, harvest_slots = cfg.m_s, value
     else:
-        payload, reflecting, rounds = post, amplitudes[value:], 1
+        payload, reflecting, rounds = post, amplitudes[: cfg.m_s - value], 1
         harvesting, harvest_slots = value, post
     snr = cfg.tx_power * math.fsum(reflecting) ** 2 / oracle_noise_power(cfg)
     rate = payload / cfg.frame_slots * cfg.bandwidth * math.log2(1.0 + snr)

@@ -137,23 +137,7 @@ def test_draw_trials_reads_a_one_shot_columns_iterable():
     trials = draw_trials(cfg, columns=(k for k in (2, 5)))
     assert trials.columns == (2, 5, 9)
     listed = draw_trials(cfg, columns=[2, 5])
-    assert np.array_equal(trials.reflecting_sum([2]), listed.reflecting_sum([2]))
     assert np.array_equal(trials.amp_prefix, listed.amp_prefix)
-
-
-def test_reflecting_sum_gives_a_contiguous_row_per_k_in_the_order_given():
-    # row j is the full-surface sum minus kept column ks[j], a duplicate k
-    # included, so each k's draws lie along one contiguous row
-    cfg = ScenarioConfig(ris_cols=3, ris_rows=3, mc_trials=50)
-    trials = draw_trials(cfg, columns=[0, 2, 5])
-    assert trials.columns == (0, 2, 5, 9)
-    rows = trials.reflecting_sum([5, 0, 9, 5, 2])
-    assert rows.shape == (5, 50) and rows.flags.c_contiguous
-    for row, column in zip(rows, [2, 0, 3, 2, 1]):
-        assert np.array_equal(row, trials.amp_total - trials.amp_prefix[:, column])
-    assert trials.reflecting_sum([]).shape == (0, 50)
-    with pytest.raises(ValueError, match="^prefix column k = 4 was not drawn$"):
-        trials.reflecting_sum([5, 4])
 
 
 def los_and_sigma(k):
@@ -176,7 +160,7 @@ def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
     # normal-based reference are one law by a two-sample Kolmogorov-Smirnov test
     kcfg = dataclasses.replace(cfg, rician_k=k)
     gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
-    cells = draw(kcfg, 41, 4000).amp_total / gain
+    cells = draw(kcfg, 41, 4000).amp_prefix[:, -1] / gain
     normals = normal_based_amplitudes(k, cfg.m_s, np.random.default_rng(42), 4000).sum(axis=1)
     assert stats.ks_2samp(cells, normals).pvalue > 0.001
 
@@ -239,7 +223,7 @@ def test_coherent_snr_subset_monotone(cfg):
 
 
 def test_coherent_sum_second_moment_matches_analytic(cfg):
-    sums = draw(cfg, 31337, 10_000).amp_total  # m_s one-UC segments
+    sums = draw(cfg, 31337, 10_000).amp_prefix[:, -1]  # m_s one-UC segments
     m_s = cfg.m_s
     h2 = cfg.free_space_uc_gain
     eg = cfg.mean_ris_rx_gain
@@ -279,7 +263,7 @@ def test_tail_law_matches_sums_of_sampled_amplitudes(k, n):
     # Kolmogorov-Smirnov test finds one law
     cfg = ScenarioConfig(ris_cols=n, ris_rows=1, rician_k=k, mc_trials=4000, rng_seed=71)
     gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
-    tails = draw_trials(cfg, columns=[]).amp_total / gain
+    tails = draw_trials(cfg, columns=[]).amp_prefix[:, -1] / gain
     sums = normal_based_amplitudes(k, n, np.random.default_rng(72), 4000).sum(axis=1)
     assert stats.ks_2samp(tails, sums).pvalue > 0.001
 
@@ -335,7 +319,7 @@ def test_tail_law_is_exact_at_infinite_k():
     gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     for lo in (0, 1, 30, 44):
         assert np.array_equal(segment(cfg, lo, 45), np.full(50, (45 - lo) * gain))
-    assert np.array_equal(draw_trials(cfg, columns=[]).amp_total, np.full(50, 45 * gain))
+    assert np.array_equal(draw_trials(cfg, columns=[]).amp_prefix[:, -1], np.full(50, 45 * gain))
 
 
 @pytest.mark.parametrize("k", [1e12, 1e36, 1e300])
@@ -520,7 +504,7 @@ def test_full_surface_mean_matches_the_rician_mean(cfg, k):
     # trials lies within 4 standard errors of m_s times the link gain times
     # the mean of a unit-power Rician amplitude
     kcfg = dataclasses.replace(cfg, rician_k=k)
-    sums = draw(kcfg, 564, 10_000, columns=[kcfg.m_s]).amp_total
+    sums = draw(kcfg, 564, 10_000, columns=[kcfg.m_s]).amp_prefix[:, -1]
     gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
     unit_power = stats.rice(b=math.sqrt(2.0 * k), scale=1.0 / math.sqrt(2.0 * (k + 1.0)))
     mean = kcfg.m_s * gain * unit_power.mean()

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,7 +227,8 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
     p_static = float(curve[k])
     assert optimize_uc_splitting(p_static, free).optimal_allocation == k
     trials = draw(free, 16, 8, columns=[0])
-    with pytest.raises(ValueError, match=f"^prefix column k = {k} was not drawn$"):
+    n = free.m_s - k  # the UCs left reflecting
+    with pytest.raises(ValueError, match=f"^column n = {n} of allocation {k} was not drawn$"):
         estimate(UC_SPLITTING, k, trials)
     # time splitting reads only the full-surface sum, which every draw keeps:
     # here one segment of all m_s UCs, as in a draw that keeps no other column
@@ -432,25 +434,26 @@ def test_every_value_is_checked_before_any_rate(monkeypatch, small_cfg):
     # error raised; the overflow error names the first value whose rate overflows
     monkeypatch.setattr(risharvest.optimizer, "coherent_snr",
                         lambda amplitude, cfg: np.full(np.shape(amplitude), np.inf))
-    trials = draw(small_cfg, 15, 4, columns=[3, 5])
+    trials = draw(small_cfg, 15, 4, columns=[small_cfg.m_s - 3, small_cfg.m_s - 5])
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         vmax = curve_of(protocol, small_cfg).size - 1
         with pytest.raises(ValueError, match="^allocation value must be"):
             estimate_averages(protocol, [3, 5, vmax + 1], trials)
         with pytest.raises(ValueError, match=f"^{protocol} at allocation 5: .* not finite"):
             estimate_averages(protocol, [5, 3], trials)
-    with pytest.raises(ValueError, match="^prefix column k = 4 was not drawn$"):
+    with pytest.raises(ValueError, match="^column n = 21 of allocation 4 was not drawn$"):
         estimate_averages(UC_SPLITTING, [3, 5, 4], trials)
 
 
-COLUMNS = [0, 1, 2, 5, 9, 17, 40, 112, 200, 224, 225]
+# UC-splitting values, each reading column 225 - k of the default surface
+KS = [0, 1, 2, 5, 9, 17, 40, 112, 200, 224, 225]
 
 
 @pytest.fixture(scope="module")
 def estimate_draws():
-    """Draws of the default surface at 1000 and 10^4 trials, keeping COLUMNS."""
+    """Draws of the default surface at 1000 and 10^4 trials, keeping the columns of KS."""
     base = ScenarioConfig()
-    return {n: draw(base, 31, n, columns=COLUMNS) for n in (1000, 10_000)}
+    return {n: draw(base, 31, n, columns=[base.m_s - k for k in KS]) for n in (1000, 10_000)}
 
 
 @pytest.mark.parametrize(
@@ -460,10 +463,11 @@ def estimate_draws():
 def test_estimate_averages_of_many_values_is_one_at_a_time_bit_for_bit(
     monkeypatch, estimate_draws, n, block_values
 ):
-    # each value's (average, ci) is the 1-D mean and std of its own rates,
-    # bit for bit, whatever list it comes in: unsorted, with a duplicate,
-    # across block boundaries (4 rows a default block at 1000 trials, 1 at
-    # 10^4, 65 or 6 a long block), alone, and no value at all
+    # each value's (average, ci) is the 1-D mean and std of the rates of its
+    # column, with every post-preamble slot carrying data, times its payload
+    # share, bit for bit, whatever list it comes in: unsorted, with a
+    # duplicate, across block boundaries (4 rows a default block at 1000
+    # trials, 1 at 10^4, 65 or 6 a long block), alone, and no value at all
     if block_values is not None:
         monkeypatch.setattr(risharvest.optimizer, "_ESTIMATE_BLOCK_VALUES", block_values)
     trials = estimate_draws[n]
@@ -472,20 +476,35 @@ def test_estimate_averages_of_many_values_is_one_at_a_time_bit_for_bit(
 
     def one_at_a_time(protocol, value):
         if protocol == TIME_SPLITTING:
-            payload, amplitude = post - value, trials.amp_total
+            share, amplitude = (post - value) / post, trials.amp_prefix[:, -1]
         else:
-            payload, amplitude = post, trials.amp_total - trials.amp_prefix[:, COLUMNS.index(value)]
-        rates = shannon_rate(payload, coherent_snr(amplitude, cfg), cfg)
-        return float(rates.mean()), 1.96 * float(rates.std(ddof=1)) / math.sqrt(n)
+            share, amplitude = 1.0, trials.amp_prefix[:, trials.columns.index(cfg.m_s - value)]
+        rates = shannon_rate(post, coherent_snr(amplitude, cfg), cfg)
+        return float(rates.mean()) * share, 1.96 * float(rates.std(ddof=1)) / math.sqrt(n) * share
 
     lists = {
         TIME_SPLITTING: [[4000, 0, 9000, 17, 1], [3, 250, 3], list(range(0, 9001, 700)), [1234], []],
-        UC_SPLITTING: [[112, 0, 225, 5, 1], [9, 40, 9], COLUMNS[::-1] + COLUMNS, [17], []],
+        UC_SPLITTING: [[112, 0, 225, 5, 1], [9, 40, 9], KS[::-1] + KS, [17], []],
     }
     for protocol, value_lists in lists.items():
         for values in value_lists:
             expected = [one_at_a_time(protocol, value) for value in values]
             assert estimate_averages(protocol, values, trials) == expected, (protocol, values)
+
+
+def test_time_splitting_estimates_are_payload_shares_of_the_full_surface_one(estimate_draws):
+    # every time-splitting value reads the one full-surface column, so its
+    # (average, ci) is (post - v) / post times that of v = 0, within 2 ulp
+    trials = estimate_draws[1000]
+    post = trials.cfg.frame_slots - trials.cfg.preamble_slots
+    values = [0, 1, 2, 17, 250, 4000, 4500, 8999, 9000]
+    estimates = estimate_averages(TIME_SPLITTING, values, trials)
+    full = estimates[0]
+    for value, estimate_of_value in zip(values, estimates):
+        for got, at_zero in zip(estimate_of_value, full):
+            expected = float(Fraction(at_zero) * (post - value) / post)
+            assert abs(got - expected) <= 2 * math.ulp(expected), (value, got, expected)
+    assert estimates[-1] == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("protocol", [TIME_SPLITTING, UC_SPLITTING])
@@ -588,3 +607,19 @@ def test_allocation_value_bounds_checked(cfg):
         assert estimate(protocol, np.int64(3), trials) == estimate(
             protocol, 3, trials
         )
+
+
+def test_harvest_of_checks_the_protocol_and_every_value(cfg):
+    # an unknown protocol is not read as UC splitting, and a value outside
+    # 0..vmax neither wraps (k = -1 as the full surface), nor gives a
+    # negative harvest (-5 slots), nor raises a bare IndexError (k = 226)
+    with pytest.raises(ValueError, match="^unknown protocol 'frequency_splitting'$"):
+        risharvest.optimizer.harvest_of("frequency_splitting", cfg)
+    for protocol, vmax in ((TIME_SPLITTING, 9000), (UC_SPLITTING, cfg.m_s)):
+        harvested = risharvest.optimizer.harvest_of(protocol, cfg)
+        for bad in (-1, -5, vmax + 1, True, 3.0, None):
+            message = rf"^allocation value must be an integer in \[0, {vmax}\], got {bad!r}$"
+            with pytest.raises(ValueError, match=message):
+                harvested(bad)
+        assert harvested(np.int64(3)) == harvested(3)
+        assert harvested(0) == 0.0 < harvested(vmax)

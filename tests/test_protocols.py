@@ -70,8 +70,8 @@ def test_null_allocations_coincide_up_to_dynamic_power(cfg):
     trials = few_trials(cfg)
     ts_rate, ts_ci = estimate(TIME_SPLITTING, 0, trials)
     uc_rate, uc_ci = estimate(UC_SPLITTING, 0, trials)
-    assert ts_rate == pytest.approx(uc_rate, rel=1e-12)
-    assert ts_ci == pytest.approx(uc_ci, rel=1e-12)
+    # both read the full-surface column at their whole payload share
+    assert (ts_rate, ts_ci) == (uc_rate, uc_ci)
     assert allocation_harvest(TIME_SPLITTING, 0, cfg) == 0.0
     assert allocation_harvest(UC_SPLITTING, 0, cfg) == 0.0
     # the solves at one static power differ in consumption by the dynamic power alone

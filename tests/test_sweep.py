@@ -439,7 +439,7 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
     run_sweep(config, spec, tmp_path / "full.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
     uc_rows = [row for row in read_rows(tmp_path / "full.csv") if row.protocol == "uc_splitting"]
-    assert kept == [sorted({row.optimal_allocation for row in uc_rows} | {225})]
+    assert kept == [sorted({225 - row.optimal_allocation for row in uc_rows} | {225})]
 
 
 def test_a_trillion_slot_frame_sweeps_to_a_finite_csv(tmp_path):
