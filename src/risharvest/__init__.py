@@ -8,12 +8,12 @@ either resource with the highest average rate while the harvest still
 covers consumption.
 
 The top level exports the vocabulary of that question: the configuration
-(``ScenarioConfig``, its ``RectifierModel`` and the rectifier kinds), its
-file I/O (``load_config``, ``loads_config``, ``dumps_config``,
-``save_config``), the errors a rejected configuration raises, and the
-protocol and status names. ``sweep.answer(cfg, p_statics)`` answers a
-configuration at every budget, one row per budget and protocol, and
-``sweep.run_sweep`` writes that answer as the CLI's CSV.
+(``ScenarioConfig``, whose field names are the scenario-file keys, and the
+rectifier kinds), its file I/O (``load_config``, ``loads_config``,
+``dumps_config``, ``save_config``), the errors a rejected configuration
+raises, and the protocol and status names. ``sweep.answer(cfg, p_statics)``
+answers a configuration at every budget, one row per budget and protocol,
+and ``sweep.run_sweep`` writes that answer as the CLI's CSV.
 
 The machinery lives in its modules. ``scenario`` is the one home of the
 configuration and of the link budget derived from it. ``channel``,
@@ -35,7 +35,6 @@ from .scenario import (
     ConfigError,
     ConfigParseError,
     ConfigValidationError,
-    RectifierModel,
     ScenarioConfig,
     dumps_config,
     load_config,
@@ -54,7 +53,6 @@ __all__ = [
     "LINEAR_CLIPPED",
     "PROTOCOLS",
     "RECTIFIER_KINDS",
-    "RectifierModel",
     "SIGMOIDAL",
     "ScenarioConfig",
     "TIME_SPLITTING",

@@ -4,14 +4,14 @@ Far-field absorption gives every UC the same power, so only the number k
 of harvesting UCs matters. They form consecutive chains of ``chain_size``
 (the last one shorter when k does not divide); each chain RF-combines into
 one rectifier, and the rectifier outputs are DC-combined. ``harvest`` gives that
-power for every k at once, and ``rectify`` works elementwise on arrays. The
-rectifier's parameters are ``scenario.RectifierModel``, and the per-UC
-absorbed power comes from the link budget that ``ScenarioConfig`` derives.
+power for every k at once, and ``rectify`` works elementwise on arrays. Both
+read a ``ScenarioConfig``: its ``rectifier_*`` fields give the rectifier's
+curve, and its link budget the per-UC absorbed power.
 """
 
 import numpy as np
 
-from .scenario import LINEAR_CLIPPED, RectifierModel, ScenarioConfig, db_to_linear
+from .scenario import LINEAR_CLIPPED, ScenarioConfig, db_to_linear
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -20,8 +20,8 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def rectify(p_rf, model: RectifierModel):
-    """DC output power of rectifiers for RF input powers, elementwise.
+def rectify(p_rf, cfg: ScenarioConfig):
+    """DC output power of the ``rectifier_*`` curve of ``cfg`` for RF input powers, elementwise.
 
     ``p_rf`` may be a scalar, which gives a ``float``, or an array, which
     gives an array of the same shape. Raises ValueError if any input is
@@ -31,18 +31,17 @@ def rectify(p_rf, model: RectifierModel):
     negative = p[p < 0.0]
     if negative.size:
         raise ValueError(f"RF input power must be >= 0 W, got {negative[0]}")
-    if model.kind == LINEAR_CLIPPED:
-        out = np.where(
-            p <= model.sensitivity, 0.0, model.efficiency * np.minimum(p, model.saturation)
-        )
+    if cfg.rectifier_kind == LINEAR_CLIPPED:
+        out = np.where(p <= cfg.rectifier_sensitivity, 0.0,
+                       cfg.rectifier_efficiency * np.minimum(p, cfg.rectifier_saturation))
     else:
         # Sigmoidal: logistic response with the zero-input output subtracted
         # and the remainder rescaled so the asymptote stays at p_max. A logistic
         # argument that overflows to +-inf saturates it at exactly 1 or 0.
-        a, b = model.steepness, model.centering
+        a, b = cfg.rectifier_steepness, cfg.rectifier_centering
         with np.errstate(over="ignore"):
             zero_level = _logistic(-a * b)
-            out = model.p_max * (_logistic(a * (p - b)) - zero_level) / (1.0 - zero_level)
+            out = cfg.rectifier_p_max * (_logistic(a * (p - b)) - zero_level) / (1.0 - zero_level)
     return float(out) if out.ndim == 0 else out
 
 
@@ -59,7 +58,7 @@ def harvest(cfg: ScenarioConfig) -> np.ndarray:
     m_s = cfg.m_s
     size = min(cfg.chain_size, m_s)
     rf = np.arange(size + 1) * cfg.uc_absorbed_power * db_to_linear(-cfg.rf_combining_loss_db)
-    fill = rectify(rf, cfg.rectifier)
+    fill = rectify(rf, cfg)
     chains, rest = np.divmod(np.arange(m_s + 1), size)
     dc = np.concatenate(([0.0], np.cumsum(np.full(chains[-1], fill[size]))))[chains]
     dc += fill[rest]

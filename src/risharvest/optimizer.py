@@ -177,8 +177,7 @@ def estimate_averages(protocol: str, values, trials: TrialChannels) -> list[tupl
             block = read[start : start + rows]
             rates = shannon_rate(post, coherent_snr(trials.amp_prefix.T[block], cfg), cfg)
             stats[0, block] = rates.mean(axis=1)
-            if n > 1:
-                stats[1, block] = rates.std(axis=1, ddof=1)
+            stats[1, block] = rates.std(axis=1, ddof=1)
     means, spreads = stats.tolist()
     estimates = []
     for value in values:

@@ -2,17 +2,18 @@
 
 All quantities are SI (Hz, W, m, s, J, K); gains and losses are dB where the
 field name says so. This module imports no sibling module. ``ScenarioConfig``
-holds every field, the ``RectifierModel`` among them, and derives the whole
-link budget as properties: wavelength, UC aperture and gain, |h|^2, E|g|^2,
-the per-UC absorbed power and the noise power. One rule checks the fields of
-both classes, and then the derived values themselves are checked, so a
-configuration that validates gives a finite link budget. A validated
-configuration is immutable, so one instance can be shared across workers.
+holds every setting as one field named by its scenario-file key, the
+rectifier's among them, and derives the whole link budget as properties:
+wavelength, UC aperture and gain, |h|^2, E|g|^2, the per-UC absorbed power
+and the noise power. One rule checks every field, and then the derived
+values themselves are checked, so a configuration that validates gives a
+finite link budget. A validated configuration is immutable, so one instance
+can be shared across workers.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 SPEED_OF_LIGHT = 299792458.0   # m/s
@@ -69,18 +70,15 @@ def db_to_linear(db: float) -> float:
         return math.inf
 
 
-# Scenario-file prefix of the rectifier's fields: rectifier_<field>.
-_RECT_PREFIX = "rectifier_"
-
 # The one field that may be infinite: K = inf is a pure line-of-sight link.
 _MAY_BE_INFINITE = {"rician_k"}
 
-# The allowed values of each field, by scenario-file key; every other field
-# takes any value of its type.
+# The allowed values of each field; every other field takes any value of its
+# type.
 _FIELD_RULES = {
     **dict.fromkeys(("carrier_frequency", "bandwidth", "tx_power", "d_tx_ris", "d_ris_rx",
                      "noise_temperature", "slot_duration", "ris_cols", "ris_rows",
-                     "preamble_slots", "frame_slots", "asic_fanout", "chain_size", "mc_trials",
+                     "preamble_slots", "frame_slots", "asic_fanout", "chain_size",
                      "rectifier_p_max", "rectifier_steepness"), ("> 0", lambda v: v > 0)),
     **dict.fromkeys(("noise_figure_db", "rf_combining_loss_db", "e_rec", "rician_k",
                      "rectifier_sensitivity", "rectifier_centering"), (">= 0", lambda v: v >= 0)),
@@ -90,18 +88,16 @@ _FIELD_RULES = {
         ("reconfig_counting_mode", RECONFIG_COUNTING_MODES),
         ("static_power_interpretation", STATIC_POWER_INTERPRETATIONS),
         ("rectifier_kind", RECTIFIER_KINDS))},
+    # one trial has no sample sd, so its CI would read 0
+    "mc_trials": (">= 2", lambda v: v >= 2),
     "rng_seed": ("in [0, 2^64)", lambda v: 0 <= v < 2**64),
 }
 
 
-def _check_fields(obj, prefix: str = "") -> None:
-    """The one field rule: the field's type, finiteness and allowed values.
-
-    ``prefix`` turns a field name into its scenario-file key, which the
-    error names.
-    """
+def _check_fields(obj) -> None:
+    """The one field rule: the field's type, finiteness and allowed values."""
     for f in fields(obj):
-        name, kind, value = prefix + f.name, f.type, getattr(obj, f.name)
+        name, kind, value = f.name, f.type, getattr(obj, f.name)
         if kind is int:
             ok = isinstance(value, int) and not isinstance(value, bool)
             expected = "an integer"
@@ -119,39 +115,6 @@ def _check_fields(obj, prefix: str = "") -> None:
 
 
 @dataclass(frozen=True)
-class RectifierModel:
-    """Parametric RF-to-DC conversion curve.
-
-    ``linear_clipped`` uses ``efficiency``, ``sensitivity`` and ``saturation``:
-    zero output at or below the sensitivity input, a linear slope between
-    sensitivity and saturation, constant output above saturation.
-    ``sigmoidal`` uses ``p_max``, ``steepness`` and ``centering``: a logistic
-    curve shifted and rescaled so zero input gives exactly zero output and
-    the output asymptote is ``p_max``.
-
-    The defaults are generic Schottky-rectenna figures rather than
-    measurements of a specific circuit; override them in the scenario file
-    when a concrete device is targeted.
-    """
-
-    kind: str = LINEAR_CLIPPED
-    efficiency: float = 0.3      # DC/RF slope in the linear region
-    sensitivity: float = 1e-5    # W (-20 dBm), turn-on input power
-    saturation: float = 1e-2     # W (+10 dBm), input power where output clips
-    p_max: float = 24e-3         # W, sigmoidal output asymptote
-    steepness: float = 1500.0    # 1/W, sigmoidal slope parameter
-    centering: float = 2.2e-3    # W, sigmoidal inflection input
-
-    def __post_init__(self):
-        _check_fields(self, _RECT_PREFIX)
-        if self.saturation <= self.sensitivity:
-            raise ConfigValidationError(
-                f"rectifier_saturation ({self.saturation} W) must exceed "
-                f"rectifier_sensitivity ({self.sensitivity} W)"
-            )
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Full simulation parameter set.
 
@@ -160,6 +123,17 @@ class ScenarioConfig:
     receiver 38 m away behind a Rician channel with linear K-factor 10, and
     a 10^4-slot frame (2 us slots) opened by a 10^3-slot preamble. Each ASIC
     drives 4 UCs at 8 nJ per reconfiguration; rectifier chains combine 9 UCs.
+
+    Each field is named by its scenario-file key. The ``rectifier_*`` fields
+    give every chain's RF-to-DC curve. ``linear_clipped`` uses the
+    efficiency, sensitivity and saturation: zero output at or below the
+    sensitivity input, a linear slope up to the saturation input, and
+    constant output above it. ``sigmoidal`` uses p_max, steepness and
+    centering: a logistic curve shifted and rescaled so that zero input
+    gives exactly zero output and the output asymptote is p_max. The
+    rectifier defaults are generic Schottky-rectenna figures rather than
+    measurements of a specific circuit; override them in the scenario file
+    when a concrete device is targeted.
     """
 
     carrier_frequency: float = 28e9      # Hz
@@ -185,9 +159,15 @@ class ScenarioConfig:
     chain_size: int = 9                  # UCs per rectifier chain
     rf_combining_loss_db: float = 0.0    # dB per chain
     dc_combining_efficiency: float = 1.0
-    rectifier: RectifierModel = field(default_factory=RectifierModel)
     mc_trials: int = 10000
     rng_seed: int = 1234
+    rectifier_kind: str = LINEAR_CLIPPED
+    rectifier_efficiency: float = 0.3    # DC/RF slope in the linear region
+    rectifier_sensitivity: float = 1e-5  # W (-20 dBm), turn-on input power
+    rectifier_saturation: float = 1e-2   # W (+10 dBm), input power where output clips
+    rectifier_p_max: float = 24e-3       # W, sigmoidal output asymptote
+    rectifier_steepness: float = 1500.0  # 1/W, sigmoidal slope parameter
+    rectifier_centering: float = 2.2e-3  # W, sigmoidal inflection input
 
     @property
     def m_s(self) -> int:
@@ -265,6 +245,11 @@ class ScenarioConfig:
                 f"preamble_slots ({self.preamble_slots}) must be smaller than "
                 f"frame_slots ({self.frame_slots})"
             )
+        if self.rectifier_saturation <= self.rectifier_sensitivity:
+            raise ConfigValidationError(
+                f"rectifier_saturation ({self.rectifier_saturation} W) must exceed "
+                f"rectifier_sensitivity ({self.rectifier_sensitivity} W)"
+            )
         self._check_link_budget()
 
     def _check_link_budget(self) -> None:
@@ -279,11 +264,11 @@ class ScenarioConfig:
         g2 = ("rx_gain_dbi", "antenna_efficiency", "carrier_frequency", "d_ris_rx")
         noise = ("noise_temperature", "bandwidth", "noise_figure_db")
         snr = ("tx_power", *h2, *g2, "ris_cols", "ris_rows", *noise)
-        rect, chains = self.rectifier, -(-self.m_s // self.chain_size)
-        if rect.kind == SIGMOIDAL:
-            peak_dc, peak = rect.p_max, ("rectifier_p_max",)
+        chains = -(-self.m_s // self.chain_size)
+        if self.rectifier_kind == SIGMOIDAL:
+            peak_dc, peak = self.rectifier_p_max, ("rectifier_p_max",)
         else:
-            peak_dc = rect.efficiency * rect.saturation
+            peak_dc = self.rectifier_efficiency * self.rectifier_saturation
             peak = ("rectifier_efficiency", "rectifier_saturation")
 
         def snr_bound():
@@ -321,10 +306,8 @@ class ScenarioConfig:
                     + (" and > 0" if positive else ""))
 
 
-# Scenario-file keys: the ScenarioConfig fields, with the rectifier's fields
-# flattened in as rectifier_<field>.
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig) if f.name != "rectifier"}
-_RECT_FIELD_TYPES = {f.name: f.type for f in fields(RectifierModel)}
+# Scenario-file keys: the ScenarioConfig field names.
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def _parse_float(key: str, text: str, lineno: int) -> float:
@@ -356,13 +339,10 @@ _PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, text, lineno:
 def loads_config(text: str) -> ScenarioConfig:
     """Parse ``key = value`` lines into a validated configuration.
 
-    Blank lines are skipped and ``#`` starts a comment. Keys match the
-    ScenarioConfig field names; rectifier fields use the ``rectifier_``
-    prefix. Unset keys keep their defaults.
+    Blank lines are skipped and ``#`` starts a comment. The keys are the
+    ScenarioConfig field names. Unset keys keep their defaults.
     """
     kwargs: dict = {}
-    rect_kwargs: dict = {}
-    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -374,18 +354,11 @@ def loads_config(text: str) -> ScenarioConfig:
         value = value.strip()
         if not key or not value:
             raise ConfigParseError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        if key in seen:
+        if key in kwargs:
             raise ConfigParseError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        rect_field = key[len(_RECT_PREFIX) :] if key.startswith(_RECT_PREFIX) else None
-        if key in _FIELD_TYPES:
-            kwargs[key] = _PARSERS[_FIELD_TYPES[key]](key, value, lineno)
-        elif rect_field in _RECT_FIELD_TYPES:
-            rect_kwargs[rect_field] = _PARSERS[_RECT_FIELD_TYPES[rect_field]](key, value, lineno)
-        else:
+        if key not in _FIELD_TYPES:
             raise ConfigValidationError(f"unknown configuration key {key!r} (line {lineno})")
-    if rect_kwargs:
-        kwargs["rectifier"] = RectifierModel(**rect_kwargs)
+        kwargs[key] = _PARSERS[_FIELD_TYPES[key]](key, value, lineno)
     return ScenarioConfig(**kwargs)
 
 
@@ -400,8 +373,6 @@ def dumps_config(cfg: ScenarioConfig) -> str:
     # str of a float is its shortest round-trip repr, and no field holds a bool
     for name in _FIELD_TYPES:
         lines.append(f"{name} = {getattr(cfg, name)}")
-    for name in _RECT_FIELD_TYPES:
-        lines.append(f"{_RECT_PREFIX}{name} = {getattr(cfg.rectifier, name)}")
     return "\n".join(lines) + "\n"
 
 

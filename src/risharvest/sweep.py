@@ -299,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run the static-power sweep and write a CSV")
-    sweep.add_argument("--config", type=Path, default=None, help="scenario file (defaults used if omitted)")
+    sweep.add_argument("--config", type=Path, default=None,
+                       help="scenario file keyed by ScenarioConfig field names (defaults used if omitted)")
     sweep.add_argument("--sweep-start", type=float, default=DEFAULT_SWEEP_START, help="grid start in W")
     sweep.add_argument("--sweep-stop", type=float, default=DEFAULT_SWEEP_STOP, help="grid stop in W")
     sweep.add_argument("--points", type=int, default=DEFAULT_SWEEP_POINTS, help="number of grid points")

@@ -177,7 +177,7 @@ def per_chain_oracle(powers, cfg):
     """The harvest chain written out chain by chain, with scalar rectify calls."""
     size, loss = cfg.chain_size, 10.0 ** (-cfg.rf_combining_loss_db / 10.0)
     dc = [
-        rectify(float(np.sum(powers[i : i + size])) * loss, cfg.rectifier)
+        rectify(float(np.sum(powers[i : i + size])) * loss, cfg)
         for i in range(0, len(powers), size)
     ]
     return cfg.dc_combining_efficiency * sum(dc)

@@ -184,10 +184,10 @@ def test_huge_k_is_nearly_deterministic(cfg):
     # at K = 1e12 the LoS-diffuse cross term still perturbs |g|^2 at the
     # 2/sqrt(K) = 2e-6 level, so the tolerance sits above that scale
     near_los = dataclasses.replace(cfg, rician_k=1e12)
-    gains = g_amplitudes(near_los, 1)
+    gains = g_amplitudes(near_los, 2)[0]
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=2e-5)
     tighter = dataclasses.replace(cfg, rician_k=1e14)
-    gains = g_amplitudes(tighter, 1)
+    gains = g_amplitudes(tighter, 2)[0]
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=1e-6)
 
 
@@ -199,12 +199,12 @@ def test_sample_mean_gain_power_converges(cfg):
 
 
 def test_reflected_snr_empty_set(cfg):
-    amp = drawn_rows(cfg, cfg.rng_seed, 1)[0]
+    amp = drawn_rows(cfg, cfg.rng_seed, 2)[0]
     assert coherent_snr(amp[[]].sum(), cfg) == 0.0
 
 
 def test_coherent_snr_full_surface_closed_form(los_cfg):
-    amp = drawn_rows(los_cfg, los_cfg.rng_seed, 1)[0]
+    amp = drawn_rows(los_cfg, los_cfg.rng_seed, 2)[0]
     snr = coherent_snr(amp.sum(), los_cfg)
     expected = oracle_full_surface_snr(los_cfg)
     assert snr == pytest.approx(expected, rel=1e-9)
@@ -213,7 +213,7 @@ def test_coherent_snr_full_surface_closed_form(los_cfg):
 
 def test_coherent_snr_subset_monotone(cfg):
     rng = np.random.default_rng(42)
-    amp = drawn_rows(cfg, 42, 1)[0]
+    amp = drawn_rows(cfg, 42, 2)[0]
     for _ in range(200):
         size = rng.integers(0, cfg.m_s)
         subset = np.sort(rng.choice(cfg.m_s, size=size, replace=False))

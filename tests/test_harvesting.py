@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risharvest import RectifierModel
+from risharvest import ScenarioConfig
 from risharvest.harvesting import harvest, rectify
 
 from conftest import absorbing_config, per_chain_oracle
@@ -13,7 +13,7 @@ from conftest import absorbing_config, per_chain_oracle
 def test_partition_exact_division():
     # 2 uW per UC is below the 10 uW sensitivity alone but not in chains of 9
     cfg = absorbing_config(2e-6, 225, chain_size=9)
-    eta = cfg.rectifier.efficiency
+    eta = cfg.rectifier_efficiency
     assert harvest(cfg)[-1] == pytest.approx(25 * eta * 9 * 2e-6, rel=1e-12)
     assert not harvest(absorbing_config(2e-6, 225, chain_size=1)).any()
 
@@ -22,11 +22,11 @@ def test_partition_remainder_group():
     # 10 UCs of 3 uW in chains of 4 form chains of 12, 12 and 6 uW: only the
     # short one stays below the 10 uW sensitivity
     cfg = absorbing_config(3e-6, 10, chain_size=4)
-    eta = cfg.rectifier.efficiency
+    eta = cfg.rectifier_efficiency
     assert harvest(cfg)[10] == pytest.approx(eta * 24e-6, rel=1e-12)
-    sigmoidal = dataclasses.replace(cfg, rectifier=RectifierModel(kind="sigmoidal"))
+    sigmoidal = dataclasses.replace(cfg, rectifier_kind="sigmoidal")
     p = sigmoidal.uc_absorbed_power
-    expected = sum(rectify(n * p, sigmoidal.rectifier) for n in (4, 4, 2))
+    expected = sum(rectify(n * p, sigmoidal) for n in (4, 4, 2))
     assert harvest(sigmoidal)[10] == pytest.approx(expected, rel=1e-12)
 
 
@@ -51,50 +51,59 @@ def test_entry_k_does_not_depend_on_surface_size():
     # UCs past the first k add nothing to entry k, even where the surface is
     # smaller than one chain
     for kind in ("linear_clipped", "sigmoidal"):
-        rectifier = RectifierModel(kind=kind)
-        full = harvest(absorbing_config(3e-3, 12, chain_size=4, rectifier=rectifier))
+        full = harvest(absorbing_config(3e-3, 12, chain_size=4, rectifier_kind=kind))
         for n in range(1, 12):
-            cfg = absorbing_config(3e-3, n, chain_size=4, rectifier=rectifier)
+            cfg = absorbing_config(3e-3, n, chain_size=4, rectifier_kind=kind)
             assert harvest(cfg).tolist() == full[: n + 1].tolist()
 
 
 def test_rectify_linear_region():
-    model = RectifierModel(efficiency=0.3, sensitivity=1e-5, saturation=1e-2)
-    assert rectify(1e-4, model) == pytest.approx(3e-5, rel=1e-12)
+    cfg = ScenarioConfig(
+        rectifier_efficiency=0.3, rectifier_sensitivity=1e-5, rectifier_saturation=1e-2
+    )
+    assert rectify(1e-4, cfg) == pytest.approx(3e-5, rel=1e-12)
 
 
 def test_rectify_zero_input_both_kinds():
-    for model in (RectifierModel(), RectifierModel(kind="sigmoidal")):
-        out = rectify(0.0, model)
+    for cfg in (ScenarioConfig(), ScenarioConfig(rectifier_kind="sigmoidal")):
+        out = rectify(0.0, cfg)
         assert isinstance(out, float) and out == 0.0
 
 
 def test_rectify_saturates():
-    model = RectifierModel(efficiency=0.3, sensitivity=1e-5, saturation=1e-2)
-    assert rectify(1.0, model) == pytest.approx(3e-3, rel=1e-12)
+    cfg = ScenarioConfig(
+        rectifier_efficiency=0.3, rectifier_sensitivity=1e-5, rectifier_saturation=1e-2
+    )
+    assert rectify(1.0, cfg) == pytest.approx(3e-3, rel=1e-12)
 
 
 def test_rectify_below_sensitivity():
-    model = RectifierModel(sensitivity=1e-5)
-    assert rectify(1e-5, model) == 0.0
-    assert rectify(9.9e-6, model) == 0.0
+    cfg = ScenarioConfig(rectifier_sensitivity=1e-5)
+    assert rectify(1e-5, cfg) == 0.0
+    assert rectify(9.9e-6, cfg) == 0.0
 
 
 def test_rectify_rejects_negative_input():
     with pytest.raises(ValueError):
-        rectify(-1e-9, RectifierModel())
+        rectify(-1e-9, ScenarioConfig())
 
 
 def test_sigmoidal_bounded_by_p_max():
-    model = RectifierModel(kind="sigmoidal", p_max=5e-3, steepness=1500.0, centering=2.2e-3)
-    assert rectify(10.0, model) == pytest.approx(5e-3, rel=1e-6)
-    assert rectify(10.0, model) <= 5e-3 + 1e-18
+    cfg = ScenarioConfig(
+        rectifier_kind="sigmoidal", rectifier_p_max=5e-3, rectifier_steepness=1500.0,
+        rectifier_centering=2.2e-3,
+    )
+    assert rectify(10.0, cfg) == pytest.approx(5e-3, rel=1e-6)
+    assert rectify(10.0, cfg) <= 5e-3 + 1e-18
 
 
 def test_sigmoidal_saturates_where_the_logistic_argument_overflows():
     # steepness * input reaches inf: the output is exactly 0 or p_max, with no warning
-    model = RectifierModel(kind="sigmoidal", p_max=5e-3, steepness=1e300, centering=1e10)
-    assert rectify(np.array([0.0, 1.0, 1e300]), model).tolist() == [0.0, 0.0, 5e-3]
+    cfg = ScenarioConfig(
+        rectifier_kind="sigmoidal", rectifier_p_max=5e-3, rectifier_steepness=1e300,
+        rectifier_centering=1e10,
+    )
+    assert rectify(np.array([0.0, 1.0, 1e300]), cfg).tolist() == [0.0, 0.0, 5e-3]
 
 
 @given(
@@ -105,9 +114,12 @@ def test_sigmoidal_saturates_where_the_logistic_argument_overflows():
     p_hi=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_sigmoidal_monotone_and_bounded(steepness, centering, p_max, p_lo, p_hi):
-    model = RectifierModel(kind="sigmoidal", p_max=p_max, steepness=steepness, centering=centering)
+    cfg = ScenarioConfig(
+        rectifier_kind="sigmoidal", rectifier_p_max=p_max, rectifier_steepness=steepness,
+        rectifier_centering=centering,
+    )
     lo, hi = sorted((p_lo, p_hi))
-    out_lo, out_hi = rectify(lo, model), rectify(hi, model)
+    out_lo, out_hi = rectify(lo, cfg), rectify(hi, cfg)
     assert 0.0 <= out_lo <= out_hi <= p_max * (1 + 1e-12)
 
 
@@ -119,21 +131,22 @@ def test_sigmoidal_monotone_and_bounded(steepness, centering, p_max, p_lo, p_hi)
     p_hi=st.floats(min_value=0.0, max_value=2.0),
 )
 def test_linear_clipped_monotone_and_bounded(efficiency, sensitivity, span, p_lo, p_hi):
-    model = RectifierModel(
-        efficiency=efficiency, sensitivity=sensitivity, saturation=sensitivity + span
+    cfg = ScenarioConfig(
+        rectifier_efficiency=efficiency, rectifier_sensitivity=sensitivity,
+        rectifier_saturation=sensitivity + span,
     )
     lo, hi = sorted((p_lo, p_hi))
-    out_lo, out_hi = rectify(lo, model), rectify(hi, model)
+    out_lo, out_hi = rectify(lo, cfg), rectify(hi, cfg)
     assert 0.0 <= out_lo <= out_hi <= efficiency * (sensitivity + span) + 1e-18
 
 
 def test_rectifier_validation():
     with pytest.raises(ValueError, match="kind"):
-        RectifierModel(kind="cubic")
+        ScenarioConfig(rectifier_kind="cubic")
     with pytest.raises(ValueError, match="efficiency"):
-        RectifierModel(efficiency=1.2)
+        ScenarioConfig(rectifier_efficiency=1.2)
     with pytest.raises(ValueError, match="saturation"):
-        RectifierModel(sensitivity=1e-2, saturation=1e-3)
+        ScenarioConfig(rectifier_sensitivity=1e-2, rectifier_saturation=1e-3)
 
 
 def test_harvest_matches_per_chain_oracle(rng):
@@ -142,7 +155,7 @@ def test_harvest_matches_per_chain_oracle(rng):
             chain_size=int(rng.integers(1, 12)),
             rf_combining_loss_db=float(rng.uniform(0.0, 6.0)),
             dc_combining_efficiency=float(rng.uniform(0.5, 1.0)),
-            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+            rectifier_kind=str(rng.choice(["linear_clipped", "sigmoidal"])),
         )
         n = int(rng.integers(1, 40))
         cfg = absorbing_config(float(rng.uniform(0.0, 3e-3)), n, **fields)
@@ -160,21 +173,21 @@ def test_harvest_matches_per_chain_oracle(rng):
     at=st.integers(min_value=0, max_value=19),
 )
 def test_array_rectify_matches_scalar(kind, powers, negative, at):
-    model = RectifierModel(kind=kind)
-    out = rectify(np.array(powers), model)
+    cfg = ScenarioConfig(rectifier_kind=kind)
+    out = rectify(np.array(powers), cfg)
     assert out.shape == (len(powers),)
-    assert out.tolist() == [rectify(p, model) for p in powers]
+    assert out.tolist() == [rectify(p, cfg) for p in powers]
     broken = np.array(powers)
     broken[at % len(powers)] = negative
     with pytest.raises(ValueError, match="must be >= 0 W"):
-        rectify(broken, model)
+        rectify(broken, cfg)
 
 
 def test_harvest_linear_regime_closed_form():
     # uniform power, lossless combining: every fill of every chain lies inside
     # the linear region, so the harvest is linear in k
     cfg = absorbing_config(3e-5, 225)
-    eta, p = cfg.rectifier.efficiency, cfg.uc_absorbed_power
+    eta, p = cfg.rectifier_efficiency, cfg.uc_absorbed_power
     assert harvest(cfg) == pytest.approx(eta * np.arange(226) * p, rel=1e-12, abs=0.0)
 
 
@@ -201,7 +214,7 @@ def test_harvest_empty_set():
     # no absorbing UC harvests exactly nothing, for any surface and rectifier
     for kind in ("linear_clipped", "sigmoidal"):
         for n in (1, 5, 225):
-            dc = harvest(absorbing_config(1e-3, n, rectifier=RectifierModel(kind=kind)))
+            dc = harvest(absorbing_config(1e-3, n, rectifier_kind=kind))
             assert dc.shape == (n + 1,) and dc[0] == 0.0
 
 
@@ -224,7 +237,7 @@ def test_harvest_monotone_in_set_size_uniform_power(rng):
     for _ in range(300):
         fields = dict(
             chain_size=int(rng.integers(1, 12)),
-            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+            rectifier_kind=str(rng.choice(["linear_clipped", "sigmoidal"])),
         )
         p = float(10 ** rng.uniform(-7.0, 0.0))
         cfg = absorbing_config(p, int(rng.integers(1, 200)), **fields)

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ from risharvest import (
     INFEASIBLE,
     TIME_SPLITTING,
     UC_SPLITTING,
-    RectifierModel,
     ScenarioConfig,
+    load_config,
 )
-from risharvest.channel import coherent_snr, draw_trials, shannon_rate
+from risharvest.channel import _tail_table, coherent_snr, draw_trials, shannon_rate
 from risharvest.harvesting import rectify
 from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
 from risharvest.power import total_consumption
+from risharvest.sweep import SweepSpec, answer
 
 from conftest import (
     allocation_harvest,
@@ -77,7 +80,7 @@ def random_small_configs(rng, count=30):
             chain_size=int(rng.integers(1, 12)),
             rf_combining_loss_db=float(rng.uniform(0.0, 6.0)),
             dc_combining_efficiency=float(rng.uniform(0.5, 1.0)),
-            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+            rectifier_kind=str(rng.choice(["linear_clipped", "sigmoidal"])),
         )
 
 
@@ -121,7 +124,7 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
             cfg, static_power_interpretation="per_asic", reconfig_counting_mode="per_asic"
         ),
     ]
-    assert {c.rectifier.kind for c in configs} == {"linear_clipped", "sigmoidal"}
+    assert {c.rectifier_kind for c in configs} == {"linear_clipped", "sigmoidal"}
     for config in configs:
         trials = draw(config, seed, n)
         # the draw's own amplitudes: keeping every column makes every
@@ -172,7 +175,7 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, blo
     full = draw(fast, 556, columns=columns).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
     assert np.array_equal(full, rebuilt_prefix(fast, [0, 3, 4, 100, fast.m_s - 1, fast.m_s]))
-    for t in (1, 7, 291, 292, 1100):
+    for t in (2, 7, 291, 292, 1100):
         assert np.array_equal(draw(fast, 556, t, columns=columns).amp_prefix, full[:t])
 
 
@@ -359,7 +362,7 @@ def test_solve_matches_the_curve_lookup(rng, protocol, optimize):
             slot_duration=float(10 ** rng.uniform(-7, -3)),
             tx_power=float(10 ** rng.uniform(-1.0, 1.5)),
             chain_size=int(rng.integers(1, 12)),
-            rectifier=RectifierModel(kind=str(rng.choice(["linear_clipped", "sigmoidal"]))),
+            rectifier_kind=str(rng.choice(["linear_clipped", "sigmoidal"])),
             e_rec=0.0,  # the consumed power is the static input
         )
         if protocol == TIME_SPLITTING:
@@ -507,6 +510,45 @@ def test_time_splitting_estimates_are_payload_shares_of_the_full_surface_one(est
     assert estimates[-1] == (0.0, 0.0)
 
 
+# The benchmark's two log-grid workloads: the scenario file and the grid of
+# its perfbench/run.py flags.
+EXACT_RATE_WORKLOADS = {"paper_default": SweepSpec(), "large_surface": SweepSpec(points=5)}
+
+
+@pytest.mark.parametrize("workload", sorted(EXACT_RATE_WORKLOADS))
+def test_every_sweep_estimate_is_within_a_bonferroni_band_of_its_exact_rate(workload):
+    # each allocation's estimate averages its rate over draws of the lattice
+    # law of S_n, so its expectation is (payload / frame) B E[log2(1 + P_t
+    # S_n^2 / N)], one dot product over channel._tail_table(K, n); every
+    # distinct (protocol, allocation) of a fixed-seed sweep must lie within
+    # the Bonferroni band (family alpha 1e-6) of it, and a row with no
+    # reflecting UC or no payload slot reads exactly 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / f"{workload}.cfg"
+    cfg = dataclasses.replace(load_config(path), rng_seed=20230816)
+    rows = answer(cfg, EXACT_RATE_WORKLOADS[workload].grid())
+    estimates = {
+        (row.protocol, row.optimal_allocation): (row.average_rate, row.rate_ci) for row in rows
+    }
+    limit = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * len(estimates)))
+    post = cfg.frame_slots - cfg.preamble_slots
+    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    for (protocol, value), (average, ci) in estimates.items():
+        if protocol == TIME_SPLITTING:
+            n, payload = cfg.m_s, post - value
+        else:
+            n, payload = cfg.m_s - value, post
+        if n == 0 or payload == 0:
+            assert (average, ci) == (0.0, 0.0), (protocol, value)
+            continue
+        cdf, amplitudes = _tail_table(cfg.rician_k, n)
+        spectral = np.log2(1.0 + cfg.tx_power * (amplitudes * gain) ** 2 / cfg.noise_power)
+        expectation = float(np.diff(cdf, prepend=0.0) @ spectral)
+        exact = payload / cfg.frame_slots * cfg.bandwidth * expectation
+        assert ci > 0.0, (protocol, value)
+        z = (average - exact) / (ci / 1.96)
+        assert abs(z) <= limit, (protocol, value, z, limit)
+
+
 @pytest.mark.parametrize("protocol", [TIME_SPLITTING, UC_SPLITTING])
 def test_estimate_memory_is_a_few_blocks_whatever_the_number_of_values(protocol):
     # the rates are formed a block at a time, so what an estimate holds at
@@ -537,7 +579,7 @@ def test_estimate_memory_is_a_few_blocks_whatever_the_number_of_values(protocol)
     "config",
     [
         ScenarioConfig(),
-        ScenarioConfig(chain_size=7, rectifier=RectifierModel(kind="sigmoidal")),
+        ScenarioConfig(chain_size=7, rectifier_kind="sigmoidal"),
         ScenarioConfig(ris_cols=60, ris_rows=60, chain_size=3600),
     ],
     ids=["default", "sigmoidal", "one_chain_of_3600"],

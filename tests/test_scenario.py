@@ -14,9 +14,9 @@ from hypothesis import given, strategies as st
 
 import risharvest
 from risharvest import (
+    RECTIFIER_KINDS,
     ConfigParseError,
     ConfigValidationError,
-    RectifierModel,
     ScenarioConfig,
     dumps_config,
     load_config,
@@ -91,8 +91,18 @@ def test_rectifier_keys_parse():
         "rectifier_steepness = 900\n"
         "rectifier_centering = 0.001\n"
     )
-    assert cfg.rectifier.kind == "sigmoidal"
-    assert cfg.rectifier.p_max == 0.005
+    assert cfg.rectifier_kind == "sigmoidal"
+    assert cfg.rectifier_p_max == 0.005
+
+
+@pytest.mark.parametrize("kind", RECTIFIER_KINDS)
+def test_every_written_key_is_a_config_field(kind):
+    # one name per setting: a scenario-file key is the field's own name
+    cfg = ScenarioConfig(rectifier_kind=kind, rectifier_saturation=2e-2, rectifier_p_max=5e-3)
+    text = dumps_config(cfg)
+    keys = [line.partition(" = ")[0] for line in text.splitlines()[1:]]
+    assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert loads_config(text) == cfg
 
 
 @pytest.mark.parametrize(
@@ -118,29 +128,29 @@ def test_validation_errors_name_field(line, field):
 
 NAN, INF = float("nan"), float("inf")
 NON_FINITE_OR_BOOL = [
-    (ScenarioConfig, "tx_gain_dbi", NAN, ConfigValidationError),
-    (ScenarioConfig, "rx_gain_dbi", NAN, ConfigValidationError),
-    (ScenarioConfig, "e_rec", INF, ConfigValidationError),
-    (ScenarioConfig, "noise_figure_db", INF, ConfigValidationError),
-    (ScenarioConfig, "rf_combining_loss_db", INF, ConfigValidationError),
-    (ScenarioConfig, "rician_k", NAN, ConfigValidationError),
-    (ScenarioConfig, "ris_cols", True, ConfigValidationError),
-    (ScenarioConfig, "tx_power", True, ConfigValidationError),
-    (RectifierModel, "sensitivity", NAN, ConfigValidationError),
-    (RectifierModel, "p_max", NAN, ConfigValidationError),
-    (RectifierModel, "saturation", INF, ConfigValidationError),
-    (RectifierModel, "steepness", INF, ConfigValidationError),
+    ("tx_gain_dbi", NAN),
+    ("rx_gain_dbi", NAN),
+    ("e_rec", INF),
+    ("noise_figure_db", INF),
+    ("rf_combining_loss_db", INF),
+    ("rician_k", NAN),
+    ("ris_cols", True),
+    ("tx_power", True),
+    ("rectifier_sensitivity", NAN),
+    ("rectifier_p_max", NAN),
+    ("rectifier_saturation", INF),
+    ("rectifier_steepness", INF),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, field, value, error",
+    "field, value",
     NON_FINITE_OR_BOOL,
-    ids=[f"{cls.__name__}.{field}={value}" for cls, field, value, _ in NON_FINITE_OR_BOOL],
+    ids=[f"ScenarioConfig.{field}={value}" for field, value in NON_FINITE_OR_BOOL],
 )
-def test_non_finite_or_bool_field_rejected(cls, field, value, error):
-    with pytest.raises(error, match=field):
-        cls(**{field: value})
+def test_non_finite_or_bool_field_rejected(field, value):
+    with pytest.raises(ConfigValidationError, match=field):
+        ScenarioConfig(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -150,9 +160,9 @@ def test_non_finite_or_bool_field_rejected(cls, field, value, error):
         (dict(tx_power=1e143, bandwidth=1e152), "rate bound from mc_trials"),
         (dict(tx_power=1e300, tx_gain_dbi=155.0, d_ris_rx=1e150),
          "chain RF power bound from tx_power"),
-        (dict(slot_duration=1e300, rectifier=RectifierModel(saturation=1e300)),
+        (dict(slot_duration=1e300, rectifier_saturation=1e300),
          "frame harvest energy bound from rectifier_efficiency, rectifier_saturation"),
-        (dict(slot_duration=1e300, rectifier=RectifierModel(kind="sigmoidal", p_max=1e300)),
+        (dict(slot_duration=1e300, rectifier_kind="sigmoidal", rectifier_p_max=1e300),
          "frame harvest energy bound from rectifier_p_max, dc_combining_efficiency"),
     ],
     ids=["snr", "rate", "chain_rf", "energy_linear", "energy_sigmoidal"],
@@ -171,7 +181,10 @@ def test_round_trip_stability(tmp_path):
         ris_rows=9,
         chain_size=5,
         rf_combining_loss_db=1.25,
-        rectifier=RectifierModel(kind="sigmoidal", p_max=1e-3, steepness=2100.0, centering=5e-4),
+        rectifier_kind="sigmoidal",
+        rectifier_p_max=1e-3,
+        rectifier_steepness=2100.0,
+        rectifier_centering=5e-4,
         rng_seed=987654321,
     )
     path = tmp_path / "cfg.txt"
@@ -193,17 +206,19 @@ def test_round_trip_preserves_large_integer_seed(seed):
     "field, value",
     [("rng_seed", True), ("rng_seed", 3.0), ("rng_seed", -1), ("rng_seed", 2**64),
      ("rng_seed", np.random.default_rng(1)), ("mc_trials", 2.5), ("mc_trials", np.float64(4.9)),
-     ("mc_trials", True), ("mc_trials", "3"), ("mc_trials", 0), ("mc_trials", -1)],
+     ("mc_trials", True), ("mc_trials", "3"), ("mc_trials", 0), ("mc_trials", -1),
+     ("mc_trials", 1)],
     ids=["seed_bool", "seed_float", "seed_negative", "seed_2^64", "seed_generator",
          "trials_fraction", "trials_np_float", "trials_bool", "trials_str", "trials_zero",
-         "trials_negative"],
+         "trials_negative", "trials_one"],
 )
 def test_bad_seed_or_trial_count_rejected(field, value):
-    # the channel draw reads both from the configuration alone
+    # the channel draw reads both from the configuration alone, and one
+    # trial has no sample sd to give its rate a CI
     with pytest.raises(ConfigValidationError, match=f"^{field} must be "):
         ScenarioConfig(**{field: value})
-    cfg = ScenarioConfig(rng_seed=2**64 - 1, mc_trials=1)
-    assert (cfg.rng_seed, cfg.mc_trials) == (2**64 - 1, 1)
+    cfg = ScenarioConfig(rng_seed=2**64 - 1, mc_trials=2)
+    assert (cfg.rng_seed, cfg.mc_trials) == (2**64 - 1, 2)
 
 
 def test_integer_keys_accept_exponent_form():

@@ -20,7 +20,6 @@ from risharvest import (
     RECTIFIER_KINDS,
     TIME_SPLITTING,
     ConfigValidationError,
-    RectifierModel,
     ScenarioConfig,
     save_config,
 )
@@ -299,6 +298,14 @@ def test_cli_flag_overrides_change_output(fast_config_path, tmp_path):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_cli_rejects_one_trial_before_writing(tmp_path, capsys):
+    # one trial has no sample sd, so its rows would claim a CI of 0
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--points", "2", "--trials", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: mc_trials must be >= 2, got 1\n"
+    assert not out.exists()
+
+
 def test_cli_missing_config_fails_nonzero(tmp_path, capsys):
     code = main(
         ["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")]
@@ -426,7 +433,7 @@ def test_column_draw_writes_the_full_draw_csv(monkeypatch, tmp_path, spec, kind)
     # full by the tests, every segment from its own pure-Python word
     # (conftest.rebuilt_prefix), must give the same CSV byte for byte
     config = tmp_path / "scenario.cfg"
-    save_config(ScenarioConfig(mc_trials=200, rectifier=RectifierModel(kind=kind)), config)
+    save_config(ScenarioConfig(mc_trials=200, rectifier_kind=kind), config)
     kept = []
 
     def rebuilt_draw(cfg, *, columns):
@@ -570,9 +577,9 @@ def test_answer_rejects_no_budgets_or_a_bad_one_before_the_draw(monkeypatch):
 # The question's vocabulary, and the machinery that stays in its modules.
 PUBLIC_NAMES = [
     "ConfigError", "ConfigParseError", "ConfigValidationError", "FEASIBLE", "INFEASIBLE",
-    "LINEAR_CLIPPED", "PROTOCOLS", "RECTIFIER_KINDS", "RectifierModel", "SIGMOIDAL",
-    "ScenarioConfig", "TIME_SPLITTING", "UC_SPLITTING", "dumps_config", "load_config",
-    "loads_config", "save_config",
+    "LINEAR_CLIPPED", "PROTOCOLS", "RECTIFIER_KINDS", "SIGMOIDAL", "ScenarioConfig",
+    "TIME_SPLITTING", "UC_SPLITTING", "dumps_config", "load_config", "loads_config",
+    "save_config",
 ]
 MODULE_NAMES = {
     "channel": ["TrialChannels", "draw_trials"],
@@ -641,15 +648,12 @@ def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
     assert proc.stdout.splitlines()[0] == proc.stdout.splitlines()[-1] == "[]"
 
 
-# Scenario-file keys, and a strategy for every float key: log-uniform over
-# [1e-300, 1e300], or uniform over +-1e4 for the four dB fields.
-SCENARIO_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "rectifier"]
-SCENARIO_KEYS += [f"rectifier_{f.name}" for f in dataclasses.fields(RectifierModel)]
+# Scenario-file keys (the ScenarioConfig field names), and a strategy for
+# every float key: log-uniform over [1e-300, 1e300], or uniform over +-1e4
+# for the four dB fields.
+SCENARIO_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 DB_KEYS = ("tx_gain_dbi", "rx_gain_dbi", "noise_figure_db", "rf_combining_loss_db")
 FLOAT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type is float]
-FLOAT_KEYS += [
-    f"rectifier_{f.name}" for f in dataclasses.fields(RectifierModel) if f.type is float
-]
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
 # Each key is set or left at its default, so that some examples validate.
 ANY_CONFIG = st.fixed_dictionaries(
