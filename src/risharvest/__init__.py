@@ -24,10 +24,17 @@ and the consumption alone, with no channel draw
 (``optimize_time_splitting``, ``optimize_uc_splitting``), and estimates
 a protocol's rates over one draw, one statistic per reflecting-UC count
 (``estimate_averages``).
+
+numpy loads only where the package computes. ``import risharvest`` reads
+``scenario`` and ``power`` alone, where the protocol and status names live,
+and neither imports numpy; nor does ``sweep``, so loading, validating and
+writing a configuration, reading a sweep CSV, ``summarize`` and the CLI's
+argument handling run without it. Importing ``channel``, ``harvesting`` or
+``optimizer`` loads numpy, and so does the first ``sweep.answer`` or
+``SweepSpec.grid()``.
 """
 
-from .optimizer import FEASIBLE, INFEASIBLE
-from .power import PROTOCOLS, TIME_SPLITTING, UC_SPLITTING
+from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING
 from .scenario import (
     LINEAR_CLIPPED,
     RECTIFIER_KINDS,

@@ -42,11 +42,8 @@ import numpy as np
 
 from .channel import TrialChannels, coherent_snr, shannon_rate
 from .harvesting import harvest
-from .power import TIME_SPLITTING, UC_SPLITTING, total_consumption
+from .power import FEASIBLE, INFEASIBLE, TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
-
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
 
 # Rates per block of estimate_averages: a block is rows of whole trials,
 # at least one, so its float64 temporaries take 32 KiB each unless one row
@@ -107,6 +104,7 @@ def _check_value(value, vmax: int) -> None:
         raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
 
 
+@functools.lru_cache(maxsize=16)  # both protocols of the 8 configurations _harvest keeps
 def harvest_of(protocol: str, cfg: ScenarioConfig):
     """The frame-averaged DC harvest (W) as a function of the allocation value.
 
@@ -116,8 +114,8 @@ def harvest_of(protocol: str, cfg: ScenarioConfig):
     ``value`` UCs for the whole post-preamble interval, so both protocols'
     full allocations harvest the same, bit for bit. Raises ValueError for an
     unknown protocol when fetched and for any other value when called.
-    Fetch it once and evaluate it many times: the lookup hashes the
-    configuration.
+    Cached per (protocol, configuration), so that a solve fetches it with
+    one hash of the configuration and builds no closure.
     """
     vmax = _allocation_bounds(protocol, cfg)
     # A memoryview reads an entry as a Python float, which halves the cost of

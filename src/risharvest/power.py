@@ -1,4 +1,9 @@
-"""ASIC power consumption: static draw plus reconfiguration-driven dynamic draw."""
+"""ASIC power consumption: static draw plus reconfiguration-driven dynamic draw.
+
+This module also names the protocols and the status of a solve. Like
+``scenario``, the one module it imports, it loads no numpy, so the package's
+top level exports these names without it.
+"""
 
 from dataclasses import dataclass
 
@@ -7,6 +12,10 @@ from .scenario import PER_UC, STATIC_PER_ASIC, ScenarioConfig, is_finite_number
 TIME_SPLITTING = "time_splitting"
 UC_SPLITTING = "uc_splitting"
 PROTOCOLS = (TIME_SPLITTING, UC_SPLITTING)
+
+# The status of a solve: whether the harvest at its allocation covers consumption.
+FEASIBLE = "feasible"
+INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)

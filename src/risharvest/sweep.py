@@ -1,20 +1,25 @@
-"""Answer a configuration over static-power budgets, and the sweep CLI that writes it as CSV."""
+"""Answer a configuration over static-power budgets, and the sweep CLI that writes it as CSV.
+
+Importing this module loads no numpy, so the CLI's argument handling, a
+configuration it rejects and ``summarize`` run without it. numpy loads
+when a command computes: ``SweepSpec.grid()`` imports it, and ``answer``
+looks up the draw (``channel.draw_trials``) and the solvers
+(``optimizer.optimize_*``) on this module, which imports their modules on
+first use.
+"""
 
 import argparse
 import csv
+import importlib
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import optimizer
-from .channel import draw_trials
-from .optimizer import FEASIBLE, INFEASIBLE, optimize_time_splitting, optimize_uc_splitting
-from .power import PROTOCOLS, TIME_SPLITTING, UC_SPLITTING, dynamic_power
+from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING, dynamic_power
 from .scenario import (
     ConfigError,
     ConfigValidationError,
@@ -22,6 +27,24 @@ from .scenario import (
     is_finite_number,
     load_config,
 )
+
+# The computing names this module gives, by their home module. Each is
+# imported on its first look-up here (PEP 562) and then kept in the module's
+# globals; ``answer`` calls them through the module, so that a wrapper set
+# on it (perfbench/tracer.py) sees each call.
+_LAZY_NAMES = {
+    "draw_trials": "channel",
+    "optimize_time_splitting": "optimizer",
+    "optimize_uc_splitting": "optimizer",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _finite_nonnegative(value) -> bool:
@@ -74,7 +97,7 @@ class SweepSpec:
                 raise ValueError(f"sweep {name} must be a finite number, got {value!r}")
         if self.start < 0.0:
             raise ValueError(f"sweep start must be >= 0 W, got {self.start}")
-        if not isinstance(self.points, int) or isinstance(self.points, bool):
+        if not isinstance(self.points, numbers.Integral) or isinstance(self.points, bool):
             raise ValueError(f"sweep points must be an integer, got {self.points!r}")
         if not self.start < self.stop:
             raise ValueError(f"sweep start ({self.start}) must be below stop ({self.stop})")
@@ -83,7 +106,9 @@ class SweepSpec:
         if self.scale == LOG and self.start <= 0.0:
             raise ValueError("log-scale sweeps need a positive start value")
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> "numpy.ndarray":
+        import numpy as np
+
         if self.scale == LINEAR:
             return np.linspace(self.start, self.stop, self.points)
         return np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
@@ -151,6 +176,9 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     ``dyn_over_static`` overflow at the smallest positive budget; all before
     the draw.
     """
+    from . import optimizer
+
+    sweep = sys.modules[__name__]  # the computing names, looked up on the module
     grid = [float(p) for p in p_statics]
     if not grid:
         raise ValueError("p_statics is empty: there is no budget to answer")
@@ -166,13 +194,13 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     solves = [
         (p_static, solve(p_static, cfg))
         for p_static in grid
-        for solve in (optimize_time_splitting, optimize_uc_splitting)
+        for solve in (sweep.optimize_time_splitting, sweep.optimize_uc_splitting)
     ]
     allocations = {protocol: {} for protocol in PROTOCOLS}  # dicts, as ordered sets
     for _, result in solves:
         allocations[result.protocol][result.optimal_allocation] = None
     columns = (optimizer.reflecting_ucs(r.protocol, r.optimal_allocation, cfg) for _, r in solves)
-    trial_set = draw_trials(cfg, columns=columns)
+    trial_set = sweep.draw_trials(cfg, columns=columns)
     rates = {}
     for protocol, values in allocations.items():
         # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.

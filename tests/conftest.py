@@ -115,8 +115,10 @@ def curve_of(protocol, cfg):
 
 
 def clear_harvest_caches():
-    """Empty the cached harvest, which a patched harvest chain must rebuild."""
+    """Empty the cached harvest and the functions read from it, which a
+    patched harvest chain must rebuild."""
     risharvest.optimizer._harvest.cache_clear()
+    risharvest.optimizer.harvest_of.cache_clear()
 
 
 def absorbing_config(p_uc, m_s, **fields):

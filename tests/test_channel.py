@@ -384,9 +384,10 @@ def test_tail_draw_memory_does_not_grow_with_the_surface():
 
 
 def test_numpy_fft_loads_only_when_a_tail_law_needs_it():
-    # importing the package and loading a configuration, which every sweep's
-    # set-up does, leave numpy.fft unloaded; so does a draw whose segments
-    # are all one UC, whose law is the cells; a segment of two UCs loads it
+    # importing channel loads numpy but not numpy.fft (importing the package
+    # and loading a configuration, which every sweep's set-up does, load no
+    # numpy at all); a draw whose segments are all one UC, whose law is the
+    # cells, leaves numpy.fft unloaded too; a segment of two UCs loads it
     code = (
         "import sys\n"
         "import risharvest, risharvest.sweep\n"

@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
@@ -75,15 +76,22 @@ def test_sweep_spec_validation():
         (dict(start=-1e-3, scale="linear"), "start"),
         (dict(start=True, stop=2.0, scale="linear"), "start"),
         (dict(points=True), "points"),
+        (dict(points=np.True_), "points"),
         (dict(points=2.0), "points"),
         (dict(points="3"), "points"),
     ],
     ids=["stop_inf", "stop_nan", "start_neg_inf", "start_nan", "start_negative",
-         "start_bool", "points_bool", "points_float", "points_str"],
+         "start_bool", "points_bool", "points_np_bool", "points_float", "points_str"],
 )
 def test_sweep_spec_rejects_bad_bounds(overrides, field):
     with pytest.raises(ValueError, match=f"sweep {field} "):
         small_spec(**overrides)
+
+
+@pytest.mark.parametrize("points", [5, np.int64(5), np.uint8(5)], ids=["int", "np_int64", "np_uint8"])
+def test_sweep_spec_takes_any_integer_points(points):
+    # as start and stop take any real number, points takes any integer but a bool
+    assert small_spec(points=points).grid().tolist() == small_spec(points=5).grid().tolist()
 
 
 def test_row_count_and_header(fast_config_path, tmp_path):
@@ -646,6 +654,61 @@ def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[0] == proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_numpy_loads_only_when_a_command_computes(tmp_path):
+    # the package, the CLI module, the scenario-file I/O, summarize, --help
+    # and a sweep whose configuration is rejected form no array, so none of
+    # them loads numpy; a sweep does
+    csv_path, bad, out = tmp_path / "sweep.csv", tmp_path / "bad.cfg", tmp_path / "out.csv"
+    run_sweep(None, small_spec(points=2), csv_path, trials=8)
+    bad.write_text("mc_trials = 1\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "tmp = sys.argv[1]\n"
+        "def step(name):\n"
+        "    print(name, 'numpy' in sys.modules)\n"
+        "import risharvest, risharvest.sweep\n"
+        "step('import')\n"
+        "from risharvest import dumps_config, load_config, loads_config, save_config\n"
+        "from risharvest.sweep import main\n"
+        "cfg = loads_config('ris_cols = 4')\n"
+        "step('loads_config')\n"
+        "save_config(cfg, tmp + '/saved.cfg')\n"
+        "step('save_config')\n"
+        "assert load_config(tmp + '/saved.cfg') == cfg\n"
+        "step('load_config')\n"
+        "assert dumps_config(cfg)\n"
+        "step('dumps_config')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['summarize', tmp + '/sweep.csv']) == 0\n"
+        "step('summarize')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        help_exit = exc.code\n"
+        "assert help_exit == 0\n"
+        "step('help')\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "    assert main(['sweep', '--config', tmp + '/bad.cfg', '--out', tmp + '/out.csv']) == 1\n"
+        "assert err.getvalue() == 'error: mc_trials must be >= 2, got 1\\n'\n"
+        "step('rejected_sweep')\n"
+        "assert main(['sweep', '--points', '2', '--trials', '8', '--out', tmp + '/out.csv']) == 0\n"
+        "step('sweep')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "import False", "loads_config False", "save_config False", "load_config False",
+        "dumps_config False", "summarize False", "help False", "rejected_sweep False",
+        "sweep True",
+    ]
+    assert len(read_rows(out)) == 4
 
 
 # Scenario-file keys (the ScenarioConfig field names), and a strategy for
