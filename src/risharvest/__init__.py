@@ -31,7 +31,13 @@ and neither imports numpy; nor does ``sweep``, so loading, validating and
 writing a configuration, reading a sweep CSV, ``summarize`` and the CLI's
 argument handling run without it. Importing ``channel``, ``harvesting`` or
 ``optimizer`` loads numpy, and so does the first ``sweep.answer`` or
-``SweepSpec.grid()``.
+``SweepSpec.grid()``; none of these touches the garbage collector. Only
+``sweep.run_sweep``, the CLI's sweep, does: once its configuration is
+valid, it imports the computing modules with the collector paused and
+freezes what they leave (``gc.freeze``), so that the sweep's collections
+and the interpreter's exit skip numpy's objects. The collections that
+import would have run find almost no garbage, so the freeze keeps little
+alive that they would have freed.
 """
 
 from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING

@@ -510,6 +510,25 @@ def test_time_splitting_estimates_are_payload_shares_of_the_full_surface_one(est
     assert estimates[-1] == (0.0, 0.0)
 
 
+def exact_rate(protocol, value, cfg):
+    """The average rate (bit/s) of allocation ``value`` that its estimate
+    averages over draws of the lattice law of S_n: (payload / frame) B
+    E[log2(1 + P_t S_n^2 / N)], one dot product over
+    channel._tail_table(K, n); 0 with no reflecting UC or no payload slot."""
+    post = cfg.frame_slots - cfg.preamble_slots
+    if protocol == TIME_SPLITTING:
+        n, payload = cfg.m_s, post - value
+    else:
+        n, payload = cfg.m_s - value, post
+    if n == 0 or payload == 0:
+        return 0.0
+    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    cdf, amplitudes = _tail_table(cfg.rician_k, n)
+    spectral = np.log2(1.0 + cfg.tx_power * (amplitudes * gain) ** 2 / cfg.noise_power)
+    expectation = float(np.diff(cdf, prepend=0.0) @ spectral)
+    return payload / cfg.frame_slots * cfg.bandwidth * expectation
+
+
 # The benchmark's two log-grid workloads: the scenario file and the grid of
 # its perfbench/run.py flags.
 EXACT_RATE_WORKLOADS = {"paper_default": SweepSpec(), "large_surface": SweepSpec(points=5)}
@@ -530,23 +549,44 @@ def test_every_sweep_estimate_is_within_a_bonferroni_band_of_its_exact_rate(work
         (row.protocol, row.optimal_allocation): (row.average_rate, row.rate_ci) for row in rows
     }
     limit = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * len(estimates)))
-    post = cfg.frame_slots - cfg.preamble_slots
-    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
     for (protocol, value), (average, ci) in estimates.items():
-        if protocol == TIME_SPLITTING:
-            n, payload = cfg.m_s, post - value
-        else:
-            n, payload = cfg.m_s - value, post
-        if n == 0 or payload == 0:
+        exact = exact_rate(protocol, value, cfg)
+        if exact == 0.0:
             assert (average, ci) == (0.0, 0.0), (protocol, value)
             continue
-        cdf, amplitudes = _tail_table(cfg.rician_k, n)
-        spectral = np.log2(1.0 + cfg.tx_power * (amplitudes * gain) ** 2 / cfg.noise_power)
-        expectation = float(np.diff(cdf, prepend=0.0) @ spectral)
-        exact = payload / cfg.frame_slots * cfg.bandwidth * expectation
         assert ci > 0.0, (protocol, value)
         z = (average - exact) / (ci / 1.96)
         assert abs(z) <= limit, (protocol, value, z, limit)
+
+
+def binomial_band(n, p, alpha):
+    """The counts (lo, hi) that Binomial(n, p) falls below or above with
+    probability at most alpha / 2 each."""
+    pmf = [math.comb(n, c) * p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
+    lo = next(c for c in range(n + 1) if math.fsum(pmf[: c + 1]) > alpha / 2)
+    hi = next(c for c in range(n, -1, -1) if math.fsum(pmf[c:]) > alpha / 2)
+    return lo, hi
+
+
+def test_the_95_percent_ci_covers_the_exact_rate_in_95_percent_of_seeds():
+    # over independent seeds, each (average, ci) covers its exact rate with
+    # probability 0.95, so the count that does is Binomial(seeds, 0.95); it
+    # must lie within that law's band at family alpha 1e-6 over the values.
+    # 300 seeds make the band's top end fall below 300, so a CI too wide (a
+    # missing 1 / sqrt(trials), say) fails as a CI too narrow does; n = 1
+    # reads the cells of one amplitude, n = m_s the sum of every UC
+    cfg = ScenarioConfig(ris_cols=3, ris_rows=3, mc_trials=300)
+    seeds, columns = 300, [1, cfg.m_s]
+    values = [cfg.m_s - n for n in columns]
+    exact = [exact_rate(UC_SPLITTING, value, cfg) for value in values]
+    covered = [0] * len(values)
+    for seed in range(seeds):
+        trials = draw_trials(dataclasses.replace(cfg, rng_seed=seed), columns=columns)
+        for j, (average, ci) in enumerate(estimate_averages(UC_SPLITTING, values, trials)):
+            covered[j] += abs(average - exact[j]) <= ci
+    lo, hi = binomial_band(seeds, 0.95, 1e-6 / len(values))
+    assert hi < seeds
+    assert all(lo <= count <= hi for count in covered), (covered, lo, hi)
 
 
 @pytest.mark.parametrize("protocol", [TIME_SPLITTING, UC_SPLITTING])

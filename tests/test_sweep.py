@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -659,15 +660,18 @@ def test_sweep_and_summarize_leave_numpy_ma_unimported(tmp_path):
 def test_numpy_loads_only_when_a_command_computes(tmp_path):
     # the package, the CLI module, the scenario-file I/O, summarize, --help
     # and a sweep whose configuration is rejected form no array, so none of
-    # them loads numpy; a sweep does
+    # them loads numpy, nor freezes the collector's heap; a sweep does both,
+    # with the collector on again for its own objects
     csv_path, bad, out = tmp_path / "sweep.csv", tmp_path / "bad.cfg", tmp_path / "out.csv"
     run_sweep(None, small_spec(points=2), csv_path, trials=8)
     bad.write_text("mc_trials = 1\n")
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, gc, io, sys\n"
         "tmp = sys.argv[1]\n"
         "def step(name):\n"
-        "    print(name, 'numpy' in sys.modules)\n"
+        "    loaded = 'numpy' in sys.modules\n"
+        "    assert loaded or gc.get_freeze_count() == 0, (name, gc.get_freeze_count())\n"
+        "    print(name, loaded)\n"
         "import risharvest, risharvest.sweep\n"
         "step('import')\n"
         "from risharvest import dumps_config, load_config, loads_config, save_config\n"
@@ -696,6 +700,7 @@ def test_numpy_loads_only_when_a_command_computes(tmp_path):
         "step('rejected_sweep')\n"
         "assert main(['sweep', '--points', '2', '--trials', '8', '--out', tmp + '/out.csv']) == 0\n"
         "step('sweep')\n"
+        "assert gc.isenabled() and gc.get_freeze_count() > 0\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
     proc = subprocess.run(
@@ -709,6 +714,59 @@ def test_numpy_loads_only_when_a_command_computes(tmp_path):
         "sweep True",
     ]
     assert len(read_rows(out)) == 4
+
+
+def test_the_computing_imports_and_answer_leave_the_collector_as_they_found_it():
+    # only run_sweep, the CLI's step, pauses the collector and freezes the
+    # heap; importing the computing modules and calling answer, on or off,
+    # leave both the collector's state and its frozen count alone
+    code = (
+        "import gc\n"
+        "def state():\n"
+        "    print(gc.isenabled(), gc.get_freeze_count())\n"
+        "import risharvest.optimizer\n"
+        "state()\n"
+        "from risharvest import ScenarioConfig\n"
+        "from risharvest.sweep import answer\n"
+        "cfg = ScenarioConfig(mc_trials=8)\n"
+        "assert len(answer(cfg, [1e-6, 1e-4])) == 4\n"
+        "state()\n"
+        "gc.disable()\n"
+        "assert len(answer(cfg, [1e-6, 1e-4])) == 4\n"
+        "state()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["True 0", "True 0", "False 0"]
+
+
+@pytest.mark.parametrize("grid_raises", [False, True], ids=["sweeps", "grid_raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_sweep_leaves_the_collector_on_or_off_as_it_found_it(
+    monkeypatch, tmp_path, enabled, grid_raises
+):
+    # the collector is paused for the imports alone and turned back on only
+    # if the caller had it on, also when the grid after them raises
+    if grid_raises:
+        def failing_grid(spec):
+            raise RuntimeError("grid failed")
+        monkeypatch.setattr(SweepSpec, "grid", failing_grid)
+    was_enabled = gc.isenabled()
+    gc.unfreeze()  # what an earlier sweep of this process froze
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if grid_raises:
+            with pytest.raises(RuntimeError, match="grid failed"):
+                run_sweep(None, small_spec(points=2), tmp_path / "out.csv", trials=8)
+        else:
+            assert run_sweep(None, small_spec(points=2), tmp_path / "out.csv", trials=8) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() > 0
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # Scenario-file keys (the ScenarioConfig field names), and a strategy for
