@@ -33,11 +33,12 @@ argument handling run without it. Importing ``channel``, ``harvesting`` or
 ``optimizer`` loads numpy, and so does the first ``sweep.answer`` or
 ``SweepSpec.grid()``; none of these touches the garbage collector. Only
 ``sweep.run_sweep``, the CLI's sweep, does: once its configuration is
-valid, it imports the computing modules with the collector paused and
-freezes what they leave (``gc.freeze``), so that the sweep's collections
-and the interpreter's exit skip numpy's objects. The collections that
-import would have run find almost no garbage, so the freeze keeps little
-alive that they would have freed.
+valid and while nothing in the process is frozen, it imports the
+computing modules with the collector paused and freezes what they leave
+(``gc.freeze``), so that the sweep's collections and the interpreter's
+exit skip numpy's objects. The collections that import would have run find
+almost no garbage, so the freeze keeps little alive that they would have
+freed.
 """
 
 from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING

@@ -21,13 +21,16 @@ DC power of the absorbing UCs, all of them or k, times their harvest time,
 v slots or the post-preamble interval, over the frame. The solve
 (``optimize_*``) needs no channel draw: the average rate is decreasing in
 the allocation, so the optimum is the smallest value whose harvest covers
-consumption, found by one bisection over the allocation values of either
-protocol, which needs O(log vmax) evaluations and O(1) memory however long
-the frame. It gives the left ``searchsorted`` of the consumed power in the
-array of every value's harvest, bit for bit. The estimate
-(``estimate_averages``) averages the rate of each of a list of allocation
-values over one set of channel draws (common random numbers), which
-``channel.draw_trials`` makes: one rate statistic per drawn column n,
+consumption, found by one C-level ``bisect_left`` per solve. UC splitting
+looks the consumed power up in a cached, read-only curve of every k's
+harvest (m_s + 1 entries, bounded by the surface as the DC harvest is), so
+no probe calls Python. Time splitting bisects ``range(vmax + 1)`` with a
+key that does the same arithmetic, which takes O(log vmax) key calls and
+O(1) memory however long the frame. Either gives the left ``searchsorted``
+of the consumed power in the array of every value's harvest, bit for bit.
+The estimate (``estimate_averages``) averages the rate of each of a list of
+allocation values over one set of channel draws (common random numbers),
+which ``channel.draw_trials`` makes: one rate statistic per drawn column n,
 scaled by each value's payload share. A sweep solves its whole grid first,
 draws once keeping only the columns n those solves read, and estimates the
 distinct allocations of each protocol in one call.
@@ -36,7 +39,7 @@ distinct allocations of each protocol in one call.
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,19 +48,17 @@ from .harvesting import harvest
 from .power import FEASIBLE, INFEASIBLE, TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
 
-# Rates per block of estimate_averages: a block is rows of whole trials,
-# at least one, so its float64 temporaries take 32 KiB each unless one row
-# is longer. Blocks of 2^14 rates (128 000 B at 1000 trials, just under
-# glibc's 128 KiB mmap threshold) ran the 1000-trial edge sweep in the same
-# CPU time. Their median peak RSS read 0.27 MiB above the one-value-at-a-time
-# estimate's in one set of CLI runs (these blocks: +0.03 MiB) and 0.04 MiB
-# below it in another (30 runs each; these: -0.03 MiB), so the smaller
-# blocks are kept: they cost no time and bound the temporaries tighter.
-_ESTIMATE_BLOCK_VALUES = 1 << 12
+# Rates per block of estimate_averages: a block is rows of whole trials, at
+# least one, so its float64 temporaries take 128 KiB each unless one row is
+# longer. At 1000 trials a block is 16 rows, 128 000 B, just under glibc's
+# 128 KiB mmap threshold; the 1000-trial edge sweep's estimate takes about
+# a fifth less time than with blocks of 2^12 rates (3.4 -> 2.6 ms and
+# 5.1 -> 4.0 ms, medians of 21 cold runs each in two sets, on a 2-vCPU
+# AVX-512 host). At 10^4 trials a block stays one row.
+_ESTIMATE_BLOCK_VALUES = 1 << 14
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(NamedTuple):
     """The solve at one static power: the best allocation value and its feasibility."""
 
     protocol: str
@@ -105,6 +106,27 @@ def _check_value(value, vmax: int) -> None:
 
 
 @functools.lru_cache(maxsize=16)  # both protocols of the 8 configurations _harvest keeps
+def _harvests(protocol: str, cfg: ScenarioConfig):
+    """(values, key), which the solve bisects for the frame-averaged harvest (W).
+
+    UC splitting's values are its curve, k's harvest ``values[k]``: a
+    read-only memoryview of the float64 harvest of every k,
+    ``dc * (post * slot) / frame``, whose entries read as Python floats;
+    its key is None. Time splitting's values are ``range(vmax + 1)`` and
+    v's harvest is ``key(v)``, the harvest of v slots in the same operation
+    order, so its memory does not grow with the frame. Raises ValueError
+    for an unknown protocol.
+    """
+    vmax = _allocation_bounds(protocol, cfg)
+    dc, slot, frame = _harvest(cfg), cfg.slot_duration, cfg.frame_duration
+    if protocol == TIME_SPLITTING:
+        full = float(dc[-1])
+        return range(vmax + 1), lambda value: full * (value * slot) / frame
+    curve = dc * ((cfg.frame_slots - cfg.preamble_slots) * slot) / frame
+    curve.setflags(write=False)
+    return memoryview(curve), None
+
+
 def harvest_of(protocol: str, cfg: ScenarioConfig):
     """The frame-averaged DC harvest (W) as a function of the allocation value.
 
@@ -112,25 +134,15 @@ def harvest_of(protocol: str, cfg: ScenarioConfig):
     absorbing UCs times their harvest time, over the frame. Time splitting
     absorbs on the whole surface for ``value`` slots, UC splitting on
     ``value`` UCs for the whole post-preamble interval, so both protocols'
-    full allocations harvest the same, bit for bit. Raises ValueError for an
-    unknown protocol when fetched and for any other value when called.
-    Cached per (protocol, configuration), so that a solve fetches it with
-    one hash of the configuration and builds no closure.
+    full allocations harvest the same, bit for bit. It gives what the solve
+    reads. Raises ValueError for an unknown protocol when fetched and for
+    any other value when called.
     """
-    vmax = _allocation_bounds(protocol, cfg)
-    # A memoryview reads an entry as a Python float, which halves the cost of
-    # a bisection probe against a numpy scalar.
-    entries = memoryview(_harvest(cfg))
-    full, slot, frame = entries[-1], cfg.slot_duration, cfg.frame_duration
-    post = cfg.frame_slots - cfg.preamble_slots
-    time_splitting = protocol == TIME_SPLITTING
+    values, key = _harvests(protocol, cfg)
 
     def harvested(value):
-        if not (type(value) is int and 0 <= value <= vmax):  # the bisection's probes skip the call
-            _check_value(value, vmax)
-        power = full if time_splitting else entries[value]
-        slots = value if time_splitting else post
-        return power * (slots * slot) / frame
+        _check_value(value, len(values) - 1)
+        return values[value] if key is None else key(value)
 
     return harvested
 
@@ -195,22 +207,18 @@ def _solve(protocol: str, p_static: float, cfg: ScenarioConfig) -> AllocationRes
     """The first allocation value whose harvest covers consumption.
 
     Ties count as covered; when none covers it, the full allocation is
-    reported. The harvest is nondecreasing in the value, so a bisection over
-    0..vmax gives the left searchsorted of the array of every value's
-    harvest, capped at vmax, bit for bit.
+    reported. The harvest is nondecreasing in the value, so one C-level
+    ``bisect_left`` over 0..vmax gives the left searchsorted of the array
+    of every value's harvest, capped at vmax, bit for bit: UC splitting's
+    probes read its cached curve and call no Python, time splitting's call
+    a key that computes the harvest of v slots, in O(1) memory.
     """
     consumed = total_consumption(p_static, protocol, cfg).total
-    vmax = _allocation_bounds(protocol, cfg)
-    harvested_by = harvest_of(protocol, cfg)
-    value = bisect_left(range(vmax + 1), consumed, 0, vmax, key=harvested_by)
-    harvested = harvested_by(value)
-    return AllocationResult(
-        protocol=protocol,
-        optimal_allocation=value,
-        avg_harvested_power=harvested,
-        avg_consumed_power=consumed,
-        status=FEASIBLE if harvested >= consumed else INFEASIBLE,
-    )
+    values, key = _harvests(protocol, cfg)
+    value = bisect_left(values, consumed, 0, len(values) - 1, key=key)
+    harvested = values[value] if key is None else key(value)
+    status = FEASIBLE if harvested >= consumed else INFEASIBLE
+    return AllocationResult(protocol, value, harvested, consumed, status)
 
 
 def optimize_time_splitting(p_static: float, cfg: ScenarioConfig) -> AllocationResult:

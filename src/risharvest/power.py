@@ -5,7 +5,7 @@ This module also names the protocols and the status of a solve. Like
 top level exports these names without it.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scenario import PER_UC, STATIC_PER_ASIC, ScenarioConfig, is_finite_number
 
@@ -18,8 +18,7 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class ConsumptionBreakdown:
+class ConsumptionBreakdown(NamedTuple):
     p_static: float   # W, after per-ASIC scaling
     p_dynamic: float  # W
 
@@ -64,4 +63,4 @@ def total_consumption(
     p_static = p_static_input
     if cfg.static_power_interpretation == STATIC_PER_ASIC:
         p_static = p_static_input * cfg.n_asics
-    return ConsumptionBreakdown(p_static=p_static, p_dynamic=dynamic_power(protocol, cfg))
+    return ConsumptionBreakdown(p_static, dynamic_power(protocol, cfg))

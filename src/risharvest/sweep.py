@@ -8,14 +8,17 @@ looks up the draw (``channel.draw_trials``) and the solvers
 first use.
 
 ``run_sweep``, the CLI's sweep, is the one place that touches the garbage
-collector: once its configuration is valid, it imports the computing
-modules, numpy with them, with the collector paused, and then freezes
-(``gc.freeze``) what they leave, so that neither the sweep's collections
-nor the interpreter's exit walk numpy's objects again. The freeze is safe
-because the collections that import would have run find almost no
-garbage: a few hundred of the some 21,000 objects a sweep tracks, which
-the frozen heap then keeps for the life of the process. Importing a
-module and ``answer`` leave the collector as they find it.
+collector: once its configuration is valid, and only while nothing in the
+process is frozen (``gc.get_freeze_count() == 0``), it imports the
+computing modules, numpy with them, with the collector paused, and then
+freezes (``gc.freeze``) what they leave, so that neither the sweep's
+collections nor the interpreter's exit walk numpy's objects again. The
+freeze is safe because the collections that import would have run find
+almost no garbage: a few hundred of the some 21,000 objects a sweep
+tracks, which the frozen heap then keeps for the life of the process. A
+process that sweeps again freezes nothing more, so it does not pin each
+later sweep's garbage. Importing a module and ``answer`` leave the
+collector as they find it.
 """
 
 import argparse
@@ -25,10 +28,9 @@ import importlib
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING, dynamic_power
 from .scenario import (
@@ -125,8 +127,13 @@ class SweepSpec:
         return np.logspace(math.log10(self.start), math.log10(self.stop), self.points)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One CSV record: its fields are the columns of ``CSV_HEADER``, in order.
+
+    The csv module writes a float as its shortest round-trip repr and None
+    as an empty cell.
+    """
+
     p_static: float
     protocol: str
     status: str
@@ -135,11 +142,6 @@ class SweepRow:
     rate_ci: float
     p_dynamic: float
     dyn_over_static: Optional[float]  # None (empty cell) at p_static = 0
-
-    def to_record(self) -> list[str]:
-        # str of a float is its shortest round-trip repr; None is an empty cell.
-        values = _ROW_VALUES(self)
-        return ["" if value is None else str(value) for value in values]
 
     @classmethod
     def from_record(cls, record: list[str]) -> "SweepRow":
@@ -150,10 +152,6 @@ class SweepRow:
             raise SweepCsvError("column dyn_over_static: must be empty exactly when "
                                 f"p_static_w is 0, got {record[-1]!r}")
         return row
-
-
-# A SweepRow's field values in CSV column order, from field names read once, not per row.
-_ROW_VALUES = attrgetter(*(f.name for f in fields(SweepRow)))
 
 
 def _parse_cell(column: str, text: str):
@@ -249,12 +247,14 @@ def run_sweep(
     ``mc_trials``. A configuration that fails validation is rejected before
     numpy loads.
 
-    Then the computing modules are imported with the garbage collector
-    paused, and every object the collector tracks at that point is frozen
-    (``gc.freeze``): the collector runs on for the sweep's own objects, but
-    no later collection, nor the interpreter's exit, walks numpy's heap.
-    The collector is turned back on only if it was on before, also when
-    the import raises. A caller that wants the frozen objects collected
+    Then, if nothing in the process is frozen yet, the computing modules
+    are imported with the garbage collector paused, and every object the
+    collector tracks at that point is frozen (``gc.freeze``): the collector
+    runs on for the sweep's own objects, but no later collection, nor the
+    interpreter's exit, walks numpy's heap. The collector is turned back on
+    only if it was on before, also when the import raises. A later call,
+    or one from a caller that froze its own heap, leaves the collector and
+    the frozen heap alone. A caller that wants the frozen objects collected
     again calls ``gc.unfreeze()``.
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
@@ -262,19 +262,20 @@ def run_sweep(
         cfg = replace(cfg, rng_seed=seed)
     if trials is not None:
         cfg = replace(cfg, mc_trials=trials)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        from . import optimizer  # noqa: F401 (imports numpy, channel and harvesting)
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
+    if gc.get_freeze_count() == 0:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            from . import optimizer  # noqa: F401 (imports numpy, channel and harvesting)
+        finally:
+            gc.freeze()
+            if enabled:
+                gc.enable()
     rows = answer(cfg, spec.grid())
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        writer.writerows(row.to_record() for row in rows)
+        writer.writerows(rows)
     return 0
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
@@ -22,7 +23,7 @@ from risharvest import (
 from risharvest.channel import _tail_table, coherent_snr, draw_trials, shannon_rate
 from risharvest.harvesting import rectify
 from risharvest.optimizer import estimate_averages, optimize_time_splitting, optimize_uc_splitting
-from risharvest.power import total_consumption
+from risharvest.power import dynamic_power, total_consumption
 from risharvest.sweep import SweepSpec, answer
 
 from conftest import (
@@ -469,7 +470,7 @@ def test_estimate_averages_of_many_values_is_one_at_a_time_bit_for_bit(
     # each value's (average, ci) is the 1-D mean and std of the rates of its
     # column, with every post-preamble slot carrying data, times its payload
     # share, bit for bit, whatever list it comes in: unsorted, with a
-    # duplicate, across block boundaries (4 rows a default block at 1000
+    # duplicate, across block boundaries (16 rows a default block at 1000
     # trials, 1 at 10^4, 65 or 6 a long block), alone, and no value at all
     if block_values is not None:
         monkeypatch.setattr(risharvest.optimizer, "_ESTIMATE_BLOCK_VALUES", block_values)
@@ -705,3 +706,26 @@ def test_harvest_of_checks_the_protocol_and_every_value(cfg):
                 harvested(bad)
         assert harvested(np.int64(3)) == harvested(3)
         assert harvested(0) == 0.0 < harvested(vmax)
+
+
+def test_time_splitting_solve_memory_does_not_grow_with_the_frame():
+    # the solve bisects range(vmax + 1) with a key, so a billion-slot frame
+    # materializes no curve of its slot counts; it still picks the left
+    # bisection of the harvest of every slot count
+    cfg = ScenarioConfig(frame_slots=10**9, preamble_slots=1000)
+    vmax = cfg.frame_slots - cfg.preamble_slots
+    harvested = risharvest.optimizer.harvest_of(TIME_SPLITTING, cfg)
+    p_static = harvested(vmax // 3) - dynamic_power(TIME_SPLITTING, cfg)
+    optimize_time_splitting(p_static, cfg)  # warm: the cached harvest and key
+    tracemalloc.start()
+    try:
+        result = optimize_time_splitting(p_static, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024
+    consumed = total_consumption(p_static, TIME_SPLITTING, cfg).total
+    assert result.status == FEASIBLE
+    assert result.optimal_allocation == bisect_left(
+        range(vmax + 1), consumed, 0, vmax, key=harvested
+    )

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -19,6 +21,7 @@ import risharvest
 import risharvest.optimizer
 from risharvest import (
     FEASIBLE,
+    INFEASIBLE,
     RECTIFIER_KINDS,
     TIME_SPLITTING,
     ConfigValidationError,
@@ -26,7 +29,8 @@ from risharvest import (
     save_config,
 )
 from risharvest.channel import TrialChannels
-from risharvest.power import total_consumption
+from risharvest.optimizer import AllocationResult
+from risharvest.power import ConsumptionBreakdown, total_consumption
 from risharvest.sweep import (
     CSV_HEADER,
     SweepCsvError,
@@ -40,6 +44,18 @@ from risharvest.sweep import (
 )
 
 from conftest import allocation_harvest, clear_harvest_caches, rebuilt_prefix
+
+
+def written(rows) -> str:
+    """The text the csv module writes for ``rows``, as ``run_sweep`` writes its rows."""
+    handle = io.StringIO()
+    csv.writer(handle).writerows(rows)
+    return handle.getvalue()
+
+
+def csv_records(rows) -> list[list[str]]:
+    """The records the csv module writes for ``rows``, read back as lists of cells."""
+    return list(csv.reader(io.StringIO(written(rows))))
 
 
 def small_spec(**overrides):
@@ -112,8 +128,10 @@ def test_round_trip_recovers_rows_exactly(fast_config_path, tmp_path):
     out = tmp_path / "sweep.csv"
     run_sweep(fast_config_path, small_spec(), out)
     rows = read_rows(out)
-    for row in rows:
-        assert SweepRow.from_record(row.to_record()) == row
+    records = csv_records(rows)
+    assert len(records) == len(rows)
+    for row, record in zip(rows, records):
+        assert SweepRow.from_record(record) == row
 
 
 def test_rerun_is_byte_identical(fast_config_path, tmp_path):
@@ -159,8 +177,10 @@ def test_dyn_over_static_column(fast_config_path, tmp_path):
         assert row.dyn_over_static == pytest.approx(row.p_dynamic / row.p_static, rel=1e-12)
     # p_static = 0 leaves the ratio cell empty
     zero_row = SweepRow(0.0, "time_splitting", "feasible", 0, 1.0, 0.0, 2.7e-4, None)
-    assert zero_row.to_record()[-1] == ""
-    assert SweepRow.from_record(zero_row.to_record()).dyn_over_static is None
+    assert written([zero_row]) == "0.0,time_splitting,feasible,0,1.0,0.0,0.00027,\r\n"
+    [record] = csv_records([zero_row])
+    assert record[-1] == ""
+    assert SweepRow.from_record(record).dyn_over_static is None
 
 
 def test_summarize_reports_gap_and_thresholds(fast_config_path, tmp_path):
@@ -267,7 +287,41 @@ def test_read_rows_rejects_values_no_sweep_writes(tmp_path, capsys, record, colu
     assert main(["summarize", str(out)]) == 1
     assert message in capsys.readouterr().err
     out.write_text("".join(",".join(line) + "\n" for line in lines[:3]))
-    assert [row.to_record() for row in read_rows(out)] == lines[1:3]
+    assert csv_records(read_rows(out)) == lines[1:3]
+
+
+def test_a_row_is_its_csv_record_in_header_order():
+    # run_sweep writes each row as the tuple it is, so its fields must
+    # follow CSV_HEADER's columns; each value here differs from the others
+    row = SweepRow(1e-06, "time_splitting", "feasible", 3, 1000.0, 10.0, 2e-07, 0.2)
+    assert dict(zip(CSV_HEADER, tuple(row), strict=True)) == {
+        "p_static_w": row.p_static,
+        "protocol": row.protocol,
+        "status": row.status,
+        "optimal_allocation": row.optimal_allocation,
+        "avg_rate_bps": row.average_rate,
+        "rate_ci_bps": row.rate_ci,
+        "p_dyn_w": row.p_dynamic,
+        "dyn_over_static": row.dyn_over_static,
+    }
+    assert csv_records([row]) == [GOOD_RECORD]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ConsumptionBreakdown(1e-06, 2e-07),
+        AllocationResult(TIME_SPLITTING, 3, 1e-05, 1.2e-06, FEASIBLE),
+        SweepRow(0.0, "uc_splitting", INFEASIBLE, 0, 1000.0, 10.0, 2e-07, None),
+    ],
+    ids=["consumption", "allocation", "row"],
+)
+def test_records_reject_attribute_assignment(record):
+    before = tuple(record)
+    for name in [*record._fields, "total", "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    assert tuple(record) == before
 
 
 def test_cli_sweep_and_summarize(fast_config_path, tmp_path, capsys):
@@ -741,6 +795,30 @@ def test_the_computing_imports_and_answer_leave_the_collector_as_they_found_it()
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["True 0", "True 0", "False 0"]
+
+
+def test_a_second_sweep_in_one_process_freezes_nothing_more(tmp_path):
+    # run_sweep freezes the heap only while nothing is frozen, so a process
+    # that sweeps again keeps each later sweep's garbage collectable, and
+    # the second sweep writes the same CSV as the first
+    code = (
+        "import gc, sys\n"
+        "from risharvest.sweep import main\n"
+        "args = ['sweep', '--points', '3', '--trials', '8', '--out']\n"
+        "assert main([*args, sys.argv[1] + '/first.csv']) == 0\n"
+        "frozen = gc.get_freeze_count()\n"
+        "assert main([*args, sys.argv[1] + '/second.csv']) == 0\n"
+        "print(frozen > 0, gc.get_freeze_count() == frozen, gc.isenabled())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "True True True\n"
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+    assert len(read_rows(tmp_path / "first.csv")) == 6
 
 
 @pytest.mark.parametrize("grid_raises", [False, True], ids=["sweeps", "grid_raises"])
