@@ -287,9 +287,10 @@ def _draw_segments(cfg: ScenarioConfig, length: int, segments, prefix: np.ndarra
 class TrialChannels:
     """Amplitude sums of a fixed set of channel draws, shared across candidates.
 
-    ``cfg`` is the configuration the draws were made for. Column j of
-    ``amp_prefix`` holds S_n = sum_{i<=n} |h_i||g_i| over the first n UCs
-    in row-major order, n = ``columns[j]``, for each draw: the coherent
+    ``cfg`` is the configuration the draws were made for, and its
+    ``mc_trials`` is their number: ``amp_prefix`` has one row per draw.
+    Column j of ``amp_prefix`` holds S_n = sum_{i<=n} |h_i||g_i| over the
+    first n UCs in row-major order, n = ``columns[j]``, for each draw: the coherent
     amplitude when those n UCs reflect. ``columns`` is sorted and always
     ends with ``cfg.m_s``, the full surface. Each column is the one below it
     plus the sum of the UCs between the two, drawn as one value of that
@@ -304,10 +305,6 @@ class TrialChannels:
     cfg: ScenarioConfig
     amp_prefix: np.ndarray  # (cfg.mc_trials, len(columns))
     columns: tuple[int, ...]
-
-    @property
-    def n_trials(self) -> int:
-        return self.amp_prefix.shape[0]
 
 
 def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:

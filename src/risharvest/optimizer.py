@@ -16,22 +16,29 @@ The TX-side absorption is deterministic free space, so the frame-averaged
 harvest depends on the allocation value alone, and only the rate is random.
 Both protocols feed the same harvesting chain (``harvesting.harvest``, the
 DC power when k UCs absorb), read once per configuration and checked once
-to be finite, nonnegative and nondecreasing in k. ``harvest_of`` gives the
-DC power of the absorbing UCs, all of them or k, times their harvest time,
-v slots or the post-preamble interval, over the frame. The solve
-(``optimize_*``) needs no channel draw: the average rate is decreasing in
-the allocation, so the optimum is the smallest value whose harvest covers
-consumption, found by one C-level ``bisect_left`` per solve. UC splitting
-looks the consumed power up in a cached, read-only curve of every k's
-harvest (m_s + 1 entries, bounded by the surface as the DC harvest is), so
-no probe calls Python. Time splitting bisects ``range(vmax + 1)`` with a
-key that does the same arithmetic, which takes O(log vmax) key calls and
-O(1) memory however long the frame. Either gives the left ``searchsorted``
-of the consumed power in the array of every value's harvest, bit for bit.
+to be finite, nonnegative and nondecreasing in k. One cache holds what
+both protocols' solves read: ``_tables(cfg)``, one harvest table per
+configuration, gives each protocol's (values, key), and vmax, the largest
+allocation value, is ``len(values) - 1``. The solve indexes that table by
+its protocol directly; ``harvest_of`` and ``estimate_averages``, which
+take a protocol from their caller, get it through ``_table``, which
+rejects an unknown one. ``harvest_of`` gives the DC power of the absorbing
+UCs, all of them or k, times their harvest time, v slots or the
+post-preamble interval, over the frame. The solve (``optimize_*``) needs
+no channel draw: the average rate is decreasing in the allocation, so the
+optimum is the smallest value whose harvest covers consumption, found by
+one C-level ``bisect_left`` per solve. UC splitting looks the consumed
+power up in a read-only curve of every k's harvest (m_s + 1 entries,
+bounded by the surface as the DC harvest is), so no probe calls Python.
+Time splitting bisects ``range(vmax + 1)`` with a key that does the same
+arithmetic, which takes O(log vmax) key calls and O(1) memory however long
+the frame. Either gives the left ``searchsorted`` of the consumed power in
+the array of every value's harvest, bit for bit.
 The estimate (``estimate_averages``) averages the rate of each of a list of
 allocation values over one set of channel draws (common random numbers),
-which ``channel.draw_trials`` makes: one rate statistic per drawn column n,
-scaled by each value's payload share. A sweep solves its whole grid first,
+which ``channel.draw_trials`` makes: it maps each value to its drawn column
+n once, forms one rate statistic per column read and scales it by each
+value's payload share. A sweep solves its whole grid first,
 draws once keeping only the columns n those solves read, and estimates the
 distinct allocations of each protocol in one call.
 """
@@ -45,7 +52,7 @@ import numpy as np
 
 from .channel import TrialChannels, coherent_snr, shannon_rate
 from .harvesting import harvest
-from .power import FEASIBLE, INFEASIBLE, TIME_SPLITTING, UC_SPLITTING, total_consumption
+from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING, total_consumption
 from .scenario import ScenarioConfig
 
 # Rates per block of estimate_averages: a block is rows of whole trials, at
@@ -68,32 +75,6 @@ class AllocationResult(NamedTuple):
     status: str                  # FEASIBLE or INFEASIBLE
 
 
-def _allocation_bounds(protocol: str, cfg: ScenarioConfig) -> int:
-    if protocol == TIME_SPLITTING:
-        return cfg.frame_slots - cfg.preamble_slots
-    if protocol == UC_SPLITTING:
-        return cfg.m_s
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
-@functools.lru_cache(maxsize=8)
-def _harvest(cfg: ScenarioConfig) -> np.ndarray:
-    """``harvest(cfg)``, the DC power when k UCs absorb, for k = 0..m_s.
-
-    Cached per configuration and shared by both protocols, so the array is
-    read-only. Raises ValueError when it is not finite, nonnegative and
-    nondecreasing, because the solve's bisection relies on all three.
-    """
-    dc = harvest(cfg)
-    bad = ~np.isfinite(dc) | (dc < np.append(0.0, dc[:-1]))  # 0 W before k = 0
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"harvest is not finite, nonnegative and nondecreasing at {k} absorbing UCs")
-    dc.setflags(write=False)
-    return dc
-
-
 def reflecting_ucs(protocol: str, value: int, cfg: ScenarioConfig) -> int:
     """The number n of reflecting UCs, UCs 1..n, under allocation ``value`` of ``protocol``."""
     return cfg.m_s if protocol == TIME_SPLITTING else cfg.m_s - value
@@ -105,26 +86,42 @@ def _check_value(value, vmax: int) -> None:
         raise ValueError(f"allocation value must be an integer in [0, {vmax}], got {value!r}")
 
 
-@functools.lru_cache(maxsize=16)  # both protocols of the 8 configurations _harvest keeps
-def _harvests(protocol: str, cfg: ScenarioConfig):
-    """(values, key), which the solve bisects for the frame-averaged harvest (W).
+@functools.lru_cache(maxsize=8)
+def _tables(cfg: ScenarioConfig) -> dict:
+    """The harvest table of ``cfg``: each protocol's solve data, from one ``harvest(cfg)``.
 
-    UC splitting's values are its curve, k's harvest ``values[k]``: a
-    read-only memoryview of the float64 harvest of every k,
-    ``dc * (post * slot) / frame``, whose entries read as Python floats;
-    its key is None. Time splitting's values are ``range(vmax + 1)`` and
+    The module's one cache, keyed by the configuration. Each protocol's
+    entry is (values, key), which the solve bisects for the frame-averaged
+    harvest (W); vmax is ``len(values) - 1``. UC splitting's values are its
+    curve, k's harvest ``values[k]``: a read-only memoryview of the float64
+    harvest of every k, ``dc * (post * slot) / frame``, whose entries read
+    as Python floats; its key is None. Time splitting's values are ``range(post + 1)`` and
     v's harvest is ``key(v)``, the harvest of v slots in the same operation
     order, so its memory does not grow with the frame. Raises ValueError
-    for an unknown protocol.
+    when the DC harvest of k absorbing UCs is not finite, nonnegative and
+    nondecreasing in k, because the solve's bisection relies on all three.
+    ``_solve`` indexes the table by its own protocol; a protocol from
+    outside goes through ``_table``, which checks it.
     """
-    vmax = _allocation_bounds(protocol, cfg)
-    dc, slot, frame = _harvest(cfg), cfg.slot_duration, cfg.frame_duration
-    if protocol == TIME_SPLITTING:
-        full = float(dc[-1])
-        return range(vmax + 1), lambda value: full * (value * slot) / frame
-    curve = dc * ((cfg.frame_slots - cfg.preamble_slots) * slot) / frame
+    dc = harvest(cfg)
+    bad = ~np.isfinite(dc) | (dc < np.append(0.0, dc[:-1]))  # 0 W before k = 0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"harvest is not finite, nonnegative and nondecreasing at {k} absorbing UCs")
+    post, slot, frame = cfg.frame_slots - cfg.preamble_slots, cfg.slot_duration, cfg.frame_duration
+    full = float(dc[-1])
+    curve = dc * (post * slot) / frame
     curve.setflags(write=False)
-    return memoryview(curve), None
+    return {TIME_SPLITTING: (range(post + 1), lambda value: full * (value * slot) / frame),
+            UC_SPLITTING: (memoryview(curve), None)}
+
+
+def _table(protocol: str, cfg: ScenarioConfig):
+    """``protocol``'s (values, key) of ``_tables(cfg)``; ValueError for an unknown protocol."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return _tables(cfg)[protocol]
 
 
 def harvest_of(protocol: str, cfg: ScenarioConfig):
@@ -138,7 +135,7 @@ def harvest_of(protocol: str, cfg: ScenarioConfig):
     reads. Raises ValueError for an unknown protocol when fetched and for
     any other value when called.
     """
-    values, key = _harvests(protocol, cfg)
+    values, key = _table(protocol, cfg)
 
     def harvested(value):
         _check_value(value, len(values) - 1)
@@ -154,31 +151,34 @@ def estimate_averages(protocol: str, values, trials: TrialChannels) -> list[tupl
     [] for none. Each rate is averaged over ``trials``, one draw set that
     callers reuse across allocation values (common random numbers), under
     the configuration it was drawn for; the CI is the normal-approximation
-    half-width. Each distinct column n that the values read
-    (``reflecting_ucs``) gives one statistic: the mean and sample sd of the
-    per-trial rate of S_n with every post-preamble slot carrying data,
-    formed ``_ESTIMATE_BLOCK_VALUES // n_trials`` columns (at least one) at
-    a time, one C-contiguous row per column, each reduced as a 1-D array of
+    half-width. Each value is mapped once to the drawn column n it reads
+    (``reflecting_ucs``), and each distinct column gives one statistic: the
+    mean and sample sd of the per-trial rate of S_n with every
+    post-preamble slot carrying data, formed
+    ``_ESTIMATE_BLOCK_VALUES // cfg.mc_trials`` columns (at least one) at a
+    time, one C-contiguous row per column, each reduced as a 1-D array of
     its rates would be. A value's (average, ci) is that statistic's times
     its payload share, (post - value) / post for time splitting and 1 for UC
     splitting, the same bit for bit whatever list the value comes in.
 
     Every value is checked before any rate is formed. Raises ValueError
-    when one is not an integer in 0..vmax (a bool is not), or when its
+    for an unknown protocol, when a value is not an integer in 0..vmax (a
+    bool is not), or when its
     column n was not drawn; and, naming the first such value, when the link
     budget makes an average rate or its CI overflow.
     """
     cfg = trials.cfg
-    vmax = _allocation_bounds(protocol, cfg)
+    vmax = len(_table(protocol, cfg)[0]) - 1
     column_of = {ucs: j for j, ucs in enumerate(trials.columns)}
-    values = list(values)
+    drawn = []  # (value, its drawn column), in the order of the values
     for value in values:
         _check_value(value, vmax)
         ucs = reflecting_ucs(protocol, value, cfg)
         if ucs not in column_of:
             raise ValueError(f"column n = {ucs} of allocation {value!r} was not drawn")
-    read = sorted({column_of[reflecting_ucs(protocol, value, cfg)] for value in values})
-    post, n = cfg.frame_slots - cfg.preamble_slots, trials.n_trials
+        drawn.append((value, column_of[ucs]))
+    read = sorted({j for _, j in drawn})
+    post, n = cfg.frame_slots - cfg.preamble_slots, cfg.mc_trials
     stats = np.zeros((2, len(column_of)))  # per drawn column: the mean and sd of its rates
     rows = max(1, _ESTIMATE_BLOCK_VALUES // n)
     # Overflow is reported below as a non-finite result, not as a warning.
@@ -190,8 +190,7 @@ def estimate_averages(protocol: str, values, trials: TrialChannels) -> list[tupl
             stats[1, block] = rates.std(axis=1, ddof=1)
     means, spreads = stats.tolist()
     estimates = []
-    for value in values:
-        j = column_of[reflecting_ucs(protocol, value, cfg)]
+    for value, j in drawn:
         share = (post - value) / post if protocol == TIME_SPLITTING else 1.0
         average, ci = means[j] * share, 1.96 * spreads[j] / math.sqrt(n) * share
         if not (math.isfinite(average) and math.isfinite(ci)):
@@ -214,7 +213,7 @@ def _solve(protocol: str, p_static: float, cfg: ScenarioConfig) -> AllocationRes
     a key that computes the harvest of v slots, in O(1) memory.
     """
     consumed = total_consumption(p_static, protocol, cfg).total
-    values, key = _harvests(protocol, cfg)
+    values, key = _tables(cfg)[protocol]
     value = bisect_left(values, consumed, 0, len(values) - 1, key=key)
     harvested = values[value] if key is None else key(value)
     status = FEASIBLE if harvested >= consumed else INFEASIBLE

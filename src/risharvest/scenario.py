@@ -325,10 +325,13 @@ def _parse_int(key: str, text: str, lineno: int) -> int:
         return int(text)
     except ValueError:
         pass
-    value = _parse_float(key, text, lineno)  # forms such as 1e4
-    if not float(value).is_integer():
+    # Forms such as 1e4, only below 2^53 in magnitude: above it a float
+    # holds only some integers, so the text may round to another one.
+    value = _parse_float(key, text, lineno)
+    if not (value.is_integer() and abs(value) < 2.0**53):
         raise ConfigParseError(
-            f"line {lineno}: value for {key!r} must be an integer, got {text!r}"
+            f"line {lineno}: value for {key!r} must be an integer, in float form "
+            f"below 2^53 in magnitude, got {text!r}"
         )
     return int(value)
 

@@ -181,16 +181,23 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     kept sum depends on ``rng_seed``, its trial and the kept sums below it.
 
     Raises ValueError when ``p_statics`` is empty or holds a budget that is
-    not a finite number >= 0, and ConfigValidationError when ``e_rec`` makes
-    ``dyn_over_static`` overflow at the smallest positive budget; all before
-    the draw.
+    not a finite real number >= 0, by the solve's own check: a bool, a str
+    or a bytes budget is rejected, though ``float`` would take it. Raises
+    ConfigValidationError when ``e_rec`` makes ``dyn_over_static`` overflow
+    at the smallest positive budget. All of these come before the draw.
     """
     from . import optimizer
 
     sweep = sys.modules[__name__]  # the computing names, looked up on the module
-    grid = [float(p) for p in p_statics]
+    # A bad entry reaches the solve's own check unchanged, so one rule rejects it.
+    grid = [float(p) if is_finite_number(p) else p for p in p_statics]
     if not grid:
         raise ValueError("p_statics is empty: there is no budget to answer")
+    solves = [
+        (p_static, solve(p_static, cfg))
+        for p_static in grid
+        for solve in (sweep.optimize_time_splitting, sweep.optimize_uc_splitting)
+    ]
     p_dyn = {protocol: dynamic_power(protocol, cfg) for protocol in PROTOCOLS}
     # p_dyn / p_static is largest for the larger p_dyn at the smallest positive
     # p_static; with no positive p_static there is no ratio to overflow.
@@ -200,24 +207,18 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
             f"e_rec = {cfg.e_rec!r} J gives a dynamic power of {p_worst!r} W, whose ratio to "
             f"p_static = {p_low!r} W overflows dyn_over_static"
         )
-    solves = [
-        (p_static, solve(p_static, cfg))
-        for p_static in grid
-        for solve in (sweep.optimize_time_splitting, sweep.optimize_uc_splitting)
-    ]
-    allocations = {protocol: {} for protocol in PROTOCOLS}  # dicts, as ordered sets
-    for _, result in solves:
-        allocations[result.protocol][result.optimal_allocation] = None
-    columns = (optimizer.reflecting_ucs(r.protocol, r.optimal_allocation, cfg) for _, r in solves)
+    # (protocol, allocation) -> its (rate, ci); a dict, as an ordered set until the estimates
+    estimates = dict.fromkeys((r.protocol, r.optimal_allocation) for _, r in solves)
+    columns = (optimizer.reflecting_ucs(protocol, value, cfg) for protocol, value in estimates)
     trial_set = sweep.draw_trials(cfg, columns=columns)
-    rates = {}
-    for protocol, values in allocations.items():
+    for protocol in PROTOCOLS:
+        keys = [key for key in estimates if key[0] == protocol]
         # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
-        estimates = optimizer.estimate_averages(protocol, values, trial_set)
-        rates[protocol] = dict(zip(values, estimates))
+        rates = optimizer.estimate_averages(protocol, [value for _, value in keys], trial_set)
+        estimates.update(zip(keys, rates))
     rows = []
     for p_static, result in solves:
-        rate, ci = rates[result.protocol][result.optimal_allocation]
+        rate, ci = estimates[result.protocol, result.optimal_allocation]
         rows.append(
             SweepRow(
                 p_static=p_static,

@@ -115,10 +115,8 @@ def curve_of(protocol, cfg):
 
 
 def clear_harvest_caches():
-    """Empty the cached harvest and the curves and keys read from it, which
-    a patched harvest chain must rebuild."""
-    risharvest.optimizer._harvest.cache_clear()
-    risharvest.optimizer._harvests.cache_clear()
+    """Empty the cached harvest tables, which a patched harvest chain must rebuild."""
+    risharvest.optimizer._tables.cache_clear()
 
 
 def absorbing_config(p_uc, m_s, **fields):

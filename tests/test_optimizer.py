@@ -8,6 +8,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import risharvest.channel
 import risharvest.harvesting
@@ -214,7 +215,7 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, block_value
     for columns, kept in cases:
         trials = draw(fast, 557, columns=columns)
         assert trials.columns == tuple(kept)
-        assert (trials.n_trials, trials.cfg.m_s) == (fast.mc_trials, m_s)
+        assert (trials.amp_prefix.shape[0], trials.cfg.m_s) == (fast.mc_trials, m_s)
         assert np.array_equal(trials.amp_prefix, rebuilt_prefix(fast, kept)), columns
     # a column kept above the others leaves them as they were
     low, more = (draw(fast, 557, columns=c).amp_prefix for c in ([3, 7], [3, 7, 100]))
@@ -289,9 +290,10 @@ def test_harvest_curve_matches_harvest_chain(rng):
             curve = curve_of(protocol, cfg)
             expected = [chain_harvest_power(protocol, v, cfg) for v in range(curve.size)]
             assert curve == pytest.approx(expected, rel=1e-12, abs=0.0)
-    # the cached harvest is shared by both protocols, so it is read-only
+    # the cached UC curve is shared by every solve of the configuration, so it is read-only
+    values, _ = risharvest.optimizer._tables(cfg)[UC_SPLITTING]
     with pytest.raises(ValueError):
-        risharvest.optimizer._harvest(cfg)[0] = 1.0
+        np.asarray(values)[0] = 1.0
 
 
 def test_full_allocations_harvest_the_same(rng):
@@ -528,6 +530,30 @@ def exact_rate(protocol, value, cfg):
     spectral = np.log2(1.0 + cfg.tx_power * (amplitudes * gain) ** 2 / cfg.noise_power)
     expectation = float(np.diff(cdf, prepend=0.0) @ spectral)
     return payload / cfg.frame_slots * cfg.bandwidth * expectation
+
+
+@pytest.mark.parametrize("snr_scale", [None, 1e6], ids=["default_link", "a_1e6"])
+@pytest.mark.parametrize("k", [0.0, 0.5, 10.0, 100.0, 1e6])
+def test_one_uc_exact_rate_matches_a_rice_quadrature(k, snr_scale):
+    # exact_rate, which the Bonferroni and CI-coverage tests compare against,
+    # must agree with an independent quadrature of (payload / frame) B
+    # E[log2(1 + a r^2)] over scipy's unit-power Rice law of one amplitude r,
+    # a = P_t |h|^2 E|g|^2 / N. The cells' Sheppard excess makes K = 0 the
+    # worst case: 1.9e-7 on the default link, 6.3e-7 at a = 1e6
+    cfg = ScenarioConfig(rician_k=k)
+    gain = cfg.free_space_uc_gain * cfg.mean_ris_rx_gain
+    if snr_scale is not None:
+        cfg = dataclasses.replace(cfg, tx_power=snr_scale * cfg.noise_power / gain)
+    a = cfg.tx_power * gain / cfg.noise_power
+    c, sigma = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (2.0 * (k + 1.0)))
+    law = stats.rice(c / sigma, scale=sigma)
+    # beyond 40 sigma of c the density is below e^{-800}
+    expectation, _ = integrate.quad(lambda r: law.pdf(r) * math.log2(1.0 + a * r * r),
+                                    max(0.0, c - 40.0 * sigma), c + 40.0 * sigma, points=[c],
+                                    limit=200)
+    post = cfg.frame_slots - cfg.preamble_slots
+    expected = post / cfg.frame_slots * cfg.bandwidth * expectation
+    assert exact_rate(UC_SPLITTING, cfg.m_s - 1, cfg) == pytest.approx(expected, rel=1e-6)
 
 
 # The benchmark's two log-grid workloads: the scenario file and the grid of

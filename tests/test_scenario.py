@@ -225,6 +225,28 @@ def test_integer_keys_accept_exponent_form():
     assert loads_config("mc_trials = 1e4\n").mc_trials == 10_000
 
 
+@pytest.mark.parametrize("text", ["9007199254740991.0", "9.007199254740991e15"],
+                         ids=["2^53-1", "2^53-1_exponent"])
+def test_integer_keys_load_float_forms_below_2_53_exactly(text):
+    # every integer below 2^53 is a float, so its float form loads exactly
+    assert loads_config(f"rng_seed = {text}\n").rng_seed == 2**53 - 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["9007199254740993.0", "9.007199254740993e15", "9007199254740992.0", "-9007199254740992.0",
+     "18446744073709551615.0", "1e300", "2.5"],
+    ids=["2^53+1", "2^53+1_exponent", "2^53", "-2^53", "2^64-1", "1e300", "fraction"],
+)
+def test_integer_keys_reject_float_forms_a_float_may_round(text):
+    # above 2^53 the float of the text may be another integer, which would
+    # seed another random stream; the error quotes the text as written
+    message = (f"line 2: value for 'rng_seed' must be an integer, in float form below 2^53 "
+               f"in magnitude, got {text!r}")
+    with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):
+        loads_config(f"mc_trials = 100\nrng_seed = {text}\n")
+
+
 def test_round_trip_preserves_inf_k():
     cfg = dataclasses.replace(ScenarioConfig(), rician_k=float("inf"))
     assert loads_config(dumps_config(cfg)) == cfg

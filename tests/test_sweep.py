@@ -631,7 +631,10 @@ def test_answer_rejects_no_budgets_or_a_bad_one_before_the_draw(monkeypatch):
     for p_statics in ([], iter(())):
         with pytest.raises(ValueError, match="^p_statics is empty"):
             answer(ScenarioConfig(mc_trials=8), p_statics)
-    for p_statics in ([1e-3, -1e-3], [1e-3, math.nan], [1e-3, math.inf]):
+    # a bool, a str or a bytes budget is not a number, though float() takes it
+    bad = ([1e-3, -1e-3], [1e-3, math.nan], [1e-3, math.inf], [1e-3, True], [1e-3, "1e-3"],
+           [1e-3, b"1e-3"])
+    for p_statics in bad:
         with pytest.raises(ValueError, match="^static power must be a finite number >= 0 W"):
             answer(ScenarioConfig(mc_trials=8), p_statics)
     assert calls == []
