@@ -25,20 +25,10 @@ and the consumption alone, with no channel draw
 a protocol's rates over one draw, one statistic per reflecting-UC count
 (``estimate_averages``).
 
-numpy loads only where the package computes. ``import risharvest`` reads
-``scenario`` and ``power`` alone, where the protocol and status names live,
-and neither imports numpy; nor does ``sweep``, so loading, validating and
-writing a configuration, reading a sweep CSV, ``summarize`` and the CLI's
-argument handling run without it. Importing ``channel``, ``harvesting`` or
-``optimizer`` loads numpy, and so does the first ``sweep.answer`` or
-``SweepSpec.grid()``; none of these touches the garbage collector. Only
-``sweep.run_sweep``, the CLI's sweep, does: once its configuration is
-valid and while nothing in the process is frozen, it imports the
-computing modules with the collector paused and freezes what they leave
-(``gc.freeze``), so that the sweep's collections and the interpreter's
-exit skip numpy's objects. The collections that import would have run find
-almost no garbage, so the freeze keeps little alive that they would have
-freed.
+numpy loads only where the package computes: ``import risharvest`` reads
+``scenario`` and ``power`` alone, and neither imports it. ``sweep``'s
+docstring says which commands load numpy and how the CLI's sweep freezes
+the heap that import leaves.
 """
 
 from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING

@@ -39,8 +39,8 @@ allocation values over one set of channel draws (common random numbers),
 which ``channel.draw_trials`` makes: it maps each value to its drawn column
 n once, forms one rate statistic per column read and scales it by each
 value's payload share. A sweep solves its whole grid first,
-draws once keeping only the columns n those solves read, and estimates the
-distinct allocations of each protocol in one call.
+draws once keeping only the columns n those solves read, and estimates
+each protocol's allocations, in grid order, in one call.
 """
 
 import functools

@@ -326,14 +326,19 @@ def _parse_int(key: str, text: str, lineno: int) -> int:
     except ValueError:
         pass
     # Forms such as 1e4, only below 2^53 in magnitude: above it a float
-    # holds only some integers, so the text may round to another one.
+    # holds only some integers, so the text may round to another one. Below
+    # it a text such as 1000.00000000000001 still rounds to an integer, so
+    # the text's exact decimal value must be that integer too.
     value = _parse_float(key, text, lineno)
-    if not (value.is_integer() and abs(value) < 2.0**53):
-        raise ConfigParseError(
-            f"line {lineno}: value for {key!r} must be an integer, in float form "
-            f"below 2^53 in magnitude, got {text!r}"
-        )
-    return int(value)
+    if value.is_integer() and abs(value) < 2.0**53:
+        import decimal  # only here, so that loading plain integers does not import it
+
+        if decimal.Decimal(text) == int(value):
+            return int(value)
+    raise ConfigParseError(
+        f"line {lineno}: value for {key!r} must be an integer, in float form "
+        f"below 2^53 in magnitude, got {text!r}"
+    )
 
 
 _PARSERS = {int: _parse_int, float: _parse_float, str: lambda key, text, lineno: text}

@@ -1,11 +1,16 @@
 """Answer a configuration over static-power budgets, and the sweep CLI that writes it as CSV.
 
-Importing this module loads no numpy, so the CLI's argument handling, a
-configuration it rejects and ``summarize`` run without it. numpy loads
-when a command computes: ``SweepSpec.grid()`` imports it, and ``answer``
-looks up the draw (``channel.draw_trials``) and the solvers
-(``optimizer.optimize_*``) on this module, which imports their modules on
-first use.
+This module is the package's one account of when numpy loads and of the
+garbage-collector freeze.
+
+numpy loads only where the package computes. ``scenario``, ``power`` and
+this module import no numpy, so loading, validating and writing a
+configuration, the CLI's argument handling, a configuration it rejects,
+reading a sweep CSV and ``summarize`` run without it. Importing
+``channel``, ``harvesting`` or ``optimizer`` loads it, and so do
+``SweepSpec.grid()`` and ``answer``, which looks up the draw
+(``channel.draw_trials``) and the solvers (``optimizer.optimize_*``) on
+this module, which imports their modules on first use.
 
 ``run_sweep``, the CLI's sweep, is the one place that touches the garbage
 collector: once its configuration is valid, and only while nothing in the
@@ -15,10 +20,13 @@ freezes (``gc.freeze``) what they leave, so that neither the sweep's
 collections nor the interpreter's exit walk numpy's objects again. The
 freeze is safe because the collections that import would have run find
 almost no garbage: a few hundred of the some 21,000 objects a sweep
-tracks, which the frozen heap then keeps for the life of the process. A
-process that sweeps again freezes nothing more, so it does not pin each
-later sweep's garbage. Importing a module and ``answer`` leave the
-collector as they find it.
+tracks, which the frozen heap then keeps for the life of the process. The
+collector is turned back on only if it was on before, also when the import
+raises. A process that sweeps again, or whose caller froze its own heap,
+freezes nothing more, so it does not pin each later sweep's garbage; a
+caller that wants the frozen objects collected again calls
+``gc.unfreeze()``. Importing a module and ``answer`` leave the collector
+as they find it.
 """
 
 import argparse
@@ -34,7 +42,6 @@ from typing import NamedTuple, Optional
 
 from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING, dynamic_power
 from .scenario import (
-    ConfigError,
     ConfigValidationError,
     ScenarioConfig,
     is_finite_number,
@@ -170,15 +177,18 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
 
     Returns one row per (budget, protocol), sorted by budget then protocol:
     the rate-maximizing allocation, whether its harvest covers consumption,
-    its Monte-Carlo rate and CI, and the dynamic power. The allocations
-    depend on the harvests alone, so every (budget, protocol) is solved
-    once before any channel draw. One draw of ``cfg.mc_trials`` trials,
-    seeded by ``cfg.rng_seed``, then keeps only the sums over the n UCs
-    those solves leave reflecting (``optimizer.reflecting_ucs``), and the
-    rate of each distinct (protocol, allocation) is estimated once on it,
-    in one ``optimizer.estimate_averages`` call per protocol. Sharing the
-    draws across budgets keeps rate curves free of re-sampling noise. A
-    kept sum depends on ``rng_seed``, its trial and the kept sums below it.
+    its Monte-Carlo rate and CI, and the dynamic power. A straight pipeline:
+    each budget goes unchanged to each protocol's solve (``optimize_*``),
+    which reads the harvest alone, so the whole grid is solved before any
+    channel draw. One draw (``draw_trials``) of ``cfg.mc_trials`` trials,
+    seeded by ``cfg.rng_seed``, then keeps the sums over the n UCs each
+    solve leaves reflecting (``optimizer.reflecting_ucs``), and one
+    ``optimizer.estimate_averages`` call per protocol takes that protocol's
+    allocations in grid order, duplicates included, and returns their rates
+    in that order. Each row is its budget, its solve and its estimate.
+    Sharing the draws across budgets keeps rate curves free of re-sampling
+    noise; a kept sum depends on ``rng_seed``, its trial and the kept sums
+    below it.
 
     Raises ValueError when ``p_statics`` is empty or holds a budget that is
     not a finite real number >= 0, by the solve's own check: a bool, a str
@@ -189,15 +199,12 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
     from . import optimizer
 
     sweep = sys.modules[__name__]  # the computing names, looked up on the module
-    # A bad entry reaches the solve's own check unchanged, so one rule rejects it.
-    grid = [float(p) if is_finite_number(p) else p for p in p_statics]
+    grid = list(p_statics)
     if not grid:
         raise ValueError("p_statics is empty: there is no budget to answer")
-    solves = [
-        (p_static, solve(p_static, cfg))
-        for p_static in grid
-        for solve in (sweep.optimize_time_splitting, sweep.optimize_uc_splitting)
-    ]
+    solves = {TIME_SPLITTING: [sweep.optimize_time_splitting(p, cfg) for p in grid],
+              UC_SPLITTING: [sweep.optimize_uc_splitting(p, cfg) for p in grid]}
+    grid = [float(p) for p in grid]  # each budget has passed the solve's check
     p_dyn = {protocol: dynamic_power(protocol, cfg) for protocol in PROTOCOLS}
     # p_dyn / p_static is largest for the larger p_dyn at the smallest positive
     # p_static; with no positive p_static there is no ratio to overflow.
@@ -207,30 +214,27 @@ def answer(cfg: ScenarioConfig, p_statics) -> list[SweepRow]:
             f"e_rec = {cfg.e_rec!r} J gives a dynamic power of {p_worst!r} W, whose ratio to "
             f"p_static = {p_low!r} W overflows dyn_over_static"
         )
-    # (protocol, allocation) -> its (rate, ci); a dict, as an ordered set until the estimates
-    estimates = dict.fromkeys((r.protocol, r.optimal_allocation) for _, r in solves)
-    columns = (optimizer.reflecting_ucs(protocol, value, cfg) for protocol, value in estimates)
+    columns = [optimizer.reflecting_ucs(r.protocol, r.optimal_allocation, cfg)
+               for results in solves.values() for r in results]
     trial_set = sweep.draw_trials(cfg, columns=columns)
-    for protocol in PROTOCOLS:
-        keys = [key for key in estimates if key[0] == protocol]
-        # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
-        rates = optimizer.estimate_averages(protocol, [value for _, value in keys], trial_set)
-        estimates.update(zip(keys, rates))
     rows = []
-    for p_static, result in solves:
-        rate, ci = estimates[result.protocol, result.optimal_allocation]
-        rows.append(
-            SweepRow(
-                p_static=p_static,
-                protocol=result.protocol,
-                status=result.status,
-                optimal_allocation=result.optimal_allocation,
-                average_rate=rate,
-                rate_ci=ci,
-                p_dynamic=p_dyn[result.protocol],
-                dyn_over_static=p_dyn[result.protocol] / p_static if p_static > 0.0 else None,
+    for protocol, results in solves.items():
+        # Through the module, so that a wrapper set there (perfbench/tracer.py) sees each call.
+        rates = optimizer.estimate_averages(
+            protocol, [r.optimal_allocation for r in results], trial_set)
+        for p_static, result, (rate, ci) in zip(grid, results, rates):
+            rows.append(
+                SweepRow(
+                    p_static=p_static,
+                    protocol=protocol,
+                    status=result.status,
+                    optimal_allocation=result.optimal_allocation,
+                    average_rate=rate,
+                    rate_ci=ci,
+                    p_dynamic=p_dyn[protocol],
+                    dyn_over_static=p_dyn[protocol] / p_static if p_static > 0.0 else None,
+                )
             )
-        )
     return sorted(rows, key=lambda r: (r.p_static, r.protocol))
 
 
@@ -245,24 +249,15 @@ def run_sweep(
 
     The configuration is read from ``config_path`` (the defaults when it is
     None); ``seed`` and ``trials`` override its ``rng_seed`` and
-    ``mc_trials``. A configuration that fails validation is rejected before
-    numpy loads.
-
-    Then, if nothing in the process is frozen yet, the computing modules
-    are imported with the garbage collector paused, and every object the
-    collector tracks at that point is frozen (``gc.freeze``): the collector
-    runs on for the sweep's own objects, but no later collection, nor the
-    interpreter's exit, walks numpy's heap. The collector is turned back on
-    only if it was on before, also when the import raises. A later call,
-    or one from a caller that froze its own heap, leaves the collector and
-    the frozen heap alone. A caller that wants the frozen objects collected
-    again calls ``gc.unfreeze()``.
+    ``mc_trials`` in one ``replace``, which validates the result. A
+    configuration that fails validation is rejected before numpy loads.
+    The first sweep in a process then imports the computing modules with
+    the collector paused and freezes what they leave, as the module
+    docstring explains.
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
-    if seed is not None:
-        cfg = replace(cfg, rng_seed=seed)
-    if trials is not None:
-        cfg = replace(cfg, mc_trials=trials)
+    overrides = {"rng_seed": seed, "mc_trials": trials}
+    cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
     if gc.get_freeze_count() == 0:
         enabled = gc.isenabled()
         gc.disable()
@@ -388,7 +383,7 @@ def main(argv=None) -> int:
         report = summarize(args.csv)
         sys.stdout.write(report)
         return 0
-    except (ConfigError, SweepCsvError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and SweepCsvError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

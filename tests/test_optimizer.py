@@ -556,9 +556,13 @@ def test_one_uc_exact_rate_matches_a_rice_quadrature(k, snr_scale):
     assert exact_rate(UC_SPLITTING, cfg.m_s - 1, cfg) == pytest.approx(expected, rel=1e-6)
 
 
-# The benchmark's two log-grid workloads: the scenario file and the grid of
-# its perfbench/run.py flags.
-EXACT_RATE_WORKLOADS = {"paper_default": SweepSpec(), "large_surface": SweepSpec(points=5)}
+# The benchmark's workloads: the scenario file and the grid of its
+# perfbench/run.py flags.
+EXACT_RATE_WORKLOADS = {
+    "paper_default": SweepSpec(),
+    "large_surface": SweepSpec(points=5),
+    "edge_sweep": SweepSpec(start=0.0, stop=2e-2, points=400, scale="linear"),
+}
 
 
 @pytest.mark.parametrize("workload", sorted(EXACT_RATE_WORKLOADS))

@@ -235,12 +235,15 @@ def test_integer_keys_load_float_forms_below_2_53_exactly(text):
 @pytest.mark.parametrize(
     "text",
     ["9007199254740993.0", "9.007199254740993e15", "9007199254740992.0", "-9007199254740992.0",
-     "18446744073709551615.0", "1e300", "2.5"],
-    ids=["2^53+1", "2^53+1_exponent", "2^53", "-2^53", "2^64-1", "1e300", "fraction"],
+     "18446744073709551615.0", "1e300", "2.5", "1000.00000000000001", "4503599627370496.5",
+     "9007199254740990.7", "1e-400"],
+    ids=["2^53+1", "2^53+1_exponent", "2^53", "-2^53", "2^64-1", "1e300", "fraction",
+         "1000_plus_1e-14", "2^52+0.5", "2^53-1.3", "1e-400"],
 )
 def test_integer_keys_reject_float_forms_a_float_may_round(text):
-    # above 2^53 the float of the text may be another integer, which would
-    # seed another random stream; the error quotes the text as written
+    # above 2^53 the float of the text may be another integer, and below it
+    # a text that is no integer may round to one, either of which would seed
+    # another random stream; the error quotes the text as written
     message = (f"line 2: value for 'rng_seed' must be an integer, in float form below 2^53 "
                f"in magnitude, got {text!r}")
     with pytest.raises(ConfigParseError, match=f"^{re.escape(message)}$"):

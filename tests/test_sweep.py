@@ -22,14 +22,21 @@ import risharvest.optimizer
 from risharvest import (
     FEASIBLE,
     INFEASIBLE,
+    PROTOCOLS,
     RECTIFIER_KINDS,
     TIME_SPLITTING,
+    UC_SPLITTING,
     ConfigValidationError,
     ScenarioConfig,
     save_config,
 )
 from risharvest.channel import TrialChannels
-from risharvest.optimizer import AllocationResult
+from risharvest.optimizer import (
+    AllocationResult,
+    optimize_time_splitting,
+    optimize_uc_splitting,
+    reflecting_ucs,
+)
 from risharvest.power import ConsumptionBreakdown, total_consumption
 from risharvest.sweep import (
     CSV_HEADER,
@@ -557,21 +564,31 @@ def test_sweep_builds_each_harvest_curve_from_one_harvest_call(monkeypatch, tmp_
 
 def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
     # the solves read no draw, so every (point, protocol) is solved once
-    # before the single draw; after it, at most one estimate per protocol
-    # takes that protocol's distinct values, so each distinct (protocol,
-    # value) is estimated once
+    # before the single draw; after it, one estimate per protocol takes that
+    # protocol's allocations in grid order, repeats included, and forms its
+    # rate statistic once per distinct column they read: coherent_snr
+    # receives one row per distinct column in each call
     calls = []
+    snr_rows = []  # per estimate call, the rows of each coherent_snr call it made
 
     def recording(name, function):
         def wrapper(*args, **kwargs):
             if name == "estimate_averages":
                 args = (args[0], list(args[1]), *args[2:])
+                snr_rows.append([])
             result = function(*args, **kwargs)
             calls.append((name, args, result))
             return result
 
         return wrapper
 
+    coherent_snr = risharvest.optimizer.coherent_snr
+
+    def counting_snr(amplitude, cfg):
+        snr_rows[-1].append(len(amplitude))
+        return coherent_snr(amplitude, cfg)
+
+    monkeypatch.setattr(risharvest.optimizer, "coherent_snr", counting_snr)
     for module, name in [
         (risharvest.sweep, "optimize_time_splitting"),
         (risharvest.sweep, "optimize_uc_splitting"),
@@ -589,14 +606,33 @@ def test_sweep_solves_every_point_once_before_one_draw(monkeypatch, tmp_path):
                 for name in ("optimize_time_splitting", "optimize_uc_splitting")]
     assert sorted(solves) == sorted(expected)
     assert set(names[draw + 1 :]) == {"estimate_averages"}
-    protocols = [args[0] for _, args, _ in calls[draw + 1 :]]
-    assert len(protocols) == len(set(protocols))
-    assert all(len(result) == len(args[1]) for _, args, result in calls[draw + 1 :])
-    estimates = [(args[0], value) for _, args, _ in calls[draw + 1 :] for value in args[1]]
-    values = {(result.protocol, result.optimal_allocation) for _, _, result in calls[:draw]}
-    assert len(estimates) == len(set(estimates))
-    assert set(estimates) == values
-    assert len(estimates) < len(solves)
+    estimates = calls[draw + 1 :]
+    assert sorted(args[0] for _, args, _ in estimates) == sorted(PROTOCOLS)
+    solved = {(result.protocol, args[0]): result.optimal_allocation
+              for _, args, result in calls[:draw]}
+    distinct_columns = 0
+    for (_, (protocol, values, trial_set), result), rows in zip(estimates, snr_rows):
+        assert values == [solved[protocol, p] for p in spec.grid()]
+        assert len(result) == len(values)
+        columns = {reflecting_ucs(protocol, value, trial_set.cfg) for value in values}
+        assert sum(rows) == len(columns)
+        distinct_columns += len(columns)
+    assert distinct_columns < len(solves)  # so the grid repeats columns
+
+
+def test_answer_zips_each_budget_with_its_own_solve_in_any_order():
+    # a shuffled grid with a repeated budget gives the rows of the sorted
+    # grid, and every row carries the solve of its own budget
+    cfg = ScenarioConfig(mc_trials=8)
+    rows = answer(cfg, [1e-3, 1e-7, 0.0, 1e-3])
+    assert rows == answer(cfg, [0.0, 1e-7, 1e-3, 1e-3])
+    assert [(row.p_static, row.protocol) for row in rows] == sorted(
+        (p, protocol) for p in (0.0, 1e-7, 1e-3, 1e-3) for protocol in PROTOCOLS)
+    solvers = {TIME_SPLITTING: optimize_time_splitting, UC_SPLITTING: optimize_uc_splitting}
+    for row in rows:
+        solve = solvers[row.protocol](row.p_static, cfg)
+        assert (row.optimal_allocation, row.status) == (solve.optimal_allocation, solve.status)
+    assert len({(row.protocol, row.optimal_allocation) for row in rows}) > len(PROTOCOLS)
 
 
 @pytest.mark.parametrize(
