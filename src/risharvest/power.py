@@ -60,7 +60,7 @@ def total_consumption(
     """
     if not (is_finite_number(p_static_input) and p_static_input >= 0.0):
         raise ValueError(f"static power must be a finite number >= 0 W, got {p_static_input!r}")
-    p_static = p_static_input
+    p_static = float(p_static_input)  # a numpy scalar budget gives float fields too
     if cfg.static_power_interpretation == STATIC_PER_ASIC:
-        p_static = p_static_input * cfg.n_asics
+        p_static *= cfg.n_asics
     return ConsumptionBreakdown(p_static, dynamic_power(protocol, cfg))

@@ -1,7 +1,7 @@
 """Answer a configuration over static-power budgets, and the sweep CLI that writes it as CSV.
 
-This module is the package's one account of when numpy loads and of the
-garbage-collector freeze.
+This module is the package's one account of when numpy, ``argparse`` and
+``csv`` load and of the garbage-collector freeze.
 
 numpy loads only where the package computes. ``scenario``, ``power`` and
 this module import no numpy, so loading, validating and writing a
@@ -11,6 +11,12 @@ reading a sweep CSV and ``summarize`` run without it. Importing
 ``SweepSpec.grid()`` and ``answer``, which looks up the draw
 (``channel.draw_trials``) and the solvers (``optimizer.optimize_*``) on
 this module, which imports their modules on first use.
+
+Likewise, the standard library's ``argparse`` (with the ``gettext`` it
+imports) loads only in ``main``, which parses a command line, and ``csv``
+only in ``run_sweep``, which writes a sweep CSV, and ``read_rows``, which
+reads one, ``summarize`` among its callers. Importing the package or this
+module and the configuration I/O load neither.
 
 ``run_sweep``, the CLI's sweep, is the one place that touches the garbage
 collector: once its configuration is valid, and only while nothing in the
@@ -29,8 +35,6 @@ caller that wants the frozen objects collected again calls
 as they find it.
 """
 
-import argparse
-import csv
 import gc
 import importlib
 import math
@@ -268,6 +272,8 @@ def run_sweep(
             if enabled:
                 gc.enable()
     rows = answer(cfg, spec.grid())
+    import csv
+
     with open(output_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
@@ -282,6 +288,8 @@ def read_rows(csv_path) -> list[SweepRow]:
     malformed cell or of a value no sweep writes, with the line of a record
     the csv module rejects (such as a field over its size limit), and alone
     for text that does not decode."""
+    import csv
+
     path = Path(csv_path)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -340,7 +348,9 @@ def summarize(csv_path) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="risharvest",
         description=(

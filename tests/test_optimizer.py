@@ -277,6 +277,20 @@ def test_feasible_result_satisfies_constraint(cfg):
     assert result.avg_harvested_power >= result.avg_consumed_power
 
 
+@pytest.mark.parametrize("interpretation", ["total", "per_asic"])
+@pytest.mark.parametrize("budget", [np.float64(1e-5), np.float32(1e-5), 0], ids=type)
+def test_a_numpy_or_int_budget_gives_the_solve_of_its_float(cfg, interpretation, budget):
+    # a sweep hands its grid's np.float64 budgets to the solves unchanged;
+    # each power field is a float all the same, equal to the one the float
+    # of the budget gives
+    cfg = dataclasses.replace(cfg, static_power_interpretation=interpretation)
+    for _, optimize in OPTIMIZERS:
+        result = optimize(budget, cfg)
+        assert type(result.avg_harvested_power) is float, result
+        assert type(result.avg_consumed_power) is float, result
+        assert result == optimize(float(budget), cfg)
+
+
 def test_harvest_power_monotone_in_allocation(rng):
     # the optimizer's bisection solve rests on this monotonicity
     for cfg in random_small_configs(rng):
@@ -556,26 +570,37 @@ def test_one_uc_exact_rate_matches_a_rice_quadrature(k, snr_scale):
     assert exact_rate(UC_SPLITTING, cfg.m_s - 1, cfg) == pytest.approx(expected, rel=1e-6)
 
 
-# The benchmark's workloads: the scenario file and the grid of its
-# perfbench/run.py flags.
-EXACT_RATE_WORKLOADS = {
-    "paper_default": SweepSpec(),
-    "large_surface": SweepSpec(points=5),
-    "edge_sweep": SweepSpec(start=0.0, stop=2e-2, points=400, scale="linear"),
+SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+
+# The sweeps of the Bonferroni test, by id: each benchmark workload, its
+# scenario file at the grid of its perfbench/run.py flags (all three at the
+# default K = 10), and the default scenario at the other Rician K factors, on
+# a linear grid across both feasibility edges (1.66 mW and 1.75 mW), so that
+# each holds an infeasible row of each protocol.
+EXACT_RATE_SWEEPS = {
+    "paper_default": (load_config(SCENARIOS / "paper_default.cfg"), SweepSpec()),
+    "large_surface": (load_config(SCENARIOS / "large_surface.cfg"), SweepSpec(points=5)),
+    "edge_sweep": (load_config(SCENARIOS / "edge_sweep.cfg"),
+                   SweepSpec(start=0.0, stop=2e-2, points=400, scale="linear")),
+    **{
+        f"rician_k_{name}": (ScenarioConfig(rician_k=k),
+                             SweepSpec(start=0.0, stop=2.5e-3, points=40, scale="linear"))
+        for name, k in (("0", 0.0), ("0.5", 0.5), ("100", 100.0), ("1e6", 1e6))
+    },
 }
 
 
-@pytest.mark.parametrize("workload", sorted(EXACT_RATE_WORKLOADS))
-def test_every_sweep_estimate_is_within_a_bonferroni_band_of_its_exact_rate(workload):
+@pytest.mark.parametrize("sweep", sorted(EXACT_RATE_SWEEPS))
+def test_every_sweep_estimate_is_within_a_bonferroni_band_of_its_exact_rate(sweep):
     # each allocation's estimate averages its rate over draws of the lattice
     # law of S_n, so its expectation is (payload / frame) B E[log2(1 + P_t
     # S_n^2 / N)], one dot product over channel._tail_table(K, n); every
     # distinct (protocol, allocation) of a fixed-seed sweep must lie within
     # the Bonferroni band (family alpha 1e-6) of it, and a row with no
     # reflecting UC or no payload slot reads exactly 0
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / f"{workload}.cfg"
-    cfg = dataclasses.replace(load_config(path), rng_seed=20230816)
-    rows = answer(cfg, EXACT_RATE_WORKLOADS[workload].grid())
+    cfg, spec = EXACT_RATE_SWEEPS[sweep]
+    cfg = dataclasses.replace(cfg, rng_seed=20230816)
+    rows = answer(cfg, spec.grid())
     estimates = {
         (row.protocol, row.optimal_allocation): (row.average_rate, row.rate_ci) for row in rows
     }

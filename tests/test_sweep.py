@@ -809,6 +809,57 @@ def test_numpy_loads_only_when_a_command_computes(tmp_path):
     assert len(read_rows(out)) == 4
 
 
+def test_argparse_and_csv_load_only_in_the_commands_that_use_them(tmp_path):
+    # importing the package and the scenario-file I/O parse no command line
+    # and touch no CSV, so none of them loads argparse (nor the gettext it
+    # imports) or csv; --help loads argparse, and read_rows and a sweep load
+    # csv, each in a fresh interpreter
+    csv_path = tmp_path / "sweep.csv"
+    run_sweep(None, small_spec(points=2), csv_path, trials=8)
+    setup = (
+        "import contextlib, io, sys\n"
+        "tmp = sys.argv[1]\n"
+        "def loaded():\n"
+        "    return sorted({'argparse', 'gettext', 'csv'} & set(sys.modules))\n"
+    )
+    code = {
+        "config": setup + (
+            "import risharvest, risharvest.sweep\n"
+            "from risharvest import dumps_config, load_config, loads_config, save_config\n"
+            "cfg = loads_config('ris_cols = 4')\n"
+            "save_config(cfg, tmp + '/saved.cfg')\n"
+            "assert load_config(tmp + '/saved.cfg') == cfg and dumps_config(cfg)\n"
+        ),
+        "help": setup + (
+            "from risharvest.sweep import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    main(['--help'])\n"
+        ),
+        "read_rows": setup + (
+            "from risharvest.sweep import read_rows\n"
+            "assert len(read_rows(tmp + '/sweep.csv')) == 4\n"
+        ),
+        "sweep": setup + (
+            "from risharvest.sweep import SweepSpec, run_sweep\n"
+            "assert run_sweep(None, SweepSpec(points=2), tmp + '/out.csv', trials=8) == 0\n"
+        ),
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    seen = {}
+    for name, steps in code.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", steps + "print(' '.join(loaded()))\n", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        seen[name] = proc.stdout.split()
+    assert seen["config"] == []
+    assert "argparse" in seen["help"] and "csv" not in seen["help"]
+    assert seen["read_rows"] == ["csv"]
+    assert "csv" in seen["sweep"] and "argparse" not in seen["sweep"]
+    assert len(read_rows(tmp_path / "out.csv")) == 4
+
+
 def test_the_computing_imports_and_answer_leave_the_collector_as_they_found_it():
     # only run_sweep, the CLI's step, pauses the collector and freezes the
     # heap; importing the computing modules and calling answer, on or off,
