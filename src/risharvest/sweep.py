@@ -1,7 +1,8 @@
 """Answer a configuration over static-power budgets, and the sweep CLI that writes it as CSV.
 
 This module is the package's one account of when numpy, ``argparse`` and
-``csv`` load and of the garbage-collector freeze.
+``csv`` load, of the garbage-collector freeze and of the size of numpy's
+BLAS thread pool.
 
 numpy loads only where the package computes. ``scenario``, ``power`` and
 this module import no numpy, so loading, validating and writing a
@@ -33,12 +34,29 @@ freezes nothing more, so it does not pin each later sweep's garbage; a
 caller that wants the frozen objects collected again calls
 ``gc.unfreeze()``. Importing a module and ``answer`` leave the collector
 as they find it.
+
+The same import, and only it, also starts numpy's BLAS with one thread.
+numpy's bundled OpenBLAS starts a worker thread per further CPU when it
+loads, and that worker spins for work the sweep never gives it: the
+package's one BLAS call is the 1-D dot of a few thousand entries in
+``channel._tail_table``. So while the computing modules load,
+``run_sweep`` sets ``OPENBLAS_NUM_THREADS=1`` if the caller has set none
+of the three variables OpenBLAS reads (``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``), and removes it again after
+the import, also when the import raises. OpenBLAS reads it only as it
+loads, so the pool keeps its one thread, while the environment, and with
+it every child process, is left as the caller had it. The scope is the
+freeze's: a process whose first numpy import is ``run_sweep``'s. A
+caller that wants a threaded BLAS imports numpy before it sweeps or sets
+one of the three variables. Importing the package or this module, a
+configuration ``run_sweep`` rejects and ``answer`` set no variable.
 """
 
 import gc
 import importlib
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -97,6 +115,10 @@ SCALES = (LINEAR, LOG)
 DEFAULT_SWEEP_START = 1e-7   # W, brackets the feasibility edge of low-power ASICs
 DEFAULT_SWEEP_STOP = 1e-3    # W
 DEFAULT_SWEEP_POINTS = 25
+
+# The variables OpenBLAS reads for its thread count as it loads; a caller
+# that sets any of them keeps its own choice (see the module docstring).
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class SweepCsvError(ValueError):
@@ -256,8 +278,8 @@ def run_sweep(
     ``mc_trials`` in one ``replace``, which validates the result. A
     configuration that fails validation is rejected before numpy loads.
     The first sweep in a process then imports the computing modules with
-    the collector paused and freezes what they leave, as the module
-    docstring explains.
+    the collector paused and numpy's BLAS held to one thread, and freezes
+    what they leave, as the module docstring explains.
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
     overrides = {"rng_seed": seed, "mc_trials": trials}
@@ -265,9 +287,14 @@ def run_sweep(
     if gc.get_freeze_count() == 0:
         enabled = gc.isenabled()
         gc.disable()
+        one_blas_thread = not any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
+        if one_blas_thread:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
             from . import optimizer  # noqa: F401 (imports numpy, channel and harvesting)
         finally:
+            if one_blas_thread:
+                del os.environ["OPENBLAS_NUM_THREADS"]
             gc.freeze()
             if enabled:
                 gc.enable()

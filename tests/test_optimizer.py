@@ -615,6 +615,36 @@ def test_every_sweep_estimate_is_within_a_bonferroni_band_of_its_exact_rate(swee
         assert abs(z) <= limit, (protocol, value, z, limit)
 
 
+@pytest.mark.parametrize("side", [15, 60])
+def test_an_infinite_k_sweep_gives_the_line_of_sight_rate(side):
+    # at K = inf every amplitude is the unit line-of-sight one, so S_n = n on
+    # every trial: each row's estimate is the closed form (payload / frame) B
+    # log2(1 + P_t (n sqrt(|h|^2 E|g|^2))^2 / N) up to rounding, with a CI of
+    # rounding size (worst today: 6.9e-16 and 8.7e-18 relative), and a row
+    # with no reflecting UC or no payload slot reads exactly 0; at 15x15 the
+    # grid crosses both feasibility edges, so such rows occur, while 60x60
+    # harvests enough to stay feasible over the whole grid
+    cfg = ScenarioConfig(rician_k=math.inf, ris_cols=side, ris_rows=side)
+    rows = answer(cfg, SweepSpec(start=0.0, stop=2.5e-3, points=40, scale="linear").grid())
+    post = cfg.frame_slots - cfg.preamble_slots
+    gain = math.sqrt(cfg.free_space_uc_gain * cfg.mean_ris_rx_gain)
+    zeros = 0
+    for row in rows:
+        if row.protocol == TIME_SPLITTING:
+            n, payload = cfg.m_s, post - row.optimal_allocation
+        else:
+            n, payload = cfg.m_s - row.optimal_allocation, post
+        if n == 0 or payload == 0:
+            assert (row.average_rate, row.rate_ci) == (0.0, 0.0), row
+            zeros += 1
+            continue
+        los = (payload / cfg.frame_slots * cfg.bandwidth
+               * math.log2(1.0 + cfg.tx_power * (n * gain) ** 2 / cfg.noise_power))
+        assert abs(row.average_rate - los) <= 4e-15 * los, (row, los)
+        assert row.rate_ci <= 1e-15 * row.average_rate, row
+    assert (zeros > 0) == (side == 15)
+
+
 def binomial_band(n, p, alpha):
     """The counts (lo, hi) that Binomial(n, p) falls below or above with
     probability at most alpha / 2 each."""

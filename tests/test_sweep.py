@@ -937,6 +937,94 @@ def test_run_sweep_leaves_the_collector_on_or_off_as_it_found_it(
         (gc.enable if was_enabled else gc.disable)()
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(code, *args, **preset):
+    """Run ``code`` in a fresh interpreter whose environment holds none of
+    BLAS_THREAD_VARIABLES but those of ``preset``; return its stdout."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    env.update(preset, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+# A sweep of 3 points and 8 trials from the CLI entry point into argv[1],
+# then the process's environment and its thread count.
+SWEEP_THEN_STATE = (
+    "import json, os, sys\n"
+    "from risharvest.sweep import main\n"
+    "assert main(['sweep', '--points', '3', '--trials', '8', '--out', sys.argv[1]]) == 0\n"
+    "print(json.dumps([dict(os.environ), len(os.listdir('/proc/self/task'))]))\n"
+)
+
+needs_proc_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                      reason="no /proc/self/task to count threads")
+
+
+@needs_proc_tasks
+def test_a_sweep_holds_blas_to_one_thread_and_leaves_the_environment_as_it_found_it(tmp_path):
+    # with none of the variables OpenBLAS reads set, the sweep's numpy
+    # import starts a one-thread BLAS pool, so the process runs one thread;
+    # importing the package, a rejected configuration and the sweep itself
+    # leave os.environ exactly as they found it
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("mc_trials = 1\n")
+    code = (
+        "import contextlib, io, json, os, sys\n"
+        "before = dict(os.environ)\n"
+        "import risharvest, risharvest.sweep\n"
+        "assert dict(os.environ) == before, 'import'\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert risharvest.sweep.main(['sweep', '--config', sys.argv[2], '--out', sys.argv[1]]) == 1\n"
+        "assert dict(os.environ) == before, 'rejected'\n"
+        "assert 'numpy' not in sys.modules\n"
+        + SWEEP_THEN_STATE
+        + "print(json.dumps(before))\n"
+    )
+    (after, threads), before = map(json.loads, run_fresh(code, tmp_path / "out.csv", bad).splitlines())
+    assert after == before
+    assert threads == 1
+    assert len(read_rows(tmp_path / "out.csv")) == 6
+
+
+@needs_proc_tasks
+@pytest.mark.parametrize("variable", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+def test_a_callers_blas_thread_setting_is_kept_and_changes_no_byte(tmp_path, variable):
+    # a caller that sets one of the variables gets the BLAS pool it asked
+    # for, as many threads as a bare numpy import under the same setting,
+    # keeps the variable at its value, and gets the CSV of the one-thread
+    # sweep byte for byte
+    run_fresh(SWEEP_THEN_STATE, tmp_path / "one_thread.csv")
+    (environ, threads), = map(json.loads, run_fresh(
+        SWEEP_THEN_STATE, tmp_path / "preset.csv", **{variable: "2"}).splitlines())
+    bare = run_fresh("import os, numpy\nprint(len(os.listdir('/proc/self/task')))\n",
+                     **{variable: "2"})
+    assert environ[variable] == "2"
+    assert not (set(BLAS_THREAD_VARIABLES) - {variable}) & set(environ)
+    assert threads == int(bare)
+    assert (tmp_path / "preset.csv").read_bytes() == (tmp_path / "one_thread.csv").read_bytes()
+
+
+def test_a_failing_numpy_import_leaves_no_blas_variable_and_the_collector_on():
+    # the variable is removed in the same finally that turns the collector
+    # back on, so an import that raises leaves neither behind
+    code = (
+        "import gc, os, sys\n"
+        "sys.modules['numpy'] = None  # makes 'import numpy' raise ImportError\n"
+        "from risharvest.sweep import SweepSpec, run_sweep\n"
+        "try:\n"
+        "    run_sweep(None, SweepSpec(points=2), os.devnull, trials=8)\n"
+        "except ImportError:\n"
+        "    print('OPENBLAS_NUM_THREADS' in os.environ, gc.isenabled())\n"
+    )
+    assert run_fresh(code) == "False True\n"
+
+
 # Scenario-file keys (the ScenarioConfig field names), and a strategy for
 # every float key: log-uniform over [1e-300, 1e300], or uniform over +-1e4
 # for the four dB fields.
