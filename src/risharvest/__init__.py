@@ -27,8 +27,9 @@ a protocol's rates over one draw, one statistic per reflecting-UC count
 
 numpy loads only where the package computes: ``import risharvest`` reads
 ``scenario`` and ``power`` alone, and neither imports it. ``sweep``'s
-docstring says which commands load numpy, ``argparse`` and ``csv``, and how
-the CLI's sweep freezes the heap that import leaves.
+docstring says which commands load numpy, ``argparse``, ``csv``,
+``dataclasses`` and ``inspect``, and how the CLI's sweep freezes the heap
+that import leaves.
 """
 
 from .power import FEASIBLE, INFEASIBLE, PROTOCOLS, TIME_SPLITTING, UC_SPLITTING

@@ -49,7 +49,7 @@ and it holds one law at a time.
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -283,8 +283,7 @@ def _draw_segments(cfg: ScenarioConfig, length: int, segments, prefix: np.ndarra
         prefix[start:stop, columns] = values[_guided_search(cdf, guide, uniform)]
 
 
-@dataclass(frozen=True, eq=False)
-class TrialChannels:
+class TrialChannels(NamedTuple):
     """Amplitude sums of a fixed set of channel draws, shared across candidates.
 
     ``cfg`` is the configuration the draws were made for, and its
@@ -305,6 +304,8 @@ class TrialChannels:
     cfg: ScenarioConfig
     amp_prefix: np.ndarray  # (cfg.mc_trials, len(columns))
     columns: tuple[int, ...]
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def draw_trials(cfg: ScenarioConfig, *, columns) -> TrialChannels:

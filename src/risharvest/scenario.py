@@ -7,14 +7,20 @@ rectifier's among them, and derives the whole link budget as properties:
 wavelength, UC aperture and gain, |h|^2, E|g|^2, the per-UC absorbed power
 and the noise power. One rule checks every field, and then the derived
 values themselves are checked, so a configuration that validates gives a
-finite link budget. A validated configuration is immutable, so one instance
-can be shared across workers.
+finite link budget.
+
+A configuration is a tuple of its fields in file-key order (a
+``typing.NamedTuple``), so it is immutable, compares and hashes as that
+tuple, and one instance can be shared across workers. It is validated on
+every construction path: the class call, ``_make`` and ``_replace``, which
+overrides fields (``cfg._replace(rng_seed=7)``), and the unpickling and
+copying that rebuild it through the class.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 SPEED_OF_LIGHT = 299792458.0   # m/s
 BOLTZMANN = 1.380649e-23       # J/K
@@ -94,47 +100,8 @@ _FIELD_RULES = {
 }
 
 
-def _check_fields(obj) -> None:
-    """The one field rule: the field's type, finiteness and allowed values."""
-    for f in fields(obj):
-        name, kind, value = f.name, f.type, getattr(obj, f.name)
-        if kind is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-            expected = "an integer"
-        elif kind is float:
-            ok = is_finite_number(value) or (name in _MAY_BE_INFINITE and value == math.inf)
-            expected = "a finite number"
-        else:
-            ok = isinstance(value, kind)
-            expected = f"a {kind.__name__}"
-        if ok and name in _FIELD_RULES:
-            expected, allowed = _FIELD_RULES[name]
-            ok = allowed(value)
-        if not ok:
-            raise ConfigValidationError(f"{name} must be {expected}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Full simulation parameter set.
-
-    Defaults describe a 28 GHz link relayed by a 15 x 15 surface: 1 W
-    transmit power through a 37 dBi antenna 18 m from the surface, a 24 dBi
-    receiver 38 m away behind a Rician channel with linear K-factor 10, and
-    a 10^4-slot frame (2 us slots) opened by a 10^3-slot preamble. Each ASIC
-    drives 4 UCs at 8 nJ per reconfiguration; rectifier chains combine 9 UCs.
-
-    Each field is named by its scenario-file key. The ``rectifier_*`` fields
-    give every chain's RF-to-DC curve. ``linear_clipped`` uses the
-    efficiency, sensitivity and saturation: zero output at or below the
-    sensitivity input, a linear slope up to the saturation input, and
-    constant output above it. ``sigmoidal`` uses p_max, steepness and
-    centering: a logistic curve shifted and rescaled so that zero input
-    gives exactly zero output and the output asymptote is p_max. The
-    rectifier defaults are generic Schottky-rectenna figures rather than
-    measurements of a specific circuit; override them in the scenario file
-    when a concrete device is targeted.
-    """
+class _ScenarioFields(NamedTuple):
+    """The fields of ``ScenarioConfig``, in scenario-file key order, with their defaults."""
 
     carrier_frequency: float = 28e9      # Hz
     bandwidth: float = 200e6             # Hz
@@ -168,6 +135,59 @@ class ScenarioConfig:
     rectifier_p_max: float = 24e-3       # W, sigmoidal output asymptote
     rectifier_steepness: float = 1500.0  # 1/W, sigmoidal slope parameter
     rectifier_centering: float = 2.2e-3  # W, sigmoidal inflection input
+
+
+# Scenario-file keys: the ScenarioConfig field names, and their types.
+_FIELD_TYPES = _ScenarioFields.__annotations__
+
+
+def _check_fields(cfg) -> None:
+    """The one field rule: the field's type, finiteness and allowed values."""
+    for (name, kind), value in zip(_FIELD_TYPES.items(), cfg):
+        if kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+            expected = "an integer"
+        elif kind is float:
+            ok = is_finite_number(value) or (name in _MAY_BE_INFINITE and value == math.inf)
+            expected = "a finite number"
+        else:
+            ok = isinstance(value, kind)
+            expected = f"a {kind.__name__}"
+        if ok and name in _FIELD_RULES:
+            expected, allowed = _FIELD_RULES[name]
+            ok = allowed(value)
+        if not ok:
+            raise ConfigValidationError(f"{name} must be {expected}, got {value!r}")
+
+
+class ScenarioConfig(_ScenarioFields):
+    """Full simulation parameter set.
+
+    Defaults describe a 28 GHz link relayed by a 15 x 15 surface: 1 W
+    transmit power through a 37 dBi antenna 18 m from the surface, a 24 dBi
+    receiver 38 m away behind a Rician channel with linear K-factor 10, and
+    a 10^4-slot frame (2 us slots) opened by a 10^3-slot preamble. Each ASIC
+    drives 4 UCs at 8 nJ per reconfiguration; rectifier chains combine 9 UCs.
+
+    Each field is named by its scenario-file key. The ``rectifier_*`` fields
+    give every chain's RF-to-DC curve. ``linear_clipped`` uses the
+    efficiency, sensitivity and saturation: zero output at or below the
+    sensitivity input, a linear slope up to the saturation input, and
+    constant output above it. ``sigmoidal`` uses p_max, steepness and
+    centering: a logistic curve shifted and rescaled so that zero input
+    gives exactly zero output and the output asymptote is p_max. The
+    rectifier defaults are generic Schottky-rectenna figures rather than
+    measurements of a specific circuit; override them in the scenario file
+    when a concrete device is targeted.
+
+    A configuration is the tuple of its fields in scenario-file key order. It
+    compares and hashes as that tuple and is overridden with ``_replace``.
+    Every construction path validates it: the class call, ``_make``,
+    ``_replace``, and the unpickling and copying that rebuild it through the
+    class.
+    """
+
+    __slots__ = ()
 
     @property
     def m_s(self) -> int:
@@ -238,7 +258,8 @@ class ScenarioConfig:
         """Power (W) absorbed by one UC acting as a perfect absorber: P_t |h|^2."""
         return self.tx_power * self.free_space_uc_gain
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_fields(self)
         if self.preamble_slots >= self.frame_slots:
             raise ConfigValidationError(
@@ -251,6 +272,13 @@ class ScenarioConfig:
                 f"rectifier_sensitivity ({self.rectifier_sensitivity} W)"
             )
         self._check_link_budget()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, checks the length
+        # alone; the class call checks the values
+        return cls(*super()._make(iterable))
 
     def _check_link_budget(self) -> None:
         """Require the derived link budget to be finite, naming its fields if not.
@@ -304,10 +332,6 @@ class ScenarioConfig:
                 raise ConfigValidationError(
                     f"{quantity} from {names} is {value}; it must be finite"
                     + (" and > 0" if positive else ""))
-
-
-# Scenario-file keys: the ScenarioConfig field names.
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def _parse_float(key: str, text: str, lineno: int) -> float:

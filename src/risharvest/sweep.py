@@ -1,8 +1,8 @@
 """Answer a configuration over static-power budgets, and the sweep CLI that writes it as CSV.
 
-This module is the package's one account of when numpy, ``argparse`` and
-``csv`` load, of the garbage-collector freeze and of the size of numpy's
-BLAS thread pool.
+This module is the package's one account of when numpy, ``argparse``,
+``csv``, ``dataclasses`` and ``inspect`` load, of the garbage-collector
+freeze and of the size of numpy's BLAS thread pool.
 
 numpy loads only where the package computes. ``scenario``, ``power`` and
 this module import no numpy, so loading, validating and writing a
@@ -18,6 +18,13 @@ imports) loads only in ``main``, which parses a command line, and ``csv``
 only in ``run_sweep``, which writes a sweep CSV, and ``read_rows``, which
 reads one, ``summarize`` among its callers. Importing the package or this
 module and the configuration I/O load neither.
+
+No command loads ``dataclasses``, and only a sweep loads the ``inspect``
+it imports. The package's records (``ScenarioConfig``, ``SweepSpec``, the
+draw's ``TrialChannels`` and the result rows) are ``typing.NamedTuple``
+classes, so importing the package or this module, the configuration I/O,
+``summarize`` and ``--help`` load neither module; a sweep loads
+``inspect`` only because numpy imports it.
 
 ``run_sweep``, the CLI's sweep, is the one place that touches the garbage
 collector: once its configuration is valid, and only while nothing in the
@@ -58,7 +65,6 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -125,16 +131,26 @@ class SweepCsvError(ValueError):
     """Malformed or empty sweep CSV."""
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Static-power grid: [start, stop] W with `points` samples."""
+class _SweepGrid(NamedTuple):
+    """The fields of ``SweepSpec``, with their defaults."""
 
     start: float = DEFAULT_SWEEP_START
     stop: float = DEFAULT_SWEEP_STOP
     points: int = DEFAULT_SWEEP_POINTS
     scale: str = LOG
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepGrid):
+    """Static-power grid: [start, stop] W with `points` samples.
+
+    A tuple of its fields, validated on every construction path, as a
+    ``ScenarioConfig`` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.scale not in SCALES:
             raise ValueError(f"scale must be one of {SCALES}, got {self.scale!r}")
         for name in ("start", "stop"):
@@ -151,6 +167,13 @@ class SweepSpec:
             raise ValueError(f"sweep needs at least 2 points, got {self.points}")
         if self.scale == LOG and self.start <= 0.0:
             raise ValueError("log-scale sweeps need a positive start value")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, checks the length
+        # alone; the class call checks the values
+        return cls(*super()._make(iterable))
 
     def grid(self) -> "numpy.ndarray":
         import numpy as np
@@ -275,7 +298,7 @@ def run_sweep(
 
     The configuration is read from ``config_path`` (the defaults when it is
     None); ``seed`` and ``trials`` override its ``rng_seed`` and
-    ``mc_trials`` in one ``replace``, which validates the result. A
+    ``mc_trials`` in one ``_replace``, which validates the result. A
     configuration that fails validation is rejected before numpy loads.
     The first sweep in a process then imports the computing modules with
     the collector paused and numpy's BLAS held to one thread, and freezes
@@ -283,7 +306,7 @@ def run_sweep(
     """
     cfg = load_config(config_path) if config_path is not None else ScenarioConfig()
     overrides = {"rng_seed": seed, "mc_trials": trials}
-    cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
+    cfg = cfg._replace(**{name: value for name, value in overrides.items() if value is not None})
     if gc.get_freeze_count() == 0:
         enabled = gc.isenabled()
         gc.disable()

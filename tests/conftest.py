@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ def cfg():
 @pytest.fixture
 def los_cfg():
     """Default scenario with a pure line-of-sight RIS-RX link (K infinite)."""
-    return dataclasses.replace(ScenarioConfig(), rician_k=float("inf"))
+    return ScenarioConfig()._replace(rician_k=float("inf"))
 
 
 @pytest.fixture
@@ -51,7 +50,7 @@ def draw(cfg, seed, n=None, columns=None):
     trials = cfg.mc_trials if n is None else n
     if columns is None:
         columns = range(cfg.m_s + 1)
-    return draw_trials(dataclasses.replace(cfg, rng_seed=seed, mc_trials=trials), columns=columns)
+    return draw_trials(cfg._replace(rng_seed=seed, mc_trials=trials), columns=columns)
 
 
 def estimate(protocol, value, trials):

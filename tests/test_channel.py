@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -56,12 +55,12 @@ def test_free_space_gain_matches_hand_formula(cfg):
 
 
 def test_free_space_gain_inverse_square(cfg):
-    doubled = dataclasses.replace(cfg, d_tx_ris=2 * cfg.d_tx_ris)
+    doubled = cfg._replace(d_tx_ris=2 * cfg.d_tx_ris)
     assert cfg.free_space_uc_gain / doubled.free_space_uc_gain == pytest.approx(4.0)
 
 
 def test_free_space_gain_unit_gain_case(cfg):
-    unit = dataclasses.replace(cfg, tx_gain_dbi=0.0, antenna_efficiency=1.0)
+    unit = cfg._replace(tx_gain_dbi=0.0, antenna_efficiency=1.0)
     wavelength = 2.99792458e8 / cfg.carrier_frequency
     aperture = (wavelength / 2.0) ** 2
     expected = aperture / (4 * math.pi * cfg.d_tx_ris**2)
@@ -79,7 +78,7 @@ def test_mean_rx_gain_matches_hand_formula(cfg):
 
 
 def test_mean_rx_gain_friis_factor(cfg):
-    base = dataclasses.replace(cfg, rx_gain_dbi=0.0, antenna_efficiency=1.0)
+    base = cfg._replace(rx_gain_dbi=0.0, antenna_efficiency=1.0)
     wavelength = 2.99792458e8 / cfg.carrier_frequency
     friis = (wavelength / (4 * math.pi * cfg.d_ris_rx)) ** 2
     # only the UC re-radiation gain remains in front of the Friis factor
@@ -87,12 +86,12 @@ def test_mean_rx_gain_friis_factor(cfg):
 
 
 def test_mean_rx_gain_inverse_square(cfg):
-    doubled = dataclasses.replace(cfg, d_ris_rx=2 * cfg.d_ris_rx)
+    doubled = cfg._replace(d_ris_rx=2 * cfg.d_ris_rx)
     assert cfg.mean_ris_rx_gain / doubled.mean_ris_rx_gain == pytest.approx(4.0)
 
 
 def seeded(cfg, seed):
-    return dataclasses.replace(cfg, rng_seed=seed)
+    return cfg._replace(rng_seed=seed)
 
 
 def g_amplitudes(cfg, n):
@@ -158,7 +157,7 @@ def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
     # a draw that keeps every column sums m_s one-UC segments, each a value
     # of one amplitude's cells; its full-surface sums and those of the
     # normal-based reference are one law by a two-sample Kolmogorov-Smirnov test
-    kcfg = dataclasses.replace(cfg, rician_k=k)
+    kcfg = cfg._replace(rician_k=k)
     gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
     cells = draw(kcfg, 41, 4000).amp_prefix[:, -1] / gain
     normals = normal_based_amplitudes(k, cfg.m_s, np.random.default_rng(42), 4000).sum(axis=1)
@@ -169,7 +168,7 @@ def test_full_surface_sums_match_the_normal_based_sampler(cfg, k):
 def test_amplitudes_follow_rician_law(cfg, k):
     # |g| is Rician with nu^2 = E|g|^2 K/(K+1) and sigma^2 = E|g|^2/(2(K+1))
     # per component; the UCs of a draw are i.i.d. because no common phase is drawn
-    kcfg = dataclasses.replace(cfg, rician_k=k, rng_seed=2024)
+    kcfg = cfg._replace(rician_k=k, rng_seed=2024)
     gains = g_amplitudes(kcfg, 20).ravel()
     law = stats.rice(b=math.sqrt(2.0 * k), scale=math.sqrt(kcfg.mean_ris_rx_gain / (2.0 * (k + 1.0))))
     assert stats.kstest(gains, law.cdf).pvalue > 0.01
@@ -183,10 +182,10 @@ def test_infinite_k_collapses_to_los(los_cfg):
 def test_huge_k_is_nearly_deterministic(cfg):
     # at K = 1e12 the LoS-diffuse cross term still perturbs |g|^2 at the
     # 2/sqrt(K) = 2e-6 level, so the tolerance sits above that scale
-    near_los = dataclasses.replace(cfg, rician_k=1e12)
+    near_los = cfg._replace(rician_k=1e12)
     gains = g_amplitudes(near_los, 2)[0]
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=2e-5)
-    tighter = dataclasses.replace(cfg, rician_k=1e14)
+    tighter = cfg._replace(rician_k=1e14)
     gains = g_amplitudes(tighter, 2)[0]
     assert np.allclose(gains**2, cfg.mean_ris_rx_gain, rtol=1e-6)
 
@@ -237,7 +236,7 @@ def test_absorbed_power_per_uc(cfg):
     assert absorbed == pytest.approx(cfg.tx_power * cfg.free_space_uc_gain, rel=1e-12)
     assert cfg.m_s * absorbed == pytest.approx(7.1e-3, rel=1e-2)
     # halving TX power halves it
-    half = dataclasses.replace(cfg, tx_power=cfg.tx_power / 2)
+    half = cfg._replace(tx_power=cfg.tx_power / 2)
     assert half.uc_absorbed_power == pytest.approx(absorbed / 2, rel=1e-12)
 
 
@@ -492,7 +491,7 @@ def test_drawn_amplitudes_follow_rician_law(cfg, k):
     # adjacent columns of a full draw differ by one UC's |h||g|, Rician with
     # nu^2 = K/(K+1) and sigma^2 = 1/(2(K+1)) per component, times the mean
     # link gain; every segment of a full draw is one UC, the last included
-    kcfg = dataclasses.replace(cfg, rician_k=k, mc_trials=600)
+    kcfg = cfg._replace(rician_k=k, mc_trials=600)
     amplitudes = np.diff(draw(kcfg, 563).amp_prefix, axis=1).ravel()
     gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
     law = stats.rice(b=math.sqrt(2.0 * k), scale=gain / math.sqrt(2.0 * (k + 1.0)))
@@ -504,7 +503,7 @@ def test_full_surface_mean_matches_the_rician_mean(cfg, k):
     # the full-surface column sums m_s i.i.d. |h||g|, so its mean over 10^4
     # trials lies within 4 standard errors of m_s times the link gain times
     # the mean of a unit-power Rician amplitude
-    kcfg = dataclasses.replace(cfg, rician_k=k)
+    kcfg = cfg._replace(rician_k=k)
     sums = draw(kcfg, 564, 10_000, columns=[kcfg.m_s]).amp_prefix[:, -1]
     gain = math.sqrt(kcfg.free_space_uc_gain * kcfg.mean_ris_rx_gain)
     unit_power = stats.rice(b=math.sqrt(2.0 * k), scale=1.0 / math.sqrt(2.0 * (k + 1.0)))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +22,7 @@ def test_partition_remainder_group():
     cfg = absorbing_config(3e-6, 10, chain_size=4)
     eta = cfg.rectifier_efficiency
     assert harvest(cfg)[10] == pytest.approx(eta * 24e-6, rel=1e-12)
-    sigmoidal = dataclasses.replace(cfg, rectifier_kind="sigmoidal")
+    sigmoidal = cfg._replace(rectifier_kind="sigmoidal")
     p = sigmoidal.uc_absorbed_power
     expected = sum(rectify(n * p, sigmoidal) for n in (4, 4, 2))
     assert harvest(sigmoidal)[10] == pytest.approx(expected, rel=1e-12)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from bisect import bisect_left
@@ -95,14 +94,14 @@ def fresh_curves():
 
 
 def test_estimate_averages_deterministic(cfg):
-    fast = dataclasses.replace(cfg, mc_trials=64)
+    fast = cfg._replace(mc_trials=64)
     a = estimate(TIME_SPLITTING, 100, draw(fast, 9))
     b = estimate(TIME_SPLITTING, 100, draw(fast, 9))
     assert a == b
 
 
 def test_estimate_averages_zero_variance_at_infinite_k(los_cfg):
-    fast = dataclasses.replace(los_cfg, mc_trials=16)
+    fast = los_cfg._replace(mc_trials=16)
     trials = draw(fast, 1)
     rate, ci = estimate(TIME_SPLITTING, 0, trials)
     expected = 0.9 * fast.bandwidth * np.log2(1.0 + oracle_full_surface_snr(fast))
@@ -121,9 +120,9 @@ def test_estimate_averages_matches_frame_engine(cfg, rng):
     n, seed = 50, 555
     configs = [
         *random_small_configs(rng),
-        dataclasses.replace(cfg, static_power_interpretation="per_asic"),
-        dataclasses.replace(
-            cfg, static_power_interpretation="per_asic", reconfig_counting_mode="per_asic"
+        cfg._replace(static_power_interpretation="per_asic"),
+        cfg._replace(
+            static_power_interpretation="per_asic", reconfig_counting_mode="per_asic"
         ),
     ]
     assert {c.rectifier_kind for c in configs} == {"linear_clipped", "sigmoidal"}
@@ -151,7 +150,7 @@ def test_estimate_reads_the_configuration_of_its_draw(cfg):
     # a draw keeps its configuration: at twice the RIS-RX distance the
     # estimate follows the per-frame oracle of that distance, not the default's
     n, seed = 50, 561
-    far = dataclasses.replace(cfg, d_ris_rx=76.0)
+    far = cfg._replace(d_ris_rx=76.0)
     rows = drawn_rows(far, seed, n)
     for protocol, value in ((TIME_SPLITTING, 100), (UC_SPLITTING, 9)):
         rate, _ = estimate(protocol, value, draw(far, seed, n))
@@ -172,7 +171,7 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, blo
     # a row depends on the seed and its trial alone: the prefix is the one
     # rebuilt segment by segment from the words (conftest.rebuilt_prefix),
     # bit for bit, and the first t trials are the same for any trial count
-    fast = dataclasses.replace(cfg, mc_trials=1200, rng_seed=556)
+    fast = cfg._replace(mc_trials=1200, rng_seed=556)
     columns = [0, 3, 4, 100, fast.m_s - 1]
     full = draw(fast, 556, columns=columns).amp_prefix
     assert np.array_equal(full[:, 0], np.zeros(fast.mc_trials))
@@ -183,7 +182,7 @@ def test_draw_stream_independent_of_trial_count_and_chunks(monkeypatch, cfg, blo
 
 def test_draws_compare_by_identity(cfg):
     # the prefix arrays have no truth value, so == compares the objects
-    fast = dataclasses.replace(cfg, mc_trials=2)
+    fast = cfg._replace(mc_trials=2)
     one, other = draw(fast, 3), draw(fast, 3)
     assert one == one
     assert one != other
@@ -197,7 +196,7 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, block_value
     # at or below it: it is the running sum of the segments between them,
     # each rebuilt from its own word (conftest.rebuilt_prefix), bit for bit;
     # keeping every column makes every segment one UC, drawn from its cells
-    fast = dataclasses.replace(cfg, mc_trials=300, rng_seed=557)
+    fast = cfg._replace(mc_trials=300, rng_seed=557)
     m_s = fast.m_s
     full = draw(fast, 557)
     assert full.columns == tuple(range(m_s + 1))
@@ -226,7 +225,7 @@ def test_column_draw_keeps_the_full_prefix_columns(monkeypatch, cfg, block_value
 def test_undrawn_prefix_column_is_rejected(small_cfg):
     # with e_rec = 0 the consumed power is the static input, so a curve entry
     # where the curve rises puts the UC-splitting optimum exactly there
-    free = dataclasses.replace(small_cfg, e_rec=0.0)
+    free = small_cfg._replace(e_rec=0.0)
     curve = curve_of(UC_SPLITTING, free)
     k = int(np.flatnonzero(curve[1:-1] > curve[:-2])[0]) + 1
     p_static = float(curve[k])
@@ -246,7 +245,7 @@ def test_undrawn_prefix_column_is_rejected(small_cfg):
 
 
 def test_unconstrained_case_allocates_nothing(cfg):
-    free = dataclasses.replace(cfg, e_rec=0.0, mc_trials=32)
+    free = cfg._replace(e_rec=0.0, mc_trials=32)
     ts = optimize_time_splitting(0.0, free)
     assert ts.status == FEASIBLE and ts.optimal_allocation == 0
     uc = optimize_uc_splitting(0.0, free)
@@ -283,7 +282,7 @@ def test_a_numpy_or_int_budget_gives_the_solve_of_its_float(cfg, interpretation,
     # a sweep hands its grid's np.float64 budgets to the solves unchanged;
     # each power field is a float all the same, equal to the one the float
     # of the budget gives
-    cfg = dataclasses.replace(cfg, static_power_interpretation=interpretation)
+    cfg = cfg._replace(static_power_interpretation=interpretation)
     for _, optimize in OPTIMIZERS:
         result = optimize(budget, cfg)
         assert type(result.avg_harvested_power) is float, result
@@ -352,7 +351,7 @@ def test_curve_lookup_matches_exhaustive_scan(small_cfg):
 
 def test_consumption_equal_to_curve_entry_is_feasible(small_cfg):
     # with e_rec = 0 the consumed power is exactly the static input
-    free = dataclasses.replace(small_cfg, e_rec=0.0)
+    free = small_cfg._replace(e_rec=0.0)
     for protocol, optimize in OPTIMIZERS:
         curve = curve_of(protocol, free)
         # interior values where the curve rises; the top edge has its own test
@@ -406,7 +405,7 @@ def test_solve_matches_the_curve_lookup(rng, protocol, optimize):
 
 
 def test_lookup_edges_zero_static_power_and_full_allocation(small_cfg):
-    free = dataclasses.replace(small_cfg, e_rec=0.0)
+    free = small_cfg._replace(e_rec=0.0)
     for protocol, optimize in OPTIMIZERS:
         curve = curve_of(protocol, free)
         vmax = curve.size - 1
@@ -557,7 +556,7 @@ def test_one_uc_exact_rate_matches_a_rice_quadrature(k, snr_scale):
     cfg = ScenarioConfig(rician_k=k)
     gain = cfg.free_space_uc_gain * cfg.mean_ris_rx_gain
     if snr_scale is not None:
-        cfg = dataclasses.replace(cfg, tx_power=snr_scale * cfg.noise_power / gain)
+        cfg = cfg._replace(tx_power=snr_scale * cfg.noise_power / gain)
     a = cfg.tx_power * gain / cfg.noise_power
     c, sigma = math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (2.0 * (k + 1.0)))
     law = stats.rice(c / sigma, scale=sigma)
@@ -599,7 +598,7 @@ def test_every_sweep_estimate_is_within_a_bonferroni_band_of_its_exact_rate(swee
     # the Bonferroni band (family alpha 1e-6) of it, and a row with no
     # reflecting UC or no payload slot reads exactly 0
     cfg, spec = EXACT_RATE_SWEEPS[sweep]
-    cfg = dataclasses.replace(cfg, rng_seed=20230816)
+    cfg = cfg._replace(rng_seed=20230816)
     rows = answer(cfg, spec.grid())
     estimates = {
         (row.protocol, row.optimal_allocation): (row.average_rate, row.rate_ci) for row in rows
@@ -645,6 +644,43 @@ def test_an_infinite_k_sweep_gives_the_line_of_sight_rate(side):
     assert (zeros > 0) == (side == 15)
 
 
+@pytest.mark.parametrize("side", [15, 60])
+@pytest.mark.parametrize("protocol", [TIME_SPLITTING, UC_SPLITTING])
+def test_the_exact_rate_at_infinite_k_is_the_line_of_sight_closed_form(protocol, side):
+    # the K = inf law of S_n is the point mass n, so at every allocation
+    # exact_rate must be (payload / frame) B log2(1 + a n^2), with
+    # a = P_t |h|^2 E|g|^2 / N, up to the rounding of the SNR (worst today:
+    # 3.2e-16 relative), and exactly 0 with no reflecting UC or no payload slot
+    cfg = ScenarioConfig(rician_k=math.inf, ris_cols=side, ris_rows=side)
+    a = cfg.tx_power * cfg.free_space_uc_gain * cfg.mean_ris_rx_gain / cfg.noise_power
+    post = cfg.frame_slots - cfg.preamble_slots
+    vmax = post if protocol == TIME_SPLITTING else cfg.m_s
+    for value in range(vmax + 1):
+        n = cfg.m_s if protocol == TIME_SPLITTING else cfg.m_s - value
+        payload = post - value if protocol == TIME_SPLITTING else post
+        los = payload / cfg.frame_slots * cfg.bandwidth * math.log2(1.0 + a * n * n)
+        exact = exact_rate(protocol, value, cfg)
+        if n == 0 or payload == 0:
+            assert exact == los == 0.0, value
+        else:
+            assert abs(exact - los) <= 1e-15 * los, (value, exact, los)
+
+
+@pytest.mark.parametrize("sweep", sorted(EXACT_RATE_SWEEPS))
+def test_the_exact_uc_splitting_rate_does_not_rise_along_the_grid(sweep):
+    # a larger budget needs at least as many absorbing UCs, so it leaves at
+    # most as many reflecting, and S_n grows with n; the exact rate of each
+    # budget's solve must therefore not rise along the grid, and must fall
+    # wherever the solve absorbs more UCs; the solves alone, with no draw
+    cfg, spec = EXACT_RATE_SWEEPS[sweep]
+    values = [optimize_uc_splitting(p, cfg).optimal_allocation for p in spec.grid()]
+    rates = {value: exact_rate(UC_SPLITTING, value, cfg) for value in set(values)}
+    for low, high in zip(values, values[1:]):
+        assert low <= high, (low, high)
+        assert rates[high] < rates[low] or high == low, (low, high, rates[low], rates[high])
+    assert len(rates) > 1
+
+
 def binomial_band(n, p, alpha):
     """The counts (lo, hi) that Binomial(n, p) falls below or above with
     probability at most alpha / 2 each."""
@@ -667,7 +703,7 @@ def test_the_95_percent_ci_covers_the_exact_rate_in_95_percent_of_seeds():
     exact = [exact_rate(UC_SPLITTING, value, cfg) for value in values]
     covered = [0] * len(values)
     for seed in range(seeds):
-        trials = draw_trials(dataclasses.replace(cfg, rng_seed=seed), columns=columns)
+        trials = draw_trials(cfg._replace(rng_seed=seed), columns=columns)
         for j, (average, ci) in enumerate(estimate_averages(UC_SPLITTING, values, trials)):
             covered[j] += abs(average - exact[j]) <= ci
     lo, hi = binomial_band(seeds, 0.95, 1e-6 / len(values))
@@ -729,7 +765,7 @@ def test_uc_curve_rectifies_once(monkeypatch, fresh_curves, config):
 
 
 def test_uc_splitting_dominates_at_common_static_power(cfg):
-    fast = dataclasses.replace(cfg, mc_trials=500)
+    fast = cfg._replace(mc_trials=500)
     trials = draw(fast, 8)
     for p_static in (1e-6, 1e-4, 8e-4):
         ts = optimize_time_splitting(p_static, fast)
@@ -755,7 +791,7 @@ def test_feasibility_range_ordering(cfg):
 
 
 def test_same_seed_same_result(cfg):
-    fast = dataclasses.replace(cfg, mc_trials=128)
+    fast = cfg._replace(mc_trials=128)
     solve = optimize_uc_splitting(1e-4, fast)
     assert solve == optimize_uc_splitting(1e-4, fast)
     a = estimate(UC_SPLITTING, solve.optimal_allocation, draw(fast, 77))
@@ -764,7 +800,7 @@ def test_same_seed_same_result(cfg):
 
 
 def test_allocation_value_bounds_checked(cfg):
-    fast = dataclasses.replace(cfg, mc_trials=8)
+    fast = cfg._replace(mc_trials=8)
     trials = draw(fast, 1)
     for protocol in (TIME_SPLITTING, UC_SPLITTING):
         vmax = curve_of(protocol, fast).size - 1

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ def test_reconfig_counts_per_uc(cfg):
 
 
 def test_reconfig_counts_per_asic(cfg):
-    per_asic = dataclasses.replace(cfg, reconfig_counting_mode="per_asic")
+    per_asic = cfg._replace(reconfig_counting_mode="per_asic")
     assert reconfig_count(TIME_SPLITTING, per_asic) == 225 + 2 * 57
     assert reconfig_count(UC_SPLITTING, per_asic) == 225 + 57
 
@@ -33,7 +32,7 @@ def test_dynamic_power_defaults(cfg):
 
 
 def test_dynamic_power_zero_event_cost(cfg):
-    free = dataclasses.replace(cfg, e_rec=0.0)
+    free = cfg._replace(e_rec=0.0)
     assert dynamic_power(TIME_SPLITTING, free) == 0.0
     assert dynamic_power(UC_SPLITTING, free) == 0.0
 
@@ -55,11 +54,11 @@ def test_dynamic_power_ratio_two_thirds(cols, rows, e_rec, slot):
 
 
 def test_dynamic_power_scales_with_e_rec_and_frame(cfg):
-    doubled_cost = dataclasses.replace(cfg, e_rec=2 * cfg.e_rec)
+    doubled_cost = cfg._replace(e_rec=2 * cfg.e_rec)
     assert dynamic_power(TIME_SPLITTING, doubled_cost) == pytest.approx(
         2 * dynamic_power(TIME_SPLITTING, cfg), rel=1e-12
     )
-    doubled_frame = dataclasses.replace(cfg, frame_slots=2 * cfg.frame_slots)
+    doubled_frame = cfg._replace(frame_slots=2 * cfg.frame_slots)
     assert dynamic_power(TIME_SPLITTING, doubled_frame) == pytest.approx(
         dynamic_power(TIME_SPLITTING, cfg) / 2, rel=1e-12
     )
@@ -74,12 +73,12 @@ def test_total_consumption_sum(cfg):
 
 
 def test_total_consumption_zero(cfg):
-    free = dataclasses.replace(cfg, e_rec=0.0)
+    free = cfg._replace(e_rec=0.0)
     assert total_consumption(0.0, TIME_SPLITTING, free).total == 0.0
 
 
 def test_total_consumption_per_asic_interpretation(cfg):
-    per_asic = dataclasses.replace(cfg, static_power_interpretation="per_asic")
+    per_asic = cfg._replace(static_power_interpretation="per_asic")
     breakdown = total_consumption(1e-6, TIME_SPLITTING, per_asic)
     assert breakdown.p_static == pytest.approx(5.7e-5, rel=1e-12)
 

@@ -1,7 +1,8 @@
 import ast
-import dataclasses
+import copy
 import math
 import os
+import pickle
 import pkgutil
 import re
 import subprocess
@@ -101,7 +102,7 @@ def test_every_written_key_is_a_config_field(kind):
     cfg = ScenarioConfig(rectifier_kind=kind, rectifier_saturation=2e-2, rectifier_p_max=5e-3)
     text = dumps_config(cfg)
     keys = [line.partition(" = ")[0] for line in text.splitlines()[1:]]
-    assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert keys == list(ScenarioConfig._fields)
     assert loads_config(text) == cfg
 
 
@@ -251,7 +252,7 @@ def test_integer_keys_reject_float_forms_a_float_may_round(text):
 
 
 def test_round_trip_preserves_inf_k():
-    cfg = dataclasses.replace(ScenarioConfig(), rician_k=float("inf"))
+    cfg = ScenarioConfig()._replace(rician_k=float("inf"))
     assert loads_config(dumps_config(cfg)) == cfg
     assert loads_config("rician_k = inf\n") == cfg
 
@@ -279,8 +280,50 @@ def test_noise_power_matches_dbm_rule(bandwidth, nf_db):
 
 
 def test_config_is_frozen(cfg):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cfg.tx_power = 2.0
+
+
+# One invalid configuration per layer of the checks: a field rule, a rule
+# across two fields, and a derived link-budget bound.
+INVALID_OVERRIDES = {
+    "field": (dict(mc_trials=1), "mc_trials must be >= 2, got 1"),
+    "across_fields": (dict(preamble_slots=10000),
+                      "preamble_slots (10000) must be smaller than frame_slots (10000)"),
+    "link_budget": (dict(tx_power=1e308), "full-surface SNR bound from tx_power"),
+}
+CONSTRUCTIONS = {
+    "class": lambda overrides: ScenarioConfig(**overrides),
+    "_replace": lambda overrides: ScenarioConfig()._replace(**overrides),
+    "_make": lambda overrides: ScenarioConfig._make(
+        overrides.get(name, value) for name, value in zip(ScenarioConfig._fields, ScenarioConfig())),
+}
+
+
+@pytest.mark.parametrize("invalid", sorted(INVALID_OVERRIDES))
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+def test_every_construction_path_validates_a_config(construction, invalid):
+    # namedtuple's own _make, which _replace calls, checks only the length;
+    # every path must reject as the class call does
+    overrides, message = INVALID_OVERRIDES[invalid]
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}"):
+        CONSTRUCTIONS[construction](overrides)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda cfg: pickle.loads(pickle.dumps(cfg)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_a_config_survives_pickle_and_copy(duplicate):
+    cfg = ScenarioConfig(rician_k=math.inf, rectifier_kind="sigmoidal", rng_seed=2**64 - 1)
+    again = duplicate(cfg)
+    assert type(again) is ScenarioConfig and again == cfg
+    # each rebuilds a configuration through the class, so each checks it
+    unchecked = tuple.__new__(ScenarioConfig, (1 if name == "mc_trials" else value
+                                               for name, value in zip(cfg._fields, cfg)))
+    with pytest.raises(ConfigValidationError, match="^mc_trials must be >= 2, got 1$"):
+        duplicate(unchecked)
 
 
 SUBMODULES = sorted(module.name for module in pkgutil.iter_modules(risharvest.__path__))

@@ -1,16 +1,18 @@
+import copy
 import csv
-import dataclasses
 import gc
 import importlib
 import io
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,45 @@ def test_sweep_spec_rejects_bad_bounds(overrides, field):
 def test_sweep_spec_takes_any_integer_points(points):
     # as start and stop take any real number, points takes any integer but a bool
     assert small_spec(points=points).grid().tolist() == small_spec(points=5).grid().tolist()
+
+
+SPEC_CONSTRUCTIONS = {
+    "class": lambda overrides: SweepSpec(**overrides),
+    "_replace": lambda overrides: SweepSpec()._replace(**overrides),
+    "_make": lambda overrides: SweepSpec._make(
+        overrides.get(name, value) for name, value in zip(SweepSpec._fields, SweepSpec())),
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(points=1), "sweep needs at least 2 points, got 1"),
+        (dict(scale="cubic"), "scale must be one of ('linear', 'log'), got 'cubic'"),
+        (dict(start=0.0), "log-scale sweeps need a positive start value"),
+    ],
+    ids=["points", "scale", "log_start"],
+)
+@pytest.mark.parametrize("construction", sorted(SPEC_CONSTRUCTIONS))
+def test_every_construction_path_validates_a_sweep_spec(construction, overrides, message):
+    # namedtuple's own _make, which _replace calls, checks only the length;
+    # every path must reject as the class call does
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SPEC_CONSTRUCTIONS[construction](overrides)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda spec: pickle.loads(pickle.dumps(spec)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_a_sweep_spec_survives_pickle_and_copy(duplicate):
+    spec = SweepSpec(start=0.0, stop=2e-2, points=400, scale="linear")
+    again = duplicate(spec)
+    assert type(again) is SweepSpec and again == spec
+    # each rebuilds a spec through the class, so each checks it
+    with pytest.raises(ValueError, match="^sweep needs at least 2 points, got 1$"):
+        duplicate(tuple.__new__(SweepSpec, (0.0, 2e-2, 1, "linear")))
 
 
 def test_row_count_and_header(fast_config_path, tmp_path):
@@ -320,8 +361,10 @@ def test_a_row_is_its_csv_record_in_header_order():
         ConsumptionBreakdown(1e-06, 2e-07),
         AllocationResult(TIME_SPLITTING, 3, 1e-05, 1.2e-06, FEASIBLE),
         SweepRow(0.0, "uc_splitting", INFEASIBLE, 0, 1000.0, 10.0, 2e-07, None),
+        ScenarioConfig(),
+        SweepSpec(),
     ],
-    ids=["consumption", "allocation", "row"],
+    ids=["consumption", "allocation", "row", "config", "spec"],
 )
 def test_records_reject_attribute_assignment(record):
     before = tuple(record)
@@ -860,6 +903,58 @@ def test_argparse_and_csv_load_only_in_the_commands_that_use_them(tmp_path):
     assert len(read_rows(tmp_path / "out.csv")) == 4
 
 
+PAPER_DEFAULT_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "paper_default.cfg"
+
+
+def test_no_command_loads_dataclasses_and_only_a_sweep_loads_inspect(tmp_path):
+    # configurations, sweep grids and draws are NamedTuples, so importing the
+    # package, loading a scenario, summarize and --help load neither
+    # dataclasses nor the inspect it imports; a CLI sweep loads numpy, which
+    # imports inspect, but still not dataclasses; each in a fresh interpreter
+    csv_path = tmp_path / "sweep.csv"
+    run_sweep(None, small_spec(points=2), csv_path, trials=8)
+    setup = (
+        "import contextlib, io, sys\n"
+        "tmp = sys.argv[1]\n"
+    )
+    code = {
+        "import": "import risharvest\n",
+        "config": (
+            "import risharvest.sweep\n"
+            "from risharvest import load_config\n"
+            f"load_config({str(PAPER_DEFAULT_CFG)!r})\n"
+        ),
+        "summarize": (
+            "from risharvest.sweep import summarize\n"
+            "assert summarize(tmp + '/sweep.csv')\n"
+        ),
+        "help": (
+            "from risharvest.sweep import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+            "    main(['--help'])\n"
+        ),
+        "sweep": (
+            "from risharvest.sweep import main\n"
+            "assert main(['sweep', '--points', '2', '--trials', '8', '--out', tmp + '/out.csv']) == 0\n"
+        ),
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(risharvest.__file__).parents[1]))
+    seen = {}
+    for name, steps in code.items():
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             setup + steps + "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n",
+             str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        seen[name] = proc.stdout.split()
+    quiet = ("import", "config", "summarize", "help")
+    assert {name: seen[name] for name in quiet} == {name: [] for name in quiet}
+    assert "dataclasses" not in seen["sweep"]
+    assert len(read_rows(tmp_path / "out.csv")) == 4
+
+
 def test_the_computing_imports_and_answer_leave_the_collector_as_they_found_it():
     # only run_sweep, the CLI's step, pauses the collector and freezes the
     # heap; importing the computing modules and calling answer, on or off,
@@ -1028,9 +1123,9 @@ def test_a_failing_numpy_import_leaves_no_blas_variable_and_the_collector_on():
 # Scenario-file keys (the ScenarioConfig field names), and a strategy for
 # every float key: log-uniform over [1e-300, 1e300], or uniform over +-1e4
 # for the four dB fields.
-SCENARIO_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+SCENARIO_KEYS = list(ScenarioConfig._fields)
 DB_KEYS = ("tx_gain_dbi", "rx_gain_dbi", "noise_figure_db", "rf_combining_loss_db")
-FLOAT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type is float]
+FLOAT_KEYS = [key for key, kind in typing.get_type_hints(ScenarioConfig).items() if kind is float]
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)
 # Each key is set or left at its default, so that some examples validate.
 ANY_CONFIG = st.fixed_dictionaries(
